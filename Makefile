@@ -1,12 +1,13 @@
 # Developer entry points.  `make check` is the CI gate: vet + build + tests
-# + race on the protocol-critical packages + a 1-iteration smoke run of the
-# hostperf data-plane benchmarks (catches bit-rot in the benchmark harness
-# without paying full benchmark time) + a profiler export smoke run.
+# (the farm soak, the telemetry smoke and the full-size FFT memory smoke run
+# in plain `go test ./...`) + race on the protocol-critical packages + the
+# repository benchmark's own vet and short tests + docs lint + a profiler
+# export smoke run.
 GO ?= go
 
-.PHONY: check vet build test race bench-smoke bench hostperf docs profile-smoke mem-smoke serve-smoke metrics-smoke
+.PHONY: check vet build test race benchmark bench docs profile-smoke
 
-check: vet build test race bench-smoke docs profile-smoke mem-smoke serve-smoke metrics-smoke
+check: vet build test race benchmark docs profile-smoke
 
 # Documentation lint: package doc comments on every Go package, and every
 # relative markdown link must resolve (cmd/doccheck, stdlib only).
@@ -28,42 +29,19 @@ race:
 		./internal/sim/... ./internal/metrics/... ./internal/farm/...
 	$(GO) test -race -run 'TestFig5RaceSmoke|TestFig5RaceSmokeEventSched|TestFig5ContendedSyncRaceSmoke|TestFrameLeakBothSched' ./internal/bench/
 
-bench-smoke:
-	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/bench/hostperf/
-
-# Memory smoke: frame-leak assertions after every fig5-small cell (the COW
-# frame gauge must return to baseline, on both schedulers) plus the
-# paper-scale 4M-point FFT (-full-size), which must complete in host memory
-# and release every frame.
-mem-smoke:
-	CABLES_FULLSIZE=1 $(GO) test -count=1 -run 'TestMemSmoke|TestFrameLeakBothSched' ./internal/bench/
-
-# Simulation-farm soak (docs/SERVE.md): push >= 1000 queued cells through a
-# live `cablesim serve` farm, assert the queue genuinely backs up, the
-# cache-hit ratio on a repeated sweep, bounded heap, and a clean SIGTERM
-# drain with no leaked goroutines.  Gated behind CABLES_SOAK=1 so plain
-# `go test ./...` stays fast.
-serve-smoke:
-	CABLES_SOAK=1 $(GO) test -count=1 -run TestServeSoak -v ./internal/farm/
-
-# Telemetry-plane smoke (docs/OBSERVABILITY.md §7): boot a real farm, run a
-# fault-plan sweep twice (miss then hit), scrape GET /metrics, and assert
-# the key families, the cache-hit counter, the fresh-only run histogram,
-# the sim-event bridge, and the readyz drain flip.  Gated behind
-# CABLES_METRICS_SMOKE=1 so plain `go test ./...` stays fast.
-metrics-smoke:
-	CABLES_METRICS_SMOKE=1 $(GO) test -count=1 -run TestMetricsSmoke -v ./internal/farm/
+# The repository benchmark (benchmark/, its own Go module, recorded in
+# BENCHMARK.json): vet it — which type-checks its probe against the
+# internal packages it times — and run its short tests (statistics, the
+# open-loop schedule, child supervision, BENCHMARK.json against the code).
+benchmark:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark -short ./...
 
 # Profiler export smoke: run one profiled cell, export the Perfetto
 # timeline, and validate it (well-formed JSON, spans nest per thread).
 profile-smoke:
 	$(GO) run ./cmd/cablesim profile -scale test -apps FFT -procs 4 -o /tmp/cables-profile-smoke.json
 	$(GO) run ./cmd/traceck /tmp/cables-profile-smoke.json
-
-# Full host-time benchmark suite; rewrites BENCH_dataplane.json (the perf
-# trajectory artifact — commit it so successive PRs can compare).
-hostperf:
-	$(GO) run ./cmd/cablesim hostperf
 
 # The paper-reproduction benchmarks (virtual time).
 bench:

@@ -17,7 +17,6 @@ import (
 	"cables/internal/apps/fft"
 	"cables/internal/apps/omp"
 	"cables/internal/bench"
-	"cables/internal/bench/hostperf"
 	cables "cables/internal/core"
 	"cables/internal/openmp"
 	"cables/internal/sim"
@@ -214,20 +213,6 @@ func BenchmarkAblation_OpenMPPoolWarmup(b *testing.B) {
 		}
 	}
 }
-
-// --- Host performance (wall-clock, DESIGN.md §5b) ---
-//
-// Unlike everything above, these report simulator host time, not virtual
-// time.  The full suite (plus BENCH_dataplane.json) is `cablesim hostperf`;
-// the two below are the headline kernel-vs-reference comparison.
-
-// BenchmarkHostperf_DiffKernel benchmarks the word-level diff kernel on a
-// fully rewritten page.
-func BenchmarkHostperf_DiffKernel(b *testing.B) { hostperf.DiffKernelDense(b) }
-
-// BenchmarkHostperf_DiffReference benchmarks the byte-wise reference diff
-// on the same page, for the speedup ratio.
-func BenchmarkHostperf_DiffReference(b *testing.B) { hostperf.DiffRefDense(b) }
 
 func runFFTOn(rt *cables.M4Runtime) appapi.Result {
 	m := 12

@@ -11,13 +11,12 @@
 //	cablesim fig6 [-scale s] [-apps ...] [-procs ...] [-gran 4096]
 //	cablesim protocols [-scale s] [-apps ...] [-procs 8]  # coherence-protocol comparison
 //	cablesim limits                 # Tables 1/2 registration-limit demo
-//	cablesim hostperf [-o file] [-compare old.json]  # host-time benchmarks → JSON
 //	cablesim counters [-trace] [-profile] [-apps ...] [-procs ...]  # protocol counters
 //	cablesim faults -plan <spec> [-seed N] [-profile] [-apps ...] [-procs ...]
 //	cablesim profile [-scale s] [-apps ...] [-procs ...] [-top N] [-o trace.json]
 //	cablesim serve [-addr :8080] [-jobs N] [-cache-entries N] [-max-queue N]
 //	cablesim top [-addr :8080] [-interval 2s] [-n N]  # live farm view via /metrics
-//	cablesim all [-scale s]         # everything above (not hostperf/faults/serve/top)
+//	cablesim all [-scale s]         # everything above (not faults/serve/top)
 //
 // -scale is "test" (fast), "paper" (scaled evaluation sizes, default) or
 // "full" (the testbed's actual SPLASH-2 problem sizes; -full-size is a
@@ -26,13 +25,12 @@
 // -gran overrides the OS mapping granularity in bytes (64 KB default;
 // 4096 emulates the paper's planned Linux port) for fig5/fig6.
 // -jobs bounds how many independent simulation cells run concurrently on
-// the host (default: one per host processor).  Cells are independent
-// virtual-time experiments, so every table and figure is byte-identical
-// for any -jobs value; -jobs 1 runs the classic sequential sweep.
-// -o is where hostperf writes its report (default BENCH_dataplane.json);
-// hostperf measures simulator wall-clock only and never changes any
-// virtual-time result.  -compare prints ns/op and allocs/op deltas of the
-// fresh hostperf report against a previous one.
+// the host (default: one per host processor); -jobs 1 runs the classic
+// sequential sweep.  Output is assembled in the fixed sequential order, so
+// every table's structure, checksums and error outcomes are identical for
+// any -jobs value.  Virtual times and placement-dependent counters
+// (misplaced pages) can still vary between runs, at any -jobs, because the
+// simulated threads of one cell race on the host (ROADMAP item 1).
 // -trace makes `counters` attach a protocol trace ring to each run and
 // print its per-kind event census, the tail, and how many events the
 // bounded ring dropped (so truncated traces are visible, never silent).
@@ -46,21 +44,23 @@
 // -top bounds the hot-page/lock/epoch rows (default 5).  -profile appends
 // the same profile block to each `counters` or `faults` cell.  Profiling
 // follows the observability invariance rule: it records spans and charges
-// nothing, so all results are bit-identical with and without it.
+// nothing, so attaching it moves no result beyond the run-to-run variation
+// described under -jobs.
 // -contended-sync and -coalesce select opt-in wire-plane modes for
 // fig5/fig6/fig5+6/counters: the first makes synchronization messages
 // reserve NIC occupancy (sync traffic queues behind data traffic), the
 // second applies GeNIMA's release protocol-opt of one coalesced remote
 // write per home node.  Both default off, reproducing the paper exactly.
 // -sched selects the thread-manager backend every simulation runs under
-// ("goroutine" or "event", see DESIGN.md §10); results are checksum-
-// identical across backends, only host wall-clock changes.  The
-// CABLES_SCHED environment variable sets the same default process-wide.
+// ("goroutine" or "event", see DESIGN.md §5d); checksums are identical
+// across backends, while virtual times can differ between backends as they
+// do between runs of either.  The CABLES_SCHED environment variable sets
+// the same default process-wide.
 // -protocol selects the coherence protocol ("genima", "commutative" or
 // "delegate", see DESIGN.md §5e) for every simulation in the process; the
-// CABLES_PROTOCOL environment variable sets the same default.  Unlike
-// -sched, the variants deliberately change the wire schedule (and so
-// virtual times); only the computed data (checksums) is invariant.
+// CABLES_PROTOCOL environment variable sets the same default.  The
+// variants deliberately change the wire schedule (and so virtual times);
+// only the computed data (checksums) is invariant.
 // `protocols` runs each app under all three protocols side by side and
 // reports time, checksum, messages, bytes, and the profiler's lock-wait
 // split — the comparison table of EXPERIMENTS.md §"Coherence protocols".
@@ -73,7 +73,7 @@
 // cells; SIGTERM/SIGINT drain gracefully (in-flight cells complete, queued
 // cells are rejected with a retriable status).  The farm exposes a
 // Prometheus-format telemetry plane on GET /metrics plus a GET /readyz
-// probe that flips to 503 once a drain begins (docs/OBSERVABILITY.md §7),
+// probe that flips to 503 once a drain begins (docs/OBSERVABILITY.md §6),
 // and logs one structured record per request to stderr.
 // `top` is the terminal companion: it polls a running farm's /metrics at
 // -interval (against -addr) and prints qps, cell-latency p50/p95/p99,
@@ -96,7 +96,6 @@ import (
 	"time"
 
 	"cables/internal/bench"
-	"cables/internal/bench/hostperf"
 	"cables/internal/coherence"
 	"cables/internal/farm"
 	"cables/internal/fault"
@@ -119,10 +118,9 @@ func main() {
 	apps := fs.String("apps", "", "comma-separated application list (fig5/fig6)")
 	procs := fs.String("procs", "", "comma-separated processor counts (fig5/fig6)")
 	gran := fs.Int("gran", 0, "OS mapping granularity in bytes (default 64 KB)")
-	out := fs.String("o", "BENCH_dataplane.json", "hostperf report path")
+	out := fs.String("o", "", "profile: write the Perfetto/Chrome trace timeline to this file")
 	jobs := fs.Int("jobs", bench.DefaultJobs(),
-		"max concurrent simulation cells (1 = sequential; results are identical either way)")
-	compare := fs.String("compare", "", "hostperf: print deltas against a previous report (path to old JSON)")
+		"max concurrent simulation cells (1 = sequential; checksums are identical either way, virtual times can vary run to run)")
 	traceOn := fs.Bool("trace", false, "counters: attach a protocol trace ring and print its census, tail and drop count")
 	profileOn := fs.Bool("profile", false, "counters/faults: attach the virtual-time profiler and print each cell's profile block")
 	top := fs.Int("top", 5, "profile: rows shown in the hot-page/lock-contention/epoch tables")
@@ -138,7 +136,7 @@ func main() {
 	coalesce := fs.Bool("coalesce", false,
 		"wire plane: GeNIMA release coalesces diffs into one remote write per home (fig5/fig6/counters)")
 	sched := fs.String("sched", sim.DefaultSchedulerName(),
-		fmt.Sprintf("thread-manager backend: %s (virtual-time results are identical; host speed differs)",
+		fmt.Sprintf("thread-manager backend: %s (checksums are identical; virtual times and host speed differ)",
 			strings.Join(sim.SchedulerNames(), "|")))
 	protocol := fs.String("protocol", coherence.DefaultName(),
 		fmt.Sprintf("coherence protocol: %s (data checksums are identical; wire schedule differs)",
@@ -154,13 +152,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cablesim: %v\n", err)
 		os.Exit(2)
 	}
-	outSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "o" {
-			outSet = true
-		}
-	})
-
 	sc := bench.Scale(*scale)
 	if *fullSize {
 		sc = bench.ScaleFull
@@ -206,23 +197,11 @@ func main() {
 		bench.RunProtocols(w, appList, p, sc, costs, *jobs)
 	case "limits":
 		bench.Limits(w)
-	case "hostperf":
-		if err := hostperf.WriteFile(*out, w); err != nil {
-			fmt.Fprintf(os.Stderr, "cablesim: hostperf: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(w, "wrote %s\n", *out)
-		if *compare != "" {
-			if err := hostperf.CompareFiles(w, *compare, *out); err != nil {
-				fmt.Fprintf(os.Stderr, "cablesim: hostperf compare: %v\n", err)
-				os.Exit(1)
-			}
-		}
 	case "counters":
 		runCounters(w, appList, procList, sc, costs, *jobs, *traceOn, *profileOn, *top, wopts)
 	case "profile":
 		cells := bench.RunProfile(w, appList, procList, sc, costs, *jobs, *top, wopts)
-		if outSet {
+		if *out != "" {
 			f, err := os.Create(*out)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "cablesim: profile: %v\n", err)
@@ -426,12 +405,12 @@ func parseInts(s string) []int {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: cablesim <table3|counters|table4|table5|table6|fig5|fig6|fig5+6|protocols|limits|hostperf|faults|profile|serve|top|all> [flags]
-flags: -scale test|paper|full (-full-size)  -apps A,B  -procs 1,4,8  -gran bytes  -jobs N  -o report.json  -compare old.json
+	fmt.Fprintln(os.Stderr, `usage: cablesim <table3|counters|table4|table5|table6|fig5|fig6|fig5+6|protocols|limits|faults|profile|serve|top|all> [flags]
+flags: -scale test|paper|full (-full-size)  -apps A,B  -procs 1,4,8  -gran bytes  -jobs N
        -trace -profile (counters)  -plan "send:p=0.05;detach:node=1,at=5ms" -seed N -profile (faults)
        -top N -o trace.json (profile: Perfetto/Chrome trace-viewer timeline)
        -contended-sync -coalesce (fig5/fig6/counters wire-plane modes)
-       -sched goroutine|event (thread-manager backend; results identical, host speed differs)
+       -sched goroutine|event (thread-manager backend; checksums identical, virtual times and host speed differ)
        -protocol genima|commutative|delegate (coherence protocol; checksums identical, wire schedule differs)
        -addr :8080 -cache-entries N -max-queue N (serve: the simulation farm, docs/SERVE.md)
        -addr :8080 -interval 2s -n N (top: live farm view scraped from /metrics, docs/OBSERVABILITY.md)`)

@@ -1,17 +1,15 @@
 package bench
 
 import (
-	"os"
 	"testing"
 
 	"cables/internal/memsys"
 	"cables/internal/sim"
 )
 
-// These are the `make mem-smoke` frame-leak assertions: every successful
-// run tears its space down (suite.go's Release call), so the process-wide
-// resident-frame gauge must return exactly to its pre-run level after each
-// cell.  A nonzero residue means a refcount leak somewhere in the COW frame
+// These are the frame-leak assertions: every successful run tears its
+// space down (suite.go's Release call), so the process-wide resident-frame
+// gauge must return exactly to its pre-run level after each cell.  A nonzero residue means a refcount leak somewhere in the COW frame
 // store — a twin not retired, an intern table entry not drained, or an
 // unbalanced Ref/Release pair.
 
@@ -58,13 +56,8 @@ func TestMemSmoke(t *testing.T) {
 // TestMemSmokeFullSizeFFT runs the paper testbed's actual 4M-point FFT
 // (M=22, 128 MB of matrices) end to end: it must complete within host
 // memory — feasible only since frames went copy-on-write — and release
-// every frame afterwards.  ~7 s of wall clock, so it is gated behind
-// CABLES_FULLSIZE=1 (`make mem-smoke` sets it) rather than slowing every
-// `go test ./...`.
+// every frame afterwards.  About 2 s of wall clock and a 176 MiB frame peak.
 func TestMemSmokeFullSizeFFT(t *testing.T) {
-	if os.Getenv("CABLES_FULLSIZE") == "" {
-		t.Skip("full-size FFT takes several seconds; set CABLES_FULLSIZE=1 (or run `make mem-smoke`)")
-	}
 	memsys.ResetFramesPeak()
 	runLeakChecked(t, "FFT", BackendGenima, 8, ScaleFull)
 	peakBytes := memsys.FramesResidentPeak() * memsys.PageSize

@@ -7,10 +7,11 @@
 // Beyond the paper's artifacts the harness exposes counter profiles
 // (RunAppCounters, RunAppTraced — `cablesim counters [-trace]`), fault
 // sweeps under a deterministic injection plan (RunFaults — `cablesim
-// faults`, cells render DEGRADED rather than FAILED when the plan fires),
-// and host wall-clock benchmarks (subpackage hostperf).  Independent cells
-// run concurrently on a bounded worker pool (RunCells, `-jobs N`) without
-// changing any virtual-time result.
+// faults`, cells render DEGRADED rather than FAILED when the plan fires).
+// Independent cells run concurrently on a bounded worker pool (RunCells,
+// `-jobs N`).  Host wall-clock cost is recorded by the repository benchmark
+// (benchmark/, BENCHMARK.json); TestHostCostBudgets bounds the hot paths'
+// host cost against one flush.
 package bench
 
 import (
@@ -182,7 +183,7 @@ func runAppOn(rt appapi.Runtime, name string, scale Scale) (res appapi.Result, e
 	if err == nil {
 		// Tear the space down: every frame reference is dropped and the
 		// pool repopulated for the next cell, so back-to-back runs reuse
-		// frames instead of re-allocating them (and mem-smoke can assert
+		// frames instead of re-allocating them (and TestMemSmoke can assert
 		// that framesResident returns to its baseline).  A failed run may
 		// leak blocked worker goroutines that still hold frame pointers,
 		// so its frames are left to the garbage collector instead.

@@ -170,7 +170,8 @@ func MustNew(name string) Protocol {
 // genimaProtocol is the baseline: every hook is a no-op, so the engine
 // reproduces the pre-seam GeNIMA behavior bit for bit.  The zero-size
 // struct keeps the per-diff MergeDiff consultation a trivial interface
-// call with no state access (hostperf gates it at <=1% of a flush).
+// call with no state access (TestGenimaDispatchAllocFree keeps it
+// allocation-free; bench.TestHostCostBudgets holds it at <=1% of a flush).
 type genimaProtocol struct{}
 
 func (genimaProtocol) Name() string                                    { return ProtoGenima }

@@ -73,6 +73,21 @@ func TestGenimaIsInert(t *testing.T) {
 	}
 }
 
+// TestGenimaDispatchAllocFree: the consultations one 8-diff flush makes
+// through the interface on the default protocol — the Merge mode check
+// plus one MergeDiff per diff — must not allocate.
+func TestGenimaDispatchAllocFree(t *testing.T) {
+	p := MustNew(ProtoGenima)
+	if n := testing.AllocsPerRun(1000, func() {
+		p.Merge()
+		for pid := memsys.PageID(0); pid < 8; pid++ {
+			p.MergeDiff(1, pid, 0, 128)
+		}
+	}); n != 0 {
+		t.Errorf("genima dispatch allocates %.1f times per flush, want 0", n)
+	}
+}
+
 // TestCommutativeSharingDetection: a page becomes a reduction target at
 // the second distinct writer and stays one; single-writer pages never do.
 func TestCommutativeSharingDetection(t *testing.T) {

@@ -1,21 +1,16 @@
 package farm
 
 import (
-	"os"
 	"runtime"
 	"testing"
 )
 
-// TestMetricsSmoke is the `make metrics-smoke` gate: boot a real farm, run
-// a small fault-plan sweep twice (miss then hit), scrape GET /metrics, and
-// assert the key families are present with the cache-hit counter nonzero —
-// then drain and check no goroutines leaked.  Real simulations run at test
-// scale, so the smoke stays in single-digit seconds.  Gated behind
-// CABLES_METRICS_SMOKE=1 to keep plain `go test ./...` fast.
+// TestMetricsSmoke boots a real farm, runs a small fault-plan sweep twice
+// (miss then hit), scrapes GET /metrics, and asserts the key families are
+// present with the cache-hit counter nonzero — then drains and checks no
+// goroutines leaked.  Real simulations run at test scale, so the smoke
+// takes a fraction of a second.
 func TestMetricsSmoke(t *testing.T) {
-	if os.Getenv("CABLES_METRICS_SMOKE") != "1" {
-		t.Skip("metrics smoke: set CABLES_METRICS_SMOKE=1 (run via `make metrics-smoke`)")
-	}
 	base := runtime.NumGoroutine()
 	srv, ts := newTestFarm(t, Config{Jobs: 2})
 

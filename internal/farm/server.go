@@ -166,10 +166,6 @@ func New(cfg Config) *Server {
 // handles alias the same registry instruments `GET /metrics` renders.
 func (s *Server) Stats() *Stats { return s.stats }
 
-// Metrics exposes the server's metrics registry (hostperf benchmarks the
-// scrape path through it).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // StatsSnapshot is the /v1/stats payload: every Stats key plus the cache's
 // current entry count.
 func (s *Server) StatsSnapshot() map[string]int64 {

@@ -11,17 +11,12 @@ import (
 	"time"
 )
 
-// TestServeSoak is the `make serve-smoke` soak: it pushes well over 1000
-// queued cells through a live farm, asserts the queue actually backed up and
-// drained, bounds resident memory, proves the cache-hit ratio on a repeated
-// sweep, and finishes with a clean SIGTERM drain and no leaked goroutines.
-// Real simulations run at test scale (a few ms per cell), so the whole soak
-// stays in the tens of seconds.  Gated behind CABLES_SOAK=1 to keep plain
-// `go test ./...` fast.
+// TestServeSoak pushes well over 1000 queued cells through a live farm,
+// asserts the queue actually backed up and drained, bounds resident memory,
+// proves the cache-hit ratio on a repeated sweep, and finishes with a clean
+// SIGTERM drain and no leaked goroutines.  Real simulations run at test
+// scale (a few ms per cell), so the whole soak takes a few seconds.
 func TestServeSoak(t *testing.T) {
-	if os.Getenv("CABLES_SOAK") != "1" {
-		t.Skip("soak test: set CABLES_SOAK=1 (run via `make serve-smoke`)")
-	}
 	base := runtime.NumGoroutine()
 	srv, ts := newTestFarm(t, Config{Jobs: 4})
 

@@ -45,7 +45,8 @@ func nonzeroByteLanes(x uint64) uint64 {
 
 // DiffPage compares data against twin eight bytes at a time, copies each
 // maximal run of differing bytes into home, and returns the number of
-// differing bytes (exactly what DiffPageRef returns).  All three slices
+// differing bytes (exactly what the byte-wise reference DiffPageRef in
+// diff_test.go returns; protocol code must use DiffPage).  All three slices
 // must be at least PageSize long.
 func DiffPage(data, twin, home []byte) int {
 	if len(data) < PageSize || len(twin) < PageSize || len(home) < PageSize {
@@ -111,20 +112,6 @@ func DiffPage(data, twin, home []byte) int {
 	}
 	if run >= 0 {
 		copy(home[run:], data[run:])
-	}
-	return diff
-}
-
-// DiffPageRef is the byte-wise reference implementation of DiffPage.  It is
-// the semantic oracle for the property tests and the baseline for the
-// hostperf benchmarks; protocol code must use DiffPage.
-func DiffPageRef(data, twin, home []byte) int {
-	diff := 0
-	for i := 0; i < PageSize; i++ {
-		if data[i] != twin[i] {
-			home[i] = data[i]
-			diff++
-		}
 	}
 	return diff
 }

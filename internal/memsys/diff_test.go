@@ -7,6 +7,19 @@ import (
 	"testing/quick"
 )
 
+// DiffPageRef is the byte-wise reference implementation of DiffPage: the
+// semantic oracle for the property tests here and in cow_test.go.
+func DiffPageRef(data, twin, home []byte) int {
+	diff := 0
+	for i := 0; i < PageSize; i++ {
+		if data[i] != twin[i] {
+			home[i] = data[i]
+			diff++
+		}
+	}
+	return diff
+}
+
 // refDiff applies the byte-wise reference to a copy of home and returns the
 // resulting home plus the diff count.
 func refDiff(data, twin, home []byte) ([]byte, int) {

@@ -135,7 +135,8 @@ func FramesShared() int64 { return framesShared.Load() }
 func FramesResidentPeak() int64 { return framesResidentPeak.Load() }
 
 // ResetFramesPeak rebases the resident high-water mark to the current
-// level; hostperf calls it around each measured benchmark body.
+// level; TestMemSmokeFullSizeFFT and the benchmark's probe call it before
+// a measured run.
 func ResetFramesPeak() { framesResidentPeak.Store(framesResident.Load()) }
 
 // newFrame takes a frame from the pool with one reference.  The array holds

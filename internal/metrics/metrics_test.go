@@ -42,6 +42,28 @@ func TestVecChildIdentity(t *testing.T) {
 	}
 }
 
+// TestHotPathsAllocFree: the instrument paths the farm takes per cell and
+// per request — Inc on a cached child, With+Inc, and a histogram Observe —
+// must not allocate.
+func TestHotPathsAllocFree(t *testing.T) {
+	r := NewRegistry()
+	cv := r.CounterVec("cells_total", "cells", "app", "backend", "outcome")
+	cached := cv.With("FFT", "genima", "done")
+	h := r.HistogramVec("run_seconds", "runs", nil, "app", "backend", "outcome").With("FFT", "genima", "done")
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"cached Inc", func() { cached.Inc() }},
+		{"With+Inc", func() { cv.With("FFT", "genima", "done").Inc() }},
+		{"Observe", func() { h.Observe(0.042) }},
+	} {
+		if n := testing.AllocsPerRun(1000, c.op); n != 0 {
+			t.Errorf("%s allocates %.1f times per call, want 0", c.name, n)
+		}
+	}
+}
+
 func TestVecLabelArityPanics(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("x_total", "x", "app")

@@ -163,6 +163,18 @@ func TestTaskCancel(t *testing.T) {
 	t.Fatal("unreachable")
 }
 
+// TestDetachedSpanAllocFree: with no probe attached, an OpenSpan/CloseSpan
+// pair is two nil checks and must not allocate.
+func TestDetachedSpanAllocFree(t *testing.T) {
+	task := NewTask(1, 0, DefaultCosts())
+	if n := testing.AllocsPerRun(1000, func() {
+		task.OpenSpan(1, 42)
+		task.CloseSpan()
+	}); n != 0 {
+		t.Errorf("detached span pair allocates %.1f times, want 0", n)
+	}
+}
+
 func TestCostsCalibration(t *testing.T) {
 	c := DefaultCosts()
 	if got := c.SendTime(8); got < 7700*Nanosecond || got > 7900*Nanosecond {

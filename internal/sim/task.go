@@ -217,8 +217,9 @@ func (t *Task) SetProbe(p SpanProbe) { t.prof = p }
 func (t *Task) Probe() SpanProbe { return t.prof }
 
 // OpenSpan begins a profiling span of the given kind.  With no probe
-// attached this is a single nil check — the detached fast path the hostperf
-// profile_overhead gate holds at ≤0.5% of a flush operation.
+// attached this is a single nil check — the detached fast path that
+// TestDetachedSpanAllocFree keeps allocation-free and
+// bench.TestHostCostBudgets holds at ≤0.5% of a flush operation.
 func (t *Task) OpenSpan(kind uint8, arg uint64) {
 	if t.prof != nil {
 		t.prof.SpanOpen(kind, arg, t.Now(), &t.brk)

@@ -274,6 +274,19 @@ func TestSetFaultWiresWholeStack(t *testing.T) {
 	}
 }
 
+// TestDoAllocFree: a control op through Plane.Do — dispatch, flat-cost
+// lookup, charge, counters and the detached trace check — must not
+// allocate.
+func TestDoAllocFree(t *testing.T) {
+	p, _ := newPlane(Options{})
+	task := newTask(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		p.Do(task, Op{Kind: KindAdminReq, Dst: 1})
+	}); n != 0 {
+		t.Errorf("Plane.Do allocates %.1f times per control op, want 0", n)
+	}
+}
+
 // TestKindNames pins the Kind/trace-kind mapping the observability docs
 // promise.
 func TestKindNames(t *testing.T) {
