@@ -51,11 +51,6 @@
 // reserve NIC occupancy (sync traffic queues behind data traffic), the
 // second applies GeNIMA's release protocol-opt of one coalesced remote
 // write per home node.  Both default off, reproducing the paper exactly.
-// -sched selects the thread-manager backend every simulation runs under
-// ("goroutine" or "event", see DESIGN.md §5d); checksums are identical
-// across backends, while virtual times can differ between backends as they
-// do between runs of either.  The CABLES_SCHED environment variable sets
-// the same default process-wide.
 // -protocol selects the coherence protocol ("genima", "commutative" or
 // "delegate", see DESIGN.md §5e) for every simulation in the process; the
 // CABLES_PROTOCOL environment variable sets the same default.  The
@@ -89,6 +84,7 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -135,17 +131,10 @@ func main() {
 		"wire plane: synchronization messages reserve NIC occupancy (fig5/fig6/counters)")
 	coalesce := fs.Bool("coalesce", false,
 		"wire plane: GeNIMA release coalesces diffs into one remote write per home (fig5/fig6/counters)")
-	sched := fs.String("sched", sim.DefaultSchedulerName(),
-		fmt.Sprintf("thread-manager backend: %s (checksums are identical; virtual times and host speed differ)",
-			strings.Join(sim.SchedulerNames(), "|")))
 	protocol := fs.String("protocol", coherence.DefaultName(),
 		fmt.Sprintf("coherence protocol: %s (data checksums are identical; wire schedule differs)",
 			strings.Join(coherence.Names(), "|")))
 	if err := fs.Parse(os.Args[2:]); err != nil {
-		os.Exit(2)
-	}
-	if err := sim.SetDefaultScheduler(*sched); err != nil {
-		fmt.Fprintf(os.Stderr, "cablesim: %v\n", err)
 		os.Exit(2)
 	}
 	if err := coherence.SetDefault(*protocol); err != nil {
@@ -168,6 +157,18 @@ func main() {
 	appList := splitList(*apps)
 	procList := parseInts(*procs)
 	wopts := wire.Options{ContendedSync: *contended, Coalesce: *coalesce}
+
+	if cmd != "serve" && cmd != "top" && os.Getenv("GOGC") == "" {
+		// A batch sweep's heap is mostly page frames: pointer-free 4 KB
+		// arrays the collector marks for next to nothing, whose peak comes
+		// and goes with the largest cells.  Collecting after 20% growth
+		// instead of 100% keeps peak memory near the live frame set (fig5
+		// at paper scale, two cells at a time on 2 CPUs: ~78 MB instead of
+		// ~105 MB, ~10% more CPU).  The server keeps the default: its heap
+		// is pointer-rich cached results, where the same setting costs a
+		// cache hit ~30% more CPU.
+		debug.SetGCPercent(20)
+	}
 
 	w := os.Stdout
 	switch cmd {
@@ -237,8 +238,8 @@ func main() {
 			defer cancel()
 			_ = hs.Shutdown(ctx)
 		}()
-		fmt.Fprintf(w, "cablesim serve: listening on %s (jobs=%d cache=%d queue=%d sched=%s protocol=%s)\n",
-			*addr, *jobs, *cacheEntries, *maxQueue, sim.DefaultSchedulerName(), coherence.DefaultName())
+		fmt.Fprintf(w, "cablesim serve: listening on %s (jobs=%d cache=%d queue=%d protocol=%s)\n",
+			*addr, *jobs, *cacheEntries, *maxQueue, coherence.DefaultName())
 		if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			fmt.Fprintf(os.Stderr, "cablesim: serve: %v\n", err)
 			os.Exit(1)
@@ -410,7 +411,6 @@ flags: -scale test|paper|full (-full-size)  -apps A,B  -procs 1,4,8  -gran bytes
        -trace -profile (counters)  -plan "send:p=0.05;detach:node=1,at=5ms" -seed N -profile (faults)
        -top N -o trace.json (profile: Perfetto/Chrome trace-viewer timeline)
        -contended-sync -coalesce (fig5/fig6/counters wire-plane modes)
-       -sched goroutine|event (thread-manager backend; checksums identical, virtual times and host speed differ)
        -protocol genima|commutative|delegate (coherence protocol; checksums identical, wire schedule differs)
        -addr :8080 -cache-entries N -max-queue N (serve: the simulation farm, docs/SERVE.md)
        -addr :8080 -interval 2s -n N (top: live farm view scraped from /metrics, docs/OBSERVABILITY.md)`)

@@ -13,9 +13,6 @@
 //     event kinds, profiler span and mark names — must appear backquoted in
 //     a docs/OBSERVABILITY.md inventory table, so adding an event without
 //     documenting it fails CI;
-//   - every registered thread-manager backend (internal/sim schedulerNames)
-//     must appear backquoted in EXPERIMENTS.md, so an undocumented
-//     `-sched` value fails CI;
 //   - every HTTP route the simulation farm registers (internal/farm routes)
 //     must appear backquoted in a docs/SERVE.md table, and every farm stats
 //     key (internal/farm statsKeys) in a SERVE.md or OBSERVABILITY.md
@@ -74,13 +71,6 @@ func main() {
 		os.Exit(2)
 	}
 	problems = append(problems, invProblems...)
-
-	schedProblems, err := checkSchedulerDocs(*root)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-		os.Exit(2)
-	}
-	problems = append(problems, schedProblems...)
 
 	farmProblems, err := checkFarmDocs(*root)
 	if err != nil {
@@ -340,37 +330,6 @@ func checkObservabilityInventory(root string) ([]string, error) {
 					"%s: %s %q (defined in %s) missing from the inventory tables",
 					docPath, g.what, name, g.src))
 			}
-		}
-	}
-	return problems, nil
-}
-
-// checkSchedulerDocs keeps EXPERIMENTS.md in lock-step with the
-// thread-manager backend registry: every name in internal/sim's
-// schedulerNames must appear backquoted somewhere in the experiments doc,
-// so registering a new `-sched` backend without documenting how to select
-// it is a CI failure.
-func checkSchedulerDocs(root string) ([]string, error) {
-	docPath := filepath.Join(root, "EXPERIMENTS.md")
-	data, err := os.ReadFile(docPath)
-	if err != nil {
-		return nil, err
-	}
-	documented := map[string]bool{}
-	for _, m := range backtick.FindAllStringSubmatch(string(data), -1) {
-		documented[m[1]] = true
-	}
-
-	names, err := sliceLiteral(filepath.Join(root, "internal", "sim", "sched.go"), "schedulerNames")
-	if err != nil {
-		return nil, err
-	}
-	var problems []string
-	for _, name := range names {
-		if !documented[name] {
-			problems = append(problems, fmt.Sprintf(
-				"%s: scheduler backend %q (registered in internal/sim/sched.go) is not documented",
-				docPath, name))
 		}
 	}
 	return problems, nil

@@ -11,16 +11,13 @@ import (
 )
 
 // CellOptions bundles every code-relevant knob one simulation cell can
-// carry beyond (app, backend, procs, scale, costs): the thread-manager
-// backend, the wire plane's opt-in modes, and an optional fault injector.
+// carry beyond (app, backend, procs, scale, costs): the wire plane's opt-in
+// modes, an optional fault injector and the coherence protocol.
 // The zero value reproduces the paper-faithful default cell exactly, so
 // NewRuntimeWire and NewFaultRuntime are thin wrappers over NewRuntimeOpts.
 // The simulation farm (internal/farm) canonicalizes these fields into its
 // content-addressed cache key.
 type CellOptions struct {
-	// Sched names the thread-manager backend (sim.SchedulerNames); empty
-	// selects the process default.
-	Sched string
 	// Wire selects the wire plane's opt-in modes (-contended-sync,
 	// -coalesce).
 	Wire wire.Options
@@ -38,10 +35,10 @@ func NewRuntimeOpts(backend string, procs int, arena int64, costs *sim.Costs, o 
 	switch backend {
 	case BackendGenima:
 		return m4.New(m4.Config{Procs: procs, ProcsPerNode: 2, ArenaBytes: arena,
-			Costs: costs, Wire: o.Wire, Fault: o.Fault, Sched: o.Sched, Protocol: o.Protocol})
+			Costs: costs, Wire: o.Wire, Fault: o.Fault, Protocol: o.Protocol})
 	case BackendCables:
 		return cables.NewM4(cables.M4Config{Procs: procs, ProcsPerNode: 2, ArenaBytes: arena,
-			Costs: costs, Wire: o.Wire, Fault: o.Fault, Sched: o.Sched, Protocol: o.Protocol})
+			Costs: costs, Wire: o.Wire, Fault: o.Fault, Protocol: o.Protocol})
 	default:
 		panic("bench: unknown backend " + backend)
 	}

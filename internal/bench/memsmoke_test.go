@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cables/internal/memsys"
-	"cables/internal/sim"
 )
 
 // These are the frame-leak assertions: every successful run tears its
@@ -27,16 +26,14 @@ func runLeakChecked(t *testing.T, app, backend string, procs int, scale Scale) {
 	}
 }
 
-// TestFrameLeakBothSched runs one cell per thread-manager backend and
-// checks the frame gauge returns to baseline under each.
+// TestFrameLeakBothSched runs one cell and checks the frame gauge returns
+// to baseline.  Its name and its subtest date from when a second thread
+// manager existed; the subtest is named for the event-driven run queue,
+// now the only one.
 func TestFrameLeakBothSched(t *testing.T) {
-	for _, sched := range sim.SchedulerNames() {
-		sched := sched
-		t.Run(sched, func(t *testing.T) {
-			setScheduler(t, sched)
-			runLeakChecked(t, "FFT", BackendGenima, 4, ScaleTest)
-		})
-	}
+	t.Run("event", func(t *testing.T) {
+		runLeakChecked(t, "FFT", BackendGenima, 4, ScaleTest)
+	})
 }
 
 // TestMemSmoke sweeps the fig5-small grid (FFT and LU at 1 and 4

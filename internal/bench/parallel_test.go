@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"cables/internal/sim"
 	"cables/internal/stats"
 )
 
@@ -60,6 +61,19 @@ func TestRunCellsIsolatesPanics(t *testing.T) {
 // without the parallel harness.  The harness must not widen that envelope.
 const jitterTolerance = 0.10
 
+// noStalls fails t if a scheduler's stall watchdog added an execution slot
+// while t ran: the cell it rescued ran in host order from then on, so its
+// results say nothing about reproducibility.
+func noStalls(t *testing.T) {
+	t.Helper()
+	before := sim.Stalls()
+	t.Cleanup(func() {
+		if n := sim.Stalls() - before; n != 0 {
+			t.Errorf("stall watchdog added %d execution slots: a managed task blocked outside Park/Block", n)
+		}
+	})
+}
+
 func relDiff(a, b float64) float64 {
 	m := a
 	if b > m {
@@ -85,37 +99,12 @@ func TestHarnessDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the fig5/table6 grids twice")
 	}
+	noStalls(t)
 	apps, procs := []string{"FFT", "LU"}, []int{1, 4}
 
 	seqData := RunFig5(apps, procs, ScaleTest, nil, 1)
 	parData := RunFig5(apps, procs, ScaleTest, nil, 4)
-	for _, app := range apps {
-		for _, p := range procs {
-			for _, backend := range []string{BackendGenima, BackendCables} {
-				s, q := seqData[app][p][backend], parData[app][p][backend]
-				if (s.Err == nil) != (q.Err == nil) {
-					t.Errorf("%s/%s p=%d: error outcome differs: jobs=1 %v, jobs=4 %v",
-						app, backend, p, s.Err, q.Err)
-					continue
-				}
-				if s.Err != nil {
-					continue
-				}
-				if s.Res.Checksum != q.Res.Checksum {
-					t.Errorf("%s/%s p=%d: checksum differs: %g vs %g",
-						app, backend, p, s.Res.Checksum, q.Res.Checksum)
-				}
-				if s.Res.Misplaced != q.Res.Misplaced {
-					t.Errorf("%s/%s p=%d: misplaced pages differ: %d vs %d",
-						app, backend, p, s.Res.Misplaced, q.Res.Misplaced)
-				}
-				if d := relDiff(float64(s.Res.Parallel), float64(q.Res.Parallel)); d > jitterTolerance {
-					t.Errorf("%s/%s p=%d: parallel time differs by %.1f%%: %v vs %v",
-						app, backend, p, d*100, s.Res.Parallel, q.Res.Parallel)
-				}
-			}
-		}
-	}
+	compareSweeps(t, apps, procs, seqData, parData)
 
 	// The rendered tables agree on shape: same header, same row labels.
 	shape := func(tab string) []string {
@@ -140,6 +129,40 @@ func TestHarnessDeterminism(t *testing.T) {
 		t.Errorf("table6 row structure differs:\n--- jobs=1\n%s\n--- jobs=4\n%s", seq6, par6)
 	}
 	compareSpeedupTables(t, seq6, par6)
+}
+
+// compareSweeps checks a jobs=1 and a jobs=4 run of the same fig5 grid
+// agree: identical error outcomes, checksums and misplaced-page counts,
+// parallel times within jitterTolerance.
+func compareSweeps(t *testing.T, apps []string, procs []int, seq, par Fig5Data) {
+	t.Helper()
+	for _, app := range apps {
+		for _, p := range procs {
+			for _, backend := range []string{BackendGenima, BackendCables} {
+				s, q := seq[app][p][backend], par[app][p][backend]
+				if (s.Err == nil) != (q.Err == nil) {
+					t.Errorf("%s/%s p=%d: error outcome differs: jobs=1 %v, jobs=4 %v",
+						app, backend, p, s.Err, q.Err)
+					continue
+				}
+				if s.Err != nil {
+					continue
+				}
+				if s.Res.Checksum != q.Res.Checksum {
+					t.Errorf("%s/%s p=%d: checksum differs: %g vs %g",
+						app, backend, p, s.Res.Checksum, q.Res.Checksum)
+				}
+				if s.Res.Misplaced != q.Res.Misplaced {
+					t.Errorf("%s/%s p=%d: misplaced pages differ: %d vs %d",
+						app, backend, p, s.Res.Misplaced, q.Res.Misplaced)
+				}
+				if d := relDiff(float64(s.Res.Parallel), float64(q.Res.Parallel)); d > jitterTolerance {
+					t.Errorf("%s/%s p=%d: parallel time differs by %.1f%%: %v vs %v",
+						app, backend, p, d*100, s.Res.Parallel, q.Res.Parallel)
+				}
+			}
+		}
+	}
 }
 
 func slicesEqual(a, b []string) bool {
@@ -185,16 +208,44 @@ func compareSpeedupTables(t *testing.T, a, b string) {
 	}
 }
 
-// TestFig5RaceSmoke is the `make race` data-plane smoke cell: one fig5
-// column (FFT at 4 processors, both backends) run through the 2-worker
-// harness under the race detector.
-func TestFig5RaceSmoke(t *testing.T) {
-	data := RunFig5([]string{"FFT"}, []int{4}, ScaleTest, nil, 2)
+// TestSchedulerJobsDeterminism: a jobs=1 sweep and a jobs=4 sweep must
+// produce identical structural results — the scheduler's slot discipline
+// must not make cell results depend on how many cells share the host.  The
+// subtest is named for the event-driven run queue, the one thread manager.
+func TestSchedulerJobsDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a fig5 column twice")
+	}
+	t.Run("event", func(t *testing.T) {
+		noStalls(t)
+		apps, procs := []string{"FFT"}, []int{1, 4}
+		compareSweeps(t, apps, procs, RunFig5(apps, procs, ScaleTest, nil, 1), RunFig5(apps, procs, ScaleTest, nil, 4))
+	})
+}
+
+// raceSmokeColumn runs one fig5 column at 4 processors, both backends,
+// through the 2-worker harness and fails on any cell error.
+func raceSmokeColumn(t *testing.T, app string) {
+	t.Helper()
+	data := RunFig5([]string{app}, []int{4}, ScaleTest, nil, 2)
 	for _, backend := range []string{BackendGenima, BackendCables} {
-		if err := data["FFT"][4][backend].Err; err != nil {
-			t.Errorf("FFT/%s at 4 procs: %v", backend, err)
+		if err := data[app][4][backend].Err; err != nil {
+			t.Errorf("%s/%s at 4 procs: %v", app, backend, err)
 		}
 	}
+}
+
+// TestFig5RaceSmoke is the `make race` data-plane smoke cell: the FFT
+// column under the race detector.
+func TestFig5RaceSmoke(t *testing.T) {
+	raceSmokeColumn(t, "FFT")
+}
+
+// TestFig5RaceSmokeEventSched is the `make race` cell for the event-driven
+// run queue's wake paths: LU's per-block locks and barriers make its
+// threads park and unpark far more often than FFT's.
+func TestFig5RaceSmokeEventSched(t *testing.T) {
+	raceSmokeColumn(t, "LU")
 }
 
 // TestRepeatRunStableUnderGOMAXPROCS: with host parallelism enabled, two

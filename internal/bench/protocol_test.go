@@ -4,13 +4,12 @@ import (
 	"testing"
 
 	"cables/internal/coherence"
-	"cables/internal/sim"
 	"cables/internal/stats"
 	"cables/internal/wire"
 )
 
 // setProtocol pins the process-default coherence protocol for one test,
-// restoring the prior default afterwards (mirror of setScheduler).
+// restoring the prior default afterwards.
 func setProtocol(t *testing.T, name string) {
 	t.Helper()
 	saved := coherence.DefaultName()
@@ -37,13 +36,11 @@ func smokeProtocols() []string {
 // TestDefaultProtocolPlumbing: an empty CellOptions.Protocol resolves to
 // the process default (what CABLES_PROTOCOL / `cablesim -protocol` set),
 // so a cell run with the default pinned to delegate actually delegates.
-// The scheduler is pinned to goroutine because delegation triggers only on
-// acquires that are contended at call time, and the event scheduler's
-// cooperative switching never produces one at this scale.
+// Delegation triggers only on acquires that are contended at call time;
+// VOLREND's shared task-queue lock is contended at this scale.
 func TestDefaultProtocolPlumbing(t *testing.T) {
 	setProtocol(t, coherence.ProtoDelegate)
-	_, ctr, err := RunAppCell("WATER-SPATIAL", BackendGenima, 8, ScaleTest, nil,
-		CellOptions{Sched: sim.SchedGoroutine})
+	_, ctr, err := RunAppCell("VOLREND", BackendGenima, 8, ScaleTest, nil, CellOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,49 +82,45 @@ func TestFig5ProtocolSmoke(t *testing.T) {
 }
 
 // TestProtocolDeterminism pins, for every protocol, bit-identical
-// checksums across the two system backends, the two scheduler backends,
-// and -jobs 1 vs N.  The workload set exercises each policy for real:
-// FFT (pure barriers), RADIX (write-shared ranking pages — commutative
-// merges), WATER-SPATIAL (contended cell locks — delegation).
+// checksums across the two system backends and -jobs 1 vs N.  The workload
+// set covers FFT (pure barriers), RADIX (write-shared ranking pages —
+// commutative merges) and WATER-SPATIAL (per-cell locks).
 func TestProtocolDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 72 simulations")
+		t.Skip("runs 36 simulations")
 	}
 	apps := []string{"FFT", "RADIX", "WATER-SPATIAL"}
 	backends := []string{BackendGenima, BackendCables}
 	for _, proto := range coherence.Names() {
-		ref := map[string]float64{} // app/backend -> jobs=1 goroutine-sched checksum
-		for _, sched := range sim.SchedulerNames() {
-			for _, jobs := range []int{1, 4} {
-				type cell struct {
-					app, backend string
-					sum          float64
-					err          error
+		ref := map[string]float64{} // app/backend -> jobs=1 checksum
+		for _, jobs := range []int{1, 4} {
+			type cell struct {
+				app, backend string
+				sum          float64
+				err          error
+			}
+			cells := make([]cell, 0, len(apps)*len(backends))
+			for _, app := range apps {
+				for _, backend := range backends {
+					cells = append(cells, cell{app: app, backend: backend})
 				}
-				cells := make([]cell, 0, len(apps)*len(backends))
-				for _, app := range apps {
-					for _, backend := range backends {
-						cells = append(cells, cell{app: app, backend: backend})
-					}
+			}
+			RunCells(jobs, len(cells), func(i int) {
+				c := &cells[i]
+				res, _, err := RunAppCell(c.app, c.backend, 8, ScaleTest, nil,
+					CellOptions{Protocol: proto})
+				c.sum, c.err = res.Checksum, err
+			})
+			for _, c := range cells {
+				if c.err != nil {
+					t.Fatalf("%s/%s under %s jobs=%d: %v", c.app, c.backend, proto, jobs, c.err)
 				}
-				RunCells(jobs, len(cells), func(i int) {
-					c := &cells[i]
-					res, _, err := RunAppCell(c.app, c.backend, 8, ScaleTest, nil,
-						CellOptions{Protocol: proto, Sched: sched})
-					c.sum, c.err = res.Checksum, err
-				})
-				for _, c := range cells {
-					if c.err != nil {
-						t.Fatalf("%s/%s under %s sched=%s jobs=%d: %v",
-							c.app, c.backend, proto, sched, jobs, c.err)
-					}
-					key := c.app + "/" + c.backend
-					if want, ok := ref[key]; !ok {
-						ref[key] = c.sum
-					} else if c.sum != want {
-						t.Errorf("%s under %s: checksum %v at sched=%s jobs=%d, %v at sched=%s jobs=1",
-							key, proto, c.sum, sched, jobs, want, sim.SchedGoroutine)
-					}
+				key := c.app + "/" + c.backend
+				if want, ok := ref[key]; !ok {
+					ref[key] = c.sum
+				} else if c.sum != want {
+					t.Errorf("%s under %s: checksum %v at jobs=%d, %v at jobs=1",
+						key, proto, c.sum, jobs, want)
 				}
 			}
 		}
@@ -141,45 +134,39 @@ func TestProtocolDeterminism(t *testing.T) {
 // as the Arg of exactly one wire.* trace event.
 func TestWireConservationProtocols(t *testing.T) {
 	for _, proto := range coherence.Names() {
-		for _, sched := range sim.SchedulerNames() {
-			for _, app := range []string{"RADIX", "WATER-SPATIAL"} {
-				res, ctr, ring, err := RunAppCellTraced(app, BackendGenima, 8, ScaleTest, nil, 1<<19,
-					CellOptions{Protocol: proto, Sched: sched})
-				if err != nil {
-					t.Fatalf("%s under %s/%s: %v", app, proto, sched, err)
+		for _, app := range []string{"RADIX", "WATER-SPATIAL", "VOLREND"} {
+			res, ctr, ring, err := RunAppCellTraced(app, BackendGenima, 8, ScaleTest, nil, 1<<19,
+				CellOptions{Protocol: proto})
+			if err != nil {
+				t.Fatalf("%s under %s: %v", app, proto, err)
+			}
+			if res.Checksum == 0 {
+				t.Fatalf("%s under %s: empty run", app, proto)
+			}
+			if d := ring.Dropped(); d != 0 {
+				t.Fatalf("%s under %s: ring dropped %d events; the sum would be partial", app, proto, d)
+			}
+			var traced int64
+			for _, e := range ring.Events() {
+				if wire.IsWire(e.Kind) {
+					traced += int64(e.Arg)
 				}
-				if res.Checksum == 0 {
-					t.Fatalf("%s under %s/%s: empty run", app, proto, sched)
+			}
+			counted := ctr.Load(stats.EvBytesSent) + ctr.Load(stats.EvBytesFetched)
+			if traced != counted {
+				t.Errorf("%s under %s: conservation violated: wire trace Args sum to %d bytes, counters report %d",
+					app, proto, traced, counted)
+			}
+			// The variant under test must actually have exercised its
+			// policy on this workload, or the invariant check is vacuous.
+			switch proto {
+			case coherence.ProtoCommutative:
+				if app == "RADIX" && ctr.Load(stats.EvCommMerges) == 0 {
+					t.Error("commutative ran RADIX without a single merge")
 				}
-				if d := ring.Dropped(); d != 0 {
-					t.Fatalf("%s under %s/%s: ring dropped %d events; the sum would be partial", app, proto, sched, d)
-				}
-				var traced int64
-				for _, e := range ring.Events() {
-					if wire.IsWire(e.Kind) {
-						traced += int64(e.Arg)
-					}
-				}
-				counted := ctr.Load(stats.EvBytesSent) + ctr.Load(stats.EvBytesFetched)
-				if traced != counted {
-					t.Errorf("%s under %s/%s: conservation violated: wire trace Args sum to %d bytes, counters report %d",
-						app, proto, sched, traced, counted)
-				}
-				// The variant under test must actually have exercised its
-				// policy on this workload, or the invariant check is
-				// vacuous.  Merges fire under both schedulers; delegation
-				// needs contended acquires, which only the preemptive
-				// goroutine scheduler produces at this scale.
-				switch proto {
-				case coherence.ProtoCommutative:
-					if app == "RADIX" && ctr.Load(stats.EvCommMerges) == 0 {
-						t.Errorf("commutative ran RADIX under %s without a single merge", sched)
-					}
-				case coherence.ProtoDelegate:
-					if app == "WATER-SPATIAL" && sched == sim.SchedGoroutine &&
-						ctr.Load(stats.EvDelegations) == 0 {
-						t.Errorf("delegate ran WATER-SPATIAL without a single delegation")
-					}
+			case coherence.ProtoDelegate:
+				if app == "VOLREND" && ctr.Load(stats.EvDelegations) == 0 {
+					t.Error("delegate ran VOLREND without a single delegation")
 				}
 			}
 		}

@@ -73,6 +73,20 @@ func TestTable4MatchesPaper(t *testing.T) {
 	}
 }
 
+// TestTable4Reproducible renders the Table 4 API-cost suite twice: the
+// rendering must be byte-identical run to run.
+func TestTable4Reproducible(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the table4 suite twice")
+	}
+	noStalls(t)
+	a := Table4(io.Discard).String()
+	b := Table4(io.Discard).String()
+	if a != b {
+		t.Errorf("table4 is not reproducible:\n--- first\n%s\n--- second\n%s", a, b)
+	}
+}
+
 // findRowTotal extracts the Total cell of the named row from a rendered
 // table.
 func findRowTotal(table, name string) (sim.Time, bool) {

@@ -24,9 +24,8 @@
 //     into local hand-offs at the server (`wire.deldone` on return).
 //
 // Selection is by name: the -protocol flag of cmd/cablesim and the
-// CABLES_PROTOCOL environment variable set the process default (exactly
-// like CABLES_SCHED for scheduler backends); bench.CellOptions and the
-// farm spec carry an explicit per-cell override.
+// CABLES_PROTOCOL environment variable set the process default;
+// bench.CellOptions and the farm spec carry an explicit per-cell override.
 package coherence
 
 import (

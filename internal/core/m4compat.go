@@ -43,9 +43,6 @@ type M4Config struct {
 	// Protocol names the coherence policy (coherence.Names); empty
 	// selects the process default.
 	Protocol string
-	// Sched names the thread-manager backend (sim.SchedulerNames); empty
-	// selects the process default (CABLES_SCHED / `cablesim -sched`).
-	Sched string
 }
 
 // NewM4 builds the CableS backend for a P-processor run.
@@ -66,7 +63,6 @@ func NewM4(cfg M4Config) *M4Runtime {
 		CoordinatorMain: true,
 		Fault:           cfg.Fault,
 		Wire:            cfg.Wire,
-		Sched:           cfg.Sched,
 		Protocol:        cfg.Protocol,
 	})
 	rt.Start()

@@ -65,9 +65,6 @@ type Config struct {
 	// Wire selects the wire plane's opt-in modes (contended sync, release
 	// coalescing); the zero value reproduces the default schedule.
 	Wire wire.Options
-	// Sched names the thread-manager backend (sim.SchedulerNames); empty
-	// selects the process default (CABLES_SCHED / `cablesim -sched`).
-	Sched string
 	// Protocol names the coherence policy (coherence.Names); empty selects
 	// the process default (CABLES_PROTOCOL / `cablesim -protocol`).
 	Protocol string
@@ -152,7 +149,6 @@ func New(cfg Config) *Runtime {
 		Costs:        cfg.Costs,
 		Fault:        cfg.Fault,
 		Wire:         cfg.Wire,
-		Sched:        cfg.Sched,
 	})
 	rt := &Runtime{cl: cl, cfg: cfg}
 	rt.acb = &ACB{
@@ -426,9 +422,9 @@ func (rt *Runtime) Join(t *sim.Task, th *Thread) {
 	// its scheduler slot: the joined thread may need it to finish).
 	node := rt.cl.Nodes[t.NodeID]
 	node.ThreadStopped()
-	rt.cl.Sched.Block(t)
+	t.Block()
 	<-th.done
-	rt.cl.Sched.Unblock(t)
+	t.Unblock()
 	node.ThreadStarted()
 	rt.chargeAdmin(t)
 	t.WaitUntil(th.end)

@@ -35,7 +35,11 @@ func TestDynamicNodeAttach(t *testing.T) {
 		wg.Add(1)
 		threads = append(threads, rt.Create(main.Task, func(th *cables.Thread) {
 			wg.Done()
+			// A raw host wait: release the scheduler slot around it so
+			// the other threads can start.
+			th.Task.Block()
 			<-release
+			th.Task.Unblock()
 		}))
 	}
 	wg.Wait()

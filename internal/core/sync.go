@@ -95,7 +95,7 @@ func (c *Cond) Wait(th *Thread, mx *Mutex) {
 	if !spinning {
 		node.ThreadStopped()
 	}
-	grant, ok := t.Sched().ParkCancelable(t, th.cancelCh)
+	grant, ok := t.ParkCancelable(th.cancelCh)
 	if !ok {
 		c.mu.Lock()
 		found := false
@@ -158,7 +158,7 @@ func (c *Cond) Signal(t *sim.Task) {
 	} else {
 		t.Charge(sim.CatLocal, 5*sim.Microsecond)
 	}
-	c.rt.cl.Sched.Unpark(w.t, t.Now())
+	w.t.Unpark(t.Now())
 }
 
 // Broadcast wakes all waiters (pthread_cond_broadcast).  Cost grows with
@@ -183,7 +183,7 @@ func (c *Cond) Broadcast(t *sim.Task) {
 	}
 	now := t.Now()
 	for _, w := range ws {
-		c.rt.cl.Sched.Unpark(w.t, now)
+		w.t.Unpark(now)
 	}
 	c.rt.cl.Ctr.Add(t.NodeID, stats.EvCondSignals, int64(len(ws)))
 }

@@ -86,7 +86,11 @@ func TestRWLockAllowsConcurrentReaders(t *testing.T) {
 				t.Errorf("reader saw %d", got)
 			}
 			entered.Done()
-			<-release // all readers hold the lock simultaneously
+			// All readers hold the lock simultaneously; the raw host
+			// wait releases the scheduler slot so every reader can enter.
+			th.Task.Block()
+			<-release
+			th.Task.Unblock()
 			l.RUnlock(th)
 		}))
 	}

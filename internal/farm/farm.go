@@ -2,15 +2,15 @@
 // simulation service: `cablesim serve` (docs/SERVE.md is the API
 // reference).
 //
-// Clients POST experiment sweep specs — figure/table cells, schedule
-// flags, `-sched` backend, fault plan, seed, scale — as JSON; the farm
+// Clients POST experiment sweep specs — figure/table cells, wire-plane
+// flags, coherence protocol, fault plan, seed, scale — as JSON; the farm
 // expands each spec into simulation cells, shards the cells across a
 // bounded worker pool (the same bench.Pool machinery behind `-jobs`), and
 // streams per-cell progress over SSE or newline-delimited JSON.
 //
 // Results are content-addressed: each cell's cache key is the SHA-256 of a
 // canonical rendering of every code-relevant input (app, procs, backend,
-// scale, scheduler, granularity, wire-plane modes, fault plan, seed — see
+// scale, protocol, granularity, wire-plane modes, fault plan, seed — see
 // CellKey.Canonical), so identical cells across sweeps and across
 // concurrent clients are simulated exactly once.  The first request
 // simulates and fills the cache; concurrent duplicates coalesce onto the

@@ -3,7 +3,6 @@ package farm
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,7 +11,7 @@ import (
 	"time"
 
 	"cables/internal/bench"
-	"cables/internal/sim"
+	"cables/internal/coherence"
 )
 
 // newTestFarm builds a server plus an HTTP front for it and arranges a full
@@ -101,77 +100,77 @@ func admissionInvariant(t *testing.T, s *Server) {
 // TestCacheServesIdenticalResults is the acceptance-criterion test: an
 // identical sweep against a warm instance re-simulates zero cells, every
 // cell is served from cache, and the served results — checksums above all —
-// are bit-identical to the cold run, on both thread-manager backends.
+// are bit-identical to the cold run.  The subtest is named for the
+// event-driven run queue, the one thread manager.
 func TestCacheServesIdenticalResults(t *testing.T) {
-	for _, sched := range sim.SchedulerNames() {
-		t.Run(sched, func(t *testing.T) {
-			srv, ts := newTestFarm(t, Config{Jobs: 2})
-			spec := fmt.Sprintf(`{"kind":"counters","apps":["FFT"],"procs":[1,4],"scale":"test","sched":%q}`, sched)
+	t.Run("event", cacheServesIdenticalResults)
+}
 
-			cold := waitSweep(t, ts, postSweep(t, ts, spec).ID)
-			if cold.Status != "done" {
-				t.Fatalf("cold sweep: status %s", cold.Status)
-			}
-			if n := len(cold.Cells); n != 4 {
-				t.Fatalf("cold sweep: %d cells, want 4", n)
-			}
-			misses := srv.Stats().CacheMisses.Load()
-			if misses != 4 {
-				t.Fatalf("cold sweep: %d misses, want 4", misses)
-			}
+func cacheServesIdenticalResults(t *testing.T) {
+	srv, ts := newTestFarm(t, Config{Jobs: 2})
+	spec := `{"kind":"counters","apps":["FFT"],"procs":[1,4],"scale":"test"}`
 
-			// Fresh out-of-band runs prove the cached payloads carry the
-			// deterministic results, not stale or swapped entries.
-			for _, c := range cold.Cells {
-				if c.Result == nil || c.Result.Err != "" {
-					t.Fatalf("cell %s/%d: missing or failed result", c.App, c.Procs)
-				}
-				res, _, err := bench.RunAppCell(c.App, c.Backend, c.Procs, bench.ScaleTest, nil,
-					bench.CellOptions{Sched: sched})
-				if err != nil {
-					t.Fatalf("fresh %s/%s/%d: %v", c.App, c.Backend, c.Procs, err)
-				}
-				if res.Checksum != c.Result.Result.Checksum {
-					t.Errorf("%s/%s p=%d: cached checksum %v != fresh %v",
-						c.App, c.Backend, c.Procs, c.Result.Result.Checksum, res.Checksum)
-				}
-			}
-
-			warm := waitSweep(t, ts, postSweep(t, ts, spec).ID)
-			if warm.Status != "done" {
-				t.Fatalf("warm sweep: status %s", warm.Status)
-			}
-			if srv.Stats().CacheMisses.Load() != misses {
-				t.Errorf("warm sweep re-simulated cells: misses %d -> %d",
-					misses, srv.Stats().CacheMisses.Load())
-			}
-			if hits := srv.Stats().CacheHits.Load(); hits != 4 {
-				t.Errorf("warm sweep: %d cache hits, want 4", hits)
-			}
-			for i, c := range warm.Cells {
-				if !c.Cached || c.Status != CellDone {
-					t.Errorf("warm cell %d: cached=%t status=%s", i, c.Cached, c.Status)
-				}
-			}
-
-			// Bit-identity of the served bytes: the result payload of each
-			// warm cell must equal the cold one's, and two fetches of the
-			// content address must return identical bodies.
-			for i := range cold.Cells {
-				cb, _ := json.Marshal(cold.Cells[i].Result)
-				wb, _ := json.Marshal(warm.Cells[i].Result)
-				if !bytes.Equal(cb, wb) {
-					t.Errorf("cell %d: warm result bytes differ from cold", i)
-				}
-				code1, b1 := getBody(t, ts, "/v1/cells/"+cold.Cells[i].Key)
-				code2, b2 := getBody(t, ts, "/v1/cells/"+cold.Cells[i].Key)
-				if code1 != http.StatusOK || !bytes.Equal(b1, b2) {
-					t.Errorf("cell %d: content-address fetches differ (codes %d/%d)", i, code1, code2)
-				}
-			}
-			admissionInvariant(t, srv)
-		})
+	cold := waitSweep(t, ts, postSweep(t, ts, spec).ID)
+	if cold.Status != "done" {
+		t.Fatalf("cold sweep: status %s", cold.Status)
 	}
+	if n := len(cold.Cells); n != 4 {
+		t.Fatalf("cold sweep: %d cells, want 4", n)
+	}
+	misses := srv.Stats().CacheMisses.Load()
+	if misses != 4 {
+		t.Fatalf("cold sweep: %d misses, want 4", misses)
+	}
+
+	// Fresh out-of-band runs prove the cached payloads carry the
+	// deterministic results, not stale or swapped entries.
+	for _, c := range cold.Cells {
+		if c.Result == nil || c.Result.Err != "" {
+			t.Fatalf("cell %s/%d: missing or failed result", c.App, c.Procs)
+		}
+		res, _, err := bench.RunAppCell(c.App, c.Backend, c.Procs, bench.ScaleTest, nil, bench.CellOptions{})
+		if err != nil {
+			t.Fatalf("fresh %s/%s/%d: %v", c.App, c.Backend, c.Procs, err)
+		}
+		if res.Checksum != c.Result.Result.Checksum {
+			t.Errorf("%s/%s p=%d: cached checksum %v != fresh %v",
+				c.App, c.Backend, c.Procs, c.Result.Result.Checksum, res.Checksum)
+		}
+	}
+
+	warm := waitSweep(t, ts, postSweep(t, ts, spec).ID)
+	if warm.Status != "done" {
+		t.Fatalf("warm sweep: status %s", warm.Status)
+	}
+	if srv.Stats().CacheMisses.Load() != misses {
+		t.Errorf("warm sweep re-simulated cells: misses %d -> %d",
+			misses, srv.Stats().CacheMisses.Load())
+	}
+	if hits := srv.Stats().CacheHits.Load(); hits != 4 {
+		t.Errorf("warm sweep: %d cache hits, want 4", hits)
+	}
+	for i, c := range warm.Cells {
+		if !c.Cached || c.Status != CellDone {
+			t.Errorf("warm cell %d: cached=%t status=%s", i, c.Cached, c.Status)
+		}
+	}
+
+	// Bit-identity of the served bytes: the result payload of each
+	// warm cell must equal the cold one's, and two fetches of the
+	// content address must return identical bodies.
+	for i := range cold.Cells {
+		cb, _ := json.Marshal(cold.Cells[i].Result)
+		wb, _ := json.Marshal(warm.Cells[i].Result)
+		if !bytes.Equal(cb, wb) {
+			t.Errorf("cell %d: warm result bytes differ from cold", i)
+		}
+		code1, b1 := getBody(t, ts, "/v1/cells/"+cold.Cells[i].Key)
+		code2, b2 := getBody(t, ts, "/v1/cells/"+cold.Cells[i].Key)
+		if code1 != http.StatusOK || !bytes.Equal(b1, b2) {
+			t.Errorf("cell %d: content-address fetches differ (codes %d/%d)", i, code1, code2)
+		}
+	}
+	admissionInvariant(t, srv)
 }
 
 // TestCacheNearMiss: flipping any single code-relevant flag must miss the
@@ -326,7 +325,7 @@ func TestRouteSurface(t *testing.T) {
 	// Bad specs are 400s, not panics.
 	for _, bad := range []string{
 		`{"apps":["NOPE"]}`, `{"scale":"huge"}`, `{"procs":[0]}`,
-		`{"plan":"bogus:zzz"}`, `{"sched":"fiber"}`, `{"unknownField":1}`, `not json`,
+		`{"plan":"bogus:zzz"}`, `{"sched":"event"}`, `{"unknownField":1}`, `not json`,
 	} {
 		resp, err := ts.Client().Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(bad))
 		if err != nil {
@@ -355,7 +354,7 @@ func TestSpecCanonicalization(t *testing.T) {
 	k := cells[0]
 	canon := k.Canonical()
 	for _, want := range []string{"app=FFT", "procs=4", "backend=genima", "scale=test",
-		"sched=" + sim.DefaultSchedulerName(), "seed=7", "plan=send:p=0.05"} {
+		"protocol=" + coherence.DefaultName(), "seed=7", "plan=send:p=0.05"} {
 		if !strings.Contains(canon, want) {
 			t.Errorf("canonical %q missing %q", canon, want)
 		}

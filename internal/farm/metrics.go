@@ -44,7 +44,7 @@ type Metrics struct {
 	cacheRequests *metrics.CounterVec   // outcome: hit | miss | coalesced
 	cellsTerminal *metrics.CounterVec   // outcome: done | failed | rejected
 	simEvents     *metrics.CounterVec   // event, app, backend, protocol
-	cellRun       *metrics.HistogramVec // app, backend, protocol, sched, scale, outcome
+	cellRun       *metrics.HistogramVec // app, backend, protocol, scale, outcome
 	httpRequest   *metrics.HistogramVec // route, code
 	queueWait     *metrics.Histogram
 
@@ -103,7 +103,7 @@ func newMetrics() *Metrics {
 
 	m.cellRun = r.HistogramVec("cables_farm_cell_run_seconds",
 		"Host wall-clock seconds one fresh simulation cell took to execute.",
-		nil, "app", "backend", "protocol", "sched", "scale", "outcome")
+		nil, "app", "backend", "protocol", "scale", "outcome")
 	m.queueWait = r.Histogram("cables_farm_cell_queue_wait_seconds",
 		"Host seconds a fresh cell waited in the pool queue before a worker picked it up.",
 		nil)
@@ -123,7 +123,7 @@ func newMetrics() *Metrics {
 // fleet aggregates.  Only runFlight calls it, so cache hits and coalesced
 // subscribers never double-count.
 func (m *Metrics) observeCell(k CellKey, outcome string, hostSeconds float64, ctr stats.Snapshot) {
-	m.cellRun.With(k.App, k.Backend, k.Protocol, k.Sched, k.Scale, outcome).
+	m.cellRun.With(k.App, k.Backend, k.Protocol, k.Scale, outcome).
 		Observe(hostSeconds)
 	for event, n := range ctr {
 		if n != 0 {

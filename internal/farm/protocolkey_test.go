@@ -1,17 +1,15 @@
 package farm
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
 	"cables/internal/coherence"
-	"cables/internal/sim"
 )
 
-// pinGenimaDefault keeps these key-compat tests meaningful when the suite
-// runs with CABLES_PROTOCOL set: Normalize fills empty protocol fields from
-// the process default, and the compat contract is about the genima default.
+// pinGenimaDefault keeps these key tests meaningful when the suite runs
+// with CABLES_PROTOCOL set: Normalize fills empty protocol fields from the
+// process default, and the pinned key layout is the genima default's.
 func pinGenimaDefault(t *testing.T) {
 	t.Helper()
 	saved := coherence.DefaultName()
@@ -21,11 +19,10 @@ func pinGenimaDefault(t *testing.T) {
 	t.Cleanup(func() { coherence.SetDefault(saved) })
 }
 
-// TestProtocolCacheKeyCompat pins the cache-address compatibility contract
-// from DESIGN.md §5e: a default-protocol cell canonicalizes to the exact
-// pre-protocol format string (so every cache entry addressed before the
-// protocol seam existed keeps its key), and only non-default protocols
-// extend it with a trailing |protocol= field.
+// TestProtocolCacheKeyCompat pins the cache-address layout from DESIGN.md
+// §5e: the canonical form is byte-exact, always ends in the resolved
+// |protocol= field, and an explicit "genima" spec addresses the same cell
+// as one that leaves the protocol to the default.
 func TestProtocolCacheKeyCompat(t *testing.T) {
 	pinGenimaDefault(t)
 	s := Spec{Apps: []string{"FFT"}, Procs: []int{4}, Backends: []string{"genima"}, Scale: "test"}
@@ -36,26 +33,29 @@ func TestProtocolCacheKeyCompat(t *testing.T) {
 	if k.Protocol != coherence.ProtoGenima {
 		t.Fatalf("Normalize filled protocol %q, want the genima default", k.Protocol)
 	}
-	// The byte-exact pre-protocol canonical form.  If this breaks, every
-	// previously cached default-protocol result silently goes cold.
-	want := fmt.Sprintf("cables-farm-v1|app=FFT|procs=4|backend=genima|scale=test|sched=%s|gran=0|contended=false|coalesce=false|plan=|seed=0",
-		sim.DefaultSchedulerName())
+	// The byte-exact canonical form.  If this changes, every cached result
+	// silently goes cold: bump cacheSchema with it.
+	want := "cables-farm-v2|app=FFT|procs=4|backend=genima|scale=test|gran=0|contended=false|coalesce=false|plan=|seed=0|protocol=genima"
 	if got := k.Canonical(); got != want {
 		t.Errorf("default-protocol canonical form drifted:\n got %q\nwant %q", got, want)
 	}
 
 	// An explicit "genima" and an empty field are the same experiment.
-	ke := k
-	ke.Protocol = ""
-	if ke.Hash() != k.Hash() {
+	se := Spec{Apps: []string{"FFT"}, Procs: []int{4}, Backends: []string{"genima"}, Scale: "test",
+		Protocol: coherence.ProtoGenima}
+	if err := se.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if se.Cells()[0].Hash() != k.Hash() {
 		t.Error("explicit genima and empty protocol hash to different keys")
 	}
 
-	// Non-default protocols append exactly one field and change the key.
+	// Other protocols change only the trailing field, and the key.
+	prefix := strings.TrimSuffix(want, coherence.ProtoGenima)
 	for _, proto := range []string{coherence.ProtoCommutative, coherence.ProtoDelegate} {
 		kv := k
 		kv.Protocol = proto
-		if got, want := kv.Canonical(), k.Canonical()+"|protocol="+proto; got != want {
+		if got, want := kv.Canonical(), prefix+proto; got != want {
 			t.Errorf("%s canonical form:\n got %q\nwant %q", proto, got, want)
 		}
 		if kv.Hash() == k.Hash() {

@@ -321,7 +321,6 @@ func runCellSim(k CellKey) *CellResult {
 		inj = fault.New(plan, k.Seed)
 	}
 	opt := bench.CellOptions{
-		Sched:    k.Sched,
 		Protocol: k.Protocol,
 		Wire:     wire.Options{ContendedSync: k.ContendedSync, Coalesce: k.Coalesce},
 		Fault:    inj,

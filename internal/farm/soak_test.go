@@ -5,7 +5,6 @@ import (
 	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -19,34 +18,19 @@ import (
 func TestServeSoak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	srv, ts := newTestFarm(t, Config{Jobs: 4})
+	// A gate holds every worker until the whole backlog is admitted, so the
+	// queue reaches its depth whatever a cell costs to simulate.
+	gate := make(chan struct{})
+	srv.runCell = func(k CellKey) *CellResult {
+		<-gate
+		return runCellSim(k)
+	}
 
 	// Phase 1: 1000+ distinct cells (unique fault seeds on a real plan keep
-	// every cache key fresh) across 250 sweeps of 4 cells each.  Two
-	// paper-scale plug sweeps (8 cells at ~70-250ms each) occupy every
-	// worker first, so the test-scale backlog genuinely reaches >= 1000
-	// queued cells before the pool chews through it.
-	const sweeps, perSweep, plugCells = 250, 4, 8
-	ids := make([]string, 0, sweeps+2)
-	ids = append(ids,
-		postSweep(t, ts, `{"apps":["FFT"],"procs":[1,4],"backends":["genima","cables"],"scale":"paper"}`).ID,
-		postSweep(t, ts, `{"apps":["FFT"],"procs":[2,8],"backends":["genima","cables"],"scale":"paper"}`).ID)
-	// Submit from many goroutines so admission outruns the workers; a
-	// sampler watches the depth gauge the whole time.
-	var peak atomic.Int64
-	sampling := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-sampling:
-				return
-			default:
-			}
-			if d := srv.Stats().QueueDepth.Load(); d > peak.Load() {
-				peak.Store(d)
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
+	// every cache key fresh) across 252 sweeps of 4 cells each, submitted
+	// from many goroutines while the gate is shut.
+	const sweeps, perSweep = 252, 4
+	ids := make([]string, 0, sweeps)
 	var wg sync.WaitGroup
 	idCh := make(chan string, sweeps)
 	for g := 0; g < 16; g++ {
@@ -65,25 +49,29 @@ func TestServeSoak(t *testing.T) {
 	for id := range idCh {
 		ids = append(ids, id)
 	}
-	close(sampling)
+	depth := srv.Stats().QueueDepth.Load()
+	close(gate)
 	for _, id := range ids {
 		if sv := waitSweep(t, ts, id); sv.Status != "done" {
 			t.Fatalf("sweep %s: status %s", id, sv.Status)
 		}
 	}
 	snap := srv.StatsSnapshot()
-	if snap["cellsQueued"] < sweeps*perSweep+plugCells {
-		t.Fatalf("queued %d cells, want >= %d", snap["cellsQueued"], sweeps*perSweep+plugCells)
+	if snap["cellsQueued"] < sweeps*perSweep {
+		t.Fatalf("queued %d cells, want >= %d", snap["cellsQueued"], sweeps*perSweep)
 	}
-	if snap["cacheMisses"] != sweeps*perSweep+plugCells {
-		t.Errorf("distinct-cell phase: %d misses, want %d", snap["cacheMisses"], sweeps*perSweep+plugCells)
+	if snap["cacheMisses"] != sweeps*perSweep {
+		t.Errorf("distinct-cell phase: %d misses, want %d", snap["cacheMisses"], sweeps*perSweep)
 	}
-	if peak.Load() < 1000 {
-		t.Errorf("queue depth peaked at %d; the soak never sustained >= 1000 queued cells", peak.Load())
+	if depth < 1000 {
+		t.Errorf("queue depth reached %d; the soak never sustained >= 1000 queued cells", depth)
 	}
-	t.Logf("distinct phase: %d cells, queue peak %d", snap["cellsQueued"], peak.Load())
+	if d := srv.Stats().QueueDepth.Load(); d != 0 {
+		t.Errorf("queue depth %d after every sweep finished, want 0", d)
+	}
+	t.Logf("distinct phase: %d cells, queue depth %d behind the gate", snap["cellsQueued"], depth)
 
-	// Phase 2: repeat one 4-cell sweep 250 times; after the first, every
+	// Phase 2: repeat one 4-cell sweep as often; after the first, every
 	// cell must be a hit or a coalesce — assert a >= 99%% hit ratio.
 	repeated := `{"apps":["LU"],"procs":[1,4],"backends":["genima","cables"],"scale":"test"}`
 	missesBefore := snap["cacheMisses"]

@@ -8,7 +8,6 @@ import (
 	"cables/internal/bench"
 	"cables/internal/coherence"
 	"cables/internal/fault"
-	"cables/internal/sim"
 )
 
 // Spec is one experiment sweep request, the JSON body of POST /v1/sweeps.
@@ -30,13 +29,9 @@ type Spec struct {
 	Backends []string `json:"backends,omitempty"`
 	// Scale is the problem-size class: "test", "paper" (default), "full".
 	Scale string `json:"scale,omitempty"`
-	// Sched is the thread-manager backend (sim.SchedulerNames); empty =
-	// the serving process's default.  The resolved name is part of the
-	// cache key.
-	Sched string `json:"sched,omitempty"`
 	// Protocol is the coherence protocol (coherence.Names); empty = the
-	// serving process's default.  A non-default resolved name is part of
-	// the cache key (the default keeps pre-protocol keys unchanged).
+	// serving process's default.  The resolved name is part of the cache
+	// key.
 	Protocol string `json:"protocol,omitempty"`
 	// Gran overrides the OS mapping granularity in bytes (0 = the model's
 	// 64 KB default).
@@ -112,18 +107,6 @@ func (s *Spec) Normalize() error {
 	default:
 		return fmt.Errorf("farm: unknown scale %q (have test, paper, full)", s.Scale)
 	}
-	if s.Sched == "" {
-		s.Sched = sim.DefaultSchedulerName()
-	}
-	valid := false
-	for _, n := range sim.SchedulerNames() {
-		if n == s.Sched {
-			valid = true
-		}
-	}
-	if !valid {
-		return fmt.Errorf("farm: unknown scheduler backend %q (have %v)", s.Sched, sim.SchedulerNames())
-	}
 	if s.Protocol == "" {
 		s.Protocol = coherence.DefaultName()
 	}
@@ -155,7 +138,7 @@ func (s Spec) Cells() []CellKey {
 			for _, b := range s.Backends {
 				cells = append(cells, CellKey{
 					App: app, Procs: p, Backend: b,
-					Scale: s.Scale, Sched: s.Sched, Protocol: s.Protocol, Gran: s.Gran,
+					Scale: s.Scale, Protocol: s.Protocol, Gran: s.Gran,
 					ContendedSync: s.ContendedSync, Coalesce: s.Coalesce,
 					Plan: s.Plan, Seed: s.Seed,
 				})
@@ -175,7 +158,6 @@ type CellKey struct {
 	Procs         int    `json:"procs"`
 	Backend       string `json:"backend"`
 	Scale         string `json:"scale"`
-	Sched         string `json:"sched"`
 	Protocol      string `json:"protocol"`
 	Gran          int    `json:"gran"`
 	ContendedSync bool   `json:"contendedSync"`
@@ -187,22 +169,15 @@ type CellKey struct {
 // cacheSchema versions the canonical form.  Bump it when the meaning of any
 // key field changes (or a new code-relevant field is added), so stale
 // entries from an older serve build can never be mistaken for current ones.
-const cacheSchema = "cables-farm-v1"
+const cacheSchema = "cables-farm-v2"
 
 // Canonical renders the key as the canonical string that is hashed into the
 // cache address: a fixed field order, every field present (defaults
 // included), prefixed by the schema version.
 func (k CellKey) Canonical() string {
-	c := fmt.Sprintf("%s|app=%s|procs=%d|backend=%s|scale=%s|sched=%s|gran=%d|contended=%t|coalesce=%t|plan=%s|seed=%d",
-		cacheSchema, k.App, k.Procs, k.Backend, k.Scale, k.Sched, k.Gran,
-		k.ContendedSync, k.Coalesce, k.Plan, k.Seed)
-	// The protocol field is appended only when non-default, so every
-	// cache entry addressed before protocols existed keeps its key: a
-	// default-protocol spec hashes identically to a pre-protocol one.
-	if k.Protocol != "" && k.Protocol != coherence.ProtoGenima {
-		c += "|protocol=" + k.Protocol
-	}
-	return c
+	return fmt.Sprintf("%s|app=%s|procs=%d|backend=%s|scale=%s|gran=%d|contended=%t|coalesce=%t|plan=%s|seed=%d|protocol=%s",
+		cacheSchema, k.App, k.Procs, k.Backend, k.Scale, k.Gran,
+		k.ContendedSync, k.Coalesce, k.Plan, k.Seed, k.Protocol)
 }
 
 // Hash returns the cell's content address: the hex SHA-256 of Canonical().

@@ -37,7 +37,9 @@ func pingPong(t *testing.T, disableCompaction bool, rounds int) (invals, diffs, 
 	worker := func(w int) func(th *sim.Task) {
 		return func(th *sim.Task) {
 			for i := 0; i < rounds; i++ {
+				th.Block() // a raw host wait: release the scheduler slot
 				<-turn[w]
+				th.Unblock()
 				rt.Lock(th, 1)
 				for s := 0; s < 4; s++ {
 					v := acc.ReadI64(th, slot(s))

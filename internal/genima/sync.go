@@ -151,7 +151,7 @@ func (l *SysLock) Acquire(t *sim.Task) {
 			l.p.delegated[t] = l.id
 			l.p.delMu.Unlock()
 		}
-		grant := t.Sched().Park(t) // real block until hand-off
+		grant := t.Park() // real block until hand-off
 		t.WaitUntil(grant)
 	}
 	t.MarkSpan(uint8(profile.MarkLockAcquired), uint64(l.id), flags)
@@ -247,7 +247,7 @@ func (l *SysLock) Release(t *sim.Task) {
 			// delegation server, so the lock state never crosses the wire —
 			// the waiter resumes after an in-memory transfer.  This is the
 			// delegate protocol's transfer-wait reduction.
-			w.t.Sched().Unpark(w.t, release+c.MutexLocalFast)
+			w.t.Unpark(release + c.MutexLocalFast)
 		} else {
 			// Hand-off: the waiter resumes at the grant message's delivery
 			// instant (release time plus grant latency; the releaser has
@@ -256,7 +256,7 @@ func (l *SysLock) Release(t *sim.Task) {
 			if w.atServer {
 				dst = server
 			}
-			w.t.Sched().Unpark(w.t, l.p.cl.Wire.DeliverAt(release, wire.Op{
+			w.t.Unpark(l.p.cl.Wire.DeliverAt(release, wire.Op{
 				Kind: wire.KindLockGrant, Src: exec, Dst: dst, Arg: uint64(l.id),
 			}))
 		}
@@ -357,14 +357,14 @@ func (b *Barrier) Wait(t *sim.Task, parties int) {
 		b.p.pol.BarrierRelease(b.name, parties)
 		b.mu.Unlock()
 		for _, w := range ws {
-			w.Sched().Unpark(w, release)
+			w.Unpark(release)
 		}
 	default:
 		// Park until the last arriver releases the generation; the grant
 		// carries the release instant.
 		b.waiters = append(b.waiters, t)
 		b.mu.Unlock()
-		release = t.Sched().Park(t)
+		release = t.Park()
 	}
 
 	t.WaitUntil(release)

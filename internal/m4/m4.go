@@ -50,9 +50,6 @@ type Config struct {
 	// Wire selects the wire plane's opt-in modes (contended sync, release
 	// coalescing); the zero value reproduces the default schedule.
 	Wire wire.Options
-	// Sched names the thread-manager backend (sim.SchedulerNames); empty
-	// selects the process default (CABLES_SCHED / `cablesim -sched`).
-	Sched string
 	// Protocol names the coherence policy (coherence.Names); empty selects
 	// the process default (CABLES_PROTOCOL / `cablesim -protocol`).
 	Protocol string
@@ -77,7 +74,6 @@ func New(cfg Config) *Runtime {
 		Costs:        cfg.Costs,
 		Fault:        cfg.Fault,
 		Wire:         cfg.Wire,
-		Sched:        cfg.Sched,
 	})
 	rt := &Runtime{
 		cl:    cl,
@@ -170,10 +166,10 @@ func (rt *Runtime) Join(parent *sim.Task, id int) {
 	// its scheduler slot: the join waits on the child's real progress).
 	node := rt.cl.Nodes[parent.NodeID]
 	node.ThreadStopped()
-	rt.cl.Sched.Block(parent)
+	parent.Block()
 	end := <-ch
 	ch <- end // allow repeated joins from WAIT_FOR_END sweeps
-	rt.cl.Sched.Unblock(parent)
+	parent.Unblock()
 	node.ThreadStarted()
 	parent.WaitUntil(end)
 	rt.proto.ApplyAcquire(parent) // join has acquire semantics

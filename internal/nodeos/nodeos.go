@@ -87,10 +87,12 @@ type Cluster struct {
 	// Wire is the typed operation plane all cross-node traffic goes
 	// through (internal/wire).
 	Wire *wire.Plane
-	// Sched is the simulation's thread-manager backend; every task the
-	// cluster creates is bound to it (one scheduler instance per
-	// simulation, so concurrent harness cells never share run queues).
-	Sched sim.Scheduler
+	// Sched is the simulation's thread manager; the runtimes spawn every
+	// worker task through it.  It has one execution slot, so the simulated
+	// threads of a cell run one at a time in virtual-time order (one
+	// scheduler per simulation: concurrent harness cells never share run
+	// queues, and they are where host parallelism comes from).
+	Sched *sim.Scheduler
 	// Fault is the installed fault injector (nil when faults are disabled).
 	Fault *fault.Injector
 	// Prof, when set (bench.AttachProfiler), adopts every task the cluster
@@ -117,9 +119,6 @@ type Config struct {
 	// Wire selects the wire plane's opt-in modes (contended sync, release
 	// coalescing); the zero value reproduces the default schedule.
 	Wire wire.Options
-	// Sched names the thread-manager backend (sim.SchedulerNames); empty
-	// selects the process default (CABLES_SCHED / `cablesim -sched`).
-	Sched string
 }
 
 // NewCluster builds a cluster.
@@ -147,7 +146,7 @@ func NewCluster(cfg Config) *Cluster {
 		Fabric: fab,
 		VMMC:   vmmc.NewSystem(fab, limits),
 		Fault:  cfg.Fault,
-		Sched:  sim.NewScheduler(cfg.Sched),
+		Sched:  sim.NewScheduler(),
 	}
 	cl.Wire = wire.New(fab, cl.VMMC, cfg.Wire)
 	if cfg.Fault != nil {
@@ -175,7 +174,6 @@ func (c *Cluster) TotalProcessors() int {
 // start, with the node's load-factor hook installed.
 func (c *Cluster) NewTask(node int, start sim.Time) *sim.Task {
 	t := sim.NewTask(int(c.taskSeq.Add(1)), node, c.Costs)
-	t.BindScheduler(c.Sched)
 	t.SetNow(start)
 	t.Load = c.Nodes[node].LoadFactor
 	if c.Prof != nil {

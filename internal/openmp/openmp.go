@@ -58,9 +58,6 @@ type Config struct {
 	ProcsPerNode int
 	ArenaBytes   int64
 	Costs        *sim.Costs
-	// Sched names the thread-manager backend (sim.SchedulerNames); empty
-	// selects the process default (CABLES_SCHED / `cablesim -sched`).
-	Sched string
 }
 
 // New builds an OpenMP runtime over a fresh CableS instance.
@@ -78,7 +75,6 @@ func New(cfg Config) *Runtime {
 		ArenaBytes:      cfg.ArenaBytes,
 		Costs:           cfg.Costs,
 		CoordinatorMain: true,
-		Sched:           cfg.Sched,
 	})
 	rt.Start()
 	return &Runtime{rt: rt, procs: cfg.Procs, crit: make(map[string]*cables.Mutex)}
@@ -136,7 +132,6 @@ func (r *Runtime) ensurePool() {
 		return
 	}
 	main := r.rt.Main().Task
-	sched := r.rt.Cluster().Sched
 	r.pool = make([]*poolWorker, r.procs)
 	for i := range r.pool {
 		w := &poolWorker{
@@ -152,9 +147,9 @@ func (r *Runtime) ensurePool() {
 				node := r.rt.Cluster().Nodes[th.Task.NodeID]
 				for {
 					node.ThreadStopped() // idle between regions
-					sched.Block(th.Task) // release the slot while idle
+					th.Task.Block()      // release the slot while idle
 					fn, ok := <-w.work
-					sched.Unblock(th.Task)
+					th.Task.Unblock()
 					node.ThreadStarted()
 					if !ok {
 						break

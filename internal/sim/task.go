@@ -5,16 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// schedQuantum is how much charged virtual time a task may accumulate
-// before raising the scheduler backend's Yield hint.  Keeping real
-// execution order roughly aligned with virtual-time order matters for work
-// distribution through dynamic queues (task stealing): without it one
-// thread can drain a whole queue in real time while its peers — earlier in
-// virtual time — never get scheduled.  The goroutine backend answers the
-// hint with runtime.Gosched; the event backend ignores it, because its
-// run-queue admission is virtual-time-ordered by construction.
-const schedQuantum = 50 * Microsecond
-
 // ErrCanceled is the panic value used to unwind a simulated thread that has
 // been canceled (pthread_cancel).  The thread-runner recovers it.
 var ErrCanceled = errors.New("sim: task canceled")
@@ -68,16 +58,12 @@ type Task struct {
 	// node OS model.
 	Load func() float64
 
-	costs     *Costs
-	schedDebt Time // charged time since the last scheduler yield
+	costs *Costs
 
-	// sched is the thread-manager backend the task runs under; NewTask
-	// binds the goroutine backend and nodeos.Cluster.NewTask rebinds to the
-	// cluster's scheduler.  evt is the event backend's per-task state, nil
-	// for unmanaged tasks and under every other backend — primitives use it
-	// as the zero-cost "is this task slot-disciplined" check.
-	sched Scheduler
-	evt   *eventTask
+	// evt is the scheduler's per-task state, set by Scheduler.Go and nil
+	// for unmanaged tasks — the zero-cost "is this task slot-disciplined"
+	// check every park, block and safe point makes.
+	evt *eventTask
 
 	// prof is the attached span probe, nil when no profiler is observing
 	// the run.  Set before the task's goroutine starts (or by the owner);
@@ -100,8 +86,7 @@ type Task struct {
 // task from another goroutine before the task's own first park, so lazy
 // creation would race.
 func NewTask(id, node int, c *Costs) *Task {
-	return &Task{ID: id, NodeID: node, costs: c, sched: goroutineSched{},
-		grant: make(chan Time, 1)}
+	return &Task{ID: id, NodeID: node, costs: c, grant: make(chan Time, 1)}
 }
 
 // Costs returns the task's cost table.
@@ -129,16 +114,87 @@ func (t *Task) SetExecNode(n int) {
 	t.execNode = n + 1
 }
 
-// Sched returns the task's scheduler backend.
-func (t *Task) Sched() Scheduler { return t.sched }
-
-// BindScheduler attaches the task to a scheduler backend.  Call before the
-// task's goroutine starts (nodeos.Cluster.NewTask does).
-func (t *Task) BindScheduler(s Scheduler) { t.sched = s }
-
 // Grant returns the task's reusable hand-off channel (buffered, capacity 1);
 // see the field comment for the reuse contract.
 func (t *Task) Grant() chan Time { return t.grant }
+
+// Park blocks t until a peer delivers a hand-off instant via Unpark, and
+// returns that instant.  Called only by t's owner goroutine.  A managed
+// task gives up its slot while parked; the waker queues it at the granted
+// instant.
+func (t *Task) Park() Time {
+	et := t.evt
+	if et == nil {
+		return <-t.grant
+	}
+	v, early := et.s.park(et)
+	if !early {
+		v = <-t.grant
+	}
+	<-et.token
+	return v
+}
+
+// ParkCancelable is Park that also unblocks when cancel is closed.  It
+// returns (grant, true) on a normal hand-off and (0, false) when the wait
+// was abandoned; in the latter case a grant may still be in flight and the
+// abandoning primitive must drain it (the Grant reuse contract) before the
+// task parks again.  Both outcomes readmit a managed task before returning,
+// so the drain happens while holding a slot: granters never need a slot
+// between claiming a waiter and delivering, so it cannot deadlock the pool.
+func (t *Task) ParkCancelable(cancel <-chan struct{}) (Time, bool) {
+	et := t.evt
+	if et == nil {
+		select {
+		case v := <-t.grant:
+			return v, true
+		case <-cancel:
+			return 0, false
+		}
+	}
+	v, early := et.s.park(et)
+	if early {
+		<-et.token
+		return v, true
+	}
+	select {
+	case v = <-t.grant:
+		<-et.token
+		return v, true
+	case <-cancel:
+		et.s.abandon(et)
+		<-et.token
+		return 0, false
+	}
+}
+
+// Unpark delivers hand-off instant v to parked task t, queueing a managed
+// task on the caller's side.  Never blocks: the grant channel is buffered
+// and at most one grant is outstanding.
+func (t *Task) Unpark(v Time) {
+	if et := t.evt; et != nil {
+		et.s.wake(et, v)
+		return
+	}
+	t.grant <- v
+}
+
+// Block releases a managed task's slot before a raw host-blocking operation
+// outside the park path (a join's done-channel receive, a worker pool's idle
+// receive, a host WaitGroup); Unblock rejoins the run queue after it.  Both
+// are no-ops for unmanaged tasks.
+func (t *Task) Block() {
+	if et := t.evt; et != nil {
+		et.s.release(et)
+	}
+}
+
+// Unblock rejoins the run queue after Block.
+func (t *Task) Unblock() {
+	if et := t.evt; et != nil {
+		et.s.ready(et, t.Now())
+	}
+}
 
 // Now returns the task's current virtual time.
 func (t *Task) Now() Time { return Time(t.clock.Load()) }
@@ -147,23 +203,15 @@ func (t *Task) Now() Time { return Time(t.clock.Load()) }
 // current time).
 func (t *Task) SetNow(v Time) { t.clock.Store(int64(v)) }
 
-// Charge advances the clock by d and attributes it to category cat.  Every
-// schedQuantum of charged time raises the backend's Yield hint; the debt
-// keeps its sub-quantum remainder so yield pacing stays proportional to
-// virtual progress across charges of any size.  Yield must not block —
-// charges occur under the simulator's internal host mutexes — which is why
-// clock-ordered switching has its own safe point (Compute/Preempt).
+// Charge advances the clock by d and attributes it to category cat.
+// Charges occur under the simulator's internal host mutexes, so Charge
+// never blocks; clock-ordered switching has its own safe point (Compute).
 func (t *Task) Charge(cat Category, d Time) {
 	if d <= 0 {
 		return
 	}
 	t.clock.Add(int64(d))
 	t.brk.Add(cat, d)
-	t.schedDebt += d
-	if t.schedDebt >= schedQuantum {
-		t.schedDebt -= schedQuantum
-		t.sched.Yield(t)
-	}
 }
 
 // Attribute records d against category cat without advancing the clock.
@@ -178,8 +226,8 @@ func (t *Task) Attribute(cat Category, d Time) {
 // Compute charges application computation of duration d, dilated by the
 // node's current load factor (threads time-share processors) and by the cost
 // table's compute scale.  Compute is also the scheduler's safe point: the
-// caller holds no host locks here, so a slot-disciplined task that has run
-// far ahead in virtual time may block until readmitted (event backend).
+// caller holds no host locks here, so a managed task that has run far ahead
+// in virtual time may block until readmitted.
 func (t *Task) Compute(d Time) {
 	if d <= 0 {
 		return
@@ -189,8 +237,8 @@ func (t *Task) Compute(d Time) {
 		f *= t.Load()
 	}
 	t.Charge(CatCompute, Time(float64(d)*f))
-	if t.evt != nil {
-		t.sched.Preempt(t)
+	if et := t.evt; et != nil {
+		et.s.preempt(et)
 	}
 }
 
