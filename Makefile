@@ -1,4 +1,5 @@
-# Developer entry points.  `make check` is the CI gate: vet + build + tests
+# Developer entry points.  `make check` is the CI gate: vet (with a gofmt
+# check) + build + tests
 # (the farm soak, the telemetry smoke and the full-size FFT memory smoke run
 # in plain `go test ./...`) + race on the protocol-critical packages + the
 # repository benchmark's own vet and short tests + docs lint + a profiler
@@ -16,6 +17,7 @@ docs:
 
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -29,6 +29,11 @@ func scale() bench.Scale {
 	return bench.ScaleTest
 }
 
+// runCell runs one default-configured cell at the benchmark scale.
+func runCell(app, backend string, procs int, costs *sim.Costs) bench.CellRun {
+	return bench.RunCell(app, backend, procs, scale(), costs, bench.CellOptions{}, bench.Attach{})
+}
+
 // BenchmarkTable3_VMMCCosts regenerates Table 3 (basic VMMC costs).
 func BenchmarkTable3_VMMCCosts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -65,15 +70,15 @@ func BenchmarkTable6_OpenMPSpeedups(b *testing.B) {
 func benchFig5App(b *testing.B, app string, procs int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		g, gerr := bench.RunApp(app, bench.BackendGenima, procs, scale(), nil)
-		c, cerr := bench.RunApp(app, bench.BackendCables, procs, scale(), nil)
+		g := runCell(app, bench.BackendGenima, procs, nil)
+		c := runCell(app, bench.BackendCables, procs, nil)
 		if i == b.N-1 {
-			if gerr == nil {
-				b.ReportMetric(g.Parallel.Millis(), "genima-vms")
+			if g.Err == nil {
+				b.ReportMetric(g.Res.Parallel.Millis(), "genima-vms")
 			}
-			if cerr == nil {
-				b.ReportMetric(c.Parallel.Millis(), "cables-vms")
-				b.ReportMetric(c.MisplacedPct(), "misplaced-%")
+			if c.Err == nil {
+				b.ReportMetric(c.Res.Parallel.Millis(), "cables-vms")
+				b.ReportMetric(c.Res.MisplacedPct(), "misplaced-%")
 			}
 		}
 	}
@@ -97,9 +102,8 @@ func BenchmarkFig6_Misplacement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		total := 0.0
 		for _, app := range bench.AppNames {
-			res, err := bench.RunApp(app, bench.BackendCables, 8, scale(), nil)
-			if err == nil {
-				total += res.MisplacedPct()
+			if r := runCell(app, bench.BackendCables, 8, nil); r.Err == nil {
+				total += r.Res.MisplacedPct()
 			}
 		}
 		if i == b.N-1 {
@@ -125,13 +129,13 @@ func BenchmarkAblation_MapGranularity4K(b *testing.B) {
 	costs := sim.DefaultCosts()
 	costs.MapGranularity = 4 << 10
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunApp("VOLREND", bench.BackendCables, 8, scale(), costs)
-		if err != nil {
-			b.Fatal(err)
+		r := runCell("VOLREND", bench.BackendCables, 8, costs)
+		if r.Err != nil {
+			b.Fatal(r.Err)
 		}
 		if i == b.N-1 {
-			b.ReportMetric(res.MisplacedPct(), "misplaced-%")
-			b.ReportMetric(res.Parallel.Millis(), "cables-vms")
+			b.ReportMetric(r.Res.MisplacedPct(), "misplaced-%")
+			b.ReportMetric(r.Res.Parallel.Millis(), "cables-vms")
 		}
 	}
 }

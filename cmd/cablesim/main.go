@@ -46,16 +46,17 @@
 // follows the observability invariance rule: it records spans and charges
 // nothing, so attaching it moves no result beyond the run-to-run variation
 // described under -jobs.
-// -contended-sync and -coalesce select opt-in wire-plane modes for
-// fig5/fig6/fig5+6/counters: the first makes synchronization messages
-// reserve NIC occupancy (sync traffic queues behind data traffic), the
-// second applies GeNIMA's release protocol-opt of one coalesced remote
-// write per home node.  Both default off, reproducing the paper exactly.
-// -protocol selects the coherence protocol ("genima", "commutative" or
-// "delegate", see DESIGN.md §5e) for every simulation in the process; the
-// CABLES_PROTOCOL environment variable sets the same default.  The
-// variants deliberately change the wire schedule (and so virtual times);
-// only the computed data (checksums) is invariant.
+// -contended-sync and -protocol configure every cell of the cell sweeps
+// (fig5, fig6, fig5+6, counters, faults, profile and the fig5 part of
+// all); main builds one bench.CellOptions from them and passes it to each
+// sweep.  -contended-sync makes synchronization messages reserve NIC
+// occupancy (sync traffic queues behind data traffic); it defaults off,
+// reproducing the paper exactly.  -protocol selects the coherence protocol
+// ("genima", the default, "commutative" or "delegate", see DESIGN.md §5e).
+// The variants deliberately change the wire schedule (and so virtual
+// times); only the computed data (checksums) is invariant.  Tables 3–6
+// and limits always measure the paper's genima system, and `serve` takes
+// both settings per sweep from its spec.
 // `protocols` runs each app under all three protocols side by side and
 // reports time, checksum, messages, bytes, and the profiler's lock-wait
 // split — the comparison table of EXPERIMENTS.md §"Coherence protocols".
@@ -128,17 +129,15 @@ func main() {
 	cacheEntries := fs.Int("cache-entries", 4096, "serve: content-addressed result cache bound (LRU entries)")
 	maxQueue := fs.Int("max-queue", 65536, "serve: max admitted-but-unstarted cells before 503")
 	contended := fs.Bool("contended-sync", false,
-		"wire plane: synchronization messages reserve NIC occupancy (fig5/fig6/counters)")
-	coalesce := fs.Bool("coalesce", false,
-		"wire plane: GeNIMA release coalesces diffs into one remote write per home (fig5/fig6/counters)")
-	protocol := fs.String("protocol", coherence.DefaultName(),
-		fmt.Sprintf("coherence protocol: %s (data checksums are identical; wire schedule differs)",
+		"wire plane: synchronization messages reserve NIC occupancy (cell sweeps; tables and limits always run the paper's genima system)")
+	protocol := fs.String("protocol", coherence.ProtoGenima,
+		fmt.Sprintf("coherence protocol: %s (cell sweeps; tables and limits always run the paper's genima system; data checksums are identical, wire schedule differs)",
 			strings.Join(coherence.Names(), "|")))
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
-	if err := coherence.SetDefault(*protocol); err != nil {
-		fmt.Fprintf(os.Stderr, "cablesim: %v\n", err)
+	if !coherence.Valid(*protocol) {
+		fmt.Fprintf(os.Stderr, "cablesim: unknown protocol %q (have %v)\n", *protocol, coherence.Names())
 		os.Exit(2)
 	}
 	sc := bench.Scale(*scale)
@@ -156,7 +155,7 @@ func main() {
 	}
 	appList := splitList(*apps)
 	procList := parseInts(*procs)
-	wopts := wire.Options{ContendedSync: *contended, Coalesce: *coalesce}
+	cell := bench.CellOptions{Wire: wire.Options{ContendedSync: *contended}, Protocol: *protocol}
 
 	if cmd != "serve" && cmd != "top" && os.Getenv("GOGC") == "" {
 		// A batch sweep's heap is mostly page frames: pointer-free 4 KB
@@ -181,13 +180,13 @@ func main() {
 	case "table6":
 		bench.Table6(w, sc, *jobs)
 	case "fig5":
-		data := bench.RunFig5Wire(appList, procList, sc, costs, *jobs, wopts)
+		data := bench.RunFig5(appList, procList, sc, costs, cell, *jobs)
 		bench.Fig5(w, data, procList)
 	case "fig6":
-		data := bench.RunFig5Wire(appList, procList, sc, costs, *jobs, wopts)
+		data := bench.RunFig5(appList, procList, sc, costs, cell, *jobs)
 		bench.Fig6(w, data, procList)
 	case "fig5+6":
-		data := bench.RunFig5Wire(appList, procList, sc, costs, *jobs, wopts)
+		data := bench.RunFig5(appList, procList, sc, costs, cell, *jobs)
 		bench.Fig5(w, data, procList)
 		bench.Fig6(w, data, procList)
 	case "protocols":
@@ -199,9 +198,9 @@ func main() {
 	case "limits":
 		bench.Limits(w)
 	case "counters":
-		runCounters(w, appList, procList, sc, costs, *jobs, *traceOn, *profileOn, *top, wopts)
+		runCounters(w, appList, procList, sc, costs, cell, *jobs, *traceOn, *profileOn, *top)
 	case "profile":
-		cells := bench.RunProfile(w, appList, procList, sc, costs, *jobs, *top, wopts)
+		cells := bench.RunProfile(w, appList, procList, sc, costs, cell, *jobs, *top)
 		if *out != "" {
 			f, err := os.Create(*out)
 			if err != nil {
@@ -238,8 +237,8 @@ func main() {
 			defer cancel()
 			_ = hs.Shutdown(ctx)
 		}()
-		fmt.Fprintf(w, "cablesim serve: listening on %s (jobs=%d cache=%d queue=%d protocol=%s)\n",
-			*addr, *jobs, *cacheEntries, *maxQueue, coherence.DefaultName())
+		fmt.Fprintf(w, "cablesim serve: listening on %s (jobs=%d cache=%d queue=%d)\n",
+			*addr, *jobs, *cacheEntries, *maxQueue)
 		if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			fmt.Fprintf(os.Stderr, "cablesim: serve: %v\n", err)
 			os.Exit(1)
@@ -265,13 +264,13 @@ func main() {
 		if *profileOn {
 			profTop = *top
 		}
-		bench.RunFaults(w, plan, *seed, appList, procList, sc, costs, *jobs, profTop)
+		bench.RunFaults(w, plan, *seed, appList, procList, sc, costs, cell, *jobs, profTop)
 	case "all":
 		bench.Table3(w)
 		bench.Table4(w)
 		bench.Table5(w, sc, *jobs)
 		bench.Table6(w, sc, *jobs)
-		data := bench.RunFig5(appList, procList, sc, costs, *jobs)
+		data := bench.RunFig5(appList, procList, sc, costs, cell, *jobs)
 		bench.Fig5(w, data, procList)
 		bench.Fig6(w, data, procList)
 		bench.Limits(w)
@@ -289,14 +288,14 @@ func main() {
 // and dropped-event count are appended to the block (the ring is bounded:
 // a non-zero dropped count means the census covers only the retained
 // suffix).  With profileOn, each run also carries the virtual-time profiler
-// and its profile block (top rows per table) is appended.
-func runCounters(w *os.File, apps []string, procs []int, sc bench.Scale, costs *sim.Costs, jobs int, traceOn, profileOn bool, top int, wopts wire.Options) {
-	// A non-default coherence protocol is labeled on every block so sweep
-	// output under different protocols stays distinguishable; the default
-	// keeps the blocks byte-identical to the pre-protocol output.
+// and its profile block (top rows per table) is appended.  Every cell is
+// configured by o.
+func runCounters(w *os.File, apps []string, procs []int, sc bench.Scale, costs *sim.Costs, o bench.CellOptions, jobs int, traceOn, profileOn bool, top int) {
+	// A non-genima protocol is labeled on every block so sweep output under
+	// different protocols stays distinguishable.
 	label := ""
-	if proto := coherence.DefaultName(); proto != coherence.ProtoGenima {
-		label = " [protocol=" + proto + "]"
+	if o.Protocol != "" && o.Protocol != coherence.ProtoGenima {
+		label = " [protocol=" + o.Protocol + "]"
 	}
 	if len(apps) == 0 {
 		apps = bench.AppNames
@@ -320,32 +319,23 @@ func runCounters(w *os.File, apps []string, procs []int, sc bench.Scale, costs *
 	blocks := make([]string, len(specs))
 	errs := bench.RunCells(jobs, len(specs), func(i int) {
 		s := specs[i]
-		if traceOn || profileOn {
-			ringCap := -1
-			if traceOn {
-				ringCap = 4096
-			}
-			res, ctr, ring, prof, err := bench.RunAppObservedWire(s.app, s.backend, s.procs, sc, costs, ringCap, profileOn, wopts)
-			if err != nil {
-				blocks[i] = fmt.Sprintf("%s/%s p=%d: FAILED: %v\n", s.app, s.backend, s.procs, err)
-				return
-			}
-			block := fmt.Sprintf("%s%s\n  %s\n", res, label, ctr)
-			if ring != nil {
-				block += traceBlock(ring)
-			}
-			if prof != nil {
-				block += bench.ProfileBlock(profile.Build(prof.Logs()), prof.Epochs.Windows(), top)
-			}
-			blocks[i] = block
+		attach := bench.Attach{Profiler: profileOn}
+		if traceOn {
+			attach.Ring = 4096
+		}
+		r := bench.RunCell(s.app, s.backend, s.procs, sc, costs, o, attach)
+		if r.Err != nil {
+			blocks[i] = fmt.Sprintf("%s/%s p=%d: FAILED: %v\n", s.app, s.backend, s.procs, r.Err)
 			return
 		}
-		res, ctr, err := bench.RunAppCountersWire(s.app, s.backend, s.procs, sc, costs, wopts)
-		if err != nil {
-			blocks[i] = fmt.Sprintf("%s/%s p=%d: FAILED: %v\n", s.app, s.backend, s.procs, err)
-			return
+		block := fmt.Sprintf("%s%s\n  %s\n", r.Res, label, r.Ctr)
+		if r.Ring != nil {
+			block += traceBlock(r.Ring)
 		}
-		blocks[i] = fmt.Sprintf("%s%s\n  %s\n", res, label, ctr)
+		if r.Prof != nil {
+			block += bench.ProfileBlock(profile.Build(r.Prof.Logs()), r.Prof.Epochs.Windows(), top)
+		}
+		blocks[i] = block
 	})
 	for i, b := range blocks {
 		if errs[i] != nil {
@@ -410,8 +400,8 @@ func usage() {
 flags: -scale test|paper|full (-full-size)  -apps A,B  -procs 1,4,8  -gran bytes  -jobs N
        -trace -profile (counters)  -plan "send:p=0.05;detach:node=1,at=5ms" -seed N -profile (faults)
        -top N -o trace.json (profile: Perfetto/Chrome trace-viewer timeline)
-       -contended-sync -coalesce (fig5/fig6/counters wire-plane modes)
-       -protocol genima|commutative|delegate (coherence protocol; checksums identical, wire schedule differs)
+       -contended-sync -protocol genima|commutative|delegate (cell sweeps: fig5/fig6/counters/faults/profile;
+                       tables and limits always run genima; checksums identical, wire schedule differs)
        -addr :8080 -cache-entries N -max-queue N (serve: the simulation farm, docs/SERVE.md)
        -addr :8080 -interval 2s -n N (top: live farm view scraped from /metrics, docs/OBSERVABILITY.md)`)
 }

@@ -12,7 +12,7 @@ import (
 // (application, system) with a cell per processor count.
 func TestFig5AndFig6Formatting(t *testing.T) {
 	procs := []int{1, 4}
-	data := RunFig5([]string{"FFT"}, procs, ScaleTest, nil, 1)
+	data := RunFig5([]string{"FFT"}, procs, ScaleTest, nil, CellOptions{}, 1)
 	f5 := Fig5(io.Discard, data, procs).String()
 	if !strings.Contains(f5, "FFT") || !strings.Contains(f5, "genima") ||
 		!strings.Contains(f5, "cables") {
@@ -28,20 +28,14 @@ func TestFig5AndFig6Formatting(t *testing.T) {
 // placement overhead entirely to WindowsNT's 64 KB mapping granularity; at
 // 4 KB (the planned Linux port) misplacement must vanish.
 func TestGranularityAblationErasesMisplacement(t *testing.T) {
-	nt, err := RunApp("LU", BackendCables, 8, ScaleTest, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nt := mustRun(t, "LU", BackendCables, 8, ScaleTest, nil)
 	if nt.MisplacedPct() < 10 {
 		t.Fatalf("precondition: LU at 64KB should misplace pages (got %.1f%%)",
 			nt.MisplacedPct())
 	}
 	costs := sim.DefaultCosts()
 	costs.MapGranularity = 4 << 10
-	linux, err := RunApp("LU", BackendCables, 8, ScaleTest, costs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	linux := mustRun(t, "LU", BackendCables, 8, ScaleTest, costs)
 	if linux.Misplaced != 0 {
 		t.Errorf("4KB granularity still misplaces %d pages", linux.Misplaced)
 	}
@@ -55,10 +49,7 @@ func TestGranularityAblationErasesMisplacement(t *testing.T) {
 // 4 KB units) is a valid configuration end to end.
 func TestLinuxProfileRunsApps(t *testing.T) {
 	costs := sim.DefaultCosts().LinuxOS()
-	res, err := RunApp("WATER-SPATIAL", BackendCables, 4, ScaleTest, costs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, "WATER-SPATIAL", BackendCables, 4, ScaleTest, costs)
 	if res.Checksum <= 0 || res.Misplaced != 0 {
 		t.Errorf("linux profile run: %v", res)
 	}

@@ -5,32 +5,54 @@ import (
 	cables "cables/internal/core"
 	"cables/internal/fault"
 	"cables/internal/m4"
+	"cables/internal/profile"
 	"cables/internal/sim"
 	"cables/internal/stats"
+	"cables/internal/trace"
 	"cables/internal/wire"
 )
 
 // CellOptions bundles every code-relevant knob one simulation cell can
 // carry beyond (app, backend, procs, scale, costs): the wire plane's opt-in
-// modes, an optional fault injector and the coherence protocol.
-// The zero value reproduces the paper-faithful default cell exactly, so
-// NewRuntimeWire and NewFaultRuntime are thin wrappers over NewRuntimeOpts.
+// mode, an optional fault injector and the coherence protocol.  It is the
+// only way a cell's configuration reaches the simulator, so a cell is a
+// pure function of its arguments.
+// The zero value reproduces the paper-faithful default cell exactly.
 // The simulation farm (internal/farm) canonicalizes these fields into its
 // content-addressed cache key.
 type CellOptions struct {
-	// Wire selects the wire plane's opt-in modes (-contended-sync,
-	// -coalesce).
+	// Wire selects the wire plane's opt-in mode (-contended-sync).
 	Wire wire.Options
 	// Fault optionally injects deterministic faults (see internal/fault).
 	Fault *fault.Injector
 	// Protocol names the coherence policy (coherence.Names); empty selects
-	// the process default (CABLES_PROTOCOL / `cablesim -protocol`).
+	// genima.
 	Protocol string
 }
 
+// Attach selects the observers a cell run carries.  Observers record and
+// charge nothing (the invariance rule), so they change no result and stay
+// out of CellOptions, which is what the farm hashes.
+type Attach struct {
+	// Ring > 0 attaches a trace ring of that capacity (AttachRing).
+	Ring int
+	// Profiler attaches a virtual-time profiler (AttachProfiler).
+	Profiler bool
+}
+
+// CellRun is one cell's outcome: the application result, the run's event
+// counters, and the attached observers (nil unless requested).
+type CellRun struct {
+	Res  appapi.Result
+	Ctr  *stats.Counters
+	Ring *trace.Ring
+	Prof *profile.Profiler
+	Err  error
+}
+
 // NewRuntimeOpts builds an application runtime on the chosen backend with
-// every per-cell option explicit.  It is the single construction point the
-// other NewRuntime* helpers delegate to.
+// every per-cell option explicit.  It is the single construction point;
+// RunCell uses it, and tests that drive custom workloads call it directly.
 func NewRuntimeOpts(backend string, procs int, arena int64, costs *sim.Costs, o CellOptions) appapi.Runtime {
 	switch backend {
 	case BackendGenima:
@@ -44,14 +66,37 @@ func NewRuntimeOpts(backend string, procs int, arena int64, costs *sim.Costs, o 
 	}
 }
 
-// RunAppCell runs one (app, backend, procs) cell with explicit per-cell
-// options and returns the result plus the run's event counters.  This is
-// the farm's cell entry point: identical arguments produce identical
-// deterministic outputs (checksums, placement censuses, counter totals up
-// to documented scheduling jitter), which is what makes the results safe to
-// content-address and serve from cache.
-func RunAppCell(name, backend string, procs int, scale Scale, costs *sim.Costs, o CellOptions) (appapi.Result, *stats.Counters, error) {
+// RunCell runs one (app, backend, procs) cell with explicit per-cell
+// options and the requested observers attached.  It is the harness's one
+// cell runner: every sweep, the farm and the tests go through it.
+// Identical arguments produce identical deterministic outputs (checksums,
+// placement censuses, counter totals up to documented scheduling jitter),
+// which is what makes the results safe to content-address and serve from
+// cache.  Registration failures (the base system's NIC limits) surface as
+// errors, exactly like the paper's OCEAN-at-32 case.
+func RunCell(name, backend string, procs int, scale Scale, costs *sim.Costs, o CellOptions, a Attach) CellRun {
 	rt := NewRuntimeOpts(backend, procs, 256<<20, costs, o)
-	res, err := runAppOn(rt, name, scale)
-	return res, rt.Cluster().Ctr, err
+	var r CellRun
+	if a.Ring > 0 {
+		r.Ring = AttachRing(rt, a.Ring)
+	}
+	if a.Profiler {
+		r.Prof = AttachProfiler(rt)
+	}
+	r.Res, r.Err = runAppOn(rt, name, scale)
+	r.Ctr = rt.Cluster().Ctr
+	return r
+}
+
+// RunAppCell is RunCell with no observers, returning the result and the
+// run's event counters.
+func RunAppCell(name, backend string, procs int, scale Scale, costs *sim.Costs, o CellOptions) (appapi.Result, *stats.Counters, error) {
+	r := RunCell(name, backend, procs, scale, costs, o, Attach{})
+	return r.Res, r.Ctr, r.Err
+}
+
+// RunAppCellProfiled is RunCell with a profiler attached.
+func RunAppCellProfiled(name, backend string, procs int, scale Scale, costs *sim.Costs, o CellOptions) (appapi.Result, *stats.Counters, *profile.Profiler, error) {
+	r := RunCell(name, backend, procs, scale, costs, o, Attach{Profiler: true})
+	return r.Res, r.Ctr, r.Prof, r.Err
 }

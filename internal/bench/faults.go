@@ -14,14 +14,7 @@ import (
 	"cables/internal/sim"
 	"cables/internal/stats"
 	"cables/internal/trace"
-	"cables/internal/wire"
 )
-
-// NewFaultRuntime builds an application runtime with a fault injector
-// installed.  inj may be nil, in which case this is exactly NewRuntime.
-func NewFaultRuntime(backend string, procs int, arena int64, costs *sim.Costs, inj *fault.Injector) appapi.Runtime {
-	return NewRuntimeOpts(backend, procs, arena, costs, CellOptions{Fault: inj})
-}
 
 // protocolOf digs the SVM protocol instance out of either backend (for
 // attaching a trace ring); nil if the backend is unknown.
@@ -53,31 +46,6 @@ func AttachRing(rt appapi.Runtime, ringCap int) *trace.Ring {
 	return ring
 }
 
-// RunAppTraced runs an application with a trace ring of the given capacity
-// attached (AttachRing), returning the result, the event counters, and the
-// ring (inspect Events/Counts/Dropped).
-func RunAppTraced(name, backend string, procs int, scale Scale, costs *sim.Costs, ringCap int) (appapi.Result, *stats.Counters, *trace.Ring, error) {
-	return RunAppTracedWire(name, backend, procs, scale, costs, ringCap, wire.Options{})
-}
-
-// RunAppTracedWire is RunAppTraced with explicit wire-plane options.
-func RunAppTracedWire(name, backend string, procs int, scale Scale, costs *sim.Costs, ringCap int, w wire.Options) (appapi.Result, *stats.Counters, *trace.Ring, error) {
-	rt := NewRuntimeWire(backend, procs, 256<<20, costs, w)
-	ring := AttachRing(rt, ringCap)
-	res, err := runAppOn(rt, name, scale)
-	return res, rt.Cluster().Ctr, ring, err
-}
-
-// RunAppFault runs an application with the given fault injector installed
-// (one trace ring attached to the protocol, the wire plane and the injector
-// via AttachRing) and returns the result plus the run's counters and ring.
-func RunAppFault(name, backend string, procs int, scale Scale, costs *sim.Costs, inj *fault.Injector, ringCap int) (appapi.Result, *stats.Counters, *trace.Ring, error) {
-	rt := NewFaultRuntime(backend, procs, 256<<20, costs, inj)
-	ring := AttachRing(rt, ringCap)
-	res, err := runAppOn(rt, name, scale)
-	return res, rt.Cluster().Ctr, ring, err
-}
-
 // FaultCell is one (app, procs, backend) outcome of a faulted sweep.
 type FaultCell struct {
 	Res      appapi.Result
@@ -88,6 +56,10 @@ type FaultCell struct {
 	Windows  []stats.EpochWindow
 	Err      error
 }
+
+// faultRingCap is the trace ring each fault cell carries; its census
+// reports how many events the ring overwrote.
+const faultRingCap = 1024
 
 // faultEvents are the injection/recovery counters summarized per cell.
 var faultEvents = []stats.Event{
@@ -101,11 +73,11 @@ var faultEvents = []stats.Event{
 // outcome table: a cell completes DEGRADED (with its parallel time) when
 // faults fired during it, FAILED only when the run did not complete, and a
 // bare time when the plan never triggered in that cell.  Every cell gets
-// its own injector built from the same plan+seed, so cells are independent
-// and the whole table is reproducible from (plan, seed).  profTop > 0
-// attaches a profiler to every cell and appends its profile block (top
-// profTop rows) under the cell's census.
-func RunFaults(w io.Writer, plan fault.Plan, seed uint64, apps []string, procs []int, scale Scale, costs *sim.Costs, jobs, profTop int) *stats.Table {
+// its own injector built from the same plan+seed (o.Fault is replaced), so
+// cells are independent and the whole table is reproducible from (plan,
+// seed, o).  profTop > 0 attaches a profiler to every cell and appends its
+// profile block (top profTop rows) under the cell's census.
+func RunFaults(w io.Writer, plan fault.Plan, seed uint64, apps []string, procs []int, scale Scale, costs *sim.Costs, o CellOptions, jobs, profTop int) *stats.Table {
 	if len(apps) == 0 {
 		apps = AppNames
 	}
@@ -116,20 +88,17 @@ func RunFaults(w io.Writer, plan fault.Plan, seed uint64, apps []string, procs [
 	cells := make([]FaultCell, len(specs))
 	errs := RunCells(jobs, len(specs), func(i int) {
 		s := specs[i]
-		inj := fault.New(plan, seed)
+		co := o
+		co.Fault = fault.New(plan, seed)
+		r := RunCell(s.app, s.backend, s.procs, scale, costs, co, Attach{Ring: faultRingCap, Profiler: profTop > 0})
 		c := &cells[i]
-		if profTop > 0 {
-			res, ctr, ring, prof, err := RunAppFaultProfiled(s.app, s.backend, s.procs, scale, costs, inj, 0)
-			c.Res, c.Ctr, c.Err = res, ctr, err
-			c.Dropped = ring.Dropped()
-			c.Report = profile.Build(prof.Logs())
-			c.Windows = prof.Epochs.Windows()
-		} else {
-			res, ctr, ring, err := RunAppFault(s.app, s.backend, s.procs, scale, costs, inj, 0)
-			c.Res, c.Ctr, c.Err = res, ctr, err
-			c.Dropped = ring.Dropped()
+		c.Res, c.Ctr, c.Err = r.Res, r.Ctr, r.Err
+		c.Dropped = r.Ring.Dropped()
+		if r.Prof != nil {
+			c.Report = profile.Build(r.Prof.Logs())
+			c.Windows = r.Prof.Epochs.Windows()
 		}
-		c.Injected = inj.Injected()
+		c.Injected = co.Fault.Injected()
 	})
 
 	header := []string{"Application", "System"}
@@ -162,12 +131,11 @@ func RunFaults(w io.Writer, plan fault.Plan, seed uint64, apps []string, procs [
 			tab.AddRow(row...)
 		}
 	}
-	// Label the active protocol when it is not the default, so DEGRADED
-	// cells from different protocol sweeps stay distinguishable; the
-	// default's census lines are byte-identical to the pre-protocol output.
+	// Label a non-genima protocol, so DEGRADED cells from different
+	// protocol sweeps stay distinguishable.
 	label := ""
-	if proto := coherence.DefaultName(); proto != coherence.ProtoGenima {
-		label = " protocol=" + proto
+	if o.Protocol != "" && o.Protocol != coherence.ProtoGenima {
+		label = " protocol=" + o.Protocol
 	}
 	if w != nil {
 		fprintf(w, "Fault sweep: plan %q seed %d%s\n%s\n", plan, seed, label, tab)

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"cables/internal/sim"
 	"cables/internal/stats"
 	"cables/internal/trace"
+	"cables/internal/wire"
 )
 
 // runSequential drives a strictly sequential workload — one runnable task at
@@ -24,7 +26,7 @@ func runSequential(t *testing.T, inj *fault.Injector) (map[string]int64, uint64,
 	// The genima backend spreads workers round-robin over the three nodes of
 	// a 6-processor run, so workers 1, 2, 4, 5 take remote page faults and
 	// flush remote diffs — the operations the send/fetch/notify rules target.
-	rt := NewFaultRuntime(BackendGenima, 6, 64<<20, nil, inj)
+	rt := NewRuntimeOpts(BackendGenima, 6, 64<<20, nil, CellOptions{Fault: inj})
 	ring := trace.NewRing(1 << 14)
 	if p := protocolOf(rt); p != nil {
 		p.Trace = ring
@@ -122,9 +124,10 @@ func TestDetachCompletesDegraded(t *testing.T) {
 	for _, app := range []string{"FFT", "OCEAN"} {
 		for _, backend := range []string{BackendGenima, BackendCables} {
 			inj := fault.New(plan, 7)
-			res, ctr, _, err := RunAppFault(app, backend, 4, ScaleTest, nil, inj, 0)
-			if err != nil {
-				t.Errorf("%s/%s: FAILED under detach plan: %v", app, backend, err)
+			r := RunCell(app, backend, 4, ScaleTest, nil, CellOptions{Fault: inj}, Attach{})
+			res, ctr := r.Res, r.Ctr
+			if r.Err != nil {
+				t.Errorf("%s/%s: FAILED under detach plan: %v", app, backend, r.Err)
 				continue
 			}
 			if inj.Injected() == 0 {
@@ -146,7 +149,7 @@ func TestDetachCompletesDegraded(t *testing.T) {
 func TestRunFaultsRendersDegraded(t *testing.T) {
 	var b strings.Builder
 	plan := fault.MustParsePlan("send:p=0.2;detach:node=1,at=2ms")
-	RunFaults(&b, plan, 7, []string{"FFT"}, []int{4}, ScaleTest, nil, 2, 0)
+	RunFaults(&b, plan, 7, []string{"FFT"}, []int{4}, ScaleTest, nil, CellOptions{}, 2, 0)
 	out := b.String()
 	if strings.Contains(out, "FAILED") {
 		t.Errorf("faulted sweep failed a cell:\n%s", out)
@@ -162,5 +165,32 @@ func TestRunFaultsRendersDegraded(t *testing.T) {
 	}
 	if !strings.Contains(out, fmt.Sprintf("seed %d", 7)) || !strings.Contains(out, plan.String()) {
 		t.Errorf("header does not identify plan+seed:\n%s", out)
+	}
+}
+
+// TestRunFaultsHonorsCellOptions: the fault sweep runs its cells with the
+// caller's CellOptions.  Control messages become fault-visible only under
+// -contended-sync, so the same send plan must inject more faults with it.
+func TestRunFaultsHonorsCellOptions(t *testing.T) {
+	plan := fault.MustParsePlan("send:p=0.2")
+	injected := func(o CellOptions) int {
+		var b strings.Builder
+		RunFaults(&b, plan, 3, []string{"LU"}, []int{4}, ScaleTest, nil, o, 1, 0)
+		n := 0
+		for _, f := range strings.Fields(b.String()) {
+			if v, ok := strings.CutPrefix(f, "faultsInjected="); ok {
+				k, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatalf("census field %q: %v", f, err)
+				}
+				n += k
+			}
+		}
+		return n
+	}
+	plain := injected(CellOptions{})
+	contended := injected(CellOptions{Wire: wire.Options{ContendedSync: true}})
+	if contended <= plain {
+		t.Errorf("send faults injected: %d with -contended-sync, %d without; want more with it", contended, plain)
 	}
 }

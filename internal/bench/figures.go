@@ -12,7 +12,6 @@ import (
 	"cables/internal/sim"
 	"cables/internal/stats"
 	"cables/internal/vmmc"
-	"cables/internal/wire"
 )
 
 // Fig5Cell is one (app, procs, backend) outcome.
@@ -45,18 +44,14 @@ func fig5Cells(apps []string, procs []int) []fig5CellSpec {
 }
 
 // RunFig5 executes the Figure 5 sweep (every SPLASH-2 application on both
-// systems across the processor counts) and returns the raw results; Fig5
-// and Fig6 format them.  Up to jobs cells run concurrently on the host;
-// each cell is an independent simulation, so the assembled data — keyed by
-// (app, procs, backend) — is identical for any jobs value (jobs <= 1 runs
-// the sweep sequentially, exactly as before).
-func RunFig5(apps []string, procs []int, scale Scale, costs *sim.Costs, jobs int) Fig5Data {
-	return RunFig5Wire(apps, procs, scale, costs, jobs, wire.Options{})
-}
-
-// RunFig5Wire is RunFig5 with explicit wire-plane options: every cell of the
-// sweep runs with the same op-plane modes (-contended-sync, -coalesce).
-func RunFig5Wire(apps []string, procs []int, scale Scale, costs *sim.Costs, jobs int, w wire.Options) Fig5Data {
+// systems across the processor counts) with every cell configured by o,
+// and returns the raw results; Fig5 and Fig6 format them.  o.Fault must be
+// nil — an injector carries per-run state (RunFaults builds one per cell).
+// Up to jobs cells run concurrently on the host; each cell is an
+// independent simulation, so the assembled data — keyed by (app, procs,
+// backend) — is identical for any jobs value (jobs <= 1 runs the sweep
+// sequentially).
+func RunFig5(apps []string, procs []int, scale Scale, costs *sim.Costs, o CellOptions, jobs int) Fig5Data {
 	if len(apps) == 0 {
 		apps = AppNames
 	}
@@ -66,8 +61,8 @@ func RunFig5Wire(apps []string, procs []int, scale Scale, costs *sim.Costs, jobs
 	specs := fig5Cells(apps, procs)
 	cells := make([]Fig5Cell, len(specs))
 	errs := RunCells(jobs, len(specs), func(i int) {
-		res, err := RunAppWire(specs[i].app, specs[i].backend, specs[i].procs, scale, costs, w)
-		cells[i] = Fig5Cell{Res: res, Err: err}
+		r := RunCell(specs[i].app, specs[i].backend, specs[i].procs, scale, costs, o, Attach{})
+		cells[i] = Fig5Cell{Res: r.Res, Err: r.Err}
 	})
 	data := make(Fig5Data)
 	for i, s := range specs {

@@ -33,7 +33,7 @@ func TestLimitsTable(t *testing.T) {
 // failure point: OCEAN runs on the base system up to 16 processors and
 // fails at 32; CableS runs everywhere.
 func TestFig5OceanFailsOnlyAt32OnBase(t *testing.T) {
-	data := RunFig5([]string{"OCEAN"}, []int{16, 32}, ScaleTest, nil, 2)
+	data := RunFig5([]string{"OCEAN"}, []int{16, 32}, ScaleTest, nil, CellOptions{}, 2)
 	if err := data["OCEAN"][16][BackendGenima].Err; err != nil {
 		t.Errorf("base OCEAN at 16 procs should run: %v", err)
 	}

@@ -17,9 +17,7 @@ import (
 func runLeakChecked(t *testing.T, app, backend string, procs int, scale Scale) {
 	t.Helper()
 	base := memsys.FramesResident()
-	if _, err := RunApp(app, backend, procs, scale, nil); err != nil {
-		t.Fatalf("%s/%s at %d procs: %v", app, backend, procs, err)
-	}
+	mustRun(t, app, backend, procs, scale, nil)
 	if got := memsys.FramesResident(); got != base {
 		t.Errorf("%s/%s at %d procs leaked %d frames (resident %d, baseline %d)",
 			app, backend, procs, got-base, got, base)

@@ -102,8 +102,8 @@ func TestHarnessDeterminism(t *testing.T) {
 	noStalls(t)
 	apps, procs := []string{"FFT", "LU"}, []int{1, 4}
 
-	seqData := RunFig5(apps, procs, ScaleTest, nil, 1)
-	parData := RunFig5(apps, procs, ScaleTest, nil, 4)
+	seqData := RunFig5(apps, procs, ScaleTest, nil, CellOptions{}, 1)
+	parData := RunFig5(apps, procs, ScaleTest, nil, CellOptions{}, 4)
 	compareSweeps(t, apps, procs, seqData, parData)
 
 	// The rendered tables agree on shape: same header, same row labels.
@@ -219,7 +219,8 @@ func TestSchedulerJobsDeterminism(t *testing.T) {
 	t.Run("event", func(t *testing.T) {
 		noStalls(t)
 		apps, procs := []string{"FFT"}, []int{1, 4}
-		compareSweeps(t, apps, procs, RunFig5(apps, procs, ScaleTest, nil, 1), RunFig5(apps, procs, ScaleTest, nil, 4))
+		compareSweeps(t, apps, procs, RunFig5(apps, procs, ScaleTest, nil, CellOptions{}, 1),
+			RunFig5(apps, procs, ScaleTest, nil, CellOptions{}, 4))
 	})
 }
 
@@ -227,7 +228,7 @@ func TestSchedulerJobsDeterminism(t *testing.T) {
 // through the 2-worker harness and fails on any cell error.
 func raceSmokeColumn(t *testing.T, app string) {
 	t.Helper()
-	data := RunFig5([]string{app}, []int{4}, ScaleTest, nil, 2)
+	data := RunFig5([]string{app}, []int{4}, ScaleTest, nil, CellOptions{}, 2)
 	for _, backend := range []string{BackendGenima, BackendCables} {
 		if err := data[app][4][backend].Err; err != nil {
 			t.Errorf("%s/%s at 4 procs: %v", app, backend, err)
@@ -270,13 +271,13 @@ func TestRepeatRunStableUnderGOMAXPROCS(t *testing.T) {
 		checksum float64
 	}
 	do := func() run {
-		res, ctr, err := RunAppCounters("FFT", BackendGenima, 4, ScaleTest, nil)
-		if err != nil {
-			t.Fatal(err)
+		c := RunCell("FFT", BackendGenima, 4, ScaleTest, nil, CellOptions{}, Attach{})
+		if c.Err != nil {
+			t.Fatal(c.Err)
 		}
-		r := run{checksum: res.Checksum}
+		r := run{checksum: c.Res.Checksum}
 		for _, e := range pinned {
-			r.counters = append(r.counters, ctr.Load(e))
+			r.counters = append(r.counters, c.Ctr.Load(e))
 		}
 		return r
 	}

@@ -6,12 +6,9 @@ import (
 	"strings"
 
 	"cables/internal/apps/appapi"
-	"cables/internal/fault"
 	"cables/internal/profile"
 	"cables/internal/sim"
 	"cables/internal/stats"
-	"cables/internal/trace"
-	"cables/internal/wire"
 )
 
 // AttachProfiler wires a fresh virtual-time profiler to a runtime: every
@@ -31,46 +28,6 @@ func AttachProfiler(rt appapi.Runtime) *profile.Profiler {
 		p.Epochs = prof.Epochs
 	}
 	return prof
-}
-
-// RunAppProfiled runs an application with a profiler attached, returning
-// the result, the counters, and the profiler (read logs after the run).
-func RunAppProfiled(name, backend string, procs int, scale Scale, costs *sim.Costs) (appapi.Result, *stats.Counters, *profile.Profiler, error) {
-	return RunAppProfiledWire(name, backend, procs, scale, costs, wire.Options{})
-}
-
-// RunAppProfiledWire is RunAppProfiled with explicit wire-plane options.
-func RunAppProfiledWire(name, backend string, procs int, scale Scale, costs *sim.Costs, w wire.Options) (appapi.Result, *stats.Counters, *profile.Profiler, error) {
-	rt := NewRuntimeWire(backend, procs, 256<<20, costs, w)
-	prof := AttachProfiler(rt)
-	res, err := runAppOn(rt, name, scale)
-	return res, rt.Cluster().Ctr, prof, err
-}
-
-// RunAppObservedWire runs an application with any combination of observers
-// attached: ringCap >= 0 attaches a trace ring of that capacity (0 = the
-// ring's default), withProf a profiler.  The unused returns are nil.
-func RunAppObservedWire(name, backend string, procs int, scale Scale, costs *sim.Costs, ringCap int, withProf bool, w wire.Options) (appapi.Result, *stats.Counters, *trace.Ring, *profile.Profiler, error) {
-	rt := NewRuntimeWire(backend, procs, 256<<20, costs, w)
-	var ring *trace.Ring
-	if ringCap >= 0 {
-		ring = AttachRing(rt, ringCap)
-	}
-	var prof *profile.Profiler
-	if withProf {
-		prof = AttachProfiler(rt)
-	}
-	res, err := runAppOn(rt, name, scale)
-	return res, rt.Cluster().Ctr, ring, prof, err
-}
-
-// RunAppFaultProfiled is RunAppFault with a profiler attached as well.
-func RunAppFaultProfiled(name, backend string, procs int, scale Scale, costs *sim.Costs, inj *fault.Injector, ringCap int) (appapi.Result, *stats.Counters, *trace.Ring, *profile.Profiler, error) {
-	rt := NewFaultRuntime(backend, procs, 256<<20, costs, inj)
-	ring := AttachRing(rt, ringCap)
-	prof := AttachProfiler(rt)
-	res, err := runAppOn(rt, name, scale)
-	return res, rt.Cluster().Ctr, ring, prof, err
 }
 
 // ProfileCell is one (app, procs, backend) outcome of a profiled sweep.
@@ -95,8 +52,8 @@ func (c *ProfileCell) Label() string {
 // tables, and per-barrier-epoch counter windows print per cell.  top
 // bounds the hot-page/lock/epoch rows (<=0 means the default 5).  The
 // returned cells carry the task logs for a timeline export
-// (profile.WriteTrace).
-func RunProfile(w io.Writer, apps []string, procs []int, scale Scale, costs *sim.Costs, jobs, top int, wopts wire.Options) []ProfileCell {
+// (profile.WriteTrace).  Every cell is configured by o.
+func RunProfile(w io.Writer, apps []string, procs []int, scale Scale, costs *sim.Costs, o CellOptions, jobs, top int) []ProfileCell {
 	if len(apps) == 0 {
 		apps = AppNames
 	}
@@ -113,11 +70,11 @@ func RunProfile(w io.Writer, apps []string, procs []int, scale Scale, costs *sim
 	}
 	errs := RunCells(jobs, len(cells), func(i int) {
 		c := &cells[i]
-		res, _, prof, err := RunAppProfiledWire(c.App, c.Backend, c.Procs, scale, costs, wopts)
-		c.Res, c.Err = res, err
-		c.Logs = prof.Logs()
+		r := RunCell(c.App, c.Backend, c.Procs, scale, costs, o, Attach{Profiler: true})
+		c.Res, c.Err = r.Res, r.Err
+		c.Logs = r.Prof.Logs()
 		c.Report = profile.Build(c.Logs)
-		c.Windows = prof.Epochs.Windows()
+		c.Windows = r.Prof.Epochs.Windows()
 	})
 	for i := range cells {
 		c := &cells[i]

@@ -8,8 +8,18 @@ import (
 
 	"cables/internal/profile"
 	"cables/internal/sim"
-	"cables/internal/wire"
 )
+
+// runProfiled runs one default-configured 4-processor test-scale cell with
+// a profiler attached, failing the test if the cell errors.
+func runProfiled(t *testing.T, app, backend string) CellRun {
+	t.Helper()
+	r := RunCell(app, backend, 4, ScaleTest, nil, CellOptions{}, Attach{Profiler: true})
+	if r.Err != nil {
+		t.Fatalf("%s/%s profiled: %v", app, backend, r.Err)
+	}
+	return r
+}
 
 // TestProfilerInvariance pins the invariance rule end to end on both
 // backends: attaching the profiler leaves the deterministic results — the
@@ -20,14 +30,9 @@ import (
 func TestProfilerInvariance(t *testing.T) {
 	for _, backend := range []string{BackendGenima, BackendCables} {
 		for _, app := range []string{"FFT", "WATER-SPATIAL"} {
-			plain, err := RunApp(app, backend, 4, ScaleTest, nil)
-			if err != nil {
-				t.Fatalf("%s/%s plain: %v", app, backend, err)
-			}
-			profiled, _, prof, err := RunAppProfiled(app, backend, 4, ScaleTest, nil)
-			if err != nil {
-				t.Fatalf("%s/%s profiled: %v", app, backend, err)
-			}
+			plain := mustRun(t, app, backend, 4, ScaleTest, nil)
+			r := runProfiled(t, app, backend)
+			profiled, prof := r.Res, r.Prof
 			if plain.Checksum != profiled.Checksum ||
 				plain.Misplaced != profiled.Misplaced ||
 				plain.Touched != profiled.Touched {
@@ -47,11 +52,7 @@ func TestProfilerInvariance(t *testing.T) {
 // tasks; and fault-span time equals the per-page stall total.
 func TestProfileReconciliation(t *testing.T) {
 	for _, backend := range []string{BackendGenima, BackendCables} {
-		_, _, prof, err := RunAppProfiled("FFT", backend, 4, ScaleTest, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
-		}
-		logs := prof.Logs()
+		logs := runProfiled(t, "FFT", backend).Prof.Logs()
 		var faultTime sim.Time
 		for _, l := range logs {
 			if l.Anomalies() != 0 {
@@ -94,11 +95,7 @@ func TestProfileReconciliation(t *testing.T) {
 // lock-contention profile with paired acquires and non-negative splits.
 func TestProfileLockAttribution(t *testing.T) {
 	for _, backend := range []string{BackendGenima, BackendCables} {
-		_, _, prof, err := RunAppProfiled("WATER-SPATIAL", backend, 4, ScaleTest, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
-		}
-		r := profile.Build(prof.Logs())
+		r := profile.Build(runProfiled(t, "WATER-SPATIAL", backend).Prof.Logs())
 		if len(r.Locks) == 0 {
 			t.Fatalf("%s: WATER-SPATIAL recorded no lock profile", backend)
 		}
@@ -125,7 +122,7 @@ func TestProfileLockAttribution(t *testing.T) {
 // Chrome trace-viewer JSON with properly nested spans per thread.
 func TestRunProfileRendersAndExports(t *testing.T) {
 	var b strings.Builder
-	cells := RunProfile(&b, []string{"FFT"}, []int{4}, ScaleTest, nil, 2, 3, wire.Options{})
+	cells := RunProfile(&b, []string{"FFT"}, []int{4}, ScaleTest, nil, CellOptions{}, 2, 3)
 	out := b.String()
 	if strings.Contains(out, "MISMATCH") || strings.Contains(out, "FAILED") {
 		t.Fatalf("profiled sweep did not reconcile:\n%s", out)
@@ -189,11 +186,8 @@ func TestRunProfileRendersAndExports(t *testing.T) {
 // TestEpochWindowsCoverRun checks the per-barrier counter windows: labels
 // come from the app's barriers and the deltas sum to the final counters.
 func TestEpochWindowsCoverRun(t *testing.T) {
-	_, ctr, prof, err := RunAppProfiled("FFT", BackendGenima, 4, ScaleTest, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	windows := prof.Epochs.Windows()
+	r := runProfiled(t, "FFT", BackendGenima)
+	ctr, windows := r.Ctr, r.Prof.Epochs.Windows()
 	if len(windows) == 0 {
 		t.Fatal("no epoch windows recorded")
 	}

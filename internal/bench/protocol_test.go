@@ -8,72 +8,26 @@ import (
 	"cables/internal/wire"
 )
 
-// setProtocol pins the process-default coherence protocol for one test,
-// restoring the prior default afterwards.
-func setProtocol(t *testing.T, name string) {
-	t.Helper()
-	saved := coherence.DefaultName()
-	if err := coherence.SetDefault(name); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := coherence.SetDefault(saved); err != nil {
-			t.Errorf("restore protocol default: %v", err)
-		}
-	})
-}
-
-// smokeProtocols returns the protocols a smoke test should cover: just
-// the process default when the CI matrix pinned one via CABLES_PROTOCOL,
-// every registered protocol otherwise.
-func smokeProtocols() []string {
-	if def := coherence.DefaultName(); def != coherence.ProtoGenima {
-		return []string{def}
-	}
-	return coherence.Names()
-}
-
-// TestDefaultProtocolPlumbing: an empty CellOptions.Protocol resolves to
-// the process default (what CABLES_PROTOCOL / `cablesim -protocol` set),
-// so a cell run with the default pinned to delegate actually delegates.
-// Delegation triggers only on acquires that are contended at call time;
-// VOLREND's shared task-queue lock is contended at this scale.
-func TestDefaultProtocolPlumbing(t *testing.T) {
-	setProtocol(t, coherence.ProtoDelegate)
-	_, ctr, err := RunAppCell("VOLREND", BackendGenima, 8, ScaleTest, nil, CellOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctr.Load(stats.EvDelegations) == 0 {
-		t.Error("process-default delegate protocol was not picked up by an empty CellOptions")
-	}
-}
-
-// TestFig5ProtocolSmoke is the CI backend × protocol matrix entry point:
-// it runs the fig5-small grid (FFT and LU at 1 and 4 processors, both
-// system backends) under the protocol selected by CABLES_PROTOCOL — or
-// all three when none is pinned — and checks every cell completes with a
-// checksum bit-identical to the genima baseline of the same cell.  The
-// applications compute the same data under every coherence policy; only
-// the wire schedule may differ.
+// TestFig5ProtocolSmoke runs the fig5-small grid (FFT and LU at 1 and 4
+// processors, both system backends) under every coherence protocol and
+// checks every cell completes with a checksum bit-identical to the genima
+// baseline of the same cell.  The applications compute the same data under
+// every coherence policy; only the wire schedule may differ.
 func TestFig5ProtocolSmoke(t *testing.T) {
-	for _, proto := range smokeProtocols() {
-		for _, app := range []string{"FFT", "LU"} {
-			for _, procs := range []int{1, 4} {
-				for _, backend := range []string{BackendGenima, BackendCables} {
-					base, _, err := RunAppCell(app, backend, procs, ScaleTest, nil,
-						CellOptions{Protocol: coherence.ProtoGenima})
-					if err != nil {
-						t.Fatalf("%s/%s p=%d genima baseline: %v", app, backend, procs, err)
+	for _, app := range []string{"FFT", "LU"} {
+		for _, procs := range []int{1, 4} {
+			for _, backend := range []string{BackendGenima, BackendCables} {
+				var base float64
+				for _, proto := range coherence.Names() { // genima first: the baseline
+					r := RunCell(app, backend, procs, ScaleTest, nil, CellOptions{Protocol: proto}, Attach{})
+					if r.Err != nil {
+						t.Fatalf("%s/%s p=%d under %s: %v", app, backend, procs, proto, r.Err)
 					}
-					got, _, err := RunAppCell(app, backend, procs, ScaleTest, nil,
-						CellOptions{Protocol: proto})
-					if err != nil {
-						t.Fatalf("%s/%s p=%d under %s: %v", app, backend, procs, proto, err)
-					}
-					if got.Checksum != base.Checksum {
+					if proto == coherence.ProtoGenima {
+						base = r.Res.Checksum
+					} else if r.Res.Checksum != base {
 						t.Errorf("%s/%s p=%d: checksum %v under %s, %v under genima",
-							app, backend, procs, got.Checksum, proto, base.Checksum)
+							app, backend, procs, r.Res.Checksum, proto, base)
 					}
 				}
 			}
@@ -107,9 +61,8 @@ func TestProtocolDeterminism(t *testing.T) {
 			}
 			RunCells(jobs, len(cells), func(i int) {
 				c := &cells[i]
-				res, _, err := RunAppCell(c.app, c.backend, 8, ScaleTest, nil,
-					CellOptions{Protocol: proto})
-				c.sum, c.err = res.Checksum, err
+				r := RunCell(c.app, c.backend, 8, ScaleTest, nil, CellOptions{Protocol: proto}, Attach{})
+				c.sum, c.err = r.Res.Checksum, r.Err
 			})
 			for _, c := range cells {
 				if c.err != nil {
@@ -135,10 +88,10 @@ func TestProtocolDeterminism(t *testing.T) {
 func TestWireConservationProtocols(t *testing.T) {
 	for _, proto := range coherence.Names() {
 		for _, app := range []string{"RADIX", "WATER-SPATIAL", "VOLREND"} {
-			res, ctr, ring, err := RunAppCellTraced(app, BackendGenima, 8, ScaleTest, nil, 1<<19,
-				CellOptions{Protocol: proto})
-			if err != nil {
-				t.Fatalf("%s under %s: %v", app, proto, err)
+			r := RunCell(app, BackendGenima, 8, ScaleTest, nil, CellOptions{Protocol: proto}, Attach{Ring: 1 << 19})
+			res, ctr, ring := r.Res, r.Ctr, r.Ring
+			if r.Err != nil {
+				t.Fatalf("%s under %s: %v", app, proto, r.Err)
 			}
 			if res.Checksum == 0 {
 				t.Fatalf("%s under %s: empty run", app, proto)
@@ -185,12 +138,11 @@ func TestProtocolsTableSmoke(t *testing.T) {
 		app, proto := apps[i/len(protos)], protos[i%len(protos)]
 		c := &cells[i]
 		c.App, c.Protocol = app, proto
-		res, ctr, _, err := RunAppCellProfiled(app, BackendGenima, 8, ScaleTest, nil,
-			CellOptions{Protocol: proto})
-		c.Res, c.Err = res, err
-		if err == nil {
-			c.Messages = ctr.Load(stats.EvMessagesSent)
-			c.Merges = ctr.Load(stats.EvCommMerges)
+		r := RunCell(app, BackendGenima, 8, ScaleTest, nil, CellOptions{Protocol: proto}, Attach{})
+		c.Res, c.Err = r.Res, r.Err
+		if r.Err == nil {
+			c.Messages = r.Ctr.Load(stats.EvMessagesSent)
+			c.Merges = r.Ctr.Load(stats.EvCommMerges)
 		}
 	})
 	for i, e := range errs {

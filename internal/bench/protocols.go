@@ -9,7 +9,6 @@ import (
 	"cables/internal/profile"
 	"cables/internal/sim"
 	"cables/internal/stats"
-	"cables/internal/trace"
 )
 
 // ProtocolCell is one (app, protocol) outcome of a protocol comparison
@@ -27,24 +26,6 @@ type ProtocolCell struct {
 	Merges   int64    // EvCommMerges (commutative)
 	Delegs   int64    // EvDelegations (delegate)
 	Err      error
-}
-
-// RunAppCellProfiled is RunAppCell with a profiler attached, for sweeps
-// that need the lock-wait split alongside the counters.
-func RunAppCellProfiled(name, backend string, procs int, scale Scale, costs *sim.Costs, o CellOptions) (appapi.Result, *stats.Counters, *profile.Profiler, error) {
-	rt := NewRuntimeOpts(backend, procs, 256<<20, costs, o)
-	prof := AttachProfiler(rt)
-	res, err := runAppOn(rt, name, scale)
-	return res, rt.Cluster().Ctr, prof, err
-}
-
-// RunAppCellTraced is RunAppCell with a trace ring attached, for tests
-// that check the wire conservation invariant under per-cell options.
-func RunAppCellTraced(name, backend string, procs int, scale Scale, costs *sim.Costs, ringCap int, o CellOptions) (appapi.Result, *stats.Counters, *trace.Ring, error) {
-	rt := NewRuntimeOpts(backend, procs, 256<<20, costs, o)
-	ring := AttachRing(rt, ringCap)
-	res, err := runAppOn(rt, name, scale)
-	return res, rt.Cluster().Ctr, ring, err
 }
 
 // RunProtocols runs each app under every coherence protocol on the genima
@@ -67,17 +48,17 @@ func RunProtocols(w io.Writer, apps []string, procs int, scale Scale, costs *sim
 		app, proto := apps[i/len(protos)], protos[i%len(protos)]
 		c := &cells[i]
 		c.App, c.Protocol = app, proto
-		res, ctr, prof, err := RunAppCellProfiled(app, BackendGenima, procs, scale, costs,
-			CellOptions{Protocol: proto})
-		c.Res, c.Err = res, err
-		if err != nil {
+		r := RunCell(app, BackendGenima, procs, scale, costs,
+			CellOptions{Protocol: proto}, Attach{Profiler: true})
+		c.Res, c.Err = r.Res, r.Err
+		if r.Err != nil {
 			return
 		}
-		c.Messages = ctr.Load(stats.EvMessagesSent)
-		c.KBytes = (ctr.Load(stats.EvBytesSent) + ctr.Load(stats.EvBytesFetched)) >> 10
-		c.Merges = ctr.Load(stats.EvCommMerges)
-		c.Delegs = ctr.Load(stats.EvDelegations)
-		rep := profile.Build(prof.Logs())
+		c.Messages = r.Ctr.Load(stats.EvMessagesSent)
+		c.KBytes = (r.Ctr.Load(stats.EvBytesSent) + r.Ctr.Load(stats.EvBytesFetched)) >> 10
+		c.Merges = r.Ctr.Load(stats.EvCommMerges)
+		c.Delegs = r.Ctr.Load(stats.EvDelegations)
+		rep := profile.Build(r.Prof.Logs())
 		for _, ls := range rep.Locks {
 			c.LockWait += ls.Wait
 			c.Transfer += ls.Transfer

@@ -4,10 +4,12 @@
 // reports; bench_test.go at the repository root exposes them as Go
 // benchmarks.
 //
-// Beyond the paper's artifacts the harness exposes counter profiles
-// (RunAppCounters, RunAppTraced — `cablesim counters [-trace]`), fault
-// sweeps under a deterministic injection plan (RunFaults — `cablesim
-// faults`, cells render DEGRADED rather than FAILED when the plan fires).
+// Every cell runs through one function, RunCell: its CellOptions carry the
+// cell's whole configuration (wire mode, fault injector, coherence
+// protocol) and its Attach the observers (trace ring, profiler).  Beyond
+// the paper's artifacts the harness exposes fault sweeps under a
+// deterministic injection plan (RunFaults — `cablesim faults`, cells
+// render DEGRADED rather than FAILED when the plan fires).
 // Independent cells run concurrently on a bounded worker pool (RunCells,
 // `-jobs N`).  Host wall-clock cost is recorded by the repository benchmark
 // (benchmark/, BENCHMARK.json); TestHostCostBudgets bounds the hot paths'
@@ -26,9 +28,6 @@ import (
 	"cables/internal/apps/raytrace"
 	"cables/internal/apps/volrend"
 	"cables/internal/apps/water"
-	"cables/internal/sim"
-	"cables/internal/stats"
-	"cables/internal/wire"
 )
 
 // Scale selects problem sizes: "test" for quick CI-size runs, "paper" for
@@ -58,43 +57,6 @@ var AppNames = []string{
 
 // ProcCounts is the paper's processor sweep.
 var ProcCounts = []int{1, 4, 8, 16, 32}
-
-// NewRuntime builds an application runtime on the chosen backend with the
-// default (paper-faithful) wire plane.
-func NewRuntime(backend string, procs int, arena int64, costs *sim.Costs) appapi.Runtime {
-	return NewRuntimeWire(backend, procs, arena, costs, wire.Options{})
-}
-
-// NewRuntimeWire builds an application runtime on the chosen backend with
-// explicit wire-plane options (-contended-sync, -coalesce).
-func NewRuntimeWire(backend string, procs int, arena int64, costs *sim.Costs, w wire.Options) appapi.Runtime {
-	return NewRuntimeOpts(backend, procs, arena, costs, CellOptions{Wire: w})
-}
-
-// RunApp executes the named application at the given processor count on the
-// given backend.  Registration failures (the base system's NIC limits)
-// surface as errors, exactly like the paper's OCEAN-at-32 case.
-func RunApp(name, backend string, procs int, scale Scale, costs *sim.Costs) (appapi.Result, error) {
-	return RunAppWire(name, backend, procs, scale, costs, wire.Options{})
-}
-
-// RunAppWire is RunApp with explicit wire-plane options.
-func RunAppWire(name, backend string, procs int, scale Scale, costs *sim.Costs, w wire.Options) (appapi.Result, error) {
-	return runAppOn(NewRuntimeWire(backend, procs, 256<<20, costs, w), name, scale)
-}
-
-// RunAppCounters runs an application and also returns the system event
-// counters (the `cablesim counters` profile).
-func RunAppCounters(name, backend string, procs int, scale Scale, costs *sim.Costs) (appapi.Result, *stats.Counters, error) {
-	return RunAppCountersWire(name, backend, procs, scale, costs, wire.Options{})
-}
-
-// RunAppCountersWire is RunAppCounters with explicit wire-plane options.
-func RunAppCountersWire(name, backend string, procs int, scale Scale, costs *sim.Costs, w wire.Options) (appapi.Result, *stats.Counters, error) {
-	rt := NewRuntimeWire(backend, procs, 256<<20, costs, w)
-	res, err := runAppOn(rt, name, scale)
-	return res, rt.Cluster().Ctr, err
-}
 
 // runAppOn dispatches to the workload implementations.
 func runAppOn(rt appapi.Runtime, name string, scale Scale) (res appapi.Result, err error) {

@@ -3,7 +3,21 @@ package bench
 import (
 	"math"
 	"testing"
+
+	"cables/internal/apps/appapi"
+	"cables/internal/sim"
 )
+
+// mustRun runs one default-configured cell with no observers, failing the
+// test if the cell errors.
+func mustRun(t *testing.T, app, backend string, procs int, scale Scale, costs *sim.Costs) appapi.Result {
+	t.Helper()
+	r := RunCell(app, backend, procs, scale, costs, CellOptions{}, Attach{})
+	if r.Err != nil {
+		t.Fatalf("%s/%s p=%d: %v", app, backend, procs, r.Err)
+	}
+	return r.Res
+}
 
 // TestAppsAgreeAcrossBackends runs every SPLASH-2 port on both the base
 // system and CableS at the same processor count and requires identical
@@ -12,14 +26,8 @@ func TestAppsAgreeAcrossBackends(t *testing.T) {
 	for _, app := range AppNames {
 		app := app
 		t.Run(app, func(t *testing.T) {
-			g, err := RunApp(app, BackendGenima, 4, ScaleTest, nil)
-			if err != nil {
-				t.Fatalf("genima run: %v", err)
-			}
-			c, err := RunApp(app, BackendCables, 4, ScaleTest, nil)
-			if err != nil {
-				t.Fatalf("cables run: %v", err)
-			}
+			g := mustRun(t, app, BackendGenima, 4, ScaleTest, nil)
+			c := mustRun(t, app, BackendCables, 4, ScaleTest, nil)
 			if g.Checksum == 0 || c.Checksum == 0 {
 				t.Fatalf("zero checksum: genima=%g cables=%g", g.Checksum, c.Checksum)
 			}
@@ -47,14 +55,8 @@ func TestComputeAppsSpeedUp(t *testing.T) {
 	for _, app := range []string{"LU", "RAYTRACE"} {
 		app := app
 		t.Run(app, func(t *testing.T) {
-			seq, err := RunApp(app, BackendGenima, 1, ScaleTest, nil)
-			if err != nil {
-				t.Fatalf("p=1: %v", err)
-			}
-			par, err := RunApp(app, BackendGenima, 8, ScaleTest, nil)
-			if err != nil {
-				t.Fatalf("p=8: %v", err)
-			}
+			seq := mustRun(t, app, BackendGenima, 1, ScaleTest, nil)
+			par := mustRun(t, app, BackendGenima, 8, ScaleTest, nil)
 			sp := float64(seq.Parallel) / float64(par.Parallel)
 			if sp < 1.5 {
 				t.Errorf("speedup at 8 procs: got %.2f, want >= 1.5 (seq=%v par=%v)",

@@ -15,9 +15,10 @@ import (
 // retained trace ring (no drops) sums to the byte counters.
 func TestWireConservationInvariant(t *testing.T) {
 	for _, backend := range []string{BackendGenima, BackendCables} {
-		res, ctr, ring, err := RunAppTraced("FFT", backend, 4, ScaleTest, nil, 1<<19)
-		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
+		r := RunCell("FFT", backend, 4, ScaleTest, nil, CellOptions{}, Attach{Ring: 1 << 19})
+		res, ctr, ring := r.Res, r.Ctr, r.Ring
+		if r.Err != nil {
+			t.Fatalf("%s: %v", backend, r.Err)
 		}
 		if res.Checksum == 0 {
 			t.Fatalf("%s: empty run", backend)
@@ -42,14 +43,13 @@ func TestWireConservationInvariant(t *testing.T) {
 	}
 }
 
-// coalesceWorkload is a strictly sequential (host-schedule-independent)
+// releaseBurstWorkload is a strictly sequential (host-schedule-independent)
 // genima run in which each worker dirties many remote-homed pages inside
 // one critical section, so every release flushes a burst of diffs to one
-// home — the shape the GeNIMA release protocol-opt coalesces.  It returns
-// the run's counters and virtual end time.
-func coalesceWorkload(t *testing.T, w wire.Options) (*stats.Counters, sim.Time) {
+// home.  It returns the run's counters and virtual end time.
+func releaseBurstWorkload(t *testing.T) (*stats.Counters, sim.Time) {
 	t.Helper()
-	rt := NewRuntimeWire(BackendGenima, 6, 64<<20, nil, w)
+	rt := NewRuntimeOpts(BackendGenima, 6, 64<<20, nil, CellOptions{})
 	main := rt.Main()
 	acc := rt.Acc()
 	a, err := rt.Malloc(main, "seq", 256<<10)
@@ -73,7 +73,7 @@ func coalesceWorkload(t *testing.T, w wire.Options) (*stats.Counters, sim.Time) 
 		})
 		rt.Join(main, id)
 	}
-	// Validate the data survived whichever flush encoding ran.
+	// Validate the data survived the flushes.
 	sum := int64(0)
 	for p := 0; p < 64; p++ {
 		sum += acc.ReadI64(main, a+memsys.Addr(p*memsys.PageSize))
@@ -94,32 +94,12 @@ func coalesceWorkload(t *testing.T, w wire.Options) (*stats.Counters, sim.Time) 
 	return rt.Cluster().Ctr, end
 }
 
-// TestCoalesceFewerMessages checks -coalesce semantics: the same workload
-// produces the same data and the same number of diffs, carried by strictly
-// fewer wire messages (one remote write per home per release instead of one
-// per page).
-func TestCoalesceFewerMessages(t *testing.T) {
-	plain, _ := coalesceWorkload(t, wire.Options{})
-	coal, _ := coalesceWorkload(t, wire.Options{Coalesce: true})
-	if p, c := plain.Load(stats.EvDiffsSent), coal.Load(stats.EvDiffsSent); p != c {
-		t.Errorf("coalescing changed the diff count: %d vs %d", p, c)
-	}
-	p, c := plain.Load(stats.EvMessagesSent), coal.Load(stats.EvMessagesSent)
-	if c >= p {
-		t.Errorf("coalescing did not reduce messages: %d vs %d", p, c)
-	}
-	if pb, cb := plain.Load(stats.EvDiffBytes), coal.Load(stats.EvDiffBytes); pb != cb {
-		t.Errorf("coalescing changed the diffed bytes: %d vs %d", pb, cb)
-	}
-}
-
-// TestDefaultWireOptionsBitIdentical pins the plane's compatibility
-// contract at the harness level: explicitly passing the zero Options
-// reproduces RunApp exactly, counter for counter, on a deterministic
-// sequential workload.
+// TestDefaultWireOptionsBitIdentical pins the plane's reproducibility
+// contract at the harness level: the default cell options reproduce a
+// deterministic sequential workload exactly, counter for counter.
 func TestDefaultWireOptionsBitIdentical(t *testing.T) {
-	a, enda := coalesceWorkload(t, wire.Options{})
-	b, endb := coalesceWorkload(t, wire.Options{})
+	a, enda := releaseBurstWorkload(t)
+	b, endb := releaseBurstWorkload(t)
 	if enda != endb {
 		t.Errorf("sequential workload not reproducible: end %v vs %v", enda, endb)
 	}
@@ -137,8 +117,8 @@ func TestDefaultWireOptionsBitIdentical(t *testing.T) {
 // -contended-sync mode: one fig5 column with sync traffic holding NIC
 // occupancy, under the race detector, on both backends.
 func TestFig5ContendedSyncRaceSmoke(t *testing.T) {
-	data := RunFig5Wire([]string{"FFT"}, []int{4}, ScaleTest, nil, 2,
-		wire.Options{ContendedSync: true})
+	data := RunFig5([]string{"FFT"}, []int{4}, ScaleTest, nil,
+		CellOptions{Wire: wire.Options{ContendedSync: true}}, 2)
 	for _, backend := range []string{BackendGenima, BackendCables} {
 		cell := data["FFT"][4][backend]
 		if cell.Err != nil {

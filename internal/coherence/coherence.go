@@ -23,17 +23,15 @@
 //     and execute against the server's memory, turning page ping-pong
 //     into local hand-offs at the server (`wire.deldone` on return).
 //
-// Selection is by name: the -protocol flag of cmd/cablesim and the
-// CABLES_PROTOCOL environment variable set the process default;
-// bench.CellOptions and the farm spec carry an explicit per-cell override.
+// Selection is by name, per cell: bench.CellOptions.Protocol (set by the
+// -protocol flag of cmd/cablesim and by the farm spec's protocol field)
+// names the policy, and the empty name selects genima.
 package coherence
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"cables/internal/memsys"
 )
@@ -107,47 +105,13 @@ func Valid(name string) bool {
 	return false
 }
 
-// defaultProtocol is the process-wide default, settable once at startup
-// via CABLES_PROTOCOL and at runtime via SetDefault (cablesim -protocol).
-var defaultProtocol atomic.Pointer[string]
-
-func init() {
-	name := ProtoGenima
-	if env := os.Getenv("CABLES_PROTOCOL"); env != "" {
-		if !Valid(env) {
-			panic(fmt.Sprintf("CABLES_PROTOCOL=%q: unknown protocol (have %v)", env, protocolNames))
-		}
-		name = env
-	}
-	defaultProtocol.Store(&name)
-}
-
-// DefaultName returns the process-default protocol name.
-func DefaultName() string { return *defaultProtocol.Load() }
-
-// SetDefault sets the process-default protocol.  It returns an error on
-// an unknown name and ignores the empty string (keeps the current
-// default), so flag plumbing can pass its value through unconditionally.
-func SetDefault(name string) error {
-	if name == "" {
-		return nil
-	}
-	if !Valid(name) {
-		return fmt.Errorf("unknown protocol %q (have %v)", name, protocolNames)
-	}
-	defaultProtocol.Store(&name)
-	return nil
-}
-
 // New builds a fresh protocol instance by name; the empty string selects
-// the process default.  Instances carry per-run state (write-sharing
-// observations, delegation servers) and must not be shared across runs.
+// genima, the paper's protocol.  Instances carry per-run state
+// (write-sharing observations, delegation servers) and must not be shared
+// across runs.
 func New(name string) (Protocol, error) {
-	if name == "" {
-		name = DefaultName()
-	}
 	switch name {
-	case ProtoGenima:
+	case "", ProtoGenima:
 		return genimaProtocol{}, nil
 	case ProtoCommutative:
 		return newCommutative(), nil
@@ -173,13 +137,13 @@ func MustNew(name string) Protocol {
 // allocation-free; bench.TestHostCostBudgets holds it at <=1% of a flush).
 type genimaProtocol struct{}
 
-func (genimaProtocol) Name() string                                    { return ProtoGenima }
-func (genimaProtocol) Merge() bool                                     { return false }
-func (genimaProtocol) PageFetch(int, memsys.PageID, int)               {}
-func (genimaProtocol) MergeDiff(int, memsys.PageID, int, int) bool     { return false }
-func (genimaProtocol) LockAcquire(lockID, holder, waiter int) int      { return -1 }
-func (genimaProtocol) LockRelease(lockID, execNode, originNode int)    {}
-func (genimaProtocol) BarrierRelease(string, int)                      {}
+func (genimaProtocol) Name() string                                 { return ProtoGenima }
+func (genimaProtocol) Merge() bool                                  { return false }
+func (genimaProtocol) PageFetch(int, memsys.PageID, int)            {}
+func (genimaProtocol) MergeDiff(int, memsys.PageID, int, int) bool  { return false }
+func (genimaProtocol) LockAcquire(lockID, holder, waiter int) int   { return -1 }
+func (genimaProtocol) LockRelease(lockID, execNode, originNode int) {}
+func (genimaProtocol) BarrierRelease(string, int)                   {}
 
 // commutative detects write-shared pages at runtime: the second distinct
 // node that diffs a page marks it a reduction target, and every later

@@ -35,26 +35,12 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestDefaultSelection: the empty name selects genima, the paper's
+// protocol.
 func TestDefaultSelection(t *testing.T) {
-	old := DefaultName()
-	defer SetDefault(old)
-
-	if err := SetDefault(ProtoDelegate); err != nil {
-		t.Fatal(err)
-	}
-	if DefaultName() != ProtoDelegate {
-		t.Fatalf("DefaultName() = %q after SetDefault(delegate)", DefaultName())
-	}
-	// Empty selects the default; empty SetDefault keeps it.
-	if err := SetDefault(""); err != nil || DefaultName() != ProtoDelegate {
-		t.Fatalf("SetDefault(\"\") changed the default to %q (err %v)", DefaultName(), err)
-	}
 	p, err := New("")
-	if err != nil || p.Name() != ProtoDelegate {
-		t.Fatalf("New(\"\") = %v, %v; want the process default", p, err)
-	}
-	if err := SetDefault("treadmarks"); err == nil {
-		t.Fatal("SetDefault accepted an unregistered name")
+	if err != nil || p.Name() != ProtoGenima {
+		t.Fatalf("New(\"\") = %v, %v; want genima", p, err)
 	}
 }
 

@@ -38,10 +38,10 @@ type M4Config struct {
 	Placement string
 	// Fault optionally injects deterministic faults (see internal/fault).
 	Fault *fault.Injector
-	// Wire selects the wire plane's opt-in modes.
+	// Wire selects the wire plane's opt-in mode.
 	Wire wire.Options
 	// Protocol names the coherence policy (coherence.Names); empty
-	// selects the process default.
+	// selects genima.
 	Protocol string
 }
 

@@ -62,11 +62,11 @@ type Config struct {
 	// failures, registration pressure, node lifecycle events); nil keeps
 	// every charge bit-identical to the fault-free build.
 	Fault *fault.Injector
-	// Wire selects the wire plane's opt-in modes (contended sync, release
-	// coalescing); the zero value reproduces the default schedule.
+	// Wire selects the wire plane's opt-in mode (contended sync); the zero
+	// value reproduces the default schedule.
 	Wire wire.Options
 	// Protocol names the coherence policy (coherence.Names); empty selects
-	// the process default (CABLES_PROTOCOL / `cablesim -protocol`).
+	// genima.
 	Protocol string
 }
 

@@ -128,13 +128,13 @@ func cacheServesIdenticalResults(t *testing.T) {
 		if c.Result == nil || c.Result.Err != "" {
 			t.Fatalf("cell %s/%d: missing or failed result", c.App, c.Procs)
 		}
-		res, _, err := bench.RunAppCell(c.App, c.Backend, c.Procs, bench.ScaleTest, nil, bench.CellOptions{})
-		if err != nil {
-			t.Fatalf("fresh %s/%s/%d: %v", c.App, c.Backend, c.Procs, err)
+		r := bench.RunCell(c.App, c.Backend, c.Procs, bench.ScaleTest, nil, bench.CellOptions{}, bench.Attach{})
+		if r.Err != nil {
+			t.Fatalf("fresh %s/%s/%d: %v", c.App, c.Backend, c.Procs, r.Err)
 		}
-		if res.Checksum != c.Result.Result.Checksum {
+		if r.Res.Checksum != c.Result.Result.Checksum {
 			t.Errorf("%s/%s p=%d: cached checksum %v != fresh %v",
-				c.App, c.Backend, c.Procs, c.Result.Result.Checksum, res.Checksum)
+				c.App, c.Backend, c.Procs, c.Result.Result.Checksum, r.Res.Checksum)
 		}
 	}
 
@@ -195,7 +195,6 @@ func TestCacheNearMiss(t *testing.T) {
 
 	for i, variant := range []string{
 		`{` + base + `,"contendedSync":true}`,
-		`{` + base + `,"coalesce":true}`,
 		`{` + base + `,"gran":4096}`,
 		`{` + base + `,"plan":"send:p=0.01","seed":1}`,
 		`{` + base + `,"plan":"send:p=0.01","seed":2}`,
@@ -325,7 +324,7 @@ func TestRouteSurface(t *testing.T) {
 	// Bad specs are 400s, not panics.
 	for _, bad := range []string{
 		`{"apps":["NOPE"]}`, `{"scale":"huge"}`, `{"procs":[0]}`,
-		`{"plan":"bogus:zzz"}`, `{"sched":"event"}`, `{"unknownField":1}`, `not json`,
+		`{"plan":"bogus:zzz"}`, `{"sched":"event"}`, `{"coalesce":true}`, `{"unknownField":1}`, `not json`,
 	} {
 		resp, err := ts.Client().Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(bad))
 		if err != nil {
@@ -354,7 +353,7 @@ func TestSpecCanonicalization(t *testing.T) {
 	k := cells[0]
 	canon := k.Canonical()
 	for _, want := range []string{"app=FFT", "procs=4", "backend=genima", "scale=test",
-		"protocol=" + coherence.DefaultName(), "seed=7", "plan=send:p=0.05"} {
+		"protocol=" + coherence.ProtoGenima, "seed=7", "plan=send:p=0.05"} {
 		if !strings.Contains(canon, want) {
 			t.Errorf("canonical %q missing %q", canon, want)
 		}

@@ -7,35 +7,22 @@ import (
 	"cables/internal/coherence"
 )
 
-// pinGenimaDefault keeps these key tests meaningful when the suite runs
-// with CABLES_PROTOCOL set: Normalize fills empty protocol fields from the
-// process default, and the pinned key layout is the genima default's.
-func pinGenimaDefault(t *testing.T) {
-	t.Helper()
-	saved := coherence.DefaultName()
-	if err := coherence.SetDefault(coherence.ProtoGenima); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { coherence.SetDefault(saved) })
-}
-
 // TestProtocolCacheKeyCompat pins the cache-address layout from DESIGN.md
 // §5e: the canonical form is byte-exact, always ends in the resolved
 // |protocol= field, and an explicit "genima" spec addresses the same cell
-// as one that leaves the protocol to the default.
+// as one that leaves the protocol empty.
 func TestProtocolCacheKeyCompat(t *testing.T) {
-	pinGenimaDefault(t)
 	s := Spec{Apps: []string{"FFT"}, Procs: []int{4}, Backends: []string{"genima"}, Scale: "test"}
 	if err := s.Normalize(); err != nil {
 		t.Fatal(err)
 	}
 	k := s.Cells()[0]
 	if k.Protocol != coherence.ProtoGenima {
-		t.Fatalf("Normalize filled protocol %q, want the genima default", k.Protocol)
+		t.Fatalf("Normalize filled protocol %q, want genima", k.Protocol)
 	}
 	// The byte-exact canonical form.  If this changes, every cached result
 	// silently goes cold: bump cacheSchema with it.
-	want := "cables-farm-v2|app=FFT|procs=4|backend=genima|scale=test|gran=0|contended=false|coalesce=false|plan=|seed=0|protocol=genima"
+	want := "cables-farm-v3|app=FFT|procs=4|backend=genima|scale=test|gran=0|contended=false|plan=|seed=0|protocol=genima"
 	if got := k.Canonical(); got != want {
 		t.Errorf("default-protocol canonical form drifted:\n got %q\nwant %q", got, want)
 	}
@@ -68,7 +55,6 @@ func TestProtocolCacheKeyCompat(t *testing.T) {
 // farm: flipping the protocol is a code-relevant change (cache miss per
 // variant), while naming the default explicitly is not (cache hit).
 func TestCacheNearMissProtocol(t *testing.T) {
-	pinGenimaDefault(t)
 	srv, ts := newTestFarm(t, Config{Jobs: 2})
 	base := `"apps":["FFT"],"procs":[1],"backends":["genima"],"scale":"test"`
 	run := func(spec string) {

@@ -303,7 +303,7 @@ func (s *Server) withTelemetry(route string, h http.HandlerFunc) http.HandlerFun
 
 // runCellSim executes one cell for real: it rebuilds the injector from the
 // canonical plan+seed, applies the granularity override and wire-plane
-// modes, and runs the workload through bench.RunAppCell.
+// mode, and runs the workload through bench.RunCell.
 func runCellSim(k CellKey) *CellResult {
 	var costs *sim.Costs
 	if k.Gran > 0 {
@@ -322,20 +322,20 @@ func runCellSim(k CellKey) *CellResult {
 	}
 	opt := bench.CellOptions{
 		Protocol: k.Protocol,
-		Wire:     wire.Options{ContendedSync: k.ContendedSync, Coalesce: k.Coalesce},
+		Wire:     wire.Options{ContendedSync: k.ContendedSync},
 		Fault:    inj,
 	}
-	res, ctr, err := bench.RunAppCell(k.App, k.Backend, k.Procs, bench.Scale(k.Scale), costs, opt)
-	cr := &CellResult{Result: res}
-	if ctr != nil {
-		cr.Counters = ctr.Snapshot()
+	r := bench.RunCell(k.App, k.Backend, k.Procs, bench.Scale(k.Scale), costs, opt, bench.Attach{})
+	cr := &CellResult{Result: r.Res}
+	if r.Ctr != nil {
+		cr.Counters = r.Ctr.Snapshot()
 	}
 	if inj != nil {
 		cr.Injected = inj.Injected()
 	}
-	cr.Degraded = cr.Injected > 0 && err == nil
-	if err != nil {
-		cr.Err = err.Error()
+	cr.Degraded = cr.Injected > 0 && r.Err == nil
+	if r.Err != nil {
+		cr.Err = r.Err.Error()
 	}
 	return cr
 }

@@ -29,17 +29,14 @@ type Spec struct {
 	Backends []string `json:"backends,omitempty"`
 	// Scale is the problem-size class: "test", "paper" (default), "full".
 	Scale string `json:"scale,omitempty"`
-	// Protocol is the coherence protocol (coherence.Names); empty = the
-	// serving process's default.  The resolved name is part of the cache
-	// key.
+	// Protocol is the coherence protocol (coherence.Names); empty =
+	// genima.  The resolved name is part of the cache key.
 	Protocol string `json:"protocol,omitempty"`
 	// Gran overrides the OS mapping granularity in bytes (0 = the model's
 	// 64 KB default).
 	Gran int `json:"gran,omitempty"`
-	// ContendedSync and Coalesce are the wire plane's opt-in modes
-	// (`-contended-sync`, `-coalesce`).
+	// ContendedSync is the wire plane's opt-in mode (`-contended-sync`).
 	ContendedSync bool `json:"contendedSync,omitempty"`
-	Coalesce      bool `json:"coalesce,omitempty"`
 	// Plan is a fault plan in the internal/fault DSL; it is canonicalized
 	// (parsed and re-rendered) before hashing, so equivalent spellings
 	// share cache entries.
@@ -108,7 +105,7 @@ func (s *Spec) Normalize() error {
 		return fmt.Errorf("farm: unknown scale %q (have test, paper, full)", s.Scale)
 	}
 	if s.Protocol == "" {
-		s.Protocol = coherence.DefaultName()
+		s.Protocol = coherence.ProtoGenima
 	}
 	if !coherence.Valid(s.Protocol) {
 		return fmt.Errorf("farm: unknown coherence protocol %q (have %v)", s.Protocol, coherence.Names())
@@ -139,8 +136,7 @@ func (s Spec) Cells() []CellKey {
 				cells = append(cells, CellKey{
 					App: app, Procs: p, Backend: b,
 					Scale: s.Scale, Protocol: s.Protocol, Gran: s.Gran,
-					ContendedSync: s.ContendedSync, Coalesce: s.Coalesce,
-					Plan: s.Plan, Seed: s.Seed,
+					ContendedSync: s.ContendedSync, Plan: s.Plan, Seed: s.Seed,
 				})
 			}
 		}
@@ -161,7 +157,6 @@ type CellKey struct {
 	Protocol      string `json:"protocol"`
 	Gran          int    `json:"gran"`
 	ContendedSync bool   `json:"contendedSync"`
-	Coalesce      bool   `json:"coalesce"`
 	Plan          string `json:"plan"`
 	Seed          uint64 `json:"seed"`
 }
@@ -169,15 +164,15 @@ type CellKey struct {
 // cacheSchema versions the canonical form.  Bump it when the meaning of any
 // key field changes (or a new code-relevant field is added), so stale
 // entries from an older serve build can never be mistaken for current ones.
-const cacheSchema = "cables-farm-v2"
+const cacheSchema = "cables-farm-v3"
 
 // Canonical renders the key as the canonical string that is hashed into the
 // cache address: a fixed field order, every field present (defaults
 // included), prefixed by the schema version.
 func (k CellKey) Canonical() string {
-	return fmt.Sprintf("%s|app=%s|procs=%d|backend=%s|scale=%s|gran=%d|contended=%t|coalesce=%t|plan=%s|seed=%d|protocol=%s",
+	return fmt.Sprintf("%s|app=%s|procs=%d|backend=%s|scale=%s|gran=%d|contended=%t|plan=%s|seed=%d|protocol=%s",
 		cacheSchema, k.App, k.Procs, k.Backend, k.Scale, k.Gran,
-		k.ContendedSync, k.Coalesce, k.Plan, k.Seed, k.Protocol)
+		k.ContendedSync, k.Plan, k.Seed, k.Protocol)
 }
 
 // Hash returns the cell's content address: the hex SHA-256 of Canonical().

@@ -40,27 +40,27 @@ func TestParsePlanRoundTrip(t *testing.T) {
 
 func TestParsePlanErrors(t *testing.T) {
 	bad := map[string]string{
-		"":                            "empty plan",
-		"  ;  ;  ":                    "empty plan",
-		"send":                        "missing ':'",
-		"warp:p=0.5":                  "unknown rule kind",
-		"send:0.5":                    "bad key=value",
-		"send:node=1":                 "needs p=",
-		"send:p=1.5":                  "outside [0,1]",
-		"send:p=-0.1":                 "outside [0,1]",
-		"send:p=0.5,bogus=1":          "unknown keys",
-		"send:p=0.5,from=5ms,to=1ms":  "empty window",
-		"send:p=0.5,from=xyz":         "bad from",
-		"nicmem:reserve=64M":          "needs node=",
-		"nicmem:node=1":               "needs reserve=",
-		"nicmem:node=1,reserve=-4K":   "bad reserve",
-		"detach:node=0,at=5ms":        "master cannot leave",
-		"detach:node=2":               "needs at=",
-		"detach:at=5ms":               "master cannot leave",
-		"attach:delay=5ms":            "needs node=",
-		"attach:node=2":               "needs delay=",
-		"attach:node=2,delay=0ms":     "needs delay=",
-		"send:p=0.5,node=-3":          "bad node",
+		"":                           "empty plan",
+		"  ;  ;  ":                   "empty plan",
+		"send":                       "missing ':'",
+		"warp:p=0.5":                 "unknown rule kind",
+		"send:0.5":                   "bad key=value",
+		"send:node=1":                "needs p=",
+		"send:p=1.5":                 "outside [0,1]",
+		"send:p=-0.1":                "outside [0,1]",
+		"send:p=0.5,bogus=1":         "unknown keys",
+		"send:p=0.5,from=5ms,to=1ms": "empty window",
+		"send:p=0.5,from=xyz":        "bad from",
+		"nicmem:reserve=64M":         "needs node=",
+		"nicmem:node=1":              "needs reserve=",
+		"nicmem:node=1,reserve=-4K":  "bad reserve",
+		"detach:node=0,at=5ms":       "master cannot leave",
+		"detach:node=2":              "needs at=",
+		"detach:at=5ms":              "master cannot leave",
+		"attach:delay=5ms":           "needs node=",
+		"attach:node=2":              "needs delay=",
+		"attach:node=2,delay=0ms":    "needs delay=",
+		"send:p=0.5,node=-3":         "bad node",
 	}
 	for spec, want := range bad {
 		if _, err := ParsePlan(spec); err == nil {

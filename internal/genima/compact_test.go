@@ -3,6 +3,7 @@ package genima_test
 import (
 	"testing"
 
+	"cables/internal/genima"
 	"cables/internal/m4"
 	"cables/internal/memsys"
 	"cables/internal/sim"
@@ -18,7 +19,9 @@ import (
 func pingPong(t *testing.T, disableCompaction bool, rounds int) (invals, diffs, diffBytes, notices int64, logLen int, finals [4]int64) {
 	t.Helper()
 	rt := m4.New(m4.Config{Procs: 2, ProcsPerNode: 1, ArenaBytes: 16 << 20})
-	rt.Protocol().DisableLogCompaction = disableCompaction
+	if disableCompaction {
+		genima.KeepFullLog(rt.Protocol())
+	}
 	main := rt.Main()
 	acc := rt.Acc()
 	// Four counters on four distinct pages, all homed on node 0, so the

@@ -116,10 +116,10 @@ type Protocol struct {
 	log     []interval
 	logBase atomic.Int64 // absolute index of log[0] (prefix truncated by compaction)
 
-	// DisableLogCompaction retains the full interval log for the run's
-	// lifetime (the pre-compaction behavior).  Used by tests and ablations
-	// as the reference the compacting implementation is compared against.
-	DisableLogCompaction bool
+	// noCompaction retains the full interval log for the run's lifetime
+	// (the pre-compaction behavior): the reference the compaction test
+	// compares the compacting implementation against (export_test.go).
+	noCompaction bool
 
 	nodes []*nodeState
 
@@ -175,7 +175,7 @@ func New(cl *nodeos.Cluster, arenaBytes int64, place Placement) *Protocol {
 func (p *Protocol) SetPlacement(pl Placement) { p.place = pl }
 
 // UseProtocol selects the coherence policy by name (internal/coherence;
-// the empty string selects the process default).  Must be called before
+// the empty string selects genima).  Must be called before
 // any shared accesses; each run gets a fresh policy instance.
 func (p *Protocol) UseProtocol(name string) error {
 	pol, err := coherence.New(name)
@@ -342,13 +342,6 @@ func (p *Protocol) WriteFault(t *sim.Task, pid memsys.PageID) {
 // Flush ends the node's current write interval: every dirty page is diffed
 // and the diff applied to its home with a direct remote write; the interval
 // is published to the log.  Called at releases and barrier arrivals.
-//
-// Under wire.Options.Coalesce (the GeNIMA release "protocol opt") the
-// per-page remote writes to one home gather into a single wire op per home:
-// adjacent diff runs travel back-to-back and the interval's write notices
-// piggyback in the one message header, so a release costs one message per
-// home instead of one per page.  The diffs themselves (and their local
-// diff-computation cost and counters) are unchanged.
 func (p *Protocol) Flush(t *sim.Task) { p.flush(t) }
 
 // flush is Flush returning the interval's published page list (the write
@@ -377,10 +370,6 @@ func (p *Protocol) flush(t *sim.Task) []memsys.PageID {
 
 	slices.Sort(work) // deterministic flush/notice order
 
-	var batch map[int]int // coalesce mode: home node -> gathered diff bytes
-	if p.cl.Wire.Options().Coalesce {
-		batch = make(map[int]int)
-	}
 	var merge map[int]int // merging policies: home node -> reduction diff bytes
 	if p.pol.Merge() {
 		merge = make(map[int]int)
@@ -389,18 +378,8 @@ func (p *Protocol) flush(t *sim.Task) []memsys.PageID {
 	p.acc.FlushBegin(node)
 	pages := make([]memsys.PageID, 0, len(work))
 	for _, pid := range work {
-		if p.flushPage(t, node, pid, batch, merge) {
+		if p.flushPage(t, node, pid, merge) {
 			pages = append(pages, pid)
-		}
-	}
-	if len(batch) > 0 {
-		homes := make([]int, 0, len(batch))
-		for h := range batch {
-			homes = append(homes, h)
-		}
-		slices.Sort(homes) // deterministic issue order
-		for _, h := range homes {
-			p.cl.Wire.Do(t, wire.Op{Kind: wire.KindWrite, Dst: h, Size: batch[h] + 16})
 		}
 	}
 	if len(merge) > 0 {
@@ -441,11 +420,10 @@ func (p *Protocol) flush(t *sim.Task) []memsys.PageID {
 }
 
 // flushPage diffs one dirty page to its home.  Returns whether the page was
-// actually modified (and so needs a write notice).  A non-nil batch gathers
-// the remote-write bytes per home instead of issuing per-page wire ops; a
-// non-nil merge gathers the diffs the coherence policy routes to the
-// flush's reduction batch (one wire.merge op per home).
-func (p *Protocol) flushPage(t *sim.Task, node int, pid memsys.PageID, batch, merge map[int]int) bool {
+// actually modified (and so needs a write notice).  A non-nil merge gathers
+// the diffs the coherence policy routes to the flush's reduction batch (one
+// wire.merge op per home).
+func (p *Protocol) flushPage(t *sim.Task, node int, pid memsys.PageID, merge map[int]int) bool {
 	pc := p.sp.Copy(node, pid)
 	pc.Mu.Lock()
 	defer pc.Mu.Unlock()
@@ -463,7 +441,7 @@ func (p *Protocol) flushPage(t *sim.Task, node int, pid memsys.PageID, batch, me
 		pc.SetWritten(false)
 		return false
 	}
-	if p.diffToHome(t, node, pid, pc, batch, merge) == 0 {
+	if p.diffToHome(t, node, pid, pc, merge) == 0 {
 		return false
 	}
 	if p.Trace != nil {
@@ -477,11 +455,10 @@ func (p *Protocol) flushPage(t *sim.Task, node int, pid memsys.PageID, batch, me
 // the twin to the page pool.  Both flushPage and forceDiffLocked funnel
 // through here — it is the only place a diff is computed.  Caller holds
 // pc.Mu; pc must have both data and twin, and the home must be remote.
-// A non-nil batch defers the remote write: the diff bytes are gathered per
-// home and the caller issues one coalesced wire op per home.  The coherence
-// policy is consulted once per diff (MergeDiff); when it claims the diff
-// and a merge batch is running, the bytes ride the reduction batch instead.
-func (p *Protocol) diffToHome(t *sim.Task, node int, pid memsys.PageID, pc *memsys.PageCopy, batch, merge map[int]int) int {
+// The coherence policy is consulted once per diff (MergeDiff); when it
+// claims the diff and a merge batch is running, the bytes ride the
+// reduction batch instead of a per-page remote write.
+func (p *Protocol) diffToHome(t *sim.Task, node int, pid memsys.PageID, pc *memsys.PageCopy, merge map[int]int) int {
 	t.OpenSpan(uint8(profile.SpanDiff), uint64(pid))
 	home := p.sp.Home(pid)
 	hc := p.sp.Copy(home, pid)
@@ -520,12 +497,9 @@ func (p *Protocol) diffToHome(t *sim.Task, node int, pid memsys.PageID, pc *mems
 		return 0
 	}
 	t.Charge(sim.CatLocal, p.cl.Costs.DiffTime(diffBytes))
-	switch {
-	case p.pol.MergeDiff(node, pid, home, diffBytes) && merge != nil:
+	if p.pol.MergeDiff(node, pid, home, diffBytes) && merge != nil {
 		merge[home] += diffBytes
-	case batch != nil:
-		batch[home] += diffBytes
-	default:
+	} else {
 		p.cl.Wire.Do(t, wire.Op{Kind: wire.KindWrite, Dst: home, Size: diffBytes + 16, Arg: uint64(pid)})
 	}
 	p.cl.Ctr.Add(node, stats.EvDiffsSent, 1)
@@ -618,7 +592,7 @@ func (p *Protocol) forceDiffLocked(t *sim.Task, node int, pid memsys.PageID, pc 
 		pc.SetWritten(false)
 		return
 	}
-	p.diffToHome(t, node, pid, pc, nil, nil)
+	p.diffToHome(t, node, pid, pc, nil)
 	ns := p.nodes[node]
 	ns.dirtyMu.Lock()
 	ns.dirtyBits[pid>>6] &^= uint64(1) << (pid & 63)
@@ -672,7 +646,7 @@ const logCompactThreshold = 256
 // array, so the survivors are copied into a fresh slice rather than shifted
 // in place.
 func (p *Protocol) maybeCompactLog() {
-	if p.DisableLogCompaction {
+	if p.noCompaction {
 		return
 	}
 	min := int64(-1)

@@ -47,11 +47,11 @@ type Config struct {
 	Costs *sim.Costs
 	// Fault optionally injects deterministic faults (see internal/fault).
 	Fault *fault.Injector
-	// Wire selects the wire plane's opt-in modes (contended sync, release
-	// coalescing); the zero value reproduces the default schedule.
+	// Wire selects the wire plane's opt-in mode (contended sync); the zero
+	// value reproduces the default schedule.
 	Wire wire.Options
 	// Protocol names the coherence policy (coherence.Names); empty selects
-	// the process default (CABLES_PROTOCOL / `cablesim -protocol`).
+	// genima.
 	Protocol string
 }
 

@@ -116,8 +116,8 @@ type Config struct {
 	// Fault optionally injects deterministic faults (see internal/fault);
 	// nil keeps the happy path bit-identical.
 	Fault *fault.Injector
-	// Wire selects the wire plane's opt-in modes (contended sync, release
-	// coalescing); the zero value reproduces the default schedule.
+	// Wire selects the wire plane's opt-in mode (contended sync); the zero
+	// value reproduces the default schedule.
 	Wire wire.Options
 }
 

@@ -21,8 +21,8 @@ import (
 
 	"cables/internal/fault"
 	"cables/internal/san"
-	"cables/internal/stats"
 	"cables/internal/sim"
+	"cables/internal/stats"
 )
 
 // Registration failure modes (SAN limitations, paper §2.1.1).

@@ -14,15 +14,11 @@
 //
 // The default cost schedule reproduces the per-site charges the layers
 // used before the plane existed, so `cablesim table4` and the fig5
-// checksums are bit-identical.  Two opt-in modes become possible because
-// the traffic shares one path:
-//
-//   - Options.ContendedSync (-contended-sync): control-plane ops reserve
-//     NIC occupancy like data transfers and suffer the fault plan's
-//     transient send failures, exposing sync-vs-data interference.
-//   - Options.Coalesce (-coalesce): the GeNIMA release "protocol opt" —
-//     package genima gathers adjacent diff runs and piggybacks write
-//     notices into one remote write per home (see genima.Flush).
+// checksums are bit-identical.  One opt-in mode becomes possible because
+// the traffic shares one path: Options.ContendedSync (-contended-sync)
+// makes control-plane ops reserve NIC occupancy like data transfers and
+// suffer the fault plan's transient send failures, exposing sync-vs-data
+// interference.
 //
 // Conservation invariant: a wire trace event (kind prefix "wire.") is
 // emitted exactly when the op adds its size to EvBytesSent or
@@ -178,9 +174,9 @@ func (k Kind) nominalSize() int {
 // Op is one cross-node operation.
 type Op struct {
 	Kind Kind
-	Src  int // issuing node; Do fills it from the task
-	Dst  int // peer node (home, manager, waiter, master, ...)
-	Size int // payload bytes; 0 means the kind's nominal size
+	Src  int    // issuing node; Do fills it from the task
+	Dst  int    // peer node (home, manager, waiter, master, ...)
+	Size int    // payload bytes; 0 means the kind's nominal size
 	Arg  uint64 // page id / lock id payload, forwarded to protocol traces
 }
 
@@ -190,10 +186,6 @@ type Options struct {
 	// ContendedSync makes control-plane ops reserve NIC occupancy like
 	// data traffic and suffer the fault plan's transient send failures.
 	ContendedSync bool
-	// Coalesce enables release coalescing in package genima: one remote
-	// write per home at a release, carrying all diff runs and piggybacked
-	// write notices.
-	Coalesce bool
 }
 
 // Plane is the single choke point for cross-node operations.  One Plane
@@ -212,9 +204,6 @@ type Plane struct {
 func New(fab *san.Fabric, vm *vmmc.System, opts Options) *Plane {
 	return &Plane{fab: fab, vm: vm, costs: fab.Costs(), ctr: fab.Counters(), opts: opts}
 }
-
-// Options returns the plane's mode selection.
-func (p *Plane) Options() Options { return p.opts }
 
 // SetFault installs the fault injector on the whole communication stack —
 // the plane itself, the SAN fabric, and VMMC with all its NICs — and binds
