@@ -10,8 +10,10 @@ GO ?= go
 
 check: vet build test race benchmark docs profile-smoke
 
-# Documentation lint: package doc comments on every Go package, and every
-# relative markdown link must resolve (cmd/doccheck, stdlib only).
+# Documentation lint (cmd/doccheck, stdlib only; its package doc lists the
+# seven rules): package doc comments, relative markdown links, no CatComm
+# charge outside the wire plane, and the observability, farm-route,
+# protocol/wire-kind and metric-family inventories against the code.
 docs:
 	$(GO) run ./cmd/doccheck
 

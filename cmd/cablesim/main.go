@@ -11,7 +11,7 @@
 //	cablesim fig6 [-scale s] [-apps ...] [-procs ...] [-gran 4096]
 //	cablesim protocols [-scale s] [-apps ...] [-procs 8]  # coherence-protocol comparison
 //	cablesim limits                 # Tables 1/2 registration-limit demo
-//	cablesim counters [-trace] [-profile] [-apps ...] [-procs ...]  # protocol counters
+//	cablesim counters [-profile] [-apps ...] [-procs ...]  # protocol counters
 //	cablesim faults -plan <spec> [-seed N] [-profile] [-apps ...] [-procs ...]
 //	cablesim profile [-scale s] [-apps ...] [-procs ...] [-top N] [-o trace.json]
 //	cablesim serve [-addr :8080] [-jobs N] [-cache-entries N] [-max-queue N]
@@ -31,9 +31,6 @@
 // any -jobs value.  Virtual times and placement-dependent counters
 // (misplaced pages) can still vary between runs, at any -jobs, because the
 // simulated threads of one cell race on the host (ROADMAP item 1).
-// -trace makes `counters` attach a protocol trace ring to each run and
-// print its per-kind event census, the tail, and how many events the
-// bounded ring dropped (so truncated traces are visible, never silent).
 // -plan is a fault plan (see internal/fault: e.g.
 // "send:p=0.05;detach:node=1,at=5ms"); -seed picks the deterministic
 // injection stream — the same plan and seed reproduce the same faults.
@@ -69,7 +66,7 @@
 // cells; SIGTERM/SIGINT drain gracefully (in-flight cells complete, queued
 // cells are rejected with a retriable status).  The farm exposes a
 // Prometheus-format telemetry plane on GET /metrics plus a GET /readyz
-// probe that flips to 503 once a drain begins (docs/OBSERVABILITY.md §6),
+// probe that flips to 503 once a drain begins (docs/OBSERVABILITY.md §4),
 // and logs one structured record per request to stderr.
 // `top` is the terminal companion: it polls a running farm's /metrics at
 // -interval (against -addr) and prints qps, cell-latency p50/p95/p99,
@@ -86,7 +83,6 @@ import (
 	"net/http"
 	"os"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -98,7 +94,6 @@ import (
 	"cables/internal/fault"
 	"cables/internal/profile"
 	"cables/internal/sim"
-	"cables/internal/trace"
 	"cables/internal/wire"
 )
 
@@ -118,7 +113,6 @@ func main() {
 	out := fs.String("o", "", "profile: write the Perfetto/Chrome trace timeline to this file")
 	jobs := fs.Int("jobs", bench.DefaultJobs(),
 		"max concurrent simulation cells (1 = sequential; checksums are identical either way, virtual times can vary run to run)")
-	traceOn := fs.Bool("trace", false, "counters: attach a protocol trace ring and print its census, tail and drop count")
 	profileOn := fs.Bool("profile", false, "counters/faults: attach the virtual-time profiler and print each cell's profile block")
 	top := fs.Int("top", 5, "profile: rows shown in the hot-page/lock-contention/epoch tables")
 	planSpec := fs.String("plan", "", `faults: fault plan, e.g. "send:p=0.05;detach:node=1,at=5ms"`)
@@ -198,7 +192,7 @@ func main() {
 	case "limits":
 		bench.Limits(w)
 	case "counters":
-		runCounters(w, appList, procList, sc, costs, cell, *jobs, *traceOn, *profileOn, *top)
+		runCounters(w, appList, procList, sc, costs, cell, *jobs, *profileOn, *top)
 	case "profile":
 		cells := bench.RunProfile(w, appList, procList, sc, costs, cell, *jobs, *top)
 		if *out != "" {
@@ -283,14 +277,10 @@ func main() {
 // runCounters runs applications on both backends and dumps the system
 // event counters — the protocol-level profile behind the figures.  Cells
 // run up to jobs at a time; each cell renders its block into a slot and the
-// blocks print in the original sequential order.  With traceOn, each run
-// also carries a protocol trace ring whose per-kind census, recent tail,
-// and dropped-event count are appended to the block (the ring is bounded:
-// a non-zero dropped count means the census covers only the retained
-// suffix).  With profileOn, each run also carries the virtual-time profiler
-// and its profile block (top rows per table) is appended.  Every cell is
-// configured by o.
-func runCounters(w *os.File, apps []string, procs []int, sc bench.Scale, costs *sim.Costs, o bench.CellOptions, jobs int, traceOn, profileOn bool, top int) {
+// blocks print in the original sequential order.  With profileOn, each run
+// also carries the virtual-time profiler and its profile block (top rows
+// per table) is appended.  Every cell is configured by o.
+func runCounters(w *os.File, apps []string, procs []int, sc bench.Scale, costs *sim.Costs, o bench.CellOptions, jobs int, profileOn bool, top int) {
 	// A non-genima protocol is labeled on every block so sweep output under
 	// different protocols stays distinguishable.
 	label := ""
@@ -319,19 +309,12 @@ func runCounters(w *os.File, apps []string, procs []int, sc bench.Scale, costs *
 	blocks := make([]string, len(specs))
 	errs := bench.RunCells(jobs, len(specs), func(i int) {
 		s := specs[i]
-		attach := bench.Attach{Profiler: profileOn}
-		if traceOn {
-			attach.Ring = 4096
-		}
-		r := bench.RunCell(s.app, s.backend, s.procs, sc, costs, o, attach)
+		r := bench.RunCell(s.app, s.backend, s.procs, sc, costs, o, bench.Attach{Profiler: profileOn})
 		if r.Err != nil {
 			blocks[i] = fmt.Sprintf("%s/%s p=%d: FAILED: %v\n", s.app, s.backend, s.procs, r.Err)
 			return
 		}
 		block := fmt.Sprintf("%s%s\n  %s\n", r.Res, label, r.Ctr)
-		if r.Ring != nil {
-			block += traceBlock(r.Ring)
-		}
 		if r.Prof != nil {
 			block += bench.ProfileBlock(profile.Build(r.Prof.Logs()), r.Prof.Epochs.Windows(), top)
 		}
@@ -345,30 +328,6 @@ func runCounters(w *os.File, apps []string, procs []int, sc bench.Scale, costs *
 		}
 		fmt.Fprint(w, b)
 	}
-}
-
-// traceBlock renders a run's trace ring: per-kind counts sorted by kind,
-// the last few events, and — crucially — how many events the bounded ring
-// overwrote, so a truncated trace is never mistaken for a complete one.
-func traceBlock(ring *trace.Ring) string {
-	var b strings.Builder
-	counts := ring.Counts()
-	kinds := make([]string, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, string(k))
-	}
-	sort.Strings(kinds)
-	b.WriteString("  trace:")
-	for _, k := range kinds {
-		fmt.Fprintf(&b, " %s=%d", k, counts[trace.Kind(k)])
-	}
-	fmt.Fprintf(&b, " dropped=%d\n", ring.Dropped())
-	if tail := ring.Tail(8); tail != "" {
-		for _, line := range strings.Split(strings.TrimRight(tail, "\n"), "\n") {
-			b.WriteString("    " + line + "\n")
-		}
-	}
-	return b.String()
 }
 
 func splitList(s string) []string {
@@ -398,7 +357,7 @@ func parseInts(s string) []int {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: cablesim <table3|counters|table4|table5|table6|fig5|fig6|fig5+6|protocols|limits|faults|profile|serve|top|all> [flags]
 flags: -scale test|paper|full (-full-size)  -apps A,B  -procs 1,4,8  -gran bytes  -jobs N
-       -trace -profile (counters)  -plan "send:p=0.05;detach:node=1,at=5ms" -seed N -profile (faults)
+       -profile (counters)  -plan "send:p=0.05;detach:node=1,at=5ms" -seed N -profile (faults)
        -top N -o trace.json (profile: Perfetto/Chrome trace-viewer timeline)
        -contended-sync -protocol genima|commutative|delegate (cell sweeps: fig5/fig6/counters/faults/profile;
                        tables and limits always run genima; checksums identical, wire schedule differs)

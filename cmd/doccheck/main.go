@@ -9,14 +9,16 @@
 //   - no non-test code outside the communication substrate (internal/wire,
 //     internal/vmmc) may charge CatComm directly — all cross-node traffic
 //     must flow through the wire plane's choke point;
-//   - every observability name the code defines — stats event keys, trace
-//     event kinds, profiler span and mark names — must appear backquoted in
-//     a docs/OBSERVABILITY.md inventory table, so adding an event without
+//   - every observability name the code defines — stats event keys,
+//     profiler span and mark names — must appear backquoted in a
+//     docs/OBSERVABILITY.md inventory table, so adding an event without
 //     documenting it fails CI;
 //   - every HTTP route the simulation farm registers (internal/farm routes)
-//     must appear backquoted in a docs/SERVE.md table, and every farm stats
-//     key (internal/farm statsKeys) in a SERVE.md or OBSERVABILITY.md
-//     table, so the served API surface cannot drift from its reference;
+//     must appear backquoted in a docs/SERVE.md table, so the served API
+//     surface cannot drift from its reference;
+//   - every coherence protocol name must appear backquoted in DESIGN.md and
+//     EXPERIMENTS.md, and every wire op kind as `wire.<kind>` in the
+//     profiler section of docs/OBSERVABILITY.md;
 //   - every Prometheus metric family the farm registers (internal/farm
 //     familyNames) must appear backquoted in a docs/OBSERVABILITY.md table,
 //     so registering an instrument without documenting it fails CI.
@@ -44,54 +46,22 @@ func main() {
 	flag.Parse()
 
 	var problems []string
-	pkgProblems, err := checkPackageDocs(*root)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-		os.Exit(2)
+	for _, check := range []func(root string) ([]string, error){
+		checkPackageDocs,
+		checkMarkdownLinks,
+		checkCommCharges,
+		checkObservabilityInventory,
+		checkFarmDocs,
+		checkProtocolDocs,
+		checkMetricsDocs,
+	} {
+		found, err := check(*root)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+			os.Exit(2)
+		}
+		problems = append(problems, found...)
 	}
-	problems = append(problems, pkgProblems...)
-
-	linkProblems, err := checkMarkdownLinks(*root)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-		os.Exit(2)
-	}
-	problems = append(problems, linkProblems...)
-
-	commProblems, err := checkCommCharges(*root)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-		os.Exit(2)
-	}
-	problems = append(problems, commProblems...)
-
-	invProblems, err := checkObservabilityInventory(*root)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-		os.Exit(2)
-	}
-	problems = append(problems, invProblems...)
-
-	farmProblems, err := checkFarmDocs(*root)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-		os.Exit(2)
-	}
-	problems = append(problems, farmProblems...)
-
-	protoProblems, err := checkProtocolDocs(*root)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-		os.Exit(2)
-	}
-	problems = append(problems, protoProblems...)
-
-	metricProblems, err := checkMetricsDocs(*root)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-		os.Exit(2)
-	}
-	problems = append(problems, metricProblems...)
 
 	if len(problems) > 0 {
 		sort.Strings(problems)
@@ -261,28 +231,10 @@ func sliceLiteral(path, name string) ([]string, error) {
 	return names, nil
 }
 
-// constStrings extracts the values of string constants of the given type,
-// declared in the `<Name>  Type = "value"` form.
-func constStrings(path, typeName string) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	re := regexp.MustCompile(`\b` + typeName + `\s*=\s*"([^"\\]+)"`)
-	var names []string
-	for _, m := range re.FindAllStringSubmatch(string(data), -1) {
-		names = append(names, m[1])
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("%s: no %s string constants found", path, typeName)
-	}
-	return names, nil
-}
-
 // checkObservabilityInventory keeps docs/OBSERVABILITY.md's inventory
-// tables in lock-step with the code: every stats event key, trace event
-// kind, and profiler span/mark name defined in the source must appear as a
-// backquoted token in a table row of the doc.  Adding an event without
+// tables in lock-step with the code: every stats event key and profiler
+// span/mark name defined in the source must appear as a backquoted token
+// in a table row of the doc.  Adding an event without
 // documenting it is a CI failure, so the inventories cannot drift.
 func checkObservabilityInventory(root string) ([]string, error) {
 	docPath := filepath.Join(root, "docs", "OBSERVABILITY.md")
@@ -291,40 +243,17 @@ func checkObservabilityInventory(root string) ([]string, error) {
 		return nil, err
 	}
 
-	type group struct {
-		what  string
-		src   string
-		names []string
-	}
-	var groups []group
-
-	statsKeys, err := sliceLiteral(filepath.Join(root, "internal", "stats", "stats.go"), "eventKeys")
-	if err != nil {
-		return nil, err
-	}
-	groups = append(groups, group{"stats event key", "internal/stats/stats.go", statsKeys})
-
-	traceKinds, err := constStrings(filepath.Join(root, "internal", "trace", "trace.go"), "Kind")
-	if err != nil {
-		return nil, err
-	}
-	groups = append(groups, group{"trace event kind", "internal/trace/trace.go", traceKinds})
-
-	spanNames, err := sliceLiteral(filepath.Join(root, "internal", "profile", "profile.go"), "spanNames")
-	if err != nil {
-		return nil, err
-	}
-	groups = append(groups, group{"profiler span kind", "internal/profile/profile.go", spanNames})
-
-	markNames, err := sliceLiteral(filepath.Join(root, "internal", "profile", "profile.go"), "markNames")
-	if err != nil {
-		return nil, err
-	}
-	groups = append(groups, group{"profiler mark kind", "internal/profile/profile.go", markNames})
-
 	var problems []string
-	for _, g := range groups {
-		for _, name := range g.names {
+	for _, g := range []struct{ what, src, literal string }{
+		{"stats event key", "internal/stats/stats.go", "eventKeys"},
+		{"profiler span kind", "internal/profile/profile.go", "spanNames"},
+		{"profiler mark kind", "internal/profile/profile.go", "markNames"},
+	} {
+		names, err := sliceLiteral(filepath.Join(root, filepath.FromSlash(g.src)), g.literal)
+		if err != nil {
+			return nil, err
+		}
+		for _, name := range names {
 			if !documented[name] {
 				problems = append(problems, fmt.Sprintf(
 					"%s: %s %q (defined in %s) missing from the inventory tables",
@@ -339,21 +268,29 @@ func checkObservabilityInventory(root string) ([]string, error) {
 // every name in internal/coherence's protocolNames must appear backquoted
 // in both DESIGN.md (the protocol-seam section) and EXPERIMENTS.md (how to
 // select it), and every wire op kind in internal/wire's kindNames must
-// appear backquoted as `wire.<kind>` in docs/OBSERVABILITY.md — so
-// shipping a new protocol or wire op kind without documenting it is a CI
-// failure.
+// appear backquoted as `wire.<kind>` in the profiler section of
+// docs/OBSERVABILITY.md (the SpanWire timeline names) — so shipping a new
+// protocol or wire op kind without documenting it is a CI failure.
 func checkProtocolDocs(root string) ([]string, error) {
 	// Scan line by line, skipping fenced code blocks: a ``` fence has an
 	// odd backtick count, which would desynchronize the pair-matching
-	// regex for the rest of the file.
-	backticksOf := func(path string) (map[string]bool, error) {
+	// regex for the rest of the file.  A non-empty section limits the scan
+	// to the "## " heading containing it, up to the next such heading.
+	backticksOf := func(path, section string) (map[string]bool, error) {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
 		documented := map[string]bool{}
 		inFence := false
+		inSection := section == ""
 		for _, line := range strings.Split(string(data), "\n") {
+			if section != "" && strings.HasPrefix(line, "## ") {
+				inSection = strings.Contains(line, section)
+			}
+			if !inSection {
+				continue
+			}
 			if strings.HasPrefix(strings.TrimSpace(line), "```") {
 				inFence = !inFence
 				continue
@@ -375,7 +312,7 @@ func checkProtocolDocs(root string) ([]string, error) {
 	var problems []string
 	for _, doc := range []string{"DESIGN.md", "EXPERIMENTS.md"} {
 		docPath := filepath.Join(root, doc)
-		documented, err := backticksOf(docPath)
+		documented, err := backticksOf(docPath, "")
 		if err != nil {
 			return nil, err
 		}
@@ -393,14 +330,14 @@ func checkProtocolDocs(root string) ([]string, error) {
 		return nil, err
 	}
 	obsPath := filepath.Join(root, "docs", "OBSERVABILITY.md")
-	inObs, err := backticksOf(obsPath)
+	inObs, err := backticksOf(obsPath, "Virtual-time profiler")
 	if err != nil {
 		return nil, err
 	}
 	for _, kind := range kinds {
 		if !inObs["wire."+kind] {
 			problems = append(problems, fmt.Sprintf(
-				"%s: wire op kind `wire.%s` (registered in internal/wire/wire.go) is not documented",
+				"%s: wire op kind `wire.%s` (registered in internal/wire/wire.go) is not documented in the profiler section",
 				obsPath, kind))
 		}
 	}
@@ -429,18 +366,11 @@ func tableTokens(docPath string) (map[string]bool, error) {
 // checkFarmDocs keeps the simulation farm's documented API surface in
 // lock-step with the code: every HTTP route the server registers
 // (internal/farm/server.go routes — Server.Handler panics if the mux and
-// this literal disagree) must appear backquoted in a docs/SERVE.md table,
-// and every service stats key (internal/farm/stats.go statsKeys) must
-// appear in a SERVE.md or OBSERVABILITY.md table.  Adding an endpoint or a
-// counter without documenting it is a CI failure.
+// this literal disagree) must appear backquoted in a docs/SERVE.md table.
+// Adding an endpoint without documenting it is a CI failure.
 func checkFarmDocs(root string) ([]string, error) {
 	servePath := filepath.Join(root, "docs", "SERVE.md")
 	inServe, err := tableTokens(servePath)
-	if err != nil {
-		return nil, err
-	}
-	obsPath := filepath.Join(root, "docs", "OBSERVABILITY.md")
-	inObs, err := tableTokens(obsPath)
 	if err != nil {
 		return nil, err
 	}
@@ -455,18 +385,6 @@ func checkFarmDocs(root string) ([]string, error) {
 			problems = append(problems, fmt.Sprintf(
 				"%s: HTTP route %q (registered in internal/farm/server.go) missing from the endpoint table",
 				servePath, r))
-		}
-	}
-
-	keys, err := sliceLiteral(filepath.Join(root, "internal", "farm", "stats.go"), "statsKeys")
-	if err != nil {
-		return nil, err
-	}
-	for _, k := range keys {
-		if !inServe[k] && !inObs[k] {
-			problems = append(problems, fmt.Sprintf(
-				"%s: farm stats key %q (defined in internal/farm/stats.go) missing from the SERVE.md and OBSERVABILITY.md tables",
-				servePath, k))
 		}
 	}
 	return problems, nil

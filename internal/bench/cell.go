@@ -8,7 +8,6 @@ import (
 	"cables/internal/profile"
 	"cables/internal/sim"
 	"cables/internal/stats"
-	"cables/internal/trace"
 	"cables/internal/wire"
 )
 
@@ -34,8 +33,6 @@ type CellOptions struct {
 // charge nothing (the invariance rule), so they change no result and stay
 // out of CellOptions, which is what the farm hashes.
 type Attach struct {
-	// Ring > 0 attaches a trace ring of that capacity (AttachRing).
-	Ring int
 	// Profiler attaches a virtual-time profiler (AttachProfiler).
 	Profiler bool
 }
@@ -45,7 +42,6 @@ type Attach struct {
 type CellRun struct {
 	Res  appapi.Result
 	Ctr  *stats.Counters
-	Ring *trace.Ring
 	Prof *profile.Profiler
 	Err  error
 }
@@ -77,9 +73,6 @@ func NewRuntimeOpts(backend string, procs int, arena int64, costs *sim.Costs, o 
 func RunCell(name, backend string, procs int, scale Scale, costs *sim.Costs, o CellOptions, a Attach) CellRun {
 	rt := NewRuntimeOpts(backend, procs, 256<<20, costs, o)
 	var r CellRun
-	if a.Ring > 0 {
-		r.Ring = AttachRing(rt, a.Ring)
-	}
 	if a.Profiler {
 		r.Prof = AttachProfiler(rt)
 	}

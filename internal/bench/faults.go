@@ -6,60 +6,21 @@ import (
 
 	"cables/internal/apps/appapi"
 	"cables/internal/coherence"
-	cables "cables/internal/core"
 	"cables/internal/fault"
-	"cables/internal/genima"
-	"cables/internal/m4"
 	"cables/internal/profile"
 	"cables/internal/sim"
 	"cables/internal/stats"
-	"cables/internal/trace"
 )
-
-// protocolOf digs the SVM protocol instance out of either backend (for
-// attaching a trace ring); nil if the backend is unknown.
-func protocolOf(rt appapi.Runtime) *genima.Protocol {
-	switch b := rt.(type) {
-	case *m4.Runtime:
-		return b.Protocol()
-	case *cables.M4Runtime:
-		return b.Runtime().Protocol()
-	}
-	return nil
-}
-
-// AttachRing wires one trace ring everywhere events originate: the SVM
-// protocol (page-fault/lock/barrier events), the wire plane (wire.* op
-// events and page migrations), and the fault injector if present
-// (fault.* events).  This is the single attach point; callers never touch
-// the three sinks individually.
-func AttachRing(rt appapi.Runtime, ringCap int) *trace.Ring {
-	ring := trace.NewRing(ringCap)
-	if p := protocolOf(rt); p != nil {
-		p.Trace = ring
-	}
-	cl := rt.Cluster()
-	cl.Wire.BindTrace(ring)
-	if inj := cl.Wire.Fault(); inj != nil {
-		inj.BindTrace(ring)
-	}
-	return ring
-}
 
 // FaultCell is one (app, procs, backend) outcome of a faulted sweep.
 type FaultCell struct {
 	Res      appapi.Result
 	Ctr      *stats.Counters
 	Injected int64 // fault firings observed by the cell's injector
-	Dropped  int64 // trace events the cell's ring overwrote
 	Report   *profile.Report
 	Windows  []stats.EpochWindow
 	Err      error
 }
-
-// faultRingCap is the trace ring each fault cell carries; its census
-// reports how many events the ring overwrote.
-const faultRingCap = 1024
 
 // faultEvents are the injection/recovery counters summarized per cell.
 var faultEvents = []stats.Event{
@@ -90,10 +51,9 @@ func RunFaults(w io.Writer, plan fault.Plan, seed uint64, apps []string, procs [
 		s := specs[i]
 		co := o
 		co.Fault = fault.New(plan, seed)
-		r := RunCell(s.app, s.backend, s.procs, scale, costs, co, Attach{Ring: faultRingCap, Profiler: profTop > 0})
+		r := RunCell(s.app, s.backend, s.procs, scale, costs, co, Attach{Profiler: profTop > 0})
 		c := &cells[i]
 		c.Res, c.Ctr, c.Err = r.Res, r.Ctr, r.Err
-		c.Dropped = r.Ring.Dropped()
 		if r.Prof != nil {
 			c.Report = profile.Build(r.Prof.Logs())
 			c.Windows = r.Prof.Epochs.Windows()
@@ -152,10 +112,7 @@ func RunFaults(w io.Writer, plan fault.Plan, seed uint64, apps []string, procs [
 							line += fmt.Sprintf(" %s=%d", e, v)
 						}
 					}
-					// Ring truncation rides every census: a quiet cell still
-					// reports dropped=0, and an overwritten ring is never
-					// silently passed off as complete.
-					fprintf(w, "%s/%s%s p=%d:%s dropped=%d\n", app, backend, label, p, line, c.Dropped)
+					fprintf(w, "%s/%s%s p=%d:%s\n", app, backend, label, p, line)
 					if c.Report != nil {
 						fprintf(w, "%s", ProfileBlock(c.Report, c.Windows, profTop))
 					}

@@ -3,37 +3,63 @@ package bench
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	"cables/internal/fault"
 	"cables/internal/memsys"
+	"cables/internal/profile"
 	"cables/internal/sim"
 	"cables/internal/stats"
-	"cables/internal/trace"
 	"cables/internal/wire"
 )
+
+// spanKey is the part of a profiler span a deterministic run reproduces:
+// what ran, on which page/lock/op, and when.
+type spanKey struct {
+	Kind       profile.SpanKind
+	Arg        uint64
+	Start, End sim.Time
+}
+
+// taskTimeline is one task's complete profiler record: every span and
+// every mark, in the order the task recorded them.
+type taskTimeline struct {
+	ID    int
+	Spans []spanKey
+	Marks []profile.Mark
+}
+
+// timelines projects a profiler's logs onto per-task timelines, ordered by
+// task id.
+func timelines(prof *profile.Profiler) []taskTimeline {
+	var out []taskTimeline
+	for _, l := range prof.Logs() {
+		tl := taskTimeline{ID: l.Task().ID, Marks: l.Marks()}
+		for _, s := range l.Spans() {
+			tl.Spans = append(tl.Spans, spanKey{s.Kind, s.Arg, s.Start, s.End})
+		}
+		out = append(out, tl)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
 
 // runSequential drives a strictly sequential workload — one runnable task at
 // a time (each worker is joined before the next spawns) — so every fault
 // decision happens at a host-schedule-independent virtual instant.  The
 // parallel SPLASH kernels legitimately jitter their protocol counters across
 // runs (see parallel_test.go); this workload does not, which is what lets
-// the determinism test demand bit-identical counters and traces.
-func runSequential(t *testing.T, inj *fault.Injector) (map[string]int64, uint64, sim.Time) {
+// the determinism test demand identical counters and profiler timelines.
+func runSequential(t *testing.T, inj *fault.Injector) (map[string]int64, []taskTimeline, sim.Time) {
 	t.Helper()
 	// The genima backend spreads workers round-robin over the three nodes of
 	// a 6-processor run, so workers 1, 2, 4, 5 take remote page faults and
 	// flush remote diffs — the operations the send/fetch/notify rules target.
 	rt := NewRuntimeOpts(BackendGenima, 6, 64<<20, nil, CellOptions{Fault: inj})
-	ring := trace.NewRing(1 << 14)
-	if p := protocolOf(rt); p != nil {
-		p.Trace = ring
-	}
-	if inj != nil {
-		inj.BindTrace(ring)
-	}
+	prof := AttachProfiler(rt)
 	main := rt.Main()
 	acc := rt.Acc()
 	a, err := rt.Malloc(main, "seq", 256<<10)
@@ -59,25 +85,26 @@ func runSequential(t *testing.T, inj *fault.Injector) (map[string]int64, uint64,
 		rt.Join(main, id)
 	}
 	end := rt.Finish()
-	if ring.Dropped() != 0 {
-		t.Fatalf("trace ring dropped %d events; grow it or the checksum is partial", ring.Dropped())
-	}
-	return rt.Cluster().Ctr.Snapshot(), ring.Checksum(), end
+	return rt.Cluster().Ctr.Snapshot(), timelines(prof), end
 }
 
 // TestFaultDeterminismPinned is the reproducibility contract of
 // internal/fault: the same plan and seed reproduce the identical run —
-// every counter and every trace event — however the host schedules it.
+// every counter and every profiler span and mark — however the host
+// schedules it.
 func TestFaultDeterminismPinned(t *testing.T) {
 	const spec = "send:p=0.3;fetch:p=0.3;notify:p=0.3;detach:node=2,at=3ms"
 	plan := fault.MustParsePlan(spec)
-	snap1, sum1, end1 := runSequential(t, fault.New(plan, 42))
-	snap2, sum2, end2 := runSequential(t, fault.New(plan, 42))
+	snap1, tl1, end1 := runSequential(t, fault.New(plan, 42))
+	snap2, tl2, end2 := runSequential(t, fault.New(plan, 42))
 	if !reflect.DeepEqual(snap1, snap2) {
 		t.Errorf("counters differ across identical plan+seed runs:\n%v\n%v", snap1, snap2)
 	}
-	if sum1 != sum2 {
-		t.Errorf("trace checksums differ: %#x != %#x", sum1, sum2)
+	if !reflect.DeepEqual(tl1, tl2) {
+		t.Errorf("profiler timelines differ across identical plan+seed runs")
+	}
+	if len(tl1) == 0 {
+		t.Error("profiler recorded no tasks; the pin is vacuous")
 	}
 	if end1 != end2 {
 		t.Errorf("virtual end times differ: %v != %v", end1, end2)
@@ -96,16 +123,16 @@ func TestFaultDeterminismPinned(t *testing.T) {
 // nil injector and a plan whose windows never open both charge exactly what
 // the fault-free build charges.
 func TestFaultsDisabledBitIdentical(t *testing.T) {
-	snapNil, sumNil, endNil := runSequential(t, nil)
+	snapNil, tlNil, endNil := runSequential(t, nil)
 	neverPlan := fault.MustParsePlan("send:p=1,from=9000s;detach:node=2,at=9000s")
 	inj := fault.New(neverPlan, 1)
-	snapOff, sumOff, endOff := runSequential(t, inj)
+	snapOff, tlOff, endOff := runSequential(t, inj)
 	if !reflect.DeepEqual(snapNil, snapOff) {
 		t.Errorf("dormant plan perturbed counters:\n%v\n%v", snapNil, snapOff)
 	}
-	if sumNil != sumOff || endNil != endOff {
-		t.Errorf("dormant plan perturbed the run: checksum %#x/%#x end %v/%v",
-			sumNil, sumOff, endNil, endOff)
+	if !reflect.DeepEqual(tlNil, tlOff) || endNil != endOff {
+		t.Errorf("dormant plan perturbed the run: timelines equal %v, end %v/%v",
+			reflect.DeepEqual(tlNil, tlOff), endNil, endOff)
 	}
 	if inj.Injected() != 0 {
 		t.Errorf("dormant plan injected %d faults", inj.Injected())
@@ -159,9 +186,6 @@ func TestRunFaultsRendersDegraded(t *testing.T) {
 	}
 	if !strings.Contains(out, "nodeDetaches=1") {
 		t.Errorf("per-cell fault counters missing:\n%s", out)
-	}
-	if !strings.Contains(out, "dropped=") {
-		t.Errorf("census line does not surface ring truncation:\n%s", out)
 	}
 	if !strings.Contains(out, fmt.Sprintf("seed %d", 7)) || !strings.Contains(out, plan.String()) {
 		t.Errorf("header does not identify plan+seed:\n%s", out)

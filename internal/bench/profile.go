@@ -6,6 +6,9 @@ import (
 	"strings"
 
 	"cables/internal/apps/appapi"
+	cables "cables/internal/core"
+	"cables/internal/genima"
+	"cables/internal/m4"
 	"cables/internal/profile"
 	"cables/internal/sim"
 	"cables/internal/stats"
@@ -15,9 +18,9 @@ import (
 // task the cluster creates from here on is adopted (nodeos.Cluster.Prof),
 // the already-existing main task is adopted explicitly, and a
 // stats.EpochLog snapshots the counters at every barrier release.  This is
-// the single attach point, next to AttachRing; call it before the run
-// starts.  Attaching records spans and charges nothing — the invariance
-// rule — so results are bit-identical with and without a profiler.
+// the single attach point; call it before the run starts.  Attaching
+// records spans and charges nothing — the invariance rule — so results
+// are identical with and without a profiler (TestProfilerInvariance).
 func AttachProfiler(rt appapi.Runtime) *profile.Profiler {
 	prof := profile.New()
 	cl := rt.Cluster()
@@ -28,6 +31,18 @@ func AttachProfiler(rt appapi.Runtime) *profile.Profiler {
 		p.Epochs = prof.Epochs
 	}
 	return prof
+}
+
+// protocolOf digs the SVM protocol instance out of either backend (for
+// attaching the epoch log); nil if the backend is unknown.
+func protocolOf(rt appapi.Runtime) *genima.Protocol {
+	switch b := rt.(type) {
+	case *m4.Runtime:
+		return b.Protocol()
+	case *cables.M4Runtime:
+		return b.Runtime().Protocol()
+	}
+	return nil
 }
 
 // ProfileCell is one (app, procs, backend) outcome of a profiled sweep.

@@ -5,7 +5,6 @@ import (
 
 	"cables/internal/coherence"
 	"cables/internal/stats"
-	"cables/internal/wire"
 )
 
 // TestFig5ProtocolSmoke runs the fig5-small grid (FFT and LU at 1 and 4
@@ -80,45 +79,27 @@ func TestProtocolDeterminism(t *testing.T) {
 	}
 }
 
-// TestWireConservationProtocols extends the op plane's accounting contract
-// to the protocol variants: under commutative (whose wire.merge ops ride
-// the data plane) and delegate (whose delreq/deldone ops ride the control
-// plane), every byte the counters report as sent or fetched still appears
-// as the Arg of exactly one wire.* trace event.
-func TestWireConservationProtocols(t *testing.T) {
+// TestProtocolVariantsRun checks every protocol variant completes the
+// apps it exists for with a non-zero checksum, and actually exercises its
+// policy there: RADIX merges under commutative, VOLREND delegates critical
+// sections under delegate.
+func TestProtocolVariantsRun(t *testing.T) {
 	for _, proto := range coherence.Names() {
 		for _, app := range []string{"RADIX", "WATER-SPATIAL", "VOLREND"} {
-			r := RunCell(app, BackendGenima, 8, ScaleTest, nil, CellOptions{Protocol: proto}, Attach{Ring: 1 << 19})
-			res, ctr, ring := r.Res, r.Ctr, r.Ring
+			r := RunCell(app, BackendGenima, 8, ScaleTest, nil, CellOptions{Protocol: proto}, Attach{})
 			if r.Err != nil {
 				t.Fatalf("%s under %s: %v", app, proto, r.Err)
 			}
-			if res.Checksum == 0 {
+			if r.Res.Checksum == 0 {
 				t.Fatalf("%s under %s: empty run", app, proto)
 			}
-			if d := ring.Dropped(); d != 0 {
-				t.Fatalf("%s under %s: ring dropped %d events; the sum would be partial", app, proto, d)
-			}
-			var traced int64
-			for _, e := range ring.Events() {
-				if wire.IsWire(e.Kind) {
-					traced += int64(e.Arg)
-				}
-			}
-			counted := ctr.Load(stats.EvBytesSent) + ctr.Load(stats.EvBytesFetched)
-			if traced != counted {
-				t.Errorf("%s under %s: conservation violated: wire trace Args sum to %d bytes, counters report %d",
-					app, proto, traced, counted)
-			}
-			// The variant under test must actually have exercised its
-			// policy on this workload, or the invariant check is vacuous.
 			switch proto {
 			case coherence.ProtoCommutative:
-				if app == "RADIX" && ctr.Load(stats.EvCommMerges) == 0 {
+				if app == "RADIX" && r.Ctr.Load(stats.EvCommMerges) == 0 {
 					t.Error("commutative ran RADIX without a single merge")
 				}
 			case coherence.ProtoDelegate:
-				if app == "VOLREND" && ctr.Load(stats.EvDelegations) == 0 {
+				if app == "VOLREND" && r.Ctr.Load(stats.EvDelegations) == 0 {
 					t.Error("delegate ran VOLREND without a single delegation")
 				}
 			}

@@ -9,40 +9,6 @@ import (
 	"cables/internal/wire"
 )
 
-// TestWireConservationInvariant checks the op plane's accounting contract
-// end to end on both backends: every byte the counters report as sent or
-// fetched appears as the Arg of exactly one wire.* trace event, so the
-// retained trace ring (no drops) sums to the byte counters.
-func TestWireConservationInvariant(t *testing.T) {
-	for _, backend := range []string{BackendGenima, BackendCables} {
-		r := RunCell("FFT", backend, 4, ScaleTest, nil, CellOptions{}, Attach{Ring: 1 << 19})
-		res, ctr, ring := r.Res, r.Ctr, r.Ring
-		if r.Err != nil {
-			t.Fatalf("%s: %v", backend, r.Err)
-		}
-		if res.Checksum == 0 {
-			t.Fatalf("%s: empty run", backend)
-		}
-		if d := ring.Dropped(); d != 0 {
-			t.Fatalf("%s: ring dropped %d events; the sum would be partial", backend, d)
-		}
-		var traced int64
-		for _, e := range ring.Events() {
-			if wire.IsWire(e.Kind) {
-				traced += int64(e.Arg)
-			}
-		}
-		counted := ctr.Load(stats.EvBytesSent) + ctr.Load(stats.EvBytesFetched)
-		if traced != counted {
-			t.Errorf("%s: conservation violated: wire trace Args sum to %d bytes, counters report %d",
-				backend, traced, counted)
-		}
-		if traced == 0 {
-			t.Errorf("%s: no wire traffic traced; the invariant is vacuous", backend)
-		}
-	}
-}
-
 // releaseBurstWorkload is a strictly sequential (host-schedule-independent)
 // genima run in which each worker dirties many remote-homed pages inside
 // one critical section, so every release flushes a burst of diffs to one

@@ -131,7 +131,7 @@ func MustNew(name string) Protocol {
 }
 
 // genimaProtocol is the baseline: every hook is a no-op, so the engine
-// reproduces the pre-seam GeNIMA behavior bit for bit.  The zero-size
+// runs the paper's GeNIMA protocol.  The zero-size
 // struct keeps the per-diff MergeDiff consultation a trivial interface
 // call with no state access (TestGenimaDispatchAllocFree keeps it
 // allocation-free; bench.TestHostCostBudgets holds it at <=1% of a flush).

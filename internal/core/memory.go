@@ -317,8 +317,8 @@ func (m *MemManager) MigratePage(t *sim.Task, pid memsys.PageID, dst int) {
 	dc.Mu.Unlock()
 	sc.Mu.Unlock()
 	// The pull from the old home goes through the wire plane as a migrate
-	// op, so the move shows up in the trace (`migrate`, page id) and the
-	// pageMigrations counter instead of masquerading as a plain fetch.
+	// op, so the move counts as a pageMigration and opens a wire.migrate
+	// span instead of masquerading as a plain fetch.
 	m.rt.cl.Wire.Do(t, wire.Op{Kind: wire.KindMigrate, Dst: src, Size: memsys.PageSize, Arg: uint64(pid)})
 	m.rt.cl.Nodes[dst].ChargeMapSegment(t)
 	m.rt.proto.PublishInvalidate(dst, pid)

@@ -59,8 +59,8 @@ type Config struct {
 	// when placing new threads (the SPLASH CREATE/WAIT_FOR_END template).
 	CoordinatorMain bool
 	// Fault optionally injects deterministic faults (transient NIC
-	// failures, registration pressure, node lifecycle events); nil keeps
-	// every charge bit-identical to the fault-free build.
+	// failures, registration pressure, node lifecycle events); nil
+	// disables injection.
 	Fault *fault.Injector
 	// Wire selects the wire plane's opt-in mode (contended sync); the zero
 	// value reproduces the default schedule.
@@ -236,7 +236,7 @@ func (rt *Runtime) attachNode(t *sim.Task, node int) {
 	c := rt.cl.Costs
 	// A fault plan may delay the node's boot; the attaching thread blocks
 	// for the extra latency before the normal attach sequence begins.
-	if d := rt.cl.Fault.AttachDelay(node, t.Now()); d > 0 {
+	if d := rt.cl.Fault.AttachDelay(node); d > 0 {
 		t.Charge(sim.CatWait, d)
 	}
 	// Charged sequential chain (sums to the observed 3690 ms total).

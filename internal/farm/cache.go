@@ -9,9 +9,8 @@ import (
 )
 
 // CellResult is the cached, JSON-served outcome of one simulation cell.
-// It is immutable once stored: a cache hit serves exactly these bytes, so
-// repeated identical sweeps are bit-identical to the cold run that filled
-// the entry.
+// It is immutable once stored: a cache hit serves exactly these bytes
+// (TestCacheServesIdenticalResults compares warm and cold result bytes).
 type CellResult struct {
 	// Key is the cell's content address (CellKey.Hash) and Canonical the
 	// string it hashes — returned so clients can verify what they got.

@@ -97,14 +97,15 @@ func TestDrainCompletesInFlightRejectsQueued(t *testing.T) {
 		t.Errorf("done=%d rejected=%d, want 1 in-flight completed and 2 queued rejected", done, rejected)
 	}
 
-	snap := srv.StatsSnapshot()
-	if snap["cellsRejected"] != 2 || snap["cellsDone"] != 1 {
-		t.Errorf("stats after drain: %v", snap)
+	m := srv.metrics
+	if r, d := m.cellsRejected.Load(), m.cellsDone.Load(); r != 2 || d != 1 {
+		t.Errorf("terminal counters after drain: rejected %d done %d, want 2 and 1", r, d)
 	}
-	if snap["queueDepth"] != 0 || snap["cellsRunning"] != 0 {
-		t.Errorf("gauges nonzero after drain: %v", snap)
+	if q, r := m.queueDepth.Load(), m.cellsRunning.Load(); q != 0 || r != 0 {
+		t.Errorf("gauges nonzero after drain: queueDepth %d cellsRunning %d", q, r)
 	}
 	admissionInvariant(t, srv)
+	terminalInvariant(t, srv)
 
 	ts.Close()
 	waitGoroutines(t, base)
@@ -194,7 +195,7 @@ func TestQueueBoundRejectsSweeps(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := srv.Stats().SweepsRejected.Load(); got < 1 {
+	if got := srv.metrics.sweepsRejected.Load(); got < 1 {
 		t.Errorf("sweepsRejected = %d, want >= 1", got)
 	}
 }

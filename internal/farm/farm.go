@@ -15,14 +15,20 @@
 // concurrent clients are simulated exactly once.  The first request
 // simulates and fills the cache; concurrent duplicates coalesce onto the
 // in-flight simulation; later duplicates are served from cache
-// bit-identically — the workloads' deterministic checksums are the proof
-// that a cached result equals a fresh run.
+// (TestCacheServesIdenticalResults checks the cached bytes equal the cold
+// run's and the checksums equal fresh runs).
+//
+// Admission bounds what it allocates: a spec body is capped at 1 MiB and a
+// sweep of more cells than Config.MaxQueue is refused (413) before its
+// cells are expanded.
 //
 // On SIGTERM/SIGINT the farm drains gracefully: intake returns a retriable
 // 503, in-flight cells run to completion, queued cells are rejected with a
 // retriable status, and every worker goroutine exits (Server.Drain,
 // Server.DrainOnSignal).  Service-level counters and gauges — cells
-// queued/running, cache hits/misses/evictions, queue depth — are exported
-// at /v1/stats and documented in docs/SERVE.md and docs/OBSERVABILITY.md
-// (cmd/doccheck keeps both inventories in lock-step with the code).
+// admitted/running, cache hits/misses/evictions, queue depth — are
+// exported once, as Prometheus families at GET /metrics (metrics.go),
+// documented in docs/OBSERVABILITY.md (cmd/doccheck and
+// TestFamilyNamesMatchRegistry keep the inventory in lock-step with the
+// registry).
 package farm

@@ -88,12 +88,27 @@ func getBody(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
-// admissionInvariant checks cellsQueued == cacheHits+cellsCoalesced+cacheMisses.
+// admissionInvariant checks cellsAdmitted == cacheHits+cellsCoalesced+cacheMisses.
 func admissionInvariant(t *testing.T, s *Server) {
 	t.Helper()
-	snap := s.StatsSnapshot()
-	if snap["cellsQueued"] != snap["cacheHits"]+snap["cellsCoalesced"]+snap["cacheMisses"] {
-		t.Errorf("admission invariant broken: %v", snap)
+	m := s.metrics
+	admitted, hits, coalesced, misses := m.cellsAdmitted.Load(), m.cacheHits.Load(), m.cellsCoalesced.Load(), m.cacheMisses.Load()
+	if admitted != hits+coalesced+misses {
+		t.Errorf("admission invariant broken: admitted %d != hits %d + coalesced %d + misses %d",
+			admitted, hits, coalesced, misses)
+	}
+}
+
+// terminalInvariant checks, on an idle farm, that every admitted cell
+// reached exactly one terminal counter: cellsAdmitted == cellsDone +
+// cellsFailed + cellsRejected.
+func terminalInvariant(t *testing.T, s *Server) {
+	t.Helper()
+	m := s.metrics
+	admitted, done, failed, rejected := m.cellsAdmitted.Load(), m.cellsDone.Load(), m.cellsFailed.Load(), m.cellsRejected.Load()
+	if admitted != done+failed+rejected {
+		t.Errorf("terminal invariant broken: admitted %d != done %d + failed %d + rejected %d",
+			admitted, done, failed, rejected)
 	}
 }
 
@@ -117,7 +132,7 @@ func cacheServesIdenticalResults(t *testing.T) {
 	if n := len(cold.Cells); n != 4 {
 		t.Fatalf("cold sweep: %d cells, want 4", n)
 	}
-	misses := srv.Stats().CacheMisses.Load()
+	misses := srv.metrics.cacheMisses.Load()
 	if misses != 4 {
 		t.Fatalf("cold sweep: %d misses, want 4", misses)
 	}
@@ -142,11 +157,11 @@ func cacheServesIdenticalResults(t *testing.T) {
 	if warm.Status != "done" {
 		t.Fatalf("warm sweep: status %s", warm.Status)
 	}
-	if srv.Stats().CacheMisses.Load() != misses {
+	if srv.metrics.cacheMisses.Load() != misses {
 		t.Errorf("warm sweep re-simulated cells: misses %d -> %d",
-			misses, srv.Stats().CacheMisses.Load())
+			misses, srv.metrics.cacheMisses.Load())
 	}
-	if hits := srv.Stats().CacheHits.Load(); hits != 4 {
+	if hits := srv.metrics.cacheHits.Load(); hits != 4 {
 		t.Errorf("warm sweep: %d cache hits, want 4", hits)
 	}
 	for i, c := range warm.Cells {
@@ -188,7 +203,7 @@ func TestCacheNearMiss(t *testing.T) {
 	}
 
 	run(`{` + base + `}`)
-	misses := srv.Stats().CacheMisses.Load()
+	misses := srv.metrics.cacheMisses.Load()
 	if misses != 1 {
 		t.Fatalf("base sweep: %d misses, want 1", misses)
 	}
@@ -202,11 +217,11 @@ func TestCacheNearMiss(t *testing.T) {
 	} {
 		run(variant)
 		want := misses + int64(i) + 1
-		if got := srv.Stats().CacheMisses.Load(); got != want {
+		if got := srv.metrics.cacheMisses.Load(); got != want {
 			t.Errorf("variant %d (%s): misses %d, want %d (must not hit the cache)", i, variant, got, want)
 		}
 	}
-	total := srv.Stats().CacheMisses.Load()
+	total := srv.metrics.cacheMisses.Load()
 
 	// Code-irrelevant differences: a different seed with no fault plan is
 	// canonicalized away, and kind only changes rendering.
@@ -216,7 +231,7 @@ func TestCacheNearMiss(t *testing.T) {
 		`{` + base + `,"kind":"fig6"}`,
 	} {
 		run(same)
-		if got := srv.Stats().CacheMisses.Load(); got != total {
+		if got := srv.metrics.cacheMisses.Load(); got != total {
 			t.Errorf("spec %s: missed the cache (misses %d -> %d), want hit", same, total, got)
 		}
 	}
@@ -247,13 +262,11 @@ func TestConcurrentSweepsCoalesce(t *testing.T) {
 			t.Fatalf("sweep %s: status %s", id, sv.Status)
 		}
 	}
-	snap := srv.StatsSnapshot()
-	if snap["cacheMisses"] != 2 {
-		t.Errorf("misses = %d, want 2 (one per unique cell)", snap["cacheMisses"])
+	if misses := srv.metrics.cacheMisses.Load(); misses != 2 {
+		t.Errorf("misses = %d, want 2 (one per unique cell)", misses)
 	}
-	if snap["cellsCoalesced"]+snap["cacheHits"] != 4 {
-		t.Errorf("coalesced+hits = %d, want 4 (duplicate cells must not re-simulate): %v",
-			snap["cellsCoalesced"]+snap["cacheHits"], snap)
+	if dup := srv.metrics.cellsCoalesced.Load() + srv.metrics.cacheHits.Load(); dup != 4 {
+		t.Errorf("coalesced+hits = %d, want 4 (duplicate cells must not re-simulate)", dup)
 	}
 	admissionInvariant(t, srv)
 }
@@ -307,7 +320,6 @@ func TestRouteSurface(t *testing.T) {
 		"/healthz":                        http.StatusOK,
 		"/readyz":                         http.StatusOK,
 		"/metrics":                        http.StatusOK,
-		"/v1/stats":                       http.StatusOK,
 		"/v1/sweeps":                      http.StatusOK,
 		"/v1/sweeps/" + sv.ID:             http.StatusOK,
 		"/v1/sweeps/" + sv.ID + "/stream": http.StatusOK,
@@ -321,19 +333,48 @@ func TestRouteSurface(t *testing.T) {
 		}
 	}
 
-	// Bad specs are 400s, not panics.
-	for _, bad := range []string{
-		`{"apps":["NOPE"]}`, `{"scale":"huge"}`, `{"procs":[0]}`,
-		`{"plan":"bogus:zzz"}`, `{"sched":"event"}`, `{"coalesce":true}`, `{"unknownField":1}`, `not json`,
+	// Bad specs are non-retriable 4xx answers, not panics: malformed or
+	// invalid specs 400, and specs admission must not even expand 413 — a
+	// body over maxSpecBytes, and a sweep of more cells than MaxQueue.
+	manyProcs := "[1" + strings.Repeat(",1", 199999) + "]"
+	for _, tc := range []struct {
+		spec string
+		want int
+	}{
+		{`{"apps":["NOPE"]}`, http.StatusBadRequest},
+		{`{"scale":"huge"}`, http.StatusBadRequest},
+		{`{"procs":[0]}`, http.StatusBadRequest},
+		{`{"plan":"bogus:zzz"}`, http.StatusBadRequest},
+		{`{"sched":"event"}`, http.StatusBadRequest},
+		{`{"coalesce":true}`, http.StatusBadRequest},
+		{`{"unknownField":1}`, http.StatusBadRequest},
+		{`not json`, http.StatusBadRequest},
+		{`{"kind":"fig5"` + strings.Repeat(" ", maxSpecBytes) + `}`, http.StatusRequestEntityTooLarge},
+		{`{"procs":` + manyProcs + `}`, http.StatusRequestEntityTooLarge},
 	} {
-		resp, err := ts.Client().Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(bad))
+		resp, err := ts.Client().Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(tc.spec))
 		if err != nil {
 			t.Fatalf("POST bad spec: %v", err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %q: status %d, want 400", bad, resp.StatusCode)
+		var body struct {
+			Error     string `json:"error"`
+			Retriable bool   `json:"retriable"`
 		}
+		derr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		label := tc.spec
+		if len(label) > 40 {
+			label = label[:40] + "..."
+		}
+		if resp.StatusCode != tc.want {
+			t.Errorf("POST %q: status %d, want %d", label, resp.StatusCode, tc.want)
+		}
+		if derr != nil || body.Error == "" || body.Retriable || resp.Header.Get("Retry-After") != "" {
+			t.Errorf("POST %q: want the uniform non-retriable error body, got %+v (decode err %v)", label, body, derr)
+		}
+	}
+	if n := srv.metrics.cellsAdmitted.Load(); n != 1 {
+		t.Errorf("bad specs admitted cells: cellsAdmitted %d, want 1 (the one good sweep)", n)
 	}
 }
 
@@ -389,7 +430,7 @@ func TestRouteLiteralMatchesHandler(t *testing.T) {
 	if srv.Handler() == nil {
 		t.Fatal("Handler returned nil")
 	}
-	if len(routes) != 9 {
+	if len(routes) != 8 {
 		t.Errorf("routes literal has %d entries; update docs/SERVE.md and this pin together", len(routes))
 	}
 }

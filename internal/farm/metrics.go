@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"cables/internal/metrics"
-	"cables/internal/stats"
 )
 
 // familyNames lists every metric family the farm registers, as string
@@ -30,33 +29,47 @@ var familyNames = []string{
 	"cables_farm_queue_depth",
 	"cables_farm_sweeps_rejected_total",
 	"cables_farm_sweeps_total",
-	"cables_sim_events_total",
 }
 
 // Metrics is the farm's registry plus every instrument handle the server
-// touches.  Hot-path children (the cache-outcome and terminal-status
-// counters the admission path bumps per cell) are resolved once here and
-// cached in the legacy Stats view, per the internal/metrics discipline.
+// touches.  The children the admission and completion paths bump per sweep
+// or cell are resolved once here, per the internal/metrics discipline
+// (TestHostCostBudgets bounds that hot path); tests in this package read
+// them directly.
+//
+// Admission accounting: every cell of every accepted sweep increments
+// exactly one of cacheHits (served from the warm cache), cellsCoalesced
+// (joined an identical cell already queued or running) or cacheMisses (a
+// fresh simulation was enqueued), so cellsAdmitted == cacheHits +
+// cellsCoalesced + cacheMisses at all times, and once the farm is idle
+// cellsAdmitted == cellsDone + cellsFailed + cellsRejected
+// (docs/OBSERVABILITY.md §4 states both over the family names).
 type Metrics struct {
 	reg *metrics.Registry
 
+	sweeps         *metrics.Counter // sweeps accepted by POST /v1/sweeps
+	sweepsRejected *metrics.Counter // sweeps refused (draining or queue full)
+	cellsAdmitted  *metrics.Counter // cells admitted across all accepted sweeps
+	cacheHits      *metrics.Counter // cells served from the warm result cache
+	cacheMisses    *metrics.Counter // cells that enqueued a fresh simulation
+	cellsCoalesced *metrics.Counter // cells that joined an in-flight identical cell
+	cellsDone      *metrics.Counter // cells that reached status done
+	cellsFailed    *metrics.Counter // cells whose simulation failed
+	cellsRejected  *metrics.Counter // queued cells rejected retriable by a drain
+	cacheEvicted   *metrics.Counter // cache entries evicted by the LRU bound
+	queueDepth     *metrics.Gauge   // simulations queued behind the worker pool
+	cellsRunning   *metrics.Gauge   // simulations executing right now
+
 	// Labeled families the server resolves per call site.
-	cacheRequests *metrics.CounterVec   // outcome: hit | miss | coalesced
-	cellsTerminal *metrics.CounterVec   // outcome: done | failed | rejected
-	simEvents     *metrics.CounterVec   // event, app, backend, protocol
-	cellRun       *metrics.HistogramVec // app, backend, protocol, scale, outcome
-	httpRequest   *metrics.HistogramVec // route, code
-	queueWait     *metrics.Histogram
+	cellRun     *metrics.HistogramVec // app, backend, protocol, scale, outcome
+	httpRequest *metrics.HistogramVec // route, code
+	queueWait   *metrics.Histogram
 
 	// Gauges refreshed by the pool observer or at scrape time.
 	cacheEntries *metrics.Gauge
 	poolWorkers  *metrics.Gauge
 	poolUtil     *metrics.Gauge
 	draining     *metrics.Gauge
-
-	// stats holds the pre-resolved children behind the legacy /v1/stats
-	// counter names; Server.Stats() hands it to tests and the CLI.
-	stats Stats
 }
 
 // newMetrics builds the farm's registry and resolves the hot children.
@@ -64,32 +77,32 @@ func newMetrics() *Metrics {
 	r := metrics.NewRegistry()
 	m := &Metrics{reg: r}
 
-	m.stats.Sweeps = r.Counter("cables_farm_sweeps_total",
+	m.sweeps = r.Counter("cables_farm_sweeps_total",
 		"Sweeps accepted by POST /v1/sweeps.")
-	m.stats.SweepsRejected = r.Counter("cables_farm_sweeps_rejected_total",
+	m.sweepsRejected = r.Counter("cables_farm_sweeps_rejected_total",
 		"Sweeps refused (draining or queue full).")
-	m.stats.CellsQueued = r.Counter("cables_farm_cells_admitted_total",
+	m.cellsAdmitted = r.Counter("cables_farm_cells_admitted_total",
 		"Cells admitted across all accepted sweeps.")
 
-	m.cacheRequests = r.CounterVec("cables_farm_cache_requests_total",
+	cacheRequests := r.CounterVec("cables_farm_cache_requests_total",
 		"Admitted cells by cache outcome: hit (served warm), coalesced (joined an in-flight identical cell), miss (fresh simulation enqueued).",
 		"outcome")
-	m.stats.CacheHits = m.cacheRequests.With("hit")
-	m.stats.CacheMisses = m.cacheRequests.With("miss")
-	m.stats.CellsCoalesced = m.cacheRequests.With("coalesced")
+	m.cacheHits = cacheRequests.With("hit")
+	m.cacheMisses = cacheRequests.With("miss")
+	m.cellsCoalesced = cacheRequests.With("coalesced")
 
-	m.cellsTerminal = r.CounterVec("cables_farm_cells_terminal_total",
+	cellsTerminal := r.CounterVec("cables_farm_cells_terminal_total",
 		"Cells reaching a terminal status: done, failed, or rejected (drained before starting).",
 		"outcome")
-	m.stats.CellsDone = m.cellsTerminal.With("done")
-	m.stats.CellsFailed = m.cellsTerminal.With("failed")
-	m.stats.CellsRejected = m.cellsTerminal.With("rejected")
+	m.cellsDone = cellsTerminal.With("done")
+	m.cellsFailed = cellsTerminal.With("failed")
+	m.cellsRejected = cellsTerminal.With("rejected")
 
-	m.stats.CacheEvicted = r.Counter("cables_farm_cache_evictions_total",
+	m.cacheEvicted = r.Counter("cables_farm_cache_evictions_total",
 		"Result-cache entries evicted by the LRU bound.")
-	m.stats.QueueDepth = r.Gauge("cables_farm_queue_depth",
+	m.queueDepth = r.Gauge("cables_farm_queue_depth",
 		"Simulations queued behind the worker pool right now.")
-	m.stats.CellsRunning = r.Gauge("cables_farm_cells_running",
+	m.cellsRunning = r.Gauge("cables_farm_cells_running",
 		"Simulations executing right now.")
 
 	m.cacheEntries = r.Gauge("cables_farm_cache_entries",
@@ -111,25 +124,15 @@ func newMetrics() *Metrics {
 		"HTTP request handling latency by route pattern and status code.",
 		nil, "route", "code")
 
-	m.simEvents = r.CounterVec("cables_sim_events_total",
-		"Virtual-time simulation events folded from fresh cell completions, by event kind and cell identity (cache hits do not re-count).",
-		"event", "app", "backend", "protocol")
-
 	return m
 }
 
-// observeCell records one fresh cell completion: the run-latency histogram
-// sample and the fold of the cell's virtual-time counter snapshot into the
-// fleet aggregates.  Only runFlight calls it, so cache hits and coalesced
+// observeCell records one fresh cell completion in the run-latency
+// histogram.  Only runFlight calls it, so cache hits and coalesced
 // subscribers never double-count.
-func (m *Metrics) observeCell(k CellKey, outcome string, hostSeconds float64, ctr stats.Snapshot) {
+func (m *Metrics) observeCell(k CellKey, outcome string, hostSeconds float64) {
 	m.cellRun.With(k.App, k.Backend, k.Protocol, k.Scale, outcome).
 		Observe(hostSeconds)
-	for event, n := range ctr {
-		if n != 0 {
-			m.simEvents.With(event, k.App, k.Backend, k.Protocol).Add(n)
-		}
-	}
 }
 
 // observeRequest records one handled HTTP request.

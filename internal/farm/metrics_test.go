@@ -97,11 +97,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		map[string]string{"app": "FFT", "backend": "genima", "outcome": "done"}); !ok || got != 2 {
 		t.Errorf("cell_run count = %v ok=%t, want 2", got, ok)
 	}
-	// The sim-counter bridge folded each fresh cell's snapshot once.
-	if got, ok := s.Value("cables_sim_events_total",
-		map[string]string{"event": "pageFaults", "app": "FFT"}); !ok || got != 6 {
-		t.Errorf("sim_events pageFaults = %v ok=%t, want 6", got, ok)
-	}
 	// Queue-wait histogram saw both pool jobs.
 	if got, ok := s.Value("cables_farm_cell_queue_wait_seconds_count", nil); !ok || got != 2 {
 		t.Errorf("queue_wait count = %v ok=%t, want 2", got, ok)
@@ -117,45 +112,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v, ok := s.Value("cables_farm_pool_workers", nil); !ok || v != 2 {
 		t.Errorf("pool_workers = %v ok=%t, want 2", v, ok)
 	}
-}
-
-// TestStatsAliasesMetrics pins the no-drift satellite: every /v1/stats
-// counter equals the corresponding /metrics sample, because both read the
-// same registry instruments.
-func TestStatsAliasesMetrics(t *testing.T) {
-	srv, ts := newTestFarm(t, Config{Jobs: 1})
-	srv.runCell = func(k CellKey) *CellResult { return &CellResult{} }
-	spec := `{"apps":["FFT"],"procs":[1,2,3],"backends":["genima"],"scale":"test"}`
-	waitSweep(t, ts, postSweep(t, ts, spec).ID)
-	waitSweep(t, ts, postSweep(t, ts, spec).ID)
-
-	snap := srv.StatsSnapshot()
-	s := scrape(t, ts.Client(), ts.URL)
-	for key, sample := range map[string]struct {
-		name   string
-		labels map[string]string
-	}{
-		"sweeps":         {"cables_farm_sweeps_total", nil},
-		"sweepsRejected": {"cables_farm_sweeps_rejected_total", nil},
-		"cellsQueued":    {"cables_farm_cells_admitted_total", nil},
-		"cacheHits":      {"cables_farm_cache_requests_total", map[string]string{"outcome": "hit"}},
-		"cacheMisses":    {"cables_farm_cache_requests_total", map[string]string{"outcome": "miss"}},
-		"cellsCoalesced": {"cables_farm_cache_requests_total", map[string]string{"outcome": "coalesced"}},
-		"cellsDone":      {"cables_farm_cells_terminal_total", map[string]string{"outcome": "done"}},
-		"cellsFailed":    {"cables_farm_cells_terminal_total", map[string]string{"outcome": "failed"}},
-		"cellsRejected":  {"cables_farm_cells_terminal_total", map[string]string{"outcome": "rejected"}},
-		"cacheEvicted":   {"cables_farm_cache_evictions_total", nil},
-		"cacheEntries":   {"cables_farm_cache_entries", nil},
-		"queueDepth":     {"cables_farm_queue_depth", nil},
-		"cellsRunning":   {"cables_farm_cells_running", nil},
-	} {
-		got, ok := s.Value(sample.name, sample.labels)
-		if !ok || int64(got) != snap[key] {
-			t.Errorf("stats %q = %d but %s%v = %v ok=%t",
-				key, snap[key], sample.name, sample.labels, got, ok)
-		}
-	}
-	admissionInvariant(t, srv)
 }
 
 // TestConcurrentScrapes scrapes /metrics from two goroutines while a sweep

@@ -66,7 +66,7 @@ func TestCacheNearMissProtocol(t *testing.T) {
 	}
 
 	run(`{` + base + `}`)
-	misses := srv.Stats().CacheMisses.Load()
+	misses := srv.metrics.cacheMisses.Load()
 	if misses != 1 {
 		t.Fatalf("base sweep: %d misses, want 1", misses)
 	}
@@ -77,15 +77,15 @@ func TestCacheNearMissProtocol(t *testing.T) {
 	} {
 		run(variant)
 		want := misses + int64(i) + 1
-		if got := srv.Stats().CacheMisses.Load(); got != want {
+		if got := srv.metrics.cacheMisses.Load(); got != want {
 			t.Errorf("variant %d (%s): misses %d, want %d (must not hit the cache)", i, variant, got, want)
 		}
 	}
-	total := srv.Stats().CacheMisses.Load()
+	total := srv.metrics.cacheMisses.Load()
 
 	// Naming the default is code-irrelevant: same key, cache hit.
 	run(`{` + base + `,"protocol":"genima"}`)
-	if got := srv.Stats().CacheMisses.Load(); got != total {
+	if got := srv.metrics.cacheMisses.Load(); got != total {
 		t.Errorf(`explicit "genima" missed the cache (misses %d -> %d), want hit`, total, got)
 	}
 

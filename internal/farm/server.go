@@ -2,6 +2,7 @@ package farm
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -28,8 +29,9 @@ type Config struct {
 	// 4096 entries, LRU eviction).
 	CacheEntries int
 	// MaxQueue bounds admitted-but-unstarted simulations; a sweep that
-	// would push the queue past it is refused with a retriable 503
-	// (default 65536).
+	// would push the queue past it is refused with a retriable 503, and a
+	// sweep of more than MaxQueue cells, which could never fit, with a
+	// non-retriable 413 (default 65536).
 	MaxQueue int
 	// Logger receives one structured record per handled HTTP request
 	// (request id, method, route, status, duration) plus sweep-lifecycle
@@ -45,7 +47,6 @@ var routes = []string{
 	"GET /healthz",
 	"GET /readyz",
 	"GET /metrics",
-	"GET /v1/stats",
 	"POST /v1/sweeps",
 	"GET /v1/sweeps",
 	"GET /v1/sweeps/{id}",
@@ -70,7 +71,6 @@ type Server struct {
 	pool    *bench.Pool
 	cache   *Cache
 	metrics *Metrics
-	stats   *Stats // legacy handles into s.metrics' registry
 	logger  *slog.Logger
 	reqID   atomic.Int64
 
@@ -147,31 +147,18 @@ func New(cfg Config) *Server {
 	if s.logger == nil {
 		s.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	s.stats = &s.metrics.stats
-	s.cache = NewCache(cfg.CacheEntries, func() { s.stats.CacheEvicted.Add(1) })
+	s.cache = NewCache(cfg.CacheEntries, func() { s.metrics.cacheEvicted.Add(1) })
 	workers := s.pool.Workers()
 	s.metrics.poolWorkers.Set(int64(workers))
 	s.pool.SetObserver(func(queued, running int) {
-		s.stats.QueueDepth.Set(int64(queued))
-		s.stats.CellsRunning.Set(int64(running))
+		s.metrics.queueDepth.Set(int64(queued))
+		s.metrics.cellsRunning.Set(int64(running))
 		s.metrics.poolUtil.Set(int64(running * 100 / workers))
 	})
 	s.pool.SetJobObserver(func(wait, run time.Duration) {
 		s.metrics.queueWait.Observe(wait.Seconds())
 	})
 	return s
-}
-
-// Stats exposes the service counters (tests and the CLI read them).  The
-// handles alias the same registry instruments `GET /metrics` renders.
-func (s *Server) Stats() *Stats { return s.stats }
-
-// StatsSnapshot is the /v1/stats payload: every Stats key plus the cache's
-// current entry count.
-func (s *Server) StatsSnapshot() map[string]int64 {
-	snap := s.stats.Snapshot()
-	snap["cacheEntries"] = int64(s.cache.Len())
-	return snap
 }
 
 // Draining reports whether a drain has begun.
@@ -209,7 +196,7 @@ func (s *Server) Drain() {
 		for _, ref := range f.subs {
 			ref.retriable = true
 			s.completeRef(ref, CellRejected, nil)
-			s.stats.CellsRejected.Add(1)
+			s.metrics.cellsRejected.Add(1)
 		}
 		delete(s.inflight, hash)
 	}
@@ -244,7 +231,6 @@ func (s *Server) Handler() http.Handler {
 		"GET /healthz":               s.handleHealth,
 		"GET /readyz":                s.handleReady,
 		"GET /metrics":               s.handleMetrics,
-		"GET /v1/stats":              s.handleStats,
 		"POST /v1/sweeps":            s.handleSubmit,
 		"GET /v1/sweeps":             s.handleList,
 		"GET /v1/sweeps/{id}":        s.handleSweep,
@@ -342,15 +328,27 @@ func runCellSim(k CellKey) *CellResult {
 
 // ---- admission ----
 
+// maxSpecBytes bounds a POST /v1/sweeps body; a larger one is refused with
+// a non-retriable 413 before it is decoded in full.
+const maxSpecBytes = 1 << 20
+
 // handleSubmit admits one sweep: expand the spec into cells, serve what the
 // cache already holds, coalesce onto in-flight identical cells, and enqueue
 // the rest.  The response is the full sweep view (202) so clients see the
-// cache classification immediately.
+// cache classification immediately.  Admission bounds its own allocation:
+// the body is capped at maxSpecBytes, and a sweep of more than MaxQueue
+// cells is refused before it is expanded.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("spec body exceeds %d bytes", maxSpecBytes), false)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad spec JSON: "+err.Error(), false)
 		return
 	}
@@ -358,17 +356,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error(), false)
 		return
 	}
+	if n := spec.numCells(); n > s.cfg.MaxQueue {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("sweep has %d cells, more than the queue bound %d", n, s.cfg.MaxQueue), false)
+		return
+	}
 	cells := spec.Cells()
 
 	s.mu.Lock()
 	if s.draining {
-		s.stats.SweepsRejected.Add(1)
+		s.metrics.sweepsRejected.Add(1)
 		s.mu.Unlock()
 		writeError(w, http.StatusServiceUnavailable, "server is draining", true)
 		return
 	}
-	if s.stats.QueueDepth.Load()+int64(len(cells)) > int64(s.cfg.MaxQueue) {
-		s.stats.SweepsRejected.Add(1)
+	if s.metrics.queueDepth.Load()+int64(len(cells)) > int64(s.cfg.MaxQueue) {
+		s.metrics.sweepsRejected.Add(1)
 		s.mu.Unlock()
 		writeError(w, http.StatusServiceUnavailable, "queue is full", true)
 		return
@@ -388,7 +391,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		sw.refs[i] = ref
 		if res, ok := s.cache.Get(ref.hash); ok {
 			ref.cached = true
-			s.stats.CacheHits.Add(1)
+			s.metrics.cacheHits.Add(1)
 			s.completeRef(ref, terminalStatus(res), res)
 			continue
 		}
@@ -397,24 +400,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			if f.started {
 				ref.status = CellRunning
 			}
-			s.stats.CellsCoalesced.Add(1)
+			s.metrics.cellsCoalesced.Add(1)
 			s.appendCellEvent(ref)
 			continue
 		}
 		f := &flight{key: k, hash: ref.hash, subs: []*cellRef{ref}}
 		s.inflight[ref.hash] = f
-		s.stats.CacheMisses.Add(1)
+		s.metrics.cacheMisses.Add(1)
 		s.appendCellEvent(ref)
 		if err := s.pool.Submit(func() { s.runFlight(f) }); err != nil {
 			// A concurrent drain won the race; reject like any queued cell.
 			ref.retriable = true
 			s.completeRef(ref, CellRejected, nil)
-			s.stats.CellsRejected.Add(1)
+			s.metrics.cellsRejected.Add(1)
 			delete(s.inflight, ref.hash)
 		}
 	}
-	s.stats.Sweeps.Add(1)
-	s.stats.CellsQueued.Add(int64(len(cells)))
+	s.metrics.sweeps.Add(1)
+	s.metrics.cellsAdmitted.Add(int64(len(cells)))
 	body := s.sweepViewLocked(sw)
 	s.mu.Unlock()
 
@@ -444,10 +447,8 @@ func (s *Server) runFlight(f *flight) {
 	res.HostNS = time.Since(start).Nanoseconds()
 	// Fresh completions (and only fresh completions — cache hits and
 	// coalesced subscribers share this one execution) feed the run-latency
-	// histogram and fold the cell's virtual-time counters into the fleet
-	// aggregates.
-	s.metrics.observeCell(f.key, terminalStatus(res),
-		float64(res.HostNS)/1e9, res.Counters)
+	// histogram.
+	s.metrics.observeCell(f.key, terminalStatus(res), float64(res.HostNS)/1e9)
 
 	s.mu.Lock()
 	s.cache.Put(f.hash, res)
@@ -475,9 +476,9 @@ func (s *Server) completeRef(ref *cellRef, status string, res *CellResult) {
 	ref.res = res
 	switch status {
 	case CellDone:
-		s.stats.CellsDone.Add(1)
+		s.metrics.cellsDone.Add(1)
 	case CellFailed:
-		s.stats.CellsFailed.Add(1)
+		s.metrics.cellsFailed.Add(1)
 	}
 	s.appendCellEvent(ref)
 	ref.sw.remaining--
@@ -618,16 +619,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_ = s.metrics.reg.WritePrometheus(w)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"counters": s.StatsSnapshot(),
-		"draining": draining,
-	})
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

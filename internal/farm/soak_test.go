@@ -49,32 +49,33 @@ func TestServeSoak(t *testing.T) {
 	for id := range idCh {
 		ids = append(ids, id)
 	}
-	depth := srv.Stats().QueueDepth.Load()
+	depth := srv.metrics.queueDepth.Load()
 	close(gate)
 	for _, id := range ids {
 		if sv := waitSweep(t, ts, id); sv.Status != "done" {
 			t.Fatalf("sweep %s: status %s", id, sv.Status)
 		}
 	}
-	snap := srv.StatsSnapshot()
-	if snap["cellsQueued"] < sweeps*perSweep {
-		t.Fatalf("queued %d cells, want >= %d", snap["cellsQueued"], sweeps*perSweep)
+	m := srv.metrics
+	admitted := m.cellsAdmitted.Load()
+	if admitted < sweeps*perSweep {
+		t.Fatalf("admitted %d cells, want >= %d", admitted, sweeps*perSweep)
 	}
-	if snap["cacheMisses"] != sweeps*perSweep {
-		t.Errorf("distinct-cell phase: %d misses, want %d", snap["cacheMisses"], sweeps*perSweep)
+	missesBefore := m.cacheMisses.Load()
+	if missesBefore != sweeps*perSweep {
+		t.Errorf("distinct-cell phase: %d misses, want %d", missesBefore, sweeps*perSweep)
 	}
 	if depth < 1000 {
 		t.Errorf("queue depth reached %d; the soak never sustained >= 1000 queued cells", depth)
 	}
-	if d := srv.Stats().QueueDepth.Load(); d != 0 {
+	if d := srv.metrics.queueDepth.Load(); d != 0 {
 		t.Errorf("queue depth %d after every sweep finished, want 0", d)
 	}
-	t.Logf("distinct phase: %d cells, queue depth %d behind the gate", snap["cellsQueued"], depth)
+	t.Logf("distinct phase: %d cells, queue depth %d behind the gate", admitted, depth)
 
 	// Phase 2: repeat one 4-cell sweep as often; after the first, every
 	// cell must be a hit or a coalesce — assert a >= 99%% hit ratio.
 	repeated := `{"apps":["LU"],"procs":[1,4],"backends":["genima","cables"],"scale":"test"}`
-	missesBefore := snap["cacheMisses"]
 	ids = ids[:0]
 	for i := 0; i < sweeps; i++ {
 		ids = append(ids, postSweep(t, ts, repeated).ID)
@@ -84,8 +85,7 @@ func TestServeSoak(t *testing.T) {
 			t.Fatalf("repeated sweep %s: status %s", id, sv.Status)
 		}
 	}
-	snap = srv.StatsSnapshot()
-	newMisses := snap["cacheMisses"] - missesBefore
+	newMisses := m.cacheMisses.Load() - missesBefore
 	if newMisses != perSweep {
 		t.Errorf("repeated phase: %d misses, want exactly %d (one per unique cell)", newMisses, perSweep)
 	}
@@ -96,6 +96,7 @@ func TestServeSoak(t *testing.T) {
 	}
 	t.Logf("repeated phase: hit ratio %.4f (%d served, %d simulated)", ratio, served, newMisses)
 	admissionInvariant(t, srv)
+	terminalInvariant(t, srv)
 
 	// Bounded memory: with the LRU holding at most CacheEntries test-scale
 	// results, the heap must stay far under any runaway threshold.
@@ -105,7 +106,7 @@ func TestServeSoak(t *testing.T) {
 	if ms.HeapAlloc > 512<<20 {
 		t.Errorf("heap ballooned to %d MiB after soak", ms.HeapAlloc>>20)
 	}
-	t.Logf("heap after soak: %d MiB, cache entries %d", ms.HeapAlloc>>20, snap["cacheEntries"])
+	t.Logf("heap after soak: %d MiB, cache entries %d", ms.HeapAlloc>>20, srv.cache.Len())
 
 	// Clean SIGTERM drain, no stragglers.
 	drained := srv.DrainOnSignal(syscall.SIGTERM)

@@ -13,7 +13,7 @@ import (
 // Spec is one experiment sweep request, the JSON body of POST /v1/sweeps.
 // Every field is optional; zero values select the batch CLI's defaults.
 // docs/SERVE.md is the authoritative schema reference (cmd/doccheck keeps
-// it in lock-step with the routes and stats keys).
+// it in lock-step with the routes).
 type Spec struct {
 	// Kind selects the artifact the cells feed: "fig5" (default, results
 	// only), "fig6" (same cells; clients read the misplacement fields) or
@@ -125,11 +125,16 @@ func (s *Spec) Normalize() error {
 	return nil
 }
 
+// numCells is the number of cells the normalized spec expands to (Cells
+// keeps duplicate list entries, so this is the plain product).  Admission
+// checks it against the queue bound before allocating the expansion.
+func (s Spec) numCells() int { return len(s.Apps) * len(s.Procs) * len(s.Backends) }
+
 // Cells expands the normalized spec into its cell keys in deterministic
 // sweep order: apps outermost, then procs, then backends (the batch CLI's
 // order, so assembled sweep responses line up with the figures).
 func (s Spec) Cells() []CellKey {
-	cells := make([]CellKey, 0, len(s.Apps)*len(s.Procs)*len(s.Backends))
+	cells := make([]CellKey, 0, s.numCells())
 	for _, app := range s.Apps {
 		for _, p := range s.Procs {
 			for _, b := range s.Backends {

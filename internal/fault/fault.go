@@ -12,8 +12,12 @@
 // FAILED, in the bench harness).
 //
 // A nil *Injector disables all injection: consumers guard every hook with a
-// nil check, and the simulator's virtual-time charges stay bit-identical to
-// a build without the package.
+// nil check, so a run without a plan charges exactly what a run under an
+// empty plan does (bench.TestFaultsDisabledBitIdentical compares the two
+// with ==).
+//
+// Every injection is recorded once, in stats.Counters (EvFaultsInjected
+// plus the per-class event), and in the injector's own tally (Injected).
 package fault
 
 import (
@@ -21,7 +25,6 @@ import (
 
 	"cables/internal/sim"
 	"cables/internal/stats"
-	"cables/internal/trace"
 )
 
 // Retry policy constants shared by the VMMC data-plane retry loops.
@@ -60,13 +63,11 @@ type Injector struct {
 	keys []uint64
 
 	ctr   *stats.Counters
-	ring  atomic.Pointer[trace.Ring]
 	total atomic.Int64 // injections observed (DEGRADED detection)
 
 	// detachSeen[n] flips once when node n's detach is first observed, so
-	// the detach trace/counter event records exactly once, timestamped at
-	// the plan's detach instant (deterministic even though the observing
-	// query races).
+	// the detach counter records exactly once (deterministic even though
+	// the observing query races).
 	detachSeen []atomic.Bool
 }
 
@@ -91,9 +92,6 @@ func (j *Injector) Seed() uint64 { return j.seed }
 // per-class retry/loss events).  Call once during cluster construction.
 func (j *Injector) BindCounters(ctr *stats.Counters) { j.ctr = ctr }
 
-// BindTrace routes fault events into ring (kinds inject/detach/rehome/rereg).
-func (j *Injector) BindTrace(ring *trace.Ring) { j.ring.Store(ring) }
-
 // Injected reports how many faults have fired so far.  The bench harness
 // renders a cell DEGRADED (instead of a bare time) when this is non-zero.
 func (j *Injector) Injected() int64 {
@@ -117,16 +115,13 @@ func (j *Injector) decide(i, src, dst, attempt int, now sim.Time, p float64) boo
 	return float64(x>>11)/(1<<53) < p
 }
 
-// note records one injection: bumps the stats counter ev on node, the
-// global injected tally, and appends a trace event.
-func (j *Injector) note(node int, ev stats.Event, kind trace.Kind, at sim.Time, arg uint64) {
+// note records one injection: bumps the stats counter ev on node and the
+// global injected tally.
+func (j *Injector) note(node int, ev stats.Event) {
 	j.total.Add(1)
 	if j.ctr != nil {
 		j.ctr.Add(node, stats.EvFaultsInjected, 1)
 		j.ctr.Add(node, ev, 1)
-	}
-	if r := j.ring.Load(); r != nil {
-		r.Add(at, node, kind, arg)
 	}
 }
 
@@ -142,7 +137,7 @@ func (j *Injector) fail(k RuleKind, src, dst, attempt int, now sim.Time, ev stat
 			continue
 		}
 		if j.decide(i, src, dst, attempt, now, r.P) {
-			j.note(src, ev, trace.KindInject, now, uint64(dst))
+			j.note(src, ev)
 			return true
 		}
 	}
@@ -184,12 +179,12 @@ func (j *Injector) RegReserve(node int, now sim.Time) int64 {
 }
 
 // NoteRegRecovery records one completed deregister/re-register recovery
-// cycle on node at instant now (region id in arg).
-func (j *Injector) NoteRegRecovery(node int, now sim.Time, region uint64) {
+// cycle on node.
+func (j *Injector) NoteRegRecovery(node int) {
 	if j == nil {
 		return
 	}
-	j.note(node, stats.EvRegRecoveries, trace.KindRereg, now, region)
+	j.note(node, stats.EvRegRecoveries)
 }
 
 // DetachAt returns the virtual instant node detaches, or 0 if the plan
@@ -208,8 +203,7 @@ func (j *Injector) DetachAt(node int) sim.Time {
 }
 
 // Detached reports whether node has detached by virtual instant now.  The
-// first observation records the detach through stats/trace, timestamped at
-// the plan's detach instant.
+// first observation records the detach in the counters.
 func (j *Injector) Detached(node int, now sim.Time) bool {
 	if j == nil {
 		return false
@@ -219,14 +213,14 @@ func (j *Injector) Detached(node int, now sim.Time) bool {
 		return false
 	}
 	if node < len(j.detachSeen) && j.detachSeen[node].CompareAndSwap(false, true) {
-		j.note(node, stats.EvNodeDetaches, trace.KindDetach, at, uint64(node))
+		j.note(node, stats.EvNodeDetaches)
 	}
 	return true
 }
 
 // AttachDelay returns the extra virtual latency the plan imposes on node's
 // attach, recording the injection if non-zero.
-func (j *Injector) AttachDelay(node int, now sim.Time) sim.Time {
+func (j *Injector) AttachDelay(node int) sim.Time {
 	if j == nil {
 		return 0
 	}
@@ -238,24 +232,21 @@ func (j *Injector) AttachDelay(node int, now sim.Time) sim.Time {
 		}
 	}
 	if d > 0 {
-		j.note(node, stats.EvAttachDelays, trace.KindInject, now, uint64(node))
+		j.note(node, stats.EvAttachDelays)
 	}
 	return d
 }
 
-// NoteRehome records protocol state (lock, barrier, or page — arg
-// identifies it) re-homing from a detached node to node at instant now.
-// The caller bumps the specific EvLockRehomes/EvBarrierRehomes/EvPageRehomes
-// counter; this adds the shared tally and trace event.
-func (j *Injector) NoteRehome(node int, now sim.Time, arg uint64) {
+// NoteRehome records protocol state (a lock, barrier or page) re-homing
+// from a detached node to node.  The caller bumps the specific
+// EvLockRehomes/EvBarrierRehomes/EvPageRehomes counter; this adds the
+// shared tally.
+func (j *Injector) NoteRehome(node int) {
 	if j == nil {
 		return
 	}
 	j.total.Add(1)
 	if j.ctr != nil {
 		j.ctr.Add(node, stats.EvFaultsInjected, 1)
-	}
-	if r := j.ring.Load(); r != nil {
-		r.Add(now, node, trace.KindRehome, arg)
 	}
 }

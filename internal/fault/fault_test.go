@@ -6,7 +6,6 @@ import (
 
 	"cables/internal/sim"
 	"cables/internal/stats"
-	"cables/internal/trace"
 )
 
 func TestParsePlanRoundTrip(t *testing.T) {
@@ -212,9 +211,7 @@ func TestRegReserveWindows(t *testing.T) {
 func TestDetachedRecordsOnce(t *testing.T) {
 	j := New(MustParsePlan("detach:node=2,at=10ms"), 1)
 	ctr := stats.NewCounters(4)
-	ring := trace.NewRing(16)
 	j.BindCounters(ctr)
-	j.BindTrace(ring)
 	if j.Detached(2, 5*sim.Millisecond) {
 		t.Error("detached before the plan instant")
 	}
@@ -232,10 +229,6 @@ func TestDetachedRecordsOnce(t *testing.T) {
 	if got := ctr.Load(stats.EvNodeDetaches); got != 1 {
 		t.Errorf("detach recorded %d times, want once", got)
 	}
-	evs := ring.Events()
-	if len(evs) != 1 || evs[0].Kind != trace.KindDetach || evs[0].At != 10*sim.Millisecond {
-		t.Errorf("detach trace event: %v (want one KindDetach at the plan instant)", evs)
-	}
 	if j.DetachAt(2) != 10*sim.Millisecond || j.DetachAt(0) != 0 {
 		t.Error("DetachAt wrong")
 	}
@@ -243,10 +236,10 @@ func TestDetachedRecordsOnce(t *testing.T) {
 
 func TestAttachDelay(t *testing.T) {
 	j := New(MustParsePlan("attach:node=2,delay=500ms"), 1)
-	if d := j.AttachDelay(1, 0); d != 0 {
+	if d := j.AttachDelay(1); d != 0 {
 		t.Errorf("undelayed node: %v", d)
 	}
-	if d := j.AttachDelay(2, 0); d != 500*sim.Millisecond {
+	if d := j.AttachDelay(2); d != 500*sim.Millisecond {
 		t.Errorf("delayed node: %v, want 500ms", d)
 	}
 	if j.Injected() != 1 {
@@ -261,7 +254,7 @@ func TestNilInjectorNoOps(t *testing.T) {
 	if j.FailSend(0, 1, 0, 0) || j.FailFetch(0, 1, 0, 0) || j.LoseNotify(0, 1, 0, 0) {
 		t.Error("nil injector failed an operation")
 	}
-	if j.RegReserve(0, 0) != 0 || j.AttachDelay(0, 0) != 0 {
+	if j.RegReserve(0, 0) != 0 || j.AttachDelay(0) != 0 {
 		t.Error("nil injector applied pressure or delay")
 	}
 	if j.Detached(0, 0) || j.DetachAt(0) != 0 {
@@ -270,24 +263,19 @@ func TestNilInjectorNoOps(t *testing.T) {
 	if j.Injected() != 0 {
 		t.Error("nil injector injected")
 	}
-	j.NoteRegRecovery(0, 0, 0) // must not panic
-	j.NoteRehome(0, 0, 0)
+	j.NoteRegRecovery(0) // must not panic
+	j.NoteRehome(0)
 }
 
 func TestInjectionCountersAndTrace(t *testing.T) {
 	j := New(MustParsePlan("send:p=1"), 7)
 	ctr := stats.NewCounters(2)
-	ring := trace.NewRing(8)
 	j.BindCounters(ctr)
-	j.BindTrace(ring)
 	if !j.FailSend(0, 1, 0, 100) {
 		t.Fatal("p=1 send did not fail")
 	}
 	if ctr.Load(stats.EvFaultsInjected) != 1 || ctr.Load(stats.EvSendRetries) != 1 {
 		t.Errorf("counters: %s", ctr)
-	}
-	if c := ring.Counts(); c[trace.KindInject] != 1 {
-		t.Errorf("trace counts: %v", c)
 	}
 	if j.Injected() != 1 {
 		t.Errorf("injected: %d", j.Injected())

@@ -33,7 +33,6 @@ import (
 	"cables/internal/profile"
 	"cables/internal/sim"
 	"cables/internal/stats"
-	"cables/internal/trace"
 	"cables/internal/wire"
 )
 
@@ -127,10 +126,6 @@ type Protocol struct {
 	// (node that faulted, page).  CableS's migration policy counts these.
 	OnRemoteFault func(node int, pid memsys.PageID)
 
-	// Trace, if set, receives protocol events (faults, diffs,
-	// invalidations, synchronization) with virtual timestamps.
-	Trace *trace.Ring
-
 	// Epochs, if set (bench.AttachProfiler), snapshots the run's counters
 	// at every barrier release, windowing them into per-epoch deltas.
 	Epochs *stats.EpochLog
@@ -219,9 +214,6 @@ func (p *Protocol) validate(t *sim.Task, pid memsys.PageID) *memsys.PageCopy {
 	defer t.CloseSpan()
 	ctr.Add(node, stats.EvPageFaults, 1)
 	t.Charge(sim.CatLocal, costs.FaultHandler)
-	if p.Trace != nil {
-		p.Trace.Add(t.Now(), node, trace.KindFault, uint64(pid))
-	}
 
 	home := p.homeOf(t, pid)
 	pc := p.sp.Copy(node, pid)
@@ -292,16 +284,13 @@ func (p *Protocol) validate(t *sim.Task, pid memsys.PageID) *memsys.PageCopy {
 			// Adopting the page remaps it into this node's home region.
 			t.Charge(sim.CatLocalOS, costs.OSMapSegment)
 			ctr.Add(node, stats.EvPageRehomes, 1)
-			p.cl.Fault.NoteRehome(node, t.Now(), uint64(pid))
+			p.cl.Fault.NoteRehome(node)
 			p.PublishInvalidate(node, pid)
 		}
 		ctr.Add(node, stats.EvRemotePageFaults, 1)
 		p.pol.PageFetch(node, pid, home)
 		if p.OnRemoteFault != nil {
 			p.OnRemoteFault(node, pid)
-		}
-		if p.Trace != nil {
-			p.Trace.Add(t.Now(), node, trace.KindRemoteFill, uint64(pid))
 		}
 		t.MarkSpan(uint8(profile.MarkFill), uint64(pid), uint64(memsys.PageSize))
 		pc.SetValid(true)
@@ -326,7 +315,7 @@ func (p *Protocol) WriteFault(t *sim.Task, pid memsys.PageID) {
 			// Twin capture is a reference on the current frame, not a page
 			// copy — the first store unshares the frame and the twin keeps
 			// the pristine image.  The paper's system memcpy'd here, so the
-			// virtual page-copy cost is still charged (bit-identity).
+			// virtual page-copy cost is still charged.
 			pc.CaptureTwin()
 			t.Charge(sim.CatLocal, sim.Time(memsys.PageSize)) // twin copy
 		}
@@ -441,13 +430,7 @@ func (p *Protocol) flushPage(t *sim.Task, node int, pid memsys.PageID, merge map
 		pc.SetWritten(false)
 		return false
 	}
-	if p.diffToHome(t, node, pid, pc, merge) == 0 {
-		return false
-	}
-	if p.Trace != nil {
-		p.Trace.Add(t.Now(), node, trace.KindDiff, uint64(pid))
-	}
-	return true
+	return p.diffToHome(t, node, pid, pc, merge) != 0
 }
 
 // diffToHome runs the diff kernel for pc against its twin, merges the dirty
@@ -564,9 +547,6 @@ func (p *Protocol) ApplyAcquire(t *sim.Task) {
 			if pc.Valid() {
 				pc.SetValid(false)
 				p.cl.Ctr.Add(node, stats.EvInvalidations, 1)
-				if p.Trace != nil {
-					p.Trace.Add(t.Now(), node, trace.KindInvalidate, uint64(pid))
-				}
 			}
 			pc.RetireTwin(p.sp)
 			// With the flush lock held exclusively no reader or writer is
@@ -623,9 +603,6 @@ func (p *Protocol) dropCopies(t *sim.Task, node int, pages []memsys.PageID) {
 		if pc.Valid() {
 			pc.SetValid(false)
 			p.cl.Ctr.Add(node, stats.EvInvalidations, 1)
-			if p.Trace != nil {
-				p.Trace.Add(t.Now(), node, trace.KindInvalidate, uint64(pid))
-			}
 		}
 		pc.RetireTwin(p.sp)
 		pc.RetireData(p.sp)

@@ -7,7 +7,6 @@ import (
 	"cables/internal/profile"
 	"cables/internal/sim"
 	"cables/internal/stats"
-	"cables/internal/trace"
 	"cables/internal/wire"
 )
 
@@ -72,7 +71,7 @@ func (l *SysLock) chargeAcquire(t *sim.Task) {
 		t.Charge(sim.CatLocal, c.MutexRemoteBase)
 		l.lastNode = -1
 		l.p.cl.Ctr.Add(t.NodeID, stats.EvLockRehomes, 1)
-		inj.NoteRehome(t.NodeID, t.Now(), uint64(l.id))
+		inj.NoteRehome(t.NodeID)
 	}
 	first := !l.nodeSeen[t.NodeID]
 	l.nodeSeen[t.NodeID] = true
@@ -155,9 +154,6 @@ func (l *SysLock) Acquire(t *sim.Task) {
 		t.WaitUntil(grant)
 	}
 	t.MarkSpan(uint8(profile.MarkLockAcquired), uint64(l.id), flags)
-	if l.p.Trace != nil {
-		l.p.Trace.Add(t.Now(), t.NodeID, trace.KindLock, uint64(l.id))
-	}
 	l.p.ApplyAcquire(t)
 	t.CloseSpan()
 }
@@ -330,7 +326,7 @@ func (b *Barrier) Wait(t *sim.Task, parties int) {
 		b.p.cl.Wire.Do(t, wire.Op{Kind: wire.KindRehome, Dst: b.mgr, Arg: uint64(len(b.name))})
 		b.mgr = 0
 		b.p.cl.Ctr.Add(t.NodeID, stats.EvBarrierRehomes, 1)
-		inj.NoteRehome(t.NodeID, t.Now(), uint64(len(b.name)))
+		inj.NoteRehome(t.NodeID)
 	}
 	if now := t.Now(); now > b.arrived {
 		b.arrived = now
@@ -368,9 +364,6 @@ func (b *Barrier) Wait(t *sim.Task, parties int) {
 	}
 
 	t.WaitUntil(release)
-	if b.p.Trace != nil {
-		b.p.Trace.Add(t.Now(), t.NodeID, trace.KindBarrier, 0)
-	}
 	b.p.ApplyAcquire(t)
 	b.p.cl.Ctr.Add(t.NodeID, stats.EvBarriers, 1)
 	t.CloseSpan()

@@ -17,7 +17,8 @@ import (
 // in, never the bytes a simulated access observes or the virtual time it is
 // charged.  Twin capture still charges the paper's page-copy cost, fetches
 // still charge the wire, and DiffPage still sees byte-exact data/twin pairs
-// — every table and figure must be bit-identical with eager copies.
+// — TestCOWMatchesEagerReference checks the COW store byte for byte
+// against an eager-copy reference.
 //
 // Pool-reuse safety: a frame's array may return to the page pool only when
 // no reader can still hold a pointer to it.  Readers hold their node's flush

@@ -11,7 +11,8 @@ import (
 // WritePrometheus renders every family in Prometheus text exposition format
 // (version 0.0.4): per family a `# HELP` line, a `# TYPE` line, then one
 // sample line per series, families sorted by name and series by label
-// values, so two scrapes of an unchanged registry are byte-identical.
+// values, so two scrapes of an unchanged registry are byte-equal
+// (TestExpositionFormatStrict compares them).
 // Histograms render cumulative `_bucket` samples (the `le` label, ending in
 // `le="+Inf"` whose value equals `_count`), then `_sum` and `_count`.
 func (r *Registry) WritePrometheus(w io.Writer) error {

@@ -114,7 +114,7 @@ type Config struct {
 	// Limits are the NIC registration limits; zero selects DefaultLimits.
 	Limits vmmc.Limits
 	// Fault optionally injects deterministic faults (see internal/fault);
-	// nil keeps the happy path bit-identical.
+	// nil disables injection.
 	Fault *fault.Injector
 	// Wire selects the wire plane's opt-in mode (contended sync); the zero
 	// value reproduces the default schedule.

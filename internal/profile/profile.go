@@ -2,12 +2,16 @@
 // on the observability invariance rule (docs/OBSERVABILITY.md): spans and
 // marks record boundaries the simulation crosses anyway — page-fault
 // handling, diff flushes, lock/cond/barrier waits, thread creation, node
-// attach, wire ops — and charge nothing, so every deterministic pin
-// (table4 bit-identity, fig5 checksums) holds with a profiler attached.
+// attach, wire ops — and charge nothing, so checksums and placement
+// censuses are the same with a profiler attached
+// (bench.TestProfilerInvariance compares them with ==).
 //
 // Each task owns a TaskLog, attached through the narrow sim.SpanProbe
 // interface; the log is an append-only slice written only by the task's
-// goroutine (ring-free: nothing is ever dropped, unlike trace.Ring).  At
+// goroutine, so nothing is ever dropped.  Together with stats.Counters it
+// is one of the simulator's two virtual-time records: the counters say how
+// many times an event happened, the spans and marks say when, on which
+// object, and at what cost.  At
 // run end the logs merge into a Report — per-span-kind category roll-up,
 // per-page heat, per-lock contention — and export as a Chrome
 // trace-viewer / Perfetto timeline (WriteTrace).

@@ -349,7 +349,7 @@ func (s *System) GrowRecover(t *sim.Task, node int, id RegionID, extra int64) er
 		t.Charge(sim.CatWait, fault.Backoff(attempt))
 		t.Charge(sim.CatLocalOS, 2*c.OSMapSegment)
 		if err = n.GrowAt(id, extra, t.Now()); err == nil {
-			s.inj.NoteRegRecovery(node, t.Now(), uint64(id))
+			s.inj.NoteRegRecovery(node)
 			return nil
 		}
 		if !errors.Is(err, ErrRegisteredLimit) {

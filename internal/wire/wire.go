@@ -9,33 +9,29 @@
 //     vmmc/san so they see NIC occupancy and latency, and charging the
 //     calibrated flat communication shares for control-plane ops),
 //   - consults the fault injector at exactly one site per op class, and
-//   - emits the trace event and EvMessagesSent/EvBytesSent/EvWireOps
-//     counters uniformly.
+//   - opens one profiler span (SpanWire, rendered "wire.<kind>") and bumps
+//     the EvWireOps/EvMessagesSent/EvBytesSent/EvBytesFetched counters
+//     uniformly.
 //
-// The default cost schedule reproduces the per-site charges the layers
-// used before the plane existed, so `cablesim table4` and the fig5
-// checksums are bit-identical.  One opt-in mode becomes possible because
-// the traffic shares one path: Options.ContendedSync (-contended-sync)
-// makes control-plane ops reserve NIC occupancy like data transfers and
-// suffer the fault plan's transient send failures, exposing sync-vs-data
-// interference.
+// One opt-in mode becomes possible because the traffic shares one path:
+// Options.ContendedSync (-contended-sync) makes control-plane ops reserve
+// NIC occupancy like data transfers and suffer the fault plan's transient
+// send failures, exposing sync-vs-data interference.
 //
-// Conservation invariant: a wire trace event (kind prefix "wire.") is
-// emitted exactly when the op adds its size to EvBytesSent or
-// EvBytesFetched, with Arg = that size, so the per-op sizes in a trace
-// ring always sum to the byte counters' total for the run.
+// Byte accounting: a remote data-plane op adds exactly its Size to one of
+// EvBytesSent/EvBytesFetched and a node-local one adds nothing
+// (TestDelegatedOps); a control-plane op adds its Size to EvBytesSent
+// (TestNominalSizes).
 package wire
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"cables/internal/fault"
 	"cables/internal/profile"
 	"cables/internal/san"
 	"cables/internal/sim"
 	"cables/internal/stats"
-	"cables/internal/trace"
 	"cables/internal/vmmc"
 )
 
@@ -56,7 +52,7 @@ const (
 	// KindNotify is a send plus receiver-side notification dispatch.
 	KindNotify
 	// KindMigrate re-fetches a page from its old home Dst when the home
-	// moves; Arg is the page id (also emitted as a `migrate` trace event).
+	// moves; Arg is the page id (counted as EvPageMigrations).
 	KindMigrate
 
 	// Control-plane kinds: flat calibrated communication shares (Table 4).
@@ -122,36 +118,12 @@ func init() {
 	profile.WireArgName = func(arg uint64) string { return Kind(arg).String() }
 }
 
-// String names the kind (also the suffix of its trace kind).
+// String names the kind (the suffix of its "wire.<kind>" timeline name).
 func (k Kind) String() string {
 	if k < 0 || k >= numKinds {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
 	return kindNames[k]
-}
-
-// traceKinds precomputes every kind's trace kind so the hot path does not
-// allocate a string per op.
-var traceKinds = func() (tk [numKinds]trace.Kind) {
-	for k := range tk {
-		tk[k] = trace.Kind("wire." + kindNames[k])
-	}
-	return tk
-}()
-
-// TraceKind is the trace event kind the plane emits for this op kind:
-// "wire." plus the kind name.
-func (k Kind) TraceKind() trace.Kind {
-	if k < 0 || k >= numKinds {
-		return trace.Kind("wire." + k.String())
-	}
-	return traceKinds[k]
-}
-
-// IsWire reports whether a trace event kind was emitted by the plane (its
-// Arg is then the op's on-wire size in bytes).
-func IsWire(k trace.Kind) bool {
-	return len(k) > 5 && k[:5] == "wire."
 }
 
 // delegated reports whether the kind's cost comes from vmmc/san rather
@@ -177,11 +149,11 @@ type Op struct {
 	Src  int    // issuing node; Do fills it from the task
 	Dst  int    // peer node (home, manager, waiter, master, ...)
 	Size int    // payload bytes; 0 means the kind's nominal size
-	Arg  uint64 // page id / lock id payload, forwarded to protocol traces
+	Arg  uint64 // page id / lock id payload
 }
 
-// Options selects the plane's opt-in modes.  The zero value reproduces the
-// pre-plane behavior bit-identically.
+// Options selects the plane's opt-in modes.  The zero value charges the
+// calibrated Table-4 schedule (flatCost).
 type Options struct {
 	// ContendedSync makes control-plane ops reserve NIC occupancy like
 	// data traffic and suffer the fault plan's transient send failures.
@@ -197,7 +169,6 @@ type Plane struct {
 	ctr   *stats.Counters
 	inj   *fault.Injector // nil = no fault injection
 	opts  Options
-	ring  atomic.Pointer[trace.Ring]
 }
 
 // New builds a plane over the fabric and VMMC system.
@@ -221,18 +192,6 @@ func (p *Plane) SetFault(inj *fault.Injector) {
 
 // Fault returns the installed injector (nil when faults are disabled).
 func (p *Plane) Fault() *fault.Injector { return p.inj }
-
-// BindTrace attaches a ring; every op the plane performs is then recorded
-// (kind "wire.<op>", Arg = on-wire size) alongside the protocol's own
-// events.  nil detaches.
-func (p *Plane) BindTrace(ring *trace.Ring) { p.ring.Store(ring) }
-
-// trace records a wire event if a ring is attached.
-func (p *Plane) trace(at sim.Time, node int, kind trace.Kind, arg uint64) {
-	if r := p.ring.Load(); r != nil {
-		r.Add(at, node, kind, arg)
-	}
-}
 
 // Do performs op on behalf of task t, charging t the op's full cost.  Src
 // is taken from the task.  It returns the communication duration charged
@@ -259,14 +218,12 @@ func (p *Plane) Do(t *sim.Task, op Op) sim.Time {
 // latency and faults, and bumps the message/byte counters when the op
 // actually crosses nodes).
 func (p *Plane) doData(t *sim.Task, op Op) {
-	remote := op.Dst != op.Src
 	switch op.Kind {
 	case KindFetch:
 		p.vm.Fetch(t, op.Dst, op.Size)
 	case KindMigrate:
 		p.vm.Fetch(t, op.Dst, op.Size)
 		p.ctr.Add(op.Src, stats.EvPageMigrations, 1)
-		p.trace(t.Now(), op.Src, trace.KindMigrate, op.Arg)
 	case KindWrite, KindCommMerge:
 		p.vm.RemoteWrite(t, op.Dst, op.Size)
 	case KindStream:
@@ -275,9 +232,6 @@ func (p *Plane) doData(t *sim.Task, op Op) {
 		p.vm.StreamFetch(t, op.Dst, op.Size)
 	case KindNotify:
 		p.vm.Notify(t, op.Dst, op.Size)
-	}
-	if remote {
-		p.trace(t.Now(), op.Src, op.Kind.TraceKind(), uint64(op.Size))
 	}
 }
 
@@ -300,7 +254,6 @@ func (p *Plane) doControl(t *sim.Task, op Op) sim.Time {
 	}
 	t.Charge(sim.CatComm, d)
 	p.count(op)
-	p.trace(t.Now(), op.Src, op.Kind.TraceKind(), uint64(op.Size))
 	return d
 }
 
@@ -319,7 +272,6 @@ func (p *Plane) DeliverAt(now sim.Time, op Op) sim.Time {
 		d += start - now
 	}
 	p.count(op)
-	p.trace(now, op.Src, op.Kind.TraceKind(), uint64(op.Size))
 	return now + d
 }
 
@@ -329,9 +281,8 @@ func (p *Plane) count(op Op) {
 	p.ctr.Add(op.Src, stats.EvBytesSent, int64(op.Size))
 }
 
-// flatCost is the default control-plane cost schedule: exactly the
-// calibrated Table-4 communication shares the call sites charged before
-// the plane existed (see DESIGN.md §3 for the full table).
+// flatCost is the default control-plane cost schedule: the calibrated
+// Table-4 communication shares (see DESIGN.md §3 for the full table).
 func (p *Plane) flatCost(k Kind, size int) sim.Time {
 	c := p.costs
 	switch k {

@@ -4,10 +4,10 @@ import (
 	"testing"
 
 	"cables/internal/fault"
+	"cables/internal/profile"
 	"cables/internal/san"
 	"cables/internal/sim"
 	"cables/internal/stats"
-	"cables/internal/trace"
 	"cables/internal/vmmc"
 )
 
@@ -22,9 +22,7 @@ func newPlane(opts Options) (*Plane, *stats.Counters) {
 func newTask(node int) *sim.Task { return sim.NewTask(0, node, sim.DefaultCosts()) }
 
 // TestFlatSchedule pins the default control-plane cost schedule to the
-// calibrated Table-4 communication shares: the plane must charge exactly
-// what the call sites charged before it existed (the bit-identity
-// contract behind `cablesim table4`).
+// calibrated Table-4 communication shares that `cablesim table4` reports.
 func TestFlatSchedule(t *testing.T) {
 	c := sim.DefaultCosts()
 	cases := []struct {
@@ -95,96 +93,52 @@ func TestNominalSizes(t *testing.T) {
 	}
 }
 
-// TestDelegatedOps checks that data-plane kinds route through VMMC: fetches
-// bump the fetch counters, writes the send counters, and a node-local op
-// crosses no wire (no counters, no wire trace event).
+// TestDelegatedOps is the byte-accounting check at the choke point: every
+// data-plane kind routes through VMMC, a remote op adds exactly its Size to
+// one of bytesSent/bytesFetched, and a node-local op adds nothing.
 func TestDelegatedOps(t *testing.T) {
-	p, ctr := newPlane(Options{})
-	ring := trace.NewRing(64)
-	p.BindTrace(ring)
+	const size = 4096
+	for _, tc := range []struct {
+		kind Kind
+		ev   stats.Event // the counter a remote op adds Size to
+	}{
+		{KindFetch, stats.EvBytesFetched},
+		{KindWrite, stats.EvBytesSent},
+		{KindStream, stats.EvBytesSent},
+		{KindStreamFetch, stats.EvBytesFetched},
+		{KindNotify, stats.EvBytesSent},
+		{KindMigrate, stats.EvBytesFetched},
+		{KindCommMerge, stats.EvBytesSent},
+	} {
+		if !tc.kind.delegated() {
+			t.Fatalf("%v is not a data-plane kind", tc.kind)
+		}
+		p, ctr := newPlane(Options{})
+		p.Do(newTask(0), Op{Kind: tc.kind, Dst: 1, Size: size})
+		sent, fetched := ctr.Load(stats.EvBytesSent), ctr.Load(stats.EvBytesFetched)
+		if got := ctr.Load(tc.ev); got != size || sent+fetched != size {
+			t.Errorf("%v remote: %v=%d (bytesSent %d, bytesFetched %d), want exactly %d on %v",
+				tc.kind, tc.ev, got, sent, fetched, size, tc.ev)
+		}
 
-	p.Do(newTask(0), Op{Kind: KindFetch, Dst: 1, Size: 4096})
-	if got := ctr.Load(stats.EvBytesFetched); got != 4096 {
-		t.Errorf("fetch: bytesFetched %d, want 4096", got)
-	}
-	p.Do(newTask(0), Op{Kind: KindWrite, Dst: 1, Size: 256})
-	if got := ctr.Load(stats.EvBytesSent); got != 256 {
-		t.Errorf("write: bytesSent %d, want 256", got)
-	}
-
-	// Node-local delegated op: no traffic, no wire event.
-	before := len(ring.Events())
-	p.Do(newTask(1), Op{Kind: KindWrite, Dst: 1, Size: 512})
-	if got := ctr.Load(stats.EvBytesSent); got != 256 {
-		t.Errorf("local write leaked onto the wire: bytesSent %d, want 256", got)
-	}
-	if got := len(ring.Events()); got != before {
-		t.Errorf("local write emitted %d wire events", got-before)
+		p, ctr = newPlane(Options{})
+		p.Do(newTask(1), Op{Kind: tc.kind, Dst: 1, Size: size})
+		if sent, fetched := ctr.Load(stats.EvBytesSent), ctr.Load(stats.EvBytesFetched); sent+fetched != 0 {
+			t.Errorf("%v local leaked onto the wire: bytesSent %d, bytesFetched %d", tc.kind, sent, fetched)
+		}
 	}
 }
 
-// TestMigrateEmitsTrace checks satellite semantics of KindMigrate: the
-// fetch from the old home plus a `migrate` protocol event and the
-// pageMigrations counter.
-func TestMigrateEmitsTrace(t *testing.T) {
+// TestMigrateCountsAndFetches checks KindMigrate: one pageMigrations count
+// plus the page fetch from the old home, whose Size lands in bytesFetched.
+func TestMigrateCountsAndFetches(t *testing.T) {
 	p, ctr := newPlane(Options{})
-	ring := trace.NewRing(64)
-	p.BindTrace(ring)
 	p.Do(newTask(0), Op{Kind: KindMigrate, Dst: 2, Size: 4096, Arg: 77})
 	if got := ctr.Load(stats.EvPageMigrations); got != 1 {
 		t.Errorf("pageMigrations %d, want 1", got)
 	}
-	counts := ring.Counts()
-	if counts[trace.KindMigrate] != 1 {
-		t.Errorf("migrate trace events %d, want 1", counts[trace.KindMigrate])
-	}
-	if counts[KindMigrate.TraceKind()] != 1 {
-		t.Errorf("wire.migrate trace events %d, want 1", counts[KindMigrate.TraceKind()])
-	}
-	var pageArg uint64
-	for _, e := range ring.Events() {
-		if e.Kind == trace.KindMigrate {
-			pageArg = e.Arg
-		}
-	}
-	if pageArg != 77 {
-		t.Errorf("migrate event Arg %d, want page id 77", pageArg)
-	}
-}
-
-// TestTraceConservation is the unit form of the plane's conservation
-// invariant: the Args of wire.* trace events sum to the run's
-// bytesSent+bytesFetched.
-func TestTraceConservation(t *testing.T) {
-	p, ctr := newPlane(Options{})
-	ring := trace.NewRing(256)
-	p.BindTrace(ring)
-	task := newTask(0)
-	ops := []Op{
-		{Kind: KindFetch, Dst: 1, Size: 4096},
-		{Kind: KindWrite, Dst: 2, Size: 300},
-		{Kind: KindNotify, Dst: 3, Size: 8},
-		{Kind: KindWrite, Dst: 0, Size: 999}, // local: neither counted nor traced
-		{Kind: KindLockRemote, Dst: 1},
-		{Kind: KindBarrierArrive, Dst: 0}, // control ops count even when local
-		{Kind: KindAdminReq, Dst: 2, Size: 32},
-		{Kind: KindMigrate, Dst: 3, Size: 4096, Arg: 5},
-	}
-	for _, op := range ops {
-		p.Do(task, op)
-	}
-	var traced int64
-	for _, e := range ring.Events() {
-		if IsWire(e.Kind) {
-			traced += int64(e.Arg)
-		}
-	}
-	counted := ctr.Load(stats.EvBytesSent) + ctr.Load(stats.EvBytesFetched)
-	if traced != counted {
-		t.Errorf("conservation violated: trace Args sum to %d, counters to %d", traced, counted)
-	}
-	if traced == 0 {
-		t.Error("no wire bytes traced; the invariant is vacuous")
+	if got := ctr.Load(stats.EvBytesFetched); got != 4096 {
+		t.Errorf("bytesFetched %d, want 4096", got)
 	}
 }
 
@@ -231,7 +185,7 @@ func TestContendedSyncQueues(t *testing.T) {
 // TestContendedSyncFaults checks the injector is consulted for control ops
 // only under -contended-sync: a certain-failure send plan inflates the
 // charged duration and counts retries in contended mode, and is ignored
-// (bit-identity contract) in default mode.
+// in default mode.
 func TestContendedSyncFaults(t *testing.T) {
 	plan := fault.MustParsePlan("send:p=1")
 
@@ -275,8 +229,7 @@ func TestSetFaultWiresWholeStack(t *testing.T) {
 }
 
 // TestDoAllocFree: a control op through Plane.Do — dispatch, flat-cost
-// lookup, charge, counters and the detached trace check — must not
-// allocate.
+// lookup, charge and counters — must not allocate.
 func TestDoAllocFree(t *testing.T) {
 	p, _ := newPlane(Options{})
 	task := newTask(0)
@@ -287,24 +240,21 @@ func TestDoAllocFree(t *testing.T) {
 	}
 }
 
-// TestKindNames pins the Kind/trace-kind mapping the observability docs
-// promise.
+// TestKindNames pins the kind names the profiler renders as SpanWire
+// timeline names ("wire.<kind>"), which the observability docs promise.
 func TestKindNames(t *testing.T) {
-	if got := KindFetch.TraceKind(); got != trace.Kind("wire.fetch") {
-		t.Errorf("KindFetch trace kind %q", got)
+	if got := KindFetch.String(); got != "fetch" {
+		t.Errorf("KindFetch name %q", got)
 	}
-	if got := KindBarrierArrive.TraceKind(); got != trace.Kind("wire.barrier") {
-		t.Errorf("KindBarrierArrive trace kind %q", got)
+	if got := KindBarrierArrive.String(); got != "barrier" {
+		t.Errorf("KindBarrierArrive name %q", got)
 	}
 	for k := Kind(0); k < numKinds; k++ {
 		if k.String() == "" {
 			t.Errorf("kind %d has no name", int(k))
 		}
-		if !IsWire(k.TraceKind()) {
-			t.Errorf("IsWire(%v) = false", k.TraceKind())
+		if got := profile.WireArgName(uint64(k)); got != k.String() {
+			t.Errorf("profile.WireArgName(%d) = %q, want %q", int(k), got, k.String())
 		}
-	}
-	if IsWire(trace.KindMigrate) || IsWire(trace.KindLock) {
-		t.Error("IsWire claims protocol events")
 	}
 }
