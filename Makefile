@@ -29,6 +29,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/genima/... ./internal/memsys/... ./internal/core/... \
+		./internal/m4/... ./internal/openmp/... \
 		./internal/san/... ./internal/vmmc/... ./internal/nodeos/... ./internal/wire/... \
 		./internal/sim/... ./internal/metrics/... ./internal/farm/...
 	$(GO) test -race -run 'TestFig5RaceSmoke|TestFig5RaceSmokeEventSched|TestFig5ContendedSyncRaceSmoke|TestFrameLeakBothSched' ./internal/bench/

@@ -156,13 +156,23 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 	return res
 }
 
+// The block kernels below slice each row once and range over it, so the
+// compiler drops the per-element bounds checks.  Each keeps the loop order
+// and the floating-point operations of the plain triple loop, so results
+// are bit-identical to it (TestKernelsMatchTripleLoops).
+
 // factorDiag factors a bs x bs block in place (Doolittle, no pivoting).
 func factorDiag(a []float64, bs int) {
 	for k := 0; k < bs; k++ {
+		ak := a[k*bs : k*bs+bs]
 		for i := k + 1; i < bs; i++ {
-			a[i*bs+k] /= a[k*bs+k]
-			for j := k + 1; j < bs; j++ {
-				a[i*bs+j] -= a[i*bs+k] * a[k*bs+j]
+			ai := a[i*bs : i*bs+bs]
+			ai[k] /= ak[k]
+			f := ai[k]
+			ri := ai[k+1:]
+			rk := ak[k+1:][:len(ri)]
+			for j := range ri {
+				ri[j] -= f * rk[j]
 			}
 		}
 	}
@@ -171,10 +181,12 @@ func factorDiag(a []float64, bs int) {
 // lowerSolve computes U := L^-1 * U for the unit-lower triangle of diag.
 func lowerSolve(diag, u []float64, bs int) {
 	for k := 0; k < bs; k++ {
+		uk := u[k*bs : k*bs+bs]
 		for i := k + 1; i < bs; i++ {
 			f := diag[i*bs+k]
-			for j := 0; j < bs; j++ {
-				u[i*bs+j] -= f * u[k*bs+j]
+			ui := u[i*bs : i*bs+bs][:len(uk)]
+			for j := range ui {
+				ui[j] -= f * uk[j]
 			}
 		}
 	}
@@ -183,11 +195,15 @@ func lowerSolve(diag, u []float64, bs int) {
 // upperSolve computes L := L * U^-1 for the upper triangle of diag.
 func upperSolve(diag, l []float64, bs int) {
 	for j := 0; j < bs; j++ {
-		d := diag[j*bs+j]
+		dj := diag[j*bs : j*bs+bs]
 		for i := 0; i < bs; i++ {
-			l[i*bs+j] /= d
-			for k := j + 1; k < bs; k++ {
-				l[i*bs+k] -= l[i*bs+j] * diag[j*bs+k]
+			li := l[i*bs : i*bs+bs]
+			li[j] /= dj[j]
+			f := li[j]
+			rl := li[j+1:]
+			rd := dj[j+1:][:len(rl)]
+			for k := range rl {
+				rl[k] -= f * rd[k]
 			}
 		}
 	}
@@ -196,13 +212,16 @@ func upperSolve(diag, l []float64, bs int) {
 // matmulSub computes C -= A*B for bs x bs blocks.
 func matmulSub(c, a, b []float64, bs int) {
 	for i := 0; i < bs; i++ {
-		for k := 0; k < bs; k++ {
-			f := a[i*bs+k]
+		ci := c[i*bs : i*bs+bs]
+		ai := a[i*bs : i*bs+bs]
+		for k := range ai {
+			f := ai[k]
 			if f == 0 {
 				continue
 			}
-			for j := 0; j < bs; j++ {
-				c[i*bs+j] -= f * b[k*bs+j]
+			bk := b[k*bs : k*bs+bs][:len(ci)]
+			for j := range ci {
+				ci[j] -= f * bk[j]
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package lu
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"cables/internal/m4"
@@ -99,6 +101,99 @@ func TestKernelFactorReconstruction(t *testing.T) {
 	for i := range recon {
 		if math.Abs(recon[i]-orig[i]) > 1e-9 {
 			t.Fatalf("LU reconstruction off at %d: %g vs %g", i, recon[i], orig[i])
+		}
+	}
+}
+
+// The plain triple-loop block kernels, kept as the bit-exact reference for
+// the row-sliced ones in lu.go.
+
+func refFactorDiag(a []float64, bs int) {
+	for k := 0; k < bs; k++ {
+		for i := k + 1; i < bs; i++ {
+			a[i*bs+k] /= a[k*bs+k]
+			for j := k + 1; j < bs; j++ {
+				a[i*bs+j] -= a[i*bs+k] * a[k*bs+j]
+			}
+		}
+	}
+}
+
+func refLowerSolve(diag, u []float64, bs int) {
+	for k := 0; k < bs; k++ {
+		for i := k + 1; i < bs; i++ {
+			f := diag[i*bs+k]
+			for j := 0; j < bs; j++ {
+				u[i*bs+j] -= f * u[k*bs+j]
+			}
+		}
+	}
+}
+
+func refUpperSolve(diag, l []float64, bs int) {
+	for j := 0; j < bs; j++ {
+		d := diag[j*bs+j]
+		for i := 0; i < bs; i++ {
+			l[i*bs+j] /= d
+			for k := j + 1; k < bs; k++ {
+				l[i*bs+k] -= l[i*bs+j] * diag[j*bs+k]
+			}
+		}
+	}
+}
+
+func refMatmulSub(c, a, b []float64, bs int) {
+	for i := 0; i < bs; i++ {
+		for k := 0; k < bs; k++ {
+			f := a[i*bs+k]
+			if f == 0 {
+				continue
+			}
+			for j := 0; j < bs; j++ {
+				c[i*bs+j] -= f * b[k*bs+j]
+			}
+		}
+	}
+}
+
+// TestKernelsMatchTripleLoops: every block kernel produces the same bits as
+// its triple-loop reference, on random blocks with a quarter of their
+// entries zero (matmulSub's skip path), at block sizes including an odd one.
+func TestKernelsMatchTripleLoops(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	block := func(bs int) []float64 {
+		b := make([]float64, bs*bs)
+		for i := range b {
+			if r.Intn(4) > 0 {
+				b[i] = r.NormFloat64()
+			}
+		}
+		for i := 0; i < bs; i++ {
+			b[i*bs+i] += float64(bs) // non-zero pivots
+		}
+		return b
+	}
+	for _, bs := range []int{16, 32, 33} {
+		diag, x, y := block(bs), block(bs), block(bs)
+		cases := []struct {
+			name      string
+			got, want func(out []float64)
+			in        []float64
+		}{
+			{"factorDiag", func(o []float64) { factorDiag(o, bs) }, func(o []float64) { refFactorDiag(o, bs) }, diag},
+			{"lowerSolve", func(o []float64) { lowerSolve(diag, o, bs) }, func(o []float64) { refLowerSolve(diag, o, bs) }, x},
+			{"upperSolve", func(o []float64) { upperSolve(diag, o, bs) }, func(o []float64) { refUpperSolve(diag, o, bs) }, x},
+			{"matmulSub", func(o []float64) { matmulSub(o, x, y, bs) }, func(o []float64) { refMatmulSub(o, x, y, bs) }, diag},
+		}
+		for _, c := range cases {
+			got, want := slices.Clone(c.in), slices.Clone(c.in)
+			c.got(got)
+			c.want(want)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s bs=%d: element %d is %v, want %v", c.name, bs, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

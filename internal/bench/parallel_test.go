@@ -225,9 +225,12 @@ func TestSchedulerJobsDeterminism(t *testing.T) {
 }
 
 // raceSmokeColumn runs one fig5 column at 4 processors, both backends,
-// through the 2-worker harness and fails on any cell error.
+// through the 2-worker harness and fails on any cell error or stall: a
+// stall adds a second slot, and the race detector only proves the one-slot
+// data plane race-free while a cell runs in one.
 func raceSmokeColumn(t *testing.T, app string) {
 	t.Helper()
+	noStalls(t)
 	data := RunFig5([]string{app}, []int{4}, ScaleTest, nil, CellOptions{}, 2)
 	for _, backend := range []string{BackendGenima, BackendCables} {
 		if err := data[app][4][backend].Err; err != nil {

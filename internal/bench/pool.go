@@ -144,15 +144,13 @@ func (p *Pool) Wait() {
 	p.mu.Unlock()
 }
 
-// Drain stops intake, waits for every in-flight job to complete, shuts the
-// workers down, and returns the queued jobs that never started (oldest
-// first).  Concurrent Drain calls are safe; late callers wait for the first
-// drain to finish and return nil.
-func (p *Pool) Drain() []func() {
+// Stop stops intake and dispatch without waiting: Submit fails from now on
+// and no queued job starts.  It returns the queued jobs (oldest first), or
+// nil when the pool was already stopped.
+func (p *Pool) Stop() []func() {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.draining {
-		p.mu.Unlock()
-		p.workers.Wait()
 		return nil
 	}
 	p.draining = true
@@ -162,7 +160,15 @@ func (p *Pool) Drain() []func() {
 	}
 	p.queue = nil
 	p.notifyLocked()
-	p.mu.Unlock()
+	return left
+}
+
+// Drain stops the pool, waits for every in-flight job to complete and the
+// workers to exit, and returns the queued jobs that never started (oldest
+// first).  Concurrent Drain calls are safe; late callers wait for the first
+// drain to finish and return nil.
+func (p *Pool) Drain() []func() {
+	left := p.Stop()
 	p.workers.Wait()
 	return left
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"runtime"
 
 	cables "cables/internal/core"
 	"cables/internal/m4"
@@ -122,18 +121,23 @@ func Table4(w io.Writer) *stats.Table {
 		rows = append(rows, measureOp(main, "local mutex lock", func() { mx.Lock(main) }))
 		mx.Unlock(main)
 		// Remote: a thread on node 1 acquires a lock last held on node 0.
-		step := make(chan struct{})
+		// The two threads hand off over host channels, so each releases
+		// its scheduler slot (Block) while it waits for the other.
+		first, step := make(chan struct{}), make(chan struct{})
 		var remoteFirst, remoteAgain row4
 		th := rt.Create(main, func(th *cables.Thread) {
 			remoteFirst = measureOp(th.Task, "remote mutex lock (first time)", func() { mx.Lock(th.Task) })
 			mx.Unlock(th.Task)
+			close(first)
+			th.Task.Block()
 			<-step // main re-takes the lock so it is again remote for us
+			th.Task.Unblock()
 			remoteAgain = measureOp(th.Task, "remote mutex lock", func() { mx.Lock(th.Task) })
 			mx.Unlock(th.Task)
 		})
-		for rt.Cluster().Ctr.Load(stats.EvLockAcquires) < 3 { // wait for first remote acquire
-			runtime.Gosched()
-		}
+		main.Block()
+		<-first
+		main.Unblock()
 		mx.Lock(main)
 		mx.Unlock(main)
 		step <- struct{}{}
@@ -156,7 +160,9 @@ func Table4(w io.Writer) *stats.Table {
 			cond.Wait(th, mx)
 			mx.Unlock(th.Task)
 		})
+		main.Block()
 		<-ready
+		main.Unblock()
 		mx.Lock(main)
 		rows = append(rows, measureOp(main, "conditional signal", func() { cond.Signal(main) }))
 		mx.Unlock(main)
@@ -178,11 +184,10 @@ func Table4(w io.Writer) *stats.Table {
 			cond.Wait(th, mx)
 			mx.Unlock(th.Task)
 		})
+		main.Block()
 		<-ready2
-		mx.Lock(main)
-		for rt.Cluster().Ctr.Load(stats.EvCondWaits) < 2 {
-			runtime.Gosched()
-		}
+		main.Unblock()
+		mx.Lock(main) // the waiter is parked: it held the slot until then
 		rows = append(rows, measureOp(main, "conditional broadcast", func() { cond.Broadcast(main) }))
 		mx.Unlock(main)
 		rt.Join(main, th2)
@@ -193,17 +198,17 @@ func Table4(w io.Writer) *stats.Table {
 		mrt := m4.New(m4.Config{Procs: 8, ProcsPerNode: 2, ArenaBytes: 16 << 20})
 		var natRow row4
 		bar := mrt.Protocol().NewBarrier("t4")
-		done := make(chan row4, 8)
+		var ids []int
 		for i := 0; i < 8; i++ {
-			mrt.Spawn(mrt.Main(), func(t *sim.Task) {
+			ids = append(ids, mrt.Spawn(mrt.Main(), func(t *sim.Task) {
 				bar.Wait(t, 9)
-				done <- measureOp(t, "GeNIMA barrier", func() { bar.Wait(t, 9) })
-			})
+				bar.Wait(t, 9)
+			}))
 		}
 		bar.Wait(mrt.Main(), 9)
 		natRow = measureOp(mrt.Main(), "GeNIMA barrier", func() { bar.Wait(mrt.Main(), 9) })
-		for i := 0; i < 8; i++ {
-			<-done
+		for _, id := range ids {
+			mrt.Join(mrt.Main(), id)
 		}
 		natRow.total -= natRow.brk[sim.CatWait]
 		natRow.brk[sim.CatWait] = 0

@@ -93,8 +93,7 @@ type Thread struct {
 	TID int
 
 	rt   *Runtime
-	done chan struct{}
-	end  sim.Time
+	exit sim.Exit
 	ret  any
 
 	cancelCh   chan struct{}
@@ -192,9 +191,9 @@ func (rt *Runtime) Start() *Thread {
 	rt.cl.Nodes[0].SetAttached(true)
 
 	task := rt.cl.NewTask(0, 0)
+	rt.cl.Sched.Adopt(task) // the caller's goroutine is the main thread
 	rt.main = &Thread{
-		Task: task, TID: 0, rt: rt,
-		done: make(chan struct{}), cancelCh: make(chan struct{}),
+		Task: task, TID: 0, rt: rt, cancelCh: make(chan struct{}),
 	}
 	rt.acb.mu.Lock()
 	rt.acb.threads[0] = rt.main
@@ -363,7 +362,6 @@ func (rt *Runtime) Create(parent *sim.Task, fn func(th *Thread)) *Thread {
 		Task:     rt.cl.NewTask(node, parent.Now()),
 		TID:      tid,
 		rt:       rt,
-		done:     make(chan struct{}),
 		cancelCh: make(chan struct{}),
 	}
 	a.threads[tid] = th
@@ -410,8 +408,7 @@ func (th *Thread) finish() {
 		rt.cl.Nodes[node].SetAttached(false)
 	}
 	a.mu.Unlock()
-	th.end = th.Task.Now()
-	close(th.done)
+	th.exit.Close(th.Task.Now())
 }
 
 // Join blocks the caller until th finishes (pthread_join), merging clocks
@@ -422,12 +419,10 @@ func (rt *Runtime) Join(t *sim.Task, th *Thread) {
 	// its scheduler slot: the joined thread may need it to finish).
 	node := rt.cl.Nodes[t.NodeID]
 	node.ThreadStopped()
-	t.Block()
-	<-th.done
-	t.Unblock()
+	end := th.exit.Wait(t)
 	node.ThreadStarted()
 	rt.chargeAdmin(t)
-	t.WaitUntil(th.end)
+	t.WaitUntil(end)
 	rt.proto.ApplyAcquire(t) // join has acquire semantics
 }
 

@@ -28,21 +28,12 @@ func TestDynamicNodeAttach(t *testing.T) {
 	if got := rt.AttachedNodes(); got != 1 {
 		t.Fatalf("attached at start: got %d want 1", got)
 	}
-	var wg sync.WaitGroup
-	release := make(chan struct{})
 	var threads []*cables.Thread
 	for i := 0; i < 7; i++ { // main + 7 = 8 threads = 4 nodes x 2
-		wg.Add(1)
-		threads = append(threads, rt.Create(main.Task, func(th *cables.Thread) {
-			wg.Done()
-			// A raw host wait: release the scheduler slot around it so
-			// the other threads can start.
-			th.Task.Block()
-			<-release
-			th.Task.Unblock()
-		}))
+		threads = append(threads, rt.Create(main.Task, func(*cables.Thread) {}))
 	}
-	wg.Wait()
+	// The threads have not run yet (the main thread holds the scheduler
+	// slot until it joins), so every node they were placed on is live.
 	if got := rt.AttachedNodes(); got != 4 {
 		t.Errorf("attached after creates: got %d want 4", got)
 	}
@@ -53,7 +44,6 @@ func TestDynamicNodeAttach(t *testing.T) {
 	if main.Task.Now() < 3*3690*sim.Millisecond {
 		t.Errorf("main clock %v does not reflect three node attaches", main.Task.Now())
 	}
-	close(release)
 	for _, th := range threads {
 		rt.Join(main.Task, th)
 	}
@@ -192,7 +182,9 @@ func TestCancelUnblocksCondWait(t *testing.T) {
 		cond.Wait(th, mx) // never signaled
 		t.Error("wait returned without cancellation")
 	})
+	main.Task.Block()
 	<-started
+	main.Task.Unblock()
 	rt.Cancel(main.Task, victim)
 	rt.Join(main.Task, victim)
 }

@@ -35,7 +35,9 @@ func TestCondCancelDrainsClaimedGrant(t *testing.T) {
 				cond.Wait(th, mx) // canceled or signaled, depending on the race
 				mx.Unlock(th.Task)
 			})
+			main.Task.Block()
 			<-waiting
+			main.Task.Unblock()
 			// Wait is registered before it releases the mutex, so once we
 			// can take it the victim is (or is about to be) parked.
 			mx.Lock(main.Task)

@@ -16,14 +16,14 @@ func TestMutexTryLock(t *testing.T) {
 	if !mx.TryLock(main.Task) {
 		t.Fatal("trylock of free mutex failed")
 	}
-	got := make(chan bool)
+	var locked bool
 	th := rt.Create(main.Task, func(th *cables.Thread) {
-		got <- mx.TryLock(th.Task)
+		locked = mx.TryLock(th.Task)
 	})
-	if <-got {
+	rt.Join(main.Task, th)
+	if locked {
 		t.Error("trylock of held mutex succeeded")
 	}
-	rt.Join(main.Task, th)
 	mx.Unlock(main.Task)
 	if !mx.TryLock(main.Task) {
 		t.Error("trylock after unlock failed")
@@ -94,7 +94,9 @@ func TestRWLockAllowsConcurrentReaders(t *testing.T) {
 			l.RUnlock(th)
 		}))
 	}
+	main.Task.Block()
 	entered.Wait() // proves concurrency: all readers inside at once
+	main.Task.Unblock()
 	close(release)
 	for _, th := range ths {
 		rt.Join(main.Task, th)

@@ -52,7 +52,12 @@ func TestDrainCompletesInFlightRejectsQueued(t *testing.T) {
 	go func() { srv.Drain(); close(drained) }()
 
 	// Intake must turn away new work retriably while the drain is pending.
+	// Post only once the drain has begun, so no probe sweep is admitted
+	// ahead of it and the counters below stay exact.
 	deadline := time.Now().Add(5 * time.Second)
+	for !srv.Draining() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	for {
 		resp, err := ts.Client().Post(ts.URL+"/v1/sweeps", "application/json",
 			strings.NewReader(`{"apps":["OCEAN"],"procs":[1],"backends":["genima"],"scale":"test"}`))

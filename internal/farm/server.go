@@ -179,6 +179,9 @@ func (s *Server) Drain() {
 		return
 	}
 	s.draining = true
+	// Stop dispatch in the same critical section that turns intake away,
+	// so no queued cell can start once the drain is visible.
+	s.pool.Stop()
 	s.mu.Unlock()
 	s.metrics.draining.Set(1)
 	s.logger.Info("drain started")

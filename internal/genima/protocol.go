@@ -65,12 +65,6 @@ type nodeState struct {
 	dirtyBits  []uint64        // bitmap over arena pages deduplicating dirtyPages
 	spare      []memsys.PageID // recycled backing array for the next interval
 
-	// Pad so the write-side group above and the acquire-side group below
-	// land on separate cache lines: they are taken by different threads of
-	// the node concurrently, and sharing a line would false-share on a
-	// multicore host.
-	_ [64]byte
-
 	syncMu     sync.Mutex      // serializes acquire-side invalidation passes
 	seen       atomic.Int64    // absolute log prefix already applied (atomic: compaction reads it cross-node)
 	invBits    []uint64        // acquire-side dedup scratch (guarded by syncMu)
@@ -228,13 +222,9 @@ func (p *Protocol) validate(t *sim.Task, pid memsys.PageID) *memsys.PageCopy {
 		return pc
 	}
 	// Remote home: make sure the primary copy exists, then fetch it.  The
-	// home node's flush lock is held exclusively for the copy so the DMA
-	// reads a stable page image (home-node threads store under the shared
-	// side of that lock).  No cycle is possible: a path only ever pairs
-	// node N's flush lock with page copies on N or with the unique home
-	// copy of a page homed elsewhere.
+	// faulting task holds its cell's only scheduler slot, so no home-node
+	// store is mid-flight and the DMA reads a stable page image.
 	for {
-		p.acc.FlushBegin(home)
 		hc := p.sp.Copy(home, pid)
 		hc.Mu.Lock()
 		if h := p.sp.Home(pid); h != home {
@@ -242,7 +232,6 @@ func (p *Protocol) validate(t *sim.Task, pid memsys.PageID) *memsys.PageCopy {
 			// while this thread was taking the old home's locks: chase the
 			// new home.
 			hc.Mu.Unlock()
-			p.acc.FlushEnd(home)
 			home = h
 			if home == node {
 				// Re-homed onto this very node by a sibling thread.
@@ -261,14 +250,13 @@ func (p *Protocol) validate(t *sim.Task, pid memsys.PageID) *memsys.PageCopy {
 			hc.EnsureFrame()
 			hc.SetValid(true)
 		}
-		// The fetch aliases the home's frame instead of copying it: with
-		// the home's flush lock held exclusively no home store is
-		// mid-flight, so the shared frame is a stable snapshot, and the
-		// home's next write unshares it (the fetched replica keeps this
-		// image — exactly what the eager copy gave it).  First the frame is
-		// interned in the content-hash table, so identical pages collapse
-		// onto one canonical frame cluster-wide; the fetch's virtual cost
-		// (the wire op below) is charged unchanged either way.
+		// The fetch aliases the home's frame instead of copying it: no home
+		// store is mid-flight, so the shared frame is a stable snapshot,
+		// and the home's next write unshares it (the fetched replica keeps
+		// this image — exactly what the eager copy gave it).  First the
+		// frame is interned in the content-hash table, so identical pages
+		// collapse onto one canonical frame cluster-wide; the fetch's
+		// virtual cost (the wire op below) is charged unchanged either way.
 		if p.sp.DedupFrame(hc) {
 			ctr.Add(node, stats.EvDedupHits, 1)
 		}
@@ -278,7 +266,6 @@ func (p *Protocol) validate(t *sim.Task, pid memsys.PageID) *memsys.PageCopy {
 			p.sp.SetHome(pid, node)
 		}
 		hc.Mu.Unlock()
-		p.acc.FlushEnd(home)
 		p.cl.Wire.Do(t, wire.Op{Kind: wire.KindFetch, Dst: home, Size: memsys.PageSize, Arg: uint64(pid)})
 		if dead {
 			// Adopting the page remaps it into this node's home region.
@@ -364,7 +351,6 @@ func (p *Protocol) flush(t *sim.Task) []memsys.PageID {
 		merge = make(map[int]int)
 	}
 
-	p.acc.FlushBegin(node)
 	pages := make([]memsys.PageID, 0, len(work))
 	for _, pid := range work {
 		if p.flushPage(t, node, pid, merge) {
@@ -387,7 +373,6 @@ func (p *Protocol) flush(t *sim.Task) []memsys.PageID {
 			t.MarkSpan(uint8(profile.MarkMerge), uint64(h), uint64(merge[h]))
 		}
 	}
-	p.acc.FlushEnd(node)
 
 	ns.dirtyMu.Lock()
 	// Recycle the flushed interval's backing array.  A concurrent interval
@@ -533,32 +518,25 @@ func (p *Protocol) ApplyAcquire(t *sim.Task) {
 	}
 	for _, pid := range invalidate {
 		ns.invBits[pid>>6] &^= uint64(1) << (pid & 63)
-	}
-	if len(invalidate) > 0 {
-		p.acc.FlushBegin(node)
-		for _, pid := range invalidate {
-			pc := p.sp.Copy(node, pid)
-			pc.Mu.Lock()
-			if pc.Written() {
-				// Force the local interval's diff out before dropping the
-				// copy, so concurrent false sharing cannot lose writes.
-				p.forceDiffLocked(t, node, pid, pc)
-			}
-			if pc.Valid() {
-				pc.SetValid(false)
-				p.cl.Ctr.Add(node, stats.EvInvalidations, 1)
-			}
-			pc.RetireTwin(p.sp)
-			// With the flush lock held exclusively no reader or writer is
-			// inside this node's copies, so the invalidated copy's frame
-			// reference can be dropped; if it was the last reference the
-			// frame returns to the pool (or to the GC once it crossed
-			// nodes) and the refetch aliases the home's frame instead of
-			// allocating.
-			pc.RetireData(p.sp)
-			pc.Mu.Unlock()
+		pc := p.sp.Copy(node, pid)
+		pc.Mu.Lock()
+		if pc.Written() {
+			// Force the local interval's diff out before dropping the
+			// copy, so concurrent false sharing cannot lose writes.
+			p.forceDiffLocked(t, node, pid, pc)
 		}
-		p.acc.FlushEnd(node)
+		if pc.Valid() {
+			pc.SetValid(false)
+			p.cl.Ctr.Add(node, stats.EvInvalidations, 1)
+		}
+		pc.RetireTwin(p.sp)
+		// This task holds the cell's only scheduler slot, so no reader or
+		// writer is inside this node's copies and the invalidated copy's
+		// frame reference can be dropped; if it was the last reference the
+		// frame returns to the pool (or to the GC once it crossed nodes)
+		// and the refetch aliases the home's frame instead of allocating.
+		pc.RetireData(p.sp)
+		pc.Mu.Unlock()
 	}
 	ns.invScratch = invalidate[:0]
 	ns.seen.Store(end)
@@ -590,7 +568,6 @@ func (p *Protocol) dropCopies(t *sim.Task, node int, pages []memsys.PageID) {
 	if len(pages) == 0 {
 		return
 	}
-	p.acc.FlushBegin(node)
 	for _, pid := range pages {
 		if p.sp.Home(pid) == node {
 			continue
@@ -608,7 +585,6 @@ func (p *Protocol) dropCopies(t *sim.Task, node int, pages []memsys.PageID) {
 		pc.RetireData(p.sp)
 		pc.Mu.Unlock()
 	}
-	p.acc.FlushEnd(node)
 }
 
 // logCompactThreshold is how many fully-applied intervals may accumulate

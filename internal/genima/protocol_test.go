@@ -15,6 +15,13 @@ func newRT(t *testing.T, procs int) *m4.Runtime {
 	return m4.New(m4.Config{Procs: procs, ProcsPerNode: 2, ArenaBytes: 32 << 20})
 }
 
+// joinAll joins the workers ids from the coordinator.
+func joinAll(rt *m4.Runtime, ids []int) {
+	for _, id := range ids {
+		rt.Join(rt.Main(), id)
+	}
+}
+
 // TestSingleWriterBlocks has each worker write its own block, then after a
 // barrier every worker verifies every other worker's block — the basic
 // coherence round trip (diff flush at release, invalidation + fetch at
@@ -79,20 +86,18 @@ func TestLockCounter(t *testing.T) {
 	acc.WriteI64(main, addr, 0)
 	rt.Protocol().Flush(main)
 
-	var wg sync.WaitGroup
+	var ids []int
 	for w := 0; w < procs; w++ {
-		wg.Add(1)
-		rt.Spawn(main, func(th *sim.Task) {
-			defer wg.Done()
+		ids = append(ids, rt.Spawn(main, func(th *sim.Task) {
 			for i := 0; i < iters; i++ {
 				rt.Lock(th, 1)
 				v := acc.ReadI64(th, addr)
 				acc.WriteI64(th, addr, v+1)
 				rt.Unlock(th, 1)
 			}
-		})
+		}))
 	}
-	wg.Wait()
+	joinAll(rt, ids)
 	rt.Lock(main, 1)
 	got := acc.ReadI64(main, addr)
 	rt.Unlock(main, 1)
@@ -114,20 +119,18 @@ func TestFalseSharing(t *testing.T) {
 		t.Fatalf("malloc: %v", err)
 	}
 
-	var wg sync.WaitGroup
+	var ids []int
 	for w := 0; w < 2; w++ {
 		w := w
-		wg.Add(1)
-		rt.Spawn(main, func(th *sim.Task) {
-			defer wg.Done()
+		ids = append(ids, rt.Spawn(main, func(th *sim.Task) {
 			rt.Barrier(th, "start", 2)
 			for i := w; i < words; i += 2 {
 				acc.WriteI64(th, addr+memsys.Addr(i*8), int64(1000+i))
 			}
 			rt.Barrier(th, "end", 2)
-		})
+		}))
 	}
-	wg.Wait()
+	joinAll(rt, ids)
 	rt.Lock(main, 9)
 	rt.Unlock(main, 9)
 	for i := 0; i < words; i++ {

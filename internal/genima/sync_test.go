@@ -1,7 +1,6 @@
 package genima_test
 
 import (
-	"sync"
 	"testing"
 
 	"cables/internal/sim"
@@ -17,23 +16,20 @@ func TestLockHandoffAdvancesWaiterClock(t *testing.T) {
 
 	holding := make(chan struct{})
 	var waiterNow sim.Time
-	var wg sync.WaitGroup
-	wg.Add(2)
-	rt.Spawn(main, func(th *sim.Task) {
-		defer wg.Done()
+	var ids []int
+	ids = append(ids, rt.Spawn(main, func(th *sim.Task) {
 		l.Acquire(th)
 		close(holding)
 		th.Compute(5 * sim.Millisecond)
 		l.Release(th)
-	})
-	rt.Spawn(main, func(th *sim.Task) {
-		defer wg.Done()
+	}))
+	ids = append(ids, rt.Spawn(main, func(th *sim.Task) {
 		<-holding
 		l.Acquire(th)
 		waiterNow = th.Now()
 		l.Release(th)
-	})
-	wg.Wait()
+	}))
+	joinAll(rt, ids)
 	if waiterNow < 5*sim.Millisecond {
 		t.Errorf("waiter resumed at %v, before holder's 5ms compute", waiterNow)
 	}
@@ -78,12 +74,10 @@ func TestBarrierReusableAcrossGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
+	var ids []int
 	for w := 0; w < procs; w++ {
 		w := w
-		wg.Add(1)
-		rt.Spawn(main, func(th *sim.Task) {
-			defer wg.Done()
+		ids = append(ids, rt.Spawn(main, func(th *sim.Task) {
 			for g := 0; g < gens; g++ {
 				if g%procs == w {
 					acc.WriteI64(th, addr, int64(g))
@@ -95,9 +89,9 @@ func TestBarrierReusableAcrossGenerations(t *testing.T) {
 				}
 				rt.Barrier(th, "g2", procs)
 			}
-		})
+		}))
 	}
-	wg.Wait()
+	joinAll(rt, ids)
 }
 
 // TestMigrationMechanism: PublishInvalidate makes stale copies refetch
@@ -118,19 +112,17 @@ func TestMigrationMechanism(t *testing.T) {
 	home := sp.Home(pid)
 
 	// Every node reads (and caches) the page.
-	var wg sync.WaitGroup
+	var ids []int
 	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		rt.Spawn(main, func(th *sim.Task) {
-			defer wg.Done()
+		ids = append(ids, rt.Spawn(main, func(th *sim.Task) {
 			rt.Lock(th, 1)
 			rt.Unlock(th, 1)
 			if got := acc.ReadI64(th, addr); got != 11 {
 				t.Errorf("pre-migration read: %d", got)
 			}
-		})
+		}))
 	}
-	wg.Wait()
+	joinAll(rt, ids)
 
 	// Move the home by hand (the CableS mechanism does this plus costs).
 	dst := (home + 1) % 2
@@ -147,18 +139,17 @@ func TestMigrationMechanism(t *testing.T) {
 
 	// After the next acquire, everyone still reads the value — now served
 	// by the new home.
+	ids = nil
 	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		rt.Spawn(main, func(th *sim.Task) {
-			defer wg.Done()
+		ids = append(ids, rt.Spawn(main, func(th *sim.Task) {
 			rt.Lock(th, 1)
 			rt.Unlock(th, 1)
 			if got := acc.ReadI64(th, addr); got != 11 {
 				t.Errorf("post-migration read: %d", got)
 			}
-		})
+		}))
 	}
-	wg.Wait()
+	joinAll(rt, ids)
 	if sp.Home(pid) != dst {
 		t.Error("home not moved")
 	}
@@ -179,17 +170,14 @@ func TestForcedDiffOnInvalidation(t *testing.T) {
 	acc.WriteI64(main, addr+8, 0)
 	rt.Protocol().Flush(main)
 
-	var wg sync.WaitGroup
+	var ids []int
 	sync1 := make(chan struct{})
-	wg.Add(2)
-	rt.Spawn(main, func(th *sim.Task) {
-		defer wg.Done()
+	ids = append(ids, rt.Spawn(main, func(th *sim.Task) {
 		acc.WriteI64(th, addr, 111) // dirty word 0, do NOT release yet
 		close(sync1)
 		rt.Barrier(th, "fs", 2) // release happens here
-	})
-	rt.Spawn(main, func(th *sim.Task) {
-		defer wg.Done()
+	}))
+	ids = append(ids, rt.Spawn(main, func(th *sim.Task) {
 		<-sync1
 		// Writer 2 updates word 1 under a lock, forcing writer 1's node to
 		// see a write notice for the page while it still has dirty data.
@@ -197,8 +185,8 @@ func TestForcedDiffOnInvalidation(t *testing.T) {
 		acc.WriteI64(th, addr+8, 222)
 		rt.Unlock(th, 3)
 		rt.Barrier(th, "fs", 2)
-	})
-	wg.Wait()
+	}))
+	joinAll(rt, ids)
 	rt.Lock(main, 3)
 	rt.Unlock(main, 3)
 	if got := acc.ReadI64(main, addr); got != 111 {
@@ -225,18 +213,16 @@ func TestReadOnlyPagesNeverDiff(t *testing.T) {
 	acc.WriteF64s(main, addr, buf)
 	rt.Protocol().Flush(main)
 	before := rt.Cluster().Ctr.Load(stats.EvDiffsSent)
-	var wg sync.WaitGroup
+	var ids []int
 	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		rt.Spawn(main, func(th *sim.Task) {
-			defer wg.Done()
+		ids = append(ids, rt.Spawn(main, func(th *sim.Task) {
 			rt.Barrier(th, "ro", 8)
 			dst := make([]float64, 2048)
 			acc.ReadF64s(th, addr, dst)
 			rt.Barrier(th, "ro2", 8)
-		})
+		}))
 	}
-	wg.Wait()
+	joinAll(rt, ids)
 	if got := rt.Cluster().Ctr.Load(stats.EvDiffsSent); got != before {
 		t.Errorf("read-only workload produced %d diffs", got-before)
 	}

@@ -31,7 +31,7 @@ type Runtime struct {
 	mu      sync.Mutex
 	nextID  int
 	nodeSeq int
-	done    map[int]chan sim.Time
+	exits   map[int]*sim.Exit
 	endMax  sim.Time
 }
 
@@ -79,7 +79,7 @@ func New(cfg Config) *Runtime {
 		cl:    cl,
 		proto: genima.New(cl, cfg.ArenaBytes, genima.FirstTouch{}),
 		procs: cfg.Procs,
-		done:  make(map[int]chan sim.Time),
+		exits: make(map[int]*sim.Exit),
 	}
 	if err := rt.proto.UseProtocol(cfg.Protocol); err != nil {
 		panic(fmt.Sprintf("m4: %v", err))
@@ -88,6 +88,7 @@ func New(cfg Config) *Runtime {
 		n.SetAttached(true)
 	}
 	rt.main = cl.NewTask(0, 0)
+	cl.Sched.Adopt(rt.main) // the caller's goroutine is the coordinator
 	cl.Nodes[0].ThreadStarted()
 	return rt
 }
@@ -118,8 +119,8 @@ func (rt *Runtime) Spawn(parent *sim.Task, fn func(t *sim.Task)) int {
 	id := rt.nextID
 	node := rt.nodeSeq % rt.cl.NumNodes()
 	rt.nodeSeq++
-	ch := make(chan sim.Time, 1)
-	rt.done[id] = ch
+	exit := new(sim.Exit)
+	rt.exits[id] = exit
 	rt.mu.Unlock()
 
 	// Creation has release semantics (the child must see prior writes).
@@ -143,7 +144,7 @@ func (rt *Runtime) Spawn(parent *sim.Task, fn func(t *sim.Task)) int {
 				rt.endMax = child.Now()
 			}
 			rt.mu.Unlock()
-			ch <- child.Now()
+			exit.Close(child.Now())
 			if r != nil && r != sim.ErrCanceled {
 				panic(r)
 			}
@@ -157,19 +158,17 @@ func (rt *Runtime) Spawn(parent *sim.Task, fn func(t *sim.Task)) int {
 // Join implements appapi.Runtime.
 func (rt *Runtime) Join(parent *sim.Task, id int) {
 	rt.mu.Lock()
-	ch, ok := rt.done[id]
+	exit, ok := rt.exits[id]
 	rt.mu.Unlock()
 	if !ok {
 		panic(fmt.Sprintf("m4: join of unknown thread %d", id))
 	}
 	// The joining thread blocks in the OS and releases its processor (and
 	// its scheduler slot: the join waits on the child's real progress).
+	// WAIT_FOR_END sweeps may join a finished worker again.
 	node := rt.cl.Nodes[parent.NodeID]
 	node.ThreadStopped()
-	parent.Block()
-	end := <-ch
-	ch <- end // allow repeated joins from WAIT_FOR_END sweeps
-	parent.Unblock()
+	end := exit.Wait(parent)
 	node.ThreadStarted()
 	parent.WaitUntil(end)
 	rt.proto.ApplyAcquire(parent) // join has acquire semantics

@@ -6,7 +6,9 @@ import (
 
 	"cables/internal/apps/appapi"
 	"cables/internal/m4"
+	"cables/internal/memsys"
 	"cables/internal/sim"
+	"cables/internal/stats"
 )
 
 func TestConfigDefaultsAndShape(t *testing.T) {
@@ -36,17 +38,17 @@ func TestSpawnPlacesRoundRobin(t *testing.T) {
 	rt := m4.New(m4.Config{Procs: 8, ProcsPerNode: 2, ArenaBytes: 8 << 20})
 	var mu sync.Mutex
 	nodes := map[int]int{}
-	var wg sync.WaitGroup
+	var ids []int
 	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		rt.Spawn(rt.Main(), func(th *sim.Task) {
-			defer wg.Done()
+		ids = append(ids, rt.Spawn(rt.Main(), func(th *sim.Task) {
 			mu.Lock()
 			nodes[th.NodeID]++
 			mu.Unlock()
-		})
+		}))
 	}
-	wg.Wait()
+	for _, id := range ids {
+		rt.Join(rt.Main(), id)
+	}
 	if len(nodes) != 4 {
 		t.Fatalf("used %d nodes: %v", len(nodes), nodes)
 	}
@@ -85,5 +87,74 @@ func TestFinishCoversAllThreads(t *testing.T) {
 	rt.Join(rt.Main(), id)
 	if got := rt.Finish(); got < 7*sim.Millisecond {
 		t.Errorf("finish: %v", got)
+	}
+}
+
+// TestJoinAcquireWhileSiblingReads: worker 0 exits early, so the
+// coordinator's Join(0) applies its acquire — invalidating node 0's copies
+// of the pages node 1 keeps writing — while worker 2, node 0's other
+// thread, is still reading those pages.  The coordinator runs in the cell's
+// one scheduler slot, so the acquire lands at the same point of worker 2's
+// reads every run: checksum, end time and counters repeat exactly, and no
+// stall ever adds a second slot.
+func TestJoinAcquireWhileSiblingReads(t *testing.T) {
+	const pages, rounds = 8, 80
+	type outcome struct {
+		sum    int64
+		end    sim.Time
+		faults int64
+		ctr    string
+	}
+	run := func() outcome {
+		rt := m4.New(m4.Config{Procs: 4, ProcsPerNode: 2, ArenaBytes: 8 << 20})
+		main, acc := rt.Main(), rt.Acc()
+		base, err := rt.Malloc(main, "shared", pages*memsys.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := rt.Protocol().Space()
+		for p := 0; p < pages; p++ {
+			sp.SetHome(sp.PageOf(base)+memsys.PageID(p), 1)
+		}
+		addr := func(p int) memsys.Addr { return base + memsys.Addr(p*memsys.PageSize) }
+		var sum int64
+		ids := []int{
+			rt.Spawn(main, func(th *sim.Task) { th.Compute(5 * sim.Millisecond) }),
+			rt.Spawn(main, func(th *sim.Task) { // node 1: write and release
+				for r := 1; r <= rounds; r++ {
+					for p := 0; p < pages; p++ {
+						acc.WriteI64(th, addr(p), int64(r*pages+p))
+					}
+					rt.Protocol().Flush(th)
+					th.Compute(100 * sim.Microsecond)
+				}
+			}),
+			rt.Spawn(main, func(th *sim.Task) { // node 0: read, never acquire
+				for r := 0; r < rounds; r++ {
+					for p := 0; p < pages; p++ {
+						sum += acc.ReadI64(th, addr(p))
+					}
+					th.Compute(100 * sim.Microsecond)
+				}
+			}),
+		}
+		for _, id := range ids {
+			rt.Join(main, id)
+		}
+		ctr := rt.Cluster().Ctr
+		return outcome{sum, rt.Finish(), ctr.Load(stats.EvRemotePageFaults), ctr.Snapshot().String()}
+	}
+	stalls := sim.Stalls()
+	want := run()
+	if want.faults <= pages {
+		t.Fatalf("node 0 fetched %d pages, want > %d: no join acquire invalidated the reader's copies", want.faults, pages)
+	}
+	for i := 1; i < 20; i++ {
+		if got := run(); got != want {
+			t.Fatalf("run %d differs:\n got %+v\nwant %+v", i, got, want)
+		}
+	}
+	if n := sim.Stalls() - stalls; n != 0 {
+		t.Errorf("stall watchdog added %d execution slots", n)
 	}
 }

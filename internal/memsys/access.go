@@ -21,9 +21,13 @@ type FaultHandler interface {
 // Accessor is the application-facing view of the shared address space for
 // one protocol backend.  All simulated shared-memory accesses go through it;
 // it implements the page-fault check that VM hardware performs in the real
-// system.  The per-node writer/flusher locks live in the Space itself
-// (Space.flush), so an accessor is just the (space, handler) pair and spaces
-// are garbage-collected normally when dropped.
+// system: one validity check and one load or store per word.
+//
+// The accessor takes no lock.  A cell's tasks — its coordinator included —
+// run one at a time in the cell's single scheduler slot (sim.Scheduler),
+// and neither the check-to-load window nor the store path holds a safe
+// point, so no invalidation, flush or frame recycling can land between a
+// task's validity check and its byte access.
 type Accessor struct {
 	Sp *Space
 	H  FaultHandler
@@ -34,13 +38,6 @@ func NewAccessor(sp *Space, h FaultHandler) *Accessor {
 	return &Accessor{Sp: sp, H: h}
 }
 
-// FlushBegin takes the node's flush lock exclusively; the protocol calls it
-// around interval flushes.
-func (a *Accessor) FlushBegin(node int) { a.Sp.flush[node].Lock() }
-
-// FlushEnd releases the flush lock.
-func (a *Accessor) FlushEnd(node int) { a.Sp.flush[node].Unlock() }
-
 func (a *Accessor) check(addr Addr, size int) (PageID, int) {
 	if addr&(Addr(size)-1) != 0 {
 		panic(fmt.Sprintf("memsys: unaligned %d-byte access at %#x", size, uint64(addr)))
@@ -48,63 +45,43 @@ func (a *Accessor) check(addr Addr, size int) (PageID, int) {
 	if !a.Sp.Contains(addr, size) {
 		panic(fmt.Sprintf("memsys: access [%#x,+%d) outside shared arena", uint64(addr), size))
 	}
-	return a.Sp.PageOf(addr), int(addr & PageMask)
+	return PageID((addr - SpaceBase) >> PageShift), int(addr & PageMask)
 }
 
-// pageForRead returns a readable copy with the node's flush lock held
-// shared, faulting if necessary.  The caller must release it via readEnd
-// after the load.  Holding the lock over the byte access pairs with the
-// acquire path, which invalidates (and retires page arrays) under the
-// exclusive side — so a reader that passed the validity check can never
-// observe an array after it returns to the page pool.
+// pageForRead returns a readable copy of pid on the task's node, faulting
+// until it is valid.  A fault may yield the slot, so validity is re-checked
+// after every fault.
 func (a *Accessor) pageForRead(t *sim.Task, pid PageID) *PageCopy {
 	pc := a.Sp.Copy(t.MemNode(), pid)
-	for {
-		a.Sp.flush[t.MemNode()].RLock()
-		if pc.Valid() {
-			return pc
-		}
-		a.Sp.flush[t.MemNode()].RUnlock()
+	for !pc.Valid() {
 		a.H.ReadFault(t, pid)
 	}
+	return pc
 }
 
-func (a *Accessor) readEnd(node int) { a.Sp.flush[node].RUnlock() }
-
-// pageForWrite returns a writable copy with the node's flush lock held
-// shared.  The caller must release it via writeEnd after the store.
+// pageForWrite returns a writable copy of pid on the task's node.
 //
 // This is the unshare-on-write trigger of the COW frame store: a valid,
 // written page whose frame is still shared (aliased by its twin, by the
 // home copy it was fetched from, by other nodes' replicas, or by the
-// canonical zero frame) is privatized here before the first store lands.
-// While the shared flush lock is held with Written set, nothing can
-// re-share the privatized frame — twin capture requires !Written (it
-// happens-before the write that set it), and fetch adoption and interning
-// take this node's flush lock exclusively when this node is the home — so
-// one unshare per page per interval suffices and the per-store fast path
-// is two atomic loads.
+// canonical zero frame) is privatized here before the store lands.  Every
+// store re-checks exclusivity, so a frame a fetch or interning re-shared
+// since the last store is unshared again; the per-store fast path is the
+// two flag loads and the refcount load.
 func (a *Accessor) pageForWrite(t *sim.Task, pid PageID) *PageCopy {
 	pc := a.Sp.Copy(t.MemNode(), pid)
-	for {
-		a.Sp.flush[t.MemNode()].RLock()
-		if pc.Valid() && pc.Written() {
-			if f := pc.frame.Load(); f != nil && f.Exclusive() {
-				return pc
-			}
-			pc.Mu.Lock()
-			if _, copied := pc.EnsureExclusive(a.Sp); copied && a.Sp.unshares != nil {
-				a.Sp.unshares(t.MemNode())
-			}
-			pc.Mu.Unlock()
-			return pc
-		}
-		a.Sp.flush[t.MemNode()].RUnlock()
+	for !pc.Valid() || !pc.Written() {
 		a.H.WriteFault(t, pid)
 	}
+	if f := pc.frame.Load(); f == nil || !f.Exclusive() {
+		pc.Mu.Lock()
+		if _, copied := pc.EnsureExclusive(a.Sp); copied && a.Sp.unshares != nil {
+			a.Sp.unshares(t.MemNode())
+		}
+		pc.Mu.Unlock()
+	}
+	return pc
 }
-
-func (a *Accessor) writeEnd(node int) { a.Sp.flush[node].RUnlock() }
 
 // --- Scalar accessors ---
 
@@ -113,7 +90,6 @@ func (a *Accessor) ReadF64(t *sim.Task, addr Addr) float64 {
 	pid, off := a.check(addr, 8)
 	pc := a.pageForRead(t, pid)
 	v := binary.LittleEndian.Uint64(pc.Data()[off:])
-	a.readEnd(t.MemNode())
 	t.Compute(t.Costs().MemAccess)
 	return math.Float64frombits(v)
 }
@@ -123,7 +99,6 @@ func (a *Accessor) WriteF64(t *sim.Task, addr Addr, v float64) {
 	pid, off := a.check(addr, 8)
 	pc := a.pageForWrite(t, pid)
 	binary.LittleEndian.PutUint64(pc.Data()[off:], math.Float64bits(v))
-	a.writeEnd(t.MemNode())
 	t.Compute(t.Costs().MemAccess)
 }
 
@@ -132,7 +107,6 @@ func (a *Accessor) ReadI64(t *sim.Task, addr Addr) int64 {
 	pid, off := a.check(addr, 8)
 	pc := a.pageForRead(t, pid)
 	v := binary.LittleEndian.Uint64(pc.Data()[off:])
-	a.readEnd(t.MemNode())
 	t.Compute(t.Costs().MemAccess)
 	return int64(v)
 }
@@ -142,7 +116,6 @@ func (a *Accessor) WriteI64(t *sim.Task, addr Addr, v int64) {
 	pid, off := a.check(addr, 8)
 	pc := a.pageForWrite(t, pid)
 	binary.LittleEndian.PutUint64(pc.Data()[off:], uint64(v))
-	a.writeEnd(t.MemNode())
 	t.Compute(t.Costs().MemAccess)
 }
 
@@ -151,7 +124,6 @@ func (a *Accessor) ReadI32(t *sim.Task, addr Addr) int32 {
 	pid, off := a.check(addr, 4)
 	pc := a.pageForRead(t, pid)
 	v := binary.LittleEndian.Uint32(pc.Data()[off:])
-	a.readEnd(t.MemNode())
 	t.Compute(t.Costs().MemAccess)
 	return int32(v)
 }
@@ -161,7 +133,6 @@ func (a *Accessor) WriteI32(t *sim.Task, addr Addr, v int32) {
 	pid, off := a.check(addr, 4)
 	pc := a.pageForWrite(t, pid)
 	binary.LittleEndian.PutUint32(pc.Data()[off:], uint32(v))
-	a.writeEnd(t.MemNode())
 	t.Compute(t.Costs().MemAccess)
 }
 
@@ -175,16 +146,15 @@ func (a *Accessor) ReadF64s(t *sim.Task, addr Addr, dst []float64) {
 	pid, off := a.check(addr, 8)
 	i := 0
 	for i < len(dst) {
-		pc := a.pageForRead(t, pid)
+		data := a.pageForRead(t, pid).Data()[off:]
 		n := (PageSize - off) / 8
 		if rem := len(dst) - i; n > rem {
 			n = rem
 		}
-		for k := 0; k < n; k++ {
-			dst[i+k] = math.Float64frombits(
-				binary.LittleEndian.Uint64(pc.Data()[off+8*k:]))
+		out := dst[i : i+n]
+		for k := range out {
+			out[k] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*k:]))
 		}
-		a.readEnd(t.MemNode())
 		i += n
 		pid++
 		off = 0
@@ -200,15 +170,14 @@ func (a *Accessor) WriteF64s(t *sim.Task, addr Addr, src []float64) {
 	pid, off := a.check(addr, 8)
 	i := 0
 	for i < len(src) {
-		pc := a.pageForWrite(t, pid)
+		data := a.pageForWrite(t, pid).Data()[off:]
 		n := (PageSize - off) / 8
 		if rem := len(src) - i; n > rem {
 			n = rem
 		}
-		for k := 0; k < n; k++ {
-			binary.LittleEndian.PutUint64(pc.Data()[off+8*k:], math.Float64bits(src[i+k]))
+		for k, v := range src[i : i+n] {
+			binary.LittleEndian.PutUint64(data[8*k:], math.Float64bits(v))
 		}
-		a.writeEnd(t.MemNode())
 		i += n
 		pid++
 		off = 0
@@ -224,15 +193,15 @@ func (a *Accessor) ReadI64s(t *sim.Task, addr Addr, dst []int64) {
 	pid, off := a.check(addr, 8)
 	i := 0
 	for i < len(dst) {
-		pc := a.pageForRead(t, pid)
+		data := a.pageForRead(t, pid).Data()[off:]
 		n := (PageSize - off) / 8
 		if rem := len(dst) - i; n > rem {
 			n = rem
 		}
-		for k := 0; k < n; k++ {
-			dst[i+k] = int64(binary.LittleEndian.Uint64(pc.Data()[off+8*k:]))
+		out := dst[i : i+n]
+		for k := range out {
+			out[k] = int64(binary.LittleEndian.Uint64(data[8*k:]))
 		}
-		a.readEnd(t.MemNode())
 		i += n
 		pid++
 		off = 0
@@ -248,15 +217,14 @@ func (a *Accessor) WriteI64s(t *sim.Task, addr Addr, src []int64) {
 	pid, off := a.check(addr, 8)
 	i := 0
 	for i < len(src) {
-		pc := a.pageForWrite(t, pid)
+		data := a.pageForWrite(t, pid).Data()[off:]
 		n := (PageSize - off) / 8
 		if rem := len(src) - i; n > rem {
 			n = rem
 		}
-		for k := 0; k < n; k++ {
-			binary.LittleEndian.PutUint64(pc.Data()[off+8*k:], uint64(src[i+k]))
+		for k, v := range src[i : i+n] {
+			binary.LittleEndian.PutUint64(data[8*k:], uint64(v))
 		}
-		a.writeEnd(t.MemNode())
 		i += n
 		pid++
 		off = 0
@@ -270,10 +238,12 @@ func (a *Accessor) Touch(t *sim.Task, addr Addr, n int) {
 	if n <= 0 {
 		return
 	}
-	first := a.Sp.PageOf(addr)
-	last := a.Sp.PageOf(addr + Addr(n) - 1)
+	if !a.Sp.Contains(addr, n) {
+		panic(fmt.Sprintf("memsys: touch [%#x,+%d) outside shared arena", uint64(addr), n))
+	}
+	first := PageID((addr - SpaceBase) >> PageShift)
+	last := PageID((addr + Addr(n) - 1 - SpaceBase) >> PageShift)
 	for pid := first; pid <= last; pid++ {
 		a.pageForRead(t, pid)
-		a.readEnd(t.MemNode())
 	}
 }

@@ -165,12 +165,11 @@ func (w *cowWorld) flush(node int, pid PageID) {
 		w.t.Fatalf("node %d page %d: written bit diverged (cow %v, eager %v)",
 			node, pid, pc.Written(), e.written)
 	}
-	w.acc.FlushBegin(node)
-	w.flushLocked(node, pid)
-	w.acc.FlushEnd(node)
+	w.release(node, pid)
 }
 
-func (w *cowWorld) flushLocked(node int, pid PageID) {
+// release is flush without the written-bit check.
+func (w *cowWorld) release(node int, pid PageID) {
 	pc := w.sp.Copy(node, pid)
 	e := w.model.at(node, pid)
 	if node != cowHome {
@@ -201,15 +200,13 @@ func (w *cowWorld) invalidate(node int, pid PageID) {
 	}
 	pc := w.sp.Copy(node, pid)
 	e := w.model.at(node, pid)
-	w.acc.FlushBegin(node)
 	if pc.Written() {
-		w.flushLocked(node, pid)
+		w.release(node, pid)
 	}
 	pc.SetValid(false)
 	pc.RetireTwin(w.sp)
 	pc.RetireData(w.sp)
 	e.valid, e.written, e.data, e.twin = false, false, nil, nil
-	w.acc.FlushEnd(node)
 }
 
 // verify compares every observable byte of one copy against the model.

@@ -21,11 +21,13 @@ import (
 // against an eager-copy reference.
 //
 // Pool-reuse safety: a frame's array may return to the page pool only when
-// no reader can still hold a pointer to it.  Readers hold their node's flush
-// lock shared across the byte access, and every release that can free a
-// same-node-only frame runs under that node's flush lock held exclusively
-// (invalidation, twin retirement) — except unshare, which by construction
-// releases a frame with at least one reference remaining.  A frame that was
+// no reader can still hold a pointer to it.  A cell's tasks run one at a
+// time in its single scheduler slot, and an accessor holds a frame pointer
+// only between its validity check and its load or store, with no safe point
+// in between; so every release that can free a same-node-only frame
+// (invalidation, twin retirement) runs while no accessor holds one — and
+// unshare by construction releases a frame with at least one reference
+// remaining.  A frame that was
 // ever visible to another node (fetch adoption, interning, migration) sets
 // crossNode and is dropped to the garbage collector instead of the pool:
 // the GC keeps stale readers safe, and the space's end-of-run Release — when
@@ -218,8 +220,8 @@ func (s *Space) evictFrame(f *Frame) {
 // DedupFrame interns pc's current frame in the space's content-hash table:
 // if an identical-content frame is already canonical, pc's frame is swapped
 // for it (a dedup hit); otherwise pc's frame becomes the canonical entry.
-// The caller must own pc (hold its Mu) and guarantee no in-flight writer on
-// the frame (the fetch path holds the home's flush lock exclusively).
+// The caller must own pc (hold its Mu) and hold its cell's scheduler slot,
+// so no writer on the frame is in flight.
 // Returns whether an existing frame was reused.
 func (s *Space) DedupFrame(pc *PageCopy) bool {
 	f := pc.frame.Load()

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
 // Page geometry.
@@ -40,12 +39,11 @@ const NoHome = int32(-1)
 //
 // Storage is a refcounted copy-on-write frame (see frame.go) held behind an
 // atomic pointer: a fetched page, its twin and other nodes' replicas alias
-// one frame, and the first local write unshares it.  Byte access is
-// synchronized through the owning node's flush lock: loads and stores hold
-// it shared, while invalidation — the path that releases a copy's frame —
-// holds it exclusively, so a recycled frame can never still be observed by
-// a racing reader (crossNode frames additionally bypass the pool; see
-// frame.go).
+// one frame, and the first local write unshares it.  Byte access needs no
+// lock: a cell's tasks run one at a time in its single scheduler slot, so
+// invalidation — the path that releases a copy's frame — never runs while
+// another task is between its validity check and its load or store
+// (crossNode frames additionally bypass the pool; see frame.go).
 type PageCopy struct {
 	// Mu serializes state transitions and diff application on this copy.
 	Mu sync.Mutex
@@ -73,8 +71,8 @@ func (p *PageCopy) Data() []byte {
 func (p *PageCopy) Frame() *Frame { return p.frame.Load() }
 
 // RetireData releases the copy's frame and clears the pointer.  Caller must
-// hold Mu and exclude all readers of the copy (the acquire path holds the
-// node's flush lock exclusively).
+// hold Mu and hold its cell's scheduler slot, so no reader of the copy is
+// mid-access.
 func (p *PageCopy) RetireData(sp *Space) {
 	if f := p.frame.Load(); f != nil {
 		p.frame.Store(nil)
@@ -173,8 +171,8 @@ func (p *PageCopy) RetireTwin(sp *Space) {
 // AdoptFrame points this copy at src's current frame (the fetch path: the
 // fetched replica aliases the home's frame instead of copying it).  The
 // frame escapes its home node, so it is marked crossNode and will not be
-// recycled mid-run.  Caller must hold both copies' Mu (fetch also holds the
-// home's flush lock exclusively, so no home store is mid-flight).
+// recycled mid-run.  Caller must hold both copies' Mu and its cell's
+// scheduler slot, so no home store is mid-flight.
 func (p *PageCopy) AdoptFrame(sp *Space, src *PageCopy) {
 	f := src.frame.Load()
 	if f == nil {
@@ -202,18 +200,6 @@ type Space struct {
 	// experiment harness's wall-clock cost before chunking.
 	pages [][]atomic.Pointer[pageChunk]
 
-	// flush[node] is the node's writer/flusher lock: shared-memory loads and
-	// stores hold it shared, interval flushes and acquire-side invalidations
-	// hold it exclusively, so a flush observes a stable page image (avoids
-	// lost updates between same-node threads) and an invalidation can retire
-	// page frames with no reader left holding them.  Owned by the space so
-	// its lifetime matches the pages it guards (it used to live in a
-	// process-global registry keyed by *Space, which retained every space
-	// ever created).  Each lock is padded to its own cache line: every
-	// simulated access of a node touches its lock word, and neighboring
-	// nodes' locks sharing a line would ping-pong across host cores.
-	flush []flushLock
-
 	// meta[pid>>pageChunkShift] holds the page's home and first-toucher
 	// records in on-demand chunks (same chunking as page copies): home is
 	// the node holding the primary copy, toucher the node that first
@@ -239,12 +225,6 @@ type Space struct {
 	segs    []Segment
 }
 
-// flushLock pads a per-node RWMutex out to a full cache line.
-type flushLock struct {
-	sync.RWMutex
-	_ [(cacheLine - unsafe.Sizeof(sync.RWMutex{})%cacheLine) % cacheLine]byte
-}
-
 // pageChunk is one on-demand block of page-copy slots (2 MB of arena).
 type pageChunk [pageChunkSize]atomic.Pointer[PageCopy]
 
@@ -255,9 +235,6 @@ const (
 	pageChunkShift = 9
 	pageChunkSize  = 1 << pageChunkShift
 )
-
-// cacheLine is the assumed false-sharing granularity of the host.
-const cacheLine = 64
 
 // Segment records one allocation in the shared arena.
 type Segment struct {
@@ -278,7 +255,6 @@ func NewSpace(nodes int, size int64) *Space {
 		size:     int64(np) * PageSize,
 		numPages: np,
 		pages:    make([][]atomic.Pointer[pageChunk], nodes),
-		flush:    make([]flushLock, nodes),
 		meta:     make([]atomic.Pointer[metaChunk], nc),
 		next:     SpaceBase,
 	}
@@ -480,7 +456,6 @@ func (s *Space) MisplacedPages() (misplaced, total int) {
 // pointers, and those frames must age out through the GC instead.
 func (s *Space) Release() {
 	for node := range s.pages {
-		s.flush[node].Lock()
 		for ci := range s.pages[node] {
 			ch := s.pages[node][ci].Load()
 			if ch == nil {
@@ -505,7 +480,6 @@ func (s *Space) Release() {
 				pc.Mu.Unlock()
 			}
 		}
-		s.flush[node].Unlock()
 	}
 	in := &s.intern
 	in.mu.Lock()

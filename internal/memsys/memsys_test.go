@@ -280,9 +280,7 @@ func TestWriteFaultOncePerInterval(t *testing.T) {
 	}
 	// Simulate an interval flush clearing the dirty bit.
 	pc := acc.Sp.Copy(0, 0)
-	acc.FlushBegin(0)
 	pc.SetWritten(false)
-	acc.FlushEnd(0)
 	acc.WriteI64(task, SpaceBase, 9)
 	if h.writeFaults != 2 {
 		t.Errorf("write faults after flush: %d", h.writeFaults)

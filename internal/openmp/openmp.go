@@ -173,6 +173,9 @@ func (r *Runtime) Parallel(body func(o *OMP)) {
 	region := r.nextBar
 	r.mu.Unlock()
 	start := main.Now()
+	// The master hands the region to the pool over host channels and waits
+	// for it outside the scheduler, so its slot is free for the workers.
+	main.Block()
 	for i, w := range r.pool {
 		i, w := i, w
 		o := &OMP{r: r, tid: i, bar: fmt.Sprintf("omp.%d", region)}
@@ -187,14 +190,18 @@ func (r *Runtime) Parallel(body func(o *OMP)) {
 		end := <-w.done
 		main.WaitUntil(end)
 	}
+	main.Unblock()
 }
 
 // Close retires the pool (end of program).
 func (r *Runtime) Close() {
+	main := r.rt.Main().Task
+	main.Block()
 	for _, w := range r.pool {
 		close(w.work)
 		<-w.done
 	}
+	main.Unblock()
 	r.pool = nil
 }
 

@@ -53,9 +53,11 @@ func Stalls() int64 { return stalls.Load() }
 // holds the slot, so the managed tasks' interleaving follows virtual time,
 // not host timing.
 //
-// Unmanaged tasks (main/coordinator threads, whose goroutine the harness
-// owns) are not slot-disciplined: their Park/Unpark degrade to the plain
-// channel hand-off and Block/Unblock to no-ops.
+// A cell's coordinator (its main thread, whose goroutine the harness owns)
+// joins through Adopt, so every task of a cell is managed.  Tasks never
+// handed to the scheduler (unit tests' bare tasks) are not slot-disciplined:
+// their Park/Unpark degrade to the plain channel hand-off and Block/Unblock
+// to no-ops.
 type Scheduler struct {
 	mu      sync.Mutex
 	free    int          // unheld execution slots; > 0 implies empty queues
@@ -92,13 +94,27 @@ type eventTask struct {
 	parked bool
 }
 
+// manage attaches fresh scheduler state to t, making it a managed task.
+func (s *Scheduler) manage(t *Task) *eventTask {
+	et := &eventTask{s: s, t: t, token: make(chan struct{}, 1)}
+	t.evt = et
+	return et
+}
+
+// Adopt makes the calling goroutine the body of managed task t — a cell's
+// coordinator, whose goroutine the harness owns.  t is queued at its clock
+// and Adopt returns once it holds the slot; from then on it parks, blocks
+// and yields at safe points like a task spawned through Go.  An adopted
+// task never exits through the scheduler: it keeps the slot when its cell
+// is done, so nothing else of the cell runs afterwards.
+func (s *Scheduler) Adopt(t *Task) { s.ready(s.manage(t), t.Now()) }
+
 // Go spawns fn as the body of managed task t.  The spawner queues t at its
 // current clock before the goroutine starts, so tasks spawned at equal
 // virtual instants are admitted in spawn order; fn runs once t is admitted
 // to the slot, and the slot is returned when fn unwinds.
 func (s *Scheduler) Go(t *Task, fn func()) {
-	et := &eventTask{s: s, t: t, token: make(chan struct{}, 1)}
-	t.evt = et
+	et := s.manage(t)
 	s.mu.Lock()
 	s.pushLocked(et, t.Now())
 	s.dispatchLocked()
@@ -208,23 +224,33 @@ func (s *Scheduler) releaseLocked(et *eventTask) {
 
 // dispatchLocked grants free slots to queued tasks in (key, seq) order,
 // refreshes the cached minimum, and starts the stall watchdog when tasks
-// are left waiting.  Caller holds s.mu.
+// are left waiting.  Caller holds s.mu.  The minimum is refreshed before
+// each grant: the new holder can reach its Compute safe point before this
+// call returns, and a stale minimum there (its own former key) would make
+// it yield at a host-timed point.
 func (s *Scheduler) dispatchLocked() {
 	for s.free > 0 && len(s.order) > 0 {
 		et := s.popMinLocked()
 		s.free--
 		s.holders = append(s.holders, et)
+		s.storeMinLocked()
 		et.token <- struct{}{}
 	}
+	s.storeMinLocked()
+	if len(s.order) > 0 && !s.watching {
+		s.watching = true
+		go s.watch()
+	}
+}
+
+// storeMinLocked refreshes the cached earliest queued key.  Caller holds
+// s.mu.
+func (s *Scheduler) storeMinLocked() {
 	if len(s.order) == 0 {
 		s.minReady.Store(emptyKey)
 		return
 	}
 	s.minReady.Store(int64(s.order[0].tasks[0].key))
-	if !s.watching {
-		s.watching = true
-		go s.watch()
-	}
 }
 
 // watch is the stall watchdog: while tasks wait for a slot, it samples the

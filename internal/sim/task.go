@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 )
 
@@ -60,9 +61,9 @@ type Task struct {
 
 	costs *Costs
 
-	// evt is the scheduler's per-task state, set by Scheduler.Go and nil
-	// for unmanaged tasks — the zero-cost "is this task slot-disciplined"
-	// check every park, block and safe point makes.
+	// evt is the scheduler's per-task state, set by Scheduler.Go or Adopt
+	// and nil for unmanaged tasks — the zero-cost "is this task
+	// slot-disciplined" check every park, block and safe point makes.
 	evt *eventTask
 
 	// prof is the attached span probe, nil when no profiler is observing
@@ -179,10 +180,46 @@ func (t *Task) Unpark(v Time) {
 	t.grant <- v
 }
 
+// Exit is a thread's exit record: joiners park on it until the thread ends.
+// The zero value is a running thread.
+type Exit struct {
+	mu      sync.Mutex
+	done    bool
+	end     Time
+	joiners []*Task
+}
+
+// Wait parks t until the thread has exited and returns its exit instant;
+// once it has, Wait returns at once (a thread may be joined again).
+func (e *Exit) Wait(t *Task) Time {
+	e.mu.Lock()
+	if e.done {
+		defer e.mu.Unlock()
+		return e.end
+	}
+	e.joiners = append(e.joiners, t)
+	e.mu.Unlock()
+	return t.Park()
+}
+
+// Close records the thread's exit at instant end and unparks its joiners.
+// The exiting task calls it while it still holds its scheduler slot, so the
+// joiners queue at end in virtual-time order.
+func (e *Exit) Close(end Time) {
+	e.mu.Lock()
+	e.done, e.end = true, end
+	joiners := e.joiners
+	e.joiners = nil
+	e.mu.Unlock()
+	for _, j := range joiners {
+		j.Unpark(end)
+	}
+}
+
 // Block releases a managed task's slot before a raw host-blocking operation
-// outside the park path (a join's done-channel receive, a worker pool's idle
-// receive, a host WaitGroup); Unblock rejoins the run queue after it.  Both
-// are no-ops for unmanaged tasks.
+// outside the park path (a worker pool's idle receive, a channel hand-off
+// between threads, a host WaitGroup); Unblock rejoins the run queue after
+// it.  Both are no-ops for unmanaged tasks.
 func (t *Task) Block() {
 	if et := t.evt; et != nil {
 		et.s.release(et)
