@@ -2,13 +2,14 @@
 # check) + build + tests
 # (the farm soak, the telemetry smoke and the full-size FFT memory smoke run
 # in plain `go test ./...`) + race on the protocol-critical packages + the
-# repository benchmark's own vet and short tests + docs lint + a profiler
-# export smoke run.
+# repeated determinism tests at GOMAXPROCS 1 and 2 + the repository
+# benchmark's own vet and short tests + docs lint + a profiler export smoke
+# run.
 GO ?= go
 
-.PHONY: check vet build test race benchmark bench docs profile-smoke
+.PHONY: check vet build test race determinism benchmark bench docs profile-smoke
 
-check: vet build test race benchmark docs profile-smoke
+check: vet build test race determinism benchmark docs profile-smoke
 
 # Documentation lint (cmd/doccheck, stdlib only; its package doc lists the
 # seven rules): package doc comments, relative markdown links, no CatComm
@@ -33,6 +34,14 @@ race:
 		./internal/san/... ./internal/vmmc/... ./internal/nodeos/... ./internal/wire/... \
 		./internal/sim/... ./internal/metrics/... ./internal/farm/...
 	$(GO) test -race -run 'TestFig5RaceSmoke|TestFig5RaceSmokeEventSched|TestFig5ContendedSyncRaceSmoke|TestFrameLeakBothSched' ./internal/bench/
+
+# A cell is a pure function of its spec: the determinism tests compare
+# repeated runs with ==, 20 times over, on one and on two host threads.
+DETERMINISM_TESTS = TestHarnessDeterminism|TestSchedulerJobsDeterminism|TestTable4And5Reproducible|TestRepeatRunStableUnderGOMAXPROCS
+
+determinism:
+	GOMAXPROCS=1 $(GO) test -count=20 -run '$(DETERMINISM_TESTS)' ./internal/bench/
+	GOMAXPROCS=2 $(GO) test -count=20 -run '$(DETERMINISM_TESTS)' ./internal/bench/
 
 # The repository benchmark (benchmark/, its own Go module, recorded in
 # BENCHMARK.json): vet it — which type-checks its probe against the

@@ -3,14 +3,13 @@ package bench
 import (
 	"errors"
 	"io"
+	"maps"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"cables/internal/sim"
-	"cables/internal/stats"
 )
 
 // TestRunCellsCoversAllCells: every index runs exactly once for any jobs
@@ -55,12 +54,6 @@ func TestRunCellsIsolatesPanics(t *testing.T) {
 	}
 }
 
-// jitterTolerance bounds the simulator's inherent run-to-run virtual-time
-// jitter: cells whose threads contend dynamically (lock order, page-fault
-// interleaving) vary by ~1-3% between identical sequential runs, with or
-// without the parallel harness.  The harness must not widen that envelope.
-const jitterTolerance = 0.10
-
 // noStalls fails t if a scheduler's stall watchdog added an execution slot
 // while t ran: the cell it rescued ran in host order from then on, so its
 // results say nothing about reproducibility.
@@ -69,32 +62,16 @@ func noStalls(t *testing.T) {
 	before := sim.Stalls()
 	t.Cleanup(func() {
 		if n := sim.Stalls() - before; n != 0 {
-			t.Errorf("stall watchdog added %d execution slots: a managed task blocked outside Park/Block", n)
+			t.Errorf("stall watchdog added %d execution slots: a managed task blocked outside Park", n)
 		}
 	})
 }
 
-func relDiff(a, b float64) float64 {
-	m := a
-	if b > m {
-		m = b
-	}
-	if m == 0 {
-		return 0
-	}
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d / m
-}
-
 // TestHarnessDeterminism: a 4-worker sweep produces the same artifact as
-// the sequential sweep — identical cell structure, error outcomes and
-// computation checksums, identical rendered-table shape, and virtual times
-// equal up to the simulator's pre-existing run-to-run jitter (which is
-// present even when comparing two -jobs 1 runs; the harness itself
-// assembles cells into fixed slots and adds no ordering dependence).
+// the sequential sweep — identical cell structure, error outcomes,
+// checksums and virtual times, and a byte-identical table6 (the harness
+// assembles cells into fixed slots, and each cell is a pure function of
+// its spec).
 func TestHarnessDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the fig5/table6 grids twice")
@@ -125,15 +102,14 @@ func TestHarnessDeterminism(t *testing.T) {
 
 	seq6 := Table6(io.Discard, ScaleTest, 1).String()
 	par6 := Table6(io.Discard, ScaleTest, 4).String()
-	if !slicesEqual(shape(seq6), shape(par6)) {
-		t.Errorf("table6 row structure differs:\n--- jobs=1\n%s\n--- jobs=4\n%s", seq6, par6)
+	if seq6 != par6 {
+		t.Errorf("table6 differs:\n--- jobs=1\n%s\n--- jobs=4\n%s", seq6, par6)
 	}
-	compareSpeedupTables(t, seq6, par6)
 }
 
 // compareSweeps checks a jobs=1 and a jobs=4 run of the same fig5 grid
-// agree: identical error outcomes, checksums and misplaced-page counts,
-// parallel times within jitterTolerance.
+// agree: identical error outcomes, checksums, misplaced-page counts and
+// parallel times.
 func compareSweeps(t *testing.T, apps []string, procs []int, seq, par Fig5Data) {
 	t.Helper()
 	for _, app := range apps {
@@ -156,9 +132,9 @@ func compareSweeps(t *testing.T, apps []string, procs []int, seq, par Fig5Data) 
 					t.Errorf("%s/%s p=%d: misplaced pages differ: %d vs %d",
 						app, backend, p, s.Res.Misplaced, q.Res.Misplaced)
 				}
-				if d := relDiff(float64(s.Res.Parallel), float64(q.Res.Parallel)); d > jitterTolerance {
-					t.Errorf("%s/%s p=%d: parallel time differs by %.1f%%: %v vs %v",
-						app, backend, p, d*100, s.Res.Parallel, q.Res.Parallel)
+				if s.Res.Parallel != q.Res.Parallel {
+					t.Errorf("%s/%s p=%d: parallel time differs: %v vs %v",
+						app, backend, p, s.Res.Parallel, q.Res.Parallel)
 				}
 			}
 		}
@@ -175,37 +151,6 @@ func slicesEqual(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-// compareSpeedupTables checks that every numeric cell of two rendered
-// Table 6 instances agrees within the jitter tolerance.
-func compareSpeedupTables(t *testing.T, a, b string) {
-	t.Helper()
-	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
-	if len(la) != len(lb) {
-		t.Errorf("table6 line count differs: %d vs %d", len(la), len(lb))
-		return
-	}
-	for i := range la {
-		fa, fb := strings.Fields(la[i]), strings.Fields(lb[i])
-		if len(fa) != len(fb) {
-			t.Errorf("table6 line %d field count differs: %q vs %q", i, la[i], lb[i])
-			continue
-		}
-		for j := range fa {
-			va, errA := strconv.ParseFloat(fa[j], 64)
-			vb, errB := strconv.ParseFloat(fb[j], 64)
-			switch {
-			case errA == nil && errB == nil:
-				if relDiff(va, vb) > jitterTolerance {
-					t.Errorf("table6 cell [%d][%d] differs by >%.0f%%: %v vs %v",
-						i, j, jitterTolerance*100, va, vb)
-				}
-			case fa[j] != fb[j]:
-				t.Errorf("table6 cell [%d][%d] differs: %q vs %q", i, j, fa[j], fb[j])
-			}
-		}
-	}
 }
 
 // TestSchedulerJobsDeterminism: a jobs=1 sweep and a jobs=4 sweep must
@@ -253,45 +198,26 @@ func TestFig5RaceSmokeEventSched(t *testing.T) {
 }
 
 // TestRepeatRunStableUnderGOMAXPROCS: with host parallelism enabled, two
-// identical runs agree on every structurally deterministic protocol counter
-// and on the computation's checksum.  (Timing-dependent counters like page
-// faults may legitimately vary with goroutine interleaving; the structural
-// ones may not.)
+// identical runs agree on every event counter and on the whole result —
+// virtual times, checksum and page placement.
 func TestRepeatRunStableUnderGOMAXPROCS(t *testing.T) {
 	old := runtime.GOMAXPROCS(0)
 	if old < 2 {
 		runtime.GOMAXPROCS(2)
 		defer runtime.GOMAXPROCS(old)
 	}
-	pinned := []stats.Event{
-		stats.EvThreadsCreated,
-		stats.EvBarriers,
-		stats.EvLockAcquires,
-		stats.EvNodesAttached,
-	}
-	type run struct {
-		counters []int64
-		checksum float64
-	}
-	do := func() run {
+	do := func() CellRun {
 		c := RunCell("FFT", BackendGenima, 4, ScaleTest, nil, CellOptions{}, Attach{})
 		if c.Err != nil {
 			t.Fatal(c.Err)
 		}
-		r := run{checksum: c.Res.Checksum}
-		for _, e := range pinned {
-			r.counters = append(r.counters, c.Ctr.Load(e))
-		}
-		return r
+		return c
 	}
 	a, b := do(), do()
-	if a.checksum != b.checksum {
-		t.Errorf("checksum differs across identical runs: %g vs %g", a.checksum, b.checksum)
+	if a.Res != b.Res {
+		t.Errorf("result differs across identical runs:\n%+v\n%+v", a.Res, b.Res)
 	}
-	for i, e := range pinned {
-		if a.counters[i] != b.counters[i] {
-			t.Errorf("counter %d (event %d) differs across identical runs: %d vs %d",
-				i, e, a.counters[i], b.counters[i])
-		}
+	if sa, sb := a.Ctr.Snapshot(), b.Ctr.Snapshot(); !maps.Equal(sa, sb) {
+		t.Errorf("counters differ across identical runs:\n%v\n%v", sa, sb)
 	}
 }

@@ -96,15 +96,13 @@ func Table4(w io.Writer) *stats.Table {
 	{
 		rt := cables.New(cables.Config{MaxNodes: 2, ProcsPerNode: 2, PrestartNodes: 2})
 		main := rt.Start().Task
-		block := make(chan struct{})
 		var ths []*cables.Thread
 		rows = append(rows, measureOp(main, "local thread create", func() {
-			ths = append(ths, rt.Create(main, func(*cables.Thread) { <-block }))
+			ths = append(ths, rt.Create(main, func(*cables.Thread) {}))
 		}))
 		rows = append(rows, measureOp(main, "remote thread create", func() {
-			ths = append(ths, rt.Create(main, func(*cables.Thread) { <-block }))
+			ths = append(ths, rt.Create(main, func(*cables.Thread) {}))
 		}))
-		close(block)
 		for _, th := range ths {
 			rt.Join(main, th)
 		}
@@ -121,26 +119,21 @@ func Table4(w io.Writer) *stats.Table {
 		rows = append(rows, measureOp(main, "local mutex lock", func() { mx.Lock(main) }))
 		mx.Unlock(main)
 		// Remote: a thread on node 1 acquires a lock last held on node 0.
-		// The two threads hand off over host channels, so each releases
-		// its scheduler slot (Block) while it waits for the other.
-		first, step := make(chan struct{}), make(chan struct{})
+		// The two threads hand off by parking; the instants they pass are
+		// ignored, so the hand-offs move no clock.
 		var remoteFirst, remoteAgain row4
 		th := rt.Create(main, func(th *cables.Thread) {
 			remoteFirst = measureOp(th.Task, "remote mutex lock (first time)", func() { mx.Lock(th.Task) })
 			mx.Unlock(th.Task)
-			close(first)
-			th.Task.Block()
-			<-step // main re-takes the lock so it is again remote for us
-			th.Task.Unblock()
+			main.Unpark(th.Task.Now())
+			th.Task.Park() // main re-takes the lock so it is again remote for us
 			remoteAgain = measureOp(th.Task, "remote mutex lock", func() { mx.Lock(th.Task) })
 			mx.Unlock(th.Task)
 		})
-		main.Block()
-		<-first
-		main.Unblock()
+		main.Park()
 		mx.Lock(main)
 		mx.Unlock(main)
-		step <- struct{}{}
+		th.Task.Unpark(main.Now())
 		rt.Join(main, th)
 		rows = append(rows, remoteFirst, remoteAgain)
 	}
@@ -153,16 +146,13 @@ func Table4(w io.Writer) *stats.Table {
 		main := rt.Start().Task
 		mx := rt.NewMutex(main)
 		cond := rt.NewCond(main)
-		ready := make(chan struct{})
 		th := rt.Create(main, func(th *cables.Thread) {
 			mx.Lock(th.Task)
-			close(ready)
+			main.Unpark(th.Task.Now())
 			cond.Wait(th, mx)
 			mx.Unlock(th.Task)
 		})
-		main.Block()
-		<-ready
-		main.Unblock()
+		main.Park()
 		mx.Lock(main)
 		rows = append(rows, measureOp(main, "conditional signal", func() { cond.Signal(main) }))
 		mx.Unlock(main)
@@ -177,16 +167,13 @@ func Table4(w io.Writer) *stats.Table {
 		rows = append(rows, waitRow)
 
 		// Broadcast with one remote waiter.
-		ready2 := make(chan struct{})
 		th2 := rt.Create(main, func(th *cables.Thread) {
 			mx.Lock(th.Task)
-			close(ready2)
+			main.Unpark(th.Task.Now())
 			cond.Wait(th, mx)
 			mx.Unlock(th.Task)
 		})
-		main.Block()
-		<-ready2
-		main.Unblock()
+		main.Park()
 		mx.Lock(main) // the waiter is parked: it held the slot until then
 		rows = append(rows, measureOp(main, "conditional broadcast", func() { cond.Broadcast(main) }))
 		mx.Unlock(main)

@@ -73,17 +73,24 @@ func TestTable4MatchesPaper(t *testing.T) {
 	}
 }
 
-// TestTable4Reproducible renders the Table 4 API-cost suite twice: the
-// rendering must be byte-identical run to run.
-func TestTable4Reproducible(t *testing.T) {
+// TestTable4And5Reproducible renders the Table 4 API-cost suite and the
+// paper-scale Table 5 pthreads/OpenMP programs twice each: each rendering
+// must be byte-identical run to run, Table 5's OpenMP rows included.
+func TestTable4And5Reproducible(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the table4 suite twice")
+		t.Skip("runs the table4 and table5 suites twice")
 	}
 	noStalls(t)
-	a := Table4(io.Discard).String()
-	b := Table4(io.Discard).String()
-	if a != b {
-		t.Errorf("table4 is not reproducible:\n--- first\n%s\n--- second\n%s", a, b)
+	for _, tab := range []struct {
+		name   string
+		render func() string
+	}{
+		{"table4", func() string { return Table4(io.Discard).String() }},
+		{"table5", func() string { return Table5(io.Discard, ScalePaper, 2).String() }},
+	} {
+		if a, b := tab.render(), tab.render(); a != b {
+			t.Errorf("%s is not reproducible:\n--- first\n%s\n--- second\n%s", tab.name, a, b)
+		}
 	}
 }
 

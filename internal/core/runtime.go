@@ -21,6 +21,7 @@ package cables
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"cables/internal/fault"
 	"cables/internal/genima"
@@ -96,8 +97,9 @@ type Thread struct {
 	exit sim.Exit
 	ret  any
 
-	cancelCh   chan struct{}
-	cancelOnce sync.Once
+	// waiting is the thread's entry on a condition variable's wait list
+	// while it waits there, so pthread_cancel can claim and wake it.
+	waiting atomic.Pointer[condWaiter]
 
 	keyMu sync.Mutex
 	keys  map[int]any
@@ -193,7 +195,7 @@ func (rt *Runtime) Start() *Thread {
 	task := rt.cl.NewTask(0, 0)
 	rt.cl.Sched.Adopt(task) // the caller's goroutine is the main thread
 	rt.main = &Thread{
-		Task: task, TID: 0, rt: rt, cancelCh: make(chan struct{}),
+		Task: task, TID: 0, rt: rt,
 	}
 	rt.acb.mu.Lock()
 	rt.acb.threads[0] = rt.main
@@ -359,10 +361,9 @@ func (rt *Runtime) Create(parent *sim.Task, fn func(th *Thread)) *Thread {
 	tid := a.nextTID
 	a.nextTID++
 	th := &Thread{
-		Task:     rt.cl.NewTask(node, parent.Now()),
-		TID:      tid,
-		rt:       rt,
-		cancelCh: make(chan struct{}),
+		Task: rt.cl.NewTask(node, parent.Now()),
+		TID:  tid,
+		rt:   rt,
 	}
 	a.threads[tid] = th
 	a.mu.Unlock()
@@ -427,11 +428,15 @@ func (rt *Runtime) Join(t *sim.Task, th *Thread) {
 }
 
 // Cancel requests cancellation of th (pthread_cancel); the thread unwinds
-// at its next cancellation point.
+// at its next cancellation point.  A thread waiting on a condition variable
+// is one: unless a signal claimed it first, Cancel takes it off the wait
+// list and wakes it to unwind.  The wake-up does not move its clock.
 func (rt *Runtime) Cancel(t *sim.Task, th *Thread) {
 	rt.chargeAdmin(t)
 	th.Task.Cancel()
-	th.cancelOnce.Do(func() { close(th.cancelCh) })
+	if w := th.waiting.Load(); w != nil && w.c.cancel(w) {
+		th.Task.Unpark(th.Task.Now())
+	}
 }
 
 // KeyCreate allocates a thread-specific-data key (pthread_key_create).

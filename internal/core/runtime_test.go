@@ -175,16 +175,13 @@ func TestCancelUnblocksCondWait(t *testing.T) {
 	main := rt.Main()
 	mx := rt.NewMutex(main.Task)
 	cond := rt.NewCond(main.Task)
-	started := make(chan struct{})
 	victim := rt.Create(main.Task, func(th *cables.Thread) {
 		mx.Lock(th.Task)
-		close(started)
+		main.Task.Unpark(th.Task.Now())
 		cond.Wait(th, mx) // never signaled
 		t.Error("wait returned without cancellation")
 	})
-	main.Task.Block()
-	<-started
-	main.Task.Unblock()
+	main.Task.Park() // the victim holds the slot until it parks in Wait
 	rt.Cancel(main.Task, victim)
 	rt.Join(main.Task, victim)
 }

@@ -31,10 +31,14 @@ func (m *Mutex) Lock(t *sim.Task) { m.rt.proto.NewLock(m.id).Acquire(t) }
 // Unlock releases the mutex (pthread_mutex_unlock).
 func (m *Mutex) Unlock(t *sim.Task) { m.rt.proto.NewLock(m.id).Release(t) }
 
-// condWaiter is one thread parked on a condition variable.
+// condWaiter is one thread parked on a condition variable.  canceled is
+// set, under the cond's mu, when pthread_cancel rather than a signal took
+// it off the wait list.
 type condWaiter struct {
-	t     *sim.Task
-	start sim.Time
+	t        *sim.Task
+	c        *Cond
+	start    sim.Time
+	canceled bool
 }
 
 // Cond is a pthread condition variable.  Waiter bookkeeping lives in the
@@ -60,11 +64,14 @@ func (rt *Runtime) NewCond(t *sim.Task) *Cond {
 
 // Wait atomically releases mx and suspends th until signaled
 // (pthread_cond_wait); mx is re-acquired before returning.  Wait is a
-// cancellation point.
+// cancellation point: a cancel pending when the mutex has been released, or
+// one that claims the waiter before a signal does, unwinds the thread; a
+// waiter a signal claimed first returns normally, so a cancel never
+// consumes a signal.
 func (c *Cond) Wait(th *Thread, mx *Mutex) {
 	t := th.Task
-	// No cancellation check while the mutex is held: a cancel that lands
-	// here is honored by the select below, after the mutex is released.
+	// No cancellation check while the mutex is held: a pending cancel is
+	// honored below, after the mutex is released.
 	t.OpenSpan(uint8(profile.SpanCond), uint64(c.id))
 	costs := c.rt.cl.Costs
 	t.Charge(sim.CatLocal, costs.CondWaitLocal)
@@ -83,47 +90,31 @@ func (c *Cond) Wait(th *Thread, mx *Mutex) {
 	// Spin when the node has spare processors; otherwise block on an OS
 	// event and pay the wake-up penalty if the wait outlasts the spin bound.
 	spinning := node.Runnable() <= node.Processors
-	// The waiter parks through the scheduler on the task's reusable grant
-	// channel (no per-wait allocation); see the reuse contract on
-	// sim.Task.Grant.
-	w := &condWaiter{t: t, start: t.Now()}
+	w := &condWaiter{t: t, c: c, start: t.Now()}
 	c.mu.Lock()
 	c.waiters = append(c.waiters, w)
 	c.mu.Unlock()
+	th.waiting.Store(w)
 
 	mx.Unlock(t)
 	if !spinning {
 		node.ThreadStopped()
 	}
-	grant, ok := t.ParkCancelable(th.cancelCh)
-	if !ok {
-		c.mu.Lock()
-		found := false
-		for i, x := range c.waiters {
-			if x == w {
-				c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-				found = true
-				break
-			}
-		}
-		c.mu.Unlock()
-		if !found {
-			// A signal or broadcast already claimed this waiter, so a grant
-			// is in flight (or delivered).  Consume it — the wake-up is
-			// dropped, exactly as before, but the reusable channel must not
-			// carry a stale grant into the task's next wait.
-			<-t.Grant()
-		}
-		if !spinning {
-			node.ThreadStarted()
-		}
+	// Whoever takes w off the wait list — a signal, a broadcast or Cancel —
+	// unparks the thread; a cancel already pending claims it here instead.
+	var grant sim.Time
+	if !t.Canceled() || !c.cancel(w) {
+		grant = t.Park()
+	}
+	th.waiting.Store(nil)
+	if !spinning {
+		node.ThreadStarted()
+	}
+	if w.canceled {
 		// Close the cond span before the cancellation unwind so the span
 		// stack stays balanced on the canceled thread's log.
 		t.CloseSpan()
 		panic(sim.ErrCanceled)
-	}
-	if !spinning {
-		node.ThreadStarted()
 	}
 	waited := grant - w.start
 	t.WaitUntil(grant)
@@ -131,8 +122,23 @@ func (c *Cond) Wait(th *Thread, mx *Mutex) {
 		t.Charge(sim.CatLocalOS, costs.OSBlockWake)
 	}
 	c.rt.proto.ApplyAcquire(t)
-	mx.Lock(t)
+	c.rt.proto.NewLock(mx.id).Relock(t)
 	t.CloseSpan()
+}
+
+// cancel takes w off the wait list for pthread_cancel, reporting false when
+// a signal or broadcast claimed it first.
+func (c *Cond) cancel(w *condWaiter) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, x := range c.waiters {
+		if x == w {
+			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+			w.canceled = true
+			return true
+		}
+	}
+	return false
 }
 
 // Signal wakes one waiter (pthread_cond_signal).

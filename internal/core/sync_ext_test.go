@@ -2,6 +2,7 @@ package cables_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	cables "cables/internal/core"
@@ -73,11 +74,10 @@ func TestRWLockAllowsConcurrentReaders(t *testing.T) {
 	})
 	rt.Join(main.Task, wth)
 
-	// Readers overlap: all take RLock, rendezvous, then release.
+	// Readers overlap: all take RLock, rendezvous, then release.  Each
+	// reader parks holding the lock; the last one in wakes main.
 	const readers = 4
-	var entered sync.WaitGroup
-	entered.Add(readers)
-	release := make(chan struct{})
+	var entered atomic.Int32
 	var ths []*cables.Thread
 	for i := 0; i < readers; i++ {
 		ths = append(ths, rt.Create(main.Task, func(th *cables.Thread) {
@@ -85,19 +85,17 @@ func TestRWLockAllowsConcurrentReaders(t *testing.T) {
 			if got := acc.ReadI64(th.Task, data); got != 7 {
 				t.Errorf("reader saw %d", got)
 			}
-			entered.Done()
-			// All readers hold the lock simultaneously; the raw host
-			// wait releases the scheduler slot so every reader can enter.
-			th.Task.Block()
-			<-release
-			th.Task.Unblock()
+			if entered.Add(1) == readers {
+				main.Task.Unpark(th.Task.Now())
+			}
+			th.Task.Park()
 			l.RUnlock(th)
 		}))
 	}
-	main.Task.Block()
-	entered.Wait() // proves concurrency: all readers inside at once
-	main.Task.Unblock()
-	close(release)
+	main.Task.Park() // proves concurrency: all readers inside at once
+	for _, th := range ths {
+		th.Task.Unpark(main.Task.Now())
+	}
 	for _, th := range ths {
 		rt.Join(main.Task, th)
 	}

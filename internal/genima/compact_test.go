@@ -1,6 +1,7 @@
 package genima_test
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"cables/internal/genima"
@@ -11,11 +12,11 @@ import (
 )
 
 // pingPong runs a deterministic 2-node lock ping-pong: two workers strictly
-// alternate (channel-orchestrated) acquiring a lock and bumping counters on
-// a few shared pages, producing two intervals of history per round.  It
-// returns the headline coherence counters, the retained log length, and the
-// final shared values — everything the compacted and uncompacted protocols
-// must agree on.
+// alternate (handing the turn over by Park/Unpark) acquiring a lock and
+// bumping counters on a few shared pages, producing two intervals of history
+// per round.  It returns the headline coherence counters, the retained log
+// length, and the final shared values — everything the compacted and
+// uncompacted protocols must agree on.
 func pingPong(t *testing.T, disableCompaction bool, rounds int) (invals, diffs, diffBytes, notices int64, logLen int, finals [4]int64) {
 	t.Helper()
 	rt := m4.New(m4.Config{Procs: 2, ProcsPerNode: 1, ArenaBytes: 16 << 20})
@@ -36,25 +37,32 @@ func pingPong(t *testing.T, disableCompaction bool, rounds int) (invals, diffs, 
 	}
 	rt.Protocol().Flush(main)
 
-	turn := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
+	// The workers pass the turn by parking: each parks until the other
+	// unparks it, and the second to start wakes main to hand out the first
+	// turn.
+	var workers [2]*sim.Task
+	var started atomic.Int32
 	worker := func(w int) func(th *sim.Task) {
 		return func(th *sim.Task) {
+			workers[w] = th
+			if started.Add(1) == 2 {
+				main.Unpark(th.Now())
+			}
 			for i := 0; i < rounds; i++ {
-				th.Block() // a raw host wait: release the scheduler slot
-				<-turn[w]
-				th.Unblock()
+				th.Park()
 				rt.Lock(th, 1)
 				for s := 0; s < 4; s++ {
 					v := acc.ReadI64(th, slot(s))
 					acc.WriteI64(th, slot(s), v+1)
 				}
 				rt.Unlock(th, 1)
-				turn[1-w] <- struct{}{}
+				workers[1-w].Unpark(th.Now())
 			}
 		}
 	}
 	ids := []int{rt.Spawn(main, worker(0)), rt.Spawn(main, worker(1))}
-	turn[0] <- struct{}{}
+	main.Park()
+	workers[0].Unpark(main.Now())
 	for _, id := range ids {
 		rt.Join(main, id)
 	}

@@ -98,9 +98,17 @@ func (l *SysLock) chargeAcquire(t *sim.Task) {
 }
 
 // Acquire obtains the lock, charging acquisition costs, blocking behind the
-// current holder, and applying acquire-side coherence.
+// current holder, and applying acquire-side coherence.  It is a
+// cancellation point.
 func (l *SysLock) Acquire(t *sim.Task) {
 	t.CancelPoint()
+	l.Relock(t)
+}
+
+// Relock is Acquire without the cancellation point: pthread_cond_wait's
+// re-acquire of its mutex, so a waiter a signal woke returns from the wait
+// and a pending cancel acts at its next cancellation point.
+func (l *SysLock) Relock(t *sim.Task) {
 	t.OpenSpan(uint8(profile.SpanLock), uint64(l.id))
 	l.mu.Lock()
 	// For the contention profile: the manager was remote at request time

@@ -27,7 +27,20 @@ type Runtime struct {
 	mu      sync.Mutex
 	crit    map[string]*cables.Mutex
 	nextBar int
-	pool    []*poolWorker
+
+	// pool is the pooled pthreads serving parallel regions.  Pooling is
+	// what the paper suggests OdinMP-style runtimes do to amortize remote
+	// thread-creation and node-attach costs ("the potential for pooling
+	// threads on nodes to save time", §3.2).  An idle worker is parked;
+	// the master sets region and unparks every worker, and pool worker
+	// tid runs region(tid, th).  A nil region retires the pool.
+	pool   []*cables.Thread
+	region func(tid int, th *cables.Thread)
+	// left counts the workers still inside the current region and end is
+	// the latest clock among those that have left; the last worker out
+	// unparks the master at end.
+	left int
+	end  sim.Time
 
 	// Stats, when set, records per-operation costs (Table 5's OMP rows).
 	Stats *stats.OpStats
@@ -40,16 +53,6 @@ func (r *Runtime) record(t *sim.Task, op string, fn func()) {
 		return
 	}
 	r.Stats.Time(t, op, fn)
-}
-
-// poolWorker is one pooled pthread serving parallel regions.  Pooling is
-// what the paper suggests OdinMP-style runtimes do to amortize remote
-// thread-creation and node-attach costs ("the potential for pooling threads
-// on nodes to save time", §3.2).
-type poolWorker struct {
-	th   *cables.Thread
-	work chan func(th *cables.Thread)
-	done chan sim.Time
 }
 
 // Config shapes an OpenMP run.
@@ -132,34 +135,52 @@ func (r *Runtime) ensurePool() {
 		return
 	}
 	main := r.rt.Main().Task
-	r.pool = make([]*poolWorker, r.procs)
-	for i := range r.pool {
-		w := &poolWorker{
-			work: make(chan func(th *cables.Thread)),
-			// Buffered: a worker must be able to post its region end and
-			// return to the idle wait without holding its scheduler slot
-			// hostage while the master is still collecting other workers.
-			done: make(chan sim.Time, 1),
-		}
-		r.pool[i] = w
+	r.pool = make([]*cables.Thread, r.procs)
+	for tid := range r.pool {
 		r.record(main, "create", func() {
-			w.th = r.rt.Create(main, func(th *cables.Thread) {
+			r.pool[tid] = r.rt.Create(main, func(th *cables.Thread) {
 				node := r.rt.Cluster().Nodes[th.Task.NodeID]
 				for {
 					node.ThreadStopped() // idle between regions
-					th.Task.Block()      // release the slot while idle
-					fn, ok := <-w.work
-					th.Task.Unblock()
+					th.Task.Park()
 					node.ThreadStarted()
-					if !ok {
-						break
+					region := r.region
+					if region != nil {
+						region(tid, th)
 					}
-					fn(th)
-					w.done <- th.Task.Now()
+					r.leave(th.Task.Now())
+					if region == nil {
+						return
+					}
 				}
-				w.done <- th.Task.Now()
 			})
 		})
+	}
+}
+
+// dispatch runs region on every pool worker from instant start and parks
+// the master until the last of them has left; it returns that worker's
+// clock.
+func (r *Runtime) dispatch(start sim.Time, region func(tid int, th *cables.Thread)) sim.Time {
+	r.mu.Lock()
+	r.region, r.left, r.end = region, len(r.pool), start
+	r.mu.Unlock()
+	for _, th := range r.pool {
+		th.Task.Unpark(start)
+	}
+	return r.rt.Main().Task.Park()
+}
+
+// leave records a worker leaving the current region at instant now; the
+// last one out unparks the master at the latest such instant.
+func (r *Runtime) leave(now sim.Time) {
+	r.mu.Lock()
+	r.end = max(r.end, now)
+	r.left--
+	last, end := r.left == 0, r.end
+	r.mu.Unlock()
+	if last {
+		r.rt.Main().Task.Unpark(end)
 	}
 }
 
@@ -172,36 +193,21 @@ func (r *Runtime) Parallel(body func(o *OMP)) {
 	r.nextBar++
 	region := r.nextBar
 	r.mu.Unlock()
+	bar := fmt.Sprintf("omp.%d", region)
 	start := main.Now()
-	// The master hands the region to the pool over host channels and waits
-	// for it outside the scheduler, so its slot is free for the workers.
-	main.Block()
-	for i, w := range r.pool {
-		i, w := i, w
-		o := &OMP{r: r, tid: i, bar: fmt.Sprintf("omp.%d", region)}
-		r.rt.Cluster().Ctr.Add(main.NodeID, stats.EvAdminRequests, 1)
-		w.work <- func(th *cables.Thread) {
-			o.th = th
-			th.Task.WaitUntil(start) // region dispatch message
-			body(o)
-		}
-	}
-	for _, w := range r.pool {
-		end := <-w.done
-		main.WaitUntil(end)
-	}
-	main.Unblock()
+	r.rt.Cluster().Ctr.Add(main.NodeID, stats.EvAdminRequests, int64(len(r.pool)))
+	end := r.dispatch(start, func(tid int, th *cables.Thread) {
+		th.Task.WaitUntil(start) // region dispatch message
+		body(&OMP{r: r, th: th, tid: tid, bar: bar})
+	})
+	main.WaitUntil(end)
 }
 
 // Close retires the pool (end of program).
 func (r *Runtime) Close() {
-	main := r.rt.Main().Task
-	main.Block()
-	for _, w := range r.pool {
-		close(w.work)
-		<-w.done
+	if len(r.pool) > 0 {
+		r.dispatch(r.rt.Main().Task.Now(), nil)
 	}
-	main.Unblock()
 	r.pool = nil
 }
 

@@ -18,9 +18,9 @@ const preemptSlack = 1 * Millisecond
 
 // stallTimeout is how long the slot holders may go with neither their
 // virtual clocks nor the run queue moving before the scheduler concludes
-// they are blocked outside it — a raw channel or WaitGroup wait that Block
-// does not bracket — and adds a slot, so such code runs on in host order
-// instead of deadlocking.  Stalls counts every such slot.
+// they are blocked outside it — a raw channel or WaitGroup wait instead of
+// a Park — and adds a slot, so such code runs on in host order instead of
+// deadlocking.  Stalls counts every such slot.
 const stallTimeout = 100 * time.Millisecond
 
 // emptyKey is the ready-queue minimum when nothing is queued.
@@ -31,9 +31,8 @@ var stalls atomic.Int64
 
 // Stalls returns how many execution slots the stall watchdogs of all
 // schedulers in the process have added.  The simulator's own code blocks a
-// managed task only through Park or Block, so any count above zero marks a
-// raw host wait that Block should bracket, and a cell that ran in host
-// order from then on.
+// managed task only through Park, so any count above zero marks a raw host
+// wait inside a cell, and a cell that ran in host order from then on.
 func Stalls() int64 { return stalls.Load() }
 
 // Scheduler is the simulator's thread manager: a virtual-time-ordered run
@@ -46,7 +45,7 @@ func Stalls() int64 { return stalls.Load() }
 //
 // Managed tasks, spawned through Go, own a goroutine each (application
 // code blocks for real), but only the slot holder executes: a task releases
-// the slot when it parks or blocks, and rejoins the run queue keyed by its
+// the slot when it parks, and rejoins the run queue keyed by its
 // virtual clock when it becomes ready.  The slot goes strictly to the
 // earliest queued task, and a task is queued by whoever makes it ready —
 // its spawner, its waker, or itself at a safe point — while that party
@@ -56,8 +55,7 @@ func Stalls() int64 { return stalls.Load() }
 // A cell's coordinator (its main thread, whose goroutine the harness owns)
 // joins through Adopt, so every task of a cell is managed.  Tasks never
 // handed to the scheduler (unit tests' bare tasks) are not slot-disciplined:
-// their Park/Unpark degrade to the plain channel hand-off and Block/Unblock
-// to no-ops.
+// their Park/Unpark degrade to the plain channel hand-off.
 type Scheduler struct {
 	mu      sync.Mutex
 	free    int          // unheld execution slots; > 0 implies empty queues
@@ -103,11 +101,18 @@ func (s *Scheduler) manage(t *Task) *eventTask {
 
 // Adopt makes the calling goroutine the body of managed task t — a cell's
 // coordinator, whose goroutine the harness owns.  t is queued at its clock
-// and Adopt returns once it holds the slot; from then on it parks, blocks
-// and yields at safe points like a task spawned through Go.  An adopted
-// task never exits through the scheduler: it keeps the slot when its cell
-// is done, so nothing else of the cell runs afterwards.
-func (s *Scheduler) Adopt(t *Task) { s.ready(s.manage(t), t.Now()) }
+// and Adopt returns once it holds the slot; from then on it parks and
+// yields at safe points like a task spawned through Go.  An adopted task
+// never exits through the scheduler: it keeps the slot when its cell is
+// done, so nothing else of the cell runs afterwards.
+func (s *Scheduler) Adopt(t *Task) {
+	et := s.manage(t)
+	s.mu.Lock()
+	s.pushLocked(et, t.Now())
+	s.dispatchLocked()
+	s.mu.Unlock()
+	<-et.token
+}
 
 // Go spawns fn as the body of managed task t.  The spawner queues t at its
 // current clock before the goroutine starts, so tasks spawned at equal
@@ -174,28 +179,6 @@ func (s *Scheduler) wake(et *eventTask, v Time) {
 	}
 	et.t.grant <- v
 	s.mu.Unlock()
-}
-
-// abandon requeues a task whose cancelable wait was cancelled, unless a
-// waker already queued it.
-func (s *Scheduler) abandon(et *eventTask) {
-	s.mu.Lock()
-	if et.parked {
-		et.parked = false
-		s.pushLocked(et, et.t.Now())
-		s.dispatchLocked()
-	}
-	s.mu.Unlock()
-}
-
-// ready queues et at virtual instant key and blocks until a slot is
-// granted.
-func (s *Scheduler) ready(et *eventTask, key Time) {
-	s.mu.Lock()
-	s.pushLocked(et, key)
-	s.dispatchLocked()
-	s.mu.Unlock()
-	<-et.token
 }
 
 // release returns et's slot to the pool and hands it to the earliest queued

@@ -126,85 +126,6 @@ func TestGoAdmitsEqualClocksInSpawnOrder(t *testing.T) {
 	}
 }
 
-// TestEventParkCancelableDrain exercises the grant-reuse contract on the
-// cancel path: a canceled waiter is readmitted holding its slot and must be
-// able to drain an in-flight grant without deadlocking the pool, and the
-// drained wake-up must not leak into its next wait.
-func TestEventParkCancelableDrain(t *testing.T) {
-	s := NewScheduler()
-	tk := newTestTask(1, 0)
-
-	cancel := make(chan struct{})
-	close(cancel) // cancellation already pending when the task parks
-	canceled := make(chan struct{}, 1)
-	drained := make(chan struct{})
-	done := make(chan Time, 1)
-	s.Go(tk, func() {
-		v, ok := tk.ParkCancelable(cancel)
-		if ok || v != 0 {
-			// The grant is delivered only after the cancel branch returns
-			// (see the canceled hand-shake below), so cancel must win here.
-			t.Errorf("ParkCancelable: got (%v, %v), want (0, false)", v, ok)
-		}
-		canceled <- struct{}{}
-		// A granter claimed this waiter concurrently; the abandoning
-		// primitive drains the stale grant while holding its slot.
-		if got := <-tk.Grant(); got != 7*Millisecond {
-			t.Errorf("drained grant: got %v want 7ms", got)
-		}
-		close(drained)
-		done <- tk.Park()
-	})
-	<-canceled
-	tk.Unpark(7 * Millisecond) // buffered: never needs a slot to deliver
-	select {
-	case <-drained:
-	case <-time.After(10 * time.Second):
-		t.Fatal("canceled waiter never resumed: slot pool deadlocked")
-	}
-	// The next wait must really release the slot: a peer can only run
-	// while tk is parked if the drained wake-up did not queue it again.
-	peer := newTestTask(2, 0)
-	ran := make(chan struct{})
-	s.Go(peer, func() { close(ran) })
-	select {
-	case <-ran:
-	case <-time.After(10 * time.Second):
-		t.Fatal("parked task kept its slot: the drained wake-up leaked into its next wait")
-	}
-	tk.Unpark(9 * Millisecond)
-	if got := <-done; got != 9*Millisecond {
-		t.Errorf("second Park returned %v, want 9ms", got)
-	}
-	if n := len(tk.Grant()); n != 0 {
-		t.Errorf("grant channel left with %d stale entries", n)
-	}
-}
-
-// TestEventBlockReleasesSlot checks Block/Unblock bracket a raw
-// host-blocking operation: with one slot, a second task can only run if the
-// first task's Block actually released it.
-func TestEventBlockReleasesSlot(t *testing.T) {
-	s := NewScheduler()
-	a := newTestTask(1, 0)
-	b := newTestTask(2, 0)
-
-	fromB := make(chan struct{})
-	done := make(chan struct{})
-	s.Go(a, func() {
-		defer close(done)
-		a.Block()
-		<-fromB // would deadlock the 1-slot pool if Block kept the slot
-		a.Unblock()
-	})
-	s.Go(b, func() { close(fromB) })
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Block did not release the execution slot")
-	}
-}
-
 // TestEventPreemptHandsOver checks the Compute safe point switches to a
 // ready peer that has fallen more than preemptSlack behind, and is a no-op
 // when the queue is empty or the peer is within slack.
@@ -244,9 +165,8 @@ func TestEventPreemptHandsOver(t *testing.T) {
 }
 
 // TestStallAddsSlot runs two managed tasks that hand a token back and forth
-// over raw channels, which Block does not bracket: with one slot the first
-// to wait would hold it forever, so the watchdog must add a slot and count
-// it.
+// over raw channels instead of Park: with one slot the first to wait would
+// hold it forever, so the watchdog must add a slot and count it.
 func TestStallAddsSlot(t *testing.T) {
 	s := NewScheduler()
 	before := Stalls()
@@ -275,8 +195,8 @@ func TestStallAddsSlot(t *testing.T) {
 	}
 }
 
-// TestUnmanagedFallback checks a task never spawned through Scheduler.Go
-// (a coordinator) parks and cancels through the plain channel hand-off.
+// TestUnmanagedFallback checks a task never handed to the scheduler parks
+// through the plain channel hand-off.
 func TestUnmanagedFallback(t *testing.T) {
 	tk := newTestTask(1, 0)
 
@@ -285,16 +205,7 @@ func TestUnmanagedFallback(t *testing.T) {
 	if got := tk.Park(); got != 5*Millisecond {
 		t.Errorf("unmanaged Park: got %v want 5ms", got)
 	}
-	// Cancelable park takes the cancel branch.
-	cancel := make(chan struct{})
-	close(cancel)
-	if v, ok := tk.ParkCancelable(cancel); ok || v != 0 {
-		t.Errorf("unmanaged ParkCancelable: got (%v, %v), want (0, false)", v, ok)
-	}
-	// Block/Unblock and the Compute safe point are no-ops and must not
-	// panic or hang.
-	tk.Block()
-	tk.Unblock()
+	// The Compute safe point is a no-op and must not panic or hang.
 	tk.Compute(10 * preemptSlack)
 }
 

@@ -63,7 +63,7 @@ type Task struct {
 
 	// evt is the scheduler's per-task state, set by Scheduler.Go or Adopt
 	// and nil for unmanaged tasks — the zero-cost "is this task
-	// slot-disciplined" check every park, block and safe point makes.
+	// slot-disciplined" check every park and safe point makes.
 	evt *eventTask
 
 	// prof is the attached span probe, nil when no profiler is observing
@@ -72,13 +72,12 @@ type Task struct {
 	prof SpanProbe
 
 	// grant is the task's reusable hand-off channel: contended lock
-	// acquires and condition waits park the task on it and the releaser or
-	// signaler delivers the hand-off instant through it.  Reusing one
-	// buffered channel per task removes a heap allocation from every
-	// contended synchronization operation.  A parked task is blocked in
-	// exactly one primitive at a time, so at most one grant is ever
-	// outstanding; primitives that abandon a wait (cancellation) must drain
-	// any in-flight grant before the channel is reused.
+	// acquires, condition waits and joins park the task on it and the
+	// waker delivers the hand-off instant through it.  Reusing one buffered
+	// channel per task removes a heap allocation from every contended
+	// synchronization operation.  A parked task waits in exactly one
+	// primitive at a time, and only the waker that claimed it from that
+	// primitive's wait list delivers, so at most one grant is outstanding.
 	grant chan Time
 }
 
@@ -115,10 +114,6 @@ func (t *Task) SetExecNode(n int) {
 	t.execNode = n + 1
 }
 
-// Grant returns the task's reusable hand-off channel (buffered, capacity 1);
-// see the field comment for the reuse contract.
-func (t *Task) Grant() chan Time { return t.grant }
-
 // Park blocks t until a peer delivers a hand-off instant via Unpark, and
 // returns that instant.  Called only by t's owner goroutine.  A managed
 // task gives up its slot while parked; the waker queues it at the granted
@@ -134,39 +129,6 @@ func (t *Task) Park() Time {
 	}
 	<-et.token
 	return v
-}
-
-// ParkCancelable is Park that also unblocks when cancel is closed.  It
-// returns (grant, true) on a normal hand-off and (0, false) when the wait
-// was abandoned; in the latter case a grant may still be in flight and the
-// abandoning primitive must drain it (the Grant reuse contract) before the
-// task parks again.  Both outcomes readmit a managed task before returning,
-// so the drain happens while holding a slot: granters never need a slot
-// between claiming a waiter and delivering, so it cannot deadlock the pool.
-func (t *Task) ParkCancelable(cancel <-chan struct{}) (Time, bool) {
-	et := t.evt
-	if et == nil {
-		select {
-		case v := <-t.grant:
-			return v, true
-		case <-cancel:
-			return 0, false
-		}
-	}
-	v, early := et.s.park(et)
-	if early {
-		<-et.token
-		return v, true
-	}
-	select {
-	case v = <-t.grant:
-		<-et.token
-		return v, true
-	case <-cancel:
-		et.s.abandon(et)
-		<-et.token
-		return 0, false
-	}
 }
 
 // Unpark delivers hand-off instant v to parked task t, queueing a managed
@@ -213,23 +175,6 @@ func (e *Exit) Close(end Time) {
 	e.mu.Unlock()
 	for _, j := range joiners {
 		j.Unpark(end)
-	}
-}
-
-// Block releases a managed task's slot before a raw host-blocking operation
-// outside the park path (a worker pool's idle receive, a channel hand-off
-// between threads, a host WaitGroup); Unblock rejoins the run queue after
-// it.  Both are no-ops for unmanaged tasks.
-func (t *Task) Block() {
-	if et := t.evt; et != nil {
-		et.s.release(et)
-	}
-}
-
-// Unblock rejoins the run queue after Block.
-func (t *Task) Unblock() {
-	if et := t.evt; et != nil {
-		et.s.ready(et, t.Now())
 	}
 }
 
