@@ -32,7 +32,8 @@ race:
 	$(GO) test -race ./internal/genima/... ./internal/memsys/... ./internal/core/... \
 		./internal/m4/... ./internal/openmp/... \
 		./internal/san/... ./internal/vmmc/... ./internal/nodeos/... ./internal/wire/... \
-		./internal/sim/... ./internal/metrics/... ./internal/farm/...
+		./internal/sim/... ./internal/metrics/... ./internal/farm/... \
+		./internal/stats/... ./internal/profile/... ./internal/coherence/... ./internal/fault/...
 	$(GO) test -race -run 'TestFig5RaceSmoke|TestFig5RaceSmokeEventSched|TestFig5ContendedSyncRaceSmoke|TestFrameLeakBothSched' ./internal/bench/
 
 # A cell is a pure function of its spec: the determinism tests compare

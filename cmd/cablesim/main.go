@@ -26,11 +26,10 @@
 // 4096 emulates the paper's planned Linux port) for fig5/fig6.
 // -jobs bounds how many independent simulation cells run concurrently on
 // the host (default: one per host processor); -jobs 1 runs the classic
-// sequential sweep.  Output is assembled in the fixed sequential order, so
-// every table's structure, checksums and error outcomes are identical for
-// any -jobs value.  Virtual times and placement-dependent counters
-// (misplaced pages) can still vary between runs, at any -jobs, because the
-// simulated threads of one cell race on the host (ROADMAP item 1).
+// sequential sweep.  Each cell runs its simulated threads one at a time in
+// virtual-time order and output is assembled in the fixed sequential
+// order, so every command prints the same bytes at any -jobs value and on
+// every run.
 // -plan is a fault plan (see internal/fault: e.g.
 // "send:p=0.05;detach:node=1,at=5ms"); -seed picks the deterministic
 // injection stream — the same plan and seed reproduce the same faults.
@@ -41,8 +40,7 @@
 // -top bounds the hot-page/lock/epoch rows (default 5).  -profile appends
 // the same profile block to each `counters` or `faults` cell.  Profiling
 // follows the observability invariance rule: it records spans and charges
-// nothing, so attaching it moves no result beyond the run-to-run variation
-// described under -jobs.
+// nothing, so attaching it moves no result.
 // -contended-sync and -protocol configure every cell of the cell sweeps
 // (fig5, fig6, fig5+6, counters, faults, profile and the fig5 part of
 // all); main builds one bench.CellOptions from them and passes it to each
@@ -112,7 +110,7 @@ func main() {
 	gran := fs.Int("gran", 0, "OS mapping granularity in bytes (default 64 KB)")
 	out := fs.String("o", "", "profile: write the Perfetto/Chrome trace timeline to this file")
 	jobs := fs.Int("jobs", bench.DefaultJobs(),
-		"max concurrent simulation cells (1 = sequential; checksums are identical either way, virtual times can vary run to run)")
+		"max concurrent simulation cells (1 = sequential; output is identical either way)")
 	profileOn := fs.Bool("profile", false, "counters/faults: attach the virtual-time profiler and print each cell's profile block")
 	top := fs.Int("top", 5, "profile: rows shown in the hot-page/lock-contention/epoch tables")
 	planSpec := fs.String("plan", "", `faults: fault plan, e.g. "send:p=0.05;detach:node=1,at=5ms"`)

@@ -65,10 +65,9 @@ func NewRuntimeOpts(backend string, procs int, arena int64, costs *sim.Costs, o 
 // RunCell runs one (app, backend, procs) cell with explicit per-cell
 // options and the requested observers attached.  It is the harness's one
 // cell runner: every sweep, the farm and the tests go through it.
-// Identical arguments produce identical deterministic outputs (checksums,
-// placement censuses, counter totals up to documented scheduling jitter),
-// which is what makes the results safe to content-address and serve from
-// cache.  Registration failures (the base system's NIC limits) surface as
+// Identical arguments produce identical outputs (virtual times, checksums,
+// placement censuses, counter totals), which is what makes the results
+// safe to content-address and serve from cache.  Registration failures (the base system's NIC limits) surface as
 // errors, exactly like the paper's OCEAN-at-32 case.
 func RunCell(name, backend string, procs int, scale Scale, costs *sim.Costs, o CellOptions, a Attach) CellRun {
 	rt := NewRuntimeOpts(backend, procs, 256<<20, costs, o)

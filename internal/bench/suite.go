@@ -6,7 +6,7 @@
 //
 // Every cell runs through one function, RunCell: its CellOptions carry the
 // cell's whole configuration (wire mode, fault injector, coherence
-// protocol) and its Attach the observers (trace ring, profiler).  Beyond
+// protocol) and its Attach the observer (the profiler).  Beyond
 // the paper's artifacts the harness exposes fault sweeps under a
 // deterministic injection plan (RunFaults — `cablesim faults`, cells
 // render DEGRADED rather than FAILED when the plan fires).

@@ -301,8 +301,6 @@ func (m *MemManager) MigratePage(t *sim.Task, pid memsys.PageID, dst int) {
 	defer t.CloseSpan()
 	sc := m.sp.Copy(src, pid)
 	dc := m.sp.Copy(dst, pid)
-	sc.Mu.Lock()
-	dc.Mu.Lock()
 	if sc.Data() != nil {
 		// The new home aliases the old home's frame instead of copying it
 		// (writers are quiesced per the contract above); the frame crosses
@@ -314,8 +312,6 @@ func (m *MemManager) MigratePage(t *sim.Task, pid memsys.PageID, dst int) {
 	dc.SetValid(true)
 	sc.SetValid(false)
 	m.sp.SetHome(pid, dst)
-	dc.Mu.Unlock()
-	sc.Mu.Unlock()
 	// The pull from the old home goes through the wire plane as a migrate
 	// op, so the move counts as a pageMigration and opens a wire.migrate
 	// span instead of masquerading as a plain fetch.

@@ -1,7 +1,6 @@
 package genima_test
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"cables/internal/genima"
@@ -41,11 +40,11 @@ func pingPong(t *testing.T, disableCompaction bool, rounds int) (invals, diffs, 
 	// unparks it, and the second to start wakes main to hand out the first
 	// turn.
 	var workers [2]*sim.Task
-	var started atomic.Int32
+	started := 0 // the workers run one at a time in the cell's slot
 	worker := func(w int) func(th *sim.Task) {
 		return func(th *sim.Task) {
 			workers[w] = th
-			if started.Add(1) == 2 {
+			if started++; started == 2 {
 				main.Unpark(th.Now())
 			}
 			for i := 0; i < rounds; i++ {

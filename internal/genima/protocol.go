@@ -24,8 +24,6 @@ package genima
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"cables/internal/coherence"
 	"cables/internal/memsys"
@@ -56,23 +54,25 @@ type interval struct {
 }
 
 // nodeState is the protocol's per-node bookkeeping.  The dirty set is a
-// page-order-sorted-at-flush slice deduplicated by a bitmap (the slice
-// backing ping-pongs between intervals via spare), replacing a per-interval
-// map allocation on the hot flush path.
+// page-order-sorted-at-flush slice deduplicated by a bitmap (the slice's
+// backing array is reused across intervals), replacing a per-interval map
+// allocation on the hot flush path.
+//
+// Protocol state takes no lock.  A cell's tasks run one at a time in its
+// single scheduler slot, and the protocol's only safe points are the Parks
+// of contended lock acquires and barrier waits, so every fault, flush and
+// acquire pass runs as one uninterrupted section.
 type nodeState struct {
-	dirtyMu    sync.Mutex
 	dirtyPages []memsys.PageID // unique pages dirtied in the current interval
 	dirtyBits  []uint64        // bitmap over arena pages deduplicating dirtyPages
-	spare      []memsys.PageID // recycled backing array for the next interval
 
-	syncMu     sync.Mutex      // serializes acquire-side invalidation passes
-	seen       atomic.Int64    // absolute log prefix already applied (atomic: compaction reads it cross-node)
-	invBits    []uint64        // acquire-side dedup scratch (guarded by syncMu)
-	invScratch []memsys.PageID // acquire-side invalidation list (guarded by syncMu)
+	seen       int64           // absolute log prefix already applied
+	invBits    []uint64        // acquire-side dedup scratch
+	invScratch []memsys.PageID // acquire-side invalidation list
 }
 
 // markDirty registers pid in the node's current interval; reports whether it
-// was newly added.  Caller holds dirtyMu.
+// was newly added.
 func (ns *nodeState) markDirty(pid memsys.PageID) bool {
 	w, m := pid>>6, uint64(1)<<(pid&63)
 	if ns.dirtyBits[w]&m != 0 {
@@ -98,16 +98,14 @@ type Protocol struct {
 	// policy; UseProtocol selects a variant before the run starts.
 	pol coherence.Protocol
 
-	// delMu guards delegated: the tasks currently executing a delegated
-	// critical section, keyed to the lock that shipped them (so releasing
-	// an unrelated inner lock does not end the delegation).  Touched only
-	// on delegated paths, never by the genima fast path.
-	delMu     sync.Mutex
+	// delegated maps the tasks currently executing a delegated critical
+	// section to the lock that shipped them (so releasing an unrelated
+	// inner lock does not end the delegation).  Touched only on delegated
+	// paths, never by the genima fast path.
 	delegated map[*sim.Task]int
 
-	logMu   sync.RWMutex
 	log     []interval
-	logBase atomic.Int64 // absolute index of log[0] (prefix truncated by compaction)
+	logBase int64 // absolute index of log[0] (prefix truncated by compaction)
 
 	// noCompaction retains the full interval log for the run's lifetime
 	// (the pre-compaction behavior): the reference the compaction test
@@ -124,10 +122,7 @@ type Protocol struct {
 	// at every barrier release, windowing them into per-epoch deltas.
 	Epochs *stats.EpochLog
 
-	lockMu sync.Mutex
-	locks  map[int]*SysLock
-
-	barMu sync.Mutex
+	locks map[int]*SysLock
 	bars  map[string]*Barrier
 }
 
@@ -199,7 +194,7 @@ func (p *Protocol) homeOf(t *sim.Task, pid memsys.PageID) int {
 }
 
 // validate makes t's node copy of pid readable, fetching from the home when
-// the home is remote.  Returns the (locked-free) copy.
+// the home is remote.  Returns the copy.
 func (p *Protocol) validate(t *sim.Task, pid memsys.PageID) *memsys.PageCopy {
 	ctr := p.cl.Ctr
 	costs := p.cl.Costs
@@ -211,10 +206,8 @@ func (p *Protocol) validate(t *sim.Task, pid memsys.PageID) *memsys.PageCopy {
 
 	home := p.homeOf(t, pid)
 	pc := p.sp.Copy(node, pid)
-	pc.Mu.Lock()
-	defer pc.Mu.Unlock()
 	if pc.Valid() {
-		return pc // raced with another thread's fault; already resolved
+		return pc // a write fault on a readable copy
 	}
 	if home == node {
 		pc.EnsureFrame()
@@ -224,65 +217,48 @@ func (p *Protocol) validate(t *sim.Task, pid memsys.PageID) *memsys.PageCopy {
 	// Remote home: make sure the primary copy exists, then fetch it.  The
 	// faulting task holds its cell's only scheduler slot, so no home-node
 	// store is mid-flight and the DMA reads a stable page image.
-	for {
-		hc := p.sp.Copy(home, pid)
-		hc.Mu.Lock()
-		if h := p.sp.Home(pid); h != home {
-			// The page re-homed (a dead-node adoption by another faulter)
-			// while this thread was taking the old home's locks: chase the
-			// new home.
-			hc.Mu.Unlock()
-			home = h
-			if home == node {
-				// Re-homed onto this very node by a sibling thread.
-				pc.EnsureFrame()
-				pc.SetValid(true)
-				return pc
-			}
-			continue
-		}
-		// A home a fault plan has detached cannot serve faults any longer:
-		// the faulting node adopts the page — the fetched image becomes the
-		// primary copy, and a synthetic write notice makes every peer drop
-		// its stale copy at its next acquire.
-		dead := p.cl.Fault.Detached(home, t.Now())
-		if !hc.Valid() {
-			hc.EnsureFrame()
-			hc.SetValid(true)
-		}
-		// The fetch aliases the home's frame instead of copying it: no home
-		// store is mid-flight, so the shared frame is a stable snapshot,
-		// and the home's next write unshares it (the fetched replica keeps
-		// this image — exactly what the eager copy gave it).  First the
-		// frame is interned in the content-hash table, so identical pages
-		// collapse onto one canonical frame cluster-wide; the fetch's
-		// virtual cost (the wire op below) is charged unchanged either way.
-		if p.sp.DedupFrame(hc) {
-			ctr.Add(node, stats.EvDedupHits, 1)
-		}
-		pc.AdoptFrame(p.sp, hc)
-		if dead {
-			hc.SetValid(false)
-			p.sp.SetHome(pid, node)
-		}
-		hc.Mu.Unlock()
-		p.cl.Wire.Do(t, wire.Op{Kind: wire.KindFetch, Dst: home, Size: memsys.PageSize, Arg: uint64(pid)})
-		if dead {
-			// Adopting the page remaps it into this node's home region.
-			t.Charge(sim.CatLocalOS, costs.OSMapSegment)
-			ctr.Add(node, stats.EvPageRehomes, 1)
-			p.cl.Fault.NoteRehome(node)
-			p.PublishInvalidate(node, pid)
-		}
-		ctr.Add(node, stats.EvRemotePageFaults, 1)
-		p.pol.PageFetch(node, pid, home)
-		if p.OnRemoteFault != nil {
-			p.OnRemoteFault(node, pid)
-		}
-		t.MarkSpan(uint8(profile.MarkFill), uint64(pid), uint64(memsys.PageSize))
-		pc.SetValid(true)
-		return pc
+	//
+	// A home a fault plan has detached cannot serve faults any longer: the
+	// faulting node adopts the page — the fetched image becomes the primary
+	// copy, and a synthetic write notice makes every peer drop its stale
+	// copy at its next acquire.
+	hc := p.sp.Copy(home, pid)
+	dead := p.cl.Fault.Detached(home, t.Now())
+	if !hc.Valid() {
+		hc.EnsureFrame()
+		hc.SetValid(true)
 	}
+	// The fetch aliases the home's frame instead of copying it: the shared
+	// frame is a stable snapshot, and the home's next write unshares it
+	// (the fetched replica keeps this image — exactly what the eager copy
+	// gave it).  First the frame is interned in the content-hash table, so
+	// identical pages collapse onto one canonical frame cluster-wide; the
+	// fetch's virtual cost (the wire op below) is charged unchanged either
+	// way.
+	if p.sp.DedupFrame(hc) {
+		ctr.Add(node, stats.EvDedupHits, 1)
+	}
+	pc.AdoptFrame(p.sp, hc)
+	if dead {
+		hc.SetValid(false)
+		p.sp.SetHome(pid, node)
+	}
+	p.cl.Wire.Do(t, wire.Op{Kind: wire.KindFetch, Dst: home, Size: memsys.PageSize, Arg: uint64(pid)})
+	if dead {
+		// Adopting the page remaps it into this node's home region.
+		t.Charge(sim.CatLocalOS, costs.OSMapSegment)
+		ctr.Add(node, stats.EvPageRehomes, 1)
+		p.cl.Fault.NoteRehome(node)
+		p.PublishInvalidate(node, pid)
+	}
+	ctr.Add(node, stats.EvRemotePageFaults, 1)
+	p.pol.PageFetch(node, pid, home)
+	if p.OnRemoteFault != nil {
+		p.OnRemoteFault(node, pid)
+	}
+	t.MarkSpan(uint8(profile.MarkFill), uint64(pid), uint64(memsys.PageSize))
+	pc.SetValid(true)
+	return pc
 }
 
 // ReadFault implements memsys.FaultHandler.
@@ -292,27 +268,25 @@ func (p *Protocol) ReadFault(t *sim.Task, pid memsys.PageID) {
 }
 
 // WriteFault implements memsys.FaultHandler: validates the page and opens a
-// write interval on it (twin capture on non-home nodes).
+// write interval on it (twin capture on non-home nodes).  Validation and
+// write-open are one section with no safe point between them, so the copy
+// is still valid when the interval opens.
 func (p *Protocol) WriteFault(t *sim.Task, pid memsys.PageID) {
 	t.CancelPoint()
 	pc := p.validate(t, pid)
-	pc.Mu.Lock()
-	if !pc.Written() {
-		if p.sp.Home(pid) != t.MemNode() {
-			// Twin capture is a reference on the current frame, not a page
-			// copy — the first store unshares the frame and the twin keeps
-			// the pristine image.  The paper's system memcpy'd here, so the
-			// virtual page-copy cost is still charged.
-			pc.CaptureTwin()
-			t.Charge(sim.CatLocal, sim.Time(memsys.PageSize)) // twin copy
-		}
-		pc.SetWritten(true)
-		ns := p.nodes[t.MemNode()]
-		ns.dirtyMu.Lock()
-		ns.markDirty(pid)
-		ns.dirtyMu.Unlock()
+	if pc.Written() {
+		return
 	}
-	pc.Mu.Unlock()
+	if p.sp.Home(pid) != t.MemNode() {
+		// Twin capture is a reference on the current frame, not a page
+		// copy — the first store unshares the frame and the twin keeps the
+		// pristine image.  The paper's system memcpy'd here, so the virtual
+		// page-copy cost is still charged.
+		pc.CaptureTwin()
+		t.Charge(sim.CatLocal, sim.Time(memsys.PageSize)) // twin copy
+	}
+	pc.SetWritten(true)
+	p.nodes[t.MemNode()].markDirty(pid)
 }
 
 // Flush ends the node's current write interval: every dirty page is diffed
@@ -328,22 +302,15 @@ func (p *Protocol) flush(t *sim.Task) []memsys.PageID {
 	node := t.MemNode()
 	ns := p.nodes[node]
 
-	ns.dirtyMu.Lock()
-	if len(ns.dirtyPages) == 0 {
-		ns.dirtyMu.Unlock()
+	work := ns.dirtyPages
+	if len(work) == 0 {
 		return nil
 	}
-	// Take the interval's page list and clear its bitmap in one step, so a
-	// concurrent WriteFault re-registers any page it redirties from here on
-	// (exactly the semantics the old map swap gave).
-	work := ns.dirtyPages
-	ns.dirtyPages = ns.spare[:0]
-	ns.spare = nil
+	// The flush holds no safe point, so no write fault can dirty a page of
+	// this node before the list is recycled below.
 	for _, pid := range work {
 		ns.dirtyBits[pid>>6] &^= uint64(1) << (pid & 63)
 	}
-	ns.dirtyMu.Unlock()
-
 	slices.Sort(work) // deterministic flush/notice order
 
 	var merge map[int]int // merging policies: home node -> reduction diff bytes
@@ -374,20 +341,10 @@ func (p *Protocol) flush(t *sim.Task) []memsys.PageID {
 		}
 	}
 
-	ns.dirtyMu.Lock()
-	// Recycle the flushed interval's backing array.  A concurrent interval
-	// may already have installed a spare; keep the larger of the two so
-	// steady-state flushing stays allocation-free under churn instead of
-	// repeatedly regrowing a small array.
-	if cap(work) > cap(ns.spare) {
-		ns.spare = work[:0]
-	}
-	ns.dirtyMu.Unlock()
+	ns.dirtyPages = work[:0]
 
 	if len(pages) > 0 {
-		p.logMu.Lock()
 		p.log = append(p.log, interval{node: node, pages: pages})
-		p.logMu.Unlock()
 		p.cl.Ctr.Add(node, stats.EvWriteNotices, int64(len(pages)))
 	}
 	return pages
@@ -399,8 +356,6 @@ func (p *Protocol) flush(t *sim.Task) []memsys.PageID {
 // wire.merge op per home).
 func (p *Protocol) flushPage(t *sim.Task, node int, pid memsys.PageID, merge map[int]int) bool {
 	pc := p.sp.Copy(node, pid)
-	pc.Mu.Lock()
-	defer pc.Mu.Unlock()
 	if !pc.Written() {
 		return false
 	}
@@ -420,9 +375,9 @@ func (p *Protocol) flushPage(t *sim.Task, node int, pid memsys.PageID, merge map
 
 // diffToHome runs the diff kernel for pc against its twin, merges the dirty
 // runs into the home copy, charges the (byte-exact) diff cost, and retires
-// the twin to the page pool.  Both flushPage and forceDiffLocked funnel
-// through here — it is the only place a diff is computed.  Caller holds
-// pc.Mu; pc must have both data and twin, and the home must be remote.
+// the twin to the page pool.  Both flushPage and forceDiff funnel
+// through here — it is the only place a diff is computed.  pc must have
+// both data and twin, and the home must be remote.
 // The coherence policy is consulted once per diff (MergeDiff); when it
 // claims the diff and a merge batch is running, the bytes ride the
 // reduction batch instead of a per-page remote write.
@@ -430,7 +385,6 @@ func (p *Protocol) diffToHome(t *sim.Task, node int, pid memsys.PageID, pc *mems
 	t.OpenSpan(uint8(profile.SpanDiff), uint64(pid))
 	home := p.sp.Home(pid)
 	hc := p.sp.Copy(home, pid)
-	hc.Mu.Lock()
 	if pc.TwinAliasesData() {
 		// No store landed since twin capture (the unshare-on-write trigger
 		// would have swapped the frame), so the diff is empty by
@@ -442,7 +396,6 @@ func (p *Protocol) diffToHome(t *sim.Task, node int, pid memsys.PageID, pc *mems
 		// four-words-per-branch scan over unshared pages.
 		hc.EnsureFrame()
 		hc.SetValid(true)
-		hc.Mu.Unlock()
 		pc.RetireTwin(p.sp)
 		pc.SetWritten(false)
 		t.CloseSpan()
@@ -457,7 +410,6 @@ func (p *Protocol) diffToHome(t *sim.Task, node int, pid memsys.PageID, pc *mems
 	}
 	diffBytes := memsys.DiffPage(pc.Data(), pc.TwinData(), hd)
 	hc.SetValid(true)
-	hc.Mu.Unlock()
 	pc.RetireTwin(p.sp)
 	pc.SetWritten(false)
 	if diffBytes == 0 {
@@ -483,16 +435,9 @@ func (p *Protocol) diffToHome(t *sim.Task, node int, pid memsys.PageID, pc *mems
 func (p *Protocol) ApplyAcquire(t *sim.Task) {
 	node := t.MemNode()
 	ns := p.nodes[node]
-	ns.syncMu.Lock()
-	defer ns.syncMu.Unlock()
-
-	p.logMu.RLock()
-	base := p.logBase.Load()
-	end := base + int64(len(p.log))
-	// ns.seen >= base always: compaction truncates only below the minimum
-	// seen across nodes, so the unseen suffix is intact.
-	pending := p.log[ns.seen.Load()-base : end-base]
-	p.logMu.RUnlock()
+	// ns.seen >= logBase always: compaction truncates only below the
+	// minimum seen across nodes, so the unseen suffix is intact.
+	pending := p.log[ns.seen-p.logBase:]
 	if len(pending) == 0 {
 		return
 	}
@@ -519,11 +464,10 @@ func (p *Protocol) ApplyAcquire(t *sim.Task) {
 	for _, pid := range invalidate {
 		ns.invBits[pid>>6] &^= uint64(1) << (pid & 63)
 		pc := p.sp.Copy(node, pid)
-		pc.Mu.Lock()
 		if pc.Written() {
 			// Force the local interval's diff out before dropping the
 			// copy, so concurrent false sharing cannot lose writes.
-			p.forceDiffLocked(t, node, pid, pc)
+			p.forceDiff(t, node, pid, pc)
 		}
 		if pc.Valid() {
 			pc.SetValid(false)
@@ -536,25 +480,21 @@ func (p *Protocol) ApplyAcquire(t *sim.Task) {
 		// frame returns to the pool (or to the GC once it crossed nodes)
 		// and the refetch aliases the home's frame instead of allocating.
 		pc.RetireData(p.sp)
-		pc.Mu.Unlock()
 	}
 	ns.invScratch = invalidate[:0]
-	ns.seen.Store(end)
+	ns.seen = p.logBase + int64(len(p.log))
 	t.Charge(sim.CatLocal, p.cl.Costs.WriteNotice*sim.Time(notices))
 	p.maybeCompactLog()
 }
 
-// forceDiffLocked flushes one page's diff with pc.Mu already held.
-func (p *Protocol) forceDiffLocked(t *sim.Task, node int, pid memsys.PageID, pc *memsys.PageCopy) {
+// forceDiff flushes one dirty page's diff ahead of the node's next release.
+func (p *Protocol) forceDiff(t *sim.Task, node int, pid memsys.PageID, pc *memsys.PageCopy) {
 	if p.sp.Home(pid) == node || !pc.HasTwin() {
 		pc.SetWritten(false)
 		return
 	}
 	p.diffToHome(t, node, pid, pc, nil)
-	ns := p.nodes[node]
-	ns.dirtyMu.Lock()
-	ns.dirtyBits[pid>>6] &^= uint64(1) << (pid & 63)
-	ns.dirtyMu.Unlock()
+	p.nodes[node].dirtyBits[pid>>6] &^= uint64(1) << (pid & 63)
 }
 
 // dropCopies invalidates node's local copies of pages, force-flushing any
@@ -573,9 +513,8 @@ func (p *Protocol) dropCopies(t *sim.Task, node int, pages []memsys.PageID) {
 			continue
 		}
 		pc := p.sp.Copy(node, pid)
-		pc.Mu.Lock()
 		if pc.Written() {
-			p.forceDiffLocked(t, node, pid, pc)
+			p.forceDiff(t, node, pid, pc)
 		}
 		if pc.Valid() {
 			pc.SetValid(false)
@@ -583,7 +522,6 @@ func (p *Protocol) dropCopies(t *sim.Task, node int, pages []memsys.PageID) {
 		}
 		pc.RetireTwin(p.sp)
 		pc.RetireData(p.sp)
-		pc.Mu.Unlock()
 	}
 }
 
@@ -595,55 +533,33 @@ const logCompactThreshold = 256
 
 // maybeCompactLog truncates the interval-log prefix that every node has
 // already applied, keeping len(p.log) proportional to the unseen suffix
-// instead of total history.  Readers hold snapshots of the old backing
-// array, so the survivors are copied into a fresh slice rather than shifted
-// in place.
+// instead of total history.
 func (p *Protocol) maybeCompactLog() {
 	if p.noCompaction {
 		return
 	}
-	min := int64(-1)
-	for _, n := range p.nodes {
-		if s := n.seen.Load(); min < 0 || s < min {
-			min = s
+	min := p.nodes[0].seen
+	for _, n := range p.nodes[1:] {
+		if n.seen < min {
+			min = n.seen
 		}
 	}
-	if min-p.logBase.Load() < logCompactThreshold {
-		return
+	if k := min - p.logBase; k >= logCompactThreshold {
+		p.log = slices.Delete(p.log, 0, int(k))
+		p.logBase = min
 	}
-	p.logMu.Lock()
-	base := p.logBase.Load()
-	min = base + int64(len(p.log))
-	for _, n := range p.nodes { // re-read under the lock; seen only grows
-		if s := n.seen.Load(); s < min {
-			min = s
-		}
-	}
-	if k := min - base; k > 0 {
-		rest := make([]interval, int64(len(p.log))-k)
-		copy(rest, p.log[k:])
-		p.log = rest
-		p.logBase.Store(min)
-	}
-	p.logMu.Unlock()
 }
 
 // LogLen returns the number of intervals currently retained in the log —
 // after compaction, the unseen suffix plus at most logCompactThreshold
 // applied ones.
-func (p *Protocol) LogLen() int {
-	p.logMu.RLock()
-	defer p.logMu.RUnlock()
-	return len(p.log)
-}
+func (p *Protocol) LogLen() int { return len(p.log) }
 
 // PublishInvalidate appends a synthetic write notice for pid attributed to
 // node, so every other node drops its copy at its next acquire.  Used by
 // the CableS page-migration mechanism.
 func (p *Protocol) PublishInvalidate(node int, pid memsys.PageID) {
-	p.logMu.Lock()
 	p.log = append(p.log, interval{node: node, pages: []memsys.PageID{pid}})
-	p.logMu.Unlock()
 }
 
 // Alloc carves a shared segment and, in the base system, statically

@@ -1,7 +1,6 @@
 package genima_test
 
 import (
-	"sync"
 	"testing"
 
 	"cables/internal/m4"
@@ -145,17 +144,14 @@ func TestFalseSharing(t *testing.T) {
 func TestBarrierTimeMerges(t *testing.T) {
 	rt := newRT(t, 4)
 	main := rt.Main()
-	var mu sync.Mutex
-	var ends []sim.Time
+	var ends []sim.Time // the workers run one at a time in the cell's slot
 	var ids []int
 	for w := 0; w < 4; w++ {
 		w := w
 		ids = append(ids, rt.Spawn(main, func(th *sim.Task) {
 			th.Compute(sim.Time(w+1) * sim.Millisecond)
 			rt.Barrier(th, "b", 4)
-			mu.Lock()
 			ends = append(ends, th.Now())
-			mu.Unlock()
 		}))
 	}
 	for _, id := range ids {

@@ -2,7 +2,6 @@ package genima
 
 import (
 	"fmt"
-	"sync"
 
 	"cables/internal/profile"
 	"cables/internal/sim"
@@ -17,13 +16,13 @@ import (
 //
 // Virtual-time semantics: acquisition charges the Table 4 costs depending on
 // whether the lock was last held on the caller's node; contended acquires
-// block (for real) until the holder releases and then advance the waiter's
-// clock to the hand-off instant.
+// park until the holder releases and then advance the waiter's clock to the
+// hand-off instant.  Like the rest of the protocol's state, the lock's
+// fields need no host lock: its cell's tasks run one at a time.
 type SysLock struct {
 	p  *Protocol
 	id int
 
-	mu          sync.Mutex
 	held        bool
 	queue       []lockWaiter // parked contended acquires, FIFO
 	lastRelease sim.Time
@@ -34,9 +33,9 @@ type SysLock struct {
 }
 
 // lockWaiter is one parked contended acquire.  atServer records — decided
-// under l.mu at enqueue time — whether the waiter's critical section will
-// execute at the lock's delegation server, so the releaser can route the
-// grant without racing on the waiter's own state.
+// at enqueue time — whether the waiter's critical section will execute at
+// the lock's delegation server, so the releaser can route the grant without
+// reading the waiter's own (by then possibly moved) execution node.
 type lockWaiter struct {
 	t        *sim.Task
 	atServer bool
@@ -44,8 +43,6 @@ type lockWaiter struct {
 
 // NewLock creates (or returns) the system lock with the given id.
 func (p *Protocol) NewLock(id int) *SysLock {
-	p.lockMu.Lock()
-	defer p.lockMu.Unlock()
 	if l, ok := p.locks[id]; ok {
 		return l
 	}
@@ -110,7 +107,6 @@ func (l *SysLock) Acquire(t *sim.Task) {
 // and a pending cancel acts at its next cancellation point.
 func (l *SysLock) Relock(t *sim.Task) {
 	t.OpenSpan(uint8(profile.SpanLock), uint64(l.id))
-	l.mu.Lock()
 	// For the contention profile: the manager was remote at request time
 	// (chargeAcquire may re-home it).
 	flags := lockFlags(l, t)
@@ -119,7 +115,6 @@ func (l *SysLock) Relock(t *sim.Task) {
 		l.held = true
 		l.holder = t.MemNode()
 		t.WaitUntil(l.lastRelease)
-		l.mu.Unlock()
 	} else {
 		flags |= profile.LockContended
 		// A contended acquire consults the coherence policy: a non-negative
@@ -141,7 +136,6 @@ func (l *SysLock) Relock(t *sim.Task) {
 		// the wait, so the grant is always consumed and the channel stays
 		// clean for reuse.
 		l.queue = append(l.queue, lockWaiter{t: t, atServer: atServer})
-		l.mu.Unlock()
 		if ship {
 			// Ship the critical-section descriptor: flush the origin's
 			// write interval first (release semantics travel with the
@@ -154,11 +148,9 @@ func (l *SysLock) Relock(t *sim.Task) {
 			l.p.cl.Ctr.Add(t.NodeID, stats.EvDelegations, 1)
 			t.MarkSpan(uint8(profile.MarkDelegate), uint64(l.id), uint64(srv))
 			t.SetExecNode(srv)
-			l.p.delMu.Lock()
 			l.p.delegated[t] = l.id
-			l.p.delMu.Unlock()
 		}
-		grant := t.Park() // real block until hand-off
+		grant := t.Park() // until the releaser hands the lock over
 		t.WaitUntil(grant)
 	}
 	t.MarkSpan(uint8(profile.MarkLockAcquired), uint64(l.id), flags)
@@ -166,8 +158,7 @@ func (l *SysLock) Relock(t *sim.Task) {
 	t.CloseSpan()
 }
 
-// lockFlags computes the profiler's acquire classification.  Caller holds
-// l.mu.
+// lockFlags computes the profiler's acquire classification.
 func lockFlags(l *SysLock, t *sim.Task) uint64 {
 	if l.lastNode >= 0 && l.lastNode != t.NodeID {
 		return profile.LockRemote
@@ -180,13 +171,11 @@ func lockFlags(l *SysLock, t *sim.Task) uint64 {
 func (l *SysLock) TryAcquire(t *sim.Task) bool {
 	t.CancelPoint()
 	t.OpenSpan(uint8(profile.SpanLock), uint64(l.id))
-	l.mu.Lock()
 	if l.held {
 		if l.lastNode != t.NodeID && l.lastNode != -1 {
 			l.p.cl.Wire.Do(t, wire.Op{Kind: wire.KindLockProbe, Dst: l.lastNode, Arg: uint64(l.id)})
 		}
 		t.Charge(sim.CatLocal, l.p.cl.Costs.MutexLocalFast)
-		l.mu.Unlock()
 		t.CloseSpan()
 		return false
 	}
@@ -195,7 +184,6 @@ func (l *SysLock) TryAcquire(t *sim.Task) bool {
 	l.held = true
 	l.holder = t.MemNode()
 	t.WaitUntil(l.lastRelease)
-	l.mu.Unlock()
 	t.MarkSpan(uint8(profile.MarkLockAcquired), uint64(l.id), flags)
 	l.p.ApplyAcquire(t)
 	t.CloseSpan()
@@ -214,12 +202,10 @@ func (l *SysLock) Release(t *sim.Task) {
 	// inside a delegated section does not end the delegation.
 	delegated := false
 	if exec != t.NodeID {
-		l.p.delMu.Lock()
 		if id, ok := l.p.delegated[t]; ok && id == l.id {
 			delegated = true
 			delete(l.p.delegated, t)
 		}
-		l.p.delMu.Unlock()
 	}
 	if delegated {
 		// Completion notification from the server back to the origin node
@@ -227,9 +213,7 @@ func (l *SysLock) Release(t *sim.Task) {
 		l.p.cl.Wire.Do(t, wire.Op{Kind: wire.KindDelegateDone, Dst: t.NodeID, Arg: uint64(l.id)})
 	}
 	l.p.pol.LockRelease(l.id, exec, t.NodeID)
-	l.mu.Lock()
 	if !l.held {
-		l.mu.Unlock()
 		panic(fmt.Sprintf("genima: release of unheld lock %d", l.id))
 	}
 	l.lastRelease = t.Now()
@@ -244,9 +228,7 @@ func (l *SysLock) Release(t *sim.Task) {
 			l.holder = w.t.NodeID
 		}
 		release := l.lastRelease
-		server := l.server
-		l.mu.Unlock()
-		if w.atServer && exec == server {
+		if w.atServer && exec == l.server {
 			// Server-local hand-off: both critical sections execute at the
 			// delegation server, so the lock state never crosses the wire —
 			// the waiter resumes after an in-memory transfer.  This is the
@@ -258,7 +240,7 @@ func (l *SysLock) Release(t *sim.Task) {
 			// moved on, so the waiter absorbs the latency as wait time).
 			dst := w.t.NodeID
 			if w.atServer {
-				dst = server
+				dst = l.server
 			}
 			w.t.Unpark(l.p.cl.Wire.DeliverAt(release, wire.Op{
 				Kind: wire.KindLockGrant, Src: exec, Dst: dst, Arg: uint64(l.id),
@@ -266,7 +248,6 @@ func (l *SysLock) Release(t *sim.Task) {
 		}
 	} else {
 		l.held = false
-		l.mu.Unlock()
 	}
 	if delegated {
 		// Back at the origin: drop its stale copies of the pages the
@@ -285,7 +266,6 @@ type Barrier struct {
 	name string
 	id   uint64 // name hash; the profiler's barrier key (also picks mgr)
 
-	mu      sync.Mutex
 	mgr     int         // node managing the barrier's arrival counter
 	waiters []*sim.Task // parked parties of the current generation
 	count   int
@@ -297,8 +277,6 @@ type Barrier struct {
 // is managed on a node picked by hashing the name, spreading barrier
 // traffic across the cluster.
 func (p *Protocol) NewBarrier(name string) *Barrier {
-	p.barMu.Lock()
-	defer p.barMu.Unlock()
 	if b, ok := p.bars[name]; ok {
 		return b
 	}
@@ -323,9 +301,7 @@ func (b *Barrier) Wait(t *sim.Task, parties int) {
 	c := b.p.cl.Costs
 	t.Charge(sim.CatLocal, c.BarrierNative)
 
-	b.mu.Lock()
-	// Arrival announcement to the manager node (read under b.mu: a rehome
-	// may move it).
+	// Arrival announcement to the manager node (a rehome may move it).
 	b.p.cl.Wire.Do(t, wire.Op{Kind: wire.KindBarrierArrive, Dst: b.mgr})
 	if inj := b.p.cl.Fault; b.mgr != 0 && inj.Detached(b.mgr, t.Now()) {
 		// The barrier's arrival counter is managed on a node that has left:
@@ -343,7 +319,6 @@ func (b *Barrier) Wait(t *sim.Task, parties int) {
 	var release sim.Time
 	switch {
 	case b.count > parties:
-		b.mu.Unlock()
 		panic(fmt.Sprintf("genima: barrier %q overfilled (%d > %d parties)",
 			b.name, b.count, parties))
 	case b.count == parties:
@@ -359,7 +334,6 @@ func (b *Barrier) Wait(t *sim.Task, parties int) {
 			b.p.Epochs.Mark(b.name, int64(b.release))
 		}
 		b.p.pol.BarrierRelease(b.name, parties)
-		b.mu.Unlock()
 		for _, w := range ws {
 			w.Unpark(release)
 		}
@@ -367,7 +341,6 @@ func (b *Barrier) Wait(t *sim.Task, parties int) {
 		// Park until the last arriver releases the generation; the grant
 		// carries the release instant.
 		b.waiters = append(b.waiters, t)
-		b.mu.Unlock()
 		release = t.Park()
 	}
 

@@ -127,14 +127,10 @@ func TestMigrationMechanism(t *testing.T) {
 	// Move the home by hand (the CableS mechanism does this plus costs).
 	dst := (home + 1) % 2
 	sc, dc := sp.Copy(home, pid), sp.Copy(dst, pid)
-	sc.Mu.Lock()
-	dc.Mu.Lock()
 	dc.AdoptFrame(sp, sc)
 	dc.SetValid(true)
 	sc.SetValid(false)
 	sp.SetHome(pid, dst)
-	dc.Mu.Unlock()
-	sc.Mu.Unlock()
 	proto.PublishInvalidate(dst, pid)
 
 	// After the next acquire, everyone still reads the value — now served

@@ -73,12 +73,10 @@ func (a *Accessor) pageForWrite(t *sim.Task, pid PageID) *PageCopy {
 	for !pc.Valid() || !pc.Written() {
 		a.H.WriteFault(t, pid)
 	}
-	if f := pc.frame.Load(); f == nil || !f.Exclusive() {
-		pc.Mu.Lock()
+	if f := pc.frame; f == nil || !f.Exclusive() {
 		if _, copied := pc.EnsureExclusive(a.Sp); copied && a.Sp.unshares != nil {
 			a.Sp.unshares(t.MemNode())
 		}
-		pc.Mu.Unlock()
 	}
 	return pc
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"cables/internal/sim"
@@ -91,20 +90,14 @@ func (h *cowRefHandler) ReadFault(t *sim.Task, pid PageID) {
 		return // write fault on an already-valid copy: no refetch
 	}
 	if t.NodeID == cowHome {
-		pc.Mu.Lock()
 		pc.EnsureFrame()
 		pc.SetValid(true)
-		pc.Mu.Unlock()
 	} else {
 		hc := h.sp.Copy(cowHome, pid)
-		hc.Mu.Lock()
 		hc.EnsureFrame()
 		h.sp.DedupFrame(hc)
-		pc.Mu.Lock()
 		pc.AdoptFrame(h.sp, hc)
 		pc.SetValid(true)
-		pc.Mu.Unlock()
-		hc.Mu.Unlock()
 	}
 	h.model.fetch(t.NodeID, pid)
 }
@@ -112,12 +105,10 @@ func (h *cowRefHandler) ReadFault(t *sim.Task, pid PageID) {
 func (h *cowRefHandler) WriteFault(t *sim.Task, pid PageID) {
 	h.ReadFault(t, pid)
 	pc := h.sp.Copy(t.NodeID, pid)
-	pc.Mu.Lock()
 	if t.NodeID != cowHome && !pc.HasTwin() {
 		pc.CaptureTwin()
 	}
 	pc.SetWritten(true)
-	pc.Mu.Unlock()
 	h.model.writeFault(t.NodeID, pid)
 }
 
@@ -174,7 +165,6 @@ func (w *cowWorld) release(node int, pid PageID) {
 	e := w.model.at(node, pid)
 	if node != cowHome {
 		hc := w.sp.Copy(cowHome, pid)
-		hc.Mu.Lock()
 		if !pc.TwinAliasesData() {
 			hd, _ := hc.EnsureExclusive(w.sp)
 			cowN := DiffPage(pc.Data(), pc.TwinData(), hd)
@@ -184,7 +174,6 @@ func (w *cowWorld) release(node int, pid PageID) {
 					node, pid, cowN, eagerN)
 			}
 		}
-		hc.Mu.Unlock()
 		pc.RetireTwin(w.sp)
 		e.twin = nil
 	}
@@ -283,41 +272,31 @@ func TestDedupFrameInterning(t *testing.T) {
 	sp := NewSpace(1, 4*PageSize)
 	a, b, c := sp.Copy(0, 0), sp.Copy(0, 1), sp.Copy(0, 2)
 	for _, pc := range []*PageCopy{a, b, c} {
-		pc.Mu.Lock()
 		pc.EnsureExclusive(sp)
-		pc.Mu.Unlock()
 	}
 	a.Data()[7] = 0x11
 	b.Data()[7] = 0x11
 	c.Data()[7] = 0x22
 
-	a.Mu.Lock()
 	if sp.DedupFrame(a) {
 		t.Error("first intern reported a hit")
 	}
-	a.Mu.Unlock()
-	b.Mu.Lock()
 	if !sp.DedupFrame(b) {
 		t.Error("identical content did not dedup")
 	}
-	b.Mu.Unlock()
 	if a.Frame() != b.Frame() {
 		t.Error("deduped copies do not alias one frame")
 	}
-	c.Mu.Lock()
 	if sp.DedupFrame(c) {
 		t.Error("differing content deduped")
 	}
-	c.Mu.Unlock()
 
 	// All-zero content interns onto the permanent canonical zero frame.
 	d := sp.Copy(0, 3)
-	d.Mu.Lock()
 	d.EnsureExclusive(sp)
 	if !sp.DedupFrame(d) {
 		t.Error("all-zero page did not dedup")
 	}
-	d.Mu.Unlock()
 	if d.Frame() != ZeroFrame() {
 		t.Error("all-zero page not aliased to the canonical zero frame")
 	}
@@ -328,7 +307,7 @@ func TestDedupFrameInterning(t *testing.T) {
 // rather than silently corrupting the pool.
 func TestFrameRefcountMisuse(t *testing.T) {
 	f := newFrame()
-	f.crossNode.Store(true) // keep it out of the pool so the double release is observable
+	f.crossNode = true // keep it out of the pool so the double release is observable
 	f.Release(nil)
 	defer func() {
 		if recover() == nil {
@@ -343,8 +322,6 @@ func TestFrameRefcountMisuse(t *testing.T) {
 func TestUnshareIdempotent(t *testing.T) {
 	sp := NewSpace(1, 1<<16)
 	pc := sp.Copy(0, 0)
-	pc.Mu.Lock()
-	defer pc.Mu.Unlock()
 	pc.EnsureExclusive(sp)
 	pc.Data()[0] = 1
 	pc.CaptureTwin()
@@ -364,41 +341,34 @@ func TestUnshareIdempotent(t *testing.T) {
 	pc.RetireTwin(sp)
 }
 
-// TestConcurrentUnshareHammer: many nodes alias one frame and unshare it
-// concurrently; every node must end with a private frame carrying the
-// original bytes plus exactly its own write (run under -race in CI).
+// TestConcurrentUnshareHammer: many nodes alias one frame and unshare it in
+// turn, as a cell's tasks do in its single scheduler slot; every node must
+// end with a private frame carrying the original bytes plus exactly its own
+// write, and the source must get its frame back to itself.
 func TestConcurrentUnshareHammer(t *testing.T) {
 	const nodes = 8
 	for round := 0; round < 50; round++ {
 		sp := NewSpace(nodes, 1<<16)
 		src := sp.Copy(0, 0)
-		src.Mu.Lock()
 		src.EnsureExclusive(sp)
 		for i := range src.Data() {
 			src.Data()[i] = byte(i)
 		}
-		src.Mu.Unlock()
 		for n := 1; n < nodes; n++ {
 			pc := sp.Copy(n, 0)
-			pc.Mu.Lock()
 			pc.AdoptFrame(sp, src)
 			pc.SetValid(true)
-			pc.Mu.Unlock()
 		}
-		var wg sync.WaitGroup
-		for n := 1; n < nodes; n++ {
-			n := n
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pc := sp.Copy(n, 0)
-				pc.Mu.Lock()
-				pc.EnsureExclusive(sp)
-				pc.Data()[0] = byte(0x80 + n)
-				pc.Mu.Unlock()
-			}()
+		// Unshare in a different node order each round.
+		for k := 1; k < nodes; k++ {
+			n := 1 + (k+round)%(nodes-1)
+			pc := sp.Copy(n, 0)
+			pc.EnsureExclusive(sp)
+			pc.Data()[0] = byte(0x80 + n)
 		}
-		wg.Wait()
+		if !src.Frame().Exclusive() {
+			t.Fatal("source frame still shared after every alias unshared")
+		}
 		for n := 1; n < nodes; n++ {
 			pc := sp.Copy(n, 0)
 			if !pc.Frame().Exclusive() {

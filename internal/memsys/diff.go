@@ -4,12 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync"
 )
 
 // This file is the optimized data-plane kernel shared by every SVM backend:
 // a word-at-a-time page diff that applies run-length-encoded dirty runs to
-// the home copy, and a sync.Pool of page buffers for twins and fetch copies.
+// the home copy.
 //
 // Invariance contract: DiffPage must return the exact count of bytes where
 // data differs from twin — the same number the byte-wise reference produces
@@ -114,42 +113,4 @@ func DiffPage(data, twin, home []byte) int {
 		copy(home[run:], data[run:])
 	}
 	return diff
-}
-
-// pagePool recycles standalone PageSize buffers (scratch pages for tests
-// and benchmarks; page-copy storage lives in the frame pool, see frame.go).
-// It stores *[PageSize]byte rather than slices: a pointer boxes into the
-// pool's interface without allocating, where pooling a slice header would
-// cost one heap allocation per Put and defeat the point.
-//
-// Zero-page fast path audit: buffers are no longer cleared on return — a
-// returned buffer's contents are arbitrary, and GetPageBuf clears on hand-
-// out instead, so callers that overwrite the whole page (fetch fills, copy
-// targets) can use GetPageBufRaw and skip the 4 KB clear entirely.
-var pagePool = sync.Pool{
-	New: func() any { return new([PageSize]byte) },
-}
-
-// GetPageBuf returns a zeroed PageSize buffer from the pool.
-func GetPageBuf() []byte {
-	b := pagePool.Get().(*[PageSize]byte)
-	clear(b[:])
-	return b[:]
-}
-
-// GetPageBufRaw returns a PageSize buffer from the pool with arbitrary
-// contents; for callers that overwrite the whole page before reading it.
-func GetPageBufRaw() []byte {
-	return pagePool.Get().(*[PageSize]byte)[:]
-}
-
-// PutPageBuf returns buf to the pool.  The caller must hold the only
-// remaining reference; buffers that may still be read concurrently must
-// never be returned.  Buffers that did not come from GetPageBuf (wrong
-// capacity) are dropped.
-func PutPageBuf(buf []byte) {
-	if cap(buf) < PageSize {
-		return
-	}
-	pagePool.Put((*[PageSize]byte)(buf[:PageSize]))
 }

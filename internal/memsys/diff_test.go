@@ -150,43 +150,12 @@ func TestDiffPageQuick(t *testing.T) {
 	}
 }
 
-// TestPageBufPool checks the pool contract: GetPageBuf hands out zeroed
-// PageSize buffers even after a dirty one was returned, while GetPageBufRaw
-// skips the clear (contents are arbitrary, length still PageSize).
-func TestPageBufPool(t *testing.T) {
-	b := GetPageBuf()
-	if len(b) != PageSize {
-		t.Fatalf("GetPageBuf length %d, want %d", len(b), PageSize)
-	}
-	for i := range b {
-		b[i] = 0xab
-	}
-	PutPageBuf(b)
-	for i := 0; i < 64; i++ { // pooled or fresh, it must arrive zeroed
-		g := GetPageBuf()
-		for j, v := range g {
-			if v != 0 {
-				t.Fatalf("iteration %d: pooled buffer byte %d = %#x, want 0", i, j, v)
-			}
-		}
-		g[len(g)-1] = 0xff
-		PutPageBuf(g)
-	}
-	if r := GetPageBufRaw(); len(r) != PageSize {
-		t.Fatalf("GetPageBufRaw length %d, want %d", len(r), PageSize)
-	} else {
-		PutPageBuf(r)
-	}
-}
-
 // TestTwinLifecycle checks the frame-based twin contract: capture aliases
 // the current frame (a reference, not a copy), retire drops it, and a nil
 // retire is idempotent.
 func TestTwinLifecycle(t *testing.T) {
 	sp := NewSpace(1, 1<<16)
 	pc := sp.Copy(0, 0)
-	pc.Mu.Lock()
-	defer pc.Mu.Unlock()
 	if _, unshared := pc.EnsureExclusive(sp); unshared {
 		t.Fatal("fresh copy reported an unshare")
 	}

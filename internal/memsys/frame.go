@@ -20,32 +20,35 @@ import (
 // — TestCOWMatchesEagerReference checks the COW store byte for byte
 // against an eager-copy reference.
 //
+// Ownership: a frame belongs to one Space, and so to one cell, whose tasks
+// run one at a time in its single scheduler slot; its refcount and flags
+// are plain fields.  Only the frame pool, the process-wide gauges and the
+// read-only canonical zero frame are shared between cells.
+//
 // Pool-reuse safety: a frame's array may return to the page pool only when
-// no reader can still hold a pointer to it.  A cell's tasks run one at a
-// time in its single scheduler slot, and an accessor holds a frame pointer
-// only between its validity check and its load or store, with no safe point
-// in between; so every release that can free a same-node-only frame
-// (invalidation, twin retirement) runs while no accessor holds one — and
-// unshare by construction releases a frame with at least one reference
-// remaining.  A frame that was
-// ever visible to another node (fetch adoption, interning, migration) sets
-// crossNode and is dropped to the garbage collector instead of the pool:
-// the GC keeps stale readers safe, and the space's end-of-run Release — when
-// the simulation is quiescent — recovers those frames for reuse.
+// no reader can still hold a pointer to it.  An accessor holds a frame
+// pointer only between its validity check and its load or store, with no
+// safe point in between; so every release that can free a same-node-only
+// frame (invalidation, twin retirement) runs while no accessor holds one —
+// and unshare by construction releases a frame with at least one reference
+// remaining.  A frame that was ever visible to another node (fetch
+// adoption, interning, migration) sets crossNode and is dropped to the
+// garbage collector instead of the pool, and the space's end-of-run Release
+// — when the simulation is quiescent — recovers those frames for reuse.
 type Frame struct {
 	data *[PageSize]byte
-	refs atomic.Int32
+	refs int32
 
 	// crossNode marks a frame that escaped its creating node: another
 	// node's copy, a twin of a migrated page, or the intern table may still
-	// be read concurrently with the final release, so the array must not be
-	// recycled mid-run (see pool-reuse safety above).
-	crossNode atomic.Bool
+	// alias it at the final release, so the array is left to the GC
+	// mid-run (see pool-reuse safety above).
+	crossNode bool
 
 	// interned marks a frame registered in a Space's dedup table, which
 	// holds one reference; the release that leaves only the table's
 	// reference evicts and frees it.
-	interned atomic.Bool
+	interned bool
 
 	// hash is the content hash under which the frame was interned.
 	hash uint64
@@ -60,20 +63,19 @@ func (f *Frame) Data() []byte { return f.data[:] }
 
 // Refs returns the current reference count (the zero frame reports its
 // pinned count).  Test hook.
-func (f *Frame) Refs() int32 { return f.refs.Load() }
+func (f *Frame) Refs() int32 { return f.refs }
 
 // Exclusive reports whether the frame may be written in place: exactly one
 // reference and not the canonical zero frame (whose count is pinned).
-func (f *Frame) Exclusive() bool { return !f.zero && f.refs.Load() == 1 }
+func (f *Frame) Exclusive() bool { return !f.zero && f.refs == 1 }
 
 // Ref takes one more reference and returns f.  The caller must already hold
-// a reference (or the intern table's lock for table lookups), so the count
-// cannot concurrently reach zero.
+// a reference (or reach f through the intern table, which holds one).
 func (f *Frame) Ref() *Frame {
 	if f.zero {
 		return f
 	}
-	if n := f.refs.Add(1); n == 2 {
+	if f.refs++; f.refs == 2 {
 		framesShared.Add(1)
 	}
 	return f
@@ -88,16 +90,16 @@ func (f *Frame) Release(sp *Space) {
 	if f.zero {
 		return
 	}
-	n := f.refs.Add(-1)
+	f.refs--
 	switch {
-	case n < 0:
+	case f.refs < 0:
 		panic("memsys: frame released below zero references")
-	case n == 1:
+	case f.refs == 1:
 		framesShared.Add(-1)
-		if f.interned.Load() && sp != nil {
+		if f.interned && sp != nil {
 			sp.evictFrame(f)
 		}
-	case n == 0:
+	case f.refs == 0:
 		f.free()
 	}
 }
@@ -105,8 +107,8 @@ func (f *Frame) Release(sp *Space) {
 // free retires a frame whose last reference just dropped.
 func (f *Frame) free() {
 	framesResident.Add(-1)
-	if f.crossNode.Load() {
-		return // stale cross-node readers may remain; let the GC reclaim it
+	if f.crossNode {
+		return // another node's copy may still alias it; let the GC reclaim it
 	}
 	framePool.Put(f)
 }
@@ -149,10 +151,7 @@ func ResetFramesPeak() { framesResidentPeak.Store(framesResident.Load()) }
 // pure host cost (the "zero-page fast path audit").
 func newFrame() *Frame {
 	f := framePool.Get().(*Frame)
-	f.refs.Store(1)
-	f.crossNode.Store(false)
-	f.interned.Store(false)
-	f.hash = 0
+	*f = Frame{data: f.data, refs: 1}
 	if n := framesResident.Add(1); n > framesResidentPeak.Load() {
 		// Racy max is fine: the peak is a host-side gauge, and a lost
 		// update can only under-report by a transient frame or two.
@@ -172,10 +171,8 @@ func newFrameZeroed() *Frame {
 // aliases it without allocating, and the dedup table maps the all-zero
 // content hash to it so a page written back to zeroes collapses onto it.
 var zeroFrame = func() *Frame {
-	f := &Frame{data: new([PageSize]byte), zero: true}
-	f.refs.Store(2) // pinned above 1 so Exclusive is never true
-	f.crossNode.Store(true)
-	return f
+	// refs is pinned above 1 so Exclusive is never true.
+	return &Frame{data: new([PageSize]byte), refs: 2, zero: true}
 }()
 
 // ZeroFrame returns the canonical all-zero frame.  Test hook.
@@ -192,65 +189,39 @@ func hashPage(b []byte) uint64 {
 	return maphash.Bytes(frameHashSeed, b[:PageSize])
 }
 
-// interner is a Space's content-hash dedup table: hash → canonical frame.
-// The table holds one reference per entry; entries are evicted when only
-// that reference remains.  A frame in the table has at least two references
-// and is therefore immutable, so aliasing it is always safe.
-type interner struct {
-	mu    sync.Mutex
-	table map[uint64]*Frame
-}
-
-// evictFrame removes f from the space's dedup table if it is still there
-// with only the table's reference, dropping that reference (which frees
-// the frame).  Called from Release on the 2→1 transition.
+// evictFrame removes f from the space's dedup table, dropping the table's
+// reference (which frees the frame).  Called from Release on the 2→1
+// transition of an interned frame, whose table entry is f itself.  A frame
+// in the table has at least two references and is therefore immutable, so
+// aliasing it is always safe.
 func (s *Space) evictFrame(f *Frame) {
-	in := &s.intern
-	in.mu.Lock()
-	if !f.interned.Load() || f.refs.Load() != 1 || in.table[f.hash] != f {
-		in.mu.Unlock() // re-acquired through the table, or already evicted
-		return
-	}
-	delete(in.table, f.hash)
-	f.interned.Store(false)
-	in.mu.Unlock()
+	delete(s.intern, f.hash)
+	f.interned = false
 	f.Release(s)
 }
 
 // DedupFrame interns pc's current frame in the space's content-hash table:
 // if an identical-content frame is already canonical, pc's frame is swapped
 // for it (a dedup hit); otherwise pc's frame becomes the canonical entry.
-// The caller must own pc (hold its Mu) and hold its cell's scheduler slot,
-// so no writer on the frame is in flight.
 // Returns whether an existing frame was reused.
 func (s *Space) DedupFrame(pc *PageCopy) bool {
-	f := pc.frame.Load()
-	if f == nil || f.zero {
-		return false
-	}
-	if f.interned.Load() {
-		return false // already canonical for its content
+	f := pc.frame
+	if f == nil || f.zero || f.interned {
+		return false // nothing to share, or already canonical for its content
 	}
 	h := hashPage(f.data[:])
-	in := &s.intern
-	in.mu.Lock()
-	if g, ok := in.table[h]; ok {
+	if g, ok := s.intern[h]; ok {
 		// Weak hash: confirm the match byte-for-byte before aliasing.
 		if g != f && *g.data == *f.data {
-			g.Ref()
-			in.mu.Unlock()
-			pc.frame.Store(g)
+			pc.frame = g.Ref()
 			f.Release(s)
 			return true
 		}
-		in.mu.Unlock()
 		return false // collision (or self): leave both frames alone
 	}
 	f.hash = h
-	f.interned.Store(true)
-	f.crossNode.Store(true) // the table may hand it to any node
-	f.Ref()                 // the table's reference
-	in.table[h] = f
-	in.mu.Unlock()
+	f.interned = true
+	f.crossNode = true    // the table may hand it to any node
+	s.intern[h] = f.Ref() // the table's reference
 	return false
 }

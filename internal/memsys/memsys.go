@@ -10,8 +10,7 @@ package memsys
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"slices"
 )
 
 // Page geometry.
@@ -37,111 +36,100 @@ const NoHome = int32(-1)
 // PageCopy is one node's copy of one shared page.  The zero state is
 // Invalid with no storage; storage is bound on first validation.
 //
-// Storage is a refcounted copy-on-write frame (see frame.go) held behind an
-// atomic pointer: a fetched page, its twin and other nodes' replicas alias
-// one frame, and the first local write unshares it.  Byte access needs no
-// lock: a cell's tasks run one at a time in its single scheduler slot, so
-// invalidation — the path that releases a copy's frame — never runs while
-// another task is between its validity check and its load or store
-// (crossNode frames additionally bypass the pool; see frame.go).
+// Storage is a refcounted copy-on-write frame (see frame.go): a fetched
+// page, its twin and other nodes' replicas alias one frame, and the first
+// local write unshares it.  A copy takes no lock.  A cell's tasks run one
+// at a time in its single scheduler slot, and no path between a copy's
+// state check and its use holds a safe point (a Park or Compute's
+// preemption check), so every transition — validation, write-open, flush,
+// invalidation — runs as one uninterrupted section, and no invalidation or
+// frame recycling can land between an accessor's validity check and its
+// load or store.
 type PageCopy struct {
-	// Mu serializes state transitions and diff application on this copy.
-	Mu sync.Mutex
-
 	// twin is the pristine image captured at the first write of the
 	// current interval on a non-home node; diffs are computed against it
 	// at flush.  It is a reference on the pre-write frame, not a copy.
-	// Guarded by Mu.
 	twin *Frame
 
-	frame   atomic.Pointer[Frame]
-	valid   atomic.Bool
-	written atomic.Bool
+	frame          *Frame
+	valid, written bool
 }
 
 // Data returns the current byte image (nil before first validation).
 func (p *PageCopy) Data() []byte {
-	if f := p.frame.Load(); f != nil {
-		return f.data[:]
+	if p.frame != nil {
+		return p.frame.data[:]
 	}
 	return nil
 }
 
 // Frame returns the current frame (nil before first validation).  Test hook.
-func (p *PageCopy) Frame() *Frame { return p.frame.Load() }
+func (p *PageCopy) Frame() *Frame { return p.frame }
 
-// RetireData releases the copy's frame and clears the pointer.  Caller must
-// hold Mu and hold its cell's scheduler slot, so no reader of the copy is
-// mid-access.
+// RetireData releases the copy's frame and clears the pointer.
 func (p *PageCopy) RetireData(sp *Space) {
-	if f := p.frame.Load(); f != nil {
-		p.frame.Store(nil)
+	if f := p.frame; f != nil {
+		p.frame = nil
 		f.Release(sp)
 	}
 }
 
 // Written reports whether the page is dirty in the current interval.
-func (p *PageCopy) Written() bool { return p.written.Load() }
+func (p *PageCopy) Written() bool { return p.written }
 
 // SetWritten marks or clears the dirty flag.
-func (p *PageCopy) SetWritten(v bool) { p.written.Store(v) }
+func (p *PageCopy) SetWritten(v bool) { p.written = v }
 
 // Valid reports whether this copy may be read without a fault.
-func (p *PageCopy) Valid() bool { return p.valid.Load() }
+func (p *PageCopy) Valid() bool { return p.valid }
 
 // SetValid marks the copy readable.
-func (p *PageCopy) SetValid(v bool) { p.valid.Store(v) }
+func (p *PageCopy) SetValid(v bool) { p.valid = v }
 
 // EnsureFrame binds storage to the copy if it has none and returns the byte
 // image.  A fresh copy aliases the canonical zero frame — the same all-zero
 // content a fresh allocation had, without allocating.  The result is
 // read-only; writers go through EnsureExclusive or the accessor's
-// unshare-on-write path.  Caller must hold Mu or otherwise own the copy.
+// unshare-on-write path.
 func (p *PageCopy) EnsureFrame() []byte {
-	if f := p.frame.Load(); f != nil {
-		return f.data[:]
+	if p.frame == nil {
+		p.frame = zeroFrame
 	}
-	p.frame.Store(zeroFrame)
-	return zeroFrame.data[:]
+	return p.frame.data[:]
 }
 
 // EnsureExclusive makes the copy's frame privately owned and returns its
 // writable byte image, unsharing (or allocating) if needed.  Returns
 // whether a shared frame had to be copied — the caller charges nothing
 // (unshare is host work; the paper's system wrote in place), but counts it.
-// Caller must hold Mu.
 func (p *PageCopy) EnsureExclusive(sp *Space) (data []byte, unshared bool) {
-	f := p.frame.Load()
+	f := p.frame
 	switch {
 	case f == nil:
-		nf := newFrameZeroed()
-		p.frame.Store(nf)
-		return nf.data[:], false
+		p.frame = newFrameZeroed()
+		return p.frame.data[:], false
 	case f.Exclusive():
 		return f.data[:], false
 	case f.zero:
-		nf := newFrameZeroed()
-		p.frame.Store(nf)
-		return nf.data[:], true
+		p.frame = newFrameZeroed()
+		return p.frame.data[:], true
 	default:
-		nf := newFrame()
-		copy(nf.data[:], f.data[:])
-		p.frame.Store(nf)
+		p.frame = newFrame()
+		copy(p.frame.data[:], f.data[:])
 		f.Release(sp) // at least the releaser's alias remains (refs were ≥2)
-		return nf.data[:], true
+		return p.frame.data[:], true
 	}
 }
 
 // CaptureTwin records the copy's current image as the interval twin — a
 // reference on the current frame, not a page copy.  The frame becomes
 // shared, so the next write unshares it and the twin keeps the pristine
-// image.  Caller must hold Mu; the copy must be valid with no twin.
+// image.  The copy must be valid with no twin.
 func (p *PageCopy) CaptureTwin() {
-	p.twin = p.frame.Load().Ref()
+	p.twin = p.frame.Ref()
 }
 
 // TwinData returns the twin's byte image, or nil if no twin is captured.
-// Caller must hold Mu.
 func (p *PageCopy) TwinData() []byte {
 	if p.twin == nil {
 		return nil
@@ -149,18 +137,18 @@ func (p *PageCopy) TwinData() []byte {
 	return p.twin.data[:]
 }
 
-// HasTwin reports whether an interval twin is captured.  Caller must hold Mu.
+// HasTwin reports whether an interval twin is captured.
 func (p *PageCopy) HasTwin() bool { return p.twin != nil }
 
 // TwinAliasesData reports whether the twin still aliases the copy's current
 // frame — i.e. no write landed since capture, so the page is byte-identical
-// to its twin and a diff would be empty.  Caller must hold Mu.
+// to its twin and a diff would be empty.
 func (p *PageCopy) TwinAliasesData() bool {
-	return p.twin != nil && p.twin == p.frame.Load()
+	return p.twin != nil && p.twin == p.frame
 }
 
-// RetireTwin releases the twin reference (if any).  The caller must hold Mu
-// and must not retain the twin.
+// RetireTwin releases the twin reference (if any).  The caller must not
+// retain the twin.
 func (p *PageCopy) RetireTwin(sp *Space) {
 	if p.twin != nil {
 		p.twin.Release(sp)
@@ -171,20 +159,21 @@ func (p *PageCopy) RetireTwin(sp *Space) {
 // AdoptFrame points this copy at src's current frame (the fetch path: the
 // fetched replica aliases the home's frame instead of copying it).  The
 // frame escapes its home node, so it is marked crossNode and will not be
-// recycled mid-run.  Caller must hold both copies' Mu and its cell's
-// scheduler slot, so no home store is mid-flight.
+// recycled mid-run.
 func (p *PageCopy) AdoptFrame(sp *Space, src *PageCopy) {
-	f := src.frame.Load()
+	f := src.frame
 	if f == nil {
 		return
 	}
-	f.crossNode.Store(true)
+	if !f.zero { // the zero frame is shared by every cell and never written
+		f.crossNode = true
+	}
 	f.Ref()
-	if old := p.frame.Load(); old != nil {
-		p.frame.Store(nil)
+	if old := p.frame; old != nil {
+		p.frame = nil
 		old.Release(sp)
 	}
-	p.frame.Store(f)
+	p.frame = f
 }
 
 // Space is the cluster-wide shared address space.
@@ -198,7 +187,7 @@ type Space struct {
 	// flat nodes×numPages slot array for a 256 MB arena is megabytes of
 	// zeroed, GC-scanned pointers per simulation, which dominated the
 	// experiment harness's wall-clock cost before chunking.
-	pages [][]atomic.Pointer[pageChunk]
+	pages [][]*pageChunk
 
 	// meta[pid>>pageChunkShift] holds the page's home and first-toucher
 	// records in on-demand chunks (same chunking as page copies): home is
@@ -206,30 +195,32 @@ type Space struct {
 	// accessed the page at 4 KB granularity — the reference placement
 	// against which CableS's map-unit-granularity homes are compared
 	// (Figure 6).  Both are stored biased by +1 so the zero value means
-	// "unset".  Chunking replaces two flat []atomic.Int32 arrays that cost
-	// half a megabyte of zeroed memory per 256 MB space — visible per-op
-	// garbage once frames went copy-on-write.
-	meta []atomic.Pointer[metaChunk]
+	// "unset".  Chunking replaces two flat int32 arrays that cost half a
+	// megabyte of zeroed memory per 256 MB space — visible per-op garbage
+	// once frames went copy-on-write.
+	meta []*metaChunk
 
-	// intern is the content-hash dedup table (see frame.go), seeded with
-	// the canonical zero frame.
-	intern interner
+	// intern is the content-hash dedup table: hash → canonical frame (see
+	// frame.go), seeded with the canonical zero frame.
+	intern map[uint64]*Frame
 
 	// unshares counts copy-on-write unshares performed by the accessor's
 	// write path, reported per node; bound by the protocol (BindUnshares)
 	// because memsys itself has no stats sink.
 	unshares func(node int)
 
-	allocMu sync.Mutex
-	next    Addr
-	segs    []Segment
+	next Addr
+	segs []Segment
 }
 
 // pageChunk is one on-demand block of page-copy slots (2 MB of arena).
-type pageChunk [pageChunkSize]atomic.Pointer[PageCopy]
+type pageChunk [pageChunkSize]*PageCopy
+
+// pageMeta is one page's home and first-toucher record, each biased by +1.
+type pageMeta struct{ home, toucher int32 }
 
 // metaChunk is one on-demand block of per-page home/toucher records.
-type metaChunk [pageChunkSize]struct{ home, toucher atomic.Int32 }
+type metaChunk [pageChunkSize]pageMeta
 
 const (
 	pageChunkShift = 9
@@ -254,14 +245,14 @@ func NewSpace(nodes int, size int64) *Space {
 		nodes:    nodes,
 		size:     int64(np) * PageSize,
 		numPages: np,
-		pages:    make([][]atomic.Pointer[pageChunk], nodes),
-		meta:     make([]atomic.Pointer[metaChunk], nc),
+		pages:    make([][]*pageChunk, nodes),
+		meta:     make([]*metaChunk, nc),
+		intern:   map[uint64]*Frame{hashPage(zeroFrame.data[:]): zeroFrame},
 		next:     SpaceBase,
 	}
 	for n := range s.pages {
-		s.pages[n] = make([]atomic.Pointer[pageChunk], nc)
+		s.pages[n] = make([]*pageChunk, nc)
 	}
-	s.intern.table = map[uint64]*Frame{hashPage(zeroFrame.data[:]): zeroFrame}
 	return s
 }
 
@@ -301,30 +292,20 @@ func (s *Space) PageAddr(pid PageID) Addr { return SpaceBase + Addr(pid)<<PageSh
 // chunk) on demand.
 func (s *Space) Copy(node int, pid PageID) *PageCopy {
 	cslot := &s.pages[node][pid>>pageChunkShift]
-	ch := cslot.Load()
-	if ch == nil {
-		fresh := new(pageChunk)
-		if cslot.CompareAndSwap(nil, fresh) {
-			ch = fresh
-		} else {
-			ch = cslot.Load()
-		}
+	if *cslot == nil {
+		*cslot = new(pageChunk)
 	}
-	slot := &ch[pid&(pageChunkSize-1)]
-	if pc := slot.Load(); pc != nil {
-		return pc
+	slot := &(*cslot)[pid&(pageChunkSize-1)]
+	if *slot == nil {
+		*slot = &PageCopy{}
 	}
-	pc := &PageCopy{}
-	if slot.CompareAndSwap(nil, pc) {
-		return pc
-	}
-	return slot.Load()
+	return *slot
 }
 
 // metaAt returns pid's home/toucher record, or nil if its chunk was never
 // created (every record in it is unset).
-func (s *Space) metaAt(pid PageID) *struct{ home, toucher atomic.Int32 } {
-	ch := s.meta[pid>>pageChunkShift].Load()
+func (s *Space) metaAt(pid PageID) *pageMeta {
+	ch := s.meta[pid>>pageChunkShift]
 	if ch == nil {
 		return nil
 	}
@@ -332,24 +313,18 @@ func (s *Space) metaAt(pid PageID) *struct{ home, toucher atomic.Int32 } {
 }
 
 // metaEnsure returns pid's home/toucher record, creating its chunk on demand.
-func (s *Space) metaEnsure(pid PageID) *struct{ home, toucher atomic.Int32 } {
+func (s *Space) metaEnsure(pid PageID) *pageMeta {
 	cslot := &s.meta[pid>>pageChunkShift]
-	ch := cslot.Load()
-	if ch == nil {
-		fresh := new(metaChunk)
-		if cslot.CompareAndSwap(nil, fresh) {
-			ch = fresh
-		} else {
-			ch = cslot.Load()
-		}
+	if *cslot == nil {
+		*cslot = new(metaChunk)
 	}
-	return &ch[pid&(pageChunkSize-1)]
+	return &(*cslot)[pid&(pageChunkSize-1)]
 }
 
 // Home returns the page's home node, or NoHome as an int (-1).
 func (s *Space) Home(pid PageID) int {
 	if m := s.metaAt(pid); m != nil {
-		return int(m.home.Load()) - 1
+		return int(m.home) - 1
 	}
 	return -1
 }
@@ -357,28 +332,31 @@ func (s *Space) Home(pid PageID) int {
 // SetHome forcibly places the primary copy of pid on node (static placement
 // in the base system; migration in CableS).
 func (s *Space) SetHome(pid PageID, node int) {
-	s.metaEnsure(pid).home.Store(int32(node) + 1)
+	s.metaEnsure(pid).home = int32(node) + 1
 }
 
 // TryFirstTouch sets node as home if the page is unplaced, returning the
 // page's home after the operation and whether this call placed it.
 func (s *Space) TryFirstTouch(pid PageID, node int) (home int, placed bool) {
 	m := s.metaEnsure(pid)
-	if m.home.CompareAndSwap(0, int32(node)+1) {
+	if m.home == 0 {
+		m.home = int32(node) + 1
 		return node, true
 	}
-	return int(m.home.Load()) - 1, false
+	return int(m.home) - 1, false
 }
 
 // RecordToucher records node as the page's 4 KB-granularity first toucher.
 func (s *Space) RecordToucher(pid PageID, node int) {
-	s.metaEnsure(pid).toucher.CompareAndSwap(0, int32(node)+1)
+	if m := s.metaEnsure(pid); m.toucher == 0 {
+		m.toucher = int32(node) + 1
+	}
 }
 
 // Toucher returns the 4 KB-granularity first toucher, or -1.
 func (s *Space) Toucher(pid PageID) int {
 	if m := s.metaAt(pid); m != nil {
-		return int(m.toucher.Load()) - 1
+		return int(m.toucher) - 1
 	}
 	return -1
 }
@@ -395,8 +373,6 @@ func (s *Space) AllocSegment(label string, size int64, align int64) (Addr, error
 	if align&(align-1) != 0 {
 		return 0, fmt.Errorf("memsys: alignment %d not a power of two", align)
 	}
-	s.allocMu.Lock()
-	defer s.allocMu.Unlock()
 	start := Addr((int64(s.next) + align - 1) &^ (align - 1))
 	if int64(start-SpaceBase)+size > s.size {
 		return 0, fmt.Errorf("memsys: shared arena exhausted (%d bytes requested, %d free)",
@@ -408,38 +384,26 @@ func (s *Space) AllocSegment(label string, size int64, align int64) (Addr, error
 }
 
 // Segments returns a snapshot of all allocations made so far.
-func (s *Space) Segments() []Segment {
-	s.allocMu.Lock()
-	defer s.allocMu.Unlock()
-	out := make([]Segment, len(s.segs))
-	copy(out, s.segs)
-	return out
-}
+func (s *Space) Segments() []Segment { return slices.Clone(s.segs) }
 
 // Used returns the number of arena bytes allocated so far.
-func (s *Space) Used() int64 {
-	s.allocMu.Lock()
-	defer s.allocMu.Unlock()
-	return int64(s.next - SpaceBase)
-}
+func (s *Space) Used() int64 { return int64(s.next - SpaceBase) }
 
 // MisplacedPages compares each touched page's home against its 4 KB
 // first-toucher reference and returns (misplaced, total touched).  This is
 // the Figure 6 metric: a page is misplaced when map-unit-granularity home
 // binding gave it a different home than per-page first touch would have.
 func (s *Space) MisplacedPages() (misplaced, total int) {
-	for ci := range s.meta {
-		ch := s.meta[ci].Load()
+	for _, ch := range s.meta {
 		if ch == nil {
 			continue
 		}
-		for i := range ch {
-			ref := ch[i].toucher.Load()
-			if ref == 0 {
+		for _, m := range ch {
+			if m.toucher == 0 {
 				continue
 			}
 			total++
-			if ch[i].home.Load() != ref {
+			if m.home != m.toucher {
 				misplaced++
 			}
 		}
@@ -455,45 +419,33 @@ func (s *Space) MisplacedPages() (misplaced, total int) {
 // panicked cell can leak blocked worker goroutines that still hold frame
 // pointers, and those frames must age out through the GC instead.
 func (s *Space) Release() {
-	for node := range s.pages {
-		for ci := range s.pages[node] {
-			ch := s.pages[node][ci].Load()
+	for _, chunks := range s.pages {
+		for _, ch := range chunks {
 			if ch == nil {
 				continue
 			}
-			for i := range ch {
-				pc := ch[i].Load()
+			for _, pc := range ch {
 				if pc == nil {
 					continue
 				}
-				pc.Mu.Lock()
-				pc.SetValid(false)
-				pc.SetWritten(false)
+				pc.valid, pc.written = false, false
 				if pc.twin != nil {
 					releaseQuiesced(pc.twin, s)
 					pc.twin = nil
 				}
-				if f := pc.frame.Load(); f != nil {
-					pc.frame.Store(nil)
+				if f := pc.frame; f != nil {
+					pc.frame = nil
 					releaseQuiesced(f, s)
 				}
-				pc.Mu.Unlock()
 			}
 		}
 	}
-	in := &s.intern
-	in.mu.Lock()
-	drain := make([]*Frame, 0, len(in.table))
-	for h, f := range in.table {
-		delete(in.table, h)
-		if !f.zero {
-			f.interned.Store(false)
-			drain = append(drain, f)
+	for h, f := range s.intern {
+		delete(s.intern, h)
+		if !f.zero { // the zero frame is shared by every cell and never written
+			f.interned = false // so the release below does not evict it again
+			releaseQuiesced(f, s)
 		}
-	}
-	in.mu.Unlock()
-	for _, f := range drain {
-		releaseQuiesced(f, s)
 	}
 }
 
@@ -504,6 +456,6 @@ func releaseQuiesced(f *Frame, sp *Space) {
 	if f.zero {
 		return
 	}
-	f.crossNode.Store(false)
+	f.crossNode = false
 	f.Release(sp)
 }

@@ -1,7 +1,6 @@
 package memsys
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -37,58 +36,47 @@ func TestPageOfPanicsOutsideArena(t *testing.T) {
 	s.PageOf(SpaceBase - 1)
 }
 
-// TestCopyIsPerNodeSingleton: concurrent Copy calls return one descriptor.
+// TestCopyIsPerNodeSingleton: repeated Copy calls return one descriptor
+// per node and page, across pages that share and pages that do not share
+// an on-demand chunk.
 func TestCopyIsPerNodeSingleton(t *testing.T) {
-	s := NewSpace(2, 1<<16)
-	const goroutines = 16
-	got := make([]*PageCopy, goroutines)
-	var wg sync.WaitGroup
-	for i := 0; i < goroutines; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[i] = s.Copy(0, 3)
-		}()
-	}
-	wg.Wait()
-	for i := 1; i < goroutines; i++ {
-		if got[i] != got[0] {
-			t.Fatal("Copy returned distinct descriptors")
+	s := NewSpace(2, 1<<22)
+	first := s.Copy(0, 3)
+	for _, pid := range []PageID{3, 4, pageChunkSize + 3} {
+		if s.Copy(0, pid) != s.Copy(0, pid) {
+			t.Fatalf("page %d: Copy returned distinct descriptors", pid)
 		}
 	}
-	if s.Copy(1, 3) == got[0] {
+	if s.Copy(0, 3) != first {
+		t.Fatal("Copy of another page replaced the descriptor")
+	}
+	if s.Copy(0, 4) == first || s.Copy(0, pageChunkSize+3) == first {
+		t.Error("distinct pages share a descriptor")
+	}
+	if s.Copy(1, 3) == first {
 		t.Error("copies not per-node")
 	}
 }
 
-// TestFirstTouchIsExactlyOnce: under concurrency exactly one node places
-// the page and everyone agrees on the home afterwards.
+// TestFirstTouchIsExactlyOnce: the first toucher places the page, every
+// later touch reports that home without moving it, and the first-toucher
+// record likewise keeps its first node.
 func TestFirstTouchIsExactlyOnce(t *testing.T) {
 	s := NewSpace(8, 1<<16)
-	var wg sync.WaitGroup
-	placed := make([]bool, 8)
+	if h := s.Home(5); h != -1 {
+		t.Fatalf("unplaced page has home %d", h)
+	}
 	for n := 0; n < 8; n++ {
-		n := n
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, p := s.TryFirstTouch(5, n)
-			placed[n] = p
-		}()
-	}
-	wg.Wait()
-	count := 0
-	for n, p := range placed {
-		if p && s.Home(5) != n {
-			t.Errorf("node %d placed but home is %d", n, s.Home(5))
+		node := (n + 3) % 8 // node 3 touches first
+		h, placed := s.TryFirstTouch(5, node)
+		if placed != (n == 0) || h != 3 {
+			t.Errorf("touch %d by node %d: home %d placed %v, want home 3 placed %v",
+				n, node, h, placed, n == 0)
 		}
-		if p {
-			count++
-		}
+		s.RecordToucher(5, node)
 	}
-	if count != 1 {
-		t.Errorf("placements: %d", count)
+	if s.Home(5) != 3 || s.Toucher(5) != 3 {
+		t.Errorf("home %d toucher %d, want 3 and 3", s.Home(5), s.Toucher(5))
 	}
 }
 
@@ -172,19 +160,15 @@ type fakeHandler struct {
 
 func (h *fakeHandler) ReadFault(t *sim.Task, pid PageID) {
 	pc := h.sp.Copy(t.NodeID, pid)
-	pc.Mu.Lock()
 	pc.EnsureFrame()
 	pc.SetValid(true)
-	pc.Mu.Unlock()
 	h.readFaults++
 }
 
 func (h *fakeHandler) WriteFault(t *sim.Task, pid PageID) {
 	h.ReadFault(t, pid)
 	pc := h.sp.Copy(t.NodeID, pid)
-	pc.Mu.Lock()
 	pc.SetWritten(true)
-	pc.Mu.Unlock()
 	h.writeFaults++
 }
 

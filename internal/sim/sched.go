@@ -19,20 +19,21 @@ const preemptSlack = 1 * Millisecond
 // stallTimeout is how long the slot holders may go with neither their
 // virtual clocks nor the run queue moving before the scheduler concludes
 // they are blocked outside it — a raw channel or WaitGroup wait instead of
-// a Park — and adds a slot, so such code runs on in host order instead of
-// deadlocking.  Stalls counts every such slot.
+// a Park — and lends a slot until the next release, so such code runs on
+// instead of deadlocking.  Stalls counts every such loan.
 const stallTimeout = 100 * time.Millisecond
 
 // emptyKey is the ready-queue minimum when nothing is queued.
 const emptyKey = math.MaxInt64
 
-// stalls counts the slots stall watchdogs have added, process-wide.
+// stalls counts the slots stall watchdogs have lent, process-wide.
 var stalls atomic.Int64
 
 // Stalls returns how many execution slots the stall watchdogs of all
-// schedulers in the process have added.  The simulator's own code blocks a
+// schedulers in the process have lent.  The simulator's own code blocks a
 // managed task only through Park, so any count above zero marks a raw host
-// wait inside a cell, and a cell that ran in host order from then on.
+// wait inside a cell, and a cell that ran two tasks at once until the loan
+// was taken back.
 func Stalls() int64 { return stalls.Load() }
 
 // Scheduler is the simulator's thread manager: a virtual-time-ordered run
@@ -59,6 +60,7 @@ func Stalls() int64 { return stalls.Load() }
 type Scheduler struct {
 	mu      sync.Mutex
 	free    int          // unheld execution slots; > 0 implies empty queues
+	lent    int          // watchdog-lent slots the next releases take back
 	holders []*eventTask // tasks holding a slot, watched for progress
 	nodes   []*nodeQueue // lazily created per-node sub-queues, by node id
 	order   nodeHeap     // non-empty sub-queues, keyed by their earliest entry
@@ -190,8 +192,9 @@ func (s *Scheduler) release(et *eventTask) {
 	s.mu.Unlock()
 }
 
-// releaseLocked returns et's slot to the pool.  Caller holds s.mu and
-// dispatches afterwards.
+// releaseLocked returns et's slot to the pool, or retires it if the stall
+// watchdog lent one that is still out.  Caller holds s.mu and dispatches
+// afterwards.
 func (s *Scheduler) releaseLocked(et *eventTask) {
 	for i, h := range s.holders {
 		if h == et {
@@ -201,6 +204,10 @@ func (s *Scheduler) releaseLocked(et *eventTask) {
 			s.holders = s.holders[:last]
 			break
 		}
+	}
+	if s.lent > 0 {
+		s.lent--
+		return
 	}
 	s.free++
 }
@@ -237,8 +244,10 @@ func (s *Scheduler) storeMinLocked() {
 }
 
 // watch is the stall watchdog: while tasks wait for a slot, it samples the
-// slot holders' virtual clocks and the queue sequence, and adds a slot when
-// neither has moved for stallTimeout.  It exits once the queue is empty.
+// slot holders' virtual clocks and the queue sequence, and lends a slot when
+// neither has moved for stallTimeout.  The next release takes the loan
+// back, so the cell runs two tasks at once only until a holder parks,
+// yields or exits.  It exits once the queue is empty.
 func (s *Scheduler) watch() {
 	type mark struct {
 		seq    uint64
@@ -263,6 +272,7 @@ func (s *Scheduler) watch() {
 			last, since = now, time.Now()
 		case time.Since(since) >= stallTimeout:
 			stalls.Add(1)
+			s.lent++
 			s.free++
 			s.dispatchLocked()
 			since = time.Time{}

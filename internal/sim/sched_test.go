@@ -166,25 +166,31 @@ func TestEventPreemptHandsOver(t *testing.T) {
 
 // TestStallAddsSlot runs two managed tasks that hand a token back and forth
 // over raw channels instead of Park: with one slot the first to wait would
-// hold it forever, so the watchdog must add a slot and count it.
+// hold it forever, so the watchdog must lend a slot and count it, and the
+// first release after the stall must take the loan back.
 func TestStallAddsSlot(t *testing.T) {
 	s := NewScheduler()
 	before := Stalls()
 	turn := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
+	finish := make(chan struct{})
+	var first, second sync.WaitGroup
+	first.Add(1)
+	second.Add(1)
+	for w, wg := range []*sync.WaitGroup{&first, &second} {
 		s.Go(newTestTask(w, 0), func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				<-turn[w]
 				turn[1-w] <- struct{}{}
 			}
+			if w == 1 {
+				<-finish // hold the slot past the other task's exit
+			}
 		})
 	}
 	turn[0] <- struct{}{}
 	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
+	go func() { first.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
@@ -193,6 +199,25 @@ func TestStallAddsSlot(t *testing.T) {
 	if got := Stalls() - before; got != 1 {
 		t.Errorf("Stalls rose by %d, want 1", got)
 	}
+	// Task 0 has exited; its release retires the lent slot, leaving task 1
+	// as the single holder of the cell's one slot.
+	waitFor(t, func() bool {
+		free, lent, holders := slots(s)
+		return free == 0 && lent == 0 && holders == 1
+	})
+	close(finish)
+	second.Wait()
+	waitFor(t, func() bool {
+		free, lent, holders := slots(s)
+		return free == 1 && lent == 0 && holders == 0
+	})
+}
+
+// slots reads s's slot accounting.
+func slots(s *Scheduler) (free, lent, holders int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.free, s.lent, len(s.holders)
 }
 
 // TestUnmanagedFallback checks a task never handed to the scheduler parks

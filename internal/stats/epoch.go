@@ -1,8 +1,8 @@
 package stats
 
 import (
+	"slices"
 	"sort"
-	"sync"
 )
 
 // EpochLog captures per-phase counter windows.  A phase boundary — for the
@@ -12,15 +12,11 @@ import (
 // deltas, which is how `cablesim profile` prints what each barrier epoch
 // cost.
 //
-// Marks fire from concurrently running simulated threads, so a snapshot is
-// the counter state at the *host* moment of the boundary; cells with
-// dynamic contention carry the simulator's usual scheduling jitter in how
-// in-flight events land on either side of a window (the trace-interleaving
-// caveat, DESIGN.md §5b).  Deterministic cells window deterministically.
+// The last arriver at a barrier marks the boundary from inside its cell's
+// single scheduler slot, so a snapshot holds exactly the events the cell's
+// tasks counted before it, and a cell windows the same way on every run.
 type EpochLog struct {
-	ctr *Counters
-
-	mu    sync.Mutex
+	ctr   *Counters
 	marks []epochMark
 }
 
@@ -43,26 +39,16 @@ func NewEpochLog(c *Counters) *EpochLog { return &EpochLog{ctr: c} }
 
 // Mark records a phase boundary labeled label at virtual instant at.
 func (l *EpochLog) Mark(label string, at int64) {
-	snap := l.ctr.Snapshot()
-	l.mu.Lock()
-	l.marks = append(l.marks, epochMark{label: label, at: at, snap: snap})
-	l.mu.Unlock()
+	l.marks = append(l.marks, epochMark{label: label, at: at, snap: l.ctr.Snapshot()})
 }
 
 // Len reports how many boundaries have been marked.
-func (l *EpochLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.marks)
-}
+func (l *EpochLog) Len() int { return len(l.marks) }
 
 // Windows returns the per-phase counter deltas, ordered by boundary
 // instant.  The first window counts from the run start (zero counters).
 func (l *EpochLog) Windows() []EpochWindow {
-	l.mu.Lock()
-	marks := make([]epochMark, len(l.marks))
-	copy(marks, l.marks)
-	l.mu.Unlock()
+	marks := slices.Clone(l.marks)
 	// Stable sort: insertion order breaks ties between boundaries at the
 	// same virtual instant (e.g. different barriers releasing together).
 	sort.SliceStable(marks, func(i, j int) bool { return marks[i].at < marks[j].at })

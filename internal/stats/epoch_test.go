@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // TestSnapshotDelta pins per-key subtraction, including against a nil
 // previous snapshot (the run-start window).
@@ -83,37 +80,5 @@ func TestEpochLogWindows(t *testing.T) {
 	ws2 := l2.Windows()
 	if ws2[0].Label != "a" || ws2[1].Label != "b" {
 		t.Errorf("tie order = %s,%s, want a,b", ws2[0].Label, ws2[1].Label)
-	}
-}
-
-// TestEpochLogConcurrentMarks checks Mark is safe from concurrent barrier
-// releases and loses nothing.
-func TestEpochLogConcurrentMarks(t *testing.T) {
-	c := NewCounters(4)
-	l := NewEpochLog(c)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				c.Add(g, EvBarriers, 1)
-				l.Mark("b", int64(g*1000+i))
-			}
-		}(g)
-	}
-	wg.Wait()
-	if l.Len() != 200 {
-		t.Errorf("marks = %d, want 200", l.Len())
-	}
-	ws := l.Windows()
-	var total int64
-	for _, w := range ws {
-		total += w.Delta["barriers"]
-	}
-	// Windows telescope: the sum of deltas is the last snapshot's reading,
-	// which saw at least its own goroutine's final count and at most all 200.
-	if total <= 0 || total > 200 {
-		t.Errorf("telescoped barrier count = %d, want in (0,200]", total)
 	}
 }

@@ -4,15 +4,13 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"cables/internal/sim"
 )
 
 // OpStats accumulates per-API-call virtual-time costs; Table 5 reports the
-// averages per program.
+// averages per program.  One cell's tasks record into it, one at a time.
 type OpStats struct {
-	mu  sync.Mutex
 	agg map[string]*opAgg
 }
 
@@ -30,8 +28,6 @@ func (s *OpStats) Time(t *sim.Task, op string, fn func()) {
 
 // Record books one occurrence of op costing d.
 func (s *OpStats) Record(op string, d sim.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.agg == nil {
 		s.agg = make(map[string]*opAgg)
 	}
@@ -46,8 +42,6 @@ func (s *OpStats) Record(op string, d sim.Time) {
 
 // Avg returns the mean cost of op and how often it ran.
 func (s *OpStats) Avg(op string) (sim.Time, int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	a := s.agg[op]
 	if a == nil || a.count == 0 {
 		return 0, 0
@@ -57,8 +51,6 @@ func (s *OpStats) Avg(op string) (sim.Time, int64) {
 
 // Ops lists the measured operations in sorted order.
 func (s *OpStats) Ops() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	ops := make([]string, 0, len(s.agg))
 	for op := range s.agg {
 		ops = append(ops, op)

@@ -1,8 +1,7 @@
 // Package stats collects event counters and formats the experiment tables.
-// Counters are sharded per cluster node so that every layer (VMMC, protocol,
-// CableS, fault injection) can bump them from concurrently running simulated
-// threads without ping-ponging a shared cache line across host cores; totals
-// are aggregated at read time.
+// Every layer of a cell (VMMC, protocol, CableS, fault injection) bumps one
+// plain counter array: the cell's tasks run one at a time in its single
+// scheduler slot, which hands the counters from task to task.
 //
 // Call sites name a node and a typed Event; Event.String is the stable
 // Snapshot key (docs/OBSERVABILITY.md lists every event and which layer
@@ -14,8 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Event identifies one system-wide event counter.
@@ -113,49 +110,23 @@ func (e Event) String() string {
 	return eventKeys[e]
 }
 
-// cacheLine is the padding unit separating per-node counter lanes.
-const cacheLine = 64
-
-// lane is one node's private block of event counters, padded so two nodes'
-// lanes never share a cache line.  The pad leads the struct: when the
-// counters already fill whole cache lines the pad is zero-sized, and a
-// trailing zero-size field would force the compiler to append alignment
-// padding anyway.
-type lane struct {
-	_ [(cacheLine - (NumEvents*8)%cacheLine) % cacheLine]byte
-	v [NumEvents]atomic.Int64
-}
-
-// Counters aggregates system-wide event counts for one application run.
-// Writes go to the caller's node lane; reads sum all lanes.  Construct with
-// NewCounters.
+// Counters aggregates cluster-wide event counts for one cell.  Construct
+// with NewCounters.
 type Counters struct {
-	lanes []lane
+	v [NumEvents]int64
 }
 
-// NewCounters creates a counter set sharded across nodes lanes (at least 1).
-func NewCounters(nodes int) *Counters {
-	if nodes < 1 {
-		nodes = 1
-	}
-	return &Counters{lanes: make([]lane, nodes)}
-}
+// NewCounters creates an empty counter set.  The counts are cluster-wide,
+// so nodes, the cluster's node count, sizes nothing.
+func NewCounters(nodes int) *Counters { return new(Counters) }
 
-// Add accumulates d into event e on node's lane.  node must be a valid
-// cluster node index (counters are attributed to the node whose simulated
-// work caused the event).
-func (c *Counters) Add(node int, e Event, d int64) {
-	c.lanes[node].v[e].Add(d)
-}
+// Add accumulates d into event e.  node names the cluster node whose
+// simulated work caused the event; the totals are cluster-wide, so it is
+// not recorded.
+func (c *Counters) Add(node int, e Event, d int64) { c.v[e] += d }
 
 // Load returns the cluster-wide total for event e.
-func (c *Counters) Load(e Event) int64 {
-	var s int64
-	for i := range c.lanes {
-		s += c.lanes[i].v[e].Load()
-	}
-	return s
-}
+func (c *Counters) Load(e Event) int64 { return c.v[e] }
 
 // Snapshot is one point-in-time reading of every counter, keyed by
 // Event.String().  Snapshots subtract (Delta) to form counter windows.
@@ -210,7 +181,6 @@ func (c *Counters) String() string {
 // Table is a minimal fixed-width text table writer used by the experiment
 // harness to print rows in the shape of the paper's tables.
 type Table struct {
-	mu     sync.Mutex
 	header []string
 	rows   [][]string
 }
@@ -220,8 +190,6 @@ func NewTable(header ...string) *Table { return &Table{header: header} }
 
 // AddRow appends one row; cells beyond the header width are dropped.
 func (t *Table) AddRow(cells ...string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if len(cells) > len(t.header) {
 		cells = cells[:len(t.header)]
 	}
@@ -232,8 +200,6 @@ func (t *Table) AddRow(cells ...string) {
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	width := make([]int, len(t.header))
 	for i, h := range t.header {
 		width[i] = len(h)

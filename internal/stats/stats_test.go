@@ -2,9 +2,7 @@ package stats
 
 import (
 	"strings"
-	"sync"
 	"testing"
-	"unsafe"
 
 	"cables/internal/sim"
 )
@@ -12,7 +10,7 @@ import (
 func TestCountersSnapshotAndString(t *testing.T) {
 	c := NewCounters(4)
 	c.Add(0, EvPageFaults, 2)
-	c.Add(3, EvPageFaults, 1) // totals aggregate across node lanes
+	c.Add(3, EvPageFaults, 1) // totals are cluster-wide
 	c.Add(1, EvDiffsSent, 2)
 	snap := c.Snapshot()
 	if snap["pageFaults"] != 3 || snap["diffs"] != 2 || snap["barriers"] != 0 {
@@ -24,38 +22,6 @@ func TestCountersSnapshotAndString(t *testing.T) {
 	}
 	if strings.Contains(s, "barriers") {
 		t.Error("zero counters should be omitted")
-	}
-}
-
-func TestCountersConcurrent(t *testing.T) {
-	c := NewCounters(8)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Add(i, EvMessagesSent, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Load(EvMessagesSent) != 8000 {
-		t.Errorf("messages: %d", c.Load(EvMessagesSent))
-	}
-}
-
-func TestCounterLanePadding(t *testing.T) {
-	// Two nodes' lanes must never share a cache line, or the sharding buys
-	// nothing on a multicore host.
-	c := NewCounters(2)
-	if n := len(c.lanes); n != 2 {
-		t.Fatalf("lanes: %d", n)
-	}
-	var l lane
-	if s := unsafe.Sizeof(l); s%cacheLine != 0 {
-		t.Errorf("lane size %d is not a multiple of the %d-byte cache line", s, cacheLine)
 	}
 }
 
