@@ -34,11 +34,11 @@ race:
 		./internal/san/... ./internal/vmmc/... ./internal/nodeos/... ./internal/wire/... \
 		./internal/sim/... ./internal/metrics/... ./internal/farm/... \
 		./internal/stats/... ./internal/profile/... ./internal/coherence/... ./internal/fault/...
-	$(GO) test -race -run 'TestFig5RaceSmoke|TestFig5RaceSmokeEventSched|TestFig5ContendedSyncRaceSmoke|TestFrameLeakBothSched' ./internal/bench/
+	$(GO) test -race -run 'TestFig5RaceSmoke|TestFig5RaceSmokeEventSched|TestFig5ContendedSyncRaceSmoke|TestFrameLeakBothSched|TestFig5ProtocolSmoke|TestDetachCompletesDegraded|TestTable4And5Reproducible' ./internal/bench/
 
 # A cell is a pure function of its spec: the determinism tests compare
 # repeated runs with ==, 20 times over, on one and on two host threads.
-DETERMINISM_TESTS = TestHarnessDeterminism|TestSchedulerJobsDeterminism|TestTable4And5Reproducible|TestRepeatRunStableUnderGOMAXPROCS
+DETERMINISM_TESTS = TestHarnessDeterminism|TestSchedulerJobsDeterminism|TestTable4And5Reproducible|TestRepeatRunStableUnderGOMAXPROCS|TestProtocolDeterminism|TestProfilerInvariance
 
 determinism:
 	GOMAXPROCS=1 $(GO) test -count=20 -run '$(DETERMINISM_TESTS)' ./internal/bench/

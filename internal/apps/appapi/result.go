@@ -2,8 +2,6 @@ package appapi
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"cables/internal/sim"
 )
@@ -46,42 +44,20 @@ func (r Result) String() string {
 }
 
 // Section tracks the parallel section's virtual extent across workers: the
-// latest start-barrier exit to the latest worker end.
+// latest start-barrier exit to the latest worker end.  The workers run one
+// at a time in the cell's scheduler slot, so plain fields suffice.
 type Section struct {
-	start atomic.Int64
-	end   atomic.Int64
+	start, end sim.Time
 }
 
 // Enter records t's exit from the start barrier.
-func (s *Section) Enter(t *sim.Task) {
-	for {
-		cur := s.start.Load()
-		now := int64(t.Now())
-		if now <= cur || s.start.CompareAndSwap(cur, now) {
-			return
-		}
-	}
-}
+func (s *Section) Enter(t *sim.Task) { s.start = max(s.start, t.Now()) }
 
 // Leave records t's completion of parallel work.
-func (s *Section) Leave(t *sim.Task) {
-	for {
-		cur := s.end.Load()
-		now := int64(t.Now())
-		if now <= cur || s.end.CompareAndSwap(cur, now) {
-			return
-		}
-	}
-}
+func (s *Section) Leave(t *sim.Task) { s.end = max(s.end, t.Now()) }
 
 // Duration returns the section's virtual length.
-func (s *Section) Duration() sim.Time {
-	d := sim.Time(s.end.Load() - s.start.Load())
-	if d < 0 {
-		return 0
-	}
-	return d
-}
+func (s *Section) Duration() sim.Time { return max(s.end-s.start, 0) }
 
 // RunWorkers spawns procs workers executing body(task, proc) and joins them
 // all from rt's main thread — the CREATE/WAIT_FOR_END template every
@@ -101,14 +77,11 @@ func RunWorkers(rt Runtime, procs int, body func(t *sim.Task, proc int)) {
 // Reduce accumulates per-worker float64 contributions deterministically
 // (combined in worker order, independent of arrival order).
 type Reduce struct {
-	mu   sync.Mutex
 	vals map[int]float64
 }
 
 // Add records worker p's contribution.
 func (r *Reduce) Add(p int, v float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.vals == nil {
 		r.vals = make(map[int]float64)
 	}
@@ -117,8 +90,6 @@ func (r *Reduce) Add(p int, v float64) {
 
 // Sum combines contributions in worker order.
 func (r *Reduce) Sum(procs int) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := 0.0
 	for p := 0; p < procs; p++ {
 		s += r.vals[p]

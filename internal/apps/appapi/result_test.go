@@ -2,7 +2,6 @@ package appapi_test
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"cables/internal/apps/appapi"
@@ -23,27 +22,6 @@ func TestSectionTracksExtremes(t *testing.T) {
 	sec.Leave(mk(12 * sim.Millisecond)) // earlier leave must not win
 	if got := sec.Duration(); got != 15*sim.Millisecond {
 		t.Errorf("duration: %v", got)
-	}
-}
-
-func TestSectionConcurrent(t *testing.T) {
-	var sec appapi.Section
-	var wg sync.WaitGroup
-	for i := 1; i <= 32; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			task := sim.NewTask(i, 0, sim.DefaultCosts())
-			task.SetNow(sim.Time(i) * sim.Microsecond)
-			sec.Enter(task)
-			task.SetNow(sim.Time(100+i) * sim.Microsecond)
-			sec.Leave(task)
-		}()
-	}
-	wg.Wait()
-	if got := sec.Duration(); got != 100*sim.Microsecond {
-		t.Errorf("duration: %v (want max leave - max enter = 100us)", got)
 	}
 }
 
@@ -83,13 +61,8 @@ func TestResultFormatting(t *testing.T) {
 
 func TestRunWorkersRunsEachProcOnce(t *testing.T) {
 	rt := m4.New(m4.Config{Procs: 6, ProcsPerNode: 2, ArenaBytes: 8 << 20})
-	var mu sync.Mutex
-	seen := map[int]int{}
-	appapi.RunWorkers(rt, 6, func(task *sim.Task, p int) {
-		mu.Lock()
-		seen[p]++
-		mu.Unlock()
-	})
+	seen := map[int]int{} // the workers run one at a time in the cell's slot
+	appapi.RunWorkers(rt, 6, func(task *sim.Task, p int) { seen[p]++ })
 	for p := 0; p < 6; p++ {
 		if seen[p] != 1 {
 			t.Errorf("proc %d ran %d times", p, seen[p])

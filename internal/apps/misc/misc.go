@@ -6,8 +6,6 @@
 package misc
 
 import (
-	"sync"
-
 	cables "cables/internal/core"
 	"cables/internal/memsys"
 	"cables/internal/sim"
@@ -106,7 +104,6 @@ func RunPC(rt *cables.Runtime, items int) ProgResult {
 	notEmpty := rt.NewCond(main.Task)
 
 	var sum int64
-	var sumMu sync.Mutex
 	var producer, consumer *cables.Thread
 	st.Time(main.Task, "create", func() {
 		producer = rt.Create(main.Task, func(th *cables.Thread) {
@@ -135,15 +132,11 @@ func RunPC(rt *cables.Runtime, items int) ProgResult {
 				st.Time(th.Task, "cond_signal", func() { notFull.Signal(th.Task) })
 				st.Time(th.Task, "mutex_unlock", func() { mx.Unlock(th.Task) })
 			}
-			sumMu.Lock()
 			sum = s
-			sumMu.Unlock()
 		})
 	})
 	st.Time(main.Task, "join", func() { rt.Join(main.Task, producer) })
 	st.Time(main.Task, "join", func() { rt.Join(main.Task, consumer) })
-	sumMu.Lock()
-	defer sumMu.Unlock()
 	return ProgResult{Name: "PC", Answer: sum, Total: rt.End(main.Task), Stats: st}
 }
 

@@ -31,16 +31,15 @@ package coherence
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"cables/internal/memsys"
 )
 
 // Protocol is the policy seam consulted by the GeNIMA engine.  Hooks are
-// called from simulated application threads concurrently; implementations
-// must be safe for concurrent use.  Node arguments are always the task's
-// *memory* node (sim.Task.MemNode), so a delegated critical section is
-// observed at its server, not its origin.
+// called from a cell's simulated threads, which run one at a time in the
+// cell's scheduler slot, so an instance needs no lock of its own.  Node
+// arguments are always the task's *memory* node (sim.Task.MemNode), so a
+// delegated critical section is observed at its server, not its origin.
 type Protocol interface {
 	// Name returns the protocol's registry name (one of Names).
 	Name() string
@@ -148,10 +147,9 @@ func (genimaProtocol) BarrierRelease(string, int)                   {}
 // commutative detects write-shared pages at runtime: the second distinct
 // node that diffs a page marks it a reduction target, and every later
 // diff of that page rides the flush's merge batch.  Detection state is a
-// mutex-guarded map; the diff kernel (memsys.DiffPage over 4 KiB)
+// plain map; the diff kernel (memsys.DiffPage over 4 KiB)
 // dominates the per-diff cost by orders of magnitude.
 type commutative struct {
-	mu     sync.Mutex
 	writer map[memsys.PageID]int32 // last diffing node + 1 (0 = none yet)
 	shared map[memsys.PageID]bool  // observed multi-writer pages
 }
@@ -169,8 +167,6 @@ func (c *commutative) Merge() bool  { return true }
 func (c *commutative) PageFetch(int, memsys.PageID, int) {}
 
 func (c *commutative) MergeDiff(node int, pid memsys.PageID, home, diffBytes int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if w := c.writer[pid]; w != 0 && w != int32(node)+1 {
 		c.shared[pid] = true
 	}
@@ -185,8 +181,6 @@ func (c *commutative) BarrierRelease(string, int)                   {}
 // SharedPages returns the pages observed as write-shared so far, sorted
 // (tests and diagnostics).
 func (c *commutative) SharedPages() []memsys.PageID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]memsys.PageID, 0, len(c.shared))
 	for pid := range c.shared {
 		out = append(out, pid)
@@ -201,7 +195,6 @@ func (c *commutative) SharedPages() []memsys.PageID {
 // so the lock's data pages stop ping-ponging and grant hand-offs between
 // queued waiters become server-local.
 type delegate struct {
-	mu     sync.Mutex
 	server map[int]int // lock id -> sticky server node
 }
 
@@ -217,8 +210,6 @@ func (d *delegate) PageFetch(int, memsys.PageID, int) {}
 func (d *delegate) MergeDiff(int, memsys.PageID, int, int) bool { return false }
 
 func (d *delegate) LockAcquire(lockID, holderNode, waiterNode int) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if srv, ok := d.server[lockID]; ok {
 		return srv
 	}
@@ -235,8 +226,6 @@ func (d *delegate) BarrierRelease(string, int)                   {}
 // ServerOf returns the sticky server chosen for a lock, or -1 if the
 // lock has never been contended (tests and diagnostics).
 func (d *delegate) ServerOf(lockID int) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if srv, ok := d.server[lockID]; ok {
 		return srv
 	}

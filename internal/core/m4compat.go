@@ -2,7 +2,6 @@ package cables
 
 import (
 	"fmt"
-	"sync"
 
 	"cables/internal/apps/appapi"
 	"cables/internal/fault"
@@ -22,7 +21,6 @@ type M4Runtime struct {
 	rt    *Runtime
 	procs int
 
-	mu      sync.Mutex
 	threads map[int]*Thread
 	nextID  int
 	mutexes map[int]*Mutex
@@ -95,19 +93,15 @@ func (m *M4Runtime) Acc() *memsys.Accessor { return m.rt.Acc() }
 // Spawn implements appapi.Runtime (the CREATE macro via pthread_create).
 func (m *M4Runtime) Spawn(parent *sim.Task, fn func(t *sim.Task)) int {
 	th := m.rt.Create(parent, func(th *Thread) { fn(th.Task) })
-	m.mu.Lock()
 	m.nextID++
 	id := m.nextID
 	m.threads[id] = th
-	m.mu.Unlock()
 	return id
 }
 
 // Join implements appapi.Runtime (WAIT_FOR_END via pthread_join).
 func (m *M4Runtime) Join(parent *sim.Task, id int) {
-	m.mu.Lock()
 	th, ok := m.threads[id]
-	m.mu.Unlock()
 	if !ok {
 		panic(fmt.Sprintf("cables: join of unknown worker %d", id))
 	}
@@ -115,8 +109,6 @@ func (m *M4Runtime) Join(parent *sim.Task, id int) {
 }
 
 func (m *M4Runtime) mutex(t *sim.Task, id int) *Mutex {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	mx, ok := m.mutexes[id]
 	if !ok {
 		mx = m.rt.NewMutex(t)

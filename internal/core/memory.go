@@ -1,9 +1,6 @@
 package cables
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"cables/internal/memsys"
 	"cables/internal/profile"
 	"cables/internal/sim"
@@ -31,12 +28,11 @@ type MemManager struct {
 	sp *memsys.Space
 
 	unitShift uint // log2(map unit / page)
-	unitHome  []atomic.Int32
-	unitSeen  [][]atomic.Bool // [node][unit]: directory info cached?
+	unitHome  []int32
+	unitSeen  [][]bool // [node][unit]: directory info cached?
 
 	homeRegion []vmmc.RegionID
 
-	allocMu    sync.Mutex
 	allocs     map[memsys.Addr]int64
 	freeList   []freeBlock
 	globalBase memsys.Addr
@@ -44,11 +40,11 @@ type MemManager struct {
 	globalEnd  memsys.Addr
 
 	roundRobin bool
-	rrNext     atomic.Int64
+	rrNext     int64
 
 	// faultCount[unit][node] counts remote faults for the migration policy
 	// extension (nil until EnableMigrationTracking).
-	faultCount [][]atomic.Int64
+	faultCount [][]int64
 }
 
 type freeBlock struct {
@@ -79,13 +75,13 @@ func (m *MemManager) bind(sp *memsys.Space) {
 	}
 	m.unitShift = shift
 	units := (sp.NumPages() + (1 << shift) - 1) >> shift
-	m.unitHome = make([]atomic.Int32, units)
+	m.unitHome = make([]int32, units)
 	for i := range m.unitHome {
-		m.unitHome[i].Store(memsys.NoHome)
+		m.unitHome[i] = memsys.NoHome
 	}
-	m.unitSeen = make([][]atomic.Bool, m.rt.cfg.MaxNodes)
+	m.unitSeen = make([][]bool, m.rt.cfg.MaxNodes)
 	for n := range m.unitSeen {
-		m.unitSeen[n] = make([]atomic.Bool, units)
+		m.unitSeen[n] = make([]bool, units)
 	}
 }
 
@@ -107,20 +103,16 @@ func (m *MemManager) initNode(t *sim.Task, node int) {
 	if _, err := nic.Register("cables.appmap", m.sp.Size(), false, true); err != nil {
 		panic("cables: dynamic app-map registration failed: " + err.Error())
 	}
-	a := m.rt.acb
-	a.mu.Lock()
 	for peer := 0; peer < m.rt.cfg.MaxNodes; peer++ {
-		if peer == node || !a.attached[peer] {
+		if peer == node || !m.rt.acb.attached[peer] {
 			continue
 		}
 		_, err1 := nic.Register("cables.import", 0, false, false)
 		_, err2 := m.rt.cl.VMMC.NIC(peer).Register("cables.import", 0, false, false)
 		if err1 != nil || err2 != nil {
-			a.mu.Unlock()
 			panic("cables: import registration failed")
 		}
 	}
-	a.mu.Unlock()
 	if t != nil {
 		m.rt.cl.Nodes[node].ChargeMapSegment(t)
 	}
@@ -138,7 +130,7 @@ func (m *MemManager) initGlobalData(t *sim.Task, size int64) {
 	first := m.sp.PageOf(addr)
 	last := m.sp.PageOf(addr + memsys.Addr(size) - 1)
 	for u := m.UnitOf(first); u <= m.UnitOf(last); u++ {
-		m.unitHome[u].Store(int32(m.rt.acb.masterNode))
+		m.unitHome[u] = int32(m.rt.acb.masterNode)
 	}
 	if err := m.growHome(t, m.rt.acb.masterNode, int64(m.rt.cl.Costs.MapGranularity)*int64(m.UnitOf(last)-m.UnitOf(first)+1)); err != nil {
 		panic("cables: GLOBAL_DATA pinning failed: " + err.Error())
@@ -149,8 +141,6 @@ func (m *MemManager) initGlobalData(t *sim.Task, size int64) {
 // GlobalVar carves a static global variable out of the GLOBAL_DATA region
 // (what the GLOBAL type quantifier does at link time in the paper).
 func (m *MemManager) GlobalVar(size int64) memsys.Addr {
-	m.allocMu.Lock()
-	defer m.allocMu.Unlock()
 	addr := (m.globalNext + 63) &^ 63
 	if addr+memsys.Addr(size) > m.globalEnd {
 		panic("cables: GLOBAL_DATA region exhausted")
@@ -179,46 +169,43 @@ func (m *MemManager) HomeFor(t *sim.Task, pid memsys.PageID) int {
 	node := t.MemNode()
 	master := m.rt.acb.masterNode
 
-	if h := m.unitHome[unit].Load(); h >= 0 {
+	if h := m.unitHome[unit]; h >= 0 {
 		m.chargeDetect(t, unit)
 		return int(h)
 	}
 
+	// This touch claims the unit: segment migration (first time).
 	want := int32(node)
 	if m.roundRobin {
-		want = int32(m.rrNext.Add(1)-1) % int32(m.rt.cfg.MaxNodes)
+		want = int32(m.rrNext % int64(m.rt.cfg.MaxNodes))
+		m.rrNext++
 	}
 	// Never place a new home on a node a fault plan has detached: the unit
 	// falls through to the master, which can always host it.
 	if m.rt.cl.Fault.Detached(int(want), t.Now()) {
 		want = int32(master)
 	}
-	if m.unitHome[unit].CompareAndSwap(memsys.NoHome, want) {
-		// This touch claimed the unit: segment migration (first time).
-		unitBytes := int64(memsys.PageSize) << m.unitShift
-		if err := m.growHome(t, int(want), unitBytes); err != nil {
-			// Pinned/registered limit on the desired home: fall back to the
-			// master node's region (placement degrades, execution survives).
-			if err2 := m.growHome(t, master, unitBytes); err2 != nil {
-				panic("cables: no node can host home pages: " + err.Error())
-			}
-			m.unitHome[unit].Store(int32(master))
-			want = int32(master)
+	unitBytes := int64(memsys.PageSize) << m.unitShift
+	if err := m.growHome(t, int(want), unitBytes); err != nil {
+		// Pinned/registered limit on the desired home: fall back to the
+		// master node's region (placement degrades, execution survives).
+		if err2 := m.growHome(t, master, unitBytes); err2 != nil {
+			panic("cables: no node can host home pages: " + err.Error())
 		}
-		if node == master {
-			t.Charge(sim.CatLocal, c.SegMigrateLocal)
-			t.Charge(sim.CatLocalOS, c.SegMigrateLocalOS)
-		} else {
-			t.Charge(sim.CatLocal, c.SegMigrateLocal+3*sim.Microsecond)
-			t.Charge(sim.CatLocalOS, c.SegMigrateLocalOS-2*sim.Microsecond)
-			m.rt.cl.Wire.Do(t, wire.Op{Kind: wire.KindSegMigrate, Dst: master, Arg: uint64(unit)})
-		}
-		m.unitSeen[node][unit].Store(true)
-		m.rt.cl.Ctr.Add(node, stats.EvSegMigrations, 1)
-		return int(want)
+		want = int32(master)
 	}
-	m.chargeDetect(t, unit)
-	return int(m.unitHome[unit].Load())
+	m.unitHome[unit] = want
+	if node == master {
+		t.Charge(sim.CatLocal, c.SegMigrateLocal)
+		t.Charge(sim.CatLocalOS, c.SegMigrateLocalOS)
+	} else {
+		t.Charge(sim.CatLocal, c.SegMigrateLocal+3*sim.Microsecond)
+		t.Charge(sim.CatLocalOS, c.SegMigrateLocalOS-2*sim.Microsecond)
+		m.rt.cl.Wire.Do(t, wire.Op{Kind: wire.KindSegMigrate, Dst: master, Arg: uint64(unit)})
+	}
+	m.unitSeen[node][unit] = true
+	m.rt.cl.Ctr.Add(node, stats.EvSegMigrations, 1)
+	return int(want)
 }
 
 // chargeDetect applies the owner-detect cost model: free when the directory
@@ -228,8 +215,8 @@ func (m *MemManager) chargeDetect(t *sim.Task, unit int) {
 	c := m.rt.cl.Costs
 	node := t.MemNode()
 	t.Charge(sim.CatLocal, c.SegDetectLocal)
-	if !m.unitSeen[node][unit].Load() {
-		m.unitSeen[node][unit].Store(true)
+	if !m.unitSeen[node][unit] {
+		m.unitSeen[node][unit] = true
 		if node != m.rt.acb.masterNode {
 			m.rt.cl.Wire.Do(t, wire.Op{Kind: wire.KindSegDetect, Dst: m.rt.acb.masterNode, Arg: uint64(unit)})
 		}
@@ -243,8 +230,6 @@ func (m *MemManager) Malloc(t *sim.Task, size int64) (memsys.Addr, error) {
 		return 0, errf("cables: malloc of %d bytes", size)
 	}
 	m.rt.chargeAdmin(t)
-	m.allocMu.Lock()
-	defer m.allocMu.Unlock()
 	size = (size + 63) &^ 63
 	// First-fit over the free list.
 	for i, fb := range m.freeList {
@@ -278,8 +263,6 @@ func (m *MemManager) Malloc(t *sim.Task, size int64) (memsys.Addr, error) {
 // which the base system's template forbids).
 func (m *MemManager) Free(t *sim.Task, addr memsys.Addr) error {
 	m.rt.chargeAdmin(t)
-	m.allocMu.Lock()
-	defer m.allocMu.Unlock()
 	size, ok := m.allocs[addr]
 	if !ok {
 		return errf("cables: free of unallocated address %#x", uint64(addr))
@@ -303,8 +286,7 @@ func (m *MemManager) MigratePage(t *sim.Task, pid memsys.PageID, dst int) {
 	dc := m.sp.Copy(dst, pid)
 	if sc.Data() != nil {
 		// The new home aliases the old home's frame instead of copying it
-		// (writers are quiesced per the contract above); the frame crosses
-		// nodes, so AdoptFrame pins it out of the page pool.
+		// (writers are quiesced per the contract above).
 		dc.AdoptFrame(m.sp, sc)
 	} else {
 		dc.EnsureFrame()

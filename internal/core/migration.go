@@ -1,8 +1,6 @@
 package cables
 
 import (
-	"sync/atomic"
-
 	"cables/internal/memsys"
 	"cables/internal/sim"
 	"cables/internal/stats"
@@ -22,12 +20,12 @@ func (m *MemManager) EnableMigrationTracking() {
 	}
 	units := len(m.unitHome)
 	nodes := m.rt.cfg.MaxNodes
-	m.faultCount = make([][]atomic.Int64, units)
+	m.faultCount = make([][]int64, units)
 	for u := range m.faultCount {
-		m.faultCount[u] = make([]atomic.Int64, nodes)
+		m.faultCount[u] = make([]int64, nodes)
 	}
 	m.rt.proto.OnRemoteFault = func(node int, pid memsys.PageID) {
-		m.faultCount[m.UnitOf(pid)][node].Add(1)
+		m.faultCount[m.UnitOf(pid)][node]++
 	}
 }
 
@@ -43,13 +41,13 @@ func (m *MemManager) MigrateHotUnits(t *sim.Task, threshold int64) int {
 	migrated := 0
 	unitPages := memsys.PageID(1) << m.unitShift
 	for u := range m.faultCount {
-		home := m.unitHome[u].Load()
+		home := m.unitHome[u]
 		if home < 0 {
 			continue
 		}
 		best, bestN := int64(0), -1
-		for n := range m.faultCount[u] {
-			v := m.faultCount[u][n].Swap(0)
+		for n, v := range m.faultCount[u] {
+			m.faultCount[u][n] = 0
 			if v > best {
 				best, bestN = v, n
 			}
@@ -64,7 +62,7 @@ func (m *MemManager) MigrateHotUnits(t *sim.Task, threshold int64) int {
 				m.MigratePage(t, pid, bestN)
 			}
 		}
-		m.unitHome[u].Store(int32(bestN))
+		m.unitHome[u] = int32(bestN)
 		migrated++
 		m.rt.cl.Ctr.Add(t.NodeID, stats.EvSegMigrations, 1)
 	}

@@ -20,8 +20,6 @@ package cables
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"cables/internal/fault"
 	"cables/internal/genima"
@@ -99,18 +97,17 @@ type Thread struct {
 
 	// waiting is the thread's entry on a condition variable's wait list
 	// while it waits there, so pthread_cancel can claim and wake it.
-	waiting atomic.Pointer[condWaiter]
+	waiting *condWaiter
 
-	keyMu sync.Mutex
-	keys  map[int]any
+	keys map[int]any
 }
 
 // ACB is the application control block: the per-application global state
 // kept on the master node and updated via direct remote operations (§2.2).
+// Only the cell's tasks reach it, one at a time in the scheduler slot, so
+// it needs no lock of its own.
 type ACB struct {
 	masterNode int
-
-	mu         sync.Mutex
 	threads    map[int]*Thread
 	liveOnNode []int
 	attached   []bool
@@ -185,11 +182,9 @@ func (rt *Runtime) Start() *Thread {
 	if rt.main != nil {
 		return rt.main
 	}
-	rt.acb.mu.Lock()
 	rt.acb.attached[0] = true
 	rt.acb.numAttach = 1
 	rt.acb.nextTID = 1
-	rt.acb.mu.Unlock()
 	rt.cl.Nodes[0].SetAttached(true)
 
 	task := rt.cl.NewTask(0, 0)
@@ -197,12 +192,10 @@ func (rt *Runtime) Start() *Thread {
 	rt.main = &Thread{
 		Task: task, TID: 0, rt: rt,
 	}
-	rt.acb.mu.Lock()
 	rt.acb.threads[0] = rt.main
 	if !rt.cfg.CoordinatorMain {
 		rt.acb.liveOnNode[0]++
 	}
-	rt.acb.mu.Unlock()
 	rt.cl.Nodes[0].ThreadStarted()
 
 	rt.mem.initNode(task, 0)
@@ -230,7 +223,6 @@ func (rt *Runtime) chargeAdmin(t *sim.Task) {
 // attachNode introduces node into the application: the master creates a
 // remote process, the new node initializes and maps all existing global
 // memory, and the master broadcasts its existence (§2.2 case ii).
-// Caller must NOT hold acb.mu.
 func (rt *Runtime) attachNode(t *sim.Task, node int) {
 	t.OpenSpan(uint8(profile.SpanAttach), uint64(node))
 	defer t.CloseSpan()
@@ -251,10 +243,8 @@ func (rt *Runtime) attachNode(t *sim.Task, node int) {
 
 	rt.mem.initNode(t, node)
 
-	rt.acb.mu.Lock()
 	rt.acb.attached[node] = true
 	rt.acb.numAttach++
-	rt.acb.mu.Unlock()
 	rt.cl.Nodes[node].SetAttached(true)
 	rt.cl.Ctr.Add(t.NodeID, stats.EvNodesAttached, 1)
 }
@@ -263,7 +253,6 @@ func (rt *Runtime) attachNode(t *sim.Task, node int) {
 // application (applications may also warm nodes up front; thread creation
 // attaches nodes implicitly).  Returns the node id.
 func (rt *Runtime) AttachNode(t *sim.Task) (int, error) {
-	rt.acb.mu.Lock()
 	node := -1
 	for n := 0; n < rt.cfg.MaxNodes; n++ {
 		if !rt.acb.attached[n] && !rt.cl.Fault.Detached(n, t.Now()) {
@@ -271,7 +260,6 @@ func (rt *Runtime) AttachNode(t *sim.Task) (int, error) {
 			break
 		}
 	}
-	rt.acb.mu.Unlock()
 	if node < 0 {
 		return -1, errf("cables: no unattached node available")
 	}
@@ -287,8 +275,6 @@ func (rt *Runtime) AttachNode(t *sim.Task) (int, error) {
 func (rt *Runtime) pickNode(now sim.Time) (node int, needAttach bool) {
 	dead := func(n int) bool { return rt.cl.Fault.Detached(n, now) }
 	a := rt.acb
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	live := 0
 	for n := 0; n < rt.cfg.MaxNodes; n++ {
 		if a.attached[n] {
@@ -338,10 +324,8 @@ func (rt *Runtime) Create(parent *sim.Task, fn func(th *Thread)) *Thread {
 	parent.OpenSpan(uint8(profile.SpanCreate), uint64(node))
 	defer parent.CloseSpan()
 	if needAttach {
-		rt.acb.mu.Lock()
 		rt.acb.attached[node] = false // attachNode re-marks under its own charges
 		rt.acb.numAttach--
-		rt.acb.mu.Unlock()
 		rt.attachNode(parent, node)
 	}
 
@@ -357,7 +341,6 @@ func (rt *Runtime) Create(parent *sim.Task, fn func(th *Thread)) *Thread {
 	}
 
 	a := rt.acb
-	a.mu.Lock()
 	tid := a.nextTID
 	a.nextTID++
 	th := &Thread{
@@ -366,7 +349,6 @@ func (rt *Runtime) Create(parent *sim.Task, fn func(th *Thread)) *Thread {
 		rt:   rt,
 	}
 	a.threads[tid] = th
-	a.mu.Unlock()
 
 	rt.cl.Ctr.Add(node, stats.EvThreadsCreated, 1)
 	rt.cl.Nodes[node].ThreadStarted()
@@ -395,7 +377,6 @@ func (th *Thread) finish() {
 	node := th.Task.NodeID
 	rt.cl.Nodes[node].ThreadStopped()
 	a := rt.acb
-	a.mu.Lock()
 	a.liveOnNode[node]--
 	if th.Task.Now() > a.endMax {
 		a.endMax = th.Task.Now()
@@ -408,7 +389,6 @@ func (th *Thread) finish() {
 		a.numAttach--
 		rt.cl.Nodes[node].SetAttached(false)
 	}
-	a.mu.Unlock()
 	th.exit.Close(th.Task.Now())
 }
 
@@ -434,7 +414,7 @@ func (rt *Runtime) Join(t *sim.Task, th *Thread) {
 func (rt *Runtime) Cancel(t *sim.Task, th *Thread) {
 	rt.chargeAdmin(t)
 	th.Task.Cancel()
-	if w := th.waiting.Load(); w != nil && w.c.cancel(w) {
+	if w := th.waiting; w != nil && w.c.cancel(w) {
 		th.Task.Unpark(th.Task.Now())
 	}
 }
@@ -443,16 +423,12 @@ func (rt *Runtime) Cancel(t *sim.Task, th *Thread) {
 func (rt *Runtime) KeyCreate(t *sim.Task) int {
 	rt.chargeAdmin(t)
 	a := rt.acb
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.nextKey++
 	return a.nextKey
 }
 
 // SetSpecific stores thread-specific data (pthread_setspecific).
 func (th *Thread) SetSpecific(key int, v any) {
-	th.keyMu.Lock()
-	defer th.keyMu.Unlock()
 	if th.keys == nil {
 		th.keys = make(map[int]any)
 	}
@@ -461,15 +437,11 @@ func (th *Thread) SetSpecific(key int, v any) {
 
 // GetSpecific retrieves thread-specific data (pthread_getspecific).
 func (th *Thread) GetSpecific(key int) any {
-	th.keyMu.Lock()
-	defer th.keyMu.Unlock()
 	return th.keys[key]
 }
 
 // AttachedNodes reports how many nodes the application currently spans.
 func (rt *Runtime) AttachedNodes() int {
-	rt.acb.mu.Lock()
-	defer rt.acb.mu.Unlock()
 	return rt.acb.numAttach
 }
 
@@ -477,8 +449,6 @@ func (rt *Runtime) AttachedNodes() int {
 // end time (max over all threads).
 func (rt *Runtime) End(t *sim.Task) sim.Time {
 	a := rt.acb
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if t.Now() > a.endMax {
 		a.endMax = t.Now()
 	}
@@ -488,8 +458,6 @@ func (rt *Runtime) End(t *sim.Task) sim.Time {
 // newLockID allocates a cluster-wide lock identifier from the ACB.
 func (rt *Runtime) newLockID() int {
 	a := rt.acb
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.nextLockID++
 	return a.nextLockID
 }
@@ -498,8 +466,6 @@ func (rt *Runtime) newLockID() int {
 // only to key the profiler's cond-wait spans; see Cond.id).
 func (rt *Runtime) newCondID() int {
 	a := rt.acb
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.nextCondID++
 	return a.nextCondID
 }

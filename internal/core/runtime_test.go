@@ -1,7 +1,6 @@
 package cables_test
 
 import (
-	"sync"
 	"testing"
 
 	cables "cables/internal/core"
@@ -198,7 +197,6 @@ func TestPthreadBarrierAndCentralBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatalf("central barrier: %v", err)
 	}
-	var mu sync.Mutex
 	var nativeCost, centralCost sim.Time
 	var ths []*cables.Thread
 	for i := 0; i < parties; i++ {
@@ -211,14 +209,12 @@ func TestPthreadBarrierAndCentralBarrier(t *testing.T) {
 			t1 := th.Task.Now()
 			central.Wait(th)
 			t2 := th.Task.Now()
-			mu.Lock()
 			if t1-t0 > nativeCost {
 				nativeCost = t1 - t0
 			}
 			if t2-t1 > centralCost {
 				centralCost = t2 - t1
 			}
-			mu.Unlock()
 		}))
 	}
 	for _, th := range ths {

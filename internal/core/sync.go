@@ -1,8 +1,6 @@
 package cables
 
 import (
-	"sync"
-
 	"cables/internal/memsys"
 	"cables/internal/profile"
 	"cables/internal/sim"
@@ -32,8 +30,7 @@ func (m *Mutex) Lock(t *sim.Task) { m.rt.proto.NewLock(m.id).Acquire(t) }
 func (m *Mutex) Unlock(t *sim.Task) { m.rt.proto.NewLock(m.id).Release(t) }
 
 // condWaiter is one thread parked on a condition variable.  canceled is
-// set, under the cond's mu, when pthread_cancel rather than a signal took
-// it off the wait list.
+// set when pthread_cancel rather than a signal took it off the wait list.
 type condWaiter struct {
 	t        *sim.Task
 	c        *Cond
@@ -52,7 +49,6 @@ type Cond struct {
 	// sequence would shift them and the trace checksums they pin).
 	id int
 
-	mu      sync.Mutex
 	waiters []*condWaiter
 }
 
@@ -91,10 +87,8 @@ func (c *Cond) Wait(th *Thread, mx *Mutex) {
 	// event and pay the wake-up penalty if the wait outlasts the spin bound.
 	spinning := node.Runnable() <= node.Processors
 	w := &condWaiter{t: t, c: c, start: t.Now()}
-	c.mu.Lock()
 	c.waiters = append(c.waiters, w)
-	c.mu.Unlock()
-	th.waiting.Store(w)
+	th.waiting = w
 
 	mx.Unlock(t)
 	if !spinning {
@@ -106,7 +100,7 @@ func (c *Cond) Wait(th *Thread, mx *Mutex) {
 	if !t.Canceled() || !c.cancel(w) {
 		grant = t.Park()
 	}
-	th.waiting.Store(nil)
+	th.waiting = nil
 	if !spinning {
 		node.ThreadStarted()
 	}
@@ -129,8 +123,6 @@ func (c *Cond) Wait(th *Thread, mx *Mutex) {
 // cancel takes w off the wait list for pthread_cancel, reporting false when
 // a signal or broadcast claimed it first.
 func (c *Cond) cancel(w *condWaiter) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for i, x := range c.waiters {
 		if x == w {
 			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
@@ -149,13 +141,11 @@ func (c *Cond) Signal(t *sim.Task) {
 	t.Charge(sim.CatLocalOS, costs.CondSignalOS)
 	c.rt.cl.Ctr.Add(t.NodeID, stats.EvCondSignals, 1)
 
-	c.mu.Lock()
 	var w *condWaiter
 	if len(c.waiters) > 0 {
 		w = c.waiters[0]
 		c.waiters = c.waiters[1:]
 	}
-	c.mu.Unlock()
 	if w == nil {
 		return
 	}
@@ -175,10 +165,8 @@ func (c *Cond) Broadcast(t *sim.Task) {
 	t.Charge(sim.CatLocal, costs.CondBcastLocal)
 	t.Charge(sim.CatLocalOS, costs.CondBcastOS)
 
-	c.mu.Lock()
 	ws := c.waiters
 	c.waiters = nil
-	c.mu.Unlock()
 
 	notified := make(map[int]bool)
 	for _, w := range ws {

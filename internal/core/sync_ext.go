@@ -1,10 +1,6 @@
 package cables
 
-import (
-	"sync"
-
-	"cables/internal/sim"
-)
+import "cables/internal/sim"
 
 // This file rounds out the pthreads API surface beyond the paper's core
 // three primitives: trylock, once-initialization, reader/writer locks and
@@ -26,7 +22,6 @@ type Once struct {
 	rt   *Runtime
 	mx   *Mutex
 	done bool
-	mu   sync.Mutex
 }
 
 // NewOnce registers a once-control with the ACB.
@@ -36,34 +31,26 @@ func (rt *Runtime) NewOnce(t *sim.Task) *Once {
 
 // Do runs fn if no other thread has; all callers return only after fn ran.
 func (o *Once) Do(th *Thread, fn func()) {
-	o.mu.Lock()
-	done := o.done
-	o.mu.Unlock()
-	if done {
+	if o.done {
 		o.rt.chargeAdmin(th.Task) // flag check via ACB
 		return
 	}
 	o.mx.Lock(th.Task)
-	o.mu.Lock()
-	done = o.done
-	o.mu.Unlock()
-	if !done {
+	if !o.done {
 		fn()
-		o.mu.Lock()
 		o.done = true
-		o.mu.Unlock()
 	}
 	o.mx.Unlock(th.Task)
 }
 
 // RWLock is a pthread rwlock built from a mutex and two conditions —
-// writer-preferring, the common NPTL default.
+// writer-preferring, the common NPTL default.  readers, writer and wrWait
+// are read and updated only under mx.
 type RWLock struct {
 	rt      *Runtime
 	mx      *Mutex
 	rdOK    *Cond
 	wrOK    *Cond
-	mu      sync.Mutex
 	readers int
 	writer  bool
 	wrWait  int
@@ -82,29 +69,18 @@ func (rt *Runtime) NewRWLock(t *sim.Task) *RWLock {
 // RLock acquires the lock shared (pthread_rwlock_rdlock).
 func (l *RWLock) RLock(th *Thread) {
 	l.mx.Lock(th.Task)
-	for {
-		l.mu.Lock()
-		ok := !l.writer && l.wrWait == 0
-		if ok {
-			l.readers++
-		}
-		l.mu.Unlock()
-		if ok {
-			break
-		}
+	for l.writer || l.wrWait > 0 {
 		l.rdOK.Wait(th, l.mx)
 	}
+	l.readers++
 	l.mx.Unlock(th.Task)
 }
 
 // RUnlock releases a shared hold.
 func (l *RWLock) RUnlock(th *Thread) {
 	l.mx.Lock(th.Task)
-	l.mu.Lock()
 	l.readers--
-	last := l.readers == 0
-	l.mu.Unlock()
-	if last {
+	if l.readers == 0 {
 		l.wrOK.Signal(th.Task)
 	}
 	l.mx.Unlock(th.Task)
@@ -113,31 +89,19 @@ func (l *RWLock) RUnlock(th *Thread) {
 // Lock acquires the lock exclusive (pthread_rwlock_wrlock).
 func (l *RWLock) Lock(th *Thread) {
 	l.mx.Lock(th.Task)
-	l.mu.Lock()
 	l.wrWait++
-	l.mu.Unlock()
-	for {
-		l.mu.Lock()
-		ok := !l.writer && l.readers == 0
-		if ok {
-			l.writer = true
-			l.wrWait--
-		}
-		l.mu.Unlock()
-		if ok {
-			break
-		}
+	for l.writer || l.readers > 0 {
 		l.wrOK.Wait(th, l.mx)
 	}
+	l.writer = true
+	l.wrWait--
 	l.mx.Unlock(th.Task)
 }
 
 // Unlock releases the exclusive hold.
 func (l *RWLock) Unlock(th *Thread) {
 	l.mx.Lock(th.Task)
-	l.mu.Lock()
 	l.writer = false
-	l.mu.Unlock()
 	l.wrOK.Signal(th.Task)
 	l.rdOK.Broadcast(th.Task)
 	l.mx.Unlock(th.Task)

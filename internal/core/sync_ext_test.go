@@ -1,8 +1,6 @@
 package cables_test
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	cables "cables/internal/core"
@@ -36,15 +34,12 @@ func TestOnceRunsExactlyOnce(t *testing.T) {
 	rt := newRT(4)
 	main := rt.Main()
 	once := rt.NewOnce(main.Task)
-	var mu sync.Mutex
 	runs := 0
 	var ths []*cables.Thread
 	for i := 0; i < 8; i++ {
 		ths = append(ths, rt.Create(main.Task, func(th *cables.Thread) {
 			once.Do(th, func() {
-				mu.Lock()
 				runs++
-				mu.Unlock()
 			})
 		}))
 	}
@@ -77,7 +72,7 @@ func TestRWLockAllowsConcurrentReaders(t *testing.T) {
 	// Readers overlap: all take RLock, rendezvous, then release.  Each
 	// reader parks holding the lock; the last one in wakes main.
 	const readers = 4
-	var entered atomic.Int32
+	entered := 0
 	var ths []*cables.Thread
 	for i := 0; i < readers; i++ {
 		ths = append(ths, rt.Create(main.Task, func(th *cables.Thread) {
@@ -85,7 +80,7 @@ func TestRWLockAllowsConcurrentReaders(t *testing.T) {
 			if got := acc.ReadI64(th.Task, data); got != 7 {
 				t.Errorf("reader saw %d", got)
 			}
-			if entered.Add(1) == readers {
+			if entered++; entered == readers {
 				main.Task.Unpark(th.Task.Now())
 			}
 			th.Task.Park()

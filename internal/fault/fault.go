@@ -21,8 +21,6 @@
 package fault
 
 import (
-	"sync/atomic"
-
 	"cables/internal/sim"
 	"cables/internal/stats"
 )
@@ -52,8 +50,9 @@ func Backoff(attempt int) sim.Time {
 	return d
 }
 
-// Injector evaluates a fault plan against a seed.  All methods are safe for
-// concurrent use; all decision methods are deterministic in their arguments.
+// Injector evaluates a fault plan against a seed; all decision methods are
+// deterministic in their arguments.  An injector belongs to one cell, whose
+// tasks run one at a time in its scheduler slot, so it needs no lock.
 // The zero-value rules: a nil *Injector injects nothing (callers nil-check).
 type Injector struct {
 	plan Plan
@@ -63,12 +62,11 @@ type Injector struct {
 	keys []uint64
 
 	ctr   *stats.Counters
-	total atomic.Int64 // injections observed (DEGRADED detection)
+	total int64 // injections observed (DEGRADED detection)
 
 	// detachSeen[n] flips once when node n's detach is first observed, so
-	// the detach counter records exactly once (deterministic even though
-	// the observing query races).
-	detachSeen []atomic.Bool
+	// the detach counter records exactly once.
+	detachSeen []bool
 }
 
 // New builds an injector for plan with the given seed.
@@ -78,7 +76,7 @@ func New(plan Plan, seed uint64) *Injector {
 	for i := range inj.keys {
 		inj.keys[i] = rng.Uint64()
 	}
-	inj.detachSeen = make([]atomic.Bool, plan.MaxNode()+1)
+	inj.detachSeen = make([]bool, plan.MaxNode()+1)
 	return inj
 }
 
@@ -98,7 +96,7 @@ func (j *Injector) Injected() int64 {
 	if j == nil {
 		return 0
 	}
-	return j.total.Load()
+	return j.total
 }
 
 // decide is the deterministic coin flip: rule i fires for (src, dst,
@@ -118,7 +116,7 @@ func (j *Injector) decide(i, src, dst, attempt int, now sim.Time, p float64) boo
 // note records one injection: bumps the stats counter ev on node and the
 // global injected tally.
 func (j *Injector) note(node int, ev stats.Event) {
-	j.total.Add(1)
+	j.total++
 	if j.ctr != nil {
 		j.ctr.Add(node, stats.EvFaultsInjected, 1)
 		j.ctr.Add(node, ev, 1)
@@ -212,7 +210,8 @@ func (j *Injector) Detached(node int, now sim.Time) bool {
 	if at == 0 || now < at {
 		return false
 	}
-	if node < len(j.detachSeen) && j.detachSeen[node].CompareAndSwap(false, true) {
+	if node < len(j.detachSeen) && !j.detachSeen[node] {
+		j.detachSeen[node] = true
 		j.note(node, stats.EvNodeDetaches)
 	}
 	return true
@@ -245,7 +244,7 @@ func (j *Injector) NoteRehome(node int) {
 	if j == nil {
 		return
 	}
-	j.total.Add(1)
+	j.total++
 	if j.ctr != nil {
 		j.ctr.Add(node, stats.EvFaultsInjected, 1)
 	}

@@ -375,7 +375,7 @@ func (p *Protocol) flushPage(t *sim.Task, node int, pid memsys.PageID, merge map
 
 // diffToHome runs the diff kernel for pc against its twin, merges the dirty
 // runs into the home copy, charges the (byte-exact) diff cost, and retires
-// the twin to the page pool.  Both flushPage and forceDiff funnel
+// the twin to the frame pool.  Both flushPage and forceDiff funnel
 // through here — it is the only place a diff is computed.  pc must have
 // both data and twin, and the home must be remote.
 // The coherence policy is consulted once per diff (MergeDiff); when it
@@ -477,8 +477,7 @@ func (p *Protocol) ApplyAcquire(t *sim.Task) {
 		// This task holds the cell's only scheduler slot, so no reader or
 		// writer is inside this node's copies and the invalidated copy's
 		// frame reference can be dropped; if it was the last reference the
-		// frame returns to the pool (or to the GC once it crossed nodes)
-		// and the refetch aliases the home's frame instead of allocating.
+		// frame returns to the pool and the refetch aliases the home's frame instead of allocating.
 		pc.RetireData(p.sp)
 	}
 	ns.invScratch = invalidate[:0]

@@ -303,12 +303,11 @@ func TestDedupFrameInterning(t *testing.T) {
 	sp.Release()
 }
 
-// TestFrameRefcountMisuse: releasing a frame below zero references panics
-// rather than silently corrupting the pool.
+// TestFrameRefcountMisuse: releasing a pooled frame below zero references
+// panics rather than silently corrupting the pool.
 func TestFrameRefcountMisuse(t *testing.T) {
 	f := newFrame()
-	f.crossNode = true // keep it out of the pool so the double release is observable
-	f.Release(nil)
+	f.Release(nil) // back in the pool at 0 references
 	defer func() {
 		if recover() == nil {
 			t.Error("release below zero did not panic")

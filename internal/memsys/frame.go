@@ -25,25 +25,17 @@ import (
 // are plain fields.  Only the frame pool, the process-wide gauges and the
 // read-only canonical zero frame are shared between cells.
 //
-// Pool-reuse safety: a frame's array may return to the page pool only when
-// no reader can still hold a pointer to it.  An accessor holds a frame
+// Pool-reuse safety: a frame's array returns to the frame pool when its
+// last reference drops, which is safe only if no reader still holds a
+// pointer to it.  Refcounts are exact, and an accessor holds a frame
 // pointer only between its validity check and its load or store, with no
-// safe point in between; so every release that can free a same-node-only
-// frame (invalidation, twin retirement) runs while no accessor holds one —
+// safe point in between; so every release (invalidation, twin retirement,
+// eviction from the intern table) runs while no accessor holds the frame,
 // and unshare by construction releases a frame with at least one reference
-// remaining.  A frame that was ever visible to another node (fetch
-// adoption, interning, migration) sets crossNode and is dropped to the
-// garbage collector instead of the pool, and the space's end-of-run Release
-// — when the simulation is quiescent — recovers those frames for reuse.
+// remaining.
 type Frame struct {
 	data *[PageSize]byte
 	refs int32
-
-	// crossNode marks a frame that escaped its creating node: another
-	// node's copy, a twin of a migrated page, or the intern table may still
-	// alias it at the final release, so the array is left to the GC
-	// mid-run (see pool-reuse safety above).
-	crossNode bool
 
 	// interned marks a frame registered in a Space's dedup table, which
 	// holds one reference; the release that leaves only the table's
@@ -83,7 +75,7 @@ func (f *Frame) Ref() *Frame {
 
 // Release drops one reference.  The release that leaves only the intern
 // table's reference evicts the frame from its table; the release of the
-// last reference frees the frame (pool or GC per crossNode).  sp is the
+// last reference returns the frame to the pool.  sp is the
 // owning space, needed only for table eviction; nil is allowed for frames
 // that were never interned.
 func (f *Frame) Release(sp *Space) {
@@ -100,17 +92,9 @@ func (f *Frame) Release(sp *Space) {
 			sp.evictFrame(f)
 		}
 	case f.refs == 0:
-		f.free()
+		framesResident.Add(-1)
+		framePool.Put(f)
 	}
-}
-
-// free retires a frame whose last reference just dropped.
-func (f *Frame) free() {
-	framesResident.Add(-1)
-	if f.crossNode {
-		return // another node's copy may still alias it; let the GC reclaim it
-	}
-	framePool.Put(f)
 }
 
 // framePool recycles frames together with their arrays.  Pooling the Frame
@@ -221,7 +205,6 @@ func (s *Space) DedupFrame(pc *PageCopy) bool {
 	}
 	f.hash = h
 	f.interned = true
-	f.crossNode = true    // the table may hand it to any node
 	s.intern[h] = f.Ref() // the table's reference
 	return false
 }

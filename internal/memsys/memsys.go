@@ -157,16 +157,11 @@ func (p *PageCopy) RetireTwin(sp *Space) {
 }
 
 // AdoptFrame points this copy at src's current frame (the fetch path: the
-// fetched replica aliases the home's frame instead of copying it).  The
-// frame escapes its home node, so it is marked crossNode and will not be
-// recycled mid-run.
+// fetched replica aliases the home's frame instead of copying it).
 func (p *PageCopy) AdoptFrame(sp *Space, src *PageCopy) {
 	f := src.frame
 	if f == nil {
 		return
-	}
-	if !f.zero { // the zero frame is shared by every cell and never written
-		f.crossNode = true
 	}
 	f.Ref()
 	if old := p.frame; old != nil {
@@ -413,8 +408,7 @@ func (s *Space) MisplacedPages() (misplaced, total int) {
 
 // Release tears the space down after a run: every copy's frame and twin
 // reference is dropped and the dedup table drained, returning frames to the
-// page pool for the next run (cross-node frames included — at teardown the
-// simulation is quiescent, so no stale reader can exist).  The space must
+// frame pool for the next run.  The space must
 // not be used afterwards.  Callers skip Release when a run failed: a
 // panicked cell can leak blocked worker goroutines that still hold frame
 // pointers, and those frames must age out through the GC instead.
@@ -430,12 +424,12 @@ func (s *Space) Release() {
 				}
 				pc.valid, pc.written = false, false
 				if pc.twin != nil {
-					releaseQuiesced(pc.twin, s)
+					pc.twin.Release(s)
 					pc.twin = nil
 				}
 				if f := pc.frame; f != nil {
 					pc.frame = nil
-					releaseQuiesced(f, s)
+					f.Release(s)
 				}
 			}
 		}
@@ -444,18 +438,7 @@ func (s *Space) Release() {
 		delete(s.intern, h)
 		if !f.zero { // the zero frame is shared by every cell and never written
 			f.interned = false // so the release below does not evict it again
-			releaseQuiesced(f, s)
+			f.Release(s)
 		}
 	}
-}
-
-// releaseQuiesced drops one reference on a quiescent frame, first clearing
-// crossNode so the final release recycles the array into the pool (safe:
-// no reader exists at teardown).
-func releaseQuiesced(f *Frame, sp *Space) {
-	if f.zero {
-		return
-	}
-	f.crossNode = false
-	f.Release(sp)
 }

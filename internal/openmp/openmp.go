@@ -10,7 +10,6 @@ package openmp
 
 import (
 	"fmt"
-	"sync"
 
 	"cables/internal/apps/appapi"
 	cables "cables/internal/core"
@@ -24,7 +23,6 @@ import (
 type Runtime struct {
 	rt      *cables.Runtime
 	procs   int
-	mu      sync.Mutex
 	crit    map[string]*cables.Mutex
 	nextBar int
 
@@ -162,9 +160,7 @@ func (r *Runtime) ensurePool() {
 // the master until the last of them has left; it returns that worker's
 // clock.
 func (r *Runtime) dispatch(start sim.Time, region func(tid int, th *cables.Thread)) sim.Time {
-	r.mu.Lock()
 	r.region, r.left, r.end = region, len(r.pool), start
-	r.mu.Unlock()
 	for _, th := range r.pool {
 		th.Task.Unpark(start)
 	}
@@ -174,13 +170,10 @@ func (r *Runtime) dispatch(start sim.Time, region func(tid int, th *cables.Threa
 // leave records a worker leaving the current region at instant now; the
 // last one out unparks the master at the latest such instant.
 func (r *Runtime) leave(now sim.Time) {
-	r.mu.Lock()
 	r.end = max(r.end, now)
 	r.left--
-	last, end := r.left == 0, r.end
-	r.mu.Unlock()
-	if last {
-		r.rt.Main().Task.Unpark(end)
+	if r.left == 0 {
+		r.rt.Main().Task.Unpark(r.end)
 	}
 }
 
@@ -189,11 +182,8 @@ func (r *Runtime) leave(now sim.Time) {
 func (r *Runtime) Parallel(body func(o *OMP)) {
 	main := r.rt.Main().Task
 	r.ensurePool()
-	r.mu.Lock()
 	r.nextBar++
-	region := r.nextBar
-	r.mu.Unlock()
-	bar := fmt.Sprintf("omp.%d", region)
+	bar := fmt.Sprintf("omp.%d", r.nextBar)
 	start := main.Now()
 	r.rt.Cluster().Ctr.Add(main.NodeID, stats.EvAdminRequests, int64(len(r.pool)))
 	end := r.dispatch(start, func(tid int, th *cables.Thread) {
@@ -253,13 +243,11 @@ func (o *OMP) Barrier() {
 
 // Critical runs body under the named critical section's mutex.
 func (o *OMP) Critical(name string, body func()) {
-	o.r.mu.Lock()
 	mx, ok := o.r.crit[name]
 	if !ok {
 		mx = o.r.rt.NewMutex(o.th.Task)
 		o.r.crit[name] = mx
 	}
-	o.r.mu.Unlock()
 	o.r.record(o.th.Task, "mutex_lock", func() { mx.Lock(o.th.Task) })
 	body()
 	o.r.record(o.th.Task, "mutex_unlock", func() { mx.Unlock(o.th.Task) })

@@ -1,7 +1,6 @@
 package openmp
 
 import (
-	"sync"
 	"testing"
 
 	"cables/internal/sim"
@@ -17,13 +16,10 @@ func newOMP(procs int) *Runtime {
 func TestParallelForCoversRangeExactlyOnce(t *testing.T) {
 	r := newOMP(4)
 	const n = 103 // deliberately not divisible by 4
-	var mu sync.Mutex
 	seen := make([]int, n)
 	r.Parallel(func(o *OMP) {
 		o.For(0, n, func(i int) {
-			mu.Lock()
 			seen[i]++
-			mu.Unlock()
 		})
 	})
 	r.Close()
@@ -54,14 +50,11 @@ func TestCriticalIsMutuallyExclusive(t *testing.T) {
 func TestSingleRunsOnce(t *testing.T) {
 	r := newOMP(4)
 	runs := 0
-	var mu sync.Mutex
 	after := make([]sim.Time, 0, 4)
 	r.Parallel(func(o *OMP) {
 		o.Task().Compute(sim.Time(o.TID()) * sim.Millisecond)
 		o.Single(func() { runs++ })
-		mu.Lock()
 		after = append(after, o.Task().Now())
-		mu.Unlock()
 	})
 	r.Close()
 	if runs != 1 {
@@ -78,22 +71,17 @@ func TestSingleRunsOnce(t *testing.T) {
 // virtual clocks.
 func TestBarrierSynchronizesRegions(t *testing.T) {
 	r := newOMP(4)
-	var mu sync.Mutex
 	var maxBefore, minAfter sim.Time
 	minAfter = 1 << 62
 	r.Parallel(func(o *OMP) {
 		o.Task().Compute(sim.Time(o.TID()+1) * sim.Millisecond)
-		mu.Lock()
 		if now := o.Task().Now(); now > maxBefore {
 			maxBefore = now
 		}
-		mu.Unlock()
 		o.Barrier()
-		mu.Lock()
 		if now := o.Task().Now(); now < minAfter {
 			minAfter = now
 		}
-		mu.Unlock()
 	})
 	r.Close()
 	if minAfter < maxBefore {
@@ -135,16 +123,13 @@ func TestStatsRecording(t *testing.T) {
 // TestForNowaitSkipsBarrier: nowait loops do not synchronize.
 func TestForNowaitSkipsBarrier(t *testing.T) {
 	r := newOMP(2)
-	var mu sync.Mutex
 	ends := map[int]sim.Time{}
 	r.Parallel(func(o *OMP) {
 		if o.TID() == 1 {
 			o.Task().Compute(10 * sim.Millisecond)
 		}
 		o.ForNowait(0, 2, func(int) {})
-		mu.Lock()
 		ends[o.TID()] = o.Task().Now()
-		mu.Unlock()
 	})
 	r.Close()
 	if ends[0] >= 10*sim.Millisecond {

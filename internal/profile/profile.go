@@ -25,8 +25,6 @@
 package profile
 
 import (
-	"sync"
-
 	"cables/internal/sim"
 	"cables/internal/stats"
 )
@@ -250,10 +248,10 @@ func (l *TaskLog) finalize() {
 	}
 }
 
-// Profiler collects the TaskLogs of one run.  Adopt is the only
-// cross-goroutine entry point; everything else reads after quiescence.
+// Profiler collects the TaskLogs of one run.  Adopt runs in the slot of
+// the task that creates the new one, so it needs no lock; everything else
+// reads after quiescence.
 type Profiler struct {
-	mu   sync.Mutex
 	logs []*TaskLog
 
 	// Epochs, when set by the attach point, receives a counter snapshot at
@@ -276,19 +274,14 @@ func (p *Profiler) Adopt(t *sim.Task) {
 	l := &TaskLog{task: t, base: t.Snapshot()}
 	t.SetProbe(l)
 	t.OpenSpan(uint8(SpanRun), uint64(t.ID))
-	p.mu.Lock()
 	p.logs = append(p.logs, l)
-	p.mu.Unlock()
 }
 
 // Logs returns the adopted task logs, finalized (root spans closed at each
 // task's final clock).  Call only after the run has quiesced.
 func (p *Profiler) Logs() []*TaskLog {
-	p.mu.Lock()
-	logs := p.logs
-	p.mu.Unlock()
-	for _, l := range logs {
+	for _, l := range p.logs {
 		l.finalize()
 	}
-	return logs
+	return p.logs
 }

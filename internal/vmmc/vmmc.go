@@ -17,7 +17,6 @@ package vmmc
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"cables/internal/fault"
 	"cables/internal/san"
@@ -70,13 +69,13 @@ type Region struct {
 	Dynamic bool
 }
 
-// NIC is the per-node registration state.
+// NIC is the per-node registration state.  Only the cell's tasks reach it,
+// one at a time in the scheduler slot, so it needs no lock of its own.
 type NIC struct {
 	node   int
 	limits Limits
 	inj    *fault.Injector // nil = no registration-memory pressure
 
-	mu       sync.Mutex
 	regions  map[RegionID]*Region
 	nextID   RegionID
 	regBytes int64
@@ -113,8 +112,6 @@ func (n *NIC) RegisterAt(label string, bytes int64, pinned, dynamic bool, now si
 	if bytes < 0 {
 		return 0, fmt.Errorf("vmmc: negative region size %d", bytes)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if !dynamic {
 		staticCount := 0
 		for _, r := range n.regions {
@@ -159,8 +156,6 @@ func (n *NIC) GrowAt(id RegionID, extra int64, now sim.Time) error {
 	if extra < 0 {
 		return fmt.Errorf("vmmc: negative grow %d", extra)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	r, ok := n.regions[id]
 	if !ok {
 		return fmt.Errorf("vmmc: grow of unknown region %d on node %d", id, n.node)
@@ -183,8 +178,6 @@ func (n *NIC) GrowAt(id RegionID, extra int64, now sim.Time) error {
 
 // Unregister removes a region and releases its resources.
 func (n *NIC) Unregister(id RegionID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	r, ok := n.regions[id]
 	if !ok {
 		return
@@ -200,8 +193,6 @@ func (n *NIC) Unregister(id RegionID) {
 
 // Usage reports the current static resource consumption.
 func (n *NIC) Usage() (regions int, registered, pinned int64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	for _, r := range n.regions {
 		if !r.Dynamic {
 			regions++
