@@ -287,7 +287,7 @@ func (m *MemManager) MigratePage(t *sim.Task, pid memsys.PageID, dst int) {
 	if sc.Data() != nil {
 		// The new home aliases the old home's frame instead of copying it
 		// (writers are quiesced per the contract above).
-		dc.AdoptFrame(m.sp, sc)
+		dc.AdoptFrame(sc)
 	} else {
 		dc.EnsureFrame()
 	}

@@ -154,10 +154,6 @@ func New(cl *nodeos.Cluster, arenaBytes int64, place Placement) *Protocol {
 	return p
 }
 
-// SetPlacement replaces the placement policy (must be called before any
-// shared accesses).
-func (p *Protocol) SetPlacement(pl Placement) { p.place = pl }
-
 // UseProtocol selects the coherence policy by name (internal/coherence;
 // the empty string selects genima).  Must be called before
 // any shared accesses; each run gets a fresh policy instance.
@@ -169,9 +165,6 @@ func (p *Protocol) UseProtocol(name string) error {
 	p.pol = pol
 	return nil
 }
-
-// ProtocolName returns the active coherence policy's registry name.
-func (p *Protocol) ProtocolName() string { return p.pol.Name() }
 
 // Space returns the protocol's shared address space.
 func (p *Protocol) Space() *memsys.Space { return p.sp }
@@ -231,14 +224,8 @@ func (p *Protocol) validate(t *sim.Task, pid memsys.PageID) *memsys.PageCopy {
 	// The fetch aliases the home's frame instead of copying it: the shared
 	// frame is a stable snapshot, and the home's next write unshares it
 	// (the fetched replica keeps this image — exactly what the eager copy
-	// gave it).  First the frame is interned in the content-hash table, so
-	// identical pages collapse onto one canonical frame cluster-wide; the
-	// fetch's virtual cost (the wire op below) is charged unchanged either
-	// way.
-	if p.sp.DedupFrame(hc) {
-		ctr.Add(node, stats.EvDedupHits, 1)
-	}
-	pc.AdoptFrame(p.sp, hc)
+	// gave it).
+	pc.AdoptFrame(hc)
 	if dead {
 		hc.SetValid(false)
 		p.sp.SetHome(pid, node)
@@ -361,12 +348,12 @@ func (p *Protocol) flushPage(t *sim.Task, node int, pid memsys.PageID, merge map
 	}
 	if p.sp.Home(pid) == node {
 		// Home writes are already in place; only a notice is needed.
-		pc.RetireTwin(p.sp) // possible only after a migration moved the home here
+		pc.RetireTwin() // possible only after a migration moved the home here
 		pc.SetWritten(false)
 		return true
 	}
 	if !pc.HasTwin() || pc.Data() == nil {
-		pc.RetireTwin(p.sp)
+		pc.RetireTwin()
 		pc.SetWritten(false)
 		return false
 	}
@@ -385,32 +372,16 @@ func (p *Protocol) diffToHome(t *sim.Task, node int, pid memsys.PageID, pc *mems
 	t.OpenSpan(uint8(profile.SpanDiff), uint64(pid))
 	home := p.sp.Home(pid)
 	hc := p.sp.Copy(home, pid)
-	if pc.TwinAliasesData() {
-		// No store landed since twin capture (the unshare-on-write trigger
-		// would have swapped the frame), so the diff is empty by
-		// construction: skip the scan, keeping the empty-diff path's side
-		// effects (the home copy is bound and validated, as DiffPage's
-		// zero-byte merge used to leave it).  In practice a write fault is
-		// always followed by its store, so this fires only on exotic
-		// interleavings — the dominant clean-page case remains DiffPage's
-		// four-words-per-branch scan over unshared pages.
-		hc.EnsureFrame()
-		hc.SetValid(true)
-		pc.RetireTwin(p.sp)
-		pc.SetWritten(false)
-		t.CloseSpan()
-		return 0
-	}
-	// The home frame may be aliased by fetched replicas or the dedup table;
-	// privatize it before merging (replica holders keep the pre-merge
-	// snapshot, which is exactly what their eager fetch copy was).
-	hd, unshared := hc.EnsureExclusive(p.sp)
+	// The home frame may be aliased by fetched replicas; privatize it before
+	// merging (replica holders keep the pre-merge snapshot, which is exactly
+	// what their eager fetch copy was).
+	hd, unshared := hc.EnsureExclusive()
 	if unshared {
 		p.cl.Ctr.Add(node, stats.EvCowUnshares, 1)
 	}
 	diffBytes := memsys.DiffPage(pc.Data(), pc.TwinData(), hd)
 	hc.SetValid(true)
-	pc.RetireTwin(p.sp)
+	pc.RetireTwin()
 	pc.SetWritten(false)
 	if diffBytes == 0 {
 		t.CloseSpan()
@@ -473,12 +444,12 @@ func (p *Protocol) ApplyAcquire(t *sim.Task) {
 			pc.SetValid(false)
 			p.cl.Ctr.Add(node, stats.EvInvalidations, 1)
 		}
-		pc.RetireTwin(p.sp)
+		pc.RetireTwin()
 		// This task holds the cell's only scheduler slot, so no reader or
 		// writer is inside this node's copies and the invalidated copy's
 		// frame reference can be dropped; if it was the last reference the
 		// frame returns to the pool and the refetch aliases the home's frame instead of allocating.
-		pc.RetireData(p.sp)
+		pc.RetireData()
 	}
 	ns.invScratch = invalidate[:0]
 	ns.seen = p.logBase + int64(len(p.log))
@@ -519,8 +490,8 @@ func (p *Protocol) dropCopies(t *sim.Task, node int, pages []memsys.PageID) {
 			pc.SetValid(false)
 			p.cl.Ctr.Add(node, stats.EvInvalidations, 1)
 		}
-		pc.RetireTwin(p.sp)
-		pc.RetireData(p.sp)
+		pc.RetireTwin()
+		pc.RetireData()
 	}
 }
 

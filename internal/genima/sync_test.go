@@ -127,7 +127,7 @@ func TestMigrationMechanism(t *testing.T) {
 	// Move the home by hand (the CableS mechanism does this plus costs).
 	dst := (home + 1) % 2
 	sc, dc := sp.Copy(home, pid), sp.Copy(dst, pid)
-	dc.AdoptFrame(sp, sc)
+	dc.AdoptFrame(sc)
 	dc.SetValid(true)
 	sc.SetValid(false)
 	sp.SetHome(pid, dst)

@@ -65,16 +65,16 @@ func (a *Accessor) pageForRead(t *sim.Task, pid PageID) *PageCopy {
 // written page whose frame is still shared (aliased by its twin, by the
 // home copy it was fetched from, by other nodes' replicas, or by the
 // canonical zero frame) is privatized here before the store lands.  Every
-// store re-checks exclusivity, so a frame a fetch or interning re-shared
-// since the last store is unshared again; the per-store fast path is the
-// two flag loads and the refcount load.
+// store re-checks exclusivity, so a frame a fetch re-shared since the last
+// store is unshared again; the per-store fast path is the two flag loads
+// and the refcount load.
 func (a *Accessor) pageForWrite(t *sim.Task, pid PageID) *PageCopy {
 	pc := a.Sp.Copy(t.MemNode(), pid)
 	for !pc.Valid() || !pc.Written() {
 		a.H.WriteFault(t, pid)
 	}
 	if f := pc.frame; f == nil || !f.Exclusive() {
-		if _, copied := pc.EnsureExclusive(a.Sp); copied && a.Sp.unshares != nil {
+		if _, copied := pc.EnsureExclusive(); copied && a.Sp.unshares != nil {
 			a.Sp.unshares(t.MemNode())
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"cables/internal/sim"
@@ -77,7 +78,7 @@ func (m *eagerModel) writeFault(node int, pid PageID) {
 }
 
 // cowRefHandler implements the accessor's FaultHandler with the same frame
-// operations the genima protocol performs (alias on fetch, dedup, twin as a
+// operations the genima protocol performs (alias on fetch, twin as a
 // reference), mirroring each transition on the eager model.
 type cowRefHandler struct {
 	sp    *Space
@@ -95,8 +96,7 @@ func (h *cowRefHandler) ReadFault(t *sim.Task, pid PageID) {
 	} else {
 		hc := h.sp.Copy(cowHome, pid)
 		hc.EnsureFrame()
-		h.sp.DedupFrame(hc)
-		pc.AdoptFrame(h.sp, hc)
+		pc.AdoptFrame(hc)
 		pc.SetValid(true)
 	}
 	h.model.fetch(t.NodeID, pid)
@@ -164,17 +164,14 @@ func (w *cowWorld) release(node int, pid PageID) {
 	pc := w.sp.Copy(node, pid)
 	e := w.model.at(node, pid)
 	if node != cowHome {
-		hc := w.sp.Copy(cowHome, pid)
-		if !pc.TwinAliasesData() {
-			hd, _ := hc.EnsureExclusive(w.sp)
-			cowN := DiffPage(pc.Data(), pc.TwinData(), hd)
-			eagerN := DiffPageRef(e.data, e.twin, w.model.homeData(pid))
-			if cowN != eagerN {
-				w.t.Fatalf("node %d page %d: diff size diverged (cow %d, eager %d)",
-					node, pid, cowN, eagerN)
-			}
+		hd, _ := w.sp.Copy(cowHome, pid).EnsureExclusive()
+		cowN := DiffPage(pc.Data(), pc.TwinData(), hd)
+		eagerN := DiffPageRef(e.data, e.twin, w.model.homeData(pid))
+		if cowN != eagerN {
+			w.t.Fatalf("node %d page %d: diff size diverged (cow %d, eager %d)",
+				node, pid, cowN, eagerN)
 		}
-		pc.RetireTwin(w.sp)
+		pc.RetireTwin()
 		e.twin = nil
 	}
 	pc.SetWritten(false)
@@ -193,8 +190,8 @@ func (w *cowWorld) invalidate(node int, pid PageID) {
 		w.release(node, pid)
 	}
 	pc.SetValid(false)
-	pc.RetireTwin(w.sp)
-	pc.RetireData(w.sp)
+	pc.RetireTwin()
+	pc.RetireData()
 	e.valid, e.written, e.data, e.twin = false, false, nil, nil
 }
 
@@ -247,7 +244,7 @@ func TestCOWMatchesEagerReference(t *testing.T) {
 					}
 				case 8: // acquire-side invalidation
 					w.invalidate(node, pid)
-				case 9: // zero-content write-back: tests dedup onto the zero frame
+				case 9: // zero-content write-back
 					w.write(node, pid, r.Intn(PageSize/8)*8, 0)
 				}
 				w.verify(node, pid)
@@ -265,55 +262,49 @@ func TestCOWMatchesEagerReference(t *testing.T) {
 	}
 }
 
-// TestDedupFrameInterning checks the content-hash interner directly: equal
-// content dedups onto one canonical frame, differing content does not, and
-// a page written back to all-zeroes collapses onto the canonical zero frame.
-func TestDedupFrameInterning(t *testing.T) {
-	sp := NewSpace(1, 4*PageSize)
-	a, b, c := sp.Copy(0, 0), sp.Copy(0, 1), sp.Copy(0, 2)
-	for _, pc := range []*PageCopy{a, b, c} {
-		pc.EnsureExclusive(sp)
-	}
-	a.Data()[7] = 0x11
-	b.Data()[7] = 0x11
-	c.Data()[7] = 0x22
-
-	if sp.DedupFrame(a) {
-		t.Error("first intern reported a hit")
-	}
-	if !sp.DedupFrame(b) {
-		t.Error("identical content did not dedup")
-	}
-	if a.Frame() != b.Frame() {
-		t.Error("deduped copies do not alias one frame")
-	}
-	if sp.DedupFrame(c) {
-		t.Error("differing content deduped")
-	}
-
-	// All-zero content interns onto the permanent canonical zero frame.
-	d := sp.Copy(0, 3)
-	d.EnsureExclusive(sp)
-	if !sp.DedupFrame(d) {
-		t.Error("all-zero page did not dedup")
-	}
-	if d.Frame() != ZeroFrame() {
-		t.Error("all-zero page not aliased to the canonical zero frame")
-	}
-	sp.Release()
-}
-
 // TestFrameRefcountMisuse: releasing a pooled frame below zero references
 // panics rather than silently corrupting the pool.
 func TestFrameRefcountMisuse(t *testing.T) {
 	f := newFrame()
-	f.Release(nil) // back in the pool at 0 references
+	f.Release() // back in the pool at 0 references
 	defer func() {
 		if recover() == nil {
 			t.Error("release below zero did not panic")
 		}
 	}()
-	f.Release(nil)
+	f.Release()
+}
+
+// TestFramesPeakConcurrent: cells allocating at once must not lose the
+// resident high-water mark.  n goroutines, each on its own space, hold k
+// frames at a rendezvous — so n×k frames above the baseline are resident at
+// once — and then release them.
+func TestFramesPeakConcurrent(t *testing.T) {
+	const n, k = 8, 64
+	base := FramesResident()
+	ResetFramesPeak()
+	var held, done sync.WaitGroup
+	held.Add(n)
+	done.Add(n)
+	for g := 0; g < n; g++ {
+		go func() {
+			defer done.Done()
+			sp := NewSpace(1, k*PageSize)
+			for p := PageID(0); p < k; p++ {
+				sp.Copy(0, p).EnsureExclusive()
+			}
+			held.Done()
+			held.Wait()
+			sp.Release()
+		}()
+	}
+	done.Wait()
+	if got := FramesResidentPeak() - base; got < n*k {
+		t.Errorf("peak %d frames above baseline, want at least %d", got, n*k)
+	}
+	if got := FramesResident(); got != base {
+		t.Errorf("resident %d frames after release, baseline %d", got, base)
+	}
 }
 
 // TestUnshareIdempotent: once a copy's frame is exclusive, further
@@ -321,23 +312,23 @@ func TestFrameRefcountMisuse(t *testing.T) {
 func TestUnshareIdempotent(t *testing.T) {
 	sp := NewSpace(1, 1<<16)
 	pc := sp.Copy(0, 0)
-	pc.EnsureExclusive(sp)
+	pc.EnsureExclusive()
 	pc.Data()[0] = 1
 	pc.CaptureTwin()
-	if _, unshared := pc.EnsureExclusive(sp); !unshared {
+	if _, unshared := pc.EnsureExclusive(); !unshared {
 		t.Fatal("twinned frame did not unshare")
 	}
 	before := FramesResident()
 	f := pc.Frame()
 	for i := 0; i < 3; i++ {
-		if _, unshared := pc.EnsureExclusive(sp); unshared {
+		if _, unshared := pc.EnsureExclusive(); unshared {
 			t.Fatal("exclusive frame unshared again")
 		}
 	}
 	if pc.Frame() != f || FramesResident() != before {
 		t.Error("repeat EnsureExclusive changed the frame or allocated")
 	}
-	pc.RetireTwin(sp)
+	pc.RetireTwin()
 }
 
 // TestConcurrentUnshareHammer: many nodes alias one frame and unshare it in
@@ -349,20 +340,20 @@ func TestConcurrentUnshareHammer(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		sp := NewSpace(nodes, 1<<16)
 		src := sp.Copy(0, 0)
-		src.EnsureExclusive(sp)
+		src.EnsureExclusive()
 		for i := range src.Data() {
 			src.Data()[i] = byte(i)
 		}
 		for n := 1; n < nodes; n++ {
 			pc := sp.Copy(n, 0)
-			pc.AdoptFrame(sp, src)
+			pc.AdoptFrame(src)
 			pc.SetValid(true)
 		}
 		// Unshare in a different node order each round.
 		for k := 1; k < nodes; k++ {
 			n := 1 + (k+round)%(nodes-1)
 			pc := sp.Copy(n, 0)
-			pc.EnsureExclusive(sp)
+			pc.EnsureExclusive()
 			pc.Data()[0] = byte(0x80 + n)
 		}
 		if !src.Frame().Exclusive() {

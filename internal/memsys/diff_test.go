@@ -151,17 +151,18 @@ func TestDiffPageQuick(t *testing.T) {
 }
 
 // TestTwinLifecycle checks the frame-based twin contract: capture aliases
-// the current frame (a reference, not a copy), retire drops it, and a nil
-// retire is idempotent.
+// the current frame (a reference, not a copy, so twin and data share one
+// backing array until the next write unshares it), retire drops it, and a
+// nil retire is idempotent.
 func TestTwinLifecycle(t *testing.T) {
 	sp := NewSpace(1, 1<<16)
 	pc := sp.Copy(0, 0)
-	if _, unshared := pc.EnsureExclusive(sp); unshared {
+	if _, unshared := pc.EnsureExclusive(); unshared {
 		t.Fatal("fresh copy reported an unshare")
 	}
 	pc.Data()[0] = 0x5a
 	pc.CaptureTwin()
-	if !pc.HasTwin() || !pc.TwinAliasesData() {
+	if !pc.HasTwin() || &pc.TwinData()[0] != &pc.Data()[0] {
 		t.Fatal("captured twin does not alias the current frame")
 	}
 	if got := pc.TwinData()[0]; got != 0x5a {
@@ -170,19 +171,19 @@ func TestTwinLifecycle(t *testing.T) {
 	if f := pc.Frame(); f.Exclusive() {
 		t.Error("frame still exclusive after twin capture")
 	}
-	if _, unshared := pc.EnsureExclusive(sp); !unshared {
+	if _, unshared := pc.EnsureExclusive(); !unshared {
 		t.Fatal("write on twinned frame did not unshare")
 	}
 	pc.Data()[0] = 0x77
-	if pc.TwinAliasesData() {
+	if &pc.TwinData()[0] == &pc.Data()[0] {
 		t.Error("twin still aliases after unshare")
 	}
 	if got := pc.TwinData()[0]; got != 0x5a {
 		t.Errorf("twin lost the pristine image: %#x", got)
 	}
-	pc.RetireTwin(sp)
+	pc.RetireTwin()
 	if pc.HasTwin() {
 		t.Error("RetireTwin left the twin set")
 	}
-	pc.RetireTwin(sp) // idempotent on nil
+	pc.RetireTwin() // idempotent on nil
 }

@@ -1,7 +1,6 @@
 package memsys
 
 import (
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -29,56 +28,34 @@ import (
 // last reference drops, which is safe only if no reader still holds a
 // pointer to it.  Refcounts are exact, and an accessor holds a frame
 // pointer only between its validity check and its load or store, with no
-// safe point in between; so every release (invalidation, twin retirement,
-// eviction from the intern table) runs while no accessor holds the frame,
-// and unshare by construction releases a frame with at least one reference
+// safe point in between; so every release (invalidation, twin retirement)
+// runs while no accessor holds the frame, and unshare by construction releases a frame with at least one reference
 // remaining.
 type Frame struct {
 	data *[PageSize]byte
 	refs int32
-
-	// interned marks a frame registered in a Space's dedup table, which
-	// holds one reference; the release that leaves only the table's
-	// reference evicts and frees it.
-	interned bool
-
-	// hash is the content hash under which the frame was interned.
-	hash uint64
 
 	// zero marks the canonical all-zero frame: permanently shared, never
 	// refcounted, never freed.
 	zero bool
 }
 
-// Data returns the frame's byte image.
-func (f *Frame) Data() []byte { return f.data[:] }
-
-// Refs returns the current reference count (the zero frame reports its
-// pinned count).  Test hook.
-func (f *Frame) Refs() int32 { return f.refs }
-
 // Exclusive reports whether the frame may be written in place: exactly one
 // reference and not the canonical zero frame (whose count is pinned).
 func (f *Frame) Exclusive() bool { return !f.zero && f.refs == 1 }
 
 // Ref takes one more reference and returns f.  The caller must already hold
-// a reference (or reach f through the intern table, which holds one).
+// a reference.
 func (f *Frame) Ref() *Frame {
-	if f.zero {
-		return f
-	}
-	if f.refs++; f.refs == 2 {
-		framesShared.Add(1)
+	if !f.zero {
+		f.refs++
 	}
 	return f
 }
 
-// Release drops one reference.  The release that leaves only the intern
-// table's reference evicts the frame from its table; the release of the
-// last reference returns the frame to the pool.  sp is the
-// owning space, needed only for table eviction; nil is allowed for frames
-// that were never interned.
-func (f *Frame) Release(sp *Space) {
+// Release drops one reference; the release of the last reference returns
+// the frame to the pool.
+func (f *Frame) Release() {
 	if f.zero {
 		return
 	}
@@ -86,11 +63,6 @@ func (f *Frame) Release(sp *Space) {
 	switch {
 	case f.refs < 0:
 		panic("memsys: frame released below zero references")
-	case f.refs == 1:
-		framesShared.Add(-1)
-		if f.interned && sp != nil {
-			sp.evictFrame(f)
-		}
 	case f.refs == 0:
 		framesResident.Add(-1)
 		framePool.Put(f)
@@ -109,15 +81,10 @@ var framePool = sync.Pool{
 var (
 	framesResident     atomic.Int64 // frames live in some space (excludes pool inventory and the zero frame)
 	framesResidentPeak atomic.Int64 // high-water mark of framesResident since the last ResetFramesPeak
-	framesShared       atomic.Int64 // frames with two or more references
 )
 
 // FramesResident returns the number of live frames across all spaces.
 func FramesResident() int64 { return framesResident.Load() }
-
-// FramesShared returns the number of frames currently aliased by more than
-// one holder (copy, twin, replica or intern table).
-func FramesShared() int64 { return framesShared.Load() }
 
 // FramesResidentPeak returns the high-water mark of FramesResident since
 // the last ResetFramesPeak.
@@ -136,10 +103,11 @@ func ResetFramesPeak() { framesResidentPeak.Store(framesResident.Load()) }
 func newFrame() *Frame {
 	f := framePool.Get().(*Frame)
 	*f = Frame{data: f.data, refs: 1}
-	if n := framesResident.Add(1); n > framesResidentPeak.Load() {
-		// Racy max is fine: the peak is a host-side gauge, and a lost
-		// update can only under-report by a transient frame or two.
-		framesResidentPeak.Store(n)
+	n := framesResident.Add(1)
+	for p := framesResidentPeak.Load(); n > p; p = framesResidentPeak.Load() {
+		if framesResidentPeak.CompareAndSwap(p, n) {
+			break
+		}
 	}
 	return f
 }
@@ -152,59 +120,8 @@ func newFrameZeroed() *Frame {
 }
 
 // zeroFrame is the canonical all-zero page: every never-written valid copy
-// aliases it without allocating, and the dedup table maps the all-zero
-// content hash to it so a page written back to zeroes collapses onto it.
+// aliases it without allocating.
 var zeroFrame = func() *Frame {
 	// refs is pinned above 1 so Exclusive is never true.
 	return &Frame{data: new([PageSize]byte), refs: 2, zero: true}
 }()
-
-// ZeroFrame returns the canonical all-zero frame.  Test hook.
-func ZeroFrame() *Frame { return zeroFrame }
-
-// frameHashSeed is the process-wide seed for content hashing.  The hash is
-// host-only (dedup candidates are confirmed by a full byte compare, and
-// dedup never changes simulated bytes or charges), so a random per-process
-// seed cannot perturb any virtual-time result.
-var frameHashSeed = maphash.MakeSeed()
-
-// hashPage returns the content hash of a page image.
-func hashPage(b []byte) uint64 {
-	return maphash.Bytes(frameHashSeed, b[:PageSize])
-}
-
-// evictFrame removes f from the space's dedup table, dropping the table's
-// reference (which frees the frame).  Called from Release on the 2→1
-// transition of an interned frame, whose table entry is f itself.  A frame
-// in the table has at least two references and is therefore immutable, so
-// aliasing it is always safe.
-func (s *Space) evictFrame(f *Frame) {
-	delete(s.intern, f.hash)
-	f.interned = false
-	f.Release(s)
-}
-
-// DedupFrame interns pc's current frame in the space's content-hash table:
-// if an identical-content frame is already canonical, pc's frame is swapped
-// for it (a dedup hit); otherwise pc's frame becomes the canonical entry.
-// Returns whether an existing frame was reused.
-func (s *Space) DedupFrame(pc *PageCopy) bool {
-	f := pc.frame
-	if f == nil || f.zero || f.interned {
-		return false // nothing to share, or already canonical for its content
-	}
-	h := hashPage(f.data[:])
-	if g, ok := s.intern[h]; ok {
-		// Weak hash: confirm the match byte-for-byte before aliasing.
-		if g != f && *g.data == *f.data {
-			pc.frame = g.Ref()
-			f.Release(s)
-			return true
-		}
-		return false // collision (or self): leave both frames alone
-	}
-	f.hash = h
-	f.interned = true
-	s.intern[h] = f.Ref() // the table's reference
-	return false
-}

@@ -67,10 +67,10 @@ func (p *PageCopy) Data() []byte {
 func (p *PageCopy) Frame() *Frame { return p.frame }
 
 // RetireData releases the copy's frame and clears the pointer.
-func (p *PageCopy) RetireData(sp *Space) {
+func (p *PageCopy) RetireData() {
 	if f := p.frame; f != nil {
 		p.frame = nil
-		f.Release(sp)
+		f.Release()
 	}
 }
 
@@ -102,7 +102,7 @@ func (p *PageCopy) EnsureFrame() []byte {
 // writable byte image, unsharing (or allocating) if needed.  Returns
 // whether a shared frame had to be copied — the caller charges nothing
 // (unshare is host work; the paper's system wrote in place), but counts it.
-func (p *PageCopy) EnsureExclusive(sp *Space) (data []byte, unshared bool) {
+func (p *PageCopy) EnsureExclusive() (data []byte, unshared bool) {
 	f := p.frame
 	switch {
 	case f == nil:
@@ -116,7 +116,7 @@ func (p *PageCopy) EnsureExclusive(sp *Space) (data []byte, unshared bool) {
 	default:
 		p.frame = newFrame()
 		copy(p.frame.data[:], f.data[:])
-		f.Release(sp) // at least the releaser's alias remains (refs were ≥2)
+		f.Release() // at least the releaser's alias remains (refs were ≥2)
 		return p.frame.data[:], true
 	}
 }
@@ -140,25 +140,18 @@ func (p *PageCopy) TwinData() []byte {
 // HasTwin reports whether an interval twin is captured.
 func (p *PageCopy) HasTwin() bool { return p.twin != nil }
 
-// TwinAliasesData reports whether the twin still aliases the copy's current
-// frame — i.e. no write landed since capture, so the page is byte-identical
-// to its twin and a diff would be empty.
-func (p *PageCopy) TwinAliasesData() bool {
-	return p.twin != nil && p.twin == p.frame
-}
-
 // RetireTwin releases the twin reference (if any).  The caller must not
 // retain the twin.
-func (p *PageCopy) RetireTwin(sp *Space) {
+func (p *PageCopy) RetireTwin() {
 	if p.twin != nil {
-		p.twin.Release(sp)
+		p.twin.Release()
 		p.twin = nil
 	}
 }
 
 // AdoptFrame points this copy at src's current frame (the fetch path: the
 // fetched replica aliases the home's frame instead of copying it).
-func (p *PageCopy) AdoptFrame(sp *Space, src *PageCopy) {
+func (p *PageCopy) AdoptFrame(src *PageCopy) {
 	f := src.frame
 	if f == nil {
 		return
@@ -166,7 +159,7 @@ func (p *PageCopy) AdoptFrame(sp *Space, src *PageCopy) {
 	f.Ref()
 	if old := p.frame; old != nil {
 		p.frame = nil
-		old.Release(sp)
+		old.Release()
 	}
 	p.frame = f
 }
@@ -194,10 +187,6 @@ type Space struct {
 	// megabyte of zeroed memory per 256 MB space — visible per-op garbage
 	// once frames went copy-on-write.
 	meta []*metaChunk
-
-	// intern is the content-hash dedup table: hash → canonical frame (see
-	// frame.go), seeded with the canonical zero frame.
-	intern map[uint64]*Frame
 
 	// unshares counts copy-on-write unshares performed by the accessor's
 	// write path, reported per node; bound by the protocol (BindUnshares)
@@ -242,7 +231,6 @@ func NewSpace(nodes int, size int64) *Space {
 		numPages: np,
 		pages:    make([][]*pageChunk, nodes),
 		meta:     make([]*metaChunk, nc),
-		intern:   map[uint64]*Frame{hashPage(zeroFrame.data[:]): zeroFrame},
 		next:     SpaceBase,
 	}
 	for n := range s.pages {
@@ -407,9 +395,8 @@ func (s *Space) MisplacedPages() (misplaced, total int) {
 }
 
 // Release tears the space down after a run: every copy's frame and twin
-// reference is dropped and the dedup table drained, returning frames to the
-// frame pool for the next run.  The space must
-// not be used afterwards.  Callers skip Release when a run failed: a
+// reference is dropped, returning frames to the frame pool for the next
+// run.  The space must not be used afterwards.  Callers skip Release when a run failed: a
 // panicked cell can leak blocked worker goroutines that still hold frame
 // pointers, and those frames must age out through the GC instead.
 func (s *Space) Release() {
@@ -423,22 +410,9 @@ func (s *Space) Release() {
 					continue
 				}
 				pc.valid, pc.written = false, false
-				if pc.twin != nil {
-					pc.twin.Release(s)
-					pc.twin = nil
-				}
-				if f := pc.frame; f != nil {
-					pc.frame = nil
-					f.Release(s)
-				}
+				pc.RetireTwin()
+				pc.RetireData()
 			}
-		}
-	}
-	for h, f := range s.intern {
-		delete(s.intern, h)
-		if !f.zero { // the zero frame is shared by every cell and never written
-			f.interned = false // so the release below does not evict it again
-			f.Release(s)
 		}
 	}
 }

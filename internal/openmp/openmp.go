@@ -81,9 +81,6 @@ func New(cfg Config) *Runtime {
 	return &Runtime{rt: rt, procs: cfg.Procs, crit: make(map[string]*cables.Mutex)}
 }
 
-// Cables exposes the underlying CableS runtime.
-func (r *Runtime) Cables() *cables.Runtime { return r.rt }
-
 // Cluster exposes the simulated machine.
 func (r *Runtime) Cluster() *nodeos.Cluster { return r.rt.Cluster() }
 

@@ -31,9 +31,11 @@ type SpanProbe interface {
 }
 
 // Task is one simulated thread of execution.  It is owned by exactly one
-// goroutine; only that goroutine calls Charge/Compute/Attribute.  Other
-// goroutines may read the clock (synchronization primitives merge peers'
-// clocks) and may request cancellation, which is why those fields are atomic.
+// goroutine; only that goroutine calls Charge/Compute/Attribute.  Peers in
+// the same cell read the clock (synchronization primitives merge peers'
+// clocks) and request cancellation, but only from the cell's scheduler
+// slot.  The clock is atomic because the stall watchdog samples slot
+// holders' clocks from its own goroutine (sched.go, watch).
 type Task struct {
 	// ID is the application-wide thread identifier.
 	ID int
@@ -185,9 +187,10 @@ func (t *Task) Now() Time { return Time(t.clock.Load()) }
 // current time).
 func (t *Task) SetNow(v Time) { t.clock.Store(int64(v)) }
 
-// Charge advances the clock by d and attributes it to category cat.
-// Charges occur under the simulator's internal host mutexes, so Charge
-// never blocks; clock-ordered switching has its own safe point (Compute).
+// Charge advances the clock by d and attributes it to category cat.  It
+// never blocks or yields the slot, so it may run inside a section that must
+// not be interrupted; clock-ordered switching has its own safe point
+// (Compute).
 func (t *Task) Charge(cat Category, d Time) {
 	if d <= 0 {
 		return
@@ -207,9 +210,9 @@ func (t *Task) Attribute(cat Category, d Time) {
 
 // Compute charges application computation of duration d, dilated by the
 // node's current load factor (threads time-share processors) and by the cost
-// table's compute scale.  Compute is also the scheduler's safe point: the
-// caller holds no host locks here, so a managed task that has run far ahead
-// in virtual time may block until readmitted.
+// table's compute scale.  Compute is also the scheduler's safe point: a
+// managed task that has run far ahead in virtual time may block here until
+// readmitted.
 func (t *Task) Compute(d Time) {
 	if d <= 0 {
 		return

@@ -73,7 +73,6 @@ const (
 	// both events describe work the paper's system did eagerly (page
 	// copies), so they carry no virtual-time charge of their own.
 	EvCowUnshares // shared frames privatized by the first write of an interval
-	EvDedupHits   // fetches that aliased an existing identical-content frame
 
 	// Coherence-protocol variants (internal/coherence).  Appended so
 	// earlier events keep their numeric identities.
@@ -98,7 +97,7 @@ var eventKeys = [NumEvents]string{
 	"regRecoveries", "lockRehomes", "barrierRehomes", "pageRehomes",
 	"nodeDetaches", "attachDelays",
 	"wireOps", "pageMigrations",
-	"cowUnshares", "dedupHits",
+	"cowUnshares",
 	"delegations", "commMerges",
 }
 
