@@ -58,11 +58,24 @@ var AppNames = []string{
 // ProcCounts is the paper's processor sweep.
 var ProcCounts = []int{1, 4, 8, 16, 32}
 
-// runAppOn dispatches to the workload implementations.
+// PanicError is the error of a cell whose workload panicked.  A panic is
+// not an outcome the cell's spec determines, so a result cache must not
+// keep it (the farm returns such a cell but does not cache it).
+type PanicError struct {
+	App   string // the workload that panicked
+	Value any    // the recovered panic value
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("bench: %s panicked: %v", e.App, e.Value)
+}
+
+// runAppOn dispatches to the workload implementations.  A panic in the
+// workload is returned as a *PanicError.
 func runAppOn(rt appapi.Runtime, name string, scale Scale) (res appapi.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("bench: %s panicked: %v", name, r)
+			err = &PanicError{App: name, Value: r}
 		}
 	}()
 	switch name {

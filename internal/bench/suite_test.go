@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -64,5 +66,22 @@ func TestComputeAppsSpeedUp(t *testing.T) {
 			}
 			t.Logf("%s speedup at 8 procs: %.2f", app, sp)
 		})
+	}
+}
+
+// TestWorkloadPanicIsPanicError: a workload that panics comes back as a
+// *PanicError, with the message batch tables print; an unknown application
+// is an ordinary error.
+func TestWorkloadPanicIsPanicError(t *testing.T) {
+	_, err := runAppOn(nil, "FFT", ScaleTest) // a nil runtime panics in the workload
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.App != "FFT" {
+		t.Fatalf("nil-runtime FFT: err %v, want a *PanicError for FFT", err)
+	}
+	if want := fmt.Sprintf("bench: FFT panicked: %v", pe.Value); err.Error() != want {
+		t.Errorf("panic error text %q, want %q", err.Error(), want)
+	}
+	if _, err := runAppOn(nil, "NOPE", ScaleTest); err == nil || errors.As(err, &pe) {
+		t.Errorf("unknown app: err %v, want a non-panic error", err)
 	}
 }

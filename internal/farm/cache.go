@@ -2,6 +2,7 @@ package farm
 
 import (
 	"container/list"
+	"encoding/json"
 	"sync"
 
 	"cables/internal/apps/appapi"
@@ -19,7 +20,8 @@ type CellResult struct {
 	// Result is the workload outcome (times, checksum, placement census).
 	Result appapi.Result `json:"result"`
 	// Counters is the run's full event-counter snapshot (rendered only for
-	// kind=counters sweeps, but always cached).
+	// kind=counters sweeps, but always cached).  It is dropped once the
+	// result is encoded: from then on the encoded bytes are its only copy.
 	Counters stats.Snapshot `json:"counters,omitempty"`
 	// Injected counts fault firings; Degraded mirrors the batch CLI's
 	// DEGRADED rendering (faults fired, run still completed correctly).
@@ -30,13 +32,55 @@ type CellResult struct {
 	// HostNS is the host wall-clock the fresh simulation took; cache hits
 	// return the original value (how much time the cache saved).
 	HostNS int64 `json:"hostNs"`
+
+	// panicked marks a cell whose simulation panicked: its result is
+	// returned to every subscriber but never cached, because a panic is
+	// not an outcome the cell's spec determines.
+	panicked bool
+	// enc guards full and lite, the result's JSON with and without
+	// Counters.  Every view of the cell serves these bytes.
+	enc        sync.Once
+	full, lite []byte
+}
+
+// encode computes the result's two JSON forms, once, and drops the
+// decoded counter snapshot.  The farm calls it when a simulation
+// completes; a result stored by other means is encoded the first time it
+// is served.
+func (r *CellResult) encode() {
+	r.enc.Do(func() {
+		full, err := json.Marshal(r)
+		lite := full
+		if err == nil && len(r.Counters) > 0 {
+			r.Counters = nil
+			lite, err = json.Marshal(r)
+		}
+		if err != nil {
+			// Only a non-finite float gets here: serve the failure
+			// rather than no bytes.
+			r.Err = "farm: cell result not encodable: " + err.Error()
+			full, _ = json.Marshal(&CellResult{Key: r.Key, Canonical: r.Canonical, Err: r.Err, HostNS: r.HostNS})
+			lite = full
+		}
+		r.full, r.lite, r.Counters = full, lite, nil
+	})
+}
+
+// encoded returns the result's JSON, with the counter snapshot when
+// counters is set.
+func (r *CellResult) encoded(counters bool) []byte {
+	r.encode()
+	if counters {
+		return r.full
+	}
+	return r.lite
 }
 
 // Cache is a bounded LRU of CellResults keyed by content address.  Entry
-// count is the bound (results are small, a few hundred bytes of struct plus
-// the counter snapshot); the least-recently-used entry is evicted first and
-// every eviction is reported through onEvict so the farm's `cacheEvicted`
-// counter cannot miss one.
+// count is the bound (a result is held as its encoded JSON: about 0.4 KB,
+// plus about 1 KB for the form with counters); the least-recently-used
+// entry is evicted first and every eviction is reported through onEvict so
+// the farm's `cacheEvicted` counter cannot miss one.
 type Cache struct {
 	mu      sync.Mutex
 	max     int

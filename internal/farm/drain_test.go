@@ -165,13 +165,17 @@ func TestServeSigtermDrain(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestQueueBoundRejectsSweeps: a sweep that would exceed MaxQueue is turned
-// away retriably as a unit — no partial admission.
+// TestQueueBoundRejectsSweeps: a sweep whose new simulations would exceed
+// MaxQueue is turned away retriably as a unit — no partial admission —
+// while a sweep that queues nothing (cache hits, duplicates of in-flight
+// cells) is admitted however full the queue is.
 func TestQueueBoundRejectsSweeps(t *testing.T) {
 	srv := New(Config{Jobs: 1, MaxQueue: 2})
 	release := make(chan struct{})
 	srv.runCell = func(k CellKey) *CellResult {
-		<-release
+		if k.App != "VOLREND" {
+			<-release
+		}
 		return &CellResult{}
 	}
 	// Cleanups run after defers: release the worker first, then drain.
@@ -180,9 +184,14 @@ func TestQueueBoundRejectsSweeps(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// First sweep: one cell runs, filling the single worker; a second cell
-	// occupies the whole queue allowance.
-	postSweep(t, ts, `{"apps":["FFT","LU"],"procs":[1],"backends":["genima"],"scale":"test"}`)
+	// Two cells that complete at once fill the cache.
+	hits := `{"apps":["VOLREND"],"procs":[1,4],"backends":["genima"],"scale":"test"}`
+	waitSweep(t, ts, postSweep(t, ts, hits).ID)
+
+	// One cell runs, filling the single worker; a second cell occupies the
+	// whole queue allowance.
+	held := `{"apps":["FFT","LU"],"procs":[1],"backends":["genima"],"scale":"test"}`
+	postSweep(t, ts, held)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -202,5 +211,20 @@ func TestQueueBoundRejectsSweeps(t *testing.T) {
 	}
 	if got := srv.metrics.sweepsRejected.Load(); got < 1 {
 		t.Errorf("sweepsRejected = %d, want >= 1", got)
+	}
+
+	// With the queue full, sweeps that queue nothing are still admitted.
+	misses := srv.metrics.cacheMisses.Load()
+	for _, spec := range []string{hits, held} {
+		sv := postSweep(t, ts, spec)
+		if n := len(sv.Cells); n != 2 {
+			t.Errorf("sweep %s: %d cells, want 2", spec, n)
+		}
+	}
+	if got := srv.metrics.cacheMisses.Load(); got != misses {
+		t.Errorf("queue-free sweeps simulated cells: misses %d -> %d", misses, got)
+	}
+	if got := srv.metrics.cacheHits.Load(); got != 2 {
+		t.Errorf("cacheHits = %d, want 2", got)
 	}
 }

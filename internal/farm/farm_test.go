@@ -3,6 +3,7 @@ package farm
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -269,6 +270,78 @@ func TestConcurrentSweepsCoalesce(t *testing.T) {
 		t.Errorf("coalesced+hits = %d, want 4 (duplicate cells must not re-simulate)", dup)
 	}
 	admissionInvariant(t, srv)
+}
+
+// TestPanickedCellNotCached: a cell whose simulation panicked is returned
+// to its sweep as failed but is not cached, so resubmitting it simulates it
+// again; a deterministic failure is cached like any other result.
+func TestPanickedCellNotCached(t *testing.T) {
+	srv, ts := newTestFarm(t, Config{Jobs: 1})
+	srv.runCell = func(k CellKey) *CellResult {
+		if k.App == "FFT" {
+			panic("wedged")
+		}
+		return &CellResult{Err: "bench: registration failed"}
+	}
+	for i, tc := range []struct {
+		app        string
+		wantMisses int64
+		wantErr    string
+	}{
+		{"FFT", 1, "farm: cell panicked: wedged"},
+		{"FFT", 2, "farm: cell panicked: wedged"},
+		{"OCEAN", 3, "bench: registration failed"},
+		{"OCEAN", 3, "bench: registration failed"},
+	} {
+		sv := waitSweep(t, ts, postSweep(t, ts,
+			`{"apps":["`+tc.app+`"],"procs":[32],"backends":["genima"],"scale":"test"}`).ID)
+		c := sv.Cells[0]
+		if c.Status != CellFailed || c.Result == nil || c.Result.Err != tc.wantErr {
+			t.Errorf("sweep %d: cell %s, result %+v; want failed with %q", i, c.Status, c.Result, tc.wantErr)
+		}
+		if got := srv.metrics.cacheMisses.Load(); got != tc.wantMisses {
+			t.Errorf("sweep %d (%s): cacheMisses = %d, want %d", i, tc.app, got, tc.wantMisses)
+		}
+	}
+	admissionInvariant(t, srv)
+	terminalInvariant(t, srv)
+}
+
+// TestConcurrentViews renders every view while cells complete: clients
+// submit overlapping sweeps, follow their streams live and poll sweeps and
+// cells, so rendering outside s.mu races simulations, completions and the
+// first encoding of a result stored unencoded (run it under -race).
+func TestConcurrentViews(t *testing.T) {
+	srv, ts := newTestFarm(t, Config{Jobs: 2})
+	srv.runCell = func(k CellKey) *CellResult {
+		time.Sleep(time.Millisecond)
+		return &CellResult{Counters: map[string]int64{"faults": int64(k.Procs)}}
+	}
+	stored := strings.Repeat("ef", 32)
+	srv.cache.Put(stored, &CellResult{Key: stored, Counters: map[string]int64{"diffs": 1}})
+	done := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		go func(g int) {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < 5; i++ {
+				kind := [...]string{"fig5", "counters"}[g%2]
+				sv := postSweep(t, ts, fmt.Sprintf(
+					`{"kind":%q,"apps":["FFT","LU"],"procs":[1,%d],"backends":["genima"],"scale":"test"}`, kind, 2+i))
+				_, stream := getBody(t, ts, "/v1/sweeps/"+sv.ID+"/stream")
+				if !bytes.Contains(stream, []byte("event: sweep")) {
+					t.Errorf("stream of %s has no sweep event", sv.ID)
+				}
+				getBody(t, ts, "/v1/sweeps/"+sv.ID)
+				getBody(t, ts, "/v1/cells/"+sv.Cells[0].Key)
+				getBody(t, ts, "/v1/cells/"+stored)
+			}
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		<-done
+	}
+	admissionInvariant(t, srv)
+	terminalInvariant(t, srv)
 }
 
 // TestStreamFormats: the progress stream replays every cell transition and

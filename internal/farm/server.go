@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,10 +29,11 @@ type Config struct {
 	// CacheEntries bounds the content-addressed result cache (default
 	// 4096 entries, LRU eviction).
 	CacheEntries int
-	// MaxQueue bounds admitted-but-unstarted simulations; a sweep that
-	// would push the queue past it is refused with a retriable 503, and a
-	// sweep of more than MaxQueue cells, which could never fit, with a
-	// non-retriable 413 (default 65536).
+	// MaxQueue bounds admitted-but-unstarted simulations; a sweep whose
+	// new simulations would push the queue past it is refused with a
+	// retriable 503 (cache hits and duplicates of in-flight cells add
+	// none), and a sweep of more than MaxQueue cells, which could never
+	// fit, with a non-retriable 413 (default 65536).
 	MaxQueue int
 	// Logger receives one structured record per handled HTTP request
 	// (request id, method, route, status, duration) plus sweep-lifecycle
@@ -63,6 +65,27 @@ const (
 	CellRejected = "rejected" // drained before starting; retriable elsewhere/later
 )
 
+// cellStatus is a cell's state inside the server; statusNames gives each
+// its wire name.
+type cellStatus uint8
+
+const (
+	statQueued cellStatus = iota
+	statRunning
+	statDone
+	statFailed
+	statRejected
+	numStatuses
+)
+
+var statusNames = [numStatuses]string{CellQueued, CellRunning, CellDone, CellFailed, CellRejected}
+
+func (st cellStatus) String() string { return statusNames[st] }
+
+// hasResult reports whether a cell at st carries its result: it completed,
+// as opposed to waiting or being rejected by a drain.
+func (st cellStatus) hasResult() bool { return st == statDone || st == statFailed }
+
 // Server is one farm instance: a worker pool, a content-addressed result
 // cache, the sweep registry, and the drain state machine.  Create with New,
 // mount Handler on an http.Server, call Drain (or DrainOnSignal) to stop.
@@ -90,22 +113,25 @@ type Server struct {
 type sweep struct {
 	id        string
 	spec      Spec
-	refs      []*cellRef
-	remaining int           // cells not yet terminal
-	events    []streamEvent // progress log, replayed by /stream
-	notify    chan struct{} // closed+rotated on every event append
+	refs      []cellRef
+	remaining int     // cells not yet terminal
+	events    []event // progress log, rendered by /stream as it replays
+	// notify is made by a stream waiting for the next event, and closed
+	// and cleared when one is appended.
+	notify chan struct{}
 }
 
 // cellRef is one cell slot of one sweep.  Several refs (across sweeps) may
-// subscribe to the same flight.
+// subscribe to the same flight.  A rejected cell is always retriable: only
+// a drain rejects.
 type cellRef struct {
-	sw        *sweep
-	key       CellKey
-	hash      string
-	status    string
-	cached    bool
-	retriable bool
-	res       *CellResult
+	sw     *sweep
+	key    CellKey
+	hash   string
+	res    *CellResult // set when the cell completes, before its status
+	idx    int32       // position in sw.refs
+	status cellStatus
+	cached bool
 }
 
 // flight is one in-flight simulation: the single execution every identical
@@ -117,10 +143,12 @@ type flight struct {
 	subs    []*cellRef
 }
 
-// streamEvent is one pre-rendered progress event.
-type streamEvent struct {
-	kind string // "cell" or "sweep"
-	data []byte // JSON payload
+// event is one progress record: the sweep's cell entered status.  The
+// stream renders it when it writes it; the terminal sweep event follows
+// the last record and is rendered from the sweep's final state.
+type event struct {
+	cell   int32
+	status cellStatus
 }
 
 // New creates a farm server and starts its worker pool.
@@ -197,8 +225,7 @@ func (s *Server) Drain() {
 			continue // completed between pool drain and here
 		}
 		for _, ref := range f.subs {
-			ref.retriable = true
-			s.completeRef(ref, CellRejected, nil)
+			s.completeRef(ref, statRejected, nil)
 			s.metrics.cellsRejected.Add(1)
 		}
 		delete(s.inflight, hash)
@@ -325,6 +352,8 @@ func runCellSim(k CellKey) *CellResult {
 	cr.Degraded = cr.Injected > 0 && r.Err == nil
 	if r.Err != nil {
 		cr.Err = r.Err.Error()
+		var pe *bench.PanicError
+		cr.panicked = errors.As(r.Err, &pe)
 	}
 	return cr
 }
@@ -365,6 +394,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cells := spec.Cells()
+	hashes := make([]string, len(cells))
+	for i, k := range cells {
+		hashes[i] = k.Hash()
+	}
 
 	s.mu.Lock()
 	if s.draining {
@@ -373,7 +406,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is draining", true)
 		return
 	}
-	if s.metrics.queueDepth.Load()+int64(len(cells)) > int64(s.cfg.MaxQueue) {
+	// Only the cells that start a simulation count against the queue bound:
+	// a hit or a duplicate of an in-flight cell queues nothing.  The cache
+	// and the in-flight map change only under s.mu, so the count is exact.
+	hits := make([]*CellResult, len(cells))
+	var fresh map[string]bool
+	for i, h := range hashes {
+		if res, ok := s.cache.Get(h); ok {
+			hits[i] = res
+		} else if _, ok := s.inflight[h]; !ok && !fresh[h] {
+			if fresh == nil {
+				fresh = make(map[string]bool)
+			}
+			fresh[h] = true
+		}
+	}
+	if s.metrics.queueDepth.Load()+int64(len(fresh)) > int64(s.cfg.MaxQueue) {
 		s.metrics.sweepsRejected.Add(1)
 		s.mu.Unlock()
 		writeError(w, http.StatusServiceUnavailable, "queue is full", true)
@@ -382,17 +430,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.nextID++
 	sw := &sweep{
-		id:     fmt.Sprintf("s%06d", s.nextID),
-		spec:   spec,
-		notify: make(chan struct{}),
+		id:        fmt.Sprintf("s%06d", s.nextID),
+		spec:      spec,
+		refs:      make([]cellRef, len(cells)),
+		remaining: len(cells),
+		events:    make([]event, 0, len(cells)),
 	}
 	s.sweeps[sw.id] = sw
-	sw.refs = make([]*cellRef, len(cells))
-	sw.remaining = len(cells)
 	for i, k := range cells {
-		ref := &cellRef{sw: sw, key: k, hash: k.Hash(), status: CellQueued}
-		sw.refs[i] = ref
-		if res, ok := s.cache.Get(ref.hash); ok {
+		ref := &sw.refs[i]
+		*ref = cellRef{sw: sw, key: k, hash: hashes[i], idx: int32(i)}
+		if res := hits[i]; res != nil {
+			if res.Key == ref.hash {
+				ref.hash = res.Key // keep the cache's copy; drop this one
+			}
 			ref.cached = true
 			s.metrics.cacheHits.Add(1)
 			s.completeRef(ref, terminalStatus(res), res)
@@ -401,33 +452,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if f, ok := s.inflight[ref.hash]; ok {
 			f.subs = append(f.subs, ref)
 			if f.started {
-				ref.status = CellRunning
+				ref.status = statRunning
 			}
 			s.metrics.cellsCoalesced.Add(1)
-			s.appendCellEvent(ref)
+			s.appendEvent(ref)
 			continue
 		}
 		f := &flight{key: k, hash: ref.hash, subs: []*cellRef{ref}}
 		s.inflight[ref.hash] = f
 		s.metrics.cacheMisses.Add(1)
-		s.appendCellEvent(ref)
+		s.appendEvent(ref)
 		if err := s.pool.Submit(func() { s.runFlight(f) }); err != nil {
 			// A concurrent drain won the race; reject like any queued cell.
-			ref.retriable = true
-			s.completeRef(ref, CellRejected, nil)
+			s.completeRef(ref, statRejected, nil)
 			s.metrics.cellsRejected.Add(1)
 			delete(s.inflight, ref.hash)
 		}
 	}
 	s.metrics.sweeps.Add(1)
 	s.metrics.cellsAdmitted.Add(int64(len(cells)))
-	body := s.sweepViewLocked(sw)
+	snap := snapshot(sw, true)
 	s.mu.Unlock()
 
 	s.logger.Info("sweep accepted",
 		"sweep", sw.id, "cells", len(cells),
-		"cached", body.Counts["cached"], "kind", spec.Kind)
-	writeJSON(w, http.StatusAccepted, body)
+		"cached", snap.cached, "kind", spec.Kind)
+	writeBody(w, http.StatusAccepted, appendSweep(nil, sw, &snap))
 }
 
 // runFlight is the pool job for one fresh simulation.
@@ -435,28 +485,33 @@ func (s *Server) runFlight(f *flight) {
 	s.mu.Lock()
 	f.started = true
 	for _, ref := range f.subs {
-		ref.status = CellRunning
-		s.appendCellEvent(ref)
+		ref.status = statRunning
+		s.appendEvent(ref)
 	}
 	s.mu.Unlock()
 
 	start := time.Now()
 	var res *CellResult
 	if err := bench.Isolate(func() { res = s.runCell(f.key) }); err != nil {
-		res = &CellResult{Err: "farm: cell " + err.Error()}
+		res = &CellResult{Err: "farm: cell " + err.Error(), panicked: true}
 	}
 	res.Key = f.hash
 	res.Canonical = f.key.Canonical()
 	res.HostNS = time.Since(start).Nanoseconds()
+	// Encode once, outside the lock: every view of this cell, for every
+	// sweep that holds it, serves these bytes.
+	res.encode()
+	status := terminalStatus(res)
 	// Fresh completions (and only fresh completions — cache hits and
 	// coalesced subscribers share this one execution) feed the run-latency
 	// histogram.
-	s.metrics.observeCell(f.key, terminalStatus(res), float64(res.HostNS)/1e9)
+	s.metrics.observeCell(f.key, status.String(), float64(res.HostNS)/1e9)
 
 	s.mu.Lock()
-	s.cache.Put(f.hash, res)
+	if !res.panicked {
+		s.cache.Put(f.hash, res)
+	}
 	delete(s.inflight, f.hash)
-	status := terminalStatus(res)
 	for _, ref := range f.subs {
 		s.completeRef(ref, status, res)
 	}
@@ -464,130 +519,37 @@ func (s *Server) runFlight(f *flight) {
 }
 
 // terminalStatus maps a result to its cell status.
-func terminalStatus(res *CellResult) string {
+func terminalStatus(res *CellResult) cellStatus {
 	if res.Err != "" {
-		return CellFailed
+		return statFailed
 	}
-	return CellDone
+	return statDone
 }
 
 // completeRef moves one cell to a terminal status, bumps the terminal
-// counters, logs the progress event, and — when it is the sweep's last open
-// cell — logs the sweep-terminal event.  Callers hold s.mu.
-func (s *Server) completeRef(ref *cellRef, status string, res *CellResult) {
-	ref.status = status
+// counters and logs the progress event.  Callers hold s.mu.
+func (s *Server) completeRef(ref *cellRef, status cellStatus, res *CellResult) {
 	ref.res = res
+	ref.status = status
 	switch status {
-	case CellDone:
+	case statDone:
 		s.metrics.cellsDone.Add(1)
-	case CellFailed:
+	case statFailed:
 		s.metrics.cellsFailed.Add(1)
 	}
-	s.appendCellEvent(ref)
 	ref.sw.remaining--
-	if ref.sw.remaining == 0 {
-		data, _ := json.Marshal(s.sweepSummaryLocked(ref.sw))
-		ref.sw.events = append(ref.sw.events, streamEvent{kind: "sweep", data: data})
+	s.appendEvent(ref)
+}
+
+// appendEvent logs ref's current status and wakes the sweep's waiting
+// stream, if any.  Callers hold s.mu.
+func (s *Server) appendEvent(ref *cellRef) {
+	sw := ref.sw
+	sw.events = append(sw.events, event{cell: ref.idx, status: ref.status})
+	if sw.notify != nil {
+		close(sw.notify)
+		sw.notify = nil
 	}
-}
-
-// appendCellEvent logs one progress event for ref and wakes the sweep's
-// stream watchers.  Callers hold s.mu.
-func (s *Server) appendCellEvent(ref *cellRef) {
-	data, _ := json.Marshal(s.cellViewLocked(ref))
-	ref.sw.events = append(ref.sw.events, streamEvent{kind: "cell", data: data})
-	close(ref.sw.notify)
-	ref.sw.notify = make(chan struct{})
-}
-
-// ---- JSON views ----
-
-// cellView is the wire form of one sweep cell.  Sweep carries the owning
-// sweep's id so every SSE/NDJSON progress event is self-identifying — a
-// client multiplexing several streams can attribute each event without
-// tracking which connection it arrived on.
-type cellView struct {
-	Sweep     string      `json:"sweep"`
-	Key       string      `json:"key"`
-	App       string      `json:"app"`
-	Procs     int         `json:"procs"`
-	Backend   string      `json:"backend"`
-	Status    string      `json:"status"`
-	Cached    bool        `json:"cached"`
-	Retriable bool        `json:"retriable,omitempty"`
-	Result    *CellResult `json:"result,omitempty"`
-}
-
-// sweepView is the wire form of one sweep.
-type sweepView struct {
-	ID     string         `json:"id"`
-	Spec   Spec           `json:"spec"`
-	Status string         `json:"status"`
-	Counts map[string]int `json:"counts"`
-	Cells  []cellView     `json:"cells"`
-}
-
-// sweepSummary is the wire form used by the list endpoint and the terminal
-// stream event.
-type sweepSummary struct {
-	ID     string         `json:"id"`
-	Status string         `json:"status"`
-	Counts map[string]int `json:"counts"`
-}
-
-// cellViewLocked renders one cell; kind=counters sweeps include the counter
-// snapshot, other kinds serve the result without it.  Callers hold s.mu.
-func (s *Server) cellViewLocked(ref *cellRef) cellView {
-	v := cellView{
-		Sweep: ref.sw.id,
-		Key:   ref.hash, App: ref.key.App, Procs: ref.key.Procs, Backend: ref.key.Backend,
-		Status: ref.status, Cached: ref.cached, Retriable: ref.retriable,
-	}
-	if ref.res != nil {
-		res := *ref.res
-		if ref.sw.spec.Kind != "counters" {
-			res.Counters = nil
-		}
-		v.Result = &res
-	}
-	return v
-}
-
-// sweepStatusLocked derives the sweep status.  Callers hold s.mu.
-func (s *Server) sweepStatusLocked(sw *sweep) (status string, counts map[string]int) {
-	counts = map[string]int{}
-	cached := 0
-	for _, ref := range sw.refs {
-		counts[ref.status]++
-		if ref.cached {
-			cached++
-		}
-	}
-	counts["cached"] = cached
-	switch {
-	case sw.remaining > 0:
-		status = "running"
-	case counts[CellRejected] > 0:
-		status = "drained"
-	default:
-		status = "done"
-	}
-	return status, counts
-}
-
-func (s *Server) sweepSummaryLocked(sw *sweep) sweepSummary {
-	status, counts := s.sweepStatusLocked(sw)
-	return sweepSummary{ID: sw.id, Status: status, Counts: counts}
-}
-
-func (s *Server) sweepViewLocked(sw *sweep) sweepView {
-	status, counts := s.sweepStatusLocked(sw)
-	v := sweepView{ID: sw.id, Spec: sw.spec, Status: status, Counts: counts,
-		Cells: make([]cellView, len(sw.refs))}
-	for i, ref := range sw.refs {
-		v.Cells[i] = s.cellViewLocked(ref)
-	}
-	return v
 }
 
 // ---- read endpoints ----
@@ -631,12 +593,19 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	out := make([]sweepSummary, len(ids))
+	snaps := make([]sweepSnap, len(ids))
 	for i, id := range ids {
-		out[i] = s.sweepSummaryLocked(s.sweeps[id])
+		snaps[i] = snapshot(s.sweeps[id], false)
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"sweeps": out})
+	b := []byte(`{"sweeps":[`)
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendSummary(b, id, &snaps[i])
+	}
+	writeBody(w, http.StatusOK, append(b, "]}\n"...))
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -647,9 +616,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown sweep", false)
 		return
 	}
-	body := s.sweepViewLocked(sw)
+	snap := snapshot(sw, true)
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, body)
+	writeBody(w, http.StatusOK, appendSweep(nil, sw, &snap))
 }
 
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
@@ -658,7 +627,8 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown or evicted cell", false)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	// Clip so the newline lands in a copy, never in the shared bytes.
+	writeBody(w, http.StatusOK, append(slices.Clip(res.encoded(true)), '\n'))
 }
 
 // handleStream replays a sweep's progress log and follows it live: SSE
@@ -683,21 +653,37 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
+	var buf []byte
 	idx := 0
 	for {
 		s.mu.Lock()
-		events := append([]streamEvent(nil), sw.events[idx:]...)
+		// Records below len(sw.events) are never written again, so this
+		// slice is safe to read once the lock is released.
+		events := sw.events[idx:]
 		idx = len(sw.events)
 		done := sw.remaining == 0
+		var snap sweepSnap
+		if done {
+			snap = snapshot(sw, false)
+		} else if sw.notify == nil {
+			sw.notify = make(chan struct{})
+		}
 		notify := sw.notify
 		s.mu.Unlock()
 
+		buf = buf[:0]
 		for _, ev := range events {
-			if ndjson {
-				fmt.Fprintf(w, `{"event":%q,"data":%s}`+"\n", ev.kind, ev.data)
-			} else {
-				fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.kind, ev.data)
-			}
+			buf = openFrame(buf, "cell", ndjson)
+			buf = appendCell(buf, &sw.refs[ev.cell], ev.status)
+			buf = closeFrame(buf, ndjson)
+		}
+		if done {
+			buf = openFrame(buf, "sweep", ndjson)
+			buf = appendSummary(buf, sw.id, &snap)
+			buf = closeFrame(buf, ndjson)
+		}
+		if _, err := w.Write(buf); err != nil {
+			return // the client went away
 		}
 		if flusher != nil {
 			flusher.Flush()
@@ -715,11 +701,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 // ---- helpers ----
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// writeBody sends an already rendered JSON body.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_, _ = w.Write(body) // a write fails only when the client has gone
+}
+
+// writeJSON sends v as a json.Encoder would.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, _ := json.Marshal(v) // the callers' maps of strings and bools always encode
+	writeBody(w, code, append(b, '\n'))
 }
 
 // writeError renders the uniform error body; retriable errors additionally

@@ -1,7 +1,11 @@
 package farm
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"sync"
@@ -121,4 +125,55 @@ func TestServeSoak(t *testing.T) {
 	}
 	ts.Close()
 	waitGoroutines(t, base)
+}
+
+// TestHitSweepRetention bounds what the farm keeps per served sweep, as the
+// benchmark probe's farm.retained_kb_per_sweep measures it: after a
+// prefill, 300 all-hit sweeps of 40 real test-scale cells, each POSTed and
+// its NDJSON stream read, may grow the collected heap by at most 16 KB
+// apiece.  A sweep keeps status records, not rendered bytes.
+func TestHitSweepRetention(t *testing.T) {
+	srv := New(Config{Jobs: 2})
+	defer srv.Drain()
+	h := srv.Handler()
+	spec := []byte(`{"apps":["FFT","LU","OCEAN","RADIX"],"scale":"test"}`)
+	sweep := func() {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sweeps", bytes.NewReader(spec)))
+		var sv struct {
+			ID    string     `json:"id"`
+			Cells []struct{} `json:"cells"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &sv); w.Code != http.StatusAccepted || err != nil || len(sv.Cells) != 40 {
+			t.Fatalf("POST /v1/sweeps: %d, %d cells, %v", w.Code, len(sv.Cells), err)
+		}
+		w = httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+sv.ID+"/stream?format=ndjson", nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET stream: %d", w.Code)
+		}
+	}
+	sweep() // the prefill: the stream returns once every cell is done
+
+	const sweeps = 300
+	var ms0, ms1 runtime.MemStats
+	// Two collections empty the sync.Pool victim caches the prefill's
+	// simulations filled.
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < sweeps; i++ {
+		sweep()
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms1)
+	kb := (float64(ms1.HeapAlloc) - float64(ms0.HeapAlloc)) / sweeps / 1024
+	t.Logf("retained %.1f KB per 40-cell hit sweep", kb)
+	if kb > 16 {
+		t.Errorf("retained %.1f KB per hit sweep, want <= 16", kb)
+	}
+	if misses := srv.metrics.cacheMisses.Load(); misses != 40 {
+		t.Errorf("cacheMisses = %d, want 40 (every repeat a hit)", misses)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 
 	"cables/internal/bench"
 	"cables/internal/coherence"
@@ -175,13 +176,36 @@ const cacheSchema = "cables-farm-v3"
 // cache address: a fixed field order, every field present (defaults
 // included), prefixed by the schema version.
 func (k CellKey) Canonical() string {
-	return fmt.Sprintf("%s|app=%s|procs=%d|backend=%s|scale=%s|gran=%d|contended=%t|plan=%s|seed=%d|protocol=%s",
-		cacheSchema, k.App, k.Procs, k.Backend, k.Scale, k.Gran,
-		k.ContendedSync, k.Plan, k.Seed, k.Protocol)
+	return string(k.appendCanonical(make([]byte, 0, 128)))
+}
+
+// appendCanonical appends Canonical's bytes to b.  It runs for every cell
+// of every submitted sweep, so it builds the string with strconv appends
+// rather than fmt.
+func (k CellKey) appendCanonical(b []byte) []byte {
+	b = append(b, cacheSchema+"|app="...)
+	b = append(b, k.App...)
+	b = append(b, "|procs="...)
+	b = strconv.AppendInt(b, int64(k.Procs), 10)
+	b = append(b, "|backend="...)
+	b = append(b, k.Backend...)
+	b = append(b, "|scale="...)
+	b = append(b, k.Scale...)
+	b = append(b, "|gran="...)
+	b = strconv.AppendInt(b, int64(k.Gran), 10)
+	b = append(b, "|contended="...)
+	b = strconv.AppendBool(b, k.ContendedSync)
+	b = append(b, "|plan="...)
+	b = append(b, k.Plan...)
+	b = append(b, "|seed="...)
+	b = strconv.AppendUint(b, k.Seed, 10)
+	b = append(b, "|protocol="...)
+	return append(b, k.Protocol...)
 }
 
 // Hash returns the cell's content address: the hex SHA-256 of Canonical().
 func (k CellKey) Hash() string {
-	sum := sha256.Sum256([]byte(k.Canonical()))
+	var buf [160]byte
+	sum := sha256.Sum256(k.appendCanonical(buf[:0]))
 	return hex.EncodeToString(sum[:])
 }
