@@ -38,7 +38,7 @@ race:
 
 # A cell is a pure function of its spec: the determinism tests compare
 # repeated runs with ==, 20 times over, on one and on two host threads.
-DETERMINISM_TESTS = TestHarnessDeterminism|TestSchedulerJobsDeterminism|TestTable4And5Reproducible|TestRepeatRunStableUnderGOMAXPROCS|TestProtocolDeterminism|TestProfilerInvariance
+DETERMINISM_TESTS = TestHarnessDeterminism|TestSchedulerJobsDeterminism|TestTable4And5Reproducible|TestRepeatRunStableUnderGOMAXPROCS|TestProtocolDeterminism|TestProfilerInvariance|TestFaultDeterminismPinned|TestFaultsDisabledBitIdentical
 
 determinism:
 	GOMAXPROCS=1 $(GO) test -count=20 -run '$(DETERMINISM_TESTS)' ./internal/bench/

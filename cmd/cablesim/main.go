@@ -176,11 +176,11 @@ func main() {
 		bench.Fig5(w, data, procList)
 	case "fig6":
 		data := bench.RunFig5(appList, procList, sc, costs, cell, *jobs)
-		bench.Fig6(w, data, procList)
+		bench.Fig6(w, data, procList, costs)
 	case "fig5+6":
 		data := bench.RunFig5(appList, procList, sc, costs, cell, *jobs)
 		bench.Fig5(w, data, procList)
-		bench.Fig6(w, data, procList)
+		bench.Fig6(w, data, procList, costs)
 	case "protocols":
 		p := 8
 		if len(procList) > 0 {
@@ -192,14 +192,14 @@ func main() {
 	case "counters":
 		runCounters(w, appList, procList, sc, costs, cell, *jobs, *profileOn, *top)
 	case "profile":
-		cells := bench.RunProfile(w, appList, procList, sc, costs, cell, *jobs, *top)
+		runs := bench.RunProfile(w, appList, procList, sc, costs, cell, *jobs, *top)
 		if *out != "" {
 			f, err := os.Create(*out)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "cablesim: profile: %v\n", err)
 				os.Exit(1)
 			}
-			werr := profile.WriteTrace(f, bench.TraceCells(cells))
+			werr := profile.WriteTrace(f, bench.TraceCells(runs))
 			if cerr := f.Close(); werr == nil {
 				werr = cerr
 			}
@@ -209,8 +209,8 @@ func main() {
 			}
 			fmt.Fprintf(w, "wrote %s\n", *out)
 		}
-		for i := range cells {
-			if cells[i].Err != nil {
+		for _, r := range runs {
+			if r.Err != nil {
 				os.Exit(1)
 			}
 		}
@@ -252,11 +252,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "cablesim: %v\n", err)
 			os.Exit(2)
 		}
+		cell.Plan, cell.Seed = plan, *seed
 		profTop := 0
 		if *profileOn {
 			profTop = *top
 		}
-		bench.RunFaults(w, plan, *seed, appList, procList, sc, costs, cell, *jobs, profTop)
+		bench.RunFaults(w, appList, procList, sc, costs, cell, *jobs, profTop)
 	case "all":
 		bench.Table3(w)
 		bench.Table4(w)
@@ -264,7 +265,7 @@ func main() {
 		bench.Table6(w, sc, *jobs)
 		data := bench.RunFig5(appList, procList, sc, costs, cell, *jobs)
 		bench.Fig5(w, data, procList)
-		bench.Fig6(w, data, procList)
+		bench.Fig6(w, data, procList, costs)
 		bench.Limits(w)
 	default:
 		usage()
@@ -274,10 +275,10 @@ func main() {
 
 // runCounters runs applications on both backends and dumps the system
 // event counters — the protocol-level profile behind the figures.  Cells
-// run up to jobs at a time; each cell renders its block into a slot and the
-// blocks print in the original sequential order.  With profileOn, each run
-// also carries the virtual-time profiler and its profile block (top rows
-// per table) is appended.  Every cell is configured by o.
+// run up to jobs at a time and their blocks print in grid order.  With
+// profileOn, each run also carries the virtual-time profiler and its
+// profile block (top rows per table) is appended.  Every cell is
+// configured by o.
 func runCounters(w *os.File, apps []string, procs []int, sc bench.Scale, costs *sim.Costs, o bench.CellOptions, jobs int, profileOn bool, top int) {
 	// A non-genima protocol is labeled on every block so sweep output under
 	// different protocols stays distinguishable.
@@ -291,40 +292,16 @@ func runCounters(w *os.File, apps []string, procs []int, sc bench.Scale, costs *
 	if len(procs) == 0 {
 		procs = []int{8}
 	}
-	type spec struct {
-		app     string
-		procs   int
-		backend string
-	}
-	var specs []spec
-	for _, app := range apps {
-		for _, p := range procs {
-			for _, backend := range []string{bench.BackendGenima, bench.BackendCables} {
-				specs = append(specs, spec{app, p, backend})
-			}
-		}
-	}
-	blocks := make([]string, len(specs))
-	errs := bench.RunCells(jobs, len(specs), func(i int) {
-		s := specs[i]
-		r := bench.RunCell(s.app, s.backend, s.procs, sc, costs, o, bench.Attach{Profiler: profileOn})
+	runs := bench.Sweep(bench.Grid(apps, procs, o), sc, costs, bench.Attach{Profiler: profileOn}, jobs)
+	for _, r := range runs {
 		if r.Err != nil {
-			blocks[i] = fmt.Sprintf("%s/%s p=%d: FAILED: %v\n", s.app, s.backend, s.procs, r.Err)
-			return
-		}
-		block := fmt.Sprintf("%s%s\n  %s\n", r.Res, label, r.Ctr)
-		if r.Prof != nil {
-			block += bench.ProfileBlock(profile.Build(r.Prof.Logs()), r.Prof.Epochs.Windows(), top)
-		}
-		blocks[i] = block
-	})
-	for i, b := range blocks {
-		if errs[i] != nil {
-			fmt.Fprintf(w, "%s/%s p=%d: FAILED: %v\n",
-				specs[i].app, specs[i].backend, specs[i].procs, errs[i])
+			fmt.Fprintf(w, "%s: FAILED: %v\n", r.Label(), r.Err)
 			continue
 		}
-		fmt.Fprint(w, b)
+		fmt.Fprintf(w, "%s%s\n  %s\n", r.Res, label, r.Ctr)
+		if r.Prof != nil {
+			fmt.Fprint(w, bench.ProfileBlock(profile.Build(r.Prof.Logs()), r.Prof.Epochs.Windows(), top))
+		}
 	}
 }
 

@@ -18,9 +18,29 @@ func TestFig5AndFig6Formatting(t *testing.T) {
 		!strings.Contains(f5, "cables") {
 		t.Errorf("fig5 table malformed:\n%s", f5)
 	}
-	f6 := Fig6(io.Discard, data, procs).String()
+	f6 := Fig6(io.Discard, data, procs, nil).String()
 	if !strings.Contains(f6, "FFT") || !strings.Contains(f6, "%") {
 		t.Errorf("fig6 table malformed:\n%s", f6)
+	}
+}
+
+// TestFig6TitlesItsGranularity: Figure 6's title names the map-unit
+// granularity its cells ran at — the default 64 KB, or a -gran override.
+func TestFig6TitlesItsGranularity(t *testing.T) {
+	costs := sim.DefaultCosts()
+	costs.MapGranularity = 4 << 10
+	for _, tc := range []struct {
+		costs *sim.Costs
+		want  string
+	}{
+		{nil, "(64 KB map-unit first touch)"},
+		{costs, "(4 KB map-unit first touch)"},
+	} {
+		var b strings.Builder
+		Fig6(&b, nil, []int{4}, tc.costs)
+		if title, _, _ := strings.Cut(b.String(), "\n"); !strings.Contains(title, tc.want) {
+			t.Errorf("title %q, want it to contain %q", title, tc.want)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+
 	"cables/internal/apps/appapi"
 	cables "cables/internal/core"
 	"cables/internal/fault"
@@ -13,7 +15,7 @@ import (
 
 // CellOptions bundles every code-relevant knob one simulation cell can
 // carry beyond (app, backend, procs, scale, costs): the wire plane's opt-in
-// mode, an optional fault injector and the coherence protocol.  It is the
+// mode, an optional fault plan and seed, and the coherence protocol.  It is the
 // only way a cell's configuration reaches the simulator, so a cell is a
 // pure function of its arguments.
 // The zero value reproduces the paper-faithful default cell exactly.
@@ -22,8 +24,10 @@ import (
 type CellOptions struct {
 	// Wire selects the wire plane's opt-in mode (-contended-sync).
 	Wire wire.Options
-	// Fault optionally injects deterministic faults (see internal/fault).
-	Fault *fault.Injector
+	// Plan and Seed build the cell's own fault injector (see
+	// internal/fault); a plan without rules injects nothing.
+	Plan fault.Plan
+	Seed uint64
 	// Protocol names the coherence policy (coherence.Names); empty selects
 	// genima.
 	Protocol string
@@ -37,9 +41,39 @@ type Attach struct {
 	Profiler bool
 }
 
-// CellRun is one cell's outcome: the application result, the run's event
-// counters, and the attached observers (nil unless requested).
+// Cell identifies one simulation cell: an application on a backend at a
+// processor count, configured by Opts.
+type Cell struct {
+	App     string
+	Backend string
+	Procs   int
+	Opts    CellOptions
+}
+
+// Label renders the cell in the harness's usual "APP/backend p=N" shape.
+func (c Cell) Label() string {
+	return fmt.Sprintf("%s/%s p=%d", c.App, c.Backend, c.Procs)
+}
+
+// Grid expands the paper's evaluation grid: every app at every processor
+// count on both systems, genima before cables, each configured by o.
+func Grid(apps []string, procs []int, o CellOptions) []Cell {
+	cells := make([]Cell, 0, len(apps)*len(procs)*2)
+	for _, app := range apps {
+		for _, p := range procs {
+			for _, backend := range []string{BackendGenima, BackendCables} {
+				cells = append(cells, Cell{App: app, Backend: backend, Procs: p, Opts: o})
+			}
+		}
+	}
+	return cells
+}
+
+// CellRun is one cell's outcome: the cell it ran, the application result,
+// the run's event counters, and the attached observers (nil unless
+// requested).
 type CellRun struct {
+	Cell
 	Res  appapi.Result
 	Ctr  *stats.Counters
 	Prof *profile.Profiler
@@ -50,13 +84,17 @@ type CellRun struct {
 // every per-cell option explicit.  It is the single construction point;
 // RunCell uses it, and tests that drive custom workloads call it directly.
 func NewRuntimeOpts(backend string, procs int, arena int64, costs *sim.Costs, o CellOptions) appapi.Runtime {
+	var inj *fault.Injector
+	if len(o.Plan.Rules) > 0 {
+		inj = fault.New(o.Plan, o.Seed)
+	}
 	switch backend {
 	case BackendGenima:
 		return m4.New(m4.Config{Procs: procs, ProcsPerNode: 2, ArenaBytes: arena,
-			Costs: costs, Wire: o.Wire, Fault: o.Fault, Protocol: o.Protocol})
+			Costs: costs, Wire: o.Wire, Fault: inj, Protocol: o.Protocol})
 	case BackendCables:
 		return cables.NewM4(cables.M4Config{Procs: procs, ProcsPerNode: 2, ArenaBytes: arena,
-			Costs: costs, Wire: o.Wire, Fault: o.Fault, Protocol: o.Protocol})
+			Costs: costs, Wire: o.Wire, Fault: inj, Protocol: o.Protocol})
 	default:
 		panic("bench: unknown backend " + backend)
 	}
@@ -71,13 +109,30 @@ func NewRuntimeOpts(backend string, procs int, arena int64, costs *sim.Costs, o 
 // errors, exactly like the paper's OCEAN-at-32 case.
 func RunCell(name, backend string, procs int, scale Scale, costs *sim.Costs, o CellOptions, a Attach) CellRun {
 	rt := NewRuntimeOpts(backend, procs, 256<<20, costs, o)
-	var r CellRun
+	r := CellRun{Cell: Cell{App: name, Backend: backend, Procs: procs, Opts: o}}
 	if a.Profiler {
 		r.Prof = AttachProfiler(rt)
 	}
 	r.Res, r.Err = runAppOn(rt, name, scale)
 	r.Ctr = rt.Cluster().Ctr
 	return r
+}
+
+// Sweep runs cells up to jobs at a time (RunCells) with the observers a
+// attached and returns their runs in cell order.  A cell that panics keeps
+// its Cell and reports the panic as its Err; the rest of the sweep runs on.
+func Sweep(cells []Cell, scale Scale, costs *sim.Costs, a Attach, jobs int) []CellRun {
+	runs := make([]CellRun, len(cells))
+	errs := RunCells(jobs, len(cells), func(i int) {
+		c := cells[i]
+		runs[i] = RunCell(c.App, c.Backend, c.Procs, scale, costs, c.Opts, a)
+	})
+	for i := range runs {
+		if errs[i] != nil {
+			runs[i] = CellRun{Cell: cells[i], Err: errs[i]}
+		}
+	}
+	return runs
 }
 
 // RunAppCell is RunCell with no observers, returning the result and the

@@ -53,12 +53,12 @@ func timelines(prof *profile.Profiler) []taskTimeline {
 // parallel SPLASH kernels legitimately jitter their protocol counters across
 // runs (see parallel_test.go); this workload does not, which is what lets
 // the determinism test demand identical counters and profiler timelines.
-func runSequential(t *testing.T, inj *fault.Injector) (map[string]int64, []taskTimeline, sim.Time) {
+func runSequential(t *testing.T, o CellOptions) (map[string]int64, []taskTimeline, sim.Time) {
 	t.Helper()
 	// The genima backend spreads workers round-robin over the three nodes of
 	// a 6-processor run, so workers 1, 2, 4, 5 take remote page faults and
 	// flush remote diffs — the operations the send/fetch/notify rules target.
-	rt := NewRuntimeOpts(BackendGenima, 6, 64<<20, nil, CellOptions{Fault: inj})
+	rt := NewRuntimeOpts(BackendGenima, 6, 64<<20, nil, o)
 	prof := AttachProfiler(rt)
 	main := rt.Main()
 	acc := rt.Acc()
@@ -95,8 +95,8 @@ func runSequential(t *testing.T, inj *fault.Injector) (map[string]int64, []taskT
 func TestFaultDeterminismPinned(t *testing.T) {
 	const spec = "send:p=0.3;fetch:p=0.3;notify:p=0.3;detach:node=2,at=3ms"
 	plan := fault.MustParsePlan(spec)
-	snap1, tl1, end1 := runSequential(t, fault.New(plan, 42))
-	snap2, tl2, end2 := runSequential(t, fault.New(plan, 42))
+	snap1, tl1, end1 := runSequential(t, CellOptions{Plan: plan, Seed: 42})
+	snap2, tl2, end2 := runSequential(t, CellOptions{Plan: plan, Seed: 42})
 	if !reflect.DeepEqual(snap1, snap2) {
 		t.Errorf("counters differ across identical plan+seed runs:\n%v\n%v", snap1, snap2)
 	}
@@ -113,20 +113,19 @@ func TestFaultDeterminismPinned(t *testing.T) {
 		t.Error("plan never fired; the pin is vacuous")
 	}
 	// A different seed must produce a different run (same plan).
-	snap3, _, _ := runSequential(t, fault.New(plan, 43))
+	snap3, _, _ := runSequential(t, CellOptions{Plan: plan, Seed: 43})
 	if reflect.DeepEqual(snap1, snap3) {
 		t.Error("seed 43 reproduced the seed-42 counters exactly; decisions ignore the seed")
 	}
 }
 
 // TestFaultsDisabledBitIdentical checks the other half of the contract: a
-// nil injector and a plan whose windows never open both charge exactly what
-// the fault-free build charges.
+// cell without a plan (no injector) and a plan whose windows never open
+// both charge exactly what the fault-free build charges.
 func TestFaultsDisabledBitIdentical(t *testing.T) {
-	snapNil, tlNil, endNil := runSequential(t, nil)
+	snapNil, tlNil, endNil := runSequential(t, CellOptions{})
 	neverPlan := fault.MustParsePlan("send:p=1,from=9000s;detach:node=2,at=9000s")
-	inj := fault.New(neverPlan, 1)
-	snapOff, tlOff, endOff := runSequential(t, inj)
+	snapOff, tlOff, endOff := runSequential(t, CellOptions{Plan: neverPlan, Seed: 1})
 	if !reflect.DeepEqual(snapNil, snapOff) {
 		t.Errorf("dormant plan perturbed counters:\n%v\n%v", snapNil, snapOff)
 	}
@@ -134,8 +133,8 @@ func TestFaultsDisabledBitIdentical(t *testing.T) {
 		t.Errorf("dormant plan perturbed the run: timelines equal %v, end %v/%v",
 			reflect.DeepEqual(tlNil, tlOff), endNil, endOff)
 	}
-	if inj.Injected() != 0 {
-		t.Errorf("dormant plan injected %d faults", inj.Injected())
+	if n := snapOff["faultsInjected"]; n != 0 {
+		t.Errorf("dormant plan injected %d faults", n)
 	}
 	if snapNil["faultsInjected"] != 0 {
 		t.Error("fault counters non-zero without faults")
@@ -150,14 +149,13 @@ func TestDetachCompletesDegraded(t *testing.T) {
 	plan := fault.MustParsePlan(spec)
 	for _, app := range []string{"FFT", "OCEAN"} {
 		for _, backend := range []string{BackendGenima, BackendCables} {
-			inj := fault.New(plan, 7)
-			r := RunCell(app, backend, 4, ScaleTest, nil, CellOptions{Fault: inj}, Attach{})
+			r := RunCell(app, backend, 4, ScaleTest, nil, CellOptions{Plan: plan, Seed: 7}, Attach{})
 			res, ctr := r.Res, r.Ctr
 			if r.Err != nil {
 				t.Errorf("%s/%s: FAILED under detach plan: %v", app, backend, r.Err)
 				continue
 			}
-			if inj.Injected() == 0 {
+			if ctr.Load(stats.EvFaultsInjected) == 0 {
 				t.Errorf("%s/%s: plan never fired; not a degradation test", app, backend)
 			}
 			if ctr.Load(stats.EvNodeDetaches) != 1 {
@@ -176,7 +174,7 @@ func TestDetachCompletesDegraded(t *testing.T) {
 func TestRunFaultsRendersDegraded(t *testing.T) {
 	var b strings.Builder
 	plan := fault.MustParsePlan("send:p=0.2;detach:node=1,at=2ms")
-	RunFaults(&b, plan, 7, []string{"FFT"}, []int{4}, ScaleTest, nil, CellOptions{}, 2, 0)
+	RunFaults(&b, []string{"FFT"}, []int{4}, ScaleTest, nil, CellOptions{Plan: plan, Seed: 7}, 2, 0)
 	out := b.String()
 	if strings.Contains(out, "FAILED") {
 		t.Errorf("faulted sweep failed a cell:\n%s", out)
@@ -199,7 +197,8 @@ func TestRunFaultsHonorsCellOptions(t *testing.T) {
 	plan := fault.MustParsePlan("send:p=0.2")
 	injected := func(o CellOptions) int {
 		var b strings.Builder
-		RunFaults(&b, plan, 3, []string{"LU"}, []int{4}, ScaleTest, nil, o, 1, 0)
+		o.Plan, o.Seed = plan, 3
+		RunFaults(&b, []string{"LU"}, []int{4}, ScaleTest, nil, o, 1, 0)
 		n := 0
 		for _, f := range strings.Fields(b.String()) {
 			if v, ok := strings.CutPrefix(f, "faultsInjected="); ok {

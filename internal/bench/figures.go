@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"cables/internal/apps/appapi"
 	cables "cables/internal/core"
@@ -14,82 +15,50 @@ import (
 	"cables/internal/vmmc"
 )
 
-// Fig5Cell is one (app, procs, backend) outcome.
-type Fig5Cell struct {
-	Res appapi.Result
-	Err error
-}
-
-// Fig5Data maps app -> procs -> backend -> outcome.
-type Fig5Data map[string]map[int]map[string]Fig5Cell
-
-// fig5CellSpec identifies one (app, procs, backend) cell of the sweep.
-type fig5CellSpec struct {
-	app     string
-	procs   int
-	backend string
-}
-
-// fig5Cells flattens the sweep into a deterministic cell list.
-func fig5Cells(apps []string, procs []int) []fig5CellSpec {
-	specs := make([]fig5CellSpec, 0, len(apps)*len(procs)*2)
-	for _, app := range apps {
-		for _, p := range procs {
-			for _, backend := range []string{BackendGenima, BackendCables} {
-				specs = append(specs, fig5CellSpec{app, p, backend})
-			}
-		}
-	}
-	return specs
-}
-
 // RunFig5 executes the Figure 5 sweep (every SPLASH-2 application on both
 // systems across the processor counts) with every cell configured by o,
-// and returns the raw results; Fig5 and Fig6 format them.  o.Fault must be
-// nil — an injector carries per-run state (RunFaults builds one per cell).
-// Up to jobs cells run concurrently on the host; each cell is an
-// independent simulation, so the assembled data — keyed by (app, procs,
-// backend) — is identical for any jobs value (jobs <= 1 runs the sweep
-// sequentially).
-func RunFig5(apps []string, procs []int, scale Scale, costs *sim.Costs, o CellOptions, jobs int) Fig5Data {
+// and returns the runs in Grid order; Fig5 and Fig6 format them.  Up to
+// jobs cells run concurrently on the host; each cell is an independent
+// simulation, so the runs are identical for any jobs value (jobs <= 1 runs
+// the sweep sequentially).
+func RunFig5(apps []string, procs []int, scale Scale, costs *sim.Costs, o CellOptions, jobs int) []CellRun {
 	if len(apps) == 0 {
 		apps = AppNames
 	}
 	if len(procs) == 0 {
 		procs = ProcCounts
 	}
-	specs := fig5Cells(apps, procs)
-	cells := make([]Fig5Cell, len(specs))
-	errs := RunCells(jobs, len(specs), func(i int) {
-		r := RunCell(specs[i].app, specs[i].backend, specs[i].procs, scale, costs, o, Attach{})
-		cells[i] = Fig5Cell{Res: r.Res, Err: r.Err}
-	})
-	data := make(Fig5Data)
-	for i, s := range specs {
-		byProcs, ok := data[s.app]
-		if !ok {
-			byProcs = make(map[int]map[string]Fig5Cell)
-			data[s.app] = byProcs
+	return Sweep(Grid(apps, procs, o), scale, costs, Attach{}, jobs)
+}
+
+// runAt returns the run of cell (app, backend, procs), or the zero CellRun
+// when the sweep did not run that cell.
+func runAt(runs []CellRun, app, backend string, procs int) CellRun {
+	for _, r := range runs {
+		if r.App == app && r.Backend == backend && r.Procs == procs {
+			return r
 		}
-		byBackend, ok := byProcs[s.procs]
-		if !ok {
-			byBackend = make(map[string]Fig5Cell)
-			byProcs[s.procs] = byBackend
-		}
-		cell := cells[i]
-		if errs[i] != nil && cell.Err == nil {
-			cell.Err = errs[i] // cell panicked; isolate it, keep the sweep
-		}
-		byBackend[s.backend] = cell
 	}
-	return data
+	return CellRun{}
+}
+
+// sweptApps returns AppNames filtered to the apps runs cover, in AppNames
+// order (the figures' row order).
+func sweptApps(runs []CellRun) []string {
+	var apps []string
+	for _, app := range AppNames {
+		if slices.ContainsFunc(runs, func(r CellRun) bool { return r.App == app }) {
+			apps = append(apps, app)
+		}
+	}
+	return apps
 }
 
 // Fig5 prints the Figure 5 series: execution time of the parallel section
 // for the original SVM system (M4) and for CableS (M4 on pthreads), per
 // processor count.  A registration failure prints as FAILED — the paper's
 // OCEAN-at-32-processors case on the base system.
-func Fig5(w io.Writer, data Fig5Data, procs []int) *stats.Table {
+func Fig5(w io.Writer, runs []CellRun, procs []int) *stats.Table {
 	if len(procs) == 0 {
 		procs = ProcCounts
 	}
@@ -98,15 +67,11 @@ func Fig5(w io.Writer, data Fig5Data, procs []int) *stats.Table {
 		header = append(header, fmt.Sprintf("%dp", p))
 	}
 	tab := stats.NewTable(header...)
-	for _, app := range AppNames {
-		byProcs, ok := data[app]
-		if !ok {
-			continue
-		}
+	for _, app := range sweptApps(runs) {
 		for _, backend := range []string{BackendGenima, BackendCables} {
 			row := []string{app, backend}
 			for _, p := range procs {
-				cell := byProcs[p][backend]
+				cell := runAt(runs, app, backend, p)
 				switch {
 				case cell.Err != nil:
 					row = append(row, "FAILED")
@@ -125,8 +90,9 @@ func Fig5(w io.Writer, data Fig5Data, procs []int) *stats.Table {
 
 // Fig6 prints the Figure 6 series: the percentage of pages CableS places on
 // a different home than the base system's per-page first touch, per
-// application and processor count.
-func Fig6(w io.Writer, data Fig5Data, procs []int) *stats.Table {
+// application and processor count.  costs is the cost table the sweep ran
+// under (nil for the defaults); its map-unit granularity titles the figure.
+func Fig6(w io.Writer, runs []CellRun, procs []int, costs *sim.Costs) *stats.Table {
 	if len(procs) == 0 {
 		procs = ProcCounts
 	}
@@ -135,14 +101,10 @@ func Fig6(w io.Writer, data Fig5Data, procs []int) *stats.Table {
 		header = append(header, fmt.Sprintf("%dp", p))
 	}
 	tab := stats.NewTable(header...)
-	for _, app := range AppNames {
-		byProcs, ok := data[app]
-		if !ok {
-			continue
-		}
+	for _, app := range sweptApps(runs) {
 		row := []string{app}
 		for _, p := range procs {
-			cell := byProcs[p][BackendCables]
+			cell := runAt(runs, app, BackendCables, p)
 			if cell.Err != nil {
 				row = append(row, "FAILED")
 			} else {
@@ -152,9 +114,22 @@ func Fig6(w io.Writer, data Fig5Data, procs []int) *stats.Table {
 		tab.AddRow(row...)
 	}
 	if w != nil {
-		fprintf(w, "Figure 6: %% pages misplaced by CableS (64 KB map-unit first touch)\n%s\n", tab)
+		if costs == nil {
+			costs = sim.DefaultCosts()
+		}
+		fprintf(w, "Figure 6: %% pages misplaced by CableS (%s map-unit first touch)\n%s\n",
+			granString(costs.MapGranularity), tab)
 	}
 	return tab
+}
+
+// granString renders a mapping granularity in bytes as "64 KB" when it is
+// a whole number of KB, else as "N B".
+func granString(gran int) string {
+	if gran%1024 == 0 {
+		return fmt.Sprintf("%d KB", gran/1024)
+	}
+	return fmt.Sprintf("%d B", gran)
 }
 
 // Limits demonstrates Tables 1 and 2: which SAN registration limits bind

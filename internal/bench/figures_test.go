@@ -33,16 +33,14 @@ func TestLimitsTable(t *testing.T) {
 // failure point: OCEAN runs on the base system up to 16 processors and
 // fails at 32; CableS runs everywhere.
 func TestFig5OceanFailsOnlyAt32OnBase(t *testing.T) {
-	data := RunFig5([]string{"OCEAN"}, []int{16, 32}, ScaleTest, nil, CellOptions{}, 2)
-	if err := data["OCEAN"][16][BackendGenima].Err; err != nil {
-		t.Errorf("base OCEAN at 16 procs should run: %v", err)
+	runs := RunFig5([]string{"OCEAN"}, []int{16, 32}, ScaleTest, nil, CellOptions{}, 2)
+	if len(runs) != 4 {
+		t.Fatalf("swept %d cells, want 4", len(runs))
 	}
-	if err := data["OCEAN"][32][BackendGenima].Err; err == nil {
-		t.Error("base OCEAN at 32 procs should fail registration")
-	}
-	for _, p := range []int{16, 32} {
-		if err := data["OCEAN"][p][BackendCables].Err; err != nil {
-			t.Errorf("CableS OCEAN at %d procs should run: %v", p, err)
+	for _, c := range runs {
+		wantFail := c.Backend == BackendGenima && c.Procs == 32
+		if (c.Err != nil) != wantFail {
+			t.Errorf("%s: err %v, want failure %v", c.Label(), c.Err, wantFail)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"maps"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -81,7 +82,7 @@ func TestHarnessDeterminism(t *testing.T) {
 
 	seqData := RunFig5(apps, procs, ScaleTest, nil, CellOptions{}, 1)
 	parData := RunFig5(apps, procs, ScaleTest, nil, CellOptions{}, 4)
-	compareSweeps(t, apps, procs, seqData, parData)
+	compareSweeps(t, seqData, parData)
 
 	// The rendered tables agree on shape: same header, same row labels.
 	shape := func(tab string) []string {
@@ -96,7 +97,7 @@ func TestHarnessDeterminism(t *testing.T) {
 	}
 	seq5 := shape(Fig5(io.Discard, seqData, procs).String())
 	par5 := shape(Fig5(io.Discard, parData, procs).String())
-	if !slicesEqual(seq5, par5) {
+	if !slices.Equal(seq5, par5) {
 		t.Errorf("fig5 row structure differs: %v vs %v", seq5, par5)
 	}
 
@@ -107,50 +108,25 @@ func TestHarnessDeterminism(t *testing.T) {
 	}
 }
 
-// compareSweeps checks a jobs=1 and a jobs=4 run of the same fig5 grid
-// agree: identical error outcomes, checksums, misplaced-page counts and
-// parallel times.
-func compareSweeps(t *testing.T, apps []string, procs []int, seq, par Fig5Data) {
+// compareSweeps checks a jobs=1 and a jobs=4 run of the same grid agree
+// cell by cell: the same cells in the same order, identical error outcomes,
+// and identical results (virtual times, checksums, page placement).
+func compareSweeps(t *testing.T, seq, par []CellRun) {
 	t.Helper()
-	for _, app := range apps {
-		for _, p := range procs {
-			for _, backend := range []string{BackendGenima, BackendCables} {
-				s, q := seq[app][p][backend], par[app][p][backend]
-				if (s.Err == nil) != (q.Err == nil) {
-					t.Errorf("%s/%s p=%d: error outcome differs: jobs=1 %v, jobs=4 %v",
-						app, backend, p, s.Err, q.Err)
-					continue
-				}
-				if s.Err != nil {
-					continue
-				}
-				if s.Res.Checksum != q.Res.Checksum {
-					t.Errorf("%s/%s p=%d: checksum differs: %g vs %g",
-						app, backend, p, s.Res.Checksum, q.Res.Checksum)
-				}
-				if s.Res.Misplaced != q.Res.Misplaced {
-					t.Errorf("%s/%s p=%d: misplaced pages differ: %d vs %d",
-						app, backend, p, s.Res.Misplaced, q.Res.Misplaced)
-				}
-				if s.Res.Parallel != q.Res.Parallel {
-					t.Errorf("%s/%s p=%d: parallel time differs: %v vs %v",
-						app, backend, p, s.Res.Parallel, q.Res.Parallel)
-				}
-			}
+	if len(seq) != len(par) {
+		t.Fatalf("sweeps ran %d and %d cells", len(seq), len(par))
+	}
+	for i := range seq {
+		s, q := seq[i], par[i]
+		switch {
+		case s.Label() != q.Label():
+			t.Errorf("cell %d: %s at jobs=1, %s at jobs=4", i, s.Label(), q.Label())
+		case (s.Err == nil) != (q.Err == nil):
+			t.Errorf("%s: error outcome differs: jobs=1 %v, jobs=4 %v", s.Label(), s.Err, q.Err)
+		case s.Res != q.Res:
+			t.Errorf("%s: result differs:\n%+v\n%+v", s.Label(), s.Res, q.Res)
 		}
 	}
-}
-
-func slicesEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestSchedulerJobsDeterminism: a jobs=1 sweep and a jobs=4 sweep must
@@ -164,7 +140,7 @@ func TestSchedulerJobsDeterminism(t *testing.T) {
 	t.Run("event", func(t *testing.T) {
 		noStalls(t)
 		apps, procs := []string{"FFT"}, []int{1, 4}
-		compareSweeps(t, apps, procs, RunFig5(apps, procs, ScaleTest, nil, CellOptions{}, 1),
+		compareSweeps(t, RunFig5(apps, procs, ScaleTest, nil, CellOptions{}, 1),
 			RunFig5(apps, procs, ScaleTest, nil, CellOptions{}, 4))
 	})
 }
@@ -176,10 +152,9 @@ func TestSchedulerJobsDeterminism(t *testing.T) {
 func raceSmokeColumn(t *testing.T, app string) {
 	t.Helper()
 	noStalls(t)
-	data := RunFig5([]string{app}, []int{4}, ScaleTest, nil, CellOptions{}, 2)
-	for _, backend := range []string{BackendGenima, BackendCables} {
-		if err := data[app][4][backend].Err; err != nil {
-			t.Errorf("%s/%s at 4 procs: %v", app, backend, err)
+	for _, c := range RunFig5([]string{app}, []int{4}, ScaleTest, nil, CellOptions{}, 2) {
+		if c.Err != nil {
+			t.Errorf("%s: %v", c.Label(), c.Err)
 		}
 	}
 }

@@ -45,67 +45,30 @@ func protocolOf(rt appapi.Runtime) *genima.Protocol {
 	return nil
 }
 
-// ProfileCell is one (app, procs, backend) outcome of a profiled sweep.
-type ProfileCell struct {
-	App     string
-	Backend string
-	Procs   int
-	Res     appapi.Result
-	Report  *profile.Report
-	Logs    []*profile.TaskLog
-	Windows []stats.EpochWindow
-	Err     error
-}
-
-// Label renders the cell in the harness's usual "APP/backend p=N" shape.
-func (c *ProfileCell) Label() string {
-	return fmt.Sprintf("%s/%s p=%d", c.App, c.Backend, c.Procs)
-}
-
 // RunProfile runs the profiled sweep (`cablesim profile`): every cell gets
 // a profiler, and its category roll-up, hot-page and lock-contention
 // tables, and per-barrier-epoch counter windows print per cell.  top
 // bounds the hot-page/lock/epoch rows (<=0 means the default 5).  The
-// returned cells carry the task logs for a timeline export
-// (profile.WriteTrace).  Every cell is configured by o.
-func RunProfile(w io.Writer, apps []string, procs []int, scale Scale, costs *sim.Costs, o CellOptions, jobs, top int) []ProfileCell {
+// returned runs carry the profilers for a timeline export (TraceCells).
+// Every cell is configured by o.
+func RunProfile(w io.Writer, apps []string, procs []int, scale Scale, costs *sim.Costs, o CellOptions, jobs, top int) []CellRun {
 	if len(apps) == 0 {
 		apps = AppNames
 	}
 	if len(procs) == 0 {
 		procs = []int{8}
 	}
-	cells := make([]ProfileCell, 0, len(apps)*len(procs)*2)
-	for _, app := range apps {
-		for _, p := range procs {
-			for _, backend := range []string{BackendGenima, BackendCables} {
-				cells = append(cells, ProfileCell{App: app, Backend: backend, Procs: p})
+	runs := Sweep(Grid(apps, procs, o), scale, costs, Attach{Profiler: true}, jobs)
+	if w != nil {
+		for _, c := range runs {
+			if c.Err != nil {
+				fprintf(w, "%s: FAILED: %v\n", c.Label(), c.Err)
+				continue
 			}
+			fprintf(w, "%s\n%s", c.Res, ProfileBlock(profile.Build(c.Prof.Logs()), c.Prof.Epochs.Windows(), top))
 		}
 	}
-	errs := RunCells(jobs, len(cells), func(i int) {
-		c := &cells[i]
-		r := RunCell(c.App, c.Backend, c.Procs, scale, costs, o, Attach{Profiler: true})
-		c.Res, c.Err = r.Res, r.Err
-		c.Logs = r.Prof.Logs()
-		c.Report = profile.Build(c.Logs)
-		c.Windows = r.Prof.Epochs.Windows()
-	})
-	for i := range cells {
-		c := &cells[i]
-		if c.Err == nil && errs[i] != nil {
-			c.Err = errs[i]
-		}
-		if w == nil {
-			continue
-		}
-		if c.Err != nil {
-			fprintf(w, "%s: FAILED: %v\n", c.Label(), c.Err)
-			continue
-		}
-		fprintf(w, "%s\n%s", c.Res, ProfileBlock(c.Report, c.Windows, top))
-	}
-	return cells
+	return runs
 }
 
 // ProfileBlock renders one cell's profile: the per-span-kind category
@@ -177,16 +140,17 @@ func spanCount(r *profile.Report) int {
 	return n
 }
 
-// TraceCells converts profiled sweep cells into the exporter's shape,
-// skipping failed cells.
-func TraceCells(cells []ProfileCell) []profile.TraceCell {
-	out := make([]profile.TraceCell, 0, len(cells))
-	for i := range cells {
-		c := &cells[i]
-		if c.Err != nil || len(c.Logs) == 0 {
+// TraceCells converts profiled sweep runs into the exporter's shape,
+// skipping failed and unprofiled runs.
+func TraceCells(runs []CellRun) []profile.TraceCell {
+	out := make([]profile.TraceCell, 0, len(runs))
+	for _, c := range runs {
+		if c.Err != nil || c.Prof == nil {
 			continue
 		}
-		out = append(out, profile.TraceCell{Label: c.Label(), Logs: c.Logs})
+		if logs := c.Prof.Logs(); len(logs) > 0 {
+			out = append(out, profile.TraceCell{Label: c.Label(), Logs: logs})
+		}
 	}
 	return out
 }

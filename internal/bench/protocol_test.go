@@ -114,29 +114,22 @@ func TestProtocolVariantsRun(t *testing.T) {
 func TestProtocolsTableSmoke(t *testing.T) {
 	apps := []string{"FFT", "RADIX"}
 	protos := coherence.Names()
-	cells := make([]ProtocolCell, len(apps)*len(protos))
-	errs := RunCells(DefaultJobs(), len(cells), func(i int) {
-		app, proto := apps[i/len(protos)], protos[i%len(protos)]
-		c := &cells[i]
-		c.App, c.Protocol = app, proto
-		r := RunCell(app, BackendGenima, 8, ScaleTest, nil, CellOptions{Protocol: proto}, Attach{})
-		c.Res, c.Err = r.Res, r.Err
-		if r.Err == nil {
-			c.Messages = r.Ctr.Load(stats.EvMessagesSent)
-			c.Merges = r.Ctr.Load(stats.EvCommMerges)
-		}
-	})
-	for i, e := range errs {
-		if e != nil || cells[i].Err != nil {
-			t.Fatalf("cell %d (%s/%s): %v %v", i, cells[i].App, cells[i].Protocol, e, cells[i].Err)
+	var cells []Cell
+	for _, app := range apps {
+		for _, proto := range protos {
+			cells = append(cells, Cell{App: app, Backend: BackendGenima, Procs: 8,
+				Opts: CellOptions{Protocol: proto}})
 		}
 	}
-	byApp := map[string]map[string]ProtocolCell{}
-	for _, c := range cells {
-		if byApp[c.App] == nil {
-			byApp[c.App] = map[string]ProtocolCell{}
+	byApp := map[string]map[string]CellRun{}
+	for _, c := range Sweep(cells, ScaleTest, nil, Attach{}, DefaultJobs()) {
+		if c.Err != nil {
+			t.Fatalf("%s under %s: %v", c.Label(), c.Opts.Protocol, c.Err)
 		}
-		byApp[c.App][c.Protocol] = c
+		if byApp[c.App] == nil {
+			byApp[c.App] = map[string]CellRun{}
+		}
+		byApp[c.App][c.Opts.Protocol] = c
 	}
 	for app, row := range byApp {
 		base := row[coherence.ProtoGenima]
@@ -147,9 +140,11 @@ func TestProtocolsTableSmoke(t *testing.T) {
 		}
 	}
 	radix := byApp["RADIX"]
-	if g, c := radix[coherence.ProtoGenima], radix[coherence.ProtoCommutative]; c.Messages >= g.Messages {
-		t.Errorf("commutative did not reduce RADIX messages: %d vs %d under genima", c.Messages, g.Messages)
-	} else if c.Merges == 0 {
+	g := radix[coherence.ProtoGenima].Ctr.Load(stats.EvMessagesSent)
+	c := radix[coherence.ProtoCommutative]
+	if m := c.Ctr.Load(stats.EvMessagesSent); m >= g {
+		t.Errorf("commutative did not reduce RADIX messages: %d vs %d under genima", m, g)
+	} else if c.Ctr.Load(stats.EvCommMerges) == 0 {
 		t.Error("commutative reduced messages without reporting merges")
 	}
 }

@@ -5,11 +5,13 @@
 // benchmarks.
 //
 // Every cell runs through one function, RunCell: its CellOptions carry the
-// cell's whole configuration (wire mode, fault injector, coherence
-// protocol) and its Attach the observer (the profiler).  Beyond
-// the paper's artifacts the harness exposes fault sweeps under a
-// deterministic injection plan (RunFaults — `cablesim faults`, cells
-// render DEGRADED rather than FAILED when the plan fires).
+// cell's whole configuration (wire mode, fault plan and seed, coherence
+// protocol) and its Attach the observer (the profiler).  Every batch sweep
+// runs its Cells through Sweep, which returns one CellRun per cell, and
+// each view (Fig5, Fig6, counters, faults, profile, protocols) renders
+// those runs.  Beyond the paper's artifacts the harness exposes fault
+// sweeps under a deterministic injection plan (RunFaults — `cablesim
+// faults`, cells render DEGRADED rather than FAILED when the plan fires).
 // Independent cells run concurrently on a bounded worker pool (RunCells,
 // `-jobs N`).  Host wall-clock cost is recorded by the repository benchmark
 // (benchmark/, BENCHMARK.json); TestHostCostBudgets bounds the hot paths'

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"cables/internal/apps/appapi"
@@ -83,5 +84,41 @@ func TestWorkloadPanicIsPanicError(t *testing.T) {
 	}
 	if _, err := runAppOn(nil, "NOPE", ScaleTest); err == nil || errors.As(err, &pe) {
 		t.Errorf("unknown app: err %v, want a non-panic error", err)
+	}
+}
+
+// TestSweepKeepsCellOnPanic: Grid orders its cells apps, then procs, then
+// genima before cables; and a cell that panics (an unknown backend panics
+// in NewRuntimeOpts) keeps its Cell and reports the panic as its Err,
+// while its neighbours complete.
+func TestSweepKeepsCellOnPanic(t *testing.T) {
+	var labels []string
+	for _, c := range Grid([]string{"LU", "FFT"}, []int{4, 1}, CellOptions{}) {
+		labels = append(labels, c.Label())
+	}
+	want := []string{
+		"LU/genima p=4", "LU/cables p=4", "LU/genima p=1", "LU/cables p=1",
+		"FFT/genima p=4", "FFT/cables p=4", "FFT/genima p=1", "FFT/cables p=1",
+	}
+	if !slices.Equal(labels, want) {
+		t.Errorf("grid order:\n got %v\nwant %v", labels, want)
+	}
+
+	cells := []Cell{
+		{App: "FFT", Backend: BackendGenima, Procs: 1},
+		{App: "FFT", Backend: "nope", Procs: 1},
+		{App: "FFT", Backend: BackendCables, Procs: 1},
+	}
+	runs := Sweep(cells, ScaleTest, nil, Attach{}, 2)
+	if len(runs) != len(cells) {
+		t.Fatalf("swept %d runs, want %d", len(runs), len(cells))
+	}
+	if r := runs[1]; r.Err == nil || r.Label() != "FFT/nope p=1" {
+		t.Errorf("panicked cell: label %q err %v, want FFT/nope p=1 with an error", r.Label(), r.Err)
+	}
+	for _, i := range []int{0, 2} {
+		if r := runs[i]; r.Err != nil || r.Label() != cells[i].Label() || r.Res.Parallel <= 0 {
+			t.Errorf("neighbour %d: label %q err %v parallel %v", i, r.Label(), r.Err, r.Res.Parallel)
+		}
 	}
 }

@@ -83,15 +83,13 @@ func TestDefaultWireOptionsBitIdentical(t *testing.T) {
 // -contended-sync mode: one fig5 column with sync traffic holding NIC
 // occupancy, under the race detector, on both backends.
 func TestFig5ContendedSyncRaceSmoke(t *testing.T) {
-	data := RunFig5([]string{"FFT"}, []int{4}, ScaleTest, nil,
-		CellOptions{Wire: wire.Options{ContendedSync: true}}, 2)
-	for _, backend := range []string{BackendGenima, BackendCables} {
-		cell := data["FFT"][4][backend]
-		if cell.Err != nil {
-			t.Errorf("FFT/%s at 4 procs: %v", backend, cell.Err)
+	for _, c := range RunFig5([]string{"FFT"}, []int{4}, ScaleTest, nil,
+		CellOptions{Wire: wire.Options{ContendedSync: true}}, 2) {
+		if c.Err != nil {
+			t.Errorf("%s: %v", c.Label(), c.Err)
 		}
-		if cell.Res.Parallel <= 0 {
-			t.Errorf("FFT/%s: implausible parallel time %v", backend, cell.Res.Parallel)
+		if c.Res.Parallel <= 0 {
+			t.Errorf("%s: implausible parallel time %v", c.Label(), c.Res.Parallel)
 		}
 	}
 }

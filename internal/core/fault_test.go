@@ -10,17 +10,16 @@ import (
 	"cables/internal/stats"
 )
 
-func newFaultRT(maxNodes int, plan string, seed uint64) (*cables.Runtime, *fault.Injector) {
-	inj := fault.New(fault.MustParsePlan(plan), seed)
+func newFaultRT(maxNodes int, plan string, seed uint64) *cables.Runtime {
 	rt := cables.New(cables.Config{
 		MaxNodes:       maxNodes,
 		ProcsPerNode:   2,
 		ThreadsPerNode: 1, // force workers onto fresh nodes
 		ArenaBytes:     64 << 20,
-		Fault:          inj,
+		Fault:          fault.New(fault.MustParsePlan(plan), seed),
 	})
 	rt.Start()
-	return rt, inj
+	return rt
 }
 
 // fnvNode mirrors genima's barrier-manager placement hash so the test can
@@ -39,7 +38,7 @@ func fnvNode(name string, nodes int) int {
 // there must re-home on demand — with the data intact — and no new thread
 // may land on the dead node.
 func TestDetachRehomesPagesLocksAndBarriers(t *testing.T) {
-	rt, inj := newFaultRT(2, "detach:node=1,at=5s", 1)
+	rt := newFaultRT(2, "detach:node=1,at=5s", 1)
 	main := rt.Main()
 	acc := rt.Acc()
 	ctr := rt.Cluster().Ctr
@@ -112,7 +111,7 @@ func TestDetachRehomesPagesLocksAndBarriers(t *testing.T) {
 	if got := ctr.Load(stats.EvNodeDetaches); got != 1 {
 		t.Errorf("node detaches: %d, want 1", got)
 	}
-	if inj.Injected() == 0 {
+	if ctr.Load(stats.EvFaultsInjected) == 0 {
 		t.Error("injector saw no injections")
 	}
 
@@ -140,7 +139,7 @@ func TestAttachDelayCharged(t *testing.T) {
 	base.Join(base.Main().Task, worker)
 	baseNow := base.Main().Task.Now()
 
-	rt, inj := newFaultRT(2, "attach:node=1,delay=500ms", 1)
+	rt := newFaultRT(2, "attach:node=1,delay=500ms", 1)
 	worker = rt.Create(rt.Main().Task, func(th *cables.Thread) {})
 	rt.Join(rt.Main().Task, worker)
 	if got, want := rt.Main().Task.Now()-baseNow, 500*sim.Millisecond; got != want {
@@ -149,15 +148,15 @@ func TestAttachDelayCharged(t *testing.T) {
 	if rt.Cluster().Ctr.Load(stats.EvAttachDelays) != 1 {
 		t.Error("attach delay not counted")
 	}
-	if inj.Injected() != 1 {
-		t.Errorf("injected: %d, want 1", inj.Injected())
+	if got := rt.Cluster().Ctr.Load(stats.EvFaultsInjected); got != 1 {
+		t.Errorf("faultsInjected: %d, want 1", got)
 	}
 }
 
 // TestHomePlacementAvoidsDetachedNode checks first-touch placement: a unit
 // first touched after the owner-to-be has detached homes on the master.
 func TestHomePlacementAvoidsDetachedNode(t *testing.T) {
-	rt, _ := newFaultRT(2, "detach:node=1,at=4s", 1)
+	rt := newFaultRT(2, "detach:node=1,at=4s", 1)
 	main := rt.Main()
 	acc := rt.Acc()
 	a, err := rt.Mem().Malloc(main.Task, 128<<10) // two map units

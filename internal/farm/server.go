@@ -18,6 +18,7 @@ import (
 	"cables/internal/bench"
 	"cables/internal/fault"
 	"cables/internal/sim"
+	"cables/internal/stats"
 	"cables/internal/wire"
 )
 
@@ -317,16 +318,20 @@ func (s *Server) withTelemetry(route string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-// runCellSim executes one cell for real: it rebuilds the injector from the
-// canonical plan+seed, applies the granularity override and wire-plane
-// mode, and runs the workload through bench.RunCell.
+// runCellSim executes one cell for real: it parses the canonical plan into
+// the cell's options (the cell builds its injector from plan+seed),
+// applies the granularity override and wire-plane mode, and runs the
+// workload through bench.RunCell.
 func runCellSim(k CellKey) *CellResult {
 	var costs *sim.Costs
 	if k.Gran > 0 {
 		costs = sim.DefaultCosts()
 		costs.MapGranularity = k.Gran
 	}
-	var inj *fault.Injector
+	opt := bench.CellOptions{
+		Protocol: k.Protocol,
+		Wire:     wire.Options{ContendedSync: k.ContendedSync},
+	}
 	if k.Plan != "" {
 		plan, err := fault.ParsePlan(k.Plan)
 		if err != nil {
@@ -334,20 +339,13 @@ func runCellSim(k CellKey) *CellResult {
 			// corrupted key can never crash a worker.
 			return &CellResult{Err: "farm: bad fault plan in cell key: " + err.Error()}
 		}
-		inj = fault.New(plan, k.Seed)
-	}
-	opt := bench.CellOptions{
-		Protocol: k.Protocol,
-		Wire:     wire.Options{ContendedSync: k.ContendedSync},
-		Fault:    inj,
+		opt.Plan, opt.Seed = plan, k.Seed
 	}
 	r := bench.RunCell(k.App, k.Backend, k.Procs, bench.Scale(k.Scale), costs, opt, bench.Attach{})
 	cr := &CellResult{Result: r.Res}
 	if r.Ctr != nil {
 		cr.Counters = r.Ctr.Snapshot()
-	}
-	if inj != nil {
-		cr.Injected = inj.Injected()
+		cr.Injected = r.Ctr.Load(stats.EvFaultsInjected)
 	}
 	cr.Degraded = cr.Injected > 0 && r.Err == nil
 	if r.Err != nil {

@@ -132,8 +132,9 @@ func (s *Spec) Normalize() error {
 func (s Spec) numCells() int { return len(s.Apps) * len(s.Procs) * len(s.Backends) }
 
 // Cells expands the normalized spec into its cell keys in deterministic
-// sweep order: apps outermost, then procs, then backends (the batch CLI's
-// order, so assembled sweep responses line up with the figures).
+// sweep order: apps outermost, then procs, then backends.  The order
+// matches bench.Grid, so assembled sweep responses line up with the batch
+// figures.
 func (s Spec) Cells() []CellKey {
 	cells := make([]CellKey, 0, s.numCells())
 	for _, app := range s.Apps {

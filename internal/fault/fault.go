@@ -17,7 +17,7 @@
 // with ==).
 //
 // Every injection is recorded once, in stats.Counters (EvFaultsInjected
-// plus the per-class event), and in the injector's own tally (Injected).
+// plus the per-class event).
 package fault
 
 import (
@@ -61,8 +61,7 @@ type Injector struct {
 	// two rules of the same kind fire independently.
 	keys []uint64
 
-	ctr   *stats.Counters
-	total int64 // injections observed (DEGRADED detection)
+	ctr *stats.Counters
 
 	// detachSeen[n] flips once when node n's detach is first observed, so
 	// the detach counter records exactly once.
@@ -90,15 +89,6 @@ func (j *Injector) Seed() uint64 { return j.seed }
 // per-class retry/loss events).  Call once during cluster construction.
 func (j *Injector) BindCounters(ctr *stats.Counters) { j.ctr = ctr }
 
-// Injected reports how many faults have fired so far.  The bench harness
-// renders a cell DEGRADED (instead of a bare time) when this is non-zero.
-func (j *Injector) Injected() int64 {
-	if j == nil {
-		return 0
-	}
-	return j.total
-}
-
 // decide is the deterministic coin flip: rule i fires for (src, dst,
 // attempt, now) iff hash(key_i, src, dst, attempt, now) < p.  The hash is
 // SplitMix64 over the mixed arguments, matching sim.RNG's output quality.
@@ -113,10 +103,9 @@ func (j *Injector) decide(i, src, dst, attempt int, now sim.Time, p float64) boo
 	return float64(x>>11)/(1<<53) < p
 }
 
-// note records one injection: bumps the stats counter ev on node and the
-// global injected tally.
+// note records one injection: bumps EvFaultsInjected and the per-class
+// counter ev on node.
 func (j *Injector) note(node int, ev stats.Event) {
-	j.total++
 	if j.ctr != nil {
 		j.ctr.Add(node, stats.EvFaultsInjected, 1)
 		j.ctr.Add(node, ev, 1)
@@ -238,13 +227,12 @@ func (j *Injector) AttachDelay(node int) sim.Time {
 
 // NoteRehome records protocol state (a lock, barrier or page) re-homing
 // from a detached node to node.  The caller bumps the specific
-// EvLockRehomes/EvBarrierRehomes/EvPageRehomes counter; this adds the
-// shared tally.
+// EvLockRehomes/EvBarrierRehomes/EvPageRehomes counter; this adds
+// EvFaultsInjected.
 func (j *Injector) NoteRehome(node int) {
 	if j == nil {
 		return
 	}
-	j.total++
 	if j.ctr != nil {
 		j.ctr.Add(node, stats.EvFaultsInjected, 1)
 	}

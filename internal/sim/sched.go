@@ -37,9 +37,7 @@ var stalls atomic.Int64
 func Stalls() int64 { return stalls.Load() }
 
 // Scheduler is the simulator's thread manager: a virtual-time-ordered run
-// queue — one min-heap per simulated node, a top-level heap over the nodes'
-// earliest entries (the hierarchical run-queue shape of Thibault's flexible
-// scheduler for hierarchical machines) — feeding one host execution slot.
+// queue — one min-heap on (Task.Now, seq) — feeding one host execution slot.
 // One Scheduler manages the tasks of one simulation (one cluster);
 // concurrent simulations on the host each have their own, and they are
 // where host parallelism comes from.
@@ -62,8 +60,7 @@ type Scheduler struct {
 	free    int          // unheld execution slots; > 0 implies empty queues
 	lent    int          // watchdog-lent slots the next releases take back
 	holders []*eventTask // tasks holding a slot, watched for progress
-	nodes   []*nodeQueue // lazily created per-node sub-queues, by node id
-	order   nodeHeap     // non-empty sub-queues, keyed by their earliest entry
+	queue   taskHeap     // ready tasks, a min-heap on (key, seq)
 	seq     uint64       // global FIFO tiebreak for equal virtual keys
 	// watching is set while the stall watchdog runs (whenever tasks wait).
 	watching bool
@@ -219,15 +216,15 @@ func (s *Scheduler) releaseLocked(et *eventTask) {
 // call returns, and a stale minimum there (its own former key) would make
 // it yield at a host-timed point.
 func (s *Scheduler) dispatchLocked() {
-	for s.free > 0 && len(s.order) > 0 {
-		et := s.popMinLocked()
+	for s.free > 0 && len(s.queue) > 0 {
+		et := heap.Pop(&s.queue).(*eventTask)
 		s.free--
 		s.holders = append(s.holders, et)
 		s.storeMinLocked()
 		et.token <- struct{}{}
 	}
 	s.storeMinLocked()
-	if len(s.order) > 0 && !s.watching {
+	if len(s.queue) > 0 && !s.watching {
 		s.watching = true
 		go s.watch()
 	}
@@ -236,11 +233,11 @@ func (s *Scheduler) dispatchLocked() {
 // storeMinLocked refreshes the cached earliest queued key.  Caller holds
 // s.mu.
 func (s *Scheduler) storeMinLocked() {
-	if len(s.order) == 0 {
+	if len(s.queue) == 0 {
 		s.minReady.Store(emptyKey)
 		return
 	}
-	s.minReady.Store(int64(s.order[0].tasks[0].key))
+	s.minReady.Store(int64(s.queue[0].key))
 }
 
 // watch is the stall watchdog: while tasks wait for a slot, it samples the
@@ -258,7 +255,7 @@ func (s *Scheduler) watch() {
 	for {
 		time.Sleep(stallTimeout / 4)
 		s.mu.Lock()
-		if len(s.order) == 0 {
+		if len(s.queue) == 0 {
 			s.watching = false
 			s.mu.Unlock()
 			return
@@ -281,92 +278,32 @@ func (s *Scheduler) watch() {
 	}
 }
 
-func taskLess(a, b *eventTask) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	return a.seq < b.seq
-}
-
-// pushLocked queues et at virtual instant key: it inserts et into its
-// node's sub-queue and repositions the node in the top-level heap.  The
-// caller holds s.mu and dispatches afterwards.
+// pushLocked queues et at virtual instant key with a fresh global seq, so
+// equal keys pop in push order.  The caller holds s.mu and dispatches
+// afterwards.
 func (s *Scheduler) pushLocked(et *eventTask, key Time) {
 	et.key = key
 	s.seq++
 	et.seq = s.seq
-	node := et.t.NodeID
-	for node >= len(s.nodes) {
-		s.nodes = append(s.nodes, nil)
-	}
-	nq := s.nodes[node]
-	if nq == nil {
-		nq = &nodeQueue{pos: -1}
-		s.nodes[node] = nq
-	}
-	heap.Push(&nq.tasks, et)
-	if nq.pos < 0 {
-		heap.Push(&s.order, nq)
-	} else {
-		heap.Fix(&s.order, nq.pos)
-	}
+	heap.Push(&s.queue, et)
 }
 
-// popMinLocked removes and returns the globally earliest task.  Caller
-// holds s.mu and guarantees the queue is non-empty.
-func (s *Scheduler) popMinLocked() *eventTask {
-	nq := s.order[0]
-	et := heap.Pop(&nq.tasks).(*eventTask)
-	if len(nq.tasks) == 0 {
-		heap.Pop(&s.order)
-	} else {
-		heap.Fix(&s.order, 0)
-	}
-	return et
-}
-
-// taskHeap is one node's ready tasks, a min-heap on (key, seq).
+// taskHeap is the ready tasks, a min-heap on (key, seq).
 type taskHeap []*eventTask
 
-func (h taskHeap) Len() int           { return len(h) }
-func (h taskHeap) Less(i, j int) bool { return taskLess(h[i], h[j]) }
-func (h taskHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x any)        { *h = append(*h, x.(*eventTask)) }
+func (h taskHeap) Len() int { return len(h) }
+func (h taskHeap) Less(i, j int) bool {
+	if h[i].key != h[j].key {
+		return h[i].key < h[j].key
+	}
+	return h[i].seq < h[j].seq
+}
+func (h taskHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *taskHeap) Push(x any)   { *h = append(*h, x.(*eventTask)) }
 func (h *taskHeap) Pop() any {
 	old := *h
 	et := old[len(old)-1]
 	old[len(old)-1] = nil
 	*h = old[:len(old)-1]
 	return et
-}
-
-// nodeQueue is one simulated node's sub-queue and its index in the
-// top-level heap (-1 while the sub-queue is empty).
-type nodeQueue struct {
-	tasks taskHeap
-	pos   int
-}
-
-// nodeHeap is the top-level min-heap over non-empty node sub-queues,
-// keyed by each node's earliest task.
-type nodeHeap []*nodeQueue
-
-func (h nodeHeap) Len() int           { return len(h) }
-func (h nodeHeap) Less(i, j int) bool { return taskLess(h[i].tasks[0], h[j].tasks[0]) }
-func (h nodeHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].pos, h[j].pos = i, j
-}
-func (h *nodeHeap) Push(x any) {
-	nq := x.(*nodeQueue)
-	nq.pos = len(*h)
-	*h = append(*h, nq)
-}
-func (h *nodeHeap) Pop() any {
-	old := *h
-	nq := old[len(old)-1]
-	old[len(old)-1] = nil
-	*h = old[:len(old)-1]
-	nq.pos = -1
-	return nq
 }

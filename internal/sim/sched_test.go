@@ -48,13 +48,7 @@ func holdGate(s *Scheduler) (release func()) {
 func queued(s *Scheduler) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, nq := range s.nodes {
-		if nq != nil {
-			n += len(nq.tasks)
-		}
-	}
-	return n
+	return len(s.queue)
 }
 
 // spawn is one managed task for admissionOrder to start.

@@ -223,7 +223,7 @@ func TestSetFaultWiresWholeStack(t *testing.T) {
 	if got := ctr.Load(stats.EvFetchRetries); got == 0 {
 		t.Error("fetch faults not armed through SetFault; per-layer wiring is back")
 	}
-	if inj.Injected() == 0 {
+	if ctr.Load(stats.EvFaultsInjected) == 0 {
 		t.Error("injector observed no faults")
 	}
 }
