@@ -209,20 +209,41 @@ func upperSolve(diag, l []float64, bs int) {
 	}
 }
 
-// matmulSub computes C -= A*B for bs x bs blocks.
+// matmulSub computes C -= A*B for bs x bs blocks, four columns of a row of
+// C at a time through sub4 and the bs%4 tail columns one at a time.  Every
+// element still sees c -= f*b in ascending k, skipping f == 0, so the
+// result is bit-identical to the triple loop.
 func matmulSub(c, a, b []float64, bs int) {
 	for i := 0; i < bs; i++ {
-		ci := c[i*bs : i*bs+bs]
-		ai := a[i*bs : i*bs+bs]
-		for k := range ai {
-			f := ai[k]
-			if f == 0 {
-				continue
+		ci, ai := c[i*bs:i*bs+bs], a[i*bs:i*bs+bs]
+		j := 0
+		for ; j+4 <= bs; j += 4 {
+			sub4((*[4]float64)(ci[j:]), ai, b[j:], bs)
+		}
+		for ; j < bs; j++ {
+			x := ci[j]
+			for k, f := range ai {
+				if f != 0 {
+					x -= f * b[k*bs+j]
+				}
 			}
-			bk := b[k*bs : k*bs+bs][:len(ci)]
-			for j := range ci {
-				ci[j] -= f * bk[j]
-			}
+			ci[j] = x
 		}
 	}
+}
+
+// sub4 applies x[n] -= f*b[k*bs+n] for n < 4 and each f = a[k] != 0 in
+// ascending k, holding the four sums in registers across the k loop.
+func sub4(x *[4]float64, a, b []float64, bs int) {
+	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	for k, f := range a {
+		if f != 0 {
+			bk := (*[4]float64)(b[k*bs:])
+			x0 -= f * bk[0]
+			x1 -= f * bk[1]
+			x2 -= f * bk[2]
+			x3 -= f * bk[3]
+		}
+	}
+	x[0], x[1], x[2], x[3] = x0, x1, x2, x3
 }

@@ -156,25 +156,38 @@ func refMatmulSub(c, a, b []float64, bs int) {
 	}
 }
 
+// randomBlock returns a bs x bs block of normal values with a quarter of
+// its entries zero (matmulSub's skip path) and non-zero pivots.
+func randomBlock(r *rand.Rand, bs int) []float64 {
+	b := make([]float64, bs*bs)
+	for i := range b {
+		if r.Intn(4) > 0 {
+			b[i] = r.NormFloat64()
+		}
+	}
+	for i := 0; i < bs; i++ {
+		b[i*bs+i] += float64(bs)
+	}
+	return b
+}
+
 // TestKernelsMatchTripleLoops: every block kernel produces the same bits as
 // its triple-loop reference, on random blocks with a quarter of their
-// entries zero (matmulSub's skip path), at block sizes including an odd one.
+// entries zero, at block sizes that leave every column tail (0 to 3) after
+// matmulSub's four-column groups.
 func TestKernelsMatchTripleLoops(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	block := func(bs int) []float64 {
-		b := make([]float64, bs*bs)
-		for i := range b {
-			if r.Intn(4) > 0 {
-				b[i] = r.NormFloat64()
+	for _, bs := range []int{16, 32, 33, 34, 35} {
+		diag, x, y := randomBlock(r, bs), randomBlock(r, bs), randomBlock(r, bs)
+		// An all-zero row of A leaves its row of C alone, so a -0 there
+		// stays -0 only if every f == 0 is skipped (c -= 0*b can give +0).
+		a, negZero := slices.Clone(x), slices.Clone(diag)
+		for _, i := range []int{0, 1, bs - 1} {
+			clear(a[i*bs : i*bs+bs])
+			for j := i * bs; j < i*bs+bs; j++ {
+				negZero[j] = math.Copysign(0, -1)
 			}
 		}
-		for i := 0; i < bs; i++ {
-			b[i*bs+i] += float64(bs) // non-zero pivots
-		}
-		return b
-	}
-	for _, bs := range []int{16, 32, 33} {
-		diag, x, y := block(bs), block(bs), block(bs)
 		cases := []struct {
 			name      string
 			got, want func(out []float64)
@@ -184,6 +197,7 @@ func TestKernelsMatchTripleLoops(t *testing.T) {
 			{"lowerSolve", func(o []float64) { lowerSolve(diag, o, bs) }, func(o []float64) { refLowerSolve(diag, o, bs) }, x},
 			{"upperSolve", func(o []float64) { upperSolve(diag, o, bs) }, func(o []float64) { refUpperSolve(diag, o, bs) }, x},
 			{"matmulSub", func(o []float64) { matmulSub(o, x, y, bs) }, func(o []float64) { refMatmulSub(o, x, y, bs) }, diag},
+			{"matmulSub zero rows", func(o []float64) { matmulSub(o, a, y, bs) }, func(o []float64) { refMatmulSub(o, a, y, bs) }, negZero},
 		}
 		for _, c := range cases {
 			got, want := slices.Clone(c.in), slices.Clone(c.in)
@@ -195,5 +209,16 @@ func TestKernelsMatchTripleLoops(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkMatmulSub times one interior block update at LU's paper block
+// size.
+func BenchmarkMatmulSub(b *testing.B) {
+	const bs = 32
+	r := rand.New(rand.NewSource(1))
+	c, x, y := randomBlock(r, bs), randomBlock(r, bs), randomBlock(r, bs)
+	for i := 0; i < b.N; i++ {
+		matmulSub(c, x, y, bs)
 	}
 }

@@ -86,20 +86,24 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 		local := make([]float64, vol*vol*vol)
 		acc.ReadF64s(t, volume, local)
 
-		sample := func(x, y, z float64) float64 {
-			xi, yi, zi := int(x), int(y), int(z)
-			if xi < 0 || yi < 0 || zi < 0 || xi >= vol-1 || yi >= vol-1 || zi >= vol-1 {
-				return 0
-			}
-			return local[(zi*vol+yi)*vol+xi]
-		}
-
+		// A ray sample at step s of pixel x is
+		//	rx = ca*(ox-h) - sa*(s-h) + h,  rz = sa*(ox-h) + ca*(s-h) + h
+		// with h = vol/2.  The per-step and per-pixel products are hoisted
+		// into sz/cz and ax/az; the sums run in the same order on the same
+		// operands, so every sample is bit-identical to the inline formula
+		// wherever the compiler fuses no multiply-add (DESIGN.md §5b).
+		h := float64(vol) / 2
+		sz, cz := make([]float64, vol), make([]float64, vol)
 		row := make([]float64, img)
 		sum := 0.0
 		tasksPerFrame := img / cfg.RowsPerTask
 		for f := 0; f < cfg.Frames; f++ {
 			ang := float64(f) * 0.3
 			sa, ca := math.Sin(ang), math.Cos(ang)
+			for s := range sz {
+				sz[s] = sa * (float64(s) - h)
+				cz[s] = ca * (float64(s) - h)
+			}
 			for {
 				rt.Lock(t, 1)
 				task := acc.ReadI64(t, queue)
@@ -112,17 +116,22 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 				}
 				for ry := 0; ry < cfg.RowsPerTask; ry++ {
 					y := int(task)*cfg.RowsPerTask + ry
+					// Every ray of the row samples volume row yi; outside
+					// the volume every sample is 0.
+					yi := int(float64(y) / float64(img) * float64(vol))
+					yOK := yi >= 0 && yi < vol-1
 					for x := 0; x < img; x++ {
 						// Cast a rotated ray through the volume.
 						ox := float64(x) / float64(img) * float64(vol)
-						oy := float64(y) / float64(img) * float64(vol)
+						ax, az := ca*(ox-h), sa*(ox-h)
 						acc06 := 0.0
 						opacity := 0.0
-						for s := 0; s < vol; s++ {
-							sz := float64(s)
-							rx := ca*(ox-float64(vol)/2) - sa*(sz-float64(vol)/2) + float64(vol)/2
-							rz := sa*(ox-float64(vol)/2) + ca*(sz-float64(vol)/2) + float64(vol)/2
-							d := sample(rx, oy, rz)
+						for s := 0; s < vol && yOK; s++ {
+							xi, zi := int(ax-sz[s]+h), int(az+cz[s]+h)
+							if xi < 0 || zi < 0 || xi >= vol-1 || zi >= vol-1 {
+								continue
+							}
+							d := local[(zi*vol+yi)*vol+xi]
 							if d > 0.1 {
 								contrib := d * (1 - opacity) * 0.25
 								acc06 += contrib

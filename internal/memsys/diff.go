@@ -3,114 +3,76 @@ package memsys
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 )
 
 // This file is the optimized data-plane kernel shared by every SVM backend:
-// a word-at-a-time page diff that applies run-length-encoded dirty runs to
-// the home copy.
+// a word-at-a-time page diff that merges each dirty word into the home copy
+// under a byte mask, with no branches on which bytes differ.
 //
 // Invariance contract: DiffPage must return the exact count of bytes where
 // data differs from twin — the same number the byte-wise reference produces
 // — because that count feeds Costs.DiffTime and the DiffBytes counter, and
 // every table/figure of the reproduction depends on it.  Only bytes that
-// differ from the twin may be written to home: concurrent writers on other
+// differ from the twin may change in home: concurrent writers on other
 // nodes merge their own diffs into the same home page (multiple-writer
-// protocol), so copying an unchanged byte could clobber a committed remote
-// update.  Optimizations here may change host CPU time only, never virtual
-// time or merge semantics.
+// protocol), so writing an unchanged byte could clobber a committed remote
+// update.  The mask holds exactly the differing bytes, so the merge keeps
+// every other home byte.  Optimizations here may change host CPU time only,
+// never virtual time or merge semantics.
 
-const (
-	diffWord  = 8                  // bytes compared per step
-	oneBytes  = 0x0101010101010101 // low bit of every byte lane
-	highBytes = 0x8080808080808080 // high bit of every byte lane
-)
+const diffWord = 8 // bytes compared per step
 
-// hasZeroByte reports a nonzero value iff some byte of x is zero (the exact
-// SWAR test: borrow into a byte's high bit without that bit set in x).
-func hasZeroByte(x uint64) uint64 {
-	return (x - oneBytes) &^ x & highBytes
-}
+var le = binary.LittleEndian
 
-// nonzeroByteLanes folds each byte of x to its low bit: lane k of the result
-// is 1 iff byte k of x is nonzero.  All shifts are masked below byte width,
-// so no bits bleed across lane boundaries.
+// nonzeroByteLanes returns the low bit of each byte lane set iff that byte
+// of x is nonzero.  Adding 0x7f to a byte's low seven bits carries into its
+// high bit iff they are nonzero, and never out of the byte; OR-ing x covers
+// a lone high bit.
 func nonzeroByteLanes(x uint64) uint64 {
-	x |= (x >> 4) & 0x0f0f0f0f0f0f0f0f
-	x |= (x >> 2) & 0x0303030303030303
-	x |= (x >> 1) & oneBytes
-	return x & oneBytes
+	const low7 = 0x7f7f7f7f7f7f7f7f
+	return ((x&low7 + low7) | x) >> 7 & 0x0101010101010101
 }
 
-// DiffPage compares data against twin eight bytes at a time, copies each
-// maximal run of differing bytes into home, and returns the number of
-// differing bytes (exactly what the byte-wise reference DiffPageRef in
-// diff_test.go returns; protocol code must use DiffPage).  All three slices
-// must be at least PageSize long.
+// DiffPage compares data against twin eight bytes at a time, merges the
+// differing bytes into home, and returns the number of differing bytes
+// (exactly what the byte-wise reference DiffPageRef in diff_test.go
+// returns; protocol code must use DiffPage).  All three slices must be at
+// least PageSize long.
 func DiffPage(data, twin, home []byte) int {
 	if len(data) < PageSize || len(twin) < PageSize || len(home) < PageSize {
 		panic(fmt.Sprintf("memsys: DiffPage on short pages (%d/%d/%d bytes)",
 			len(data), len(twin), len(home)))
 	}
-	data, twin, home = data[:PageSize:PageSize], twin[:PageSize:PageSize], home[:PageSize:PageSize]
-	diff := 0
-	run := -1 // start of the open dirty run, or -1
+	diff := uint64(0)
 	// Outer loop strides 32 bytes: four XORed words OR-folded into one
 	// clean/dirty test, so unchanged spans (the common case) scan at four
-	// words per branch.  Dirty blocks fall through to per-word handling.
+	// words per branch.  A dirty block merges all four words without
+	// further branches; a clean word's mask is zero and leaves home as is.
 	for w := 0; w < PageSize; w += 4 * diffWord {
-		x0 := binary.LittleEndian.Uint64(data[w:]) ^ binary.LittleEndian.Uint64(twin[w:])
-		x1 := binary.LittleEndian.Uint64(data[w+diffWord:]) ^ binary.LittleEndian.Uint64(twin[w+diffWord:])
-		x2 := binary.LittleEndian.Uint64(data[w+2*diffWord:]) ^ binary.LittleEndian.Uint64(twin[w+2*diffWord:])
-		x3 := binary.LittleEndian.Uint64(data[w+3*diffWord:]) ^ binary.LittleEndian.Uint64(twin[w+3*diffWord:])
+		d, t := data[w:w+4*diffWord], twin[w:w+4*diffWord]
+		x0 := le.Uint64(d[0:]) ^ le.Uint64(t[0:])
+		x1 := le.Uint64(d[8:]) ^ le.Uint64(t[8:])
+		x2 := le.Uint64(d[16:]) ^ le.Uint64(t[16:])
+		x3 := le.Uint64(d[24:]) ^ le.Uint64(t[24:])
 		if x0|x1|x2|x3 == 0 {
-			if run >= 0 {
-				copy(home[run:w], data[run:w])
-				run = -1
-			}
 			continue
 		}
-		if hasZeroByte(x0)|hasZeroByte(x1)|hasZeroByte(x2)|hasZeroByte(x3) == 0 {
-			// Whole block dirty (no XOR byte is zero): extend the run
-			// without folding lanes or scanning bytes.
-			if run < 0 {
-				run = w
-			}
-			diff += 4 * diffWord
-			continue
-		}
-		for k, x := range [4]uint64{x0, x1, x2, x3} {
-			lanes := nonzeroByteLanes(x)
-			ww := w + k*diffWord
-			if lanes == 0 {
-				if run >= 0 {
-					copy(home[run:ww], data[run:ww])
-					run = -1
-				}
-				continue
-			}
-			if lanes == oneBytes { // every byte differs: extend without byte scan
-				if run < 0 {
-					run = ww
-				}
-				diff += diffWord
-				continue
-			}
-			diff += bits.OnesCount64(lanes)
-			for j := 0; j < diffWord; j++ {
-				if lanes&(uint64(1)<<(8*j)) != 0 {
-					if run < 0 {
-						run = ww + j
-					}
-				} else if run >= 0 {
-					copy(home[run:ww+j], data[run:ww+j])
-					run = -1
-				}
-			}
-		}
+		h := home[w : w+4*diffWord]
+		l0, l1, l2, l3 := nonzeroByteLanes(x0), nonzeroByteLanes(x1), nonzeroByteLanes(x2), nonzeroByteLanes(x3)
+		mergeWord(h[0:], d[0:], l0)
+		mergeWord(h[8:], d[8:], l1)
+		mergeWord(h[16:], d[16:], l2)
+		mergeWord(h[24:], d[24:], l3)
+		// Each byte lane of the sum is at most 4, so the multiply adds the
+		// eight lanes into the top byte without carries between them.
+		diff += (l0 + l1 + l2 + l3) * 0x0101010101010101 >> 56
 	}
-	if run >= 0 {
-		copy(home[run:], data[run:])
-	}
-	return diff
+	return int(diff)
+}
+
+// mergeWord writes into the first word of h the bytes of d's first word
+// whose lane is set in lanes: home ^= (home^data) & mask.
+func mergeWord(h, d []byte, lanes uint64) {
+	hw := le.Uint64(h)
+	le.PutUint64(h, hw^(hw^le.Uint64(d))&(lanes*0xff))
 }

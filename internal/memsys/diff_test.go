@@ -2,6 +2,8 @@ package memsys
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -33,6 +35,14 @@ func kernelDiff(data, twin, home []byte) ([]byte, int) {
 	out := bytes.Clone(home)
 	n := DiffPage(data, twin, out)
 	return out, n
+}
+
+// matchesRef reports whether the kernel and the reference agree on both the
+// merged home bytes and the diff count.
+func matchesRef(data, twin, home []byte) bool {
+	wantHome, wantN := refDiff(data, twin, home)
+	gotHome, gotN := kernelDiff(data, twin, home)
+	return gotN == wantN && bytes.Equal(gotHome, wantHome)
 }
 
 // checkAgainstRef asserts the kernel and the reference agree on both the
@@ -85,6 +95,7 @@ func TestDiffPageEdges(t *testing.T) {
 		{"alternating-in-word", []int{32, 34, 36, 38}},
 		{"adjacent-words-gap", []int{40, 41, 42, 43, 44, 45, 46, 47, 49}},
 		{"run-to-page-end", []int{PageSize - 3, PageSize - 2, PageSize - 1}},
+		{"word-ends-clean-middle-dirty", []int{58, 59, 60, 61}},
 	}
 	for _, tc := range cases {
 		data := bytes.Clone(base)
@@ -110,9 +121,31 @@ func TestDiffPageEdges(t *testing.T) {
 	checkAgainstRef(t, data, base, home, "dirty-byte-to-zero")
 }
 
+// TestNonzeroByteLanes checks the lane fold on every byte value in every
+// lane, alone and beside a full neighbour.
+func TestNonzeroByteLanes(t *testing.T) {
+	for k := 0; k < 8; k++ {
+		for v := 0; v < 256; v++ {
+			x := uint64(v) << (8 * k)
+			want := uint64(0)
+			if v != 0 {
+				want = 1 << (8 * k)
+			}
+			if got := nonzeroByteLanes(x); got != want {
+				t.Fatalf("lanes(%#016x) = %#016x, want %#016x", x, got, want)
+			}
+			other := uint64(0xff) << (8 * ((k + 1) % 8))
+			if got := nonzeroByteLanes(x | other); got != want|other&0x0101010101010101 {
+				t.Fatalf("lanes(%#016x) = %#016x", x|other, got)
+			}
+		}
+	}
+}
+
 // TestDiffPageQuick is the property test: random page/twin pairs with
 // random dirty geometry (sparse flips, dense runs, word-aligned and
-// straddling runs) must produce byte-identical merged homes and identical
+// straddling runs), and in each case also a float page dirty in the
+// mantissa only, must produce byte-identical merged homes and identical
 // diff counts to the reference.
 func TestDiffPageQuick(t *testing.T) {
 	prop := func(seed int64) bool {
@@ -140,10 +173,17 @@ func TestDiffPageQuick(t *testing.T) {
 			length := r.Intn(PageSize - start)
 			r.Read(data[start : start+length])
 		}
+		if !matchesRef(data, twin, home) {
+			return false
+		}
 
-		wantHome, wantN := refDiff(data, twin, home)
-		gotHome, gotN := kernelDiff(data, twin, home)
-		return gotN == wantN && bytes.Equal(gotHome, wantHome)
+		// Then a float page with the same home, dirty in the mantissa only.
+		twin = floatPage(r)
+		data = bytes.Clone(twin)
+		for n := r.Intn(PageSize / 8); n > 0; n-- {
+			perturbMantissa(r, data, r.Intn(PageSize/8))
+		}
+		return matchesRef(data, twin, home)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -186,4 +226,51 @@ func TestTwinLifecycle(t *testing.T) {
 		t.Error("RetireTwin left the twin set")
 	}
 	pc.RetireTwin() // idempotent on nil
+}
+
+// floatPage fills a page with float64 words of magnitude around 1, the
+// shape of LU's and OCEAN's data pages.
+func floatPage(r *rand.Rand) []byte {
+	b := make([]byte, PageSize)
+	for i := 0; i < PageSize; i += 8 {
+		binary.LittleEndian.PutUint64(b[i:], math.Float64bits(1+r.Float64()))
+	}
+	return b
+}
+
+// perturbMantissa rewrites the low mantissa bytes of float64 word w in
+// data, leaving its sign and exponent bytes unchanged: the dirty shape of
+// a float page after an update.
+func perturbMantissa(r *rand.Rand, data []byte, w int) {
+	v := binary.LittleEndian.Uint64(data[w*8:])
+	v ^= uint64(1+r.Int63n(1<<40)) << r.Intn(8)
+	binary.LittleEndian.PutUint64(data[w*8:], v)
+}
+
+// BenchmarkDiffPage times the kernel on three dirty shapes: an unchanged
+// page, 8 scattered dirty words, and a float page whose every word changed
+// in the mantissa only.
+func BenchmarkDiffPage(b *testing.B) {
+	r := rand.New(rand.NewSource(42))
+	twin := floatPage(r)
+	home := floatPage(r)
+	sparse := bytes.Clone(twin)
+	for i := 0; i < 8; i++ {
+		perturbMantissa(r, sparse, r.Intn(PageSize/8))
+	}
+	dense := bytes.Clone(twin)
+	for w := 0; w < PageSize/8; w++ {
+		perturbMantissa(r, dense, w)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{{"clean", bytes.Clone(twin)}, {"sparse", sparse}, {"float-dense", dense}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(PageSize)
+			for i := 0; i < b.N; i++ {
+				DiffPage(c.data, twin, home)
+			}
+		})
+	}
 }

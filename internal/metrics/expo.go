@@ -1,9 +1,8 @@
 package metrics
 
 import (
-	"bufio"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -15,119 +14,129 @@ import (
 // (TestExpositionFormatStrict compares them).
 // Histograms render cumulative `_bucket` samples (the `le` label, ending in
 // `le="+Inf"` whose value equals `_count`), then `_sum` and `_count`.
+// The text is appended to one buffer and written in a single call; the
+// family headers and `le` labels are rendered once, at registration.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	bw := bufio.NewWriter(w)
 	r.mu.RLock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	for i, n := range names {
-		fams[i] = r.families[n]
+	fams := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
 	}
 	r.mu.RUnlock()
+	slices.SortFunc(fams, func(a, b *family) int { return strings.Compare(a.name, b.name) })
 
+	var b, prefix []byte
+	var series []seriesRef
 	for _, f := range fams {
-		bw.WriteString("# HELP ")
-		bw.WriteString(f.name)
-		bw.WriteByte(' ')
-		bw.WriteString(escapeHelp(f.help))
-		bw.WriteString("\n# TYPE ")
-		bw.WriteString(f.name)
-		bw.WriteByte(' ')
-		bw.WriteString(string(f.kind))
-		bw.WriteByte('\n')
-		f.writeSeries(bw)
+		b = append(b, f.header...)
+		b, prefix, series = f.appendSeries(b, prefix, series)
 	}
-	return bw.Flush()
+	_, err := w.Write(b)
+	return err
 }
 
-// writeSeries renders every series of one family, sorted by label values.
-func (f *family) writeSeries(bw *bufio.Writer) {
-	f.mu.RLock()
-	keys := make([]labelKey, 0, len(f.series))
-	for k := range f.series {
-		keys = append(keys, k)
+// seriesRef is one series captured for rendering.
+type seriesRef struct {
+	key  labelKey
+	inst any
+}
+
+// header renders a family's `# HELP` and `# TYPE` lines.
+func header(name, help string, kind Kind) string {
+	return "# HELP " + name + " " + escapeHelp(help) + "\n# TYPE " + name + " " + string(kind) + "\n"
+}
+
+// leLabels renders a histogram's `le` label pairs, closing brace included,
+// one per bucket and a last one for `+Inf`.
+func leLabels(buckets []float64) []string {
+	out := make([]string, 0, len(buckets)+1)
+	for _, ub := range buckets {
+		out = append(out, `le="`+strconv.FormatFloat(ub, 'g', -1, 64)+`"}`)
 	}
-	children := make([]any, len(keys))
-	sort.Slice(keys, func(i, j int) bool {
-		for l := 0; l < len(f.labels); l++ {
-			if keys[i][l] != keys[j][l] {
-				return keys[i][l] < keys[j][l]
-			}
-		}
-		return false
-	})
-	for i, k := range keys {
-		children[i] = f.series[k]
+	return append(out, `le="+Inf"}`)
+}
+
+// appendSeries appends every series of one family to b, sorted by label
+// values.  prefix and series are scratch buffers reused across families.
+func (f *family) appendSeries(b, prefix []byte, series []seriesRef) ([]byte, []byte, []seriesRef) {
+	f.mu.RLock()
+	series = series[:0]
+	for k, s := range f.series {
+		series = append(series, seriesRef{k, s})
 	}
 	f.mu.RUnlock()
+	slices.SortFunc(series, func(x, y seriesRef) int {
+		for l := range f.labels {
+			if c := strings.Compare(x.key[l], y.key[l]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
 
-	for i, k := range keys {
-		labels := f.renderLabels(k, "", "")
-		switch c := children[i].(type) {
-		case *Counter:
-			writeSample(bw, f.name, labels, formatInt(c.Load()))
-		case *Gauge:
-			writeSample(bw, f.name, labels, formatInt(c.Load()))
+	for _, s := range series {
+		// prefix is the series' label set without its closing brace:
+		// `{k="v",...`, or empty for an unlabeled series.
+		prefix = prefix[:0]
+		for i, name := range f.labels {
+			if i == 0 {
+				prefix = append(prefix, '{')
+			} else {
+				prefix = append(prefix, ',')
+			}
+			prefix = append(prefix, name...)
+			prefix = append(prefix, `="`...)
+			prefix = append(prefix, escapeLabel(s.key[i])...)
+			prefix = append(prefix, '"')
+		}
+		switch c := s.inst.(type) {
+		case interface{ Load() int64 }: // *Counter, *Gauge
+			b = appendSample(b, f.name, "", prefix)
+			b = strconv.AppendInt(b, c.Load(), 10)
+			b = append(b, '\n')
 		case *Histogram:
 			// Cumulative buckets: each le value includes all smaller ones.
+			// The +Inf bucket (the last le label) is by definition the
+			// total count.  Loading the overflow bucket last means a
+			// concurrent Observe can make the rendered +Inf only >= the
+			// buckets below it, never smaller.
 			cum := int64(0)
-			for bi, ub := range c.upper {
+			for bi, le := range f.le {
 				cum += c.counts[bi].Load()
-				writeSample(bw, f.name+"_bucket",
-					f.renderLabels(k, "le", formatFloat(ub)), formatInt(cum))
+				b = append(b, f.name...)
+				b = append(b, "_bucket"...)
+				if len(prefix) == 0 {
+					b = append(b, '{')
+				} else {
+					b = append(b, prefix...)
+					b = append(b, ',')
+				}
+				b = append(b, le...)
+				b = append(b, ' ')
+				b = strconv.AppendInt(b, cum, 10)
+				b = append(b, '\n')
 			}
-			// The +Inf bucket is by definition the total count.  Load the
-			// overflow bucket first so a concurrent Observe can make the
-			// rendered +Inf only >= the buckets below it, never smaller.
-			cum += c.counts[len(c.upper)].Load()
-			writeSample(bw, f.name+"_bucket", f.renderLabels(k, "le", "+Inf"), formatInt(cum))
-			writeSample(bw, f.name+"_sum", labels, formatFloat(c.Sum()))
-			writeSample(bw, f.name+"_count", labels, formatInt(cum))
+			b = appendSample(b, f.name, "_sum", prefix)
+			b = strconv.AppendFloat(b, c.Sum(), 'g', -1, 64)
+			b = append(b, '\n')
+			b = appendSample(b, f.name, "_count", prefix)
+			b = strconv.AppendInt(b, cum, 10)
+			b = append(b, '\n')
 		}
 	}
+	return b, prefix, series
 }
 
-// renderLabels renders one series' label set as `{k="v",...}` (empty string
-// for an unlabeled series), optionally appending one extra pair — the
-// histogram `le` label.
-func (f *family) renderLabels(k labelKey, extraName, extraVal string) string {
-	if len(f.labels) == 0 && extraName == "" {
-		return ""
+// appendSample appends a sample line up to its value: name, suffix, the
+// label set (prefix closed by a brace, if any) and a space.
+func appendSample(b []byte, name, suffix string, prefix []byte) []byte {
+	b = append(b, name...)
+	b = append(b, suffix...)
+	if len(prefix) > 0 {
+		b = append(b, prefix...)
+		b = append(b, '}')
 	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, name := range f.labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(name)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(k[i]))
-		b.WriteByte('"')
-	}
-	if extraName != "" {
-		if len(f.labels) > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(extraName)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(extraVal))
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-func writeSample(bw *bufio.Writer, name, labels, value string) {
-	bw.WriteString(name)
-	bw.WriteString(labels)
-	bw.WriteByte(' ')
-	bw.WriteString(value)
-	bw.WriteByte('\n')
+	return append(b, ' ')
 }
 
 // escapeLabel escapes a label value per the exposition format: backslash,
@@ -158,9 +167,3 @@ func escapeHelp(v string) string {
 	v = strings.ReplaceAll(v, `\`, `\\`)
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
-
-func formatInt(v int64) string { return strconv.FormatInt(v, 10) }
-
-// formatFloat renders a float the way Prometheus clients expect: shortest
-// round-trip representation.
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

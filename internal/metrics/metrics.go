@@ -123,10 +123,11 @@ func DefLatencyBuckets() []float64 {
 // series keyed by label-value tuple.
 type family struct {
 	name    string
-	help    string
 	kind    Kind
 	labels  []string
 	buckets []float64 // histograms only
+	header  string    // rendered `# HELP` and `# TYPE` lines
+	le      []string  // histograms only: rendered `le` labels, +Inf last
 
 	mu     sync.RWMutex
 	series map[labelKey]any // *Counter, *Gauge, or *Histogram
@@ -221,9 +222,13 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bucke
 		panic("metrics: duplicate family " + name)
 	}
 	f := &family{
-		name: name, help: help, kind: kind,
+		name: name, kind: kind,
 		labels: labels, buckets: buckets,
+		header: header(name, help, kind),
 		series: make(map[labelKey]any),
+	}
+	if kind == KindHistogram {
+		f.le = leLabels(buckets)
 	}
 	r.families[name] = f
 	return f
