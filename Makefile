@@ -53,10 +53,14 @@ benchmark:
 	$(GO) test -C benchmark -short ./...
 
 # Profiler export smoke: run one profiled cell, export the Perfetto
-# timeline, and validate it (well-formed JSON, spans nest per thread).
+# timeline, and validate it (well-formed JSON, spans nest per thread).  The
+# trace goes to a fresh temporary directory, so concurrent runs never share
+# a file.
 profile-smoke:
-	$(GO) run ./cmd/cablesim profile -scale test -apps FFT -procs 4 -o /tmp/cables-profile-smoke.json
-	$(GO) run ./cmd/traceck /tmp/cables-profile-smoke.json
+	@dir=$$(mktemp -d) && \
+	$(GO) run ./cmd/cablesim profile -scale test -apps FFT -procs 4 -o $$dir/trace.json && \
+	$(GO) run ./cmd/traceck $$dir/trace.json; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 # The paper-reproduction benchmarks (virtual time).
 bench:

@@ -29,9 +29,11 @@ func scale() bench.Scale {
 	return bench.ScaleTest
 }
 
-// runCell runs one default-configured cell at the benchmark scale.
-func runCell(app, backend string, procs int, costs *sim.Costs) bench.CellRun {
-	return bench.RunCell(app, backend, procs, scale(), costs, bench.CellOptions{}, bench.Attach{})
+// runCell runs one default-configured cell at the benchmark scale and the
+// given OS mapping granularity (0: the default 64 KB).
+func runCell(app, backend string, procs, gran int) bench.CellRun {
+	return bench.RunCell(bench.Cell{App: app, Backend: backend, Procs: procs,
+		Opts: bench.CellOptions{Scale: scale(), Gran: gran}}, bench.Attach{})
 }
 
 // BenchmarkTable3_VMMCCosts regenerates Table 3 (basic VMMC costs).
@@ -70,8 +72,8 @@ func BenchmarkTable6_OpenMPSpeedups(b *testing.B) {
 func benchFig5App(b *testing.B, app string, procs int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		g := runCell(app, bench.BackendGenima, procs, nil)
-		c := runCell(app, bench.BackendCables, procs, nil)
+		g := runCell(app, bench.BackendGenima, procs, 0)
+		c := runCell(app, bench.BackendCables, procs, 0)
 		if i == b.N-1 {
 			if g.Err == nil {
 				b.ReportMetric(g.Res.Parallel.Millis(), "genima-vms")
@@ -102,7 +104,7 @@ func BenchmarkFig6_Misplacement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		total := 0.0
 		for _, app := range bench.AppNames {
-			if r := runCell(app, bench.BackendCables, 8, nil); r.Err == nil {
+			if r := runCell(app, bench.BackendCables, 8, 0); r.Err == nil {
 				total += r.Res.MisplacedPct()
 			}
 		}
@@ -126,10 +128,8 @@ func BenchmarkLimits_Tables1and2(b *testing.B) {
 // (VOLREND) with 4 KB OS mapping granularity — the paper's planned Linux
 // port — and reports that misplacement vanishes.
 func BenchmarkAblation_MapGranularity4K(b *testing.B) {
-	costs := sim.DefaultCosts()
-	costs.MapGranularity = 4 << 10
 	for i := 0; i < b.N; i++ {
-		r := runCell("VOLREND", bench.BackendCables, 8, costs)
+		r := runCell("VOLREND", bench.BackendCables, 8, 4<<10)
 		if r.Err != nil {
 			b.Fatal(r.Err)
 		}

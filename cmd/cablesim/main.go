@@ -23,7 +23,7 @@
 // shorthand).  Full-size runs need the copy-on-write frame store to fit in
 // host memory — see EXPERIMENTS.md for expected runtimes and footprints.
 // -gran overrides the OS mapping granularity in bytes (64 KB default;
-// 4096 emulates the paper's planned Linux port) for fig5/fig6.
+// 4096 emulates the paper's planned Linux port).
 // -jobs bounds how many independent simulation cells run concurrently on
 // the host (default: one per host processor); -jobs 1 runs the classic
 // sequential sweep.  Each cell runs its simulated threads one at a time in
@@ -41,17 +41,18 @@
 // the same profile block to each `counters` or `faults` cell.  Profiling
 // follows the observability invariance rule: it records spans and charges
 // nothing, so attaching it moves no result.
-// -contended-sync and -protocol configure every cell of the cell sweeps
-// (fig5, fig6, fig5+6, counters, faults, profile and the fig5 part of
-// all); main builds one bench.CellOptions from them and passes it to each
-// sweep.  -contended-sync makes synchronization messages reserve NIC
-// occupancy (sync traffic queues behind data traffic); it defaults off,
-// reproducing the paper exactly.  -protocol selects the coherence protocol
-// ("genima", the default, "commutative" or "delegate", see DESIGN.md §5e).
-// The variants deliberately change the wire schedule (and so virtual
-// times); only the computed data (checksums) is invariant.  Tables 3–6
-// and limits always measure the paper's genima system, and `serve` takes
-// both settings per sweep from its spec.
+// -scale, -gran, -contended-sync and -protocol fill the one
+// bench.CellOptions that main passes to every cell sweep (fig5, fig6,
+// fig5+6, counters, faults, profile, protocols and the fig5 part of all);
+// `protocols` then sets each cell's protocol itself.  -contended-sync
+// makes synchronization messages reserve NIC occupancy (sync traffic
+// queues behind data traffic); it defaults off, reproducing the paper
+// exactly.  -protocol selects the coherence protocol ("genima", the
+// default, "commutative" or "delegate", see DESIGN.md §5e).  The variants
+// deliberately change the wire schedule (and so virtual times); only the
+// computed data (checksums) is invariant.  Tables 3–6 and limits always
+// measure the paper's genima system, and `serve` takes every setting per
+// sweep from its spec.
 // `protocols` runs each app under all three protocols side by side and
 // reports time, checksum, messages, bytes, and the profiler's lock-wait
 // split — the comparison table of EXPERIMENTS.md §"Coherence protocols".
@@ -91,7 +92,6 @@ import (
 	"cables/internal/farm"
 	"cables/internal/fault"
 	"cables/internal/profile"
-	"cables/internal/sim"
 	"cables/internal/wire"
 )
 
@@ -140,14 +140,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cablesim: unknown scale %q\n", *scale)
 		os.Exit(2)
 	}
-	var costs *sim.Costs
-	if *gran > 0 {
-		costs = sim.DefaultCosts()
-		costs.MapGranularity = *gran
-	}
 	appList := splitList(*apps)
 	procList := parseInts(*procs)
-	cell := bench.CellOptions{Wire: wire.Options{ContendedSync: *contended}, Protocol: *protocol}
+	cell := bench.CellOptions{Scale: sc, Gran: *gran,
+		Wire: wire.Options{ContendedSync: *contended}, Protocol: *protocol}
 
 	if cmd != "serve" && cmd != "top" && os.Getenv("GOGC") == "" {
 		// A batch sweep's heap is mostly page frames: pointer-free 4 KB
@@ -172,27 +168,27 @@ func main() {
 	case "table6":
 		bench.Table6(w, sc, *jobs)
 	case "fig5":
-		data := bench.RunFig5(appList, procList, sc, costs, cell, *jobs)
+		data := bench.RunFig5(appList, procList, cell, *jobs)
 		bench.Fig5(w, data, procList)
 	case "fig6":
-		data := bench.RunFig5(appList, procList, sc, costs, cell, *jobs)
-		bench.Fig6(w, data, procList, costs)
+		data := bench.RunFig5(appList, procList, cell, *jobs)
+		bench.Fig6(w, data, procList)
 	case "fig5+6":
-		data := bench.RunFig5(appList, procList, sc, costs, cell, *jobs)
+		data := bench.RunFig5(appList, procList, cell, *jobs)
 		bench.Fig5(w, data, procList)
-		bench.Fig6(w, data, procList, costs)
+		bench.Fig6(w, data, procList)
 	case "protocols":
 		p := 8
 		if len(procList) > 0 {
 			p = procList[0]
 		}
-		bench.RunProtocols(w, appList, p, sc, costs, *jobs)
+		bench.RunProtocols(w, appList, p, cell, *jobs)
 	case "limits":
 		bench.Limits(w)
 	case "counters":
-		runCounters(w, appList, procList, sc, costs, cell, *jobs, *profileOn, *top)
+		runCounters(w, appList, procList, cell, *jobs, *profileOn, *top)
 	case "profile":
-		runs := bench.RunProfile(w, appList, procList, sc, costs, cell, *jobs, *top)
+		runs := bench.RunProfile(w, appList, procList, cell, *jobs, *top)
 		if *out != "" {
 			f, err := os.Create(*out)
 			if err != nil {
@@ -257,15 +253,15 @@ func main() {
 		if *profileOn {
 			profTop = *top
 		}
-		bench.RunFaults(w, appList, procList, sc, costs, cell, *jobs, profTop)
+		bench.RunFaults(w, appList, procList, cell, *jobs, profTop)
 	case "all":
 		bench.Table3(w)
 		bench.Table4(w)
 		bench.Table5(w, sc, *jobs)
 		bench.Table6(w, sc, *jobs)
-		data := bench.RunFig5(appList, procList, sc, costs, cell, *jobs)
+		data := bench.RunFig5(appList, procList, cell, *jobs)
 		bench.Fig5(w, data, procList)
-		bench.Fig6(w, data, procList, costs)
+		bench.Fig6(w, data, procList)
 		bench.Limits(w)
 	default:
 		usage()
@@ -279,20 +275,17 @@ func main() {
 // profileOn, each run also carries the virtual-time profiler and its
 // profile block (top rows per table) is appended.  Every cell is
 // configured by o.
-func runCounters(w *os.File, apps []string, procs []int, sc bench.Scale, costs *sim.Costs, o bench.CellOptions, jobs int, profileOn bool, top int) {
+func runCounters(w *os.File, apps []string, procs []int, o bench.CellOptions, jobs int, profileOn bool, top int) {
 	// A non-genima protocol is labeled on every block so sweep output under
 	// different protocols stays distinguishable.
 	label := ""
 	if o.Protocol != "" && o.Protocol != coherence.ProtoGenima {
 		label = " [protocol=" + o.Protocol + "]"
 	}
-	if len(apps) == 0 {
-		apps = bench.AppNames
-	}
 	if len(procs) == 0 {
 		procs = []int{8}
 	}
-	runs := bench.Sweep(bench.Grid(apps, procs, o), sc, costs, bench.Attach{Profiler: profileOn}, jobs)
+	runs := bench.Sweep(bench.Grid(apps, procs, o), bench.Attach{Profiler: profileOn}, jobs)
 	for _, r := range runs {
 		if r.Err != nil {
 			fmt.Fprintf(w, "%s: FAILED: %v\n", r.Label(), r.Err)
@@ -334,7 +327,7 @@ func usage() {
 flags: -scale test|paper|full (-full-size)  -apps A,B  -procs 1,4,8  -gran bytes  -jobs N
        -profile (counters)  -plan "send:p=0.05;detach:node=1,at=5ms" -seed N -profile (faults)
        -top N -o trace.json (profile: Perfetto/Chrome trace-viewer timeline)
-       -contended-sync -protocol genima|commutative|delegate (cell sweeps: fig5/fig6/counters/faults/profile;
+       -contended-sync -protocol genima|commutative|delegate (cell sweeps: fig5/fig6/counters/faults/profile/protocols;
                        tables and limits always run genima; checksums identical, wire schedule differs)
        -addr :8080 -cache-entries N -max-queue N (serve: the simulation farm, docs/SERVE.md)
        -addr :8080 -interval 2s -n N (top: live farm view scraped from /metrics, docs/OBSERVABILITY.md)`)

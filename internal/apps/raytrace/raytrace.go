@@ -82,7 +82,11 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 		cellRow := make([]float64, 512)
 		for o := 0; o < gridWords; o += len(cellRow) {
 			for k := range cellRow {
-				cellRow[k] = math.Mod(float64(o+k)*0.618, 1)
+				// The fractional part, exactly as math.Mod(x, 1) gives it for
+				// x >= 0 but without its loop.  The conversion rounds the
+				// product, so no target fuses it into the subtraction.
+				x := float64(float64(o+k) * 0.618)
+				cellRow[k] = x - math.Floor(x)
 			}
 			acc.WriteF64s(main, grid+memsys.Addr(o*8), cellRow)
 		}

@@ -12,13 +12,13 @@ import (
 // (application, system) with a cell per processor count.
 func TestFig5AndFig6Formatting(t *testing.T) {
 	procs := []int{1, 4}
-	data := RunFig5([]string{"FFT"}, procs, ScaleTest, nil, CellOptions{}, 1)
+	data := RunFig5([]string{"FFT"}, procs, testOpts, 1)
 	f5 := Fig5(io.Discard, data, procs).String()
 	if !strings.Contains(f5, "FFT") || !strings.Contains(f5, "genima") ||
 		!strings.Contains(f5, "cables") {
 		t.Errorf("fig5 table malformed:\n%s", f5)
 	}
-	f6 := Fig6(io.Discard, data, procs, nil).String()
+	f6 := Fig6(io.Discard, data, procs).String()
 	if !strings.Contains(f6, "FFT") || !strings.Contains(f6, "%") {
 		t.Errorf("fig6 table malformed:\n%s", f6)
 	}
@@ -27,17 +27,15 @@ func TestFig5AndFig6Formatting(t *testing.T) {
 // TestFig6TitlesItsGranularity: Figure 6's title names the map-unit
 // granularity its cells ran at — the default 64 KB, or a -gran override.
 func TestFig6TitlesItsGranularity(t *testing.T) {
-	costs := sim.DefaultCosts()
-	costs.MapGranularity = 4 << 10
 	for _, tc := range []struct {
-		costs *sim.Costs
-		want  string
+		runs []CellRun
+		want string
 	}{
 		{nil, "(64 KB map-unit first touch)"},
-		{costs, "(4 KB map-unit first touch)"},
+		{[]CellRun{{Cell: Cell{Opts: CellOptions{Gran: 4 << 10}}}}, "(4 KB map-unit first touch)"},
 	} {
 		var b strings.Builder
-		Fig6(&b, nil, []int{4}, tc.costs)
+		Fig6(&b, tc.runs, []int{4})
 		if title, _, _ := strings.Cut(b.String(), "\n"); !strings.Contains(title, tc.want) {
 			t.Errorf("title %q, want it to contain %q", title, tc.want)
 		}
@@ -48,14 +46,12 @@ func TestFig6TitlesItsGranularity(t *testing.T) {
 // placement overhead entirely to WindowsNT's 64 KB mapping granularity; at
 // 4 KB (the planned Linux port) misplacement must vanish.
 func TestGranularityAblationErasesMisplacement(t *testing.T) {
-	nt := mustRun(t, "LU", BackendCables, 8, ScaleTest, nil)
+	nt := mustRun(t, "LU", BackendCables, 8, testOpts)
 	if nt.MisplacedPct() < 10 {
 		t.Fatalf("precondition: LU at 64KB should misplace pages (got %.1f%%)",
 			nt.MisplacedPct())
 	}
-	costs := sim.DefaultCosts()
-	costs.MapGranularity = 4 << 10
-	linux := mustRun(t, "LU", BackendCables, 8, ScaleTest, costs)
+	linux := mustRun(t, "LU", BackendCables, 8, CellOptions{Scale: ScaleTest, Gran: 4 << 10})
 	if linux.Misplaced != 0 {
 		t.Errorf("4KB granularity still misplaces %d pages", linux.Misplaced)
 	}
@@ -66,11 +62,13 @@ func TestGranularityAblationErasesMisplacement(t *testing.T) {
 }
 
 // TestLinuxProfileRunsApps: the full Linux OS profile (cheaper threads,
-// 4 KB units) is a valid configuration end to end.
+// 4 KB units) is a valid configuration end to end.  It is an ablation of
+// the cost model, not a cell input, so it runs through the unexported
+// runner that takes a cost table.
 func TestLinuxProfileRunsApps(t *testing.T) {
-	costs := sim.DefaultCosts().LinuxOS()
-	res := mustRun(t, "WATER-SPATIAL", BackendCables, 4, ScaleTest, costs)
-	if res.Checksum <= 0 || res.Misplaced != 0 {
-		t.Errorf("linux profile run: %v", res)
+	r := runCell(Cell{App: "WATER-SPATIAL", Backend: BackendCables, Procs: 4, Opts: testOpts},
+		sim.DefaultCosts().LinuxOS(), Attach{})
+	if r.Err != nil || r.Res.Checksum <= 0 || r.Res.Misplaced != 0 {
+		t.Errorf("linux profile run: %v (err %v)", r.Res, r.Err)
 	}
 }

@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"strconv"
 
 	"cables/internal/apps/appapi"
 	cables "cables/internal/core"
@@ -13,15 +16,19 @@ import (
 	"cables/internal/wire"
 )
 
-// CellOptions bundles every code-relevant knob one simulation cell can
-// carry beyond (app, backend, procs, scale, costs): the wire plane's opt-in
-// mode, an optional fault plan and seed, and the coherence protocol.  It is the
-// only way a cell's configuration reaches the simulator, so a cell is a
-// pure function of its arguments.
-// The zero value reproduces the paper-faithful default cell exactly.
-// The simulation farm (internal/farm) canonicalizes these fields into its
-// content-addressed cache key.
+// CellOptions bundles every input one simulation cell carries beyond
+// (app, backend, procs): the problem scale, the OS mapping granularity,
+// the wire plane's opt-in mode, an optional fault plan and seed, and the
+// coherence protocol.  It is the only way a cell's configuration reaches
+// the simulator, so a cell is a pure function of its Cell.
+// The zero value is the paper-faithful default cell: paper scale, 64 KB
+// mapping units, genima, no faults.
 type CellOptions struct {
+	// Scale selects the problem sizes; empty runs paper scale.
+	Scale Scale
+	// Gran overrides the OS mapping granularity in bytes (-gran); 0 keeps
+	// the model's 64 KB.
+	Gran int
 	// Wire selects the wire plane's opt-in mode (-contended-sync).
 	Wire wire.Options
 	// Plan and Seed build the cell's own fault injector (see
@@ -35,14 +42,15 @@ type CellOptions struct {
 
 // Attach selects the observers a cell run carries.  Observers record and
 // charge nothing (the invariance rule), so they change no result and stay
-// out of CellOptions, which is what the farm hashes.
+// out of Cell, which is what the farm hashes.
 type Attach struct {
 	// Profiler attaches a virtual-time profiler (AttachProfiler).
 	Profiler bool
 }
 
 // Cell identifies one simulation cell: an application on a backend at a
-// processor count, configured by Opts.
+// processor count, configured by Opts.  It is the whole input of a run,
+// and so also the simulation farm's content-addressed cache key (Hash).
 type Cell struct {
 	App     string
 	Backend string
@@ -55,9 +63,58 @@ func (c Cell) Label() string {
 	return fmt.Sprintf("%s/%s p=%d", c.App, c.Backend, c.Procs)
 }
 
-// Grid expands the paper's evaluation grid: every app at every processor
-// count on both systems, genima before cables, each configured by o.
+// cacheSchema versions the canonical form.  Bump it when the meaning of any
+// field changes (or a new result-changing field is added), so stale farm
+// cache entries from an older build can never be mistaken for current ones.
+const cacheSchema = "cables-farm-v3"
+
+// Canonical renders the cell as the canonical string that is hashed into
+// its cache address: a fixed field order, every field present (defaults
+// included, as given), the plan in its canonical DSL form
+// (fault.Plan.String), prefixed by the schema version.
+func (c Cell) Canonical() string {
+	return string(c.appendCanonical(make([]byte, 0, 128)))
+}
+
+// appendCanonical appends Canonical's bytes to b.  The farm runs it for
+// every cell of every submitted sweep, so it builds the string with
+// strconv appends rather than fmt.
+func (c Cell) appendCanonical(b []byte) []byte {
+	o := &c.Opts
+	b = append(b, cacheSchema+"|app="...)
+	b = append(b, c.App...)
+	b = append(b, "|procs="...)
+	b = strconv.AppendInt(b, int64(c.Procs), 10)
+	b = append(b, "|backend="...)
+	b = append(b, c.Backend...)
+	b = append(b, "|scale="...)
+	b = append(b, o.Scale...)
+	b = append(b, "|gran="...)
+	b = strconv.AppendInt(b, int64(o.Gran), 10)
+	b = append(b, "|contended="...)
+	b = strconv.AppendBool(b, o.Wire.ContendedSync)
+	b = append(b, "|plan="...)
+	b = append(b, o.Plan.String()...)
+	b = append(b, "|seed="...)
+	b = strconv.AppendUint(b, o.Seed, 10)
+	b = append(b, "|protocol="...)
+	return append(b, o.Protocol...)
+}
+
+// Hash returns the cell's content address: the hex SHA-256 of Canonical().
+func (c Cell) Hash() string {
+	var buf [160]byte
+	sum := sha256.Sum256(c.appendCanonical(buf[:0]))
+	return hex.EncodeToString(sum[:])
+}
+
+// Grid expands the paper's evaluation grid: every app (AppNames when apps
+// is empty) at every processor count on both systems, genima before
+// cables, each configured by o.
 func Grid(apps []string, procs []int, o CellOptions) []Cell {
+	if len(apps) == 0 {
+		apps = AppNames
+	}
 	cells := make([]Cell, 0, len(apps)*len(procs)*2)
 	for _, app := range apps {
 		for _, p := range procs {
@@ -80,10 +137,15 @@ type CellRun struct {
 	Err  error
 }
 
-// NewRuntimeOpts builds an application runtime on the chosen backend with
-// every per-cell option explicit.  It is the single construction point;
-// RunCell uses it, and tests that drive custom workloads call it directly.
-func NewRuntimeOpts(backend string, procs int, arena int64, costs *sim.Costs, o CellOptions) appapi.Runtime {
+// newRuntime builds an application runtime on the chosen backend with
+// every per-cell option explicit; it is the single construction point.
+// A nil costs runs the default cost table at o's mapping granularity; only
+// the Linux-profile ablation passes a table of its own.
+func newRuntime(backend string, procs int, arena int64, costs *sim.Costs, o CellOptions) appapi.Runtime {
+	if costs == nil && o.Gran > 0 {
+		costs = sim.DefaultCosts()
+		costs.MapGranularity = o.Gran
+	}
 	var inj *fault.Injector
 	if len(o.Plan.Rules) > 0 {
 		inj = fault.New(o.Plan, o.Seed)
@@ -100,20 +162,24 @@ func NewRuntimeOpts(backend string, procs int, arena int64, costs *sim.Costs, o 
 	}
 }
 
-// RunCell runs one (app, backend, procs) cell with explicit per-cell
-// options and the requested observers attached.  It is the harness's one
-// cell runner: every sweep, the farm and the tests go through it.
-// Identical arguments produce identical outputs (virtual times, checksums,
-// placement censuses, counter totals), which is what makes the results
-// safe to content-address and serve from cache.  Registration failures (the base system's NIC limits) surface as
-// errors, exactly like the paper's OCEAN-at-32 case.
-func RunCell(name, backend string, procs int, scale Scale, costs *sim.Costs, o CellOptions, a Attach) CellRun {
-	rt := NewRuntimeOpts(backend, procs, 256<<20, costs, o)
-	r := CellRun{Cell: Cell{App: name, Backend: backend, Procs: procs, Opts: o}}
+// RunCell runs cell c with the requested observers attached.  It is the
+// harness's one cell runner: every sweep, the farm and the tests go
+// through it.  Equal cells produce identical outputs (virtual times,
+// checksums, placement censuses, counter totals), which is what makes the
+// results safe to content-address (Cell.Hash) and serve from cache.
+// Registration failures (the base system's NIC limits) surface as errors,
+// exactly like the paper's OCEAN-at-32 case.
+func RunCell(c Cell, a Attach) CellRun { return runCell(c, nil, a) }
+
+// runCell is RunCell under an explicit cost table (nil: the defaults at
+// c.Opts.Gran).
+func runCell(c Cell, costs *sim.Costs, a Attach) CellRun {
+	rt := newRuntime(c.Backend, c.Procs, 256<<20, costs, c.Opts)
+	r := CellRun{Cell: c}
 	if a.Profiler {
 		r.Prof = AttachProfiler(rt)
 	}
-	r.Res, r.Err = runAppOn(rt, name, scale)
+	r.Res, r.Err = runAppOn(rt, c.App, c.Opts.Scale)
 	r.Ctr = rt.Cluster().Ctr
 	return r
 }
@@ -121,11 +187,10 @@ func RunCell(name, backend string, procs int, scale Scale, costs *sim.Costs, o C
 // Sweep runs cells up to jobs at a time (RunCells) with the observers a
 // attached and returns their runs in cell order.  A cell that panics keeps
 // its Cell and reports the panic as its Err; the rest of the sweep runs on.
-func Sweep(cells []Cell, scale Scale, costs *sim.Costs, a Attach, jobs int) []CellRun {
+func Sweep(cells []Cell, a Attach, jobs int) []CellRun {
 	runs := make([]CellRun, len(cells))
 	errs := RunCells(jobs, len(cells), func(i int) {
-		c := cells[i]
-		runs[i] = RunCell(c.App, c.Backend, c.Procs, scale, costs, c.Opts, a)
+		runs[i] = RunCell(cells[i], a)
 	})
 	for i := range runs {
 		if errs[i] != nil {
@@ -135,15 +200,19 @@ func Sweep(cells []Cell, scale Scale, costs *sim.Costs, a Attach, jobs int) []Ce
 	return runs
 }
 
-// RunAppCell is RunCell with no observers, returning the result and the
-// run's event counters.
+// RunAppCell and RunAppCellProfiled are the cell runner in the shape
+// benchmark/probe.go calls.  They exist for the probe until the ROADMAP
+// item "Catch the benchmark up" moves it onto RunCell.
 func RunAppCell(name, backend string, procs int, scale Scale, costs *sim.Costs, o CellOptions) (appapi.Result, *stats.Counters, error) {
-	r := RunCell(name, backend, procs, scale, costs, o, Attach{})
+	o.Scale = scale
+	r := runCell(Cell{App: name, Backend: backend, Procs: procs, Opts: o}, costs, Attach{})
 	return r.Res, r.Ctr, r.Err
 }
 
-// RunAppCellProfiled is RunCell with a profiler attached.
+// RunAppCellProfiled is RunAppCell with a profiler attached; it too exists
+// only for benchmark/probe.go.
 func RunAppCellProfiled(name, backend string, procs int, scale Scale, costs *sim.Costs, o CellOptions) (appapi.Result, *stats.Counters, *profile.Profiler, error) {
-	r := RunCell(name, backend, procs, scale, costs, o, Attach{Profiler: true})
+	o.Scale = scale
+	r := runCell(Cell{App: name, Backend: backend, Procs: procs, Opts: o}, costs, Attach{Profiler: true})
 	return r.Res, r.Ctr, r.Prof, r.Err
 }

@@ -6,7 +6,6 @@ import (
 
 	"cables/internal/coherence"
 	"cables/internal/profile"
-	"cables/internal/sim"
 	"cables/internal/stats"
 )
 
@@ -26,14 +25,14 @@ var faultEvents = []stats.Event{
 // whole table is reproducible from o.  profTop > 0 attaches a profiler to
 // every cell and appends its profile block (top profTop rows) under the
 // cell's census.
-func RunFaults(w io.Writer, apps []string, procs []int, scale Scale, costs *sim.Costs, o CellOptions, jobs, profTop int) *stats.Table {
+func RunFaults(w io.Writer, apps []string, procs []int, o CellOptions, jobs, profTop int) *stats.Table {
 	if len(apps) == 0 {
 		apps = AppNames
 	}
 	if len(procs) == 0 {
 		procs = ProcCounts
 	}
-	runs := Sweep(Grid(apps, procs, o), scale, costs, Attach{Profiler: profTop > 0}, jobs)
+	runs := Sweep(Grid(apps, procs, o), Attach{Profiler: profTop > 0}, jobs)
 
 	header := []string{"Application", "System"}
 	for _, p := range procs {

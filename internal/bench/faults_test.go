@@ -58,7 +58,7 @@ func runSequential(t *testing.T, o CellOptions) (map[string]int64, []taskTimelin
 	// The genima backend spreads workers round-robin over the three nodes of
 	// a 6-processor run, so workers 1, 2, 4, 5 take remote page faults and
 	// flush remote diffs — the operations the send/fetch/notify rules target.
-	rt := NewRuntimeOpts(BackendGenima, 6, 64<<20, nil, o)
+	rt := newRuntime(BackendGenima, 6, 64<<20, nil, o)
 	prof := AttachProfiler(rt)
 	main := rt.Main()
 	acc := rt.Acc()
@@ -149,7 +149,8 @@ func TestDetachCompletesDegraded(t *testing.T) {
 	plan := fault.MustParsePlan(spec)
 	for _, app := range []string{"FFT", "OCEAN"} {
 		for _, backend := range []string{BackendGenima, BackendCables} {
-			r := RunCell(app, backend, 4, ScaleTest, nil, CellOptions{Plan: plan, Seed: 7}, Attach{})
+			r := RunCell(Cell{App: app, Backend: backend, Procs: 4,
+				Opts: CellOptions{Scale: ScaleTest, Plan: plan, Seed: 7}}, Attach{})
 			res, ctr := r.Res, r.Ctr
 			if r.Err != nil {
 				t.Errorf("%s/%s: FAILED under detach plan: %v", app, backend, r.Err)
@@ -174,7 +175,7 @@ func TestDetachCompletesDegraded(t *testing.T) {
 func TestRunFaultsRendersDegraded(t *testing.T) {
 	var b strings.Builder
 	plan := fault.MustParsePlan("send:p=0.2;detach:node=1,at=2ms")
-	RunFaults(&b, []string{"FFT"}, []int{4}, ScaleTest, nil, CellOptions{Plan: plan, Seed: 7}, 2, 0)
+	RunFaults(&b, []string{"FFT"}, []int{4}, CellOptions{Scale: ScaleTest, Plan: plan, Seed: 7}, 2, 0)
 	out := b.String()
 	if strings.Contains(out, "FAILED") {
 		t.Errorf("faulted sweep failed a cell:\n%s", out)
@@ -197,8 +198,8 @@ func TestRunFaultsHonorsCellOptions(t *testing.T) {
 	plan := fault.MustParsePlan("send:p=0.2")
 	injected := func(o CellOptions) int {
 		var b strings.Builder
-		o.Plan, o.Seed = plan, 3
-		RunFaults(&b, []string{"LU"}, []int{4}, ScaleTest, nil, o, 1, 0)
+		o.Scale, o.Plan, o.Seed = ScaleTest, plan, 3
+		RunFaults(&b, []string{"LU"}, []int{4}, o, 1, 0)
 		n := 0
 		for _, f := range strings.Fields(b.String()) {
 			if v, ok := strings.CutPrefix(f, "faultsInjected="); ok {

@@ -53,7 +53,7 @@ func TestFig5ChecksumBits(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	runs := RunFig5(AppNames, ProcCounts, ScaleTest, nil, CellOptions{}, 2)
+	runs := RunFig5(AppNames, ProcCounts, testOpts, 2)
 	got := make([]fig5Bits, len(runs))
 	for i, r := range runs {
 		got[i] = fig5Bits{App: r.App, Backend: r.Backend, Procs: r.Procs, Failed: r.Err != nil}

@@ -21,14 +21,11 @@ import (
 // jobs cells run concurrently on the host; each cell is an independent
 // simulation, so the runs are identical for any jobs value (jobs <= 1 runs
 // the sweep sequentially).
-func RunFig5(apps []string, procs []int, scale Scale, costs *sim.Costs, o CellOptions, jobs int) []CellRun {
-	if len(apps) == 0 {
-		apps = AppNames
-	}
+func RunFig5(apps []string, procs []int, o CellOptions, jobs int) []CellRun {
 	if len(procs) == 0 {
 		procs = ProcCounts
 	}
-	return Sweep(Grid(apps, procs, o), scale, costs, Attach{}, jobs)
+	return Sweep(Grid(apps, procs, o), Attach{}, jobs)
 }
 
 // runAt returns the run of cell (app, backend, procs), or the zero CellRun
@@ -90,9 +87,9 @@ func Fig5(w io.Writer, runs []CellRun, procs []int) *stats.Table {
 
 // Fig6 prints the Figure 6 series: the percentage of pages CableS places on
 // a different home than the base system's per-page first touch, per
-// application and processor count.  costs is the cost table the sweep ran
-// under (nil for the defaults); its map-unit granularity titles the figure.
-func Fig6(w io.Writer, runs []CellRun, procs []int, costs *sim.Costs) *stats.Table {
+// application and processor count.  The map-unit granularity the runs'
+// cells ran at (Opts.Gran, the default 64 KB when unset) titles the figure.
+func Fig6(w io.Writer, runs []CellRun, procs []int) *stats.Table {
 	if len(procs) == 0 {
 		procs = ProcCounts
 	}
@@ -114,11 +111,12 @@ func Fig6(w io.Writer, runs []CellRun, procs []int, costs *sim.Costs) *stats.Tab
 		tab.AddRow(row...)
 	}
 	if w != nil {
-		if costs == nil {
-			costs = sim.DefaultCosts()
+		gran := sim.DefaultCosts().MapGranularity
+		if len(runs) > 0 && runs[0].Opts.Gran > 0 {
+			gran = runs[0].Opts.Gran
 		}
 		fprintf(w, "Figure 6: %% pages misplaced by CableS (%s map-unit first touch)\n%s\n",
-			granString(costs.MapGranularity), tab)
+			granString(gran), tab)
 	}
 	return tab
 }

@@ -33,7 +33,7 @@ func TestLimitsTable(t *testing.T) {
 // failure point: OCEAN runs on the base system up to 16 processors and
 // fails at 32; CableS runs everywhere.
 func TestFig5OceanFailsOnlyAt32OnBase(t *testing.T) {
-	runs := RunFig5([]string{"OCEAN"}, []int{16, 32}, ScaleTest, nil, CellOptions{}, 2)
+	runs := RunFig5([]string{"OCEAN"}, []int{16, 32}, testOpts, 2)
 	if len(runs) != 4 {
 		t.Fatalf("swept %d cells, want 4", len(runs))
 	}

@@ -17,7 +17,7 @@ import (
 func runLeakChecked(t *testing.T, app, backend string, procs int, scale Scale) {
 	t.Helper()
 	base := memsys.FramesResident()
-	mustRun(t, app, backend, procs, scale, nil)
+	mustRun(t, app, backend, procs, CellOptions{Scale: scale})
 	if got := memsys.FramesResident(); got != base {
 		t.Errorf("%s/%s at %d procs leaked %d frames (resident %d, baseline %d)",
 			app, backend, procs, got-base, got, base)

@@ -80,8 +80,8 @@ func TestHarnessDeterminism(t *testing.T) {
 	noStalls(t)
 	apps, procs := []string{"FFT", "LU"}, []int{1, 4}
 
-	seqData := RunFig5(apps, procs, ScaleTest, nil, CellOptions{}, 1)
-	parData := RunFig5(apps, procs, ScaleTest, nil, CellOptions{}, 4)
+	seqData := RunFig5(apps, procs, testOpts, 1)
+	parData := RunFig5(apps, procs, testOpts, 4)
 	compareSweeps(t, seqData, parData)
 
 	// The rendered tables agree on shape: same header, same row labels.
@@ -140,8 +140,8 @@ func TestSchedulerJobsDeterminism(t *testing.T) {
 	t.Run("event", func(t *testing.T) {
 		noStalls(t)
 		apps, procs := []string{"FFT"}, []int{1, 4}
-		compareSweeps(t, RunFig5(apps, procs, ScaleTest, nil, CellOptions{}, 1),
-			RunFig5(apps, procs, ScaleTest, nil, CellOptions{}, 4))
+		compareSweeps(t, RunFig5(apps, procs, testOpts, 1),
+			RunFig5(apps, procs, testOpts, 4))
 	})
 }
 
@@ -152,7 +152,7 @@ func TestSchedulerJobsDeterminism(t *testing.T) {
 func raceSmokeColumn(t *testing.T, app string) {
 	t.Helper()
 	noStalls(t)
-	for _, c := range RunFig5([]string{app}, []int{4}, ScaleTest, nil, CellOptions{}, 2) {
+	for _, c := range RunFig5([]string{app}, []int{4}, testOpts, 2) {
 		if c.Err != nil {
 			t.Errorf("%s: %v", c.Label(), c.Err)
 		}
@@ -182,7 +182,7 @@ func TestRepeatRunStableUnderGOMAXPROCS(t *testing.T) {
 		defer runtime.GOMAXPROCS(old)
 	}
 	do := func() CellRun {
-		c := RunCell("FFT", BackendGenima, 4, ScaleTest, nil, CellOptions{}, Attach{})
+		c := RunCell(Cell{App: "FFT", Backend: BackendGenima, Procs: 4, Opts: testOpts}, Attach{})
 		if c.Err != nil {
 			t.Fatal(c.Err)
 		}

@@ -51,14 +51,11 @@ func protocolOf(rt appapi.Runtime) *genima.Protocol {
 // bounds the hot-page/lock/epoch rows (<=0 means the default 5).  The
 // returned runs carry the profilers for a timeline export (TraceCells).
 // Every cell is configured by o.
-func RunProfile(w io.Writer, apps []string, procs []int, scale Scale, costs *sim.Costs, o CellOptions, jobs, top int) []CellRun {
-	if len(apps) == 0 {
-		apps = AppNames
-	}
+func RunProfile(w io.Writer, apps []string, procs []int, o CellOptions, jobs, top int) []CellRun {
 	if len(procs) == 0 {
 		procs = []int{8}
 	}
-	runs := Sweep(Grid(apps, procs, o), scale, costs, Attach{Profiler: true}, jobs)
+	runs := Sweep(Grid(apps, procs, o), Attach{Profiler: true}, jobs)
 	if w != nil {
 		for _, c := range runs {
 			if c.Err != nil {

@@ -14,7 +14,7 @@ import (
 // a profiler attached, failing the test if the cell errors.
 func runProfiled(t *testing.T, app, backend string) CellRun {
 	t.Helper()
-	r := RunCell(app, backend, 4, ScaleTest, nil, CellOptions{}, Attach{Profiler: true})
+	r := RunCell(Cell{App: app, Backend: backend, Procs: 4, Opts: testOpts}, Attach{Profiler: true})
 	if r.Err != nil {
 		t.Fatalf("%s/%s profiled: %v", app, backend, r.Err)
 	}
@@ -27,7 +27,7 @@ func runProfiled(t *testing.T, app, backend string) CellRun {
 func TestProfilerInvariance(t *testing.T) {
 	for _, backend := range []string{BackendGenima, BackendCables} {
 		for _, app := range []string{"FFT", "WATER-SPATIAL"} {
-			plain := mustRun(t, app, backend, 4, ScaleTest, nil)
+			plain := mustRun(t, app, backend, 4, testOpts)
 			r := runProfiled(t, app, backend)
 			profiled, prof := r.Res, r.Prof
 			if plain.Checksum != profiled.Checksum ||
@@ -121,7 +121,7 @@ func TestProfileLockAttribution(t *testing.T) {
 // Chrome trace-viewer JSON with properly nested spans per thread.
 func TestRunProfileRendersAndExports(t *testing.T) {
 	var b strings.Builder
-	cells := RunProfile(&b, []string{"FFT"}, []int{4}, ScaleTest, nil, CellOptions{}, 2, 3)
+	cells := RunProfile(&b, []string{"FFT"}, []int{4}, testOpts, 2, 3)
 	out := b.String()
 	if strings.Contains(out, "MISMATCH") || strings.Contains(out, "FAILED") {
 		t.Fatalf("profiled sweep did not reconcile:\n%s", out)

@@ -18,7 +18,8 @@ func TestFig5ProtocolSmoke(t *testing.T) {
 			for _, backend := range []string{BackendGenima, BackendCables} {
 				var base float64
 				for _, proto := range coherence.Names() { // genima first: the baseline
-					r := RunCell(app, backend, procs, ScaleTest, nil, CellOptions{Protocol: proto}, Attach{})
+					r := RunCell(Cell{App: app, Backend: backend, Procs: procs,
+						Opts: CellOptions{Scale: ScaleTest, Protocol: proto}}, Attach{})
 					if r.Err != nil {
 						t.Fatalf("%s/%s p=%d under %s: %v", app, backend, procs, proto, r.Err)
 					}
@@ -60,7 +61,8 @@ func TestProtocolDeterminism(t *testing.T) {
 			}
 			RunCells(jobs, len(cells), func(i int) {
 				c := &cells[i]
-				r := RunCell(c.app, c.backend, 8, ScaleTest, nil, CellOptions{Protocol: proto}, Attach{})
+				r := RunCell(Cell{App: c.app, Backend: c.backend, Procs: 8,
+					Opts: CellOptions{Scale: ScaleTest, Protocol: proto}}, Attach{})
 				c.sum, c.err = r.Res.Checksum, r.Err
 			})
 			for _, c := range cells {
@@ -86,7 +88,8 @@ func TestProtocolDeterminism(t *testing.T) {
 func TestProtocolVariantsRun(t *testing.T) {
 	for _, proto := range coherence.Names() {
 		for _, app := range []string{"RADIX", "WATER-SPATIAL", "VOLREND"} {
-			r := RunCell(app, BackendGenima, 8, ScaleTest, nil, CellOptions{Protocol: proto}, Attach{})
+			r := RunCell(Cell{App: app, Backend: BackendGenima, Procs: 8,
+				Opts: CellOptions{Scale: ScaleTest, Protocol: proto}}, Attach{})
 			if r.Err != nil {
 				t.Fatalf("%s under %s: %v", app, proto, r.Err)
 			}
@@ -118,11 +121,11 @@ func TestProtocolsTableSmoke(t *testing.T) {
 	for _, app := range apps {
 		for _, proto := range protos {
 			cells = append(cells, Cell{App: app, Backend: BackendGenima, Procs: 8,
-				Opts: CellOptions{Protocol: proto}})
+				Opts: CellOptions{Scale: ScaleTest, Protocol: proto}})
 		}
 	}
 	byApp := map[string]map[string]CellRun{}
-	for _, c := range Sweep(cells, ScaleTest, nil, Attach{}, DefaultJobs()) {
+	for _, c := range Sweep(cells, Attach{}, DefaultJobs()) {
 		if c.Err != nil {
 			t.Fatalf("%s under %s: %v", c.Label(), c.Opts.Protocol, c.Err)
 		}

@@ -16,8 +16,9 @@ import (
 // virtual time, data checksum, messages, bytes, and the profiler's
 // lock-wait split (total / transfer / hold-blocked).  The checksum column
 // is the data-identity witness — all three protocols must compute the
-// same answer.  jobs > 1 runs cells in parallel.
-func RunProtocols(w io.Writer, apps []string, procs int, scale Scale, costs *sim.Costs, jobs int) *stats.Table {
+// same answer.  Every cell is configured by o, its Protocol aside.  jobs > 1
+// runs cells in parallel.
+func RunProtocols(w io.Writer, apps []string, procs int, o CellOptions, jobs int) *stats.Table {
 	if len(apps) == 0 {
 		apps = AppNames
 	}
@@ -27,11 +28,11 @@ func RunProtocols(w io.Writer, apps []string, procs int, scale Scale, costs *sim
 	var cells []Cell
 	for _, app := range apps {
 		for _, proto := range coherence.Names() {
-			cells = append(cells, Cell{App: app, Backend: BackendGenima, Procs: procs,
-				Opts: CellOptions{Protocol: proto}})
+			o.Protocol = proto
+			cells = append(cells, Cell{App: app, Backend: BackendGenima, Procs: procs, Opts: o})
 		}
 	}
-	runs := Sweep(cells, scale, costs, Attach{Profiler: true}, jobs)
+	runs := Sweep(cells, Attach{Profiler: true}, jobs)
 
 	tab := stats.NewTable("Application", "Protocol", "Time", "Checksum",
 		"Msgs", "KB", "LockWait", "Transfer", "HoldBlk", "Extra")
@@ -61,7 +62,7 @@ func RunProtocols(w io.Writer, apps []string, procs int, scale Scale, costs *sim
 	}
 	if w != nil {
 		fprintf(w, "Coherence protocols: %s backend, %d procs, scale %s\n%s",
-			BackendGenima, procs, scale, tab)
+			BackendGenima, procs, o.Scale, tab)
 	}
 	return tab
 }

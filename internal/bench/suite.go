@@ -4,9 +4,10 @@
 // reports; bench_test.go at the repository root exposes them as Go
 // benchmarks.
 //
-// Every cell runs through one function, RunCell: its CellOptions carry the
-// cell's whole configuration (wire mode, fault plan and seed, coherence
-// protocol) and its Attach the observer (the profiler).  Every batch sweep
+// Every cell runs through one function, RunCell: its Cell (app, backend,
+// procs and CellOptions: scale, mapping granularity, wire mode, fault plan
+// and seed, coherence protocol) is the run's whole input and the farm's
+// cache key, and its Attach the observer (the profiler).  Every batch sweep
 // runs its Cells through Sweep, which returns one CellRun per cell, and
 // each view (Fig5, Fig6, counters, faults, profile, protocols) renders
 // those runs.  Beyond the paper's artifacts the harness exposes fault

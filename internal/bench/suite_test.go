@@ -8,14 +8,16 @@ import (
 	"testing"
 
 	"cables/internal/apps/appapi"
-	"cables/internal/sim"
 )
 
-// mustRun runs one default-configured cell with no observers, failing the
-// test if the cell errors.
-func mustRun(t *testing.T, app, backend string, procs int, scale Scale, costs *sim.Costs) appapi.Result {
+// testOpts configures a default cell at test scale.
+var testOpts = CellOptions{Scale: ScaleTest}
+
+// mustRun runs one cell with no observers, failing the test if the cell
+// errors.
+func mustRun(t *testing.T, app, backend string, procs int, o CellOptions) appapi.Result {
 	t.Helper()
-	r := RunCell(app, backend, procs, scale, costs, CellOptions{}, Attach{})
+	r := RunCell(Cell{App: app, Backend: backend, Procs: procs, Opts: o}, Attach{})
 	if r.Err != nil {
 		t.Fatalf("%s/%s p=%d: %v", app, backend, procs, r.Err)
 	}
@@ -29,8 +31,8 @@ func TestAppsAgreeAcrossBackends(t *testing.T) {
 	for _, app := range AppNames {
 		app := app
 		t.Run(app, func(t *testing.T) {
-			g := mustRun(t, app, BackendGenima, 4, ScaleTest, nil)
-			c := mustRun(t, app, BackendCables, 4, ScaleTest, nil)
+			g := mustRun(t, app, BackendGenima, 4, testOpts)
+			c := mustRun(t, app, BackendCables, 4, testOpts)
 			if g.Checksum == 0 || c.Checksum == 0 {
 				t.Fatalf("zero checksum: genima=%g cables=%g", g.Checksum, c.Checksum)
 			}
@@ -58,8 +60,8 @@ func TestComputeAppsSpeedUp(t *testing.T) {
 	for _, app := range []string{"LU", "RAYTRACE"} {
 		app := app
 		t.Run(app, func(t *testing.T) {
-			seq := mustRun(t, app, BackendGenima, 1, ScaleTest, nil)
-			par := mustRun(t, app, BackendGenima, 8, ScaleTest, nil)
+			seq := mustRun(t, app, BackendGenima, 1, testOpts)
+			par := mustRun(t, app, BackendGenima, 8, testOpts)
 			sp := float64(seq.Parallel) / float64(par.Parallel)
 			if sp < 1.5 {
 				t.Errorf("speedup at 8 procs: got %.2f, want >= 1.5 (seq=%v par=%v)",
@@ -89,7 +91,7 @@ func TestWorkloadPanicIsPanicError(t *testing.T) {
 
 // TestSweepKeepsCellOnPanic: Grid orders its cells apps, then procs, then
 // genima before cables; and a cell that panics (an unknown backend panics
-// in NewRuntimeOpts) keeps its Cell and reports the panic as its Err,
+// in newRuntime) keeps its Cell and reports the panic as its Err,
 // while its neighbours complete.
 func TestSweepKeepsCellOnPanic(t *testing.T) {
 	var labels []string
@@ -105,11 +107,11 @@ func TestSweepKeepsCellOnPanic(t *testing.T) {
 	}
 
 	cells := []Cell{
-		{App: "FFT", Backend: BackendGenima, Procs: 1},
-		{App: "FFT", Backend: "nope", Procs: 1},
-		{App: "FFT", Backend: BackendCables, Procs: 1},
+		{App: "FFT", Backend: BackendGenima, Procs: 1, Opts: testOpts},
+		{App: "FFT", Backend: "nope", Procs: 1, Opts: testOpts},
+		{App: "FFT", Backend: BackendCables, Procs: 1, Opts: testOpts},
 	}
-	runs := Sweep(cells, ScaleTest, nil, Attach{}, 2)
+	runs := Sweep(cells, Attach{}, 2)
 	if len(runs) != len(cells) {
 		t.Fatalf("swept %d runs, want %d", len(runs), len(cells))
 	}

@@ -15,7 +15,7 @@ import (
 // home.  It returns the run's counters and virtual end time.
 func releaseBurstWorkload(t *testing.T) (*stats.Counters, sim.Time) {
 	t.Helper()
-	rt := NewRuntimeOpts(BackendGenima, 6, 64<<20, nil, CellOptions{})
+	rt := newRuntime(BackendGenima, 6, 64<<20, nil, CellOptions{})
 	main := rt.Main()
 	acc := rt.Acc()
 	a, err := rt.Malloc(main, "seq", 256<<10)
@@ -83,8 +83,8 @@ func TestDefaultWireOptionsBitIdentical(t *testing.T) {
 // -contended-sync mode: one fig5 column with sync traffic holding NIC
 // occupancy, under the race detector, on both backends.
 func TestFig5ContendedSyncRaceSmoke(t *testing.T) {
-	for _, c := range RunFig5([]string{"FFT"}, []int{4}, ScaleTest, nil,
-		CellOptions{Wire: wire.Options{ContendedSync: true}}, 2) {
+	for _, c := range RunFig5([]string{"FFT"}, []int{4},
+		CellOptions{Scale: ScaleTest, Wire: wire.Options{ContendedSync: true}}, 2) {
 		if c.Err != nil {
 			t.Errorf("%s: %v", c.Label(), c.Err)
 		}

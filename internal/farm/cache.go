@@ -13,7 +13,7 @@ import (
 // It is immutable once stored: a cache hit serves exactly these bytes
 // (TestCacheServesIdenticalResults compares warm and cold result bytes).
 type CellResult struct {
-	// Key is the cell's content address (CellKey.Hash) and Canonical the
+	// Key is the cell's content address (bench.Cell.Hash) and Canonical the
 	// string it hashes — returned so clients can verify what they got.
 	Key       string `json:"key"`
 	Canonical string `json:"canonical"`

@@ -9,6 +9,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"cables/internal/bench"
 )
 
 // waitGoroutines polls until the goroutine count returns to at most base
@@ -36,7 +38,7 @@ func TestDrainCompletesInFlightRejectsQueued(t *testing.T) {
 	srv := New(Config{Jobs: 1})
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	srv.runCell = func(k CellKey) *CellResult {
+	srv.runCell = func(k bench.Cell) *CellResult {
 		started <- struct{}{}
 		<-release
 		return &CellResult{}
@@ -141,7 +143,7 @@ func TestDrainIdempotent(t *testing.T) {
 func TestServeSigtermDrain(t *testing.T) {
 	base := runtime.NumGoroutine()
 	srv := New(Config{Jobs: 2})
-	srv.runCell = func(k CellKey) *CellResult { return &CellResult{} }
+	srv.runCell = func(k bench.Cell) *CellResult { return &CellResult{} }
 	ts := httptest.NewServer(srv.Handler())
 	waitSweep(t, ts, postSweep(t, ts, `{"apps":["FFT"],"procs":[1],"backends":["genima"],"scale":"test"}`).ID)
 
@@ -172,7 +174,7 @@ func TestServeSigtermDrain(t *testing.T) {
 func TestQueueBoundRejectsSweeps(t *testing.T) {
 	srv := New(Config{Jobs: 1, MaxQueue: 2})
 	release := make(chan struct{})
-	srv.runCell = func(k CellKey) *CellResult {
+	srv.runCell = func(k bench.Cell) *CellResult {
 		if k.App != "VOLREND" {
 			<-release
 		}

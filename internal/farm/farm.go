@@ -8,15 +8,17 @@
 // bounded worker pool (the same bench.Pool machinery behind `-jobs`), and
 // streams per-cell progress over SSE or newline-delimited JSON.
 //
-// Results are content-addressed: each cell's cache key is the SHA-256 of a
-// canonical rendering of every code-relevant input (app, procs, backend,
-// scale, protocol, granularity, wire-plane modes, fault plan, seed — see
-// CellKey.Canonical), so identical cells across sweeps and across
-// concurrent clients are simulated exactly once.  The first request
-// simulates and fills the cache; concurrent duplicates coalesce onto the
-// in-flight simulation; later duplicates are served from cache
-// (TestCacheServesIdenticalResults checks the cached bytes equal the cold
-// run's and the checksums equal fresh runs).
+// Results are content-addressed: a spec expands into bench.Cell values, the
+// harness's one cell spec, and each cell's cache key is the SHA-256 of its
+// canonical rendering of every input (app, procs, backend, scale,
+// granularity, wire-plane mode, fault plan, seed, protocol — see
+// bench.Cell.Canonical).  The farm runs exactly the cell it hashes, so
+// identical cells across sweeps and across concurrent clients are
+// simulated exactly once.  The first request simulates and fills the
+// cache; concurrent duplicates coalesce onto the in-flight simulation;
+// later duplicates are served from cache (TestCacheServesIdenticalResults
+// checks the cached bytes equal the cold run's and the results equal
+// fresh runs of the same cells).
 //
 // Admission bounds what it allocates: a spec body is capped at 1 MiB and a
 // sweep of more cells than Config.MaxQueue is refused (413) before its

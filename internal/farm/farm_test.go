@@ -11,8 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"cables/internal/apps/appapi"
 	"cables/internal/bench"
-	"cables/internal/coherence"
 )
 
 // newTestFarm builds a server plus an HTTP front for it and arranges a full
@@ -138,21 +138,14 @@ func cacheServesIdenticalResults(t *testing.T) {
 		t.Fatalf("cold sweep: %d misses, want 4", misses)
 	}
 
-	// Fresh out-of-band runs prove the cached payloads carry the
-	// deterministic results, not stale or swapped entries.
 	for _, c := range cold.Cells {
 		if c.Result == nil || c.Result.Err != "" {
 			t.Fatalf("cell %s/%d: missing or failed result", c.App, c.Procs)
 		}
-		r := bench.RunCell(c.App, c.Backend, c.Procs, bench.ScaleTest, nil, bench.CellOptions{}, bench.Attach{})
-		if r.Err != nil {
-			t.Fatalf("fresh %s/%s/%d: %v", c.App, c.Backend, c.Procs, r.Err)
-		}
-		if r.Res.Checksum != c.Result.Result.Checksum {
-			t.Errorf("%s/%s p=%d: cached checksum %v != fresh %v",
-				c.App, c.Backend, c.Procs, c.Result.Result.Checksum, r.Res.Checksum)
-		}
 	}
+	// Fresh out-of-band runs prove the cached payloads carry the
+	// deterministic results, not stale or swapped entries.
+	servesItsCells(t, srv, spec)
 
 	warm := waitSweep(t, ts, postSweep(t, ts, spec).ID)
 	if warm.Status != "done" {
@@ -189,9 +182,41 @@ func cacheServesIdenticalResults(t *testing.T) {
 	admissionInvariant(t, srv)
 }
 
-// TestCacheNearMiss: flipping any single code-relevant flag must miss the
+// servesItsCells checks that the result srv caches for each cell of spec
+// equals, with ==, a fresh bench.RunCell of the very cell the spec
+// expands to: the farm runs exactly the cell it hashes.  It returns those
+// results.
+func servesItsCells(t *testing.T, srv *Server, spec string) []appapi.Result {
+	t.Helper()
+	var s Spec
+	if err := json.Unmarshal([]byte(spec), &s); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	var out []appapi.Result
+	for _, c := range s.Cells() {
+		res, ok := srv.cache.Get(c.Hash())
+		if !ok {
+			t.Fatalf("%s: %s is not cached under its hash", spec, c.Label())
+		}
+		fresh := bench.RunCell(c, bench.Attach{})
+		if fresh.Err != nil {
+			t.Fatalf("%s: fresh %s: %v", spec, c.Label(), fresh.Err)
+		}
+		if res.Result != fresh.Res {
+			t.Errorf("%s: farm result %v != fresh run of %s %v", spec, res.Result, c.Label(), fresh.Res)
+		}
+		out = append(out, res.Result)
+	}
+	return out
+}
+
+// TestCacheNearMiss: flipping any single code-relevant field must miss the
 // cache, while code-irrelevant differences (kind, seed without a plan)
-// must hit it.
+// must hit it.  Every spec's result is the fresh run of its cell.
+// TestCacheNearMissProtocol does the same for the protocol field.
 func TestCacheNearMiss(t *testing.T) {
 	srv, ts := newTestFarm(t, Config{Jobs: 2})
 	base := `"apps":["FFT"],"procs":[1],"backends":["genima"],"scale":"test"`
@@ -201,6 +226,7 @@ func TestCacheNearMiss(t *testing.T) {
 		if sv.Status != "done" {
 			t.Fatalf("sweep %s: status %s", spec, sv.Status)
 		}
+		servesItsCells(t, srv, spec)
 	}
 
 	run(`{` + base + `}`)
@@ -239,13 +265,31 @@ func TestCacheNearMiss(t *testing.T) {
 	admissionInvariant(t, srv)
 }
 
+// TestFarmGranularityErasesMisplacement: the farm's gran field reaches the
+// cell it runs.  LU on CableS at 8 processors misplaces pages at the
+// default 64 KB mapping units and none at 4 KB, through the farm exactly
+// as through bench.RunCell.
+func TestFarmGranularityErasesMisplacement(t *testing.T) {
+	srv, ts := newTestFarm(t, Config{Jobs: 2})
+	base := `"apps":["LU"],"procs":[8],"backends":["cables"],"scale":"test"`
+	for _, tc := range []struct {
+		spec      string
+		misplaced bool
+	}{{`{` + base + `}`, true}, {`{` + base + `,"gran":4096}`, false}} {
+		waitSweep(t, ts, postSweep(t, ts, tc.spec).ID)
+		if n := servesItsCells(t, srv, tc.spec)[0].Misplaced; (n > 0) != tc.misplaced {
+			t.Errorf("%s: %d pages misplaced, want any: %t", tc.spec, n, tc.misplaced)
+		}
+	}
+}
+
 // TestConcurrentSweepsCoalesce: identical cells submitted by concurrent
 // clients while the first is still queued/running must coalesce onto one
 // simulation — never run twice.
 func TestConcurrentSweepsCoalesce(t *testing.T) {
 	srv, _ := newTestFarm(t, Config{Jobs: 1})
 	release := make(chan struct{})
-	srv.runCell = func(k CellKey) *CellResult {
+	srv.runCell = func(k bench.Cell) *CellResult {
 		<-release
 		return &CellResult{}
 	}
@@ -277,7 +321,7 @@ func TestConcurrentSweepsCoalesce(t *testing.T) {
 // again; a deterministic failure is cached like any other result.
 func TestPanickedCellNotCached(t *testing.T) {
 	srv, ts := newTestFarm(t, Config{Jobs: 1})
-	srv.runCell = func(k CellKey) *CellResult {
+	srv.runCell = func(k bench.Cell) *CellResult {
 		if k.App == "FFT" {
 			panic("wedged")
 		}
@@ -313,7 +357,7 @@ func TestPanickedCellNotCached(t *testing.T) {
 // first encoding of a result stored unencoded (run it under -race).
 func TestConcurrentViews(t *testing.T) {
 	srv, ts := newTestFarm(t, Config{Jobs: 2})
-	srv.runCell = func(k CellKey) *CellResult {
+	srv.runCell = func(k bench.Cell) *CellResult {
 		time.Sleep(time.Millisecond)
 		return &CellResult{Counters: map[string]int64{"faults": int64(k.Procs)}}
 	}
@@ -348,7 +392,7 @@ func TestConcurrentViews(t *testing.T) {
 // terminates with the sweep event, in both SSE and NDJSON framing.
 func TestStreamFormats(t *testing.T) {
 	srv, ts := newTestFarm(t, Config{Jobs: 1})
-	srv.runCell = func(k CellKey) *CellResult { return &CellResult{} }
+	srv.runCell = func(k bench.Cell) *CellResult { return &CellResult{} }
 	sv := waitSweep(t, ts, postSweep(t, ts,
 		`{"apps":["FFT"],"procs":[1],"backends":["genima","cables"],"scale":"test"}`).ID)
 
@@ -386,7 +430,7 @@ func TestStreamFormats(t *testing.T) {
 // responds; unknown resources 404 with the uniform error body.
 func TestRouteSurface(t *testing.T) {
 	srv, ts := newTestFarm(t, Config{Jobs: 1})
-	srv.runCell = func(k CellKey) *CellResult { return &CellResult{} }
+	srv.runCell = func(k bench.Cell) *CellResult { return &CellResult{} }
 	sv := waitSweep(t, ts, postSweep(t, ts, `{"apps":["FFT"],"procs":[1],"backends":["genima"],"scale":"test"}`).ID)
 
 	for path, want := range map[string]int{
@@ -418,6 +462,7 @@ func TestRouteSurface(t *testing.T) {
 		{`{"scale":"huge"}`, http.StatusBadRequest},
 		{`{"procs":[0]}`, http.StatusBadRequest},
 		{`{"plan":"bogus:zzz"}`, http.StatusBadRequest},
+		{`{"protocol":"treadmarks"}`, http.StatusBadRequest},
 		{`{"sched":"event"}`, http.StatusBadRequest},
 		{`{"coalesce":true}`, http.StatusBadRequest},
 		{`{"unknownField":1}`, http.StatusBadRequest},
@@ -448,49 +493,6 @@ func TestRouteSurface(t *testing.T) {
 	}
 	if n := srv.metrics.cellsAdmitted.Load(); n != 1 {
 		t.Errorf("bad specs admitted cells: cellsAdmitted %d, want 1 (the one good sweep)", n)
-	}
-}
-
-// TestSpecCanonicalization pins the cache-key semantics documented in
-// docs/SERVE.md: plan spellings canonicalize, seeds without plans zero out,
-// and every code-relevant field lands in the canonical string.
-func TestSpecCanonicalization(t *testing.T) {
-	s := Spec{Apps: []string{"FFT"}, Procs: []int{4}, Backends: []string{"genima"},
-		Plan: "send:p=0.0500", Seed: 7, Scale: "test"}
-	if err := s.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	cells := s.Cells()
-	if len(cells) != 1 {
-		t.Fatalf("cells: %d, want 1", len(cells))
-	}
-	k := cells[0]
-	canon := k.Canonical()
-	for _, want := range []string{"app=FFT", "procs=4", "backend=genima", "scale=test",
-		"protocol=" + coherence.ProtoGenima, "seed=7", "plan=send:p=0.05"} {
-		if !strings.Contains(canon, want) {
-			t.Errorf("canonical %q missing %q", canon, want)
-		}
-	}
-
-	// Same experiment, different plan spelling: same address.
-	s2 := s
-	s2.Plan = "send:p=0.05"
-	if err := s2.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Cells()[0].Hash() != k.Hash() {
-		t.Error("equivalent plan spellings produced different cache keys")
-	}
-
-	// No plan: the seed is code-irrelevant and must canonicalize to 0.
-	s3 := Spec{Apps: []string{"FFT"}, Procs: []int{4}, Backends: []string{"genima"},
-		Scale: "test", Seed: 123}
-	if err := s3.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if s3.Seed != 0 {
-		t.Errorf("fault-free seed not canonicalized: %d", s3.Seed)
 	}
 }
 

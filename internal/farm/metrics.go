@@ -3,6 +3,7 @@ package farm
 import (
 	"strconv"
 
+	"cables/internal/bench"
 	"cables/internal/metrics"
 )
 
@@ -130,8 +131,8 @@ func newMetrics() *Metrics {
 // observeCell records one fresh cell completion in the run-latency
 // histogram.  Only runFlight calls it, so cache hits and coalesced
 // subscribers never double-count.
-func (m *Metrics) observeCell(k CellKey, outcome string, hostSeconds float64) {
-	m.cellRun.With(k.App, k.Backend, k.Protocol, k.Scale, outcome).
+func (m *Metrics) observeCell(c bench.Cell, outcome string, hostSeconds float64) {
+	m.cellRun.With(c.App, c.Backend, c.Opts.Protocol, string(c.Opts.Scale), outcome).
 		Observe(hostSeconds)
 }
 

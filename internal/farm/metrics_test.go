@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"cables/internal/bench"
 	"cables/internal/metrics"
 )
 
@@ -55,7 +56,7 @@ func TestFamilyNamesMatchRegistry(t *testing.T) {
 // reflecting the admissions, the run histogram carrying the cell's labels.
 func TestMetricsEndpoint(t *testing.T) {
 	srv, ts := newTestFarm(t, Config{Jobs: 2})
-	srv.runCell = func(k CellKey) *CellResult {
+	srv.runCell = func(k bench.Cell) *CellResult {
 		return &CellResult{Counters: map[string]int64{"pageFaults": 3}}
 	}
 	spec := `{"apps":["FFT"],"procs":[1,2],"backends":["genima"],"scale":"test"}`
@@ -119,7 +120,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // hot-path gate.
 func TestConcurrentScrapes(t *testing.T) {
 	srv, ts := newTestFarm(t, Config{Jobs: 2})
-	srv.runCell = func(k CellKey) *CellResult {
+	srv.runCell = func(k bench.Cell) *CellResult {
 		time.Sleep(2 * time.Millisecond)
 		return &CellResult{Counters: map[string]int64{"diffs": 1}}
 	}
@@ -151,7 +152,7 @@ func TestConcurrentScrapes(t *testing.T) {
 // /healthz keeps answering 200 throughout.
 func TestReadyzFlipsOnDrain(t *testing.T) {
 	srv, ts := newTestFarm(t, Config{Jobs: 1})
-	srv.runCell = func(k CellKey) *CellResult { return &CellResult{} }
+	srv.runCell = func(k bench.Cell) *CellResult { return &CellResult{} }
 
 	code, _ := getBody(t, ts, "/readyz")
 	if code != http.StatusOK {
@@ -199,7 +200,7 @@ func TestReadyzFlipsOnDrain(t *testing.T) {
 // event self-identifies its sweep.
 func TestRequestIDAndSweepThreading(t *testing.T) {
 	srv, ts := newTestFarm(t, Config{Jobs: 1})
-	srv.runCell = func(k CellKey) *CellResult { return &CellResult{} }
+	srv.runCell = func(k bench.Cell) *CellResult { return &CellResult{} }
 
 	resp, err := ts.Client().Get(ts.URL + "/healthz")
 	if err != nil {

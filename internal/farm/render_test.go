@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cables/internal/apps/appapi"
+	"cables/internal/bench"
 	"cables/internal/stats"
 )
 
@@ -54,7 +55,7 @@ func TestRenderMatchesEncodingJSON(t *testing.T) {
 				if st == statFailed {
 					errMsg = badErr
 				}
-				ref := cellRef{sw: sw, key: CellKey{App: "WATER-SPAT-FL", Procs: 16, Backend: "genima"},
+				ref := cellRef{sw: sw, key: bench.Cell{App: "WATER-SPAT-FL", Procs: 16, Backend: "genima"},
 					hash: strings.Repeat("0f", 32), status: st, cached: cached}
 				view := cellView{Sweep: sw.id, Key: ref.hash, App: ref.key.App, Procs: ref.key.Procs,
 					Backend: ref.key.Backend, Status: st.String(), Cached: cached, Retriable: st == statRejected}
@@ -166,7 +167,7 @@ func TestCellEndpointServesEncodedResult(t *testing.T) {
 // a counters sweep over cold and cached cells.
 func TestServedBodiesRoundTrip(t *testing.T) {
 	srv, ts := newTestFarm(t, Config{Jobs: 2})
-	srv.runCell = func(k CellKey) *CellResult {
+	srv.runCell = func(k bench.Cell) *CellResult {
 		if k.Procs == 4 {
 			return &CellResult{Err: `failed: <cell> & "why"`}
 		}

@@ -16,10 +16,7 @@ import (
 	"time"
 
 	"cables/internal/bench"
-	"cables/internal/fault"
-	"cables/internal/sim"
 	"cables/internal/stats"
-	"cables/internal/wire"
 )
 
 // Config sizes one farm server.
@@ -107,7 +104,7 @@ type Server struct {
 
 	// runCell executes one simulation cell; tests substitute a stub to
 	// control timing.  The default is runCellSim.
-	runCell func(CellKey) *CellResult
+	runCell func(bench.Cell) *CellResult
 }
 
 // sweep is the server-side state of one accepted sweep request.
@@ -127,7 +124,7 @@ type sweep struct {
 // a drain rejects.
 type cellRef struct {
 	sw     *sweep
-	key    CellKey
+	key    bench.Cell
 	hash   string
 	res    *CellResult // set when the cell completes, before its status
 	idx    int32       // position in sw.refs
@@ -138,7 +135,7 @@ type cellRef struct {
 // flight is one in-flight simulation: the single execution every identical
 // admitted cell coalesces onto.
 type flight struct {
-	key     CellKey
+	key     bench.Cell
 	hash    string
 	started bool
 	subs    []*cellRef
@@ -318,30 +315,10 @@ func (s *Server) withTelemetry(route string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-// runCellSim executes one cell for real: it parses the canonical plan into
-// the cell's options (the cell builds its injector from plan+seed),
-// applies the granularity override and wire-plane mode, and runs the
-// workload through bench.RunCell.
-func runCellSim(k CellKey) *CellResult {
-	var costs *sim.Costs
-	if k.Gran > 0 {
-		costs = sim.DefaultCosts()
-		costs.MapGranularity = k.Gran
-	}
-	opt := bench.CellOptions{
-		Protocol: k.Protocol,
-		Wire:     wire.Options{ContendedSync: k.ContendedSync},
-	}
-	if k.Plan != "" {
-		plan, err := fault.ParsePlan(k.Plan)
-		if err != nil {
-			// Unreachable after Spec.Normalize; kept as a failed cell so a
-			// corrupted key can never crash a worker.
-			return &CellResult{Err: "farm: bad fault plan in cell key: " + err.Error()}
-		}
-		opt.Plan, opt.Seed = plan, k.Seed
-	}
-	r := bench.RunCell(k.App, k.Backend, k.Procs, bench.Scale(k.Scale), costs, opt, bench.Attach{})
+// runCellSim executes one cell for real through bench.RunCell and maps
+// its run onto the served result.
+func runCellSim(c bench.Cell) *CellResult {
+	r := bench.RunCell(c, bench.Attach{})
 	cr := &CellResult{Result: r.Res}
 	if r.Ctr != nil {
 		cr.Counters = r.Ctr.Snapshot()

@@ -12,6 +12,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"cables/internal/bench"
 )
 
 // TestServeSoak pushes well over 1000 queued cells through a live farm,
@@ -25,7 +27,7 @@ func TestServeSoak(t *testing.T) {
 	// A gate holds every worker until the whole backlog is admitted, so the
 	// queue reaches its depth whatever a cell costs to simulate.
 	gate := make(chan struct{})
-	srv.runCell = func(k CellKey) *CellResult {
+	srv.runCell = func(k bench.Cell) *CellResult {
 		<-gate
 		return runCellSim(k)
 	}

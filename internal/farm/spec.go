@@ -1,14 +1,12 @@
 package farm
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"strconv"
 
 	"cables/internal/bench"
 	"cables/internal/coherence"
 	"cables/internal/fault"
+	"cables/internal/wire"
 )
 
 // Spec is one experiment sweep request, the JSON body of POST /v1/sweeps.
@@ -46,6 +44,9 @@ type Spec struct {
 	// code-irrelevant and is canonicalized to 0, so seed-only-different
 	// fault-free sweeps share cache entries.
 	Seed uint64 `json:"seed,omitempty"`
+
+	// plan is Plan as Normalize parsed it; Cells hands it to every cell.
+	plan fault.Plan
 }
 
 // specKinds are the accepted Kind values.
@@ -119,7 +120,7 @@ func (s *Spec) Normalize() error {
 		if err != nil {
 			return fmt.Errorf("farm: bad fault plan: %v", err)
 		}
-		s.Plan = plan.String()
+		s.plan, s.Plan = plan, plan.String()
 	} else {
 		s.Seed = 0
 	}
@@ -131,82 +132,26 @@ func (s *Spec) Normalize() error {
 // checks it against the queue bound before allocating the expansion.
 func (s Spec) numCells() int { return len(s.Apps) * len(s.Procs) * len(s.Backends) }
 
-// Cells expands the normalized spec into its cell keys in deterministic
-// sweep order: apps outermost, then procs, then backends.  The order
-// matches bench.Grid, so assembled sweep responses line up with the batch
-// figures.
-func (s Spec) Cells() []CellKey {
-	cells := make([]CellKey, 0, s.numCells())
+// Cells expands the normalized spec into its cells in deterministic sweep
+// order: apps outermost, then procs, then backends.  The order matches
+// bench.Grid, so assembled sweep responses line up with the batch figures.
+// Each cell carries the plan Normalize parsed; its Hash is the cell's
+// cache address.
+func (s Spec) Cells() []bench.Cell {
+	o := bench.CellOptions{Scale: bench.Scale(s.Scale), Gran: s.Gran, Plan: s.plan, Seed: s.Seed,
+		Wire: wire.Options{ContendedSync: s.ContendedSync}, Protocol: s.Protocol}
+	cells := make([]bench.Cell, 0, s.numCells())
 	for _, app := range s.Apps {
 		for _, p := range s.Procs {
 			for _, b := range s.Backends {
-				cells = append(cells, CellKey{
-					App: app, Procs: p, Backend: b,
-					Scale: s.Scale, Protocol: s.Protocol, Gran: s.Gran,
-					ContendedSync: s.ContendedSync, Plan: s.Plan, Seed: s.Seed,
-				})
+				cells = append(cells, bench.Cell{App: app, Backend: b, Procs: p, Opts: o})
 			}
 		}
 	}
 	return cells
 }
 
-// CellKey identifies one simulation cell by every input that can change its
-// output — the unit of content addressing.  Two cells with equal keys are
-// the same experiment: the farm simulates the first and serves every later
-// one from cache, with the deterministic checksums proving the cached and
-// fresh results identical.
-type CellKey struct {
-	App           string `json:"app"`
-	Procs         int    `json:"procs"`
-	Backend       string `json:"backend"`
-	Scale         string `json:"scale"`
-	Protocol      string `json:"protocol"`
-	Gran          int    `json:"gran"`
-	ContendedSync bool   `json:"contendedSync"`
-	Plan          string `json:"plan"`
-	Seed          uint64 `json:"seed"`
-}
-
-// cacheSchema versions the canonical form.  Bump it when the meaning of any
-// key field changes (or a new code-relevant field is added), so stale
-// entries from an older serve build can never be mistaken for current ones.
-const cacheSchema = "cables-farm-v3"
-
-// Canonical renders the key as the canonical string that is hashed into the
-// cache address: a fixed field order, every field present (defaults
-// included), prefixed by the schema version.
-func (k CellKey) Canonical() string {
-	return string(k.appendCanonical(make([]byte, 0, 128)))
-}
-
-// appendCanonical appends Canonical's bytes to b.  It runs for every cell
-// of every submitted sweep, so it builds the string with strconv appends
-// rather than fmt.
-func (k CellKey) appendCanonical(b []byte) []byte {
-	b = append(b, cacheSchema+"|app="...)
-	b = append(b, k.App...)
-	b = append(b, "|procs="...)
-	b = strconv.AppendInt(b, int64(k.Procs), 10)
-	b = append(b, "|backend="...)
-	b = append(b, k.Backend...)
-	b = append(b, "|scale="...)
-	b = append(b, k.Scale...)
-	b = append(b, "|gran="...)
-	b = strconv.AppendInt(b, int64(k.Gran), 10)
-	b = append(b, "|contended="...)
-	b = strconv.AppendBool(b, k.ContendedSync)
-	b = append(b, "|plan="...)
-	b = append(b, k.Plan...)
-	b = append(b, "|seed="...)
-	b = strconv.AppendUint(b, k.Seed, 10)
-	b = append(b, "|protocol="...)
-	return append(b, k.Protocol...)
-}
-
-// Hash returns the cell's content address: the hex SHA-256 of Canonical().
-func (k CellKey) Hash() string {
-	var buf [160]byte
-	sum := sha256.Sum256(k.appendCanonical(buf[:0]))
-	return hex.EncodeToString(sum[:])
-}
+// CellKey is the farm's former name for a cell.  It exists for
+// benchmark/probe.go, which builds one to time the cache, until the
+// ROADMAP item "Catch the benchmark up" moves the probe onto bench.Cell.
+type CellKey = bench.Cell
