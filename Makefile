@@ -11,10 +11,11 @@ GO ?= go
 
 check: vet build test race determinism benchmark docs profile-smoke
 
-# Documentation lint (cmd/doccheck, stdlib only; its package doc lists the
-# seven rules): package doc comments, relative markdown links, no CatComm
-# charge outside the wire plane, and the observability, farm-route,
-# protocol/wire-kind and metric-family inventories against the code.
+# Documentation lint (cmd/doccheck; its package doc lists the rules):
+# package doc comments, relative markdown links, no CatComm charge outside
+# the wire plane, and every inventory (stats events, profiler spans and
+# marks, farm routes and metric families, coherence protocols, wire op
+# kinds) as its owning package reports it, against the docs.
 docs:
 	$(GO) run ./cmd/doccheck
 

@@ -23,7 +23,10 @@
 // shorthand).  Full-size runs need the copy-on-write frame store to fit in
 // host memory — see EXPERIMENTS.md for expected runtimes and footprints.
 // -gran overrides the OS mapping granularity in bytes (64 KB default;
-// 4096 emulates the paper's planned Linux port).
+// 4096 emulates the paper's planned Linux port); it must be a power of
+// two.  -apps, -procs and -gran are checked as the farm checks a spec
+// (bench.CheckSweep): an unknown app, a processor count outside [1, 64] or
+// a non-power-of-two granularity exits 2.
 // -jobs bounds how many independent simulation cells run concurrently on
 // the host (default: one per host processor); -jobs 1 runs the classic
 // sequential sweep.  Each cell runs its simulated threads one at a time in
@@ -142,7 +145,12 @@ func main() {
 	}
 	appList := splitList(*apps)
 	procList := parseInts(*procs)
-	cell := bench.CellOptions{Scale: sc, Gran: *gran,
+	mapGran, err := bench.CheckSweep(appList, procList, *gran)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cablesim: %v\n", err)
+		os.Exit(2)
+	}
+	cell := bench.CellOptions{Scale: sc, Gran: mapGran,
 		Wire: wire.Options{ContendedSync: *contended}, Protocol: *protocol}
 
 	if cmd != "serve" && cmd != "top" && os.Getenv("GOGC") == "" {

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"cables/internal/apps/appapi"
@@ -39,6 +40,40 @@ type CellOptions struct {
 	// genima.
 	Protocol string
 }
+
+// maxProcs bounds a cell's processor count; the paper sweep tops out at 32
+// and the simulated SAN model is not meant to be scaled past this by a
+// stray request.
+const maxProcs = 64
+
+// CheckSweep checks the sweep inputs a user names, for every front end
+// (cablesim, the farm) alike: known applications, processor counts in
+// [1, maxProcs], and a mapping granularity that is 0 (the model's default)
+// or a power of two, as the memory system's segment alignment needs.  It
+// returns gran with the model's default folded to 0, so both spellings of
+// the default are one cell with one cache key.
+func CheckSweep(apps []string, procs []int, gran int) (int, error) {
+	for _, a := range apps {
+		if !slices.Contains(AppNames, a) {
+			return 0, fmt.Errorf("unknown application %q (have %v)", a, AppNames)
+		}
+	}
+	for _, p := range procs {
+		if p < 1 || p > maxProcs {
+			return 0, fmt.Errorf("processor count %d out of range [1,%d]", p, maxProcs)
+		}
+	}
+	if gran < 0 || gran&(gran-1) != 0 {
+		return 0, fmt.Errorf("mapping granularity %d is not a power of two", gran)
+	}
+	if gran == defaultGran {
+		gran = 0
+	}
+	return gran, nil
+}
+
+// defaultGran is the model's mapping granularity, which Gran 0 selects.
+var defaultGran = sim.DefaultCosts().MapGranularity
 
 // Attach selects the observers a cell run carries.  Observers record and
 // charge nothing (the invariance rule), so they change no result and stay

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"cables/internal/apps/appapi"
@@ -121,6 +122,37 @@ func TestSweepKeepsCellOnPanic(t *testing.T) {
 	for _, i := range []int{0, 2} {
 		if r := runs[i]; r.Err != nil || r.Label() != cells[i].Label() || r.Res.Parallel <= 0 {
 			t.Errorf("neighbour %d: label %q err %v parallel %v", i, r.Label(), r.Err, r.Res.Parallel)
+		}
+	}
+}
+
+// TestCheckSweep: the sweep check both front ends share accepts the
+// paper's inputs, folds the default granularity to 0, and refuses an
+// unknown application, a processor count outside [1, maxProcs] and a
+// granularity that is not a power of two (memsys would panic on it).
+func TestCheckSweep(t *testing.T) {
+	for _, tc := range []struct {
+		apps     []string
+		procs    []int
+		gran     int
+		wantGran int
+		wantErr  string
+	}{
+		{nil, nil, 0, 0, ""},
+		{AppNames, ProcCounts, 4096, 4096, ""},
+		{[]string{"FFT"}, []int{1, maxProcs}, 64 << 10, 0, ""},
+		{[]string{"FFT", "BOGUS"}, nil, 0, 0, `unknown application "BOGUS"`},
+		{nil, []int{0}, 0, 0, "processor count 0 out of range"},
+		{nil, []int{maxProcs + 1}, 0, 0, "processor count 65 out of range"},
+		{nil, nil, 1000, 0, "mapping granularity 1000 is not a power of two"},
+		{nil, nil, -4096, 0, "mapping granularity -4096 is not a power of two"},
+	} {
+		gran, err := CheckSweep(tc.apps, tc.procs, tc.gran)
+		if tc.wantErr == "" && (err != nil || gran != tc.wantGran) {
+			t.Errorf("CheckSweep(%v, %v, %d) = %d, %v; want %d, nil", tc.apps, tc.procs, tc.gran, gran, err, tc.wantGran)
+		}
+		if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+			t.Errorf("CheckSweep(%v, %v, %d): error %v, want %q", tc.apps, tc.procs, tc.gran, err, tc.wantErr)
 		}
 	}
 }

@@ -82,10 +82,10 @@ const (
 	ProtoDelegate    = "delegate"
 )
 
-// protocolNames lists every selectable protocol.  cmd/doccheck parses
-// this literal and cross-checks DESIGN.md / EXPERIMENTS.md, so a new
+// protocolNames lists every selectable protocol.  cmd/doccheck reads it
+// through Names and cross-checks DESIGN.md / EXPERIMENTS.md, so a new
 // protocol that is not documented fails `make docs`.
-var protocolNames = []string{"genima", "commutative", "delegate"}
+var protocolNames = []string{ProtoGenima, ProtoCommutative, ProtoDelegate}
 
 // Names returns the selectable protocol names (copy; callers may sort).
 func Names() []string {

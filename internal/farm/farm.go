@@ -30,7 +30,6 @@
 // Server.DrainOnSignal).  Service-level counters and gauges — cells
 // admitted/running, cache hits/misses/evictions, queue depth — are
 // exported once, as Prometheus families at GET /metrics (metrics.go),
-// documented in docs/OBSERVABILITY.md (cmd/doccheck and
-// TestFamilyNamesMatchRegistry keep the inventory in lock-step with the
-// registry).
+// documented in docs/OBSERVABILITY.md (cmd/doccheck reads the registry
+// through MetricFamilies and keeps the inventory in lock-step with it).
 package farm

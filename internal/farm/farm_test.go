@@ -251,9 +251,11 @@ func TestCacheNearMiss(t *testing.T) {
 	total := srv.metrics.cacheMisses.Load()
 
 	// Code-irrelevant differences: a different seed with no fault plan is
-	// canonicalized away, and kind only changes rendering.
+	// canonicalized away, the model's default granularity spelled out is
+	// the default, and kind only changes rendering.
 	for _, same := range []string{
 		`{` + base + `,"seed":99}`,
+		`{` + base + `,"gran":65536}`,
 		`{` + base + `,"kind":"counters"}`,
 		`{` + base + `,"kind":"fig6"}`,
 	} {
@@ -426,7 +428,7 @@ func TestStreamFormats(t *testing.T) {
 	}
 }
 
-// TestRouteSurface: every route in the routes literal is mounted and
+// TestRouteSurface: every route in the api table is mounted and
 // responds; unknown resources 404 with the uniform error body.
 func TestRouteSurface(t *testing.T) {
 	srv, ts := newTestFarm(t, Config{Jobs: 1})
@@ -461,6 +463,8 @@ func TestRouteSurface(t *testing.T) {
 		{`{"apps":["NOPE"]}`, http.StatusBadRequest},
 		{`{"scale":"huge"}`, http.StatusBadRequest},
 		{`{"procs":[0]}`, http.StatusBadRequest},
+		{`{"gran":1000}`, http.StatusBadRequest},
+		{`{"gran":-4096}`, http.StatusBadRequest},
 		{`{"plan":"bogus:zzz"}`, http.StatusBadRequest},
 		{`{"protocol":"treadmarks"}`, http.StatusBadRequest},
 		{`{"sched":"event"}`, http.StatusBadRequest},
@@ -496,16 +500,21 @@ func TestRouteSurface(t *testing.T) {
 	}
 }
 
-// TestRouteLiteralMatchesHandler pins that the doccheck-linted routes
-// literal and the mounted handler set cannot drift apart (Handler panics on
-// a mismatch; this exercises it).
-func TestRouteLiteralMatchesHandler(t *testing.T) {
+// TestRoutesMatchHandler pins that Routes, which cmd/doccheck checks
+// docs/SERVE.md against, lists exactly the patterns Handler mounts.
+func TestRoutesMatchHandler(t *testing.T) {
 	srv := New(Config{Jobs: 1})
 	defer srv.Drain()
-	if srv.Handler() == nil {
-		t.Fatal("Handler returned nil")
+	mux := srv.Handler().(*http.ServeMux)
+	routes := Routes()
+	for _, route := range routes {
+		method, path, _ := strings.Cut(route, " ")
+		path = strings.NewReplacer("{id}", "x", "{key}", "x").Replace(path)
+		if _, got := mux.Handler(httptest.NewRequest(method, path, nil)); got != route {
+			t.Errorf("%s %s: mux serves pattern %q, want %q", method, path, got, route)
+		}
 	}
 	if len(routes) != 8 {
-		t.Errorf("routes literal has %d entries; update docs/SERVE.md and this pin together", len(routes))
+		t.Errorf("Routes lists %d routes; update docs/SERVE.md and this pin together", len(routes))
 	}
 }

@@ -7,30 +7,11 @@ import (
 	"cables/internal/metrics"
 )
 
-// familyNames lists every metric family the farm registers, as string
-// literals.  Two gates pin this inventory: cmd/doccheck requires each name
-// to appear backquoted in a docs/OBSERVABILITY.md table, and
-// TestFamilyNamesMatchRegistry requires it to equal the registry's actual
-// contents — so the exposition, the literal, and the docs cannot drift
-// apart.  All families are host-side service telemetry (real time), never
-// virtual-time simulation results.
-var familyNames = []string{
-	"cables_farm_cache_entries",
-	"cables_farm_cache_evictions_total",
-	"cables_farm_cache_requests_total",
-	"cables_farm_cell_queue_wait_seconds",
-	"cables_farm_cell_run_seconds",
-	"cables_farm_cells_admitted_total",
-	"cables_farm_cells_running",
-	"cables_farm_cells_terminal_total",
-	"cables_farm_draining",
-	"cables_farm_http_request_seconds",
-	"cables_farm_pool_utilization_percent",
-	"cables_farm_pool_workers",
-	"cables_farm_queue_depth",
-	"cables_farm_sweeps_rejected_total",
-	"cables_farm_sweeps_total",
-}
+// MetricFamilies returns the name of every metric family the farm
+// registers, sorted.  cmd/doccheck requires each to appear backquoted in a
+// docs/OBSERVABILITY.md table.  All families are host-side service
+// telemetry (real time), never virtual-time simulation results.
+func MetricFamilies() []string { return newMetrics().reg.Families() }
 
 // Metrics is the farm's registry plus every instrument handle the server
 // touches.  The children the admission and completion paths bump per sweep

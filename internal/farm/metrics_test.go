@@ -35,22 +35,6 @@ func scrape(t *testing.T, client *http.Client, url string) *metrics.Scrape {
 	return s
 }
 
-// TestFamilyNamesMatchRegistry pins the doccheck-linted familyNames literal
-// to the registry's actual contents, so the docs inventory, the literal,
-// and the exposition cannot drift apart.
-func TestFamilyNamesMatchRegistry(t *testing.T) {
-	got := newMetrics().reg.Families()
-	if len(got) != len(familyNames) {
-		t.Fatalf("registry has %d families, familyNames lists %d:\nregistry: %v\nliteral:  %v",
-			len(got), len(familyNames), got, familyNames)
-	}
-	for i := range got {
-		if got[i] != familyNames[i] {
-			t.Errorf("family %d: registry %q, literal %q", i, got[i], familyNames[i])
-		}
-	}
-}
-
 // TestMetricsEndpoint runs the miss-then-hit sweep pattern and checks the
 // exposition: every family present with HELP and TYPE headers, counters
 // reflecting the admissions, the run histogram carrying the cell's labels.
@@ -65,7 +49,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	scrape(t, ts.Client(), ts.URL) // its own sample lands after the handler returns
 	s := scrape(t, ts.Client(), ts.URL)
-	for _, fam := range familyNames {
+	for _, fam := range srv.metrics.reg.Families() {
 		if _, ok := s.Type[fam]; !ok {
 			t.Errorf("family %s missing a TYPE header", fam)
 		}

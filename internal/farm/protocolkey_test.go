@@ -152,6 +152,16 @@ func TestSpecCanonicalization(t *testing.T) {
 		t.Error("equivalent plan spellings produced different cache keys")
 	}
 
+	// The model's default granularity spelled out is the default cell.
+	s4 := s
+	s4.Plan, s4.Gran = "send:p=0.05", 64<<10
+	if err := s4.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if s4.Gran != 0 || s4.Cells()[0].Hash() != k.Hash() {
+		t.Errorf(`"gran":65536 normalized to %d with key %s, want 0 and the default's %s`, s4.Gran, s4.Cells()[0].Hash(), k.Hash())
+	}
+
 	// No plan: the seed is code-irrelevant and must canonicalize to 0.
 	s3 := Spec{Apps: []string{"FFT"}, Procs: []int{4}, Backends: []string{"genima"},
 		Scale: "test", Seed: 123}

@@ -39,19 +39,33 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// routes lists every registered HTTP route as string literals.  Handler
-// registers exactly this set, and cmd/doccheck requires each entry to
-// appear backquoted in a docs/SERVE.md table — an undocumented endpoint
-// fails CI.
-var routes = []string{
-	"GET /healthz",
-	"GET /readyz",
-	"GET /metrics",
-	"POST /v1/sweeps",
-	"GET /v1/sweeps",
-	"GET /v1/sweeps/{id}",
-	"GET /v1/sweeps/{id}/stream",
-	"GET /v1/cells/{key}",
+// api is the farm's HTTP surface: every route pattern with the method that
+// serves it, in registration order.  Handler registers exactly this table
+// and Routes lists it, and cmd/doccheck requires each pattern to appear
+// backquoted in a docs/SERVE.md table, so an undocumented endpoint fails
+// CI.
+var api = []struct {
+	pattern string
+	handle  func(*Server, http.ResponseWriter, *http.Request)
+}{
+	{"GET /healthz", (*Server).handleHealth},
+	{"GET /readyz", (*Server).handleReady},
+	{"GET /metrics", (*Server).handleMetrics},
+	{"POST /v1/sweeps", (*Server).handleSubmit},
+	{"GET /v1/sweeps", (*Server).handleList},
+	{"GET /v1/sweeps/{id}", (*Server).handleSweep},
+	{"GET /v1/sweeps/{id}/stream", (*Server).handleStream},
+	{"GET /v1/cells/{key}", (*Server).handleCell},
+}
+
+// Routes returns the pattern of every route Handler registers, in
+// registration order.
+func Routes() []string {
+	out := make([]string, len(api))
+	for i, r := range api {
+		out[i] = r.pattern
+	}
+	return out
 }
 
 // Cell states reported in sweep responses and progress streams.
@@ -250,28 +264,16 @@ func (s *Server) DrainOnSignal(sigs ...os.Signal) <-chan struct{} {
 	return done
 }
 
-// Handler returns the farm's HTTP API, registering exactly the routes
-// listed in the routes literal.  Every route is wrapped in the telemetry
-// middleware: one cables_farm_http_request_seconds sample and one
-// structured log record per request.
+// Handler returns the farm's HTTP API, registering exactly the routes of
+// the api table.  Every route is wrapped in the telemetry middleware: one
+// cables_farm_http_request_seconds sample and one structured log record
+// per request.
 func (s *Server) Handler() http.Handler {
-	handlers := map[string]http.HandlerFunc{
-		"GET /healthz":               s.handleHealth,
-		"GET /readyz":                s.handleReady,
-		"GET /metrics":               s.handleMetrics,
-		"POST /v1/sweeps":            s.handleSubmit,
-		"GET /v1/sweeps":             s.handleList,
-		"GET /v1/sweeps/{id}":        s.handleSweep,
-		"GET /v1/sweeps/{id}/stream": s.handleStream,
-		"GET /v1/cells/{key}":        s.handleCell,
-	}
 	mux := http.NewServeMux()
-	for _, r := range routes {
-		h, ok := handlers[r]
-		if !ok {
-			panic("farm: route " + r + " has no handler")
-		}
-		mux.HandleFunc(r, s.withTelemetry(r, h))
+	for _, r := range api {
+		mux.HandleFunc(r.pattern, s.withTelemetry(r.pattern, func(w http.ResponseWriter, req *http.Request) {
+			r.handle(s, w, req)
+		}))
 	}
 	return mux
 }

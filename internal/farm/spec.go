@@ -31,8 +31,9 @@ type Spec struct {
 	// Protocol is the coherence protocol (coherence.Names); empty =
 	// genima.  The resolved name is part of the cache key.
 	Protocol string `json:"protocol,omitempty"`
-	// Gran overrides the OS mapping granularity in bytes (0 = the model's
-	// 64 KB default).
+	// Gran overrides the OS mapping granularity in bytes: 0 (the model's
+	// 64 KB default, which Normalize also folds 65536 to) or a power of
+	// two.
 	Gran int `json:"gran,omitempty"`
 	// ContendedSync is the wire plane's opt-in mode (`-contended-sync`).
 	ContendedSync bool `json:"contendedSync,omitempty"`
@@ -52,16 +53,12 @@ type Spec struct {
 // specKinds are the accepted Kind values.
 var specKinds = map[string]bool{"fig5": true, "fig6": true, "counters": true}
 
-// maxProcs bounds a cell's processor count; the paper sweep tops out at 32
-// and the simulated SAN model is not meant to be scaled past this by a
-// stray request.
-const maxProcs = 64
-
 // Normalize validates s and fills every defaulted field in place, so the
-// spec echoed back to the client states exactly what will run.  It also
-// performs the canonicalizations the cache key relies on: the fault plan is
-// re-rendered in canonical DSL form and the seed is zeroed when no plan is
-// set.
+// spec echoed back to the client states exactly what will run; apps, procs
+// and gran are checked by bench.CheckSweep, as cablesim checks its flags.
+// It also performs the canonicalizations the cache key relies on: the
+// fault plan is re-rendered in canonical DSL form, the seed is zeroed when
+// no plan is set, and the model's default granularity is folded to 0.
 func (s *Spec) Normalize() error {
 	if s.Kind == "" {
 		s.Kind = "fig5"
@@ -72,22 +69,12 @@ func (s *Spec) Normalize() error {
 	if len(s.Apps) == 0 {
 		s.Apps = append([]string(nil), bench.AppNames...)
 	}
-	known := make(map[string]bool, len(bench.AppNames))
-	for _, a := range bench.AppNames {
-		known[a] = true
-	}
-	for _, a := range s.Apps {
-		if !known[a] {
-			return fmt.Errorf("farm: unknown application %q (have %v)", a, bench.AppNames)
-		}
-	}
 	if len(s.Procs) == 0 {
 		s.Procs = append([]int(nil), bench.ProcCounts...)
 	}
-	for _, p := range s.Procs {
-		if p < 1 || p > maxProcs {
-			return fmt.Errorf("farm: processor count %d out of range [1,%d]", p, maxProcs)
-		}
+	var err error
+	if s.Gran, err = bench.CheckSweep(s.Apps, s.Procs, s.Gran); err != nil {
+		return fmt.Errorf("farm: %v", err)
 	}
 	if len(s.Backends) == 0 {
 		s.Backends = []string{bench.BackendGenima, bench.BackendCables}
@@ -111,9 +98,6 @@ func (s *Spec) Normalize() error {
 	}
 	if !coherence.Valid(s.Protocol) {
 		return fmt.Errorf("farm: unknown coherence protocol %q (have %v)", s.Protocol, coherence.Names())
-	}
-	if s.Gran < 0 {
-		return fmt.Errorf("farm: negative mapping granularity %d", s.Gran)
 	}
 	if s.Plan != "" {
 		plan, err := fault.ParsePlan(s.Plan)

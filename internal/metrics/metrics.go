@@ -277,8 +277,8 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 	return &HistogramVec{r.register(name, help, KindHistogram, labels, buckets)}
 }
 
-// Families returns the registered family names, sorted — the inventory the
-// farm's doc-drift test pins against its familyNames literal.
+// Families returns the registered family names, sorted — the inventory
+// cmd/doccheck checks docs/OBSERVABILITY.md against (farm.MetricFamilies).
 func (r *Registry) Families() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -105,6 +105,9 @@ const (
 	numKinds
 )
 
+// NumKinds is the number of distinct op kinds.
+const NumKinds = int(numKinds)
+
 var kindNames = [numKinds]string{
 	"fetch", "write", "stream", "streamfetch", "notify", "migrate",
 	"lock1", "lockr", "lockr1", "grant", "probe", "barrier",
