@@ -286,10 +286,7 @@ func main() {
 func runCounters(w *os.File, apps []string, procs []int, o bench.CellOptions, jobs int, profileOn bool, top int) {
 	// A non-genima protocol is labeled on every block so sweep output under
 	// different protocols stays distinguishable.
-	label := ""
-	if o.Protocol != "" && o.Protocol != coherence.ProtoGenima {
-		label = " [protocol=" + o.Protocol + "]"
-	}
+	label := o.ProtocolLabel(" [protocol=%s]")
 	if len(procs) == 0 {
 		procs = []int{8}
 	}
@@ -301,7 +298,7 @@ func runCounters(w *os.File, apps []string, procs []int, o bench.CellOptions, jo
 		}
 		fmt.Fprintf(w, "%s%s\n  %s\n", r.Res, label, r.Ctr)
 		if r.Prof != nil {
-			fmt.Fprint(w, bench.ProfileBlock(profile.Build(r.Prof.Logs()), r.Prof.Epochs.Windows(), top))
+			fmt.Fprint(w, bench.ProfileBlock(r.Prof, top))
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"cables/internal/apps/appapi"
+	"cables/internal/coherence"
 	cables "cables/internal/core"
 	"cables/internal/fault"
 	"cables/internal/m4"
@@ -39,6 +40,17 @@ type CellOptions struct {
 	// Protocol names the coherence policy (coherence.Names); empty selects
 	// genima.
 	Protocol string
+}
+
+// ProtocolLabel renders a non-genima protocol through format (one %s, the
+// protocol's name) and the genima default as "", so output swept under
+// different protocols stays distinguishable while genima's reads as it
+// always did.
+func (o CellOptions) ProtocolLabel(format string) string {
+	if o.Protocol == "" || o.Protocol == coherence.ProtoGenima {
+		return ""
+	}
+	return fmt.Sprintf(format, o.Protocol)
 }
 
 // maxProcs bounds a cell's processor count; the paper sweep tops out at 32

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"cables/internal/coherence"
-	"cables/internal/profile"
 	"cables/internal/stats"
 )
 
@@ -34,34 +32,18 @@ func RunFaults(w io.Writer, apps []string, procs []int, o CellOptions, jobs, pro
 	}
 	runs := Sweep(Grid(apps, procs, o), Attach{Profiler: profTop > 0}, jobs)
 
-	header := []string{"Application", "System"}
-	for _, p := range procs {
-		header = append(header, fmt.Sprintf("%dp", p))
-	}
-	tab := stats.NewTable(header...)
-	for _, app := range apps {
-		for _, backend := range []string{BackendGenima, BackendCables} {
-			row := []string{app, backend}
-			for _, p := range procs {
-				c := runAt(runs, app, backend, p)
-				switch {
-				case c.Err != nil:
-					row = append(row, "FAILED")
-				case c.Ctr.Load(stats.EvFaultsInjected) > 0:
-					row = append(row, fmt.Sprintf("DEGRADED(%v)", c.Res.Parallel))
-				default:
-					row = append(row, c.Res.Parallel.String())
-				}
-			}
-			tab.AddRow(row...)
+	tab := systemTable(runs, apps, procs, func(c CellRun) string {
+		switch {
+		case c.Err != nil:
+			return "FAILED"
+		case c.Ctr.Load(stats.EvFaultsInjected) > 0:
+			return fmt.Sprintf("DEGRADED(%v)", c.Res.Parallel)
 		}
-	}
+		return c.Res.Parallel.String()
+	})
 	// Label a non-genima protocol, so DEGRADED cells from different
 	// protocol sweeps stay distinguishable.
-	label := ""
-	if o.Protocol != "" && o.Protocol != coherence.ProtoGenima {
-		label = " protocol=" + o.Protocol
-	}
+	label := o.ProtocolLabel(" protocol=%s")
 	if w != nil {
 		fprintf(w, "Fault sweep: plan %q seed %d%s\n%s\n", o.Plan, o.Seed, label, tab)
 		for _, c := range runs {
@@ -76,7 +58,7 @@ func RunFaults(w io.Writer, apps []string, procs []int, o CellOptions, jobs, pro
 			}
 			fprintf(w, "%s/%s%s p=%d:%s\n", c.App, c.Backend, label, c.Procs, line)
 			if c.Prof != nil {
-				fprintf(w, "%s", ProfileBlock(profile.Build(c.Prof.Logs()), c.Prof.Epochs.Windows(), profTop))
+				fprintf(w, "%s", ProfileBlock(c.Prof, profTop))
 			}
 		}
 	}

@@ -218,3 +218,27 @@ func TestRunFaultsHonorsCellOptions(t *testing.T) {
 		t.Errorf("send faults injected: %d with -contended-sync, %d without; want more with it", contended, plain)
 	}
 }
+
+// TestRunFaultsKeepsAppOrder pins the fault table's row order: the
+// caller's -apps order (here not AppNames order), each app's genima row
+// before its cables row.  Figure 5 over the same runs keeps AppNames order.
+func TestRunFaultsKeepsAppOrder(t *testing.T) {
+	rows := func(tab *stats.Table) []string {
+		var out []string
+		lines := strings.Split(strings.TrimRight(tab.String(), "\n"), "\n")
+		for _, l := range lines[2:] { // past the header and its rule
+			f := strings.Fields(l)
+			out = append(out, f[0]+"/"+f[1])
+		}
+		return out
+	}
+	apps, procs := []string{"LU", "FFT"}, []int{1}
+	tab := RunFaults(nil, apps, procs, CellOptions{Scale: ScaleTest}, 2, 0)
+	if got, want := rows(tab), []string{"LU/genima", "LU/cables", "FFT/genima", "FFT/cables"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("fault table rows %v, want %v", got, want)
+	}
+	fig := Fig5(nil, RunFig5(apps, procs, CellOptions{Scale: ScaleTest}, 2), procs)
+	if got, want := rows(fig), []string{"FFT/genima", "FFT/cables", "LU/genima", "LU/cables"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Figure 5 rows %v, want %v", got, want)
+	}
+}

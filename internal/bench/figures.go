@@ -51,6 +51,28 @@ func sweptApps(runs []CellRun) []string {
 	return apps
 }
 
+// systemTable lays a sweep's runs out as the Application × System × Np
+// table: one row per app of apps (in that order) and system, genima before
+// cables, and one column per processor count of procs, each entry the
+// run's cell rendered by entry.
+func systemTable(runs []CellRun, apps []string, procs []int, entry func(CellRun) string) *stats.Table {
+	header := []string{"Application", "System"}
+	for _, p := range procs {
+		header = append(header, fmt.Sprintf("%dp", p))
+	}
+	tab := stats.NewTable(header...)
+	for _, app := range apps {
+		for _, backend := range []string{BackendGenima, BackendCables} {
+			row := []string{app, backend}
+			for _, p := range procs {
+				row = append(row, entry(runAt(runs, app, backend, p)))
+			}
+			tab.AddRow(row...)
+		}
+	}
+	return tab
+}
+
 // Fig5 prints the Figure 5 series: execution time of the parallel section
 // for the original SVM system (M4) and for CableS (M4 on pthreads), per
 // processor count.  A registration failure prints as FAILED — the paper's
@@ -59,26 +81,12 @@ func Fig5(w io.Writer, runs []CellRun, procs []int) *stats.Table {
 	if len(procs) == 0 {
 		procs = ProcCounts
 	}
-	header := []string{"Application", "System"}
-	for _, p := range procs {
-		header = append(header, fmt.Sprintf("%dp", p))
-	}
-	tab := stats.NewTable(header...)
-	for _, app := range sweptApps(runs) {
-		for _, backend := range []string{BackendGenima, BackendCables} {
-			row := []string{app, backend}
-			for _, p := range procs {
-				cell := runAt(runs, app, backend, p)
-				switch {
-				case cell.Err != nil:
-					row = append(row, "FAILED")
-				default:
-					row = append(row, cell.Res.Parallel.String())
-				}
-			}
-			tab.AddRow(row...)
+	tab := systemTable(runs, sweptApps(runs), procs, func(c CellRun) string {
+		if c.Err != nil {
+			return "FAILED"
 		}
-	}
+		return c.Res.Parallel.String()
+	})
 	if w != nil {
 		fprintf(w, "Figure 5: SPLASH-2 parallel-section time, M4 (genima) vs M4-pthreads (cables)\n%s\n", tab)
 	}

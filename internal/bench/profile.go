@@ -6,9 +6,6 @@ import (
 	"strings"
 
 	"cables/internal/apps/appapi"
-	cables "cables/internal/core"
-	"cables/internal/genima"
-	"cables/internal/m4"
 	"cables/internal/profile"
 	"cables/internal/sim"
 	"cables/internal/stats"
@@ -16,8 +13,9 @@ import (
 
 // AttachProfiler wires a fresh virtual-time profiler to a runtime: every
 // task the cluster creates from here on is adopted (nodeos.Cluster.Prof),
-// the already-existing main task is adopted explicitly, and a
-// stats.EpochLog snapshots the counters at every barrier release.  This is
+// the already-existing main task is adopted explicitly, and the
+// profiler's stats.EpochLog snapshots the counters at every barrier
+// release (the barrier reaches it through the same Cluster.Prof).  This is
 // the single attach point; call it before the run starts.  Attaching
 // records spans and charges nothing — the invariance rule — so results
 // are identical with and without a profiler (TestProfilerInvariance).
@@ -27,22 +25,7 @@ func AttachProfiler(rt appapi.Runtime) *profile.Profiler {
 	cl.Prof = prof
 	prof.Adopt(rt.Main())
 	prof.Epochs = stats.NewEpochLog(cl.Ctr)
-	if p := protocolOf(rt); p != nil {
-		p.Epochs = prof.Epochs
-	}
 	return prof
-}
-
-// protocolOf digs the SVM protocol instance out of either backend (for
-// attaching the epoch log); nil if the backend is unknown.
-func protocolOf(rt appapi.Runtime) *genima.Protocol {
-	switch b := rt.(type) {
-	case *m4.Runtime:
-		return b.Protocol()
-	case *cables.M4Runtime:
-		return b.Runtime().Protocol()
-	}
-	return nil
 }
 
 // RunProfile runs the profiled sweep (`cablesim profile`): every cell gets
@@ -62,20 +45,23 @@ func RunProfile(w io.Writer, apps []string, procs []int, o CellOptions, jobs, to
 				fprintf(w, "%s: FAILED: %v\n", c.Label(), c.Err)
 				continue
 			}
-			fprintf(w, "%s\n%s", c.Res, ProfileBlock(profile.Build(c.Prof.Logs()), c.Prof.Epochs.Windows(), top))
+			fprintf(w, "%s\n%s", c.Res, ProfileBlock(c.Prof, top))
 		}
 	}
 	return runs
 }
 
-// ProfileBlock renders one cell's profile: the per-span-kind category
+// ProfileBlock renders one profiled cell: the per-span-kind category
 // roll-up with its reconciliation check, the hottest pages, the most
 // contended locks, and the per-barrier-epoch counter windows.  Shared by
-// `cablesim profile` and the -profile flag on counters/faults.
-func ProfileBlock(r *profile.Report, windows []stats.EpochWindow, top int) string {
+// `cablesim profile` and the -profile flag on counters/faults.  Call only
+// after the cell's run has quiesced.
+func ProfileBlock(prof *profile.Profiler, top int) string {
 	if top <= 0 {
 		top = 5
 	}
+	r := profile.Build(prof.Logs())
+	windows := prof.Epochs.Windows()
 	var b strings.Builder
 	fmt.Fprintf(&b, "  profile: tasks=%d spans=%d", len(r.Tasks), spanCount(r))
 	if r.Anomalies > 0 {

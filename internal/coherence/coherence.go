@@ -3,14 +3,15 @@
 //
 // The GeNIMA engine (internal/genima) owns the *mechanism* of home-based
 // shared virtual memory — twins, diffs, write notices, the interval log,
-// invalidation — and consults a Protocol for *policy*: which diffs may be
-// batched into commutative merges, and whether a contended critical
-// section should execute at the lock holder's node instead of migrating
-// pages to the waiter.  Three protocols ship:
+// invalidation — and consults a Protocol for two *policy* decisions: which
+// diffs may be batched into commutative merges (at each flush), and
+// whether a contended critical section should execute at the lock
+// holder's node instead of migrating pages to the waiter (at each
+// contended acquire).  Three protocols ship:
 //
 //   - genima: the baseline home-based write-invalidate protocol of the
-//     paper.  Every hook is a no-op, so the engine behaves (and costs)
-//     exactly as it did before the seam existed.
+//     paper.  It declines both decisions, so the engine behaves (and
+//     costs) exactly as it did before the seam existed.
 //   - commutative: pages observed to be write-shared (diffed to the same
 //     home by more than one node) are treated as reduction targets.
 //     Their diffs still reach the home byte-for-byte, but each flush
@@ -35,8 +36,8 @@ import (
 	"cables/internal/memsys"
 )
 
-// Protocol is the policy seam consulted by the GeNIMA engine.  Hooks are
-// called from a cell's simulated threads, which run one at a time in the
+// Protocol is the policy seam consulted by the GeNIMA engine.  Its methods
+// are called from a cell's simulated threads, which run one at a time in the
 // cell's scheduler slot, so an instance needs no lock of its own.  Node
 // arguments are always the task's *memory* node (sim.Task.MemNode), so a
 // delegated critical section is observed at its server, not its origin.
@@ -49,9 +50,6 @@ type Protocol interface {
 	// verdicts).  Protocols that never merge return false so the genima
 	// fast path stays allocation-free.
 	Merge() bool
-
-	// PageFetch observes a remote page fill: node fetched pid from home.
-	PageFetch(node int, pid memsys.PageID, home int)
 
 	// MergeDiff is consulted once per outbound diff (node flushing pid to
 	// home, diffBytes of payload).  Returning true routes the diff into
@@ -66,13 +64,6 @@ type Protocol interface {
 	// the delegation server the waiter's critical section should execute
 	// on; -1 leaves the acquire on the normal grant path.
 	LockAcquire(lockID, holderNode, waiterNode int) int
-
-	// LockRelease observes a release: the critical section executed on
-	// execNode for a thread whose home is originNode.
-	LockRelease(lockID, execNode, originNode int)
-
-	// BarrierRelease observes the last arriver releasing a barrier.
-	BarrierRelease(name string, parties int)
 }
 
 // Registry names, in the order of protocolNames.
@@ -129,20 +120,17 @@ func MustNew(name string) Protocol {
 	return p
 }
 
-// genimaProtocol is the baseline: every hook is a no-op, so the engine
-// runs the paper's GeNIMA protocol.  The zero-size
+// genimaProtocol is the baseline: it declines every decision, so the
+// engine runs the paper's GeNIMA protocol.  The zero-size
 // struct keeps the per-diff MergeDiff consultation a trivial interface
 // call with no state access (TestGenimaDispatchAllocFree keeps it
 // allocation-free; bench.TestHostCostBudgets holds it at <=1% of a flush).
 type genimaProtocol struct{}
 
-func (genimaProtocol) Name() string                                 { return ProtoGenima }
-func (genimaProtocol) Merge() bool                                  { return false }
-func (genimaProtocol) PageFetch(int, memsys.PageID, int)            {}
-func (genimaProtocol) MergeDiff(int, memsys.PageID, int, int) bool  { return false }
-func (genimaProtocol) LockAcquire(lockID, holder, waiter int) int   { return -1 }
-func (genimaProtocol) LockRelease(lockID, execNode, originNode int) {}
-func (genimaProtocol) BarrierRelease(string, int)                   {}
+func (genimaProtocol) Name() string                                { return ProtoGenima }
+func (genimaProtocol) Merge() bool                                 { return false }
+func (genimaProtocol) MergeDiff(int, memsys.PageID, int, int) bool { return false }
+func (genimaProtocol) LockAcquire(lockID, holder, waiter int) int  { return -1 }
 
 // commutative detects write-shared pages at runtime: the second distinct
 // node that diffs a page marks it a reduction target, and every later
@@ -164,8 +152,6 @@ func newCommutative() *commutative {
 func (c *commutative) Name() string { return ProtoCommutative }
 func (c *commutative) Merge() bool  { return true }
 
-func (c *commutative) PageFetch(int, memsys.PageID, int) {}
-
 func (c *commutative) MergeDiff(node int, pid memsys.PageID, home, diffBytes int) bool {
 	if w := c.writer[pid]; w != 0 && w != int32(node)+1 {
 		c.shared[pid] = true
@@ -174,9 +160,7 @@ func (c *commutative) MergeDiff(node int, pid memsys.PageID, home, diffBytes int
 	return c.shared[pid]
 }
 
-func (c *commutative) LockAcquire(lockID, holder, waiter int) int   { return -1 }
-func (c *commutative) LockRelease(lockID, execNode, originNode int) {}
-func (c *commutative) BarrierRelease(string, int)                   {}
+func (c *commutative) LockAcquire(lockID, holder, waiter int) int { return -1 }
 
 // SharedPages returns the pages observed as write-shared so far, sorted
 // (tests and diagnostics).
@@ -205,8 +189,6 @@ func newDelegate() *delegate {
 func (d *delegate) Name() string { return ProtoDelegate }
 func (d *delegate) Merge() bool  { return false }
 
-func (d *delegate) PageFetch(int, memsys.PageID, int) {}
-
 func (d *delegate) MergeDiff(int, memsys.PageID, int, int) bool { return false }
 
 func (d *delegate) LockAcquire(lockID, holderNode, waiterNode int) int {
@@ -219,9 +201,6 @@ func (d *delegate) LockAcquire(lockID, holderNode, waiterNode int) int {
 	d.server[lockID] = holderNode
 	return holderNode
 }
-
-func (d *delegate) LockRelease(lockID, execNode, originNode int) {}
-func (d *delegate) BarrierRelease(string, int)                   {}
 
 // ServerOf returns the sticky server chosen for a lock, or -1 if the
 // lock has never been contended (tests and diagnostics).

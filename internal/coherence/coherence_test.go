@@ -44,7 +44,7 @@ func TestDefaultSelection(t *testing.T) {
 	}
 }
 
-// TestGenimaIsInert pins the baseline contract: every hook declines, so
+// TestGenimaIsInert pins the baseline contract: it declines every decision, so
 // the engine's behavior cannot depend on the seam being consulted.
 func TestGenimaIsInert(t *testing.T) {
 	p := MustNew(ProtoGenima)

@@ -75,9 +75,6 @@ func NewM4(cfg M4Config) *M4Runtime {
 // BackendName implements appapi.Name.
 func (m *M4Runtime) BackendName() string { return "cables" }
 
-// Runtime exposes the underlying CableS runtime.
-func (m *M4Runtime) Runtime() *Runtime { return m.rt }
-
 // Cluster implements appapi.Runtime.
 func (m *M4Runtime) Cluster() *nodeos.Cluster { return m.rt.cl }
 

@@ -111,6 +111,6 @@ func (l *RWLock) Unlock(th *Thread) {
 // bookkeeping is reclaimed when it exits, as usual.
 func (rt *Runtime) Detach(t *sim.Task, th *Thread) {
 	rt.chargeAdmin(t)
-	// Joining a detached thread is a programming error in POSIX; here the
-	// done channel simply never gets a Join, which is already safe.
+	// Joining a detached thread is a programming error in POSIX; here its
+	// sim.Exit simply never gets a Wait, which is already safe.
 }

@@ -56,7 +56,6 @@ func Backoff(attempt int) sim.Time {
 // The zero-value rules: a nil *Injector injects nothing (callers nil-check).
 type Injector struct {
 	plan Plan
-	seed uint64
 	// keys[i] is rule i's decision-hash key, derived from the seed so that
 	// two rules of the same kind fire independently.
 	keys []uint64
@@ -71,19 +70,13 @@ type Injector struct {
 // New builds an injector for plan with the given seed.
 func New(plan Plan, seed uint64) *Injector {
 	rng := sim.NewRNG(seed)
-	inj := &Injector{plan: plan, seed: seed, keys: make([]uint64, len(plan.Rules))}
+	inj := &Injector{plan: plan, keys: make([]uint64, len(plan.Rules))}
 	for i := range inj.keys {
 		inj.keys[i] = rng.Uint64()
 	}
 	inj.detachSeen = make([]bool, plan.MaxNode()+1)
 	return inj
 }
-
-// Plan returns the injector's plan.
-func (j *Injector) Plan() Plan { return j.plan }
-
-// Seed returns the injector's seed.
-func (j *Injector) Seed() uint64 { return j.seed }
 
 // BindCounters routes injection counters into ctr (EvFaultsInjected and the
 // per-class retry/loss events).  Call once during cluster construction.
@@ -112,9 +105,10 @@ func (j *Injector) note(node int, ev stats.Event) {
 	}
 }
 
-// fail evaluates all rules of kind k for an operation from src to dst at
-// instant now, on retry attempt (0-based).
-func (j *Injector) fail(k RuleKind, src, dst, attempt int, now sim.Time, ev stats.Event) bool {
+// fail evaluates all rules of kind k (KindSend, KindFetch or KindNotify)
+// for an operation from src to dst at instant now, on retry attempt
+// (0-based), and counts a failure in the class's retry counter.
+func (j *Injector) fail(k RuleKind, src, dst, attempt int, now sim.Time) bool {
 	if j == nil {
 		return false
 	}
@@ -124,6 +118,13 @@ func (j *Injector) fail(k RuleKind, src, dst, attempt int, now sim.Time, ev stat
 			continue
 		}
 		if j.decide(i, src, dst, attempt, now, r.P) {
+			ev := stats.EvSendRetries
+			switch k {
+			case KindFetch:
+				ev = stats.EvFetchRetries
+			case KindNotify:
+				ev = stats.EvNotifyLost
+			}
 			j.note(src, ev)
 			return true
 		}
@@ -131,21 +132,36 @@ func (j *Injector) fail(k RuleKind, src, dst, attempt int, now sim.Time, ev stat
 	return false
 }
 
+// Retry is the one transient-failure rule of the data path: it returns the
+// virtual penalty an operation of class k (KindSend, KindFetch or
+// KindNotify) from src to dst at instant now pays before it goes through.
+// Each failed attempt, drawn in order from attempt 0, costs a full attempt
+// per plus the Backoff before the next; past MaxSendRetries the operation
+// proceeds regardless, so faults delay but never lose data.  A nil
+// injector returns 0.
+func (j *Injector) Retry(k RuleKind, src, dst int, now, per sim.Time) sim.Time {
+	var penalty sim.Time
+	for a := 0; a < MaxSendRetries && j.fail(k, src, dst, a, now); a++ {
+		penalty += per + Backoff(a)
+	}
+	return penalty
+}
+
 // FailSend reports whether the send from src to dst at virtual instant now
 // (retry attempt, 0-based) suffers a transient NIC failure.
 func (j *Injector) FailSend(src, dst, attempt int, now sim.Time) bool {
-	return j.fail(KindSend, src, dst, attempt, now, stats.EvSendRetries)
+	return j.fail(KindSend, src, dst, attempt, now)
 }
 
 // FailFetch reports whether the remote read by src from dst fails.
 func (j *Injector) FailFetch(src, dst, attempt int, now sim.Time) bool {
-	return j.fail(KindFetch, src, dst, attempt, now, stats.EvFetchRetries)
+	return j.fail(KindFetch, src, dst, attempt, now)
 }
 
 // LoseNotify reports whether the notification from src to dst is lost in
 // flight (the sender times out and re-sends).
 func (j *Injector) LoseNotify(src, dst, attempt int, now sim.Time) bool {
-	return j.fail(KindNotify, src, dst, attempt, now, stats.EvNotifyLost)
+	return j.fail(KindNotify, src, dst, attempt, now)
 }
 
 // RegReserve returns the NIC registration-memory pressure (bytes reserved by

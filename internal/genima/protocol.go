@@ -92,10 +92,10 @@ type Protocol struct {
 
 	// pol is the pluggable coherence policy (internal/coherence).  The
 	// engine owns the SVM mechanism — twins, diffs, notices, the interval
-	// log — and consults pol at the policy points: per outbound diff
-	// (merge routing), per remote fill (observation), and per contended
-	// lock acquire/release (delegation).  Defaults to the no-op genima
-	// policy; UseProtocol selects a variant before the run starts.
+	// log — and consults pol at its two decision points: per outbound diff
+	// (merge routing) and per contended lock acquire (delegation).
+	// Defaults to the genima policy, which declines both; UseProtocol
+	// selects a variant before the run starts.
 	pol coherence.Protocol
 
 	// delegated maps the tasks currently executing a delegated critical
@@ -118,16 +118,13 @@ type Protocol struct {
 	// (node that faulted, page).  CableS's migration policy counts these.
 	OnRemoteFault func(node int, pid memsys.PageID)
 
-	// Epochs, if set (bench.AttachProfiler), snapshots the run's counters
-	// at every barrier release, windowing them into per-epoch deltas.
-	Epochs *stats.EpochLog
-
 	locks map[int]*SysLock
 	bars  map[string]*Barrier
 }
 
 // New creates a protocol instance over the cluster with a fresh shared
-// address space of arenaBytes.  place may be nil for base first touch.
+// address space of arenaBytes; place decides each page's home on first
+// touch.
 func New(cl *nodeos.Cluster, arenaBytes int64, place Placement) *Protocol {
 	p := &Protocol{
 		cl:        cl,
@@ -138,9 +135,6 @@ func New(cl *nodeos.Cluster, arenaBytes int64, place Placement) *Protocol {
 		nodes:     make([]*nodeState, cl.NumNodes()),
 		locks:     make(map[int]*SysLock),
 		bars:      make(map[string]*Barrier),
-	}
-	if p.place == nil {
-		p.place = FirstTouch{}
 	}
 	words := (p.sp.NumPages() + 63) / 64
 	for i := range p.nodes {
@@ -239,7 +233,6 @@ func (p *Protocol) validate(t *sim.Task, pid memsys.PageID) *memsys.PageCopy {
 		p.PublishInvalidate(node, pid)
 	}
 	ctr.Add(node, stats.EvRemotePageFaults, 1)
-	p.pol.PageFetch(node, pid, home)
 	if p.OnRemoteFault != nil {
 		p.OnRemoteFault(node, pid)
 	}
@@ -434,27 +427,32 @@ func (p *Protocol) ApplyAcquire(t *sim.Task) {
 	}
 	for _, pid := range invalidate {
 		ns.invBits[pid>>6] &^= uint64(1) << (pid & 63)
-		pc := p.sp.Copy(node, pid)
-		if pc.Written() {
-			// Force the local interval's diff out before dropping the
-			// copy, so concurrent false sharing cannot lose writes.
-			p.forceDiff(t, node, pid, pc)
-		}
-		if pc.Valid() {
-			pc.SetValid(false)
-			p.cl.Ctr.Add(node, stats.EvInvalidations, 1)
-		}
-		pc.RetireTwin()
-		// This task holds the cell's only scheduler slot, so no reader or
-		// writer is inside this node's copies and the invalidated copy's
-		// frame reference can be dropped; if it was the last reference the
-		// frame returns to the pool and the refetch aliases the home's frame instead of allocating.
-		pc.RetireData()
+		p.dropCopy(t, node, pid)
 	}
 	ns.invScratch = invalidate[:0]
 	ns.seen = p.logBase + int64(len(p.log))
 	t.Charge(sim.CatLocal, p.cl.Costs.WriteNotice*sim.Time(notices))
 	p.maybeCompactLog()
+}
+
+// dropCopy invalidates node's copy of pid.  A copy the node dirtied has
+// its diff forced out first, so concurrent false sharing cannot lose
+// writes.  This task holds the cell's only scheduler slot, so no reader or
+// writer is inside this node's copies and the copy's twin and frame
+// references can be dropped; if one was the last reference the frame
+// returns to the pool and the refetch aliases the home's frame instead of
+// allocating.
+func (p *Protocol) dropCopy(t *sim.Task, node int, pid memsys.PageID) {
+	pc := p.sp.Copy(node, pid)
+	if pc.Written() {
+		p.forceDiff(t, node, pid, pc)
+	}
+	if pc.Valid() {
+		pc.SetValid(false)
+		p.cl.Ctr.Add(node, stats.EvInvalidations, 1)
+	}
+	pc.RetireTwin()
+	pc.RetireData()
 }
 
 // forceDiff flushes one dirty page's diff ahead of the node's next release.
@@ -475,23 +473,10 @@ func (p *Protocol) forceDiff(t *sim.Task, node int, pid memsys.PageID, pc *memsy
 // visible to it (pages homed at the origin took the diffs directly and are
 // kept).
 func (p *Protocol) dropCopies(t *sim.Task, node int, pages []memsys.PageID) {
-	if len(pages) == 0 {
-		return
-	}
 	for _, pid := range pages {
-		if p.sp.Home(pid) == node {
-			continue
+		if p.sp.Home(pid) != node {
+			p.dropCopy(t, node, pid)
 		}
-		pc := p.sp.Copy(node, pid)
-		if pc.Written() {
-			p.forceDiff(t, node, pid, pc)
-		}
-		if pc.Valid() {
-			pc.SetValid(false)
-			p.cl.Ctr.Add(node, stats.EvInvalidations, 1)
-		}
-		pc.RetireTwin()
-		pc.RetireData()
 	}
 }
 

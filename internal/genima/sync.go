@@ -170,24 +170,17 @@ func lockFlags(l *SysLock, t *sim.Task) uint64 {
 // A failed attempt on a remotely-managed lock still pays the probe.
 func (l *SysLock) TryAcquire(t *sim.Task) bool {
 	t.CancelPoint()
-	t.OpenSpan(uint8(profile.SpanLock), uint64(l.id))
-	if l.held {
-		if l.lastNode != t.NodeID && l.lastNode != -1 {
-			l.p.cl.Wire.Do(t, wire.Op{Kind: wire.KindLockProbe, Dst: l.lastNode, Arg: uint64(l.id)})
-		}
-		t.Charge(sim.CatLocal, l.p.cl.Costs.MutexLocalFast)
-		t.CloseSpan()
-		return false
+	if !l.held {
+		l.Relock(t) // grants the free lock without parking
+		return true
 	}
-	flags := lockFlags(l, t)
-	l.chargeAcquire(t)
-	l.held = true
-	l.holder = t.MemNode()
-	t.WaitUntil(l.lastRelease)
-	t.MarkSpan(uint8(profile.MarkLockAcquired), uint64(l.id), flags)
-	l.p.ApplyAcquire(t)
+	t.OpenSpan(uint8(profile.SpanLock), uint64(l.id))
+	if l.lastNode != t.NodeID && l.lastNode != -1 {
+		l.p.cl.Wire.Do(t, wire.Op{Kind: wire.KindLockProbe, Dst: l.lastNode, Arg: uint64(l.id)})
+	}
+	t.Charge(sim.CatLocal, l.p.cl.Costs.MutexLocalFast)
 	t.CloseSpan()
-	return true
+	return false
 }
 
 // Release flushes the caller's write interval and hands the lock to the
@@ -212,7 +205,6 @@ func (l *SysLock) Release(t *sim.Task) {
 		// (Do sources it at the server: the task still executes there).
 		l.p.cl.Wire.Do(t, wire.Op{Kind: wire.KindDelegateDone, Dst: t.NodeID, Arg: uint64(l.id)})
 	}
-	l.p.pol.LockRelease(l.id, exec, t.NodeID)
 	if !l.held {
 		panic(fmt.Sprintf("genima: release of unheld lock %d", l.id))
 	}
@@ -328,12 +320,11 @@ func (b *Barrier) Wait(t *sim.Task, parties int) {
 		b.waiters = nil
 		b.count = 0
 		b.arrived = 0
-		if b.p.Epochs != nil {
+		if prof := b.p.cl.Prof; prof != nil && prof.Epochs != nil {
 			// The last arriver closes the epoch: snapshot the counters at
 			// the release instant for the per-epoch windows.
-			b.p.Epochs.Mark(b.name, int64(b.release))
+			prof.Epochs.Mark(b.name, int64(b.release))
 		}
-		b.p.pol.BarrierRelease(b.name, parties)
 		for _, w := range ws {
 			w.Unpark(release)
 		}

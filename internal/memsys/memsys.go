@@ -166,7 +166,6 @@ func (p *PageCopy) AdoptFrame(src *PageCopy) {
 
 // Space is the cluster-wide shared address space.
 type Space struct {
-	nodes    int
 	size     int64
 	numPages int
 
@@ -226,7 +225,6 @@ func NewSpace(nodes int, size int64) *Space {
 	np := int((size + PageSize - 1) / PageSize)
 	nc := (np + pageChunkSize - 1) >> pageChunkShift
 	s := &Space{
-		nodes:    nodes,
 		size:     int64(np) * PageSize,
 		numPages: np,
 		pages:    make([][]*pageChunk, nodes),
@@ -242,9 +240,6 @@ func NewSpace(nodes int, size int64) *Space {
 // BindUnshares sets the sink for per-node unshare counts (the protocol's
 // stats counters).  Must be set before threads run; nil disables counting.
 func (s *Space) BindUnshares(fn func(node int)) { s.unshares = fn }
-
-// Nodes returns the node count the space was built for.
-func (s *Space) Nodes() int { return s.nodes }
 
 // Size returns the arena size in bytes.
 func (s *Space) Size() int64 { return s.size }

@@ -181,14 +181,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.child(v.f.keyOf(values)).(*Counter)
 }
 
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
-
-// With returns the child gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.child(v.f.keyOf(values)).(*Gauge)
-}
-
 // HistogramVec is a labeled histogram family.
 type HistogramVec struct{ f *family }
 
@@ -250,11 +242,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 func (r *Registry) Gauge(name, help string) *Gauge {
 	f := r.register(name, help, KindGauge, nil, nil)
 	return f.child(labelKey{}).(*Gauge)
-}
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, KindGauge, labels, nil)}
 }
 
 // Histogram registers an unlabeled histogram family with the given ascending

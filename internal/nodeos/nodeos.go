@@ -103,7 +103,7 @@ type Cluster struct {
 	taskSeq atomic.Int64
 }
 
-// Config selects the cluster shape and NIC limits.
+// Config selects the cluster shape; every NIC has vmmc.DefaultLimits.
 type Config struct {
 	// NumNodes is the number of machines (paper: up to 16).
 	NumNodes int
@@ -111,8 +111,6 @@ type Config struct {
 	ProcsPerNode int
 	// Costs is the virtual-time cost table; nil selects DefaultCosts.
 	Costs *sim.Costs
-	// Limits are the NIC registration limits; zero selects DefaultLimits.
-	Limits vmmc.Limits
 	// Fault optionally injects deterministic faults (see internal/fault);
 	// nil disables injection.
 	Fault *fault.Injector
@@ -133,10 +131,6 @@ func NewCluster(cfg Config) *Cluster {
 	if costs == nil {
 		costs = sim.DefaultCosts()
 	}
-	limits := cfg.Limits
-	if limits == (vmmc.Limits{}) {
-		limits = vmmc.DefaultLimits()
-	}
 	ctr := stats.NewCounters(cfg.NumNodes)
 	fab := san.New(cfg.NumNodes, costs, ctr)
 	cl := &Cluster{
@@ -144,7 +138,7 @@ func NewCluster(cfg Config) *Cluster {
 		Costs:  costs,
 		Ctr:    ctr,
 		Fabric: fab,
-		VMMC:   vmmc.NewSystem(fab, limits),
+		VMMC:   vmmc.NewSystem(fab, vmmc.DefaultLimits()),
 		Fault:  cfg.Fault,
 		Sched:  sim.NewScheduler(),
 	}

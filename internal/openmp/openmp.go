@@ -84,9 +84,6 @@ func New(cfg Config) *Runtime {
 // Cluster exposes the simulated machine.
 func (r *Runtime) Cluster() *nodeos.Cluster { return r.rt.Cluster() }
 
-// Procs returns the region width.
-func (r *Runtime) Procs() int { return r.procs }
-
 // Main returns the master thread's task.
 func (r *Runtime) Main() *sim.Task { return r.rt.Main().Task }
 
@@ -112,9 +109,6 @@ type OMP struct {
 
 // Task returns the simulated execution context.
 func (o *OMP) Task() *sim.Task { return o.th.Task }
-
-// Thread returns the underlying pthread.
-func (o *OMP) Thread() *cables.Thread { return o.th }
 
 // TID returns the OpenMP thread number.
 func (o *OMP) TID() int { return o.tid }

@@ -254,9 +254,9 @@ func (l *TaskLog) finalize() {
 type Profiler struct {
 	logs []*TaskLog
 
-	// Epochs, when set by the attach point, receives a counter snapshot at
-	// every barrier release, giving per-epoch counter windows (the
-	// stats.EpochLog satellite).
+	// Epochs, when set by the attach point (bench.AttachProfiler),
+	// receives a counter snapshot at every barrier release, which reaches
+	// it through nodeos.Cluster.Prof, giving per-epoch counter windows.
 	Epochs *stats.EpochLog
 }
 

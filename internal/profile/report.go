@@ -68,9 +68,6 @@ type Report struct {
 	Pages []PageStat
 	// Locks, most waited-on first.
 	Locks []LockStat
-	// Barriers counts barrier spans; BarrierWait is their total self time.
-	Barriers    int
-	BarrierWait sim.Time
 	// Anomalies sums stack-discipline violations across tasks (non-zero
 	// only when an error unwound a task mid-span).
 	Anomalies int
@@ -121,9 +118,6 @@ func Build(logs []*TaskLog) *Report {
 				pageStat(pages, s.Arg).Diffs++
 			case SpanMigrate:
 				pageStat(pages, s.Arg).Migrations++
-			case SpanBarrier:
-				r.Barriers++
-				r.BarrierWait += s.Dur()
 			}
 		}
 

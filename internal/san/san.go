@@ -91,10 +91,7 @@ func (f *Fabric) Send(t *sim.Task, src, dst, size int) sim.Time {
 	// Each transiently failed attempt costs a full transfer timeout plus
 	// backoff before the wire is tried again; past MaxSendRetries the
 	// transfer goes through regardless (faults delay, they never lose data).
-	var penalty sim.Time
-	for a := 0; a < fault.MaxSendRetries && f.inj.FailSend(src, dst, a, now); a++ {
-		penalty += f.costs.SendTime(size) + fault.Backoff(a)
-	}
+	penalty := f.inj.Retry(fault.KindSend, src, dst, now, f.costs.SendTime(size))
 	start := f.reserve(src, now, f.costs.Occupancy(size))
 	d := (start - now) + penalty + f.costs.SendTime(size)
 	f.ctr.Add(src, stats.EvMessagesSent, 1)
@@ -109,10 +106,7 @@ func (f *Fabric) Send(t *sim.Task, src, dst, size int) sim.Time {
 func (f *Fabric) Fetch(t *sim.Task, src, dst, size int) sim.Time {
 	f.checkNodes(src, dst)
 	now := t.Now()
-	var penalty sim.Time
-	for a := 0; a < fault.MaxSendRetries && f.inj.FailFetch(src, dst, a, now); a++ {
-		penalty += f.costs.FetchTime(size) + fault.Backoff(a)
-	}
+	penalty := f.inj.Retry(fault.KindFetch, src, dst, now, f.costs.FetchTime(size))
 	start := f.reserve(src, now, f.costs.Occupancy(size))
 	d := (start - now) + penalty + f.costs.FetchTime(size)
 	f.ctr.Add(src, stats.EvFetches, 1)

@@ -230,9 +230,6 @@ func NewSystem(fab *san.Fabric, limits Limits) *System {
 // NIC returns node's NIC.
 func (s *System) NIC(node int) *NIC { return s.nics[node] }
 
-// Fabric returns the underlying SAN fabric.
-func (s *System) Fabric() *san.Fabric { return s.fab }
-
 // localCopyCost models a same-node memory copy (no network involvement).
 func localCopyCost(size int) sim.Time { return sim.Time(size) } // ~1GB/s memcpy
 
@@ -272,11 +269,7 @@ func (s *System) StreamWrite(t *sim.Task, dst, size int) {
 		return
 	}
 	c := s.fab.Costs()
-	now := t.Now()
-	var penalty sim.Time
-	for a := 0; a < fault.MaxSendRetries && s.inj.FailSend(n, dst, a, now); a++ {
-		penalty += c.SendBase + c.Occupancy(size) + fault.Backoff(a)
-	}
+	penalty := s.inj.Retry(fault.KindSend, n, dst, t.Now(), c.SendBase+c.Occupancy(size))
 	t.Charge(sim.CatComm, c.SendBase+c.Occupancy(size)+penalty)
 	s.fab.Counters().Add(n, stats.EvMessagesSent, 1)
 	s.fab.Counters().Add(n, stats.EvBytesSent, int64(size))
@@ -292,11 +285,7 @@ func (s *System) StreamFetch(t *sim.Task, src, size int) {
 		return
 	}
 	c := s.fab.Costs()
-	now := t.Now()
-	var penalty sim.Time
-	for a := 0; a < fault.MaxSendRetries && s.inj.FailFetch(n, src, a, now); a++ {
-		penalty += c.FetchBase + c.Occupancy(size) + fault.Backoff(a)
-	}
+	penalty := s.inj.Retry(fault.KindFetch, n, src, t.Now(), c.FetchBase+c.Occupancy(size))
 	t.Charge(sim.CatComm, c.FetchBase+c.Occupancy(size)+penalty)
 	s.fab.Counters().Add(n, stats.EvFetches, 1)
 	s.fab.Counters().Add(n, stats.EvBytesFetched, int64(size))
@@ -312,11 +301,8 @@ func (s *System) Notify(t *sim.Task, dst, size int) {
 	if dst == n {
 		t.Charge(sim.CatLocal, localCopyCost(size)+c.Notification/4)
 	} else {
-		now := t.Now()
-		var penalty sim.Time
-		for a := 0; a < fault.MaxSendRetries && s.inj.LoseNotify(n, dst, a, now); a++ {
-			penalty += c.SendTime(size) + c.Notification + fault.Backoff(a)
-		}
+		// The lost notifications are drawn before the send's own faults.
+		penalty := s.inj.Retry(fault.KindNotify, n, dst, t.Now(), c.SendTime(size)+c.Notification)
 		t.Charge(sim.CatComm, s.fab.Send(t, n, dst, size)+c.Notification+penalty)
 	}
 	s.fab.Counters().Add(n, stats.EvNotifications, 1)

@@ -10,8 +10,9 @@
 //     calibrated flat communication shares for control-plane ops),
 //   - consults the fault injector at exactly one site per op class, and
 //   - opens one profiler span (SpanWire, rendered "wire.<kind>") and bumps
-//     the EvWireOps/EvMessagesSent/EvBytesSent/EvBytesFetched counters
-//     uniformly.
+//     EvWireOps for every op.  A control-plane op also bumps
+//     EvMessagesSent/EvBytesSent here; a data-plane op's message and byte
+//     counters are bumped by vmmc/san, which see whether it crossed nodes.
 //
 // One opt-in mode becomes possible because the traffic shares one path:
 // Options.ContendedSync (-contended-sync) makes control-plane ops reserve
@@ -248,10 +249,7 @@ func (p *Plane) doControl(t *sim.Task, op Op) sim.Time {
 	d := p.flatCost(op.Kind, op.Size)
 	if p.opts.ContendedSync && op.Dst != op.Src {
 		now := t.Now()
-		var penalty sim.Time
-		for a := 0; a < fault.MaxSendRetries && p.inj.FailSend(op.Src, op.Dst, a, now); a++ {
-			penalty += p.costs.SendTime(op.Size) + fault.Backoff(a)
-		}
+		penalty := p.inj.Retry(fault.KindSend, op.Src, op.Dst, now, p.costs.SendTime(op.Size))
 		start := p.fab.Reserve(op.Src, now, p.costs.Occupancy(op.Size))
 		d += (start - now) + penalty
 	}

@@ -210,6 +210,38 @@ func TestContendedSyncFaults(t *testing.T) {
 	}
 }
 
+// TestSendFaultRetryCost pins the transient-failure rule on the data path
+// exactly: under a certain-failure send plan, a remote wire.write and a
+// wire.stream each pay their fault-free cost plus, for every one of the
+// fault.MaxSendRetries failed attempts a, one full attempt plus
+// fault.Backoff(a), and count one send retry per attempt.
+func TestSendFaultRetryCost(t *testing.T) {
+	const size = 4096
+	c := sim.DefaultCosts()
+	for _, tc := range []struct {
+		kind Kind
+		per  sim.Time // one attempt: the fault-free cost
+	}{
+		{KindWrite, c.SendTime(size)},
+		{KindStream, c.SendBase + c.Occupancy(size)},
+	} {
+		want := tc.per
+		for a := 0; a < fault.MaxSendRetries; a++ {
+			want += tc.per + fault.Backoff(a)
+		}
+		p, ctr := newPlane(Options{})
+		p.SetFault(fault.New(fault.MustParsePlan("send:p=1"), 42))
+		task := newTask(0)
+		p.Do(task, Op{Kind: tc.kind, Dst: 1, Size: size})
+		if got := task.Now(); got != want {
+			t.Errorf("%v under send:p=1 charged %v, want %v", tc.kind, got, want)
+		}
+		if got := ctr.Load(stats.EvSendRetries); got != fault.MaxSendRetries {
+			t.Errorf("%v counted %d send retries, want %d", tc.kind, got, fault.MaxSendRetries)
+		}
+	}
+}
+
 // TestSetFaultWiresWholeStack checks the single wiring point: one SetFault
 // call must arm the delegated data path (vmmc/san) too.
 func TestSetFaultWiresWholeStack(t *testing.T) {
