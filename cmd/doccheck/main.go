@@ -1,8 +1,8 @@
 // Command doccheck lints the documentation of the tree at -root (default
 // "."), listing every violation and exiting non-zero (`make docs`): every
 // Go package has a doc comment ("Package <name> ..." unless main); every
-// relative markdown link resolves; only internal/wire and internal/vmmc
-// charge CatComm directly (cross-node costs go through wire.Plane.Do);
+// relative markdown link resolves; only internal/wire charges CatComm
+// directly (cross-node costs go through wire.Plane.Do);
 // and every name of each inventory in inventories, read from the package
 // that declares it, appears backquoted where its reference doc must name
 // it.
@@ -125,11 +125,11 @@ func check(root string) ([]string, error) {
 			pkgDocs[key] = f.Doc.Text()
 		}
 		rel, _ := filepath.Rel(root, path) // cannot fail: path is under root
-		substrate := strings.HasPrefix(filepath.ToSlash(rel), "internal/wire/") || strings.HasPrefix(filepath.ToSlash(rel), "internal/vmmc/")
+		plane := strings.HasPrefix(filepath.ToSlash(rel), "internal/wire/")
 		for i, line := range strings.Split(string(data), "\n") {
 			for _, call := range []string{".Charge(", ".Attribute("} {
-				if !substrate && strings.Contains(line, call+"sim.CatComm") {
-					report("%s:%d: direct CatComm charge outside internal/wire and internal/vmmc; route it through wire.Plane.Do", path, i+1)
+				if !plane && strings.Contains(line, call+"sim.CatComm") {
+					report("%s:%d: direct CatComm charge outside internal/wire; route it through wire.Plane.Do", path, i+1)
 				}
 			}
 		}

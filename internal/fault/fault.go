@@ -147,23 +147,6 @@ func (j *Injector) Retry(k RuleKind, src, dst int, now, per sim.Time) sim.Time {
 	return penalty
 }
 
-// FailSend reports whether the send from src to dst at virtual instant now
-// (retry attempt, 0-based) suffers a transient NIC failure.
-func (j *Injector) FailSend(src, dst, attempt int, now sim.Time) bool {
-	return j.fail(KindSend, src, dst, attempt, now)
-}
-
-// FailFetch reports whether the remote read by src from dst fails.
-func (j *Injector) FailFetch(src, dst, attempt int, now sim.Time) bool {
-	return j.fail(KindFetch, src, dst, attempt, now)
-}
-
-// LoseNotify reports whether the notification from src to dst is lost in
-// flight (the sender times out and re-sends).
-func (j *Injector) LoseNotify(src, dst, attempt int, now sim.Time) bool {
-	return j.fail(KindNotify, src, dst, attempt, now)
-}
-
 // RegReserve returns the NIC registration-memory pressure (bytes reserved by
 // a competing consumer) on node at instant now.  The VMMC layer subtracts it
 // from the node's effective registered-byte limit.

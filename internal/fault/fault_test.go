@@ -144,11 +144,11 @@ func TestDecideDeterministic(t *testing.T) {
 	}
 	got := make([]bool, len(queries))
 	for i, qq := range queries {
-		got[i] = a.FailSend(qq.src, qq.dst, qq.attempt, qq.now)
+		got[i] = a.fail(KindSend, qq.src, qq.dst, qq.attempt, qq.now)
 	}
 	for i := len(queries) - 1; i >= 0; i-- {
 		qq := queries[i]
-		if b.FailSend(qq.src, qq.dst, qq.attempt, qq.now) != got[i] {
+		if b.fail(KindSend, qq.src, qq.dst, qq.attempt, qq.now) != got[i] {
 			t.Fatalf("decision %d differs between injectors built from the same plan+seed", i)
 		}
 	}
@@ -166,7 +166,7 @@ func TestDecideDeterministic(t *testing.T) {
 	c := New(plan, 43)
 	same := true
 	for i, qq := range queries {
-		if c.FailSend(qq.src, qq.dst, qq.attempt, qq.now) != got[i] {
+		if c.fail(KindSend, qq.src, qq.dst, qq.attempt, qq.now) != got[i] {
 			same = false
 			break
 		}
@@ -178,19 +178,19 @@ func TestDecideDeterministic(t *testing.T) {
 
 func TestRuleWindowsRespected(t *testing.T) {
 	j := New(MustParsePlan("send:p=1,node=1,from=10ms,to=20ms"), 1)
-	if j.FailSend(1, 0, 0, 5*sim.Millisecond) {
+	if j.fail(KindSend, 1, 0, 0, 5*sim.Millisecond) {
 		t.Error("fired before window")
 	}
-	if !j.FailSend(1, 0, 0, 15*sim.Millisecond) {
+	if !j.fail(KindSend, 1, 0, 0, 15*sim.Millisecond) {
 		t.Error("p=1 did not fire inside window")
 	}
-	if j.FailSend(1, 0, 0, 25*sim.Millisecond) {
+	if j.fail(KindSend, 1, 0, 0, 25*sim.Millisecond) {
 		t.Error("fired after window")
 	}
-	if j.FailSend(2, 0, 0, 15*sim.Millisecond) {
+	if j.fail(KindSend, 2, 0, 0, 15*sim.Millisecond) {
 		t.Error("fired on a node the rule does not name")
 	}
-	if j.FailFetch(1, 0, 0, 15*sim.Millisecond) || j.LoseNotify(1, 0, 0, 15*sim.Millisecond) {
+	if j.fail(KindFetch, 1, 0, 0, 15*sim.Millisecond) || j.fail(KindNotify, 1, 0, 0, 15*sim.Millisecond) {
 		t.Error("send rule triggered fetch/notify faults")
 	}
 }
@@ -253,7 +253,7 @@ func TestAttachDelay(t *testing.T) {
 // consumer relies on.
 func TestNilInjectorNoOps(t *testing.T) {
 	var j *Injector
-	if j.FailSend(0, 1, 0, 0) || j.FailFetch(0, 1, 0, 0) || j.LoseNotify(0, 1, 0, 0) {
+	if j.fail(KindSend, 0, 1, 0, 0) || j.fail(KindFetch, 0, 1, 0, 0) || j.fail(KindNotify, 0, 1, 0, 0) {
 		t.Error("nil injector failed an operation")
 	}
 	if j.RegReserve(0, 0) != 0 || j.AttachDelay(0) != 0 {
@@ -270,7 +270,7 @@ func TestInjectionCountersAndTrace(t *testing.T) {
 	j := New(MustParsePlan("send:p=1"), 7)
 	ctr := stats.NewCounters(2)
 	j.BindCounters(ctr)
-	if !j.FailSend(0, 1, 0, 100) {
+	if !j.fail(KindSend, 0, 1, 0, 100) {
 		t.Fatal("p=1 send did not fail")
 	}
 	if ctr.Load(stats.EvFaultsInjected) != 1 || ctr.Load(stats.EvSendRetries) != 1 {

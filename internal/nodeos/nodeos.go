@@ -77,13 +77,12 @@ func (n *Node) ChargeMapSegment(t *sim.Task) {
 // (64 KB on WindowsNT, 4 KB on the Linux profile).
 func (n *Node) MapUnit() int { return n.costs.MapGranularity }
 
-// Cluster bundles the full simulated machine: nodes, fabric, VMMC.
+// Cluster bundles the full simulated machine: nodes, VMMC, wire plane.
 type Cluster struct {
-	Nodes  []*Node
-	Costs  *sim.Costs
-	Ctr    *stats.Counters
-	Fabric *san.Fabric
-	VMMC   *vmmc.System
+	Nodes []*Node
+	Costs *sim.Costs
+	Ctr   *stats.Counters
+	VMMC  *vmmc.System
 	// Wire is the typed operation plane all cross-node traffic goes
 	// through (internal/wire).
 	Wire *wire.Plane
@@ -134,13 +133,12 @@ func NewCluster(cfg Config) *Cluster {
 	ctr := stats.NewCounters(cfg.NumNodes)
 	fab := san.New(cfg.NumNodes, costs, ctr)
 	cl := &Cluster{
-		Nodes:  make([]*Node, cfg.NumNodes),
-		Costs:  costs,
-		Ctr:    ctr,
-		Fabric: fab,
-		VMMC:   vmmc.NewSystem(fab, vmmc.DefaultLimits()),
-		Fault:  cfg.Fault,
-		Sched:  sim.NewScheduler(),
+		Nodes: make([]*Node, cfg.NumNodes),
+		Costs: costs,
+		Ctr:   ctr,
+		VMMC:  vmmc.NewSystem(fab, vmmc.DefaultLimits()),
+		Fault: cfg.Fault,
+		Sched: sim.NewScheduler(),
 	}
 	cl.Wire = wire.New(fab, cl.VMMC, cfg.Wire)
 	if cfg.Fault != nil {

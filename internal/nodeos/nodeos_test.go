@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"cables/internal/sim"
+	"cables/internal/stats"
+	"cables/internal/wire"
 )
 
 func TestClusterShape(t *testing.T) {
@@ -11,8 +13,11 @@ func TestClusterShape(t *testing.T) {
 	if cl.NumNodes() != 4 || cl.TotalProcessors() != 8 {
 		t.Errorf("shape: %d nodes %d procs", cl.NumNodes(), cl.TotalProcessors())
 	}
-	if cl.Fabric.Nodes() != 4 {
-		t.Error("fabric node count")
+	// The fabric spans every node: a write to the last one crosses the wire.
+	task := cl.NewTask(0, 0)
+	cl.Wire.Do(task, wire.Op{Kind: wire.KindWrite, Dst: cl.NumNodes() - 1, Size: 8})
+	if cl.Ctr.Load(stats.EvMessagesSent) != 1 {
+		t.Error("fabric does not reach the last node")
 	}
 }
 

@@ -57,8 +57,6 @@ func (r *Runtime) record(t *sim.Task, op string, fn func()) {
 type Config struct {
 	Procs        int
 	ProcsPerNode int
-	ArenaBytes   int64
-	Costs        *sim.Costs
 }
 
 // New builds an OpenMP runtime over a fresh CableS instance.
@@ -73,8 +71,6 @@ func New(cfg Config) *Runtime {
 	rt := cables.New(cables.Config{
 		MaxNodes:        nodes,
 		ProcsPerNode:    cfg.ProcsPerNode,
-		ArenaBytes:      cfg.ArenaBytes,
-		Costs:           cfg.Costs,
 		CoordinatorMain: true,
 	})
 	rt.Start()

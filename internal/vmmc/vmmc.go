@@ -1,17 +1,17 @@
-// Package vmmc models the Virtual Memory Mapped Communication layer the
-// paper builds on: user-level direct remote memory writes and reads, a
-// send/notification primitive, and — critically for CableS — NIC memory
-// registration with hardware resource limits (number of regions, total
-// registered bytes, total pinned bytes).  GeNIMA and CableS differ in how
-// many NIC resources they consume; those differences produce the paper's
-// Table 1/2 results and the OCEAN-at-32-processors registration failure.
+// Package vmmc models the NIC side of the Virtual Memory Mapped
+// Communication layer the paper builds on: memory registration with
+// hardware resource limits (number of regions, total registered bytes,
+// total pinned bytes) — critical for CableS.  GeNIMA and CableS differ in
+// how many NIC resources they consume; those differences produce the
+// paper's Table 1/2 results and the OCEAN-at-32-processors registration
+// failure.  VMMC's data operations (remote write, fetch, notify) are
+// priced by package wire, whose Plane.Do is the one door for all traffic.
 //
-// Under a fault plan (SetFault, see internal/fault) notifications can be
-// lost in flight (the sender times out and re-sends with backoff) and a
-// nicmem rule applies registration-memory pressure to time-aware calls
-// (RegisterAt/GrowAt): the effective registered-byte limit shrinks for the
-// rule's window, surfacing mid-run exhaustion that GrowRecover rides out
-// with deregister/re-register recovery cycles.
+// Under a fault plan (SetFault, see internal/fault) a nicmem rule applies
+// registration-memory pressure to time-aware calls (RegisterAt/GrowAt):
+// the effective registered-byte limit shrinks for the rule's window,
+// surfacing mid-run exhaustion that GrowRecover rides out with
+// deregister/re-register recovery cycles.
 package vmmc
 
 import (
@@ -21,7 +21,6 @@ import (
 	"cables/internal/fault"
 	"cables/internal/san"
 	"cables/internal/sim"
-	"cables/internal/stats"
 )
 
 // Registration failure modes (SAN limitations, paper §2.1.1).
@@ -201,16 +200,16 @@ func (n *NIC) Usage() (regions int, registered, pinned int64) {
 	return regions, n.regBytes, n.pinBytes
 }
 
-// System is the cluster-wide VMMC instance: one NIC per node plus the fabric.
+// System is the cluster-wide VMMC instance: one NIC per node.
 type System struct {
-	fab  *san.Fabric
-	nics []*NIC
-	inj  *fault.Injector // nil = no fault injection
+	costs *sim.Costs
+	nics  []*NIC
+	inj   *fault.Injector // nil = no registration-memory pressure
 }
 
-// SetFault installs a fault injector on the system and all its NICs:
-// notifications may be lost (and re-sent), and NIC registration-memory
-// pressure applies to time-aware registration calls.  nil disables both.
+// SetFault installs a fault injector on the system and all its NICs: NIC
+// registration-memory pressure then applies to time-aware registration
+// calls.  nil disables it.
 func (s *System) SetFault(inj *fault.Injector) {
 	s.inj = inj
 	for _, n := range s.nics {
@@ -220,7 +219,7 @@ func (s *System) SetFault(inj *fault.Injector) {
 
 // NewSystem builds a VMMC system over the fabric with uniform NIC limits.
 func NewSystem(fab *san.Fabric, limits Limits) *System {
-	s := &System{fab: fab, nics: make([]*NIC, fab.Nodes())}
+	s := &System{costs: fab.Costs(), nics: make([]*NIC, fab.Nodes())}
 	for i := range s.nics {
 		s.nics[i] = &NIC{node: i, limits: limits, regions: make(map[RegionID]*Region)}
 	}
@@ -229,84 +228,6 @@ func NewSystem(fab *san.Fabric, limits Limits) *System {
 
 // NIC returns node's NIC.
 func (s *System) NIC(node int) *NIC { return s.nics[node] }
-
-// localCopyCost models a same-node memory copy (no network involvement).
-func localCopyCost(size int) sim.Time { return sim.Time(size) } // ~1GB/s memcpy
-
-// RemoteWrite charges t for a direct remote write of size bytes from its
-// node to dst.  The data movement itself is performed by the caller on the
-// simulated memory; VMMC accounts time and traffic.
-func (s *System) RemoteWrite(t *sim.Task, dst, size int) {
-	n := t.MemNode()
-	if dst == n {
-		t.Charge(sim.CatLocal, localCopyCost(size))
-		return
-	}
-	t.Charge(sim.CatComm, s.fab.Send(t, n, dst, size))
-}
-
-// Fetch charges t for a direct remote read (round trip) of size bytes from
-// node src into t's node.
-func (s *System) Fetch(t *sim.Task, src, size int) {
-	n := t.MemNode()
-	if src == n {
-		t.Charge(sim.CatLocal, localCopyCost(size))
-		return
-	}
-	t.Charge(sim.CatComm, s.fab.Fetch(t, n, src, size))
-}
-
-// StreamWrite charges t for a pipelined bulk transfer of size bytes to dst:
-// one end-to-end latency plus bandwidth-limited occupancy.  This is the
-// access pattern of the bandwidth microbenchmarks (Table 3's 125 MB/s).
-// Under a fault plan the stream suffers the same transient send failures as
-// ordinary sends: each failed attempt costs one pipelined transfer time plus
-// backoff before the retry.
-func (s *System) StreamWrite(t *sim.Task, dst, size int) {
-	n := t.MemNode()
-	if dst == n {
-		t.Charge(sim.CatLocal, localCopyCost(size))
-		return
-	}
-	c := s.fab.Costs()
-	penalty := s.inj.Retry(fault.KindSend, n, dst, t.Now(), c.SendBase+c.Occupancy(size))
-	t.Charge(sim.CatComm, c.SendBase+c.Occupancy(size)+penalty)
-	s.fab.Counters().Add(n, stats.EvMessagesSent, 1)
-	s.fab.Counters().Add(n, stats.EvBytesSent, int64(size))
-}
-
-// StreamFetch is the read-side mirror of StreamWrite: a pipelined bulk read
-// of size bytes from src — one round-trip base latency plus bandwidth-limited
-// occupancy (Table 3's read-bandwidth microbenchmark).
-func (s *System) StreamFetch(t *sim.Task, src, size int) {
-	n := t.MemNode()
-	if src == n {
-		t.Charge(sim.CatLocal, localCopyCost(size))
-		return
-	}
-	c := s.fab.Costs()
-	penalty := s.inj.Retry(fault.KindFetch, n, src, t.Now(), c.FetchBase+c.Occupancy(size))
-	t.Charge(sim.CatComm, c.FetchBase+c.Occupancy(size)+penalty)
-	s.fab.Counters().Add(n, stats.EvFetches, 1)
-	s.fab.Counters().Add(n, stats.EvBytesFetched, int64(size))
-}
-
-// Notify charges t for a send carrying size bytes to dst plus the
-// receiver-side notification dispatch.  Under a fault plan, a notification
-// lost in flight costs the sender a full delivery timeout plus backoff
-// before the re-send; delivery is guaranteed within MaxSendRetries.
-func (s *System) Notify(t *sim.Task, dst, size int) {
-	c := s.fab.Costs()
-	n := t.MemNode()
-	if dst == n {
-		t.Charge(sim.CatLocal, localCopyCost(size)+c.Notification/4)
-	} else {
-		// The lost notifications are drawn before the send's own faults.
-		penalty := s.inj.Retry(fault.KindNotify, n, dst, t.Now(), c.SendTime(size)+c.Notification)
-		t.Charge(sim.CatComm, s.fab.Send(t, n, dst, size)+c.Notification+penalty)
-	}
-	s.fab.Counters().Add(n, stats.EvNotifications, 1)
-}
 
 // GrowRecover grows region id on node's NIC on behalf of thread t, riding
 // out transient NIC registration-memory exhaustion (a fault plan's nicmem
@@ -321,10 +242,9 @@ func (s *System) GrowRecover(t *sim.Task, node int, id RegionID, extra int64) er
 	if err == nil || !errors.Is(err, ErrRegisteredLimit) || s.inj == nil {
 		return err
 	}
-	c := s.fab.Costs()
 	for attempt := 0; attempt < fault.MaxRegRetries; attempt++ {
 		t.Charge(sim.CatWait, fault.Backoff(attempt))
-		t.Charge(sim.CatLocalOS, 2*c.OSMapSegment)
+		t.Charge(sim.CatLocalOS, 2*s.costs.OSMapSegment)
 		if err = n.GrowAt(id, extra, t.Now()); err == nil {
 			s.inj.NoteRegRecovery(node)
 			return nil

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"cables/internal/fault"
 	"cables/internal/san"
 	"cables/internal/sim"
 	"cables/internal/stats"
@@ -136,122 +135,9 @@ func TestUsageNeverNegative(t *testing.T) {
 	}
 }
 
-func TestTransfersChargeCommOnlyWhenRemote(t *testing.T) {
-	s := newSys(DefaultLimits())
-	task := sim.NewTask(1, 0, sim.DefaultCosts())
-	s.RemoteWrite(task, 0, 4096) // local: cheap memcpy
-	localCost := task.Now()
-	if localCost >= 10*sim.Microsecond {
-		t.Errorf("local write too expensive: %v", localCost)
-	}
-	s.RemoteWrite(task, 1, 4096)
-	if task.Snapshot()[sim.CatComm] == 0 {
-		t.Error("remote write charged no comm")
-	}
-	s.Fetch(task, 2, 64)
-	s.Notify(task, 3, 16)
-	b := task.Snapshot()
-	if b[sim.CatComm] < 50*sim.Microsecond {
-		t.Errorf("comm total too small: %v", b[sim.CatComm])
-	}
-}
-
-func TestStreamWriteHitsBandwidth(t *testing.T) {
-	s := newSys(DefaultLimits())
-	task := sim.NewTask(1, 0, sim.DefaultCosts())
-	const size = 32 << 20
-	s.StreamWrite(task, 1, size)
-	mbps := float64(size) / task.Now().Seconds() / 1e6
-	if mbps < 120 || mbps > 130 {
-		t.Errorf("stream bandwidth: %.1f MB/s, want ~125", mbps)
-	}
-}
-
 func TestNegativeRegionSizeRejected(t *testing.T) {
 	s := newSys(DefaultLimits())
 	if _, err := s.NIC(0).Register("bad", -5, false, false); err == nil {
 		t.Error("negative size accepted")
-	}
-}
-
-// TestStreamFetchHitsBandwidth mirrors the write-side pin: the pipelined
-// fetch path also converges to the NIC's ~125 MB/s.
-func TestStreamFetchHitsBandwidth(t *testing.T) {
-	s := newSys(DefaultLimits())
-	task := sim.NewTask(1, 0, sim.DefaultCosts())
-	const size = 32 << 20
-	s.StreamFetch(task, 1, size)
-	mbps := float64(size) / task.Now().Seconds() / 1e6
-	if mbps < 120 || mbps > 130 {
-		t.Errorf("stream fetch bandwidth: %.1f MB/s, want ~125", mbps)
-	}
-}
-
-// TestStreamFaultPenalty: transient send/fetch faults inflate a stream
-// transfer (each failed attempt repeats the full transfer plus backoff)
-// without changing what the counters attribute — one message, size bytes.
-func TestStreamFaultPenalty(t *testing.T) {
-	const size = 1 << 20
-	cases := []struct {
-		name string
-		plan string
-		op   func(s *System, task *sim.Task)
-		msgs stats.Event
-		byts stats.Event
-		rtry stats.Event
-	}{
-		{"write", "send:p=1", func(s *System, task *sim.Task) { s.StreamWrite(task, 1, size) },
-			stats.EvMessagesSent, stats.EvBytesSent, stats.EvSendRetries},
-		{"fetch", "fetch:p=1", func(s *System, task *sim.Task) { s.StreamFetch(task, 1, size) },
-			stats.EvFetches, stats.EvBytesFetched, stats.EvFetchRetries},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			clean := newSys(DefaultLimits())
-			cleanTask := sim.NewTask(1, 0, sim.DefaultCosts())
-			tc.op(clean, cleanTask)
-
-			s := newSys(DefaultLimits())
-			inj := fault.New(fault.MustParsePlan(tc.plan), 3)
-			s.SetFault(inj)
-			inj.BindCounters(s.fab.Counters())
-			task := sim.NewTask(1, 0, sim.DefaultCosts())
-			tc.op(s, task)
-
-			if task.Now() <= cleanTask.Now() {
-				t.Errorf("certain faults did not slow the stream: %v vs clean %v",
-					task.Now(), cleanTask.Now())
-			}
-			ctr := s.fab.Counters()
-			if got := ctr.Load(tc.msgs); got != 1 {
-				t.Errorf("faulted stream attributed %d transfers, want 1", got)
-			}
-			if got := ctr.Load(tc.byts); got != size {
-				t.Errorf("faulted stream attributed %d bytes, want %d", got, size)
-			}
-			if got := ctr.Load(tc.rtry); got == 0 {
-				t.Error("no retries counted under a certain-failure plan")
-			}
-			if brk := task.Snapshot(); brk[sim.CatComm] != task.Now() {
-				t.Errorf("penalty escaped CatComm: breakdown %v, clock %v",
-					brk[sim.CatComm], task.Now())
-			}
-		})
-	}
-}
-
-// TestStreamLocalBypassesWire: a same-node stream is a memory copy — no
-// messages, no bytes on the wire, CatLocal only.
-func TestStreamLocalBypassesWire(t *testing.T) {
-	s := newSys(DefaultLimits())
-	task := sim.NewTask(1, 0, sim.DefaultCosts())
-	s.StreamWrite(task, 0, 1<<20)
-	s.StreamFetch(task, 0, 1<<20)
-	ctr := s.fab.Counters()
-	if ctr.Load(stats.EvMessagesSent) != 0 || ctr.Load(stats.EvBytesFetched) != 0 {
-		t.Error("local stream leaked onto the wire")
-	}
-	if brk := task.Snapshot(); brk[sim.CatComm] != 0 {
-		t.Errorf("local stream charged CatComm %v", brk[sim.CatComm])
 	}
 }

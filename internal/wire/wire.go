@@ -5,14 +5,16 @@
 // creation, node attach, page/segment migration — is expressed as a
 // wire.Op and issued through one choke point, Plane.Do, which
 //
-//   - applies the op's cost schedule (delegating data-plane ops to
-//     vmmc/san so they see NIC occupancy and latency, and charging the
-//     calibrated flat communication shares for control-plane ops),
-//   - consults the fault injector at exactly one site per op class, and
+//   - prices the op: a data-plane op (VMMC remote write, fetch, stream,
+//     notify) is a same-node memory copy or a transfer that books the
+//     sender's NIC port (san.Fabric.Reserve) and pays Table 3 latency; a
+//     control-plane op charges its calibrated flat communication share,
+//   - consults the fault injector (fault.Injector.Retry) at exactly one
+//     site per op class, and
 //   - opens one profiler span (SpanWire, rendered "wire.<kind>") and bumps
-//     EvWireOps for every op.  A control-plane op also bumps
-//     EvMessagesSent/EvBytesSent here; a data-plane op's message and byte
-//     counters are bumped by vmmc/san, which see whether it crossed nodes.
+//     EvWireOps for every op, and is the only place that bumps the traffic
+//     counters EvMessagesSent/EvBytesSent, EvFetches/EvBytesFetched and
+//     EvNotifications.
 //
 // One opt-in mode becomes possible because the traffic shares one path:
 // Options.ContendedSync (-contended-sync) makes control-plane ops reserve
@@ -39,8 +41,8 @@ import (
 // Kind classifies wire operations.
 type Kind int
 
-// Data-plane kinds: the plane delegates their cost to vmmc/san, which model
-// NIC queueing, occupancy and transient faults.
+// Data-plane kinds: VMMC transfers priced by NIC latency, port occupancy
+// and transient faults (doData); node-local ones are memory copies.
 const (
 	// KindFetch pulls Size bytes from the home node Dst (page fetch).
 	KindFetch Kind = iota
@@ -94,7 +96,7 @@ const (
 	KindRehome
 	// KindCommMerge is the commutative protocol's batched reduction
 	// merge: one remote write to home Dst carrying every merged diff of
-	// the flush (data-plane; rides vmmc.RemoteWrite like KindWrite).
+	// the flush (data-plane; priced like KindWrite).
 	KindCommMerge
 	// KindDelegateReq ships a critical-section descriptor to the lock's
 	// delegation server Dst; Arg is the lock id.
@@ -130,9 +132,9 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// delegated reports whether the kind's cost comes from vmmc/san rather
-// than the flat schedule.
-func (k Kind) delegated() bool { return k <= KindMigrate || k == KindCommMerge }
+// dataPlane reports whether the kind is a VMMC data transfer (doData)
+// rather than a control message on the flat schedule.
+func (k Kind) dataPlane() bool { return k <= KindMigrate || k == KindCommMerge }
 
 // nominalSize is the modeled message size when the caller leaves Op.Size
 // zero: control messages are small; thread-control, migration and
@@ -181,26 +183,19 @@ func New(fab *san.Fabric, vm *vmmc.System, opts Options) *Plane {
 }
 
 // SetFault installs the fault injector on the whole communication stack —
-// the plane itself, the SAN fabric, and VMMC with all its NICs — and binds
-// the injector's counters.  This is the single wiring point that replaced
-// the per-layer san.SetFault/vmmc.SetFault/BindCounters calls.  nil
+// the plane's transient send/fetch/notify failures and the NICs'
+// registration-memory pressure — and binds the injector's counters.  nil
 // disables injection everywhere.
 func (p *Plane) SetFault(inj *fault.Injector) {
 	p.inj = inj
-	p.fab.SetFault(inj)
 	p.vm.SetFault(inj)
 	if inj != nil {
 		inj.BindCounters(p.ctr)
 	}
 }
 
-// Fault returns the installed injector (nil when faults are disabled).
-func (p *Plane) Fault() *fault.Injector { return p.inj }
-
-// Do performs op on behalf of task t, charging t the op's full cost.  Src
-// is taken from the task.  It returns the communication duration charged
-// for control-plane ops (0 for delegated data-plane ops, whose charge is
-// applied inside vmmc/san).
+// Do performs op on behalf of task t, charging t the op's full cost, and
+// returns the duration charged.  Src is taken from the task.
 func (p *Plane) Do(t *sim.Task, op Op) sim.Time {
 	op.Src = t.MemNode()
 	if op.Size == 0 {
@@ -208,52 +203,95 @@ func (p *Plane) Do(t *sim.Task, op Op) sim.Time {
 	}
 	t.OpenSpan(uint8(profile.SpanWire), uint64(op.Kind))
 	p.ctr.Add(op.Src, stats.EvWireOps, 1)
-	if op.Kind.delegated() {
-		p.doData(t, op)
-		t.CloseSpan()
-		return 0
+	var d sim.Time
+	if op.Kind.dataPlane() {
+		d = p.doData(t, op)
+	} else {
+		d = p.controlCost(op, t.Now(), p.inj)
+		t.Charge(sim.CatComm, d)
 	}
-	d := p.doControl(t, op)
 	t.CloseSpan()
 	return d
 }
 
-// doData routes a data-plane op through vmmc (which models NIC occupancy,
-// latency and faults, and bumps the message/byte counters when the op
-// actually crosses nodes).
-func (p *Plane) doData(t *sim.Task, op Op) {
-	switch op.Kind {
-	case KindFetch:
-		p.vm.Fetch(t, op.Dst, op.Size)
-	case KindMigrate:
-		p.vm.Fetch(t, op.Dst, op.Size)
+// doData prices a data-plane op.  A node-local op is a memory copy
+// (~1 GB/s) charged as local time; a remote one pays its Table 3 latency,
+// its queueing for the sender's NIC port and its transient-fault retries,
+// all as communication time.
+func (p *Plane) doData(t *sim.Task, op Op) sim.Time {
+	c := p.costs
+	if op.Kind == KindMigrate {
 		p.ctr.Add(op.Src, stats.EvPageMigrations, 1)
-	case KindWrite, KindCommMerge:
-		p.vm.RemoteWrite(t, op.Dst, op.Size)
-	case KindStream:
-		p.vm.StreamWrite(t, op.Dst, op.Size)
-	case KindStreamFetch:
-		p.vm.StreamFetch(t, op.Dst, op.Size)
-	case KindNotify:
-		p.vm.Notify(t, op.Dst, op.Size)
 	}
-}
-
-// doControl charges the flat calibrated communication share for a
-// control-plane op.  Control messages always traverse the communication
-// substrate (the ACB lives in registered memory), so the share is charged
-// and the message counted even when Dst is the issuing node; under
-// ContendedSync a cross-node op additionally queues for the sender's NIC
-// and suffers transient send faults.
-func (p *Plane) doControl(t *sim.Task, op Op) sim.Time {
-	d := p.flatCost(op.Kind, op.Size)
-	if p.opts.ContendedSync && op.Dst != op.Src {
-		now := t.Now()
-		penalty := p.inj.Retry(fault.KindSend, op.Src, op.Dst, now, p.costs.SendTime(op.Size))
-		start := p.fab.Reserve(op.Src, now, p.costs.Occupancy(op.Size))
-		d += (start - now) + penalty
+	if op.Kind == KindNotify {
+		p.ctr.Add(op.Src, stats.EvNotifications, 1)
+	}
+	if op.Dst == op.Src {
+		d := sim.Time(op.Size)
+		if op.Kind == KindNotify {
+			d += c.Notification / 4
+		}
+		t.Charge(sim.CatLocal, d)
+		return d
+	}
+	if op.Dst < 0 || op.Dst >= p.fab.Nodes() {
+		panic(fmt.Sprintf("wire: node out of range (src=%d dst=%d nodes=%d)", op.Src, op.Dst, p.fab.Nodes()))
+	}
+	now := t.Now()
+	var d sim.Time
+	switch op.Kind {
+	case KindFetch, KindMigrate:
+		d = c.FetchTime(op.Size)
+		d += p.delay(p.inj, fault.KindFetch, op, now, d)
+	case KindWrite, KindCommMerge:
+		d = c.SendTime(op.Size)
+		d += p.delay(p.inj, fault.KindSend, op, now, d)
+	case KindStream:
+		// Pipelined: one latency plus bandwidth-limited occupancy, without
+		// booking the port (Table 3's bandwidth microbenchmark).
+		d = c.SendBase + c.Occupancy(op.Size)
+		d += p.inj.Retry(fault.KindSend, op.Src, op.Dst, now, d)
+	case KindStreamFetch:
+		d = c.FetchBase + c.Occupancy(op.Size)
+		d += p.inj.Retry(fault.KindFetch, op.Src, op.Dst, now, d)
+	case KindNotify:
+		// A lost notification costs a full delivery timeout plus backoff
+		// before the re-send; the losses are drawn before the send's faults.
+		lost := p.inj.Retry(fault.KindNotify, op.Src, op.Dst, now, c.SendTime(op.Size)+c.Notification)
+		d = c.SendTime(op.Size)
+		d += p.delay(p.inj, fault.KindSend, op, now, d) + c.Notification + lost
 	}
 	t.Charge(sim.CatComm, d)
+	if op.Kind == KindFetch || op.Kind == KindMigrate || op.Kind == KindStreamFetch {
+		p.ctr.Add(op.Src, stats.EvFetches, 1)
+		p.ctr.Add(op.Src, stats.EvBytesFetched, int64(op.Size))
+	} else {
+		p.count(op)
+	}
+	return d
+}
+
+// delay is what a port-booking message of fault class k issued at now pays
+// beyond its idle, fault-free cost: inj's transient failures (nil: none),
+// each costing a full attempt plus backoff, then queueing for the sender's
+// NIC port.
+func (p *Plane) delay(inj *fault.Injector, k fault.RuleKind, op Op, now, attempt sim.Time) sim.Time {
+	penalty := inj.Retry(k, op.Src, op.Dst, now, attempt)
+	start := p.fab.Reserve(op.Src, now, p.costs.Occupancy(op.Size))
+	return (start - now) + penalty
+}
+
+// controlCost prices a control-plane op issued at now and counts its
+// message.  Control messages always traverse the communication substrate
+// (the ACB lives in registered memory), so the flat share is charged and
+// the message counted even when Dst is the issuing node; under
+// ContendedSync a cross-node op additionally suffers inj's transient send
+// faults (nil: none) and queues for the sender's NIC port.
+func (p *Plane) controlCost(op Op, now sim.Time, inj *fault.Injector) sim.Time {
+	d := p.flatCost(op.Kind, op.Size)
+	if p.opts.ContendedSync && op.Dst != op.Src {
+		d += p.delay(inj, fault.KindSend, op, now, p.costs.SendTime(op.Size))
+	}
 	p.count(op)
 	return d
 }
@@ -261,22 +299,17 @@ func (p *Plane) doControl(t *sim.Task, op Op) sim.Time {
 // DeliverAt performs a control-plane op issued at virtual instant `now` on
 // behalf of node op.Src without a running task to charge — the lock-grant
 // handoff, where the releaser has moved on and the waiter pays the latency
-// as wait time.  It returns the delivery instant at the destination.
+// as wait time.  It draws no faults and returns the delivery instant at the
+// destination.
 func (p *Plane) DeliverAt(now sim.Time, op Op) sim.Time {
 	if op.Size == 0 {
 		op.Size = op.Kind.nominalSize()
 	}
 	p.ctr.Add(op.Src, stats.EvWireOps, 1)
-	d := p.flatCost(op.Kind, op.Size)
-	if p.opts.ContendedSync && op.Dst != op.Src {
-		start := p.fab.Reserve(op.Src, now, p.costs.Occupancy(op.Size))
-		d += start - now
-	}
-	p.count(op)
-	return now + d
+	return now + p.controlCost(op, now, nil)
 }
 
-// count attributes a control-plane message to its sender.
+// count attributes a sent message and its bytes to the sender.
 func (p *Plane) count(op Op) {
 	p.ctr.Add(op.Src, stats.EvMessagesSent, 1)
 	p.ctr.Add(op.Src, stats.EvBytesSent, int64(op.Size))

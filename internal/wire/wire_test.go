@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"testing"
 
 	"cables/internal/fault"
@@ -93,9 +94,9 @@ func TestNominalSizes(t *testing.T) {
 	}
 }
 
-// TestDelegatedOps is the byte-accounting check at the choke point: every
-// data-plane kind routes through VMMC, a remote op adds exactly its Size to
-// one of bytesSent/bytesFetched, and a node-local op adds nothing.
+// TestDelegatedOps is the byte-accounting check at the choke point: for
+// every data-plane kind a remote op adds exactly its Size to one of
+// bytesSent/bytesFetched, and a node-local op adds nothing.
 func TestDelegatedOps(t *testing.T) {
 	const size = 4096
 	for _, tc := range []struct {
@@ -110,7 +111,7 @@ func TestDelegatedOps(t *testing.T) {
 		{KindMigrate, stats.EvBytesFetched},
 		{KindCommMerge, stats.EvBytesSent},
 	} {
-		if !tc.kind.delegated() {
+		if !tc.kind.dataPlane() {
 			t.Fatalf("%v is not a data-plane kind", tc.kind)
 		}
 		p, ctr := newPlane(Options{})
@@ -243,13 +244,13 @@ func TestSendFaultRetryCost(t *testing.T) {
 }
 
 // TestSetFaultWiresWholeStack checks the single wiring point: one SetFault
-// call must arm the delegated data path (vmmc/san) too.
+// call must arm the data path's transient faults and the NICs'
+// registration-memory pressure.
 func TestSetFaultWiresWholeStack(t *testing.T) {
 	p, ctr := newPlane(Options{})
-	inj := fault.New(fault.MustParsePlan("fetch:p=1"), 7)
-	p.SetFault(inj)
-	if p.Fault() != inj {
-		t.Fatal("Fault() does not return the installed injector")
+	p.SetFault(fault.New(fault.MustParsePlan("fetch:p=1;nicmem:node=1,reserve=255M"), 7))
+	if _, err := p.vm.NIC(1).RegisterAt("home", 2<<20, false, false, sim.Millisecond); !errors.Is(err, vmmc.ErrRegisteredLimit) {
+		t.Errorf("NIC registration pressure not armed through SetFault: %v", err)
 	}
 	p.Do(newTask(0), Op{Kind: KindFetch, Dst: 1, Size: 4096})
 	if got := ctr.Load(stats.EvFetchRetries); got == 0 {
@@ -257,6 +258,79 @@ func TestSetFaultWiresWholeStack(t *testing.T) {
 	}
 	if ctr.Load(stats.EvFaultsInjected) == 0 {
 		t.Error("injector observed no faults")
+	}
+}
+
+// dataOpEvents are the traffic and retry counters TestDataOpCosts pins.
+var dataOpEvents = [...]stats.Event{
+	stats.EvMessagesSent, stats.EvBytesSent, stats.EvFetches, stats.EvBytesFetched,
+	stats.EvNotifications, stats.EvPageMigrations, stats.EvWireOps,
+	stats.EvSendRetries, stats.EvFetchRetries, stats.EvNotifyLost, stats.EvFaultsInjected,
+}
+
+// TestDataOpCosts pins the price of every data-plane kind, node-local
+// (Dst 0) and remote (Dst 1), fault-free and under certain failure of its
+// fault class: the task clock, its CatComm/CatLocal split, the instant the
+// sender's NIC port frees, and every counter in dataOpEvents.  The port is
+// busy for the first 10us, so a port-booking transfer queues behind it.
+func TestDataOpCosts(t *testing.T) {
+	type result struct {
+		clock, comm, local, portFree sim.Time
+		ctr                          [len(dataOpEvents)]int64
+	}
+	for _, tc := range []struct {
+		kind Kind
+		dst  int
+		plan string
+		want result
+	}{
+		{KindFetch, 0, "", result{4096, 0, 4096, 10000, [...]int64{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}}},
+		{KindFetch, 0, "fetch:p=1", result{4096, 0, 4096, 10000, [...]int64{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}}},
+		{KindFetch, 1, "", result{90862, 90862, 0, 42768, [...]int64{0, 0, 1, 4096, 0, 0, 1, 0, 0, 0, 0}}},
+		{KindFetch, 1, "fetch:p=1", result{3912758, 3912758, 0, 42768, [...]int64{0, 0, 1, 4096, 0, 0, 1, 0, 8, 0, 8}}},
+		{KindWrite, 0, "", result{4096, 0, 4096, 10000, [...]int64{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}}},
+		{KindWrite, 0, "send:p=1", result{4096, 0, 4096, 10000, [...]int64{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}}},
+		{KindWrite, 1, "", result{61946, 61946, 0, 42768, [...]int64{1, 4096, 0, 0, 0, 0, 1, 0, 0, 0, 0}}},
+		{KindWrite, 1, "send:p=1", result{3652514, 3652514, 0, 42768, [...]int64{1, 4096, 0, 0, 0, 0, 1, 8, 0, 0, 8}}},
+		{KindStream, 0, "", result{4096, 0, 4096, 10000, [...]int64{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}}},
+		{KindStream, 0, "send:p=1", result{4096, 0, 4096, 10000, [...]int64{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}}},
+		{KindStream, 1, "", result{40478, 40478, 0, 10000, [...]int64{1, 4096, 0, 0, 0, 0, 1, 0, 0, 0, 0}}},
+		{KindStream, 1, "send:p=1", result{3539302, 3539302, 0, 10000, [...]int64{1, 4096, 0, 0, 0, 0, 1, 8, 0, 0, 8}}},
+		{KindStreamFetch, 0, "", result{4096, 0, 4096, 10000, [...]int64{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}}},
+		{KindStreamFetch, 0, "fetch:p=1", result{4096, 0, 4096, 10000, [...]int64{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}}},
+		{KindStreamFetch, 1, "", result{54648, 54648, 0, 10000, [...]int64{0, 0, 1, 4096, 0, 0, 1, 0, 0, 0, 0}}},
+		{KindStreamFetch, 1, "fetch:p=1", result{3666832, 3666832, 0, 10000, [...]int64{0, 0, 1, 4096, 0, 0, 1, 0, 8, 0, 8}}},
+		{KindNotify, 0, "", result{6646, 0, 6646, 10000, [...]int64{0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0}}},
+		{KindNotify, 0, "notify:p=1", result{6646, 0, 6646, 10000, [...]int64{0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0}}},
+		{KindNotify, 1, "", result{72146, 72146, 0, 42768, [...]int64{1, 4096, 0, 0, 1, 0, 1, 0, 0, 0, 0}}},
+		{KindNotify, 1, "notify:p=1", result{3744314, 3744314, 0, 42768, [...]int64{1, 4096, 0, 0, 1, 0, 1, 0, 0, 8, 8}}},
+		{KindMigrate, 0, "", result{4096, 0, 4096, 10000, [...]int64{0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0}}},
+		{KindMigrate, 0, "fetch:p=1", result{4096, 0, 4096, 10000, [...]int64{0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0}}},
+		{KindMigrate, 1, "", result{90862, 90862, 0, 42768, [...]int64{0, 0, 1, 4096, 0, 1, 1, 0, 0, 0, 0}}},
+		{KindMigrate, 1, "fetch:p=1", result{3912758, 3912758, 0, 42768, [...]int64{0, 0, 1, 4096, 0, 1, 1, 0, 8, 0, 8}}},
+		{KindCommMerge, 0, "", result{4096, 0, 4096, 10000, [...]int64{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}}},
+		{KindCommMerge, 0, "send:p=1", result{4096, 0, 4096, 10000, [...]int64{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}}},
+		{KindCommMerge, 1, "", result{61946, 61946, 0, 42768, [...]int64{1, 4096, 0, 0, 0, 0, 1, 0, 0, 0, 0}}},
+		{KindCommMerge, 1, "send:p=1", result{3652514, 3652514, 0, 42768, [...]int64{1, 4096, 0, 0, 0, 0, 1, 8, 0, 0, 8}}},
+	} {
+		p, ctr := newPlane(Options{})
+		if tc.plan != "" {
+			p.SetFault(fault.New(fault.MustParsePlan(tc.plan), 42))
+		}
+		p.fab.Reserve(0, 0, 10*sim.Microsecond)
+		task := newTask(0)
+		d := p.Do(task, Op{Kind: tc.kind, Dst: tc.dst, Size: 4096})
+		brk := task.Snapshot()
+		got := result{clock: task.Now(), comm: brk[sim.CatComm], local: brk[sim.CatLocal], portFree: p.fab.Reserve(0, 0, 0)}
+		for i, ev := range dataOpEvents {
+			got.ctr[i] = ctr.Load(ev)
+		}
+		if got != tc.want {
+			t.Errorf("%v dst=%d plan=%q:\n got %+v\nwant %+v", tc.kind, tc.dst, tc.plan, got, tc.want)
+		}
+		if d != got.clock {
+			t.Errorf("%v dst=%d plan=%q: Do returned %v, charged %v", tc.kind, tc.dst, tc.plan, d, got.clock)
+		}
 	}
 }
 
