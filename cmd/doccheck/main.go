@@ -2,7 +2,9 @@
 // "."), listing every violation and exiting non-zero (`make docs`): every
 // Go package has a doc comment ("Package <name> ..." unless main); every
 // relative markdown link resolves; only internal/wire charges CatComm
-// directly (cross-node costs go through wire.Plane.Do);
+// directly (cross-node costs go through wire.Plane.Do); no float32 or
+// float64 appears between a cost and a clock (internal/sim's costs.go and
+// task.go, and internal/wire), so virtual time is integer arithmetic;
 // and every name of each inventory in inventories, read from the package
 // that declares it, appears backquoted where its reference doc must name
 // it.
@@ -125,12 +127,17 @@ func check(root string) ([]string, error) {
 			pkgDocs[key] = f.Doc.Text()
 		}
 		rel, _ := filepath.Rel(root, path) // cannot fail: path is under root
-		plane := strings.HasPrefix(filepath.ToSlash(rel), "internal/wire/")
+		rel = filepath.ToSlash(rel)
+		plane := strings.HasPrefix(rel, "internal/wire/")
+		intTime := plane || rel == "internal/sim/costs.go" || rel == "internal/sim/task.go"
 		for i, line := range strings.Split(string(data), "\n") {
 			for _, call := range []string{".Charge(", ".Attribute("} {
 				if !plane && strings.Contains(line, call+"sim.CatComm") {
 					report("%s:%d: direct CatComm charge outside internal/wire; route it through wire.Plane.Do", path, i+1)
 				}
+			}
+			if intTime && floatType.MatchString(line) {
+				report("%s:%d: float between a cost and a clock; virtual time is integer (DESIGN.md §5b)", path, i+1)
 			}
 		}
 		return nil
@@ -165,8 +172,9 @@ func check(root string) ([]string, error) {
 }
 
 var (
-	backtick = regexp.MustCompile("`([^`]+)`")        // a markdown inline-code token
-	mdLink   = regexp.MustCompile(`\]\(([^()\s]+)\)`) // the target of a markdown inline link
+	backtick  = regexp.MustCompile("`([^`]+)`")        // a markdown inline-code token
+	mdLink    = regexp.MustCompile(`\]\(([^()\s]+)\)`) // the target of a markdown inline link
+	floatType = regexp.MustCompile(`\bfloat(32|64)\b`) // a Go float type name
 )
 
 // mentions returns the backquoted tokens of the markdown file at path that

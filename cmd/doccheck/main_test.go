@@ -23,20 +23,24 @@ func TestRepositoryIsClean(t *testing.T) {
 // cleanTree returns the files of a minimal tree that passes every rule.
 // It also holds what each rule must ignore: undocumented packages under
 // testdata and dot directories and in _test files, CatComm charges inside
-// internal/wire, external, mailto and fragment links.
+// internal/wire, floats outside the virtual-time files and in their tests,
+// external, mailto and fragment links.
 // Every inventory name is mentioned in scope, except that misplace
 // ("<what>@<doc>") names one inventory whose first name that doc mentions
 // only just out of scope: in prose instead of on a table row, inside a code
 // fence, or under another section.
 func cleanTree(misplace string) map[string]string {
 	files := map[string]string{
-		"pkg/ok/ok.go":          "// Package ok is documented.\npackage ok\n",
-		"pkg/ok/ok_test.go":     "package ok_test\n",
-		"cmd/tool/main.go":      "// Command tool is documented.\npackage main\n",
-		"testdata/x.go":         "package undocumented\n",
-		".hidden/x.go":          "package undocumented\n",
-		"internal/wire/wire.go": "// Package wire is the plane.\npackage wire\n\nfunc f() { t.Charge(sim.CatComm, 1); t.Attribute(sim.CatComm, 1) }\n",
-		"README.md":             "[d](DESIGN.md) [s](docs/SERVE.md#routes) [w](https://example.com/x) [m](mailto:a@b.c) [f](#top)\n",
+		"pkg/ok/ok.go":               "// Package ok is documented.\npackage ok\n",
+		"pkg/ok/ok_test.go":          "package ok_test\n",
+		"cmd/tool/main.go":           "// Command tool is documented.\npackage main\n",
+		"testdata/x.go":              "package undocumented\n",
+		".hidden/x.go":               "package undocumented\n",
+		"internal/wire/wire.go":      "// Package wire is the plane.\npackage wire\n\nfunc f() { t.Charge(sim.CatComm, 1); t.Attribute(sim.CatComm, 1) }\n",
+		"internal/wire/wire_test.go": "package wire\n\nvar ratio float64\n",
+		"internal/sim/costs.go":      "// Package sim keeps time.\npackage sim\n\nvar perBytePs int64\n",
+		"internal/sim/time.go":       "package sim\n\nfunc (t Time) Micros() float64 { return float64(t) / 1e3 }\n",
+		"README.md":                  "[d](DESIGN.md) [s](docs/SERVE.md#routes) [w](https://example.com/x) [m](mailto:a@b.c) [f](#top)\n",
 	}
 	for _, inv := range inventories() {
 		for _, doc := range inv.docs {
@@ -107,6 +111,9 @@ func TestEachRuleFires(t *testing.T) {
 		{"broken link", "", "docs/GUIDE.md", "See [it](../MISSING.md#x).\n", `GUIDE.md: broken link "../MISSING.md#x"`},
 		{"CatComm charge", "", "internal/core/core.go", "// Package core is outside the plane.\npackage core\n\nfunc f() { t.Charge(sim.CatComm, 1) }\n", "core.go:4: direct CatComm charge"},
 		{"CatComm charge in vmmc", "", "internal/vmmc/vmmc.go", "// Package vmmc is outside the plane.\npackage vmmc\n\nfunc f() { t.Attribute(sim.CatComm, 1) }\n", "vmmc.go:4: direct CatComm charge"},
+		{"float in costs", "", "internal/sim/costs.go", "// Package sim keeps time.\npackage sim\n\nvar perByte float64\n", "costs.go:4: float between a cost and a clock"},
+		{"float in task", "", "internal/sim/task.go", "package sim\n\nfunc f(d Time) Time { return Time(float64(d) * 1.5) }\n", "task.go:3: float between a cost and a clock"},
+		{"float in wire", "", "internal/wire/cost.go", "package wire\n\nvar scale float32\n", "cost.go:3: float between a cost and a clock"},
 	}
 	for _, inv := range inventories() {
 		for _, doc := range inv.docs {

@@ -185,7 +185,6 @@ func (rt *Runtime) Start() *Thread {
 	rt.acb.attached[0] = true
 	rt.acb.numAttach = 1
 	rt.acb.nextTID = 1
-	rt.cl.Nodes[0].SetAttached(true)
 
 	task := rt.cl.NewTask(0, 0)
 	rt.cl.Sched.Adopt(task) // the caller's goroutine is the main thread
@@ -245,7 +244,6 @@ func (rt *Runtime) attachNode(t *sim.Task, node int) {
 
 	rt.acb.attached[node] = true
 	rt.acb.numAttach++
-	rt.cl.Nodes[node].SetAttached(true)
 	rt.cl.Ctr.Add(t.NodeID, stats.EvNodesAttached, 1)
 }
 
@@ -387,7 +385,6 @@ func (th *Thread) finish() {
 		// remain on it (mechanism per §2.2).
 		a.attached[node] = false
 		a.numAttach--
-		rt.cl.Nodes[node].SetAttached(false)
 	}
 	th.exit.Close(th.Task.Now())
 }

@@ -84,9 +84,6 @@ func New(cfg Config) *Runtime {
 	if err := rt.proto.UseProtocol(cfg.Protocol); err != nil {
 		panic(fmt.Sprintf("m4: %v", err))
 	}
-	for _, n := range cl.Nodes {
-		n.SetAttached(true)
-	}
 	rt.main = cl.NewTask(0, 0)
 	cl.Sched.Adopt(rt.main) // the caller's goroutine is the coordinator
 	cl.Nodes[0].ThreadStarted()

@@ -28,54 +28,17 @@ import (
 type Node struct {
 	// ID is the node's cluster-wide identifier.
 	ID int
-	// Processors is the number of CPUs on the node.
-	Processors int
+	// SMP is the node's processors and runnable-thread count; the node's
+	// tasks dilate their computation by it (sim.Task.Compute).
+	sim.SMP
 
-	costs    *sim.Costs
-	runnable atomic.Int32
-	attached atomic.Bool
-}
-
-// LoadFactor reports the computation dilation on this node: when more
-// threads are runnable than there are processors, computation time stretches
-// proportionally (a time-sharing approximation; the local OS schedules
-// threads, paper §2.2).
-func (n *Node) LoadFactor() float64 {
-	r := int(n.runnable.Load())
-	if r <= n.Processors {
-		return 1
-	}
-	return float64(r) / float64(n.Processors)
-}
-
-// ThreadStarted registers a runnable thread with the node scheduler.
-func (n *Node) ThreadStarted() { n.runnable.Add(1) }
-
-// ThreadStopped removes a thread from the runnable count (exit or block).
-func (n *Node) ThreadStopped() { n.runnable.Add(-1) }
-
-// Runnable returns the current runnable-thread count.
-func (n *Node) Runnable() int { return int(n.runnable.Load()) }
-
-// Attached reports whether the node has been attached to the application.
-func (n *Node) Attached() bool { return n.attached.Load() }
-
-// SetAttached marks the node attached/detached.
-func (n *Node) SetAttached(v bool) { n.attached.Store(v) }
-
-// ChargeThreadCreate charges t for a local kernel-thread creation.
-func (n *Node) ChargeThreadCreate(t *sim.Task) {
-	t.Charge(sim.CatLocalOS, n.costs.OSThreadCreate)
+	costs *sim.Costs
 }
 
 // ChargeMapSegment charges t for an OS virtual-memory (re)mapping call.
 func (n *Node) ChargeMapSegment(t *sim.Task) {
 	t.Charge(sim.CatLocalOS, n.costs.OSMapSegment)
 }
-
-// MapUnit returns the OS virtual-memory mapping granularity in bytes
-// (64 KB on WindowsNT, 4 KB on the Linux profile).
-func (n *Node) MapUnit() int { return n.costs.MapGranularity }
 
 // Cluster bundles the full simulated machine: nodes, VMMC, wire plane.
 type Cluster struct {
@@ -145,7 +108,7 @@ func NewCluster(cfg Config) *Cluster {
 		cl.Wire.SetFault(cfg.Fault)
 	}
 	for i := range cl.Nodes {
-		cl.Nodes[i] = &Node{ID: i, Processors: cfg.ProcsPerNode, costs: costs}
+		cl.Nodes[i] = &Node{ID: i, SMP: sim.SMP{Processors: cfg.ProcsPerNode}, costs: costs}
 	}
 	return cl
 }
@@ -153,21 +116,12 @@ func NewCluster(cfg Config) *Cluster {
 // NumNodes returns the machine count.
 func (c *Cluster) NumNodes() int { return len(c.Nodes) }
 
-// TotalProcessors returns the processor count across all nodes.
-func (c *Cluster) TotalProcessors() int {
-	p := 0
-	for _, n := range c.Nodes {
-		p += n.Processors
-	}
-	return p
-}
-
 // NewTask creates a simulated thread bound to node, starting at virtual time
-// start, with the node's load-factor hook installed.
+// start, time-sharing the node's processors.
 func (c *Cluster) NewTask(node int, start sim.Time) *sim.Task {
 	t := sim.NewTask(int(c.taskSeq.Add(1)), node, c.Costs)
 	t.SetNow(start)
-	t.Load = c.Nodes[node].LoadFactor
+	t.SMP = &c.Nodes[node].SMP
 	if c.Prof != nil {
 		c.Prof.Adopt(t)
 	}

@@ -10,8 +10,8 @@ import (
 
 func TestClusterShape(t *testing.T) {
 	cl := NewCluster(Config{NumNodes: 4, ProcsPerNode: 2})
-	if cl.NumNodes() != 4 || cl.TotalProcessors() != 8 {
-		t.Errorf("shape: %d nodes %d procs", cl.NumNodes(), cl.TotalProcessors())
+	if cl.NumNodes() != 4 || cl.Nodes[3].Processors != 2 {
+		t.Errorf("shape: %d nodes, %d procs on the last", cl.NumNodes(), cl.Nodes[3].Processors)
 	}
 	// The fabric spans every node: a write to the last one crosses the wire.
 	task := cl.NewTask(0, 0)
@@ -29,8 +29,8 @@ func TestClusterDefaults(t *testing.T) {
 	if cl.Costs == nil || cl.VMMC == nil {
 		t.Fatal("defaults missing")
 	}
-	if cl.Nodes[0].MapUnit() != 64<<10 {
-		t.Errorf("default granularity: %d", cl.Nodes[0].MapUnit())
+	if cl.Costs.MapGranularity != 64<<10 {
+		t.Errorf("default granularity: %d", cl.Costs.MapGranularity)
 	}
 }
 
@@ -43,21 +43,29 @@ func TestInvalidClusterPanics(t *testing.T) {
 	NewCluster(Config{NumNodes: 0})
 }
 
+// TestLoadFactorTimeSharing: a node's runnable count dilates its tasks'
+// computation only once it exceeds the processor count.
 func TestLoadFactorTimeSharing(t *testing.T) {
 	cl := NewCluster(Config{NumNodes: 1, ProcsPerNode: 2})
 	n := cl.Nodes[0]
-	if n.LoadFactor() != 1 {
-		t.Error("idle load factor")
+	task := cl.NewTask(0, 0)
+	charge := func() sim.Time {
+		before := task.Now()
+		task.Compute(10 * sim.Microsecond)
+		return task.Now() - before
+	}
+	if got := charge(); got != 10*sim.Microsecond {
+		t.Errorf("idle node: %v", got)
 	}
 	for i := 0; i < 2; i++ {
 		n.ThreadStarted()
 	}
-	if n.LoadFactor() != 1 {
-		t.Error("full-but-not-over load factor")
+	if got := charge(); got != 10*sim.Microsecond {
+		t.Errorf("full-but-not-over node: %v", got)
 	}
 	n.ThreadStarted() // 3 runnable on 2 processors
-	if got := n.LoadFactor(); got != 1.5 {
-		t.Errorf("oversubscribed load factor: %v", got)
+	if got := charge(); got != 15*sim.Microsecond {
+		t.Errorf("oversubscribed node: %v", got)
 	}
 	n.ThreadStopped()
 	n.ThreadStopped()
@@ -89,22 +97,9 @@ func TestNewTaskWiring(t *testing.T) {
 func TestOSChargeHelpers(t *testing.T) {
 	cl := NewCluster(Config{NumNodes: 1, ProcsPerNode: 2})
 	task := cl.NewTask(0, 0)
-	cl.Nodes[0].ChargeThreadCreate(task)
 	cl.Nodes[0].ChargeMapSegment(task)
 	b := task.Snapshot()
-	want := cl.Costs.OSThreadCreate + cl.Costs.OSMapSegment
-	if b[sim.CatLocalOS] != want {
+	if want := cl.Costs.OSMapSegment; b[sim.CatLocalOS] != want {
 		t.Errorf("OS charges: %v want %v", b[sim.CatLocalOS], want)
-	}
-}
-
-func TestAttachedFlag(t *testing.T) {
-	cl := NewCluster(Config{NumNodes: 2, ProcsPerNode: 2})
-	if cl.Nodes[1].Attached() {
-		t.Error("node attached by default")
-	}
-	cl.Nodes[1].SetAttached(true)
-	if !cl.Nodes[1].Attached() {
-		t.Error("attach flag lost")
 	}
 }

@@ -3,24 +3,29 @@ package sim
 // Costs is the calibrated virtual-time cost table.  The communication
 // constants reproduce the paper's Table 3 (VMMC on Myrinet with PentiumPro
 // hosts); the library and OS constants reproduce the direct-cost rows of
-// Table 4.  All values are virtual durations; experiments derive every
-// reported number from these plus the protocol's message/fault counts.
+// Table 4.  All values are virtual durations or integer per-byte rates in
+// picoseconds, so every duration derived here is exact integer arithmetic
+// on any host (cmd/doccheck keeps floats out of this file, task.go and
+// internal/wire); experiments derive every reported number from these plus
+// the protocol's message/fault counts.
 type Costs struct {
 	// --- VMMC / SAN (Table 3) ---
 
 	// SendBase is the fixed one-way cost of a send, excluding per-byte time.
 	SendBase Time
-	// SendPerByte is the additional one-way latency per payload byte.
-	// Calibrated from the 1-word (7.8us) and 4KB (52us) send latencies.
-	SendPerByte float64
+	// SendPerBytePs is the additional one-way latency per payload byte, in
+	// picoseconds.  Calibrated from the 1-word (7.8us) and 4KB (52us) send
+	// latencies.
+	SendPerBytePs int64
 	// FetchBase is the fixed round-trip cost of a direct remote read.
 	FetchBase Time
-	// FetchPerByte is the additional round-trip latency per fetched byte.
-	// Calibrated from the 1-word (22us) and 4KB (81us) fetch latencies.
-	FetchPerByte float64
-	// OccupancyPerByte is per-byte NIC/link occupancy; its inverse is the
-	// streaming bandwidth (125 MB/s in the paper).
-	OccupancyPerByte float64
+	// FetchPerBytePs is the additional round-trip latency per fetched byte,
+	// in picoseconds.  Calibrated from the 1-word (22us) and 4KB (81us)
+	// fetch latencies.
+	FetchPerBytePs int64
+	// OccupancyPerBytePs is per-byte NIC/link occupancy in picoseconds; its
+	// inverse is the streaming bandwidth (125 MB/s in the paper).
+	OccupancyPerBytePs int64
 	// Notification is the extra receiver-side cost of delivering a
 	// notification (handler dispatch), on top of the carrying send.
 	Notification Time
@@ -92,18 +97,16 @@ type Costs struct {
 
 	// --- Protocol processing (GeNIMA page handling) ---
 
-	FaultHandler Time // fixed software fault-handling cost per page fault
-	DiffCreate   Time // twin comparison cost per dirty page
-	DiffPerByte  float64
-	WriteNotice  Time // per write notice processed at an acquire
+	FaultHandler  Time  // fixed software fault-handling cost per page fault
+	DiffCreate    Time  // twin comparison cost per dirty page
+	DiffPerBytePs int64 // diff encoding cost per byte, picoseconds
+	WriteNotice   Time  // per write notice processed at an acquire
 
 	// --- Application modelling ---
 
 	// MemAccess is the charged cost of one shared-memory access that hits in
 	// local memory (amortized cache/DRAM model).
 	MemAccess Time
-	// ComputeScale scales Compute() charges (1.0 = PentiumPro-era baseline).
-	ComputeScale float64
 }
 
 // DefaultCosts returns the cost table calibrated against the paper.
@@ -111,14 +114,14 @@ func DefaultCosts() *Costs {
 	return &Costs{
 		// Table 3. 1-word send: 7.71us + 8B*10.8ns ~= 7.8us.
 		// 4KB send: 7.71us + 4096B*10.8ns ~= 52us.
-		SendBase:    7710 * Nanosecond,
-		SendPerByte: 10.8,
+		SendBase:      7710 * Nanosecond,
+		SendPerBytePs: 10800,
 		// 1-word fetch: 21.9us + 8B*14.4ns ~= 22us; 4KB: ~81us.
-		FetchBase:    21880 * Nanosecond,
-		FetchPerByte: 14.4,
+		FetchBase:      21880 * Nanosecond,
+		FetchPerBytePs: 14400,
 		// 125 MB/s => 8 ns per byte.
-		OccupancyPerByte: 8.0,
-		Notification:     10200 * Nanosecond, // 7.8us send + 10.2us = 18us
+		OccupancyPerBytePs: 8000,
+		Notification:       10200 * Nanosecond, // 7.8us send + 10.2us = 18us
 
 		OSThreadCreate:       626 * Microsecond,
 		OSRemoteThreadCreate: 622 * Microsecond,
@@ -169,35 +172,40 @@ func DefaultCosts() *Costs {
 		AdminReqLocal:      2 * Microsecond,
 		AdminReqComm:       18 * Microsecond,
 
-		FaultHandler: 30 * Microsecond,
-		DiffCreate:   15 * Microsecond,
-		DiffPerByte:  2.0,
-		WriteNotice:  1 * Microsecond,
+		FaultHandler:  30 * Microsecond,
+		DiffCreate:    15 * Microsecond,
+		DiffPerBytePs: 2000,
+		WriteNotice:   1 * Microsecond,
 
-		MemAccess:    20 * Nanosecond,
-		ComputeScale: 1.0,
+		MemAccess: 20 * Nanosecond,
 	}
+}
+
+// perByte returns size bytes at ps picoseconds each, truncated to the
+// nanosecond.
+func perByte(size int, ps int64) Time {
+	return Time(int64(size) * ps / 1000)
 }
 
 // SendTime returns the one-way latency of a message carrying size bytes.
 func (c *Costs) SendTime(size int) Time {
-	return c.SendBase + Time(float64(size)*c.SendPerByte)
+	return c.SendBase + perByte(size, c.SendPerBytePs)
 }
 
 // FetchTime returns the round-trip latency of a direct remote read of size
 // bytes.
 func (c *Costs) FetchTime(size int) Time {
-	return c.FetchBase + Time(float64(size)*c.FetchPerByte)
+	return c.FetchBase + perByte(size, c.FetchPerBytePs)
 }
 
 // Occupancy returns how long size bytes occupy a NIC (inverse bandwidth).
 func (c *Costs) Occupancy(size int) Time {
-	return Time(float64(size) * c.OccupancyPerByte)
+	return perByte(size, c.OccupancyPerBytePs)
 }
 
 // DiffTime returns the cost of creating and shipping a diff of size bytes.
 func (c *Costs) DiffTime(size int) Time {
-	return c.DiffCreate + Time(float64(size)*c.DiffPerByte)
+	return c.DiffCreate + perByte(size, c.DiffPerBytePs)
 }
 
 // LinuxOS reconfigures the OS-dependent constants to a Linux-like profile:

@@ -121,15 +121,33 @@ func TestTaskAttributeDoesNotAdvanceClock(t *testing.T) {
 	}
 }
 
+// TestTaskComputeAppliesLoadFactor: computation is charged as is while the
+// node's runnable threads fit its processors, and stretched to d*r/P,
+// truncated, once they do not.
 func TestTaskComputeAppliesLoadFactor(t *testing.T) {
+	smp := &SMP{Processors: 2}
 	task := NewTask(1, 0, DefaultCosts())
-	task.Load = func() float64 { return 2.0 }
-	task.Compute(100 * Microsecond)
-	if got := task.Now(); got != 200*Microsecond {
-		t.Errorf("dilated compute: %v", got)
+	task.SMP = smp
+	for _, c := range []struct {
+		runnable int
+		d, want  Time
+	}{
+		{0, 101, 101},
+		{2, 101, 101}, // r == P: no dilation
+		{3, 101, 151}, // 303/2 truncates
+		{4, 100 * Microsecond, 200 * Microsecond},
+	} {
+		for smp.Runnable() < c.runnable {
+			smp.ThreadStarted()
+		}
+		before := task.Now()
+		task.Compute(c.d)
+		if got := task.Now() - before; got != c.want {
+			t.Errorf("r=%d P=2: Compute(%d) charged %d, want %d", c.runnable, c.d, got, c.want)
+		}
 	}
-	if task.Snapshot()[CatCompute] != 200*Microsecond {
-		t.Error("compute attribution wrong")
+	if got := task.Snapshot()[CatCompute]; got != task.Now() {
+		t.Errorf("compute attribution %v, clock %v", got, task.Now())
 	}
 }
 
@@ -175,23 +193,27 @@ func TestDetachedSpanAllocFree(t *testing.T) {
 	}
 }
 
+// TestCostsCalibration pins the Table 3 latencies and the diff cost to the
+// nanosecond: the per-byte rates are integer picoseconds, so these are
+// exact on every host.
 func TestCostsCalibration(t *testing.T) {
 	c := DefaultCosts()
-	if got := c.SendTime(8); got < 7700*Nanosecond || got > 7900*Nanosecond {
-		t.Errorf("1-word send: %v", got)
-	}
-	if got := c.SendTime(4096); got < 51*Microsecond || got > 53*Microsecond {
-		t.Errorf("4KB send: %v", got)
-	}
-	if got := c.FetchTime(8); got < 21*Microsecond || got > 23*Microsecond {
-		t.Errorf("1-word fetch: %v", got)
-	}
-	if got := c.FetchTime(4096); got < 79*Microsecond || got > 83*Microsecond {
-		t.Errorf("4KB fetch: %v", got)
-	}
-	// 125 MB/s occupancy.
-	if got := c.Occupancy(1 << 20); got != Time((1<<20)*8) {
-		t.Errorf("occupancy: %v", got)
+	for _, r := range []struct {
+		name      string
+		got, want Time
+	}{
+		{"1-word send", c.SendTime(8), 7796},
+		{"4KB send", c.SendTime(4096), 51946},
+		{"1-word fetch", c.FetchTime(8), 21995},
+		{"4KB fetch", c.FetchTime(4096), 80862},
+		{"4KB diff", c.DiffTime(4096), 23192},
+		{"odd send", c.SendTime(3), 7742}, // 32.4 ns truncates
+		// 125 MB/s occupancy.
+		{"1MB occupancy", c.Occupancy(1 << 20), (1 << 20) * 8},
+	} {
+		if r.got != r.want {
+			t.Errorf("%s: %d ns, want %d", r.name, r.got, r.want)
+		}
 	}
 }
 

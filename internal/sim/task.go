@@ -56,10 +56,10 @@ type Task struct {
 	// must hold the task quiescent (e.g. after join).
 	brk Breakdown
 
-	// Load, if set, reports the current computation dilation factor of the
-	// node (runnable threads / processors, floored at 1).  Installed by the
-	// node OS model.
-	Load func() float64
+	// SMP, if set, is the node whose processors the task time-shares;
+	// Compute dilates by its runnable-thread count.  Installed by the node
+	// OS model.
+	SMP *SMP
 
 	costs *Costs
 
@@ -82,6 +82,25 @@ type Task struct {
 	// primitive's wait list delivers, so at most one grant is outstanding.
 	grant chan Time
 }
+
+// SMP is a node's processors as its tasks see them: the processor count and
+// the number of runnable threads time-sharing them (the local OS schedules
+// threads, paper §2.2).  nodeos.Node embeds it.
+type SMP struct {
+	// Processors is the number of CPUs on the node.
+	Processors int
+
+	runnable atomic.Int32
+}
+
+// ThreadStarted registers a runnable thread with the node scheduler.
+func (s *SMP) ThreadStarted() { s.runnable.Add(1) }
+
+// ThreadStopped removes a thread from the runnable count (exit or block).
+func (s *SMP) ThreadStopped() { s.runnable.Add(-1) }
+
+// Runnable returns the current runnable-thread count.
+func (s *SMP) Runnable() int { return int(s.runnable.Load()) }
 
 // NewTask returns a task with the given identifiers running against the cost
 // table c.  The grant channel is allocated eagerly: a releaser may Unpark a
@@ -208,20 +227,21 @@ func (t *Task) Attribute(cat Category, d Time) {
 	}
 }
 
-// Compute charges application computation of duration d, dilated by the
-// node's current load factor (threads time-share processors) and by the cost
-// table's compute scale.  Compute is also the scheduler's safe point: a
-// managed task that has run far ahead in virtual time may block here until
-// readmitted.
+// Compute charges application computation of duration d.  When r threads
+// time-share the node's P processors and r > P, the charge stretches to
+// d*r/P, truncated to the nanosecond.  Compute is also the scheduler's safe
+// point: a managed task that has run far ahead in virtual time may block
+// here until readmitted.
 func (t *Task) Compute(d Time) {
 	if d <= 0 {
 		return
 	}
-	f := t.costs.ComputeScale
-	if t.Load != nil {
-		f *= t.Load()
+	if s := t.SMP; s != nil {
+		if r, p := Time(s.runnable.Load()), Time(s.Processors); r > p {
+			d = d * r / p
+		}
 	}
-	t.Charge(CatCompute, Time(float64(d)*f))
+	t.Charge(CatCompute, d)
 	if et := t.evt; et != nil {
 		et.s.preempt(et)
 	}

@@ -207,7 +207,7 @@ func (p *Plane) Do(t *sim.Task, op Op) sim.Time {
 	if op.Kind.dataPlane() {
 		d = p.doData(t, op)
 	} else {
-		d = p.controlCost(op, t.Now(), p.inj)
+		d = p.controlCost(op, t.Now())
 		t.Charge(sim.CatComm, d)
 	}
 	t.CloseSpan()
@@ -242,24 +242,24 @@ func (p *Plane) doData(t *sim.Task, op Op) sim.Time {
 	switch op.Kind {
 	case KindFetch, KindMigrate:
 		d = c.FetchTime(op.Size)
-		d += p.delay(p.inj, fault.KindFetch, op, now, d)
+		d += p.delay(fault.KindFetch, op, now, d)
 	case KindWrite, KindCommMerge:
 		d = c.SendTime(op.Size)
-		d += p.delay(p.inj, fault.KindSend, op, now, d)
+		d += p.delay(fault.KindSend, op, now, d)
 	case KindStream:
-		// Pipelined: one latency plus bandwidth-limited occupancy, without
-		// booking the port (Table 3's bandwidth microbenchmark).
+		// Pipelined: one latency plus bandwidth-limited occupancy (Table 3's
+		// bandwidth microbenchmark).
 		d = c.SendBase + c.Occupancy(op.Size)
-		d += p.inj.Retry(fault.KindSend, op.Src, op.Dst, now, d)
+		d += p.delay(fault.KindSend, op, now, d)
 	case KindStreamFetch:
 		d = c.FetchBase + c.Occupancy(op.Size)
-		d += p.inj.Retry(fault.KindFetch, op.Src, op.Dst, now, d)
+		d += p.delay(fault.KindFetch, op, now, d)
 	case KindNotify:
 		// A lost notification costs a full delivery timeout plus backoff
 		// before the re-send; the losses are drawn before the send's faults.
 		lost := p.inj.Retry(fault.KindNotify, op.Src, op.Dst, now, c.SendTime(op.Size)+c.Notification)
 		d = c.SendTime(op.Size)
-		d += p.delay(p.inj, fault.KindSend, op, now, d) + c.Notification + lost
+		d += p.delay(fault.KindSend, op, now, d) + c.Notification + lost
 	}
 	t.Charge(sim.CatComm, d)
 	if op.Kind == KindFetch || op.Kind == KindMigrate || op.Kind == KindStreamFetch {
@@ -272,11 +272,11 @@ func (p *Plane) doData(t *sim.Task, op Op) sim.Time {
 }
 
 // delay is what a port-booking message of fault class k issued at now pays
-// beyond its idle, fault-free cost: inj's transient failures (nil: none),
-// each costing a full attempt plus backoff, then queueing for the sender's
-// NIC port.
-func (p *Plane) delay(inj *fault.Injector, k fault.RuleKind, op Op, now, attempt sim.Time) sim.Time {
-	penalty := inj.Retry(k, op.Src, op.Dst, now, attempt)
+// beyond its idle, fault-free cost: the plan's transient failures, each
+// costing a full attempt plus backoff, then queueing for the sender's NIC
+// port.
+func (p *Plane) delay(k fault.RuleKind, op Op, now, attempt sim.Time) sim.Time {
+	penalty := p.inj.Retry(k, op.Src, op.Dst, now, attempt)
 	start := p.fab.Reserve(op.Src, now, p.costs.Occupancy(op.Size))
 	return (start - now) + penalty
 }
@@ -285,12 +285,12 @@ func (p *Plane) delay(inj *fault.Injector, k fault.RuleKind, op Op, now, attempt
 // message.  Control messages always traverse the communication substrate
 // (the ACB lives in registered memory), so the flat share is charged and
 // the message counted even when Dst is the issuing node; under
-// ContendedSync a cross-node op additionally suffers inj's transient send
-// faults (nil: none) and queues for the sender's NIC port.
-func (p *Plane) controlCost(op Op, now sim.Time, inj *fault.Injector) sim.Time {
+// ContendedSync a cross-node op additionally suffers the plan's transient
+// send faults and queues for the sender's NIC port.
+func (p *Plane) controlCost(op Op, now sim.Time) sim.Time {
 	d := p.flatCost(op.Kind, op.Size)
 	if p.opts.ContendedSync && op.Dst != op.Src {
-		d += p.delay(inj, fault.KindSend, op, now, p.costs.SendTime(op.Size))
+		d += p.delay(fault.KindSend, op, now, p.costs.SendTime(op.Size))
 	}
 	p.count(op)
 	return d
@@ -299,14 +299,15 @@ func (p *Plane) controlCost(op Op, now sim.Time, inj *fault.Injector) sim.Time {
 // DeliverAt performs a control-plane op issued at virtual instant `now` on
 // behalf of node op.Src without a running task to charge — the lock-grant
 // handoff, where the releaser has moved on and the waiter pays the latency
-// as wait time.  It draws no faults and returns the delivery instant at the
-// destination.
+// as wait time.  It is priced like any control op (under ContendedSync it
+// draws the plan's send faults and books the port) and returns the delivery
+// instant at the destination.
 func (p *Plane) DeliverAt(now sim.Time, op Op) sim.Time {
 	if op.Size == 0 {
 		op.Size = op.Kind.nominalSize()
 	}
 	p.ctr.Add(op.Src, stats.EvWireOps, 1)
-	return now + p.controlCost(op, now, nil)
+	return now + p.controlCost(op, now)
 }
 
 // count attributes a sent message and its bytes to the sender.

@@ -185,7 +185,8 @@ func TestContendedSyncQueues(t *testing.T) {
 
 // TestContendedSyncFaults checks the injector is consulted for control ops
 // only under -contended-sync: a certain-failure send plan inflates the
-// charged duration and counts retries in contended mode, and is ignored
+// charged duration and counts retries in contended mode — for a task's op
+// and for a lock grant handed off through DeliverAt alike — and is ignored
 // in default mode.
 func TestContendedSyncFaults(t *testing.T) {
 	plan := fault.MustParsePlan("send:p=1")
@@ -201,10 +202,29 @@ func TestContendedSyncFaults(t *testing.T) {
 		t.Error("no send retries counted under -contended-sync")
 	}
 
+	// A grant pays its send once per failed attempt plus the backoff, like
+	// any send (TestSendFaultRetryCost).
+	p, ctr = newPlane(Options{ContendedSync: true})
+	p.SetFault(fault.New(plan, 42))
+	send := sim.DefaultCosts().SendTime(16)
+	want := sim.Millisecond + send
+	for a := 0; a < fault.MaxSendRetries; a++ {
+		want += send + fault.Backoff(a)
+	}
+	if at := p.DeliverAt(sim.Millisecond, Op{Kind: KindLockGrant, Src: 0, Dst: 1}); at != want {
+		t.Errorf("grant under send:p=1 delivered at %v, want %v", at, want)
+	}
+	if got := ctr.Load(stats.EvSendRetries); got != fault.MaxSendRetries {
+		t.Errorf("grant counted %d send retries, want %d", got, fault.MaxSendRetries)
+	}
+
 	off, offCtr := newPlane(Options{})
 	off.SetFault(fault.New(plan, 42))
 	if d := off.Do(newTask(0), Op{Kind: KindLockRemote, Dst: 1}); d != base {
 		t.Errorf("default mode consulted the injector for a control op: charged %v, want %v", d, base)
+	}
+	if at := off.DeliverAt(sim.Millisecond, Op{Kind: KindLockGrant, Src: 0, Dst: 1}); at != sim.Millisecond+send {
+		t.Errorf("default mode grant delivered at %v, want %v", at, sim.Millisecond+send)
 	}
 	if got := offCtr.Load(stats.EvSendRetries); got != 0 {
 		t.Errorf("default mode counted %d send retries for a control op", got)
@@ -294,12 +314,12 @@ func TestDataOpCosts(t *testing.T) {
 		{KindWrite, 1, "send:p=1", result{3652514, 3652514, 0, 42768, [...]int64{1, 4096, 0, 0, 0, 0, 1, 8, 0, 0, 8}}},
 		{KindStream, 0, "", result{4096, 0, 4096, 10000, [...]int64{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}}},
 		{KindStream, 0, "send:p=1", result{4096, 0, 4096, 10000, [...]int64{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}}},
-		{KindStream, 1, "", result{40478, 40478, 0, 10000, [...]int64{1, 4096, 0, 0, 0, 0, 1, 0, 0, 0, 0}}},
-		{KindStream, 1, "send:p=1", result{3539302, 3539302, 0, 10000, [...]int64{1, 4096, 0, 0, 0, 0, 1, 8, 0, 0, 8}}},
+		{KindStream, 1, "", result{50478, 50478, 0, 42768, [...]int64{1, 4096, 0, 0, 0, 0, 1, 0, 0, 0, 0}}},
+		{KindStream, 1, "send:p=1", result{3549302, 3549302, 0, 42768, [...]int64{1, 4096, 0, 0, 0, 0, 1, 8, 0, 0, 8}}},
 		{KindStreamFetch, 0, "", result{4096, 0, 4096, 10000, [...]int64{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}}},
 		{KindStreamFetch, 0, "fetch:p=1", result{4096, 0, 4096, 10000, [...]int64{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}}},
-		{KindStreamFetch, 1, "", result{54648, 54648, 0, 10000, [...]int64{0, 0, 1, 4096, 0, 0, 1, 0, 0, 0, 0}}},
-		{KindStreamFetch, 1, "fetch:p=1", result{3666832, 3666832, 0, 10000, [...]int64{0, 0, 1, 4096, 0, 0, 1, 0, 8, 0, 8}}},
+		{KindStreamFetch, 1, "", result{64648, 64648, 0, 42768, [...]int64{0, 0, 1, 4096, 0, 0, 1, 0, 0, 0, 0}}},
+		{KindStreamFetch, 1, "fetch:p=1", result{3676832, 3676832, 0, 42768, [...]int64{0, 0, 1, 4096, 0, 0, 1, 0, 8, 0, 8}}},
 		{KindNotify, 0, "", result{6646, 0, 6646, 10000, [...]int64{0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0}}},
 		{KindNotify, 0, "notify:p=1", result{6646, 0, 6646, 10000, [...]int64{0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0}}},
 		{KindNotify, 1, "", result{72146, 72146, 0, 42768, [...]int64{1, 4096, 0, 0, 1, 0, 1, 0, 0, 0, 0}}},
