@@ -61,9 +61,8 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 		// establishes.
 		for r := lo; r < hi; r++ {
 			for c := 0; c < rows; c++ {
-				idx := r*rows + c
-				buf[2*c] = math.Sin(float64(idx))
-				buf[2*c+1] = math.Cos(float64(idx)) * 0.5
+				sin, cos := math.Sincos(float64(r*rows + c))
+				buf[2*c], buf[2*c+1] = sin, cos*0.5
 			}
 			acc.WriteF64s(t, rowAddr(a, r, rows), buf)
 			for c := range buf {
@@ -122,13 +121,6 @@ func share(n, procs, p int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func rowAddr(base memsys.Addr, r, rows int) memsys.Addr {
 	return base + memsys.Addr(r*rows*16)
 }
@@ -140,11 +132,7 @@ func transpose(rt appapi.Runtime, t *sim.Task, acc *memsys.Accessor,
 	src, dst memsys.Addr, rows, lo, hi int) {
 	buf := make([]float64, 2*rows)
 	for r := lo; r < hi; r++ {
-		for c := 0; c < rows; c++ {
-			e := src + memsys.Addr((c*rows+r)*16)
-			buf[2*c] = acc.ReadF64(t, e)
-			buf[2*c+1] = acc.ReadF64(t, e+8)
-		}
+		acc.ReadF64Strided(t, src+memsys.Addr(r*16), rows*16, 2, buf)
 		acc.WriteF64s(t, rowAddr(dst, r, rows), buf)
 	}
 }
@@ -168,15 +156,20 @@ func twiddle(rt appapi.Runtime, t *sim.Task, acc *memsys.Accessor,
 	for r := lo; r < hi; r++ {
 		acc.ReadF64s(t, rowAddr(base, r, rows), buf)
 		for c := 0; c < rows; c++ {
-			ang := -2 * math.Pi * float64(r) * float64(c) / float64(n)
-			wr, wi := math.Cos(ang), math.Sin(ang)
+			wr, wi := Root(r, c, n)
 			re, im := buf[2*c], buf[2*c+1]
-			buf[2*c] = re*wr - im*wi
-			buf[2*c+1] = re*wi + im*wr
+			buf[2*c] = float64(re*wr) - float64(im*wi)
+			buf[2*c+1] = float64(re*wi) + float64(im*wr)
 		}
 		acc.WriteF64s(t, rowAddr(base, r, rows), buf)
 		t.Compute(sim.Time(rows) * 8 * flopCost)
 	}
+}
+
+// Root returns W_n^(r*c) as (re, im) for the twiddle step.
+func Root(r, c, n int) (wr, wi float64) {
+	wi, wr = math.Sincos(-2 * math.Pi * float64(r) * float64(c) / float64(n))
+	return wr, wi
 }
 
 // FFT1D exposes the kernel for the OpenMP variants of the application.
@@ -205,11 +198,11 @@ func fft1d(v []float64) {
 			cr, ci := 1.0, 0.0
 			for j := 0; j < s; j++ {
 				p, q := 2*(k+j), 2*(k+j+s)
-				tr := v[q]*cr - v[q+1]*ci
-				ti := v[q]*ci + v[q+1]*cr
+				tr := float64(v[q]*cr) - float64(v[q+1]*ci)
+				ti := float64(v[q]*ci) + float64(v[q+1]*cr)
 				v[q], v[q+1] = v[p]-tr, v[p+1]-ti
 				v[p], v[p+1] = v[p]+tr, v[p+1]+ti
-				cr, ci = cr*wr-ci*wi, cr*wi+ci*wr
+				cr, ci = float64(cr*wr)-float64(ci*wi), float64(cr*wi)+float64(ci*wr)
 			}
 		}
 	}

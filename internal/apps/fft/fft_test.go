@@ -3,6 +3,7 @@ package fft
 import (
 	"math"
 	"math/cmplx"
+	"runtime"
 	"testing"
 
 	"cables/internal/m4"
@@ -73,5 +74,36 @@ func TestOddMIsRounded(t *testing.T) {
 	res := Run(rt, Config{M: 9}) // becomes 10
 	if res.Checksum == 0 {
 		t.Error("zero checksum")
+	}
+}
+
+// TestSincosMatchesSinCos pins the init's and Root's use of math.Sincos to
+// the separate Sin and Cos calls they replaced, bit for bit, on every input
+// the scales use: init indices below 2^22 (M ≤ 22) and the twiddle angles
+// of the SPLASH-2 FFT (M = 12, 18, 22) and the OpenMP FFT (M = 12, 14, 16).
+// Sincos is pure Go on every GOARCH, but s390x has assembly Sin and Cos, so
+// the reference itself differs there.
+func TestSincosMatchesSinCos(t *testing.T) {
+	if runtime.GOARCH == "s390x" {
+		t.Skip("s390x: Sin and Cos are assembly, Sincos is pure Go")
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for idx := 0; idx < 1<<22; idx++ {
+		x := float64(idx)
+		if sin, cos := math.Sincos(x); !same(sin, math.Sin(x)) || !same(cos, math.Cos(x)) {
+			t.Fatalf("Sincos(%d) = %v, %v; Sin, Cos = %v, %v", idx, sin, cos, math.Sin(x), math.Cos(x))
+		}
+	}
+	for _, m := range []int{12, 14, 16, 18, 22} {
+		n, rows := 1<<m, 1<<(m/2)
+		for r := 0; r < rows; r++ {
+			for c := 0; c < rows; c++ {
+				ang := -2 * math.Pi * float64(r) * float64(c) / float64(n)
+				if wr, wi := Root(r, c, n); !same(wr, math.Cos(ang)) || !same(wi, math.Sin(ang)) {
+					t.Fatalf("M=%d Root(%d, %d) = %v, %v; Cos, Sin = %v, %v",
+						m, r, c, wr, wi, math.Cos(ang), math.Sin(ang))
+				}
+			}
+		}
 	}
 }

@@ -75,6 +75,7 @@ func Run(rt appapi.Runtime, cfg Config) (appapi.Result, error) {
 		row := make([]float64, n)
 		up := make([]float64, n)
 		down := make([]float64, n)
+		cols := make([]float64, n/2) // one color's columns of a row
 
 		// Init: owners fill their row blocks of every main grid.
 		for g, ga := range grids {
@@ -98,31 +99,37 @@ func Run(rt appapi.Runtime, cfg Config) (appapi.Result, error) {
 					// Rows inside the worker's block are read whole; the
 					// two boundary rows belong to neighbours and are read
 					// only at the stable (opposite-color) columns they
-					// contribute to the stencil.
-					loadRow := func(dst []float64, rr, r int) {
+					// contribute to the stencil: columns c0, c0+2, ... < n-1.
+					loadRow := func(dst []float64, rr, c0 int) {
 						if rr >= lo && rr < hi {
 							acc.ReadF64s(t, rowA(ga, rr), dst)
 							return
 						}
-						for c := 1 + (r+color)%2; c < n-1; c += 2 {
-							dst[c] = acc.ReadF64(t, rowA(ga, rr)+memsys.Addr(c*8))
+						at := cols[:(n-c0)/2]
+						acc.ReadF64Strided(t, rowA(ga, rr)+memsys.Addr(c0*8), 16, 1, at)
+						for j, v := range at {
+							dst[c0+2*j] = v
 						}
 					}
 					for r := lo; r < hi; r++ {
 						if r == 0 || r == n-1 {
 							continue
 						}
-						loadRow(up, r-1, r)
+						c0 := 1 + (r+color)%2
+						loadRow(up, r-1, c0)
 						acc.ReadF64s(t, rowA(ga, r), row)
-						loadRow(down, r+1, r)
+						loadRow(down, r+1, c0)
 						// Only the active color's points are written back:
 						// the opposite color is concurrently read by the
 						// neighbouring rows' owners (red-black dependence).
-						for c := 1 + (r+color)%2; c < n-1; c += 2 {
-							v := 0.25 * (up[c] + down[c] + row[c-1] + row[c+1])
+						at := cols[:(n-c0)/2]
+						for j := range at {
+							c := c0 + 2*j
+							v := float64(0.25 * (up[c] + down[c] + row[c-1] + row[c+1]))
 							resid += math.Abs(v - row[c])
-							acc.WriteF64(t, rowA(ga, r)+memsys.Addr(c*8), v)
+							at[j] = v
 						}
+						acc.WriteF64Strided(t, rowA(ga, r)+memsys.Addr(c0*8), 16, 1, at)
 						t.Compute(sim.Time(n/2) * 6 * flopCost)
 					}
 				}
@@ -136,7 +143,7 @@ func Run(rt appapi.Runtime, cfg Config) (appapi.Result, error) {
 					acc.ReadF64s(t, rowA(ga, r), row)
 					acc.ReadF64s(t, rowA(sa, r), up)
 					for c := 0; c < n; c++ {
-						row[c] += 0.5 * up[c]
+						row[c] += float64(0.5 * up[c])
 					}
 					acc.WriteF64s(t, rowA(ga, r), row)
 					t.Compute(sim.Time(n) * 2 * flopCost)
@@ -162,11 +169,4 @@ func share(n, procs, p int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

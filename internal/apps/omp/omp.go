@@ -71,11 +71,7 @@ func runFFTRegion(r *openmp.Runtime, o *OMP, a, b memsys.Addr, rows, n int, sum 
 	}
 	// Transpose a -> b.
 	o.For(0, rows, func(row int) {
-		for c := 0; c < rows; c++ {
-			e := a + memsys.Addr((c*rows+row)*16)
-			buf[2*c] = acc.ReadF64(t, e)
-			buf[2*c+1] = acc.ReadF64(t, e+8)
-		}
+		acc.ReadF64Strided(t, a+memsys.Addr(row*16), rows*16, 2, buf)
 		acc.WriteF64s(t, rowA(b, row), buf)
 	})
 	// Row FFTs + twiddle.
@@ -83,22 +79,17 @@ func runFFTRegion(r *openmp.Runtime, o *OMP, a, b memsys.Addr, rows, n int, sum 
 		acc.ReadF64s(t, rowA(b, row), buf)
 		fft.FFT1D(buf)
 		for c := 0; c < rows; c++ {
-			ang := -2 * math.Pi * float64(row) * float64(c) / float64(n)
-			wr, wi := math.Cos(ang), math.Sin(ang)
+			wr, wi := fft.Root(row, c, n)
 			re, im := buf[2*c], buf[2*c+1]
-			buf[2*c] = re*wr - im*wi
-			buf[2*c+1] = re*wi + im*wr
+			buf[2*c] = float64(re*wr) - float64(im*wi)
+			buf[2*c+1] = float64(re*wi) + float64(im*wr)
 		}
 		acc.WriteF64s(t, rowA(b, row), buf)
 		t.Compute(sim.Time(rows) * 13 * flopCost)
 	})
 	// Transpose b -> a, final row FFTs.
 	o.For(0, rows, func(row int) {
-		for c := 0; c < rows; c++ {
-			e := b + memsys.Addr((c*rows+row)*16)
-			buf[2*c] = acc.ReadF64(t, e)
-			buf[2*c+1] = acc.ReadF64(t, e+8)
-		}
+		acc.ReadF64Strided(t, b+memsys.Addr(row*16), rows*16, 2, buf)
 		fft.FFT1D(buf)
 		acc.WriteF64s(t, rowA(a, row), buf)
 		t.Compute(sim.Time(rows) * 5 * flopCost)
@@ -150,7 +141,7 @@ func LU(r *openmp.Runtime, n int) appapi.Result {
 				f := mine[k] / piv[k]
 				mine[k] = f
 				for j := k + 1; j < n; j++ {
-					mine[j] -= f * piv[j]
+					mine[j] -= float64(f * piv[j])
 				}
 				acc.WriteF64s(t, rowA(i), mine)
 				t.Compute(sim.Time(n-k) * 2 * flopCost)
@@ -203,7 +194,7 @@ func Ocean(r *openmp.Runtime, n, iters int) appapi.Result {
 					for j := 1 + (i+color)%2; j < n-1; j += 2 {
 						upV := acc.ReadF64(t, rowA(i-1)+memsys.Addr(j*8))
 						downV := acc.ReadF64(t, rowA(i+1)+memsys.Addr(j*8))
-						v := 0.25 * (upV + downV + mid[j-1] + mid[j+1])
+						v := float64(0.25 * (upV + downV + mid[j-1] + mid[j+1]))
 						local += math.Abs(v - mid[j])
 						acc.WriteF64(t, rowA(i)+memsys.Addr(j*8), v)
 					}

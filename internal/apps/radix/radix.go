@@ -158,10 +158,3 @@ func share(n, procs, p int) (lo, hi int) {
 	}
 	return lo, hi
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

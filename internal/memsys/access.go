@@ -134,7 +134,55 @@ func (a *Accessor) WriteI32(t *sim.Task, addr Addr, v int32) {
 	t.Compute(t.Costs().MemAccess)
 }
 
-// --- Block accessors (hot loops; page-wise fault checks, same charging) ---
+// --- Strided accessors (column walks; per-word checks, batched charging) ---
+
+// ReadF64Strided fills dst with groups of w consecutive float64s, group j
+// at addr+j*stride bytes, exactly as the ReadF64 loop over those words would.
+func (a *Accessor) ReadF64Strided(t *sim.Task, addr Addr, stride, w int, dst []float64) {
+	a.walk(t, addr, stride, w, dst, false)
+}
+
+// WriteF64Strided stores src the same way, exactly as the WriteF64 loop.
+func (a *Accessor) WriteF64Strided(t *sim.Task, addr Addr, stride, w int, src []float64) {
+	a.walk(t, addr, stride, w, src, true)
+}
+
+// walk visits the words in the scalar loop's order and checks each as the
+// scalar accessor does, but it counts each hit's Compute(MemAccess) instead
+// of making it.  One ComputeN charges the run when it reaches Quiet, the hit
+// whose own safe point would yield, and before a fault or an unshare, after
+// which Quiet and MemNode are re-taken.  A hit neither spawns, wakes nor
+// faults, so the clock, the yields and every fault land where per-word
+// Compute puts them.
+func (a *Accessor) walk(t *sim.Task, addr Addr, stride, w int, v []float64, write bool) {
+	d := t.Costs().MemAccess
+	quiet, hits, node := t.Quiet(d), 0, t.MemNode()
+	for k := range v {
+		pid, off := a.check(addr+Addr(k/w*stride+k%w*8), 8)
+		pc := a.Sp.Copy(node, pid)
+		if !pc.Valid() || write && (!pc.Written() || pc.frame == nil || !pc.frame.Exclusive()) {
+			t.ComputeN(d, hits)
+			if write {
+				pc = a.pageForWrite(t, pid)
+			} else {
+				pc = a.pageForRead(t, pid)
+			}
+			quiet, hits, node = t.Quiet(d), 0, t.MemNode()
+		}
+		if word := pc.Data()[off:]; write {
+			binary.LittleEndian.PutUint64(word, math.Float64bits(v[k]))
+		} else {
+			v[k] = math.Float64frombits(binary.LittleEndian.Uint64(word))
+		}
+		if hits++; hits == quiet {
+			t.ComputeN(d, hits)
+			quiet, hits = t.Quiet(d), 0
+		}
+	}
+	t.ComputeN(d, hits)
+}
+
+// --- Block accessors (row loops; page-wise checks, one Compute per block) ---
 
 // ReadF64s fills dst from the shared array starting at addr.
 func (a *Accessor) ReadF64s(t *sim.Task, addr Addr, dst []float64) {

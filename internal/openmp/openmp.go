@@ -266,10 +266,3 @@ func (r *Runtime) Result(app string, parallel sim.Time, checksum float64) appapi
 		Misplaced: mis, Touched: tot,
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

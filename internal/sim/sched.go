@@ -130,12 +130,23 @@ func (s *Scheduler) Go(t *Task, fn func()) {
 	}()
 }
 
+// horizon is the virtual instant from which the Compute safe point hands
+// the slot over: preemptSlack past the earliest ready peer and never before
+// preemptSlack itself, or emptyKey while nothing is queued.
+func (s *Scheduler) horizon() Time {
+	m := Time(s.minReady.Load())
+	if m == emptyKey {
+		return emptyKey
+	}
+	return max(m, 0) + preemptSlack
+}
+
 // preempt is the Compute safe point (no host locks held): hand the slot
-// over when a ready peer has fallen more than preemptSlack behind this
-// task's virtual clock.  Releasing the slot and requeueing is one step, so
+// over once this task's clock reaches the horizon, preemptSlack ahead of
+// the earliest ready peer.  Releasing the slot and requeueing is one step, so
 // the peer cannot queue anything before this task is back in the queue.
 func (s *Scheduler) preempt(et *eventTask) {
-	if now := et.t.Now(); now < preemptSlack || Time(s.minReady.Load()) > now-preemptSlack {
+	if et.t.Now() < s.horizon() {
 		return
 	}
 	s.mu.Lock()

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -237,5 +239,114 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition never held")
 		}
 		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestQuietEdges pins Quiet where no division is involved: an unmanaged
+// task, d ≤ 0 and an empty run queue never reach a hand-off (MaxInt), and a
+// clock already past the horizon hands over at the first call (1).
+func TestQuietEdges(t *testing.T) {
+	if q := newTestTask(1, 0).Quiet(Nanosecond); q != math.MaxInt {
+		t.Errorf("unmanaged: Quiet = %d, want MaxInt", q)
+	}
+	s := NewScheduler()
+	a := newTestTask(1, 0)
+	a.SetNow(10 * preemptSlack)
+	done := make(chan struct{})
+	s.Go(a, func() {
+		defer close(done)
+		if q := a.Quiet(Nanosecond); q != math.MaxInt {
+			t.Errorf("empty queue: Quiet = %d, want MaxInt", q)
+		}
+		s.Go(newTestTask(2, 0), func() {}) // queued at 0, horizon preemptSlack
+		if q := a.Quiet(Nanosecond); q != 1 {
+			t.Errorf("past the horizon: Quiet = %d, want 1", q)
+		}
+		if q := a.Quiet(0); q != math.MaxInt {
+			t.Errorf("d = 0: Quiet = %d, want MaxInt", q)
+		}
+	})
+	<-done
+}
+
+// computeTrace is what a run of Compute calls leaves behind: the task's
+// final clock and breakdown, and its clock each time its peer got the slot.
+type computeTrace struct {
+	now    Time
+	brk    Breakdown
+	yields []Time
+}
+
+// computeRun charges n × Compute(d) on a managed task starting at start —
+// one call at a time, or batched through Quiet and ComputeN — while a peer
+// queued at peerAt records the task's clock at each of its turns and then
+// computes step.  The task's node has runnable threads on 2 processors.
+func computeRun(d Time, n int, start, peerAt, step Time, runnable int, batched bool) computeTrace {
+	s := NewScheduler()
+	smp := &SMP{Processors: 2}
+	for i := 0; i < runnable; i++ {
+		smp.ThreadStarted()
+	}
+	a, b := newTestTask(1, 0), newTestTask(2, 1)
+	a.SMP = smp
+	a.SetNow(start)
+	b.SetNow(peerAt)
+	var tr computeTrace
+	aDone := false
+	var wg sync.WaitGroup
+	wg.Add(2)
+	release := holdGate(s)
+	s.Go(a, func() {
+		defer wg.Done()
+		for left := n; left > 0; {
+			k := 1
+			if batched {
+				k = min(a.Quiet(d), left)
+				a.ComputeN(d, k)
+			} else {
+				a.Compute(d)
+			}
+			left -= k
+		}
+		tr.now, tr.brk, aDone = a.Now(), a.Snapshot(), true
+	})
+	s.Go(b, func() {
+		defer wg.Done()
+		for !aDone {
+			tr.yields = append(tr.yields, a.Now())
+			b.Compute(step)
+		}
+	})
+	release()
+	wg.Wait()
+	return tr
+}
+
+// TestComputeNMatchesComputeLoop: for random d and n, a peer queued behind,
+// at and ahead of the task, and nodes with r ≤ P and r > P runnable
+// threads, Quiet and ComputeN leave the same clock and breakdown as n
+// back-to-back Compute(d) calls and hand the slot over at the same instants.
+func TestComputeNMatchesComputeLoop(t *testing.T) {
+	rng := NewRNG(47)
+	yielded := 0
+	for trial := 0; trial < 200; trial++ {
+		d := Time(1 + rng.Intn(3000))
+		n := 1 + rng.Intn(3000)
+		start := Time(rng.Intn(4)) * Millisecond
+		peerAt := max(0, start+Time(rng.Intn(9)-4)*Millisecond/2)
+		step := Time(1+rng.Intn(2500)) * Microsecond
+		runnable := rng.Intn(6)
+		want := computeRun(d, n, start, peerAt, step, runnable, false)
+		got := computeRun(d, n, start, peerAt, step, runnable, true)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("d=%v n=%d start=%v peer=%v step=%v r=%d:\nbatched %+v\nscalar  %+v",
+				d, n, start, peerAt, step, runnable, got, want)
+		}
+		if len(want.yields) > 0 && want.yields[len(want.yields)-1] > start {
+			yielded++
+		}
+	}
+	if yielded < 80 {
+		t.Errorf("only %d of 200 trials handed the slot over mid-run", yielded)
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -232,19 +233,48 @@ func (t *Task) Attribute(cat Category, d Time) {
 // d*r/P, truncated to the nanosecond.  Compute is also the scheduler's safe
 // point: a managed task that has run far ahead in virtual time may block
 // here until readmitted.
-func (t *Task) Compute(d Time) {
-	if d <= 0 {
+func (t *Task) Compute(d Time) { t.ComputeN(d, 1) }
+
+// ComputeN is n back-to-back Compute(d) calls in one charge and one safe
+// point, after the last: it yields where they would whenever n ≤ Quiet(d).
+func (t *Task) ComputeN(d Time, n int) {
+	if d <= 0 || n <= 0 {
 		return
 	}
-	if s := t.SMP; s != nil {
-		if r, p := Time(s.runnable.Load()), Time(s.Processors); r > p {
-			d = d * r / p
-		}
-	}
-	t.Charge(CatCompute, d)
+	t.Charge(CatCompute, t.dilate(d)*Time(n))
 	if et := t.evt; et != nil {
 		et.s.preempt(et)
 	}
+}
+
+// Quiet returns how many back-to-back Compute(d) calls run up to and
+// including the first whose safe point hands the slot over: the smallest
+// k ≥ 1 that brings the clock to the scheduler's horizon, or math.MaxInt
+// for an unmanaged task, d ≤ 0 or an empty run queue.  Only the slot
+// holder's own spawns, wakes and faults move the horizon or the dilation
+// before that hand-off, so until it makes one, Quiet stays exact.
+func (t *Task) Quiet(d Time) int {
+	et := t.evt
+	if et == nil || d <= 0 {
+		return math.MaxInt
+	}
+	h := et.s.horizon()
+	if h == emptyKey {
+		return math.MaxInt
+	}
+	dd := t.dilate(d)
+	return int(max(h-t.Now()+dd-1, dd) / dd)
+}
+
+// dilate stretches compute d by the node's time-sharing, d*r/P when its r
+// runnable threads outnumber its P processors.
+func (t *Task) dilate(d Time) Time {
+	if s := t.SMP; s != nil {
+		if r, p := Time(s.runnable.Load()), Time(s.Processors); r > p {
+			return d * r / p
+		}
+	}
+	return d
 }
 
 // WaitUntil advances the clock to instant v if v is in the task's future,
