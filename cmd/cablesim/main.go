@@ -24,9 +24,10 @@
 // host memory — see EXPERIMENTS.md for expected runtimes and footprints.
 // -gran overrides the OS mapping granularity in bytes (64 KB default;
 // 4096 emulates the paper's planned Linux port); it must be a power of
-// two.  -apps, -procs and -gran are checked as the farm checks a spec
-// (bench.CheckSweep): an unknown app, a processor count outside [1, 64] or
-// a non-power-of-two granularity exits 2.
+// two no smaller than the 4 KB page.  -apps, -procs and -gran are checked
+// as the farm checks a spec (bench.CheckSweep): an unknown app, a processor
+// count outside [1, 64] or a granularity that is not a power of two or is
+// below a page exits 2.
 // -jobs bounds how many independent simulation cells run concurrently on
 // the host (default: one per host processor); -jobs 1 runs the classic
 // sequential sweep.  Each cell runs its simulated threads one at a time in

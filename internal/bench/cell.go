@@ -12,6 +12,7 @@ import (
 	cables "cables/internal/core"
 	"cables/internal/fault"
 	"cables/internal/m4"
+	"cables/internal/memsys"
 	"cables/internal/profile"
 	"cables/internal/sim"
 	"cables/internal/stats"
@@ -61,7 +62,8 @@ const maxProcs = 64
 // CheckSweep checks the sweep inputs a user names, for every front end
 // (cablesim, the farm) alike: known applications, processor counts in
 // [1, maxProcs], and a mapping granularity that is 0 (the model's default)
-// or a power of two, as the memory system's segment alignment needs.  It
+// or a power of two, as the memory system's segment alignment needs, and no
+// smaller than a page, the finest unit a home can be bound at.  It
 // returns gran with the model's default folded to 0, so both spellings of
 // the default are one cell with one cache key.
 func CheckSweep(apps []string, procs []int, gran int) (int, error) {
@@ -77,6 +79,9 @@ func CheckSweep(apps []string, procs []int, gran int) (int, error) {
 	}
 	if gran < 0 || gran&(gran-1) != 0 {
 		return 0, fmt.Errorf("mapping granularity %d is not a power of two", gran)
+	}
+	if gran > 0 && gran < memsys.PageSize {
+		return 0, fmt.Errorf("mapping granularity %d is below the %d-byte page", gran, memsys.PageSize)
 	}
 	if gran == defaultGran {
 		gran = 0

@@ -170,6 +170,24 @@ func TestDetachCompletesDegraded(t *testing.T) {
 	}
 }
 
+// TestNICMemOnMasterCompletes: a nicmem plan that leaves the master too
+// little registration memory for another home unit makes first-touch
+// placement fall back to the master, which is under the same pressure.  The
+// master's last grow ignores the plan, so the cell completes with the
+// plan-free checksum instead of panicking on a worker thread.
+func TestNICMemOnMasterCompletes(t *testing.T) {
+	cell := Cell{App: "LU", Backend: BackendCables, Procs: 4, Opts: CellOptions{Scale: ScaleTest}}
+	ref := RunCell(cell, Attach{})
+	cell.Opts.Plan = fault.MustParsePlan("nicmem:node=0,reserve=255M,from=0ms,to=50ms")
+	r := RunCell(cell, Attach{})
+	if ref.Err != nil || r.Err != nil {
+		t.Fatalf("plan-free run: %v; nicmem run: %v", ref.Err, r.Err)
+	}
+	if r.Res.Checksum != ref.Res.Checksum {
+		t.Errorf("checksum under nicmem on the master %v, want the plan-free %v", r.Res.Checksum, ref.Res.Checksum)
+	}
+}
+
 // TestRunFaultsRendersDegraded checks the table renderer end to end: faulted
 // cells read DEGRADED with their time, and nothing reads FAILED.
 func TestRunFaultsRendersDegraded(t *testing.T) {

@@ -127,13 +127,6 @@ func (p *Pool) Submit(fn func()) error {
 	return nil
 }
 
-// Depth returns the current (queued, running) job counts.
-func (p *Pool) Depth() (queued, running int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue), p.running
-}
-
 // Wait blocks until the pool is idle: the queue is empty and no job is
 // running.  It does not stop the workers; more work may be submitted after.
 func (p *Pool) Wait() {

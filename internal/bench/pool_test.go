@@ -22,9 +22,6 @@ func TestPoolRunsAll(t *testing.T) {
 	if got := ran.Load(); got != 100 {
 		t.Errorf("ran %d jobs, want 100", got)
 	}
-	if q, r := p.Depth(); q != 0 || r != 0 {
-		t.Errorf("depth (%d,%d) after Wait, want (0,0)", q, r)
-	}
 }
 
 // TestPoolDrainReturnsQueued: with one worker held, Drain completes the

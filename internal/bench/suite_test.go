@@ -146,6 +146,8 @@ func TestCheckSweep(t *testing.T) {
 		{nil, []int{maxProcs + 1}, 0, 0, "processor count 65 out of range"},
 		{nil, nil, 1000, 0, "mapping granularity 1000 is not a power of two"},
 		{nil, nil, -4096, 0, "mapping granularity -4096 is not a power of two"},
+		{nil, nil, 1024, 0, "mapping granularity 1024 is below the 4096-byte page"},
+		{nil, nil, 1, 0, "mapping granularity 1 is below the 4096-byte page"},
 	} {
 		gran, err := CheckSweep(tc.apps, tc.procs, tc.gran)
 		if tc.wantErr == "" && (err != nil || gran != tc.wantGran) {

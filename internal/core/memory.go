@@ -35,16 +35,11 @@ type MemManager struct {
 
 	allocs     map[memsys.Addr]int64
 	freeList   []freeBlock
-	globalBase memsys.Addr
 	globalNext memsys.Addr
 	globalEnd  memsys.Addr
 
 	roundRobin bool
 	rrNext     int64
-
-	// faultCount[unit][node] counts remote faults for the migration policy
-	// extension (nil until EnableMigrationTracking).
-	faultCount [][]int64
 }
 
 type freeBlock struct {
@@ -113,22 +108,23 @@ func (m *MemManager) initNode(t *sim.Task, node int) {
 			panic("cables: import registration failed")
 		}
 	}
-	if t != nil {
-		m.rt.cl.Nodes[node].ChargeMapSegment(t)
-	}
+	m.rt.cl.Nodes[node].ChargeMapSegment(t)
 }
+
+// globalDataBytes is the size of the GLOBAL static-variable region.
+const globalDataBytes = 1 << 20
 
 // initGlobalData reserves the GLOBAL static-variable region and homes it on
 // the master node (the paper's _declspec(allocate("GLOBAL_DATA")) area).
-func (m *MemManager) initGlobalData(t *sim.Task, size int64) {
-	addr, err := m.sp.AllocSegment("GLOBAL_DATA", size, int64(m.rt.cl.Costs.MapGranularity))
+func (m *MemManager) initGlobalData(t *sim.Task) {
+	addr, err := m.sp.AllocSegment(globalDataBytes, int64(m.rt.cl.Costs.MapGranularity))
 	if err != nil {
 		panic("cables: GLOBAL_DATA reservation failed: " + err.Error())
 	}
-	m.globalBase, m.globalNext = addr, addr
-	m.globalEnd = addr + memsys.Addr(size)
+	m.globalNext = addr
+	m.globalEnd = addr + memsys.Addr(globalDataBytes)
 	first := m.sp.PageOf(addr)
-	last := m.sp.PageOf(addr + memsys.Addr(size) - 1)
+	last := m.sp.PageOf(addr + memsys.Addr(globalDataBytes) - 1)
 	for u := m.UnitOf(first); u <= m.UnitOf(last); u++ {
 		m.unitHome[u] = int32(m.rt.acb.masterNode)
 	}
@@ -152,12 +148,16 @@ func (m *MemManager) GlobalVar(size int64) memsys.Addr {
 // growHome extends a node's pinned home-pages region by extra bytes on
 // behalf of thread t.  Under fault injection the grow rides out transient
 // NIC registration-memory exhaustion via VMMC's deregister/re-register
-// recovery before the caller falls back to another home.
+// recovery before the caller falls back to another home.  The master is
+// every unit's last resort, so when its grow still fails the plan's window
+// is treated as over and one pressure-free grow is made: only genuine
+// hardware exhaustion fails it (no fault plan can wedge a run).
 func (m *MemManager) growHome(t *sim.Task, node int, extra int64) error {
-	if t != nil {
-		return m.rt.cl.VMMC.GrowRecover(t, node, m.homeRegion[node], extra)
+	err := m.rt.cl.VMMC.GrowRecover(t, node, m.homeRegion[node], extra)
+	if err != nil && node == m.rt.acb.masterNode {
+		err = m.rt.cl.VMMC.NIC(node).Grow(m.homeRegion[node], extra)
 	}
-	return m.rt.cl.VMMC.NIC(node).Grow(m.homeRegion[node], extra)
+	return err
 }
 
 // HomeFor implements genima.Placement: resolve the home of a faulting page
@@ -186,9 +186,11 @@ func (m *MemManager) HomeFor(t *sim.Task, pid memsys.PageID) int {
 		want = int32(master)
 	}
 	unitBytes := int64(memsys.PageSize) << m.unitShift
-	if err := m.growHome(t, int(want), unitBytes); err != nil {
+	if err := m.rt.cl.VMMC.GrowRecover(t, int(want), m.homeRegion[want], unitBytes); err != nil {
 		// Pinned/registered limit on the desired home: fall back to the
 		// master node's region (placement degrades, execution survives).
+		// The desired home gets recovery only; the master's pressure-free
+		// last grow (growHome) is kept for this fallback.
 		if err2 := m.growHome(t, master, unitBytes); err2 != nil {
 			panic("cables: no node can host home pages: " + err.Error())
 		}
@@ -250,7 +252,7 @@ func (m *MemManager) Malloc(t *sim.Task, size int64) (memsys.Addr, error) {
 	if size >= int64(m.rt.cl.Costs.MapGranularity) {
 		align = int64(m.rt.cl.Costs.MapGranularity)
 	}
-	addr, err := m.sp.AllocSegment("cables.malloc", size, align)
+	addr, err := m.sp.AllocSegment(size, align)
 	if err != nil {
 		return 0, err
 	}

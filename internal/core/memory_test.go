@@ -82,12 +82,12 @@ func TestMallocErrors(t *testing.T) {
 	}
 }
 
-// TestGlobalVarExhaustion: the GLOBAL_DATA region is finite.
+// TestGlobalVarExhaustion: the GLOBAL_DATA region is finite (1 MB).
 func TestGlobalVarExhaustion(t *testing.T) {
-	rt := cables.New(cables.Config{MaxNodes: 2, ProcsPerNode: 2, GlobalDataBytes: 4096})
+	rt := cables.New(cables.Config{MaxNodes: 2, ProcsPerNode: 2})
 	rt.Start()
 	mem := rt.Mem()
-	for i := 0; i < 64; i++ {
+	for i := 0; i < 1<<20/64; i++ {
 		mem.GlobalVar(64)
 	}
 	defer func() {

@@ -43,8 +43,6 @@ type Config struct {
 	ThreadsPerNode int
 	// ArenaBytes is the shared arena size (default 256 MB).
 	ArenaBytes int64
-	// GlobalDataBytes reserves the GLOBAL static-variable region (default 1 MB).
-	GlobalDataBytes int64
 	// Costs optionally overrides the cost table.
 	Costs *sim.Costs
 	// PrestartNodes attaches this many nodes at Start (default 1: only the
@@ -135,9 +133,6 @@ func New(cfg Config) *Runtime {
 	if cfg.ArenaBytes <= 0 {
 		cfg.ArenaBytes = 256 << 20
 	}
-	if cfg.GlobalDataBytes <= 0 {
-		cfg.GlobalDataBytes = 1 << 20
-	}
 	if cfg.PrestartNodes <= 0 {
 		cfg.PrestartNodes = 1
 	}
@@ -198,7 +193,7 @@ func (rt *Runtime) Start() *Thread {
 	rt.cl.Nodes[0].ThreadStarted()
 
 	rt.mem.initNode(task, 0)
-	rt.mem.initGlobalData(task, rt.cfg.GlobalDataBytes)
+	rt.mem.initGlobalData(task)
 	for n := 1; n < rt.cfg.PrestartNodes && n < rt.cfg.MaxNodes; n++ {
 		rt.attachNode(task, n)
 	}

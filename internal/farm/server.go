@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,7 +11,7 @@ import (
 	"os"
 	"os/signal"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -569,7 +570,11 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	for id := range s.sweeps {
 		ids = append(ids, id)
 	}
-	sort.Strings(ids)
+	// Ids are s%06d, so past s999999 they grow a digit: shorter ids sort
+	// first, which keeps the list in submission order.
+	slices.SortFunc(ids, func(a, b string) int {
+		return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(a, b))
+	})
 	snaps := make([]sweepSnap, len(ids))
 	for i, id := range ids {
 		snaps[i] = snapshot(s.sweeps[id], false)

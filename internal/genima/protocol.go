@@ -114,10 +114,6 @@ type Protocol struct {
 
 	nodes []*nodeState
 
-	// OnRemoteFault, if set, observes every remotely-served page fault
-	// (node that faulted, page).  CableS's migration policy counts these.
-	OnRemoteFault func(node int, pid memsys.PageID)
-
 	locks map[int]*SysLock
 	bars  map[string]*Barrier
 }
@@ -233,9 +229,6 @@ func (p *Protocol) validate(t *sim.Task, pid memsys.PageID) *memsys.PageCopy {
 		p.PublishInvalidate(node, pid)
 	}
 	ctr.Add(node, stats.EvRemotePageFaults, 1)
-	if p.OnRemoteFault != nil {
-		p.OnRemoteFault(node, pid)
-	}
 	t.MarkSpan(uint8(profile.MarkFill), uint64(pid), uint64(memsys.PageSize))
 	pc.SetValid(true)
 	return pc
@@ -522,7 +515,7 @@ func (p *Protocol) PublishInvalidate(node int, pid memsys.PageID) {
 // plus an import entry per peer).  This is the registration pattern whose
 // resource consumption CableS eliminates (Tables 1 and 2).
 func (p *Protocol) Alloc(t *sim.Task, label string, size int64) (memsys.Addr, error) {
-	a, err := p.sp.AllocSegment(label, size, memsys.PageSize)
+	a, err := p.sp.AllocSegment(size, memsys.PageSize)
 	if err != nil {
 		return 0, err
 	}

@@ -166,23 +166,6 @@ func lockFlags(l *SysLock, t *sim.Task) uint64 {
 	return 0
 }
 
-// TryAcquire attempts the lock without blocking (pthread_mutex_trylock).
-// A failed attempt on a remotely-managed lock still pays the probe.
-func (l *SysLock) TryAcquire(t *sim.Task) bool {
-	t.CancelPoint()
-	if !l.held {
-		l.Relock(t) // grants the free lock without parking
-		return true
-	}
-	t.OpenSpan(uint8(profile.SpanLock), uint64(l.id))
-	if l.lastNode != t.NodeID && l.lastNode != -1 {
-		l.p.cl.Wire.Do(t, wire.Op{Kind: wire.KindLockProbe, Dst: l.lastNode, Arg: uint64(l.id)})
-	}
-	t.Charge(sim.CatLocal, l.p.cl.Costs.MutexLocalFast)
-	t.CloseSpan()
-	return false
-}
-
 // Release flushes the caller's write interval and hands the lock to the
 // next waiter (if any).
 func (l *SysLock) Release(t *sim.Task) {

@@ -117,23 +117,6 @@ func (a *Accessor) WriteI64(t *sim.Task, addr Addr, v int64) {
 	t.Compute(t.Costs().MemAccess)
 }
 
-// ReadI32 reads an int32 at addr.
-func (a *Accessor) ReadI32(t *sim.Task, addr Addr) int32 {
-	pid, off := a.check(addr, 4)
-	pc := a.pageForRead(t, pid)
-	v := binary.LittleEndian.Uint32(pc.Data()[off:])
-	t.Compute(t.Costs().MemAccess)
-	return int32(v)
-}
-
-// WriteI32 writes an int32 at addr.
-func (a *Accessor) WriteI32(t *sim.Task, addr Addr, v int32) {
-	pid, off := a.check(addr, 4)
-	pc := a.pageForWrite(t, pid)
-	binary.LittleEndian.PutUint32(pc.Data()[off:], uint32(v))
-	t.Compute(t.Costs().MemAccess)
-}
-
 // --- Strided accessors (column walks; per-word checks, batched charging) ---
 
 // ReadF64Strided fills dst with groups of w consecutive float64s, group j
@@ -276,20 +259,4 @@ func (a *Accessor) WriteI64s(t *sim.Task, addr Addr, src []int64) {
 		off = 0
 	}
 	t.Compute(t.Costs().MemAccess * sim.Time(len(src)))
-}
-
-// Touch validates a page range for reading without transferring data to the
-// caller; used by applications for placement warm-up (first touch).
-func (a *Accessor) Touch(t *sim.Task, addr Addr, n int) {
-	if n <= 0 {
-		return
-	}
-	if !a.Sp.Contains(addr, n) {
-		panic(fmt.Sprintf("memsys: touch [%#x,+%d) outside shared arena", uint64(addr), n))
-	}
-	first := PageID((addr - SpaceBase) >> PageShift)
-	last := PageID((addr + Addr(n) - 1 - SpaceBase) >> PageShift)
-	for pid := first; pid <= last; pid++ {
-		a.pageForRead(t, pid)
-	}
 }

@@ -10,7 +10,6 @@ package memsys
 
 import (
 	"fmt"
-	"slices"
 )
 
 // Page geometry.
@@ -193,7 +192,6 @@ type Space struct {
 	unshares func(node int)
 
 	next Addr
-	segs []Segment
 }
 
 // pageChunk is one on-demand block of page-copy slots (2 MB of arena).
@@ -209,13 +207,6 @@ const (
 	pageChunkShift = 9
 	pageChunkSize  = 1 << pageChunkShift
 )
-
-// Segment records one allocation in the shared arena.
-type Segment struct {
-	Label string
-	Start Addr
-	Size  int64
-}
 
 // NewSpace creates a shared arena of size bytes for a cluster of nodes.
 func NewSpace(nodes int, size int64) *Space {
@@ -341,7 +332,7 @@ func (s *Space) Toucher(pid PageID) int {
 
 // AllocSegment carves size bytes out of the arena, aligned to align (which
 // must be a power of two; 0 means 64).  It returns the segment start.
-func (s *Space) AllocSegment(label string, size int64, align int64) (Addr, error) {
+func (s *Space) AllocSegment(size int64, align int64) (Addr, error) {
 	if size <= 0 {
 		return 0, fmt.Errorf("memsys: allocation of %d bytes", size)
 	}
@@ -357,15 +348,8 @@ func (s *Space) AllocSegment(label string, size int64, align int64) (Addr, error
 			size, s.size-int64(s.next-SpaceBase))
 	}
 	s.next = start + Addr(size)
-	s.segs = append(s.segs, Segment{Label: label, Start: start, Size: size})
 	return start, nil
 }
-
-// Segments returns a snapshot of all allocations made so far.
-func (s *Space) Segments() []Segment { return slices.Clone(s.segs) }
-
-// Used returns the number of arena bytes allocated so far.
-func (s *Space) Used() int64 { return int64(s.next - SpaceBase) }
 
 // MisplacedPages compares each touched page's home against its 4 KB
 // first-toucher reference and returns (misplaced, total touched).  This is

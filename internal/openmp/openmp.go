@@ -240,15 +240,6 @@ func (o *OMP) Critical(name string, body func()) {
 	o.r.record(o.th.Task, "mutex_unlock", func() { mx.Unlock(o.th.Task) })
 }
 
-// Single runs body on thread 0 only, with an implicit barrier —
-// `#pragma omp single` (master-variant).
-func (o *OMP) Single(body func()) {
-	if o.tid == 0 {
-		body()
-	}
-	o.Barrier()
-}
-
 // Finish reports the application's virtual end time.
 func (r *Runtime) Finish() sim.Time { return r.rt.End(r.rt.Main().Task) }
 

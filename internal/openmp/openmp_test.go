@@ -45,28 +45,6 @@ func TestCriticalIsMutuallyExclusive(t *testing.T) {
 	}
 }
 
-// TestSingleRunsOnce: the single construct executes on thread 0 only, with
-// all threads synchronized after it.
-func TestSingleRunsOnce(t *testing.T) {
-	r := newOMP(4)
-	runs := 0
-	after := make([]sim.Time, 0, 4)
-	r.Parallel(func(o *OMP) {
-		o.Task().Compute(sim.Time(o.TID()) * sim.Millisecond)
-		o.Single(func() { runs++ })
-		after = append(after, o.Task().Now())
-	})
-	r.Close()
-	if runs != 1 {
-		t.Errorf("single ran %d times", runs)
-	}
-	for _, now := range after {
-		if now < 3*sim.Millisecond {
-			t.Errorf("thread left single barrier at %v before slowest arrival", now)
-		}
-	}
-}
-
 // TestBarrierSynchronizesRegions: within a region, a barrier merges
 // virtual clocks.
 func TestBarrierSynchronizesRegions(t *testing.T) {

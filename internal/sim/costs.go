@@ -36,9 +36,6 @@ type Costs struct {
 	OSThreadCreate Time
 	// OSRemoteThreadCreate is the remote OS share of a remote thread create.
 	OSRemoteThreadCreate Time
-	// OSProcessCreate is the OS cost of creating a process on a node being
-	// attached to the application.
-	OSProcessCreate Time
 	// OSMapSegment is the OS cost of (re)mapping a virtual-memory segment.
 	OSMapSegment Time
 	// OSBlockWake is the cost of waking a thread that blocked on an OS event
@@ -64,7 +61,6 @@ type Costs struct {
 	AttachRemote   Time // new-node library initialization
 	AttachRemoteOS Time // new-node process creation (OS)
 	AttachComm     Time // mapping-exchange communication
-	AttachTotal    Time // observed wall time (parts overlap; < sum of above)
 
 	MutexLocalFast      Time // lock already cached on this node
 	MutexLocalFirstBase Time // first acquire, local: library share
@@ -125,7 +121,6 @@ func DefaultCosts() *Costs {
 
 		OSThreadCreate:       626 * Microsecond,
 		OSRemoteThreadCreate: 622 * Microsecond,
-		OSProcessCreate:      2031 * Millisecond,
 		OSMapSegment:         66 * Microsecond,
 		OSBlockWake:          1500 * Microsecond,
 		SpinBeforeBlock:      200 * Microsecond,
@@ -141,7 +136,6 @@ func DefaultCosts() *Costs {
 		AttachRemote:   1978 * Millisecond,
 		AttachRemoteOS: 2031 * Millisecond,
 		AttachComm:     1188 * Millisecond,
-		AttachTotal:    3690 * Millisecond,
 
 		MutexLocalFast:      4 * Microsecond,
 		MutexLocalFirstBase: 10 * Microsecond,
@@ -215,7 +209,6 @@ func (c *Costs) LinuxOS() *Costs {
 	c.MapGranularity = 4 << 10
 	c.OSThreadCreate = 120 * Microsecond
 	c.OSRemoteThreadCreate = 120 * Microsecond
-	c.OSProcessCreate = 400 * Millisecond
 	c.OSMapSegment = 12 * Microsecond
 	return c
 }

@@ -23,29 +23,33 @@ func newFaultSys(limits Limits, plan string, seed uint64) (*System, *stats.Count
 }
 
 // TestNICMemPressureShrinksLimit checks that a nicmem rule shrinks the
-// effective registered-byte limit only for time-aware calls inside the rule
+// effective registered-byte limit only for time-aware grows inside the rule
 // window; construction-time registration (Register/Grow) never sees it.
 func TestNICMemPressureShrinksLimit(t *testing.T) {
 	s, _ := newFaultSys(
 		Limits{MaxRegions: 8, MaxRegisteredBytes: 100 << 20, MaxPinnedBytes: 100 << 20},
 		"nicmem:node=1,reserve=64M,from=1ms,to=10ms", 1)
 	nic := s.NIC(1)
-	// Construction-time path ignores pressure even though the rule's window
-	// technically includes t=0..; runtimes register their base regions here.
-	id, err := nic.Register("home", 80<<20, true, false)
+	// Construction-time path ignores pressure: 40M register although only
+	// 36M are left inside the window; runtimes register base regions here.
+	id, err := nic.Register("home", 40<<20, true, false)
 	if err != nil {
 		t.Fatalf("construction-time register saw fault pressure: %v", err)
 	}
-	nic.Unregister(id)
 	// Time-aware path: inside the window only 36M are left.
-	if _, err := nic.RegisterAt("home", 80<<20, true, false, 5*sim.Millisecond); !errors.Is(err, ErrRegisteredLimit) {
-		t.Errorf("pressured register: %v, want ErrRegisteredLimit", err)
+	if err := nic.GrowAt(id, 20<<20, 5*sim.Millisecond); !errors.Is(err, ErrRegisteredLimit) {
+		t.Errorf("pressured grow: %v, want ErrRegisteredLimit", err)
 	}
-	if _, err := nic.RegisterAt("home", 80<<20, true, false, 20*sim.Millisecond); err != nil {
-		t.Errorf("register after window: %v", err)
+	if err := nic.GrowAt(id, 20<<20, 20*sim.Millisecond); err != nil {
+		t.Errorf("grow after window: %v", err)
 	}
 	// An unpressured node is unaffected inside the window.
-	if _, err := s.NIC(2).RegisterAt("home", 80<<20, true, false, 5*sim.Millisecond); err != nil {
+	other := s.NIC(2)
+	id2, err := other.Register("home", 40<<20, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.GrowAt(id2, 20<<20, 5*sim.Millisecond); err != nil {
 		t.Errorf("other node pressured: %v", err)
 	}
 }
@@ -78,7 +82,7 @@ func TestGrowRecoverRidesOutPressure(t *testing.T) {
 	if ctr.Load(stats.EvFaultsInjected) == 0 {
 		t.Error("recovery not tallied as an injection")
 	}
-	if _, reg, _ := nic.Usage(); reg != 56<<20 {
+	if reg := nic.regBytes; reg != 56<<20 {
 		t.Errorf("registered bytes after grow: %d, want 56M", reg)
 	}
 }
@@ -106,7 +110,7 @@ func TestGrowRecoverGivesUpUnderPermanentPressure(t *testing.T) {
 		t.Error("retry attempts charged no virtual time")
 	}
 	// The region is unchanged after the failed grow.
-	if _, reg, _ := nic.Usage(); reg != 48<<20 {
+	if reg := nic.regBytes; reg != 48<<20 {
 		t.Errorf("registered bytes after failed grow: %d, want 48M", reg)
 	}
 }

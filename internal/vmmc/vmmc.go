@@ -8,10 +8,11 @@
 // priced by package wire, whose Plane.Do is the one door for all traffic.
 //
 // Under a fault plan (SetFault, see internal/fault) a nicmem rule applies
-// registration-memory pressure to time-aware calls (RegisterAt/GrowAt):
-// the effective registered-byte limit shrinks for the rule's window,
-// surfacing mid-run exhaustion that GrowRecover rides out with
-// deregister/re-register recovery cycles.
+// registration-memory pressure to the time-aware GrowAt: the effective
+// registered-byte limit shrinks for the rule's window, surfacing mid-run
+// exhaustion that GrowRecover rides out with deregister/re-register
+// recovery cycles.  Construction-time Register and Grow see only the
+// hardware limits.
 package vmmc
 
 import (
@@ -92,22 +93,16 @@ func (n *NIC) effRegLimit(now sim.Time) int64 {
 	return lim
 }
 
-// noPressure is the RegisterAt/GrowAt instant meaning "ignore any fault
-// plan's registration-memory pressure" (virtual time is never negative).
+// noPressure is the GrowAt instant meaning "ignore any fault plan's
+// registration-memory pressure" (virtual time is never negative).
 const noPressure = sim.Time(-1)
 
 // Register enters a region of the given size into the NIC's tables.  Static
 // registrations (dynamic=false) consume the limited resources and may fail;
 // dynamic registrations always succeed but are tracked for reporting.
-// Registration pressure from fault plans is not applied (use RegisterAt).
+// Registration happens at construction time, so fault-plan pressure does
+// not apply: only the hardware limits do.
 func (n *NIC) Register(label string, bytes int64, pinned, dynamic bool) (RegionID, error) {
-	return n.RegisterAt(label, bytes, pinned, dynamic, noPressure)
-}
-
-// RegisterAt is Register evaluated at virtual instant now, so a fault
-// plan's NIC registration-memory pressure active in that window shrinks the
-// effective registered-byte limit.
-func (n *NIC) RegisterAt(label string, bytes int64, pinned, dynamic bool, now sim.Time) (RegionID, error) {
 	if bytes < 0 {
 		return 0, fmt.Errorf("vmmc: negative region size %d", bytes)
 	}
@@ -122,7 +117,7 @@ func (n *NIC) RegisterAt(label string, bytes int64, pinned, dynamic bool, now si
 			return 0, fmt.Errorf("node %d registering %q (%d regions in use): %w",
 				n.node, label, staticCount, ErrRegionLimit)
 		}
-		if lim := n.effRegLimit(now); n.regBytes+bytes > lim {
+		if lim := n.limits.MaxRegisteredBytes; n.regBytes+bytes > lim {
 			return 0, fmt.Errorf("node %d registering %q (%d+%d > %d bytes): %w",
 				n.node, label, n.regBytes, bytes, lim, ErrRegisteredLimit)
 		}
@@ -142,8 +137,9 @@ func (n *NIC) RegisterAt(label string, bytes int64, pinned, dynamic bool, now si
 	return id, nil
 }
 
-// Grow extends an existing static region in place (used by CableS when the
-// contiguous home-pages section is extended on first touch).
+// Grow extends an existing static region in place, ignoring any fault
+// plan's registration-memory pressure (CableS's last-resort grow of the
+// master's home pages).
 func (n *NIC) Grow(id RegionID, extra int64) error {
 	return n.GrowAt(id, extra, noPressure)
 }
@@ -173,31 +169,6 @@ func (n *NIC) GrowAt(id RegionID, extra int64, now sim.Time) error {
 	}
 	r.Bytes += extra
 	return nil
-}
-
-// Unregister removes a region and releases its resources.
-func (n *NIC) Unregister(id RegionID) {
-	r, ok := n.regions[id]
-	if !ok {
-		return
-	}
-	if !r.Dynamic {
-		n.regBytes -= r.Bytes
-		if r.Pinned {
-			n.pinBytes -= r.Bytes
-		}
-	}
-	delete(n.regions, id)
-}
-
-// Usage reports the current static resource consumption.
-func (n *NIC) Usage() (regions int, registered, pinned int64) {
-	for _, r := range n.regions {
-		if !r.Dynamic {
-			regions++
-		}
-	}
-	return regions, n.regBytes, n.pinBytes
 }
 
 // System is the cluster-wide VMMC instance: one NIC per node.

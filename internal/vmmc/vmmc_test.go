@@ -18,8 +18,7 @@ func newSys(limits Limits) *System {
 func TestRegisterWithinLimits(t *testing.T) {
 	s := newSys(Limits{MaxRegions: 2, MaxRegisteredBytes: 100, MaxPinnedBytes: 50})
 	nic := s.NIC(0)
-	id1, err := nic.Register("a", 40, true, false)
-	if err != nil {
+	if _, err := nic.Register("a", 40, true, false); err != nil {
 		t.Fatalf("first: %v", err)
 	}
 	if _, err := nic.Register("b", 30, false, false); err != nil {
@@ -28,13 +27,8 @@ func TestRegisterWithinLimits(t *testing.T) {
 	if _, err := nic.Register("c", 10, false, false); !errors.Is(err, ErrRegionLimit) {
 		t.Errorf("region limit: %v", err)
 	}
-	nic.Unregister(id1)
-	if _, err := nic.Register("c", 10, false, false); err != nil {
-		t.Errorf("after unregister: %v", err)
-	}
-	regions, reg, pin := nic.Usage()
-	if regions != 2 || reg != 40 || pin != 0 {
-		t.Errorf("usage: %d regions %d reg %d pin", regions, reg, pin)
+	if len(nic.regions) != 2 || nic.regBytes != 70 || nic.pinBytes != 40 {
+		t.Errorf("usage: %d regions %d reg %d pin", len(nic.regions), nic.regBytes, nic.pinBytes)
 	}
 }
 
@@ -72,9 +66,8 @@ func TestDynamicRegionsBypassLimits(t *testing.T) {
 			t.Fatalf("dynamic %d: %v", i, err)
 		}
 	}
-	regions, reg, _ := nic.Usage()
-	if regions != 0 || reg != 0 {
-		t.Errorf("dynamic regions counted against limits: %d/%d", regions, reg)
+	if nic.regBytes != 0 || nic.pinBytes != 0 {
+		t.Errorf("dynamic regions counted against limits: %d/%d", nic.regBytes, nic.pinBytes)
 	}
 }
 
@@ -100,35 +93,33 @@ func TestGrow(t *testing.T) {
 }
 
 // TestUsageNeverNegative is a property test: any sequence of register /
-// unregister operations leaves non-negative usage equal to the live set.
+// grow operations, failed ones included, leaves non-negative usage equal to
+// the live set and within the limits.
 func TestUsageNeverNegative(t *testing.T) {
 	f := func(ops []uint8) bool {
-		s := newSys(Limits{MaxRegions: 8, MaxRegisteredBytes: 1 << 20, MaxPinnedBytes: 1 << 20})
+		s := newSys(Limits{MaxRegions: 8, MaxRegisteredBytes: 1 << 14, MaxPinnedBytes: 1 << 13})
 		nic := s.NIC(0)
-		live := make(map[RegionID]int64)
 		var order []RegionID
 		for _, op := range ops {
+			size := int64(op) * 16
 			if op%2 == 0 || len(order) == 0 {
-				size := int64(op) * 64
-				id, err := nic.Register("x", size, op%3 == 0, false)
-				if err == nil {
-					live[id] = size
+				if id, err := nic.Register("x", size, op%3 == 0, false); err == nil {
 					order = append(order, id)
 				}
 			} else {
-				i := int(op) % len(order)
-				id := order[i]
-				nic.Unregister(id)
-				delete(live, id)
-				order = append(order[:i], order[i+1:]...)
+				nic.Grow(order[int(op)%len(order)], size)
 			}
 		}
-		var liveBytes int64
-		for _, sz := range live {
-			liveBytes += sz
+		var liveBytes, pinnedBytes int64
+		for _, r := range nic.regions {
+			liveBytes += r.Bytes
+			if r.Pinned {
+				pinnedBytes += r.Bytes
+			}
 		}
-		regions, reg, pin := nic.Usage()
-		return regions == len(live) && reg == liveBytes && pin >= 0 && pin <= reg
+		return len(nic.regions) == len(order) && nic.regBytes == liveBytes &&
+			nic.pinBytes == pinnedBytes && nic.pinBytes >= 0 && nic.pinBytes <= nic.regBytes &&
+			nic.regBytes <= 1<<14 && nic.pinBytes <= 1<<13
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

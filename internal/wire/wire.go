@@ -69,8 +69,6 @@ const (
 	KindLockRemoteFirst
 	// KindLockGrant hands a released lock to the waiter Dst (DeliverAt).
 	KindLockGrant
-	// KindLockProbe is a failed remote trylock probe.
-	KindLockProbe
 	// KindBarrierArrive announces arrival to the barrier manager Dst.
 	KindBarrierArrive
 	// KindCondWait updates the ACB when a thread blocks on a condition.
@@ -113,7 +111,7 @@ const NumKinds = int(numKinds)
 
 var kindNames = [numKinds]string{
 	"fetch", "write", "stream", "streamfetch", "notify", "migrate",
-	"lock1", "lockr", "lockr1", "grant", "probe", "barrier",
+	"lock1", "lockr", "lockr1", "grant", "barrier",
 	"cwait", "csignal", "cbcast", "admin", "attach", "tcreate",
 	"spawn", "segmig", "segdet", "rehome", "merge", "delreq", "deldone",
 }
@@ -327,7 +325,7 @@ func (p *Plane) flatCost(k Kind, size int) sim.Time {
 		return c.MutexRemoteComm
 	case KindLockRemoteFirst:
 		return c.MutexRemoteComm + c.MutexRemoteFirstAdd
-	case KindLockGrant, KindLockProbe:
+	case KindLockGrant:
 		return c.SendTime(size)
 	case KindBarrierArrive:
 		return c.BarrierNativeComm

@@ -34,7 +34,6 @@ func TestFlatSchedule(t *testing.T) {
 		{KindLockRemote, c.MutexRemoteComm},
 		{KindLockRemoteFirst, c.MutexRemoteComm + c.MutexRemoteFirstAdd},
 		{KindLockGrant, c.SendTime(16)},
-		{KindLockProbe, c.SendTime(16)},
 		{KindBarrierArrive, c.BarrierNativeComm},
 		{KindCondWait, c.CondWaitComm},
 		{KindCondSignal, c.CondSignalComm},
@@ -269,7 +268,12 @@ func TestSendFaultRetryCost(t *testing.T) {
 func TestSetFaultWiresWholeStack(t *testing.T) {
 	p, ctr := newPlane(Options{})
 	p.SetFault(fault.New(fault.MustParsePlan("fetch:p=1;nicmem:node=1,reserve=255M"), 7))
-	if _, err := p.vm.NIC(1).RegisterAt("home", 2<<20, false, false, sim.Millisecond); !errors.Is(err, vmmc.ErrRegisteredLimit) {
+	nic := p.vm.NIC(1)
+	id, err := nic.Register("home", 0, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nic.GrowAt(id, 2<<20, sim.Millisecond); !errors.Is(err, vmmc.ErrRegisteredLimit) {
 		t.Errorf("NIC registration pressure not armed through SetFault: %v", err)
 	}
 	p.Do(newTask(0), Op{Kind: KindFetch, Dst: 1, Size: 4096})
