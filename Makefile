@@ -13,9 +13,11 @@ check: vet build test race determinism benchmark docs profile-smoke
 
 # Documentation lint (cmd/doccheck; its package doc lists the rules):
 # package doc comments, relative markdown links, no CatComm charge outside
-# the wire plane, and every inventory (stats events, profiler spans and
-# marks, farm routes and metric families, coherence protocols, wire op
-# kinds) as its owning package reports it, against the docs.
+# the wire plane, no float between a cost and a clock, no "unsafe" import
+# outside internal/memsys/frame.go, and every inventory (stats events,
+# profiler spans and marks, farm routes and metric families, coherence
+# protocols, wire op kinds) as its owning package reports it, against the
+# docs.
 docs:
 	$(GO) run ./cmd/doccheck
 

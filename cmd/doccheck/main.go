@@ -5,9 +5,10 @@
 // directly (cross-node costs go through wire.Plane.Do); no float32 or
 // float64 appears between a cost and a clock (internal/sim's costs.go and
 // task.go, and internal/wire), so virtual time is integer arithmetic;
-// and every name of each inventory in inventories, read from the package
-// that declares it, appears backquoted where its reference doc must name
-// it.
+// no non-test Go file but internal/memsys/frame.go imports "unsafe" (its
+// byte and word views are the tree's only unchecked conversions); and
+// every name of each inventory in inventories, read from the package that
+// declares it, appears backquoted where its reference doc must name it.
 package main
 
 import (
@@ -119,7 +120,8 @@ func check(root string) ([]string, error) {
 			}
 			return nil
 		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, data, parser.ParseComments|parser.PackageClauseOnly)
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, data, parser.ParseComments|parser.ImportsOnly)
 		if err != nil {
 			return err
 		}
@@ -128,6 +130,11 @@ func check(root string) ([]string, error) {
 		}
 		rel, _ := filepath.Rel(root, path) // cannot fail: path is under root
 		rel = filepath.ToSlash(rel)
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"unsafe"` && rel != unsafeFile {
+				report("%s:%d: unsafe imported outside %s", path, fset.Position(imp.Pos()).Line, unsafeFile)
+			}
+		}
 		plane := strings.HasPrefix(rel, "internal/wire/")
 		intTime := plane || rel == "internal/sim/costs.go" || rel == "internal/sim/task.go"
 		for i, line := range strings.Split(string(data), "\n") {
@@ -170,6 +177,9 @@ func check(root string) ([]string, error) {
 	sort.Strings(problems)
 	return problems, nil
 }
+
+// unsafeFile is the one file that may import unsafe.
+const unsafeFile = "internal/memsys/frame.go"
 
 var (
 	backtick  = regexp.MustCompile("`([^`]+)`")        // a markdown inline-code token

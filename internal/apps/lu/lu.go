@@ -209,16 +209,16 @@ func upperSolve(diag, l []float64, bs int) {
 	}
 }
 
-// matmulSub computes C -= A*B for bs x bs blocks, four columns of a row of
-// C at a time through sub4 and the bs%4 tail columns one at a time.  Every
-// element still sees c -= f*b in ascending k, skipping f == 0, so the
+// matmulSub computes C -= A*B for bs x bs blocks, eight columns of a row
+// of C at a time through sub8, then the bs%8 tail columns one at a time.
+// Every element still sees c -= f*b in ascending k, skipping f == 0, so the
 // result is bit-identical to the triple loop.
 func matmulSub(c, a, b []float64, bs int) {
 	for i := 0; i < bs; i++ {
 		ci, ai := c[i*bs:i*bs+bs], a[i*bs:i*bs+bs]
 		j := 0
-		for ; j+4 <= bs; j += 4 {
-			sub4((*[4]float64)(ci[j:]), ai, b[j:], bs)
+		for ; j+8 <= bs; j += 8 {
+			sub8((*[8]float64)(ci[j:]), ai, b[j:], bs)
 		}
 		for ; j < bs; j++ {
 			x := ci[j]
@@ -232,18 +232,25 @@ func matmulSub(c, a, b []float64, bs int) {
 	}
 }
 
-// sub4 applies x[n] -= f*b[k*bs+n] for n < 4 and each f = a[k] != 0 in
-// ascending k, holding the four sums in registers across the k loop.
-func sub4(x *[4]float64, a, b []float64, bs int) {
-	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+// sub8 applies x[n] -= f*b[k*bs+n] for n < 8 and each f = a[k] != 0 in
+// ascending k, holding the eight sums in registers across the k loop: the
+// loop is bound by the latency of its dependency chains, and eight chains
+// keep eight subtractions in flight.  The explicit float64(…) rounds each
+// product, so no GOARCH may fuse it with the subtraction.
+func sub8(x *[8]float64, a, b []float64, bs int) {
+	x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
 	for k, f := range a {
 		if f != 0 {
-			bk := (*[4]float64)(b[k*bs:])
-			x0 -= f * bk[0]
-			x1 -= f * bk[1]
-			x2 -= f * bk[2]
-			x3 -= f * bk[3]
+			bk := (*[8]float64)(b[k*bs:])
+			x0 -= float64(f * bk[0])
+			x1 -= float64(f * bk[1])
+			x2 -= float64(f * bk[2])
+			x3 -= float64(f * bk[3])
+			x4 -= float64(f * bk[4])
+			x5 -= float64(f * bk[5])
+			x6 -= float64(f * bk[6])
+			x7 -= float64(f * bk[7])
 		}
 	}
-	x[0], x[1], x[2], x[3] = x0, x1, x2, x3
+	x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7] = x0, x1, x2, x3, x4, x5, x6, x7
 }

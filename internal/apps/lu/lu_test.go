@@ -173,11 +173,11 @@ func randomBlock(r *rand.Rand, bs int) []float64 {
 
 // TestKernelsMatchTripleLoops: every block kernel produces the same bits as
 // its triple-loop reference, on random blocks with a quarter of their
-// entries zero, at block sizes that leave every column tail (0 to 3) after
-// matmulSub's four-column groups.
+// entries zero, at block sizes that leave every column tail (0 to 7) after
+// matmulSub's eight-column groups.
 func TestKernelsMatchTripleLoops(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	for _, bs := range []int{16, 32, 33, 34, 35} {
+	for _, bs := range []int{8, 12, 13, 14, 15, 16, 32, 33, 34, 35, 36, 39} {
 		diag, x, y := randomBlock(r, bs), randomBlock(r, bs), randomBlock(r, bs)
 		// An all-zero row of A leaves its row of C alone, so a -0 there
 		// stays -0 only if every f == 0 is skipped (c -= 0*b can give +0).

@@ -174,7 +174,8 @@ func TestDetachCompletesDegraded(t *testing.T) {
 // little registration memory for another home unit makes first-touch
 // placement fall back to the master, which is under the same pressure.  The
 // master's last grow ignores the plan, so the cell completes with the
-// plan-free checksum instead of panicking on a worker thread.
+// plan-free checksum instead of panicking on a worker thread, and the
+// give-up is counted as an injected fault, so the cell reads DEGRADED.
 func TestNICMemOnMasterCompletes(t *testing.T) {
 	cell := Cell{App: "LU", Backend: BackendCables, Procs: 4, Opts: CellOptions{Scale: ScaleTest}}
 	ref := RunCell(cell, Attach{})
@@ -185,6 +186,9 @@ func TestNICMemOnMasterCompletes(t *testing.T) {
 	}
 	if r.Res.Checksum != ref.Res.Checksum {
 		t.Errorf("checksum under nicmem on the master %v, want the plan-free %v", r.Res.Checksum, ref.Res.Checksum)
+	}
+	if r.Ctr.Load(stats.EvFaultsInjected) == 0 {
+		t.Error("nicmem fallback to the master counted no injected fault")
 	}
 }
 

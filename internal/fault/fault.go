@@ -225,8 +225,9 @@ func (j *Injector) AttachDelay(node int) sim.Time {
 }
 
 // NoteRehome records protocol state (a lock, barrier or page) re-homing
-// from a detached node to node.  The caller bumps the specific
-// EvLockRehomes/EvBarrierRehomes/EvPageRehomes counter; this adds
+// from a detached node to node, or home placement on node giving up under
+// registration-memory pressure.  The caller bumps the specific
+// EvLockRehomes/EvBarrierRehomes/EvPageRehomes counter, if any; this adds
 // EvFaultsInjected.
 func (j *Injector) NoteRehome(node int) {
 	if j == nil {

@@ -1,7 +1,6 @@
 package memsys
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -27,7 +26,7 @@ type FaultHandler interface {
 // run one at a time in the cell's single scheduler slot (sim.Scheduler),
 // and neither the check-to-load window nor the store path holds a safe
 // point, so no invalidation, flush or frame recycling can land between a
-// task's validity check and its byte access.
+// task's validity check and its word access.
 type Accessor struct {
 	Sp *Space
 	H  FaultHandler
@@ -38,14 +37,16 @@ func NewAccessor(sp *Space, h FaultHandler) *Accessor {
 	return &Accessor{Sp: sp, H: h}
 }
 
-func (a *Accessor) check(addr Addr, size int) (PageID, int) {
-	if addr&(Addr(size)-1) != 0 {
-		panic(fmt.Sprintf("memsys: unaligned %d-byte access at %#x", size, uint64(addr)))
+// check admits an aligned 8-byte word inside the arena and returns its page
+// and its word index within the page.
+func (a *Accessor) check(addr Addr) (PageID, int) {
+	if addr&7 != 0 {
+		panic(fmt.Sprintf("memsys: unaligned 8-byte access at %#x", uint64(addr)))
 	}
-	if !a.Sp.Contains(addr, size) {
-		panic(fmt.Sprintf("memsys: access [%#x,+%d) outside shared arena", uint64(addr), size))
+	if !a.Sp.Contains(addr, 8) {
+		panic(fmt.Sprintf("memsys: access [%#x,+8) outside shared arena", uint64(addr)))
 	}
-	return PageID((addr - SpaceBase) >> PageShift), int(addr & PageMask)
+	return PageID((addr - SpaceBase) >> PageShift), int(addr&PageMask) >> 3
 }
 
 // pageForRead returns a readable copy of pid on the task's node, faulting
@@ -83,51 +84,48 @@ func (a *Accessor) pageForWrite(t *sim.Task, pid PageID) *PageCopy {
 
 // --- Scalar accessors ---
 
+// load reads the word at addr.
+func (a *Accessor) load(t *sim.Task, addr Addr) uint64 {
+	pid, w := a.check(addr)
+	v := a.pageForRead(t, pid).words[w]
+	t.Compute(t.Costs().MemAccess)
+	return v
+}
+
+// store writes the word at addr.
+func (a *Accessor) store(t *sim.Task, addr Addr, v uint64) {
+	pid, w := a.check(addr)
+	a.pageForWrite(t, pid).words[w] = v
+	t.Compute(t.Costs().MemAccess)
+}
+
 // ReadF64 reads a float64 at addr.
 func (a *Accessor) ReadF64(t *sim.Task, addr Addr) float64 {
-	pid, off := a.check(addr, 8)
-	pc := a.pageForRead(t, pid)
-	v := binary.LittleEndian.Uint64(pc.Data()[off:])
-	t.Compute(t.Costs().MemAccess)
-	return math.Float64frombits(v)
+	return math.Float64frombits(a.load(t, addr))
 }
 
 // WriteF64 writes a float64 at addr.
 func (a *Accessor) WriteF64(t *sim.Task, addr Addr, v float64) {
-	pid, off := a.check(addr, 8)
-	pc := a.pageForWrite(t, pid)
-	binary.LittleEndian.PutUint64(pc.Data()[off:], math.Float64bits(v))
-	t.Compute(t.Costs().MemAccess)
+	a.store(t, addr, math.Float64bits(v))
 }
 
 // ReadI64 reads an int64 at addr.
-func (a *Accessor) ReadI64(t *sim.Task, addr Addr) int64 {
-	pid, off := a.check(addr, 8)
-	pc := a.pageForRead(t, pid)
-	v := binary.LittleEndian.Uint64(pc.Data()[off:])
-	t.Compute(t.Costs().MemAccess)
-	return int64(v)
-}
+func (a *Accessor) ReadI64(t *sim.Task, addr Addr) int64 { return int64(a.load(t, addr)) }
 
 // WriteI64 writes an int64 at addr.
-func (a *Accessor) WriteI64(t *sim.Task, addr Addr, v int64) {
-	pid, off := a.check(addr, 8)
-	pc := a.pageForWrite(t, pid)
-	binary.LittleEndian.PutUint64(pc.Data()[off:], uint64(v))
-	t.Compute(t.Costs().MemAccess)
-}
+func (a *Accessor) WriteI64(t *sim.Task, addr Addr, v int64) { a.store(t, addr, uint64(v)) }
 
 // --- Strided accessors (column walks; per-word checks, batched charging) ---
 
 // ReadF64Strided fills dst with groups of w consecutive float64s, group j
 // at addr+j*stride bytes, exactly as the ReadF64 loop over those words would.
 func (a *Accessor) ReadF64Strided(t *sim.Task, addr Addr, stride, w int, dst []float64) {
-	a.walk(t, addr, stride, w, dst, false)
+	a.walk(t, addr, stride, w, f64Words(dst), false)
 }
 
 // WriteF64Strided stores src the same way, exactly as the WriteF64 loop.
 func (a *Accessor) WriteF64Strided(t *sim.Task, addr Addr, stride, w int, src []float64) {
-	a.walk(t, addr, stride, w, src, true)
+	a.walk(t, addr, stride, w, f64Words(src), true)
 }
 
 // walk visits the words in the scalar loop's order and checks each as the
@@ -137,11 +135,11 @@ func (a *Accessor) WriteF64Strided(t *sim.Task, addr Addr, stride, w int, src []
 // which Quiet and MemNode are re-taken.  A hit neither spawns, wakes nor
 // faults, so the clock, the yields and every fault land where per-word
 // Compute puts them.
-func (a *Accessor) walk(t *sim.Task, addr Addr, stride, w int, v []float64, write bool) {
+func (a *Accessor) walk(t *sim.Task, addr Addr, stride, w int, v []uint64, write bool) {
 	d := t.Costs().MemAccess
 	quiet, hits, node := t.Quiet(d), 0, t.MemNode()
 	for k := range v {
-		pid, off := a.check(addr+Addr(k/w*stride+k%w*8), 8)
+		pid, i := a.check(addr + Addr(k/w*stride+k%w*8))
 		pc := a.Sp.Copy(node, pid)
 		if !pc.Valid() || write && (!pc.Written() || pc.frame == nil || !pc.frame.Exclusive()) {
 			t.ComputeN(d, hits)
@@ -152,10 +150,10 @@ func (a *Accessor) walk(t *sim.Task, addr Addr, stride, w int, v []float64, writ
 			}
 			quiet, hits, node = t.Quiet(d), 0, t.MemNode()
 		}
-		if word := pc.Data()[off:]; write {
-			binary.LittleEndian.PutUint64(word, math.Float64bits(v[k]))
+		if write {
+			pc.words[i] = v[k]
 		} else {
-			v[k] = math.Float64frombits(binary.LittleEndian.Uint64(word))
+			v[k] = pc.words[i]
 		}
 		if hits++; hits == quiet {
 			t.ComputeN(d, hits)
@@ -169,94 +167,37 @@ func (a *Accessor) walk(t *sim.Task, addr Addr, stride, w int, v []float64, writ
 
 // ReadF64s fills dst from the shared array starting at addr.
 func (a *Accessor) ReadF64s(t *sim.Task, addr Addr, dst []float64) {
-	if len(dst) == 0 {
-		return
-	}
-	pid, off := a.check(addr, 8)
-	i := 0
-	for i < len(dst) {
-		data := a.pageForRead(t, pid).Data()[off:]
-		n := (PageSize - off) / 8
-		if rem := len(dst) - i; n > rem {
-			n = rem
-		}
-		out := dst[i : i+n]
-		for k := range out {
-			out[k] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*k:]))
-		}
-		i += n
-		pid++
-		off = 0
-	}
-	t.Compute(t.Costs().MemAccess * sim.Time(len(dst)))
+	a.block(t, addr, f64Words(dst), false)
 }
 
 // WriteF64s stores src into the shared array starting at addr.
 func (a *Accessor) WriteF64s(t *sim.Task, addr Addr, src []float64) {
-	if len(src) == 0 {
-		return
-	}
-	pid, off := a.check(addr, 8)
-	i := 0
-	for i < len(src) {
-		data := a.pageForWrite(t, pid).Data()[off:]
-		n := (PageSize - off) / 8
-		if rem := len(src) - i; n > rem {
-			n = rem
-		}
-		for k, v := range src[i : i+n] {
-			binary.LittleEndian.PutUint64(data[8*k:], math.Float64bits(v))
-		}
-		i += n
-		pid++
-		off = 0
-	}
-	t.Compute(t.Costs().MemAccess * sim.Time(len(src)))
+	a.block(t, addr, f64Words(src), true)
 }
 
 // ReadI64s fills dst from the shared array starting at addr.
 func (a *Accessor) ReadI64s(t *sim.Task, addr Addr, dst []int64) {
-	if len(dst) == 0 {
-		return
-	}
-	pid, off := a.check(addr, 8)
-	i := 0
-	for i < len(dst) {
-		data := a.pageForRead(t, pid).Data()[off:]
-		n := (PageSize - off) / 8
-		if rem := len(dst) - i; n > rem {
-			n = rem
-		}
-		out := dst[i : i+n]
-		for k := range out {
-			out[k] = int64(binary.LittleEndian.Uint64(data[8*k:]))
-		}
-		i += n
-		pid++
-		off = 0
-	}
-	t.Compute(t.Costs().MemAccess * sim.Time(len(dst)))
+	a.block(t, addr, i64Words(dst), false)
 }
 
 // WriteI64s stores src into the shared array starting at addr.
 func (a *Accessor) WriteI64s(t *sim.Task, addr Addr, src []int64) {
-	if len(src) == 0 {
+	a.block(t, addr, i64Words(src), true)
+}
+
+// block moves v to (write) or from the words starting at addr: one check
+// and one copy per page, then one Compute for the whole block.
+func (a *Accessor) block(t *sim.Task, addr Addr, v []uint64, write bool) {
+	if len(v) == 0 {
 		return
 	}
-	pid, off := a.check(addr, 8)
-	i := 0
-	for i < len(src) {
-		data := a.pageForWrite(t, pid).Data()[off:]
-		n := (PageSize - off) / 8
-		if rem := len(src) - i; n > rem {
-			n = rem
+	pid, w := a.check(addr)
+	for i := 0; i < len(v); pid, w = pid+1, 0 {
+		if write {
+			i += copy(a.pageForWrite(t, pid).words[w:], v[i:])
+		} else {
+			i += copy(v[i:], a.pageForRead(t, pid).words[w:])
 		}
-		for k, v := range src[i : i+n] {
-			binary.LittleEndian.PutUint64(data[8*k:], uint64(v))
-		}
-		i += n
-		pid++
-		off = 0
 	}
-	t.Compute(t.Costs().MemAccess * sim.Time(len(src)))
+	t.Compute(t.Costs().MemAccess * sim.Time(len(v)))
 }

@@ -141,10 +141,11 @@ func newCowWorld(t *testing.T, nodes, pages int) *cowWorld {
 }
 
 // write stores a value through the real accessor (exercising the
-// unshare-on-write trigger) and mirrors the bytes into the model.
+// unshare-on-write trigger) and mirrors it, in host byte order, into the
+// model.
 func (w *cowWorld) write(node int, pid PageID, off int, v uint64) {
 	w.acc.WriteI64(w.tasks[node], w.sp.PageAddr(pid)+Addr(off), int64(v))
-	binary.LittleEndian.PutUint64(w.model.at(node, pid).data[off:], v)
+	binary.NativeEndian.PutUint64(w.model.at(node, pid).data[off:], v)
 }
 
 // flush mirrors the protocol's release path for one written page: diff the

@@ -3,17 +3,26 @@ package memsys
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
-// This file is the copy-on-write frame store.  A Frame is a refcounted 4 KB
-// page image: a fetched page, its twin, the home's primary copy and other
-// nodes' clean replicas all alias one frame until the first local write,
-// which unshares just that copy (copy into a pooled frame, swap the copy's
-// pointer, drop the ref).  A frame with more than one reference is immutable;
-// a frame with exactly one reference is private and may be written in place.
+// This file is the copy-on-write frame store.  A Frame is a refcounted page
+// of PageWords 8-byte words: a fetched page, its twin, the home's primary
+// copy and other nodes' clean replicas all alias one frame until the first
+// local write, which unshares just that copy (copy into a pooled frame,
+// swap the copy's pointer, drop the ref).  A frame with more than one
+// reference is immutable; a frame with exactly one reference is private
+// and may be written in place.
 //
-// Invariance contract: frames change which host array a page's bytes live
-// in, never the bytes a simulated access observes or the virtual time it is
+// Words are held in host byte order, and the accessors load and store them
+// whole.  Nothing can observe the order of a word's bytes: the accessors
+// admit only aligned 8-byte words, DiffPage counts and merges per byte lane
+// (so a word's byte order changes neither its count nor its merge), and
+// frames are copied whole.  So the host's byte order changes no output.
+// This file is the only one that imports unsafe, for the three views below.
+//
+// Invariance contract: frames change which host array a page's words live
+// in, never the words a simulated access observes or the virtual time it is
 // charged.  Twin capture still charges the paper's page-copy cost, fetches
 // still charge the wire, and DiffPage still sees byte-exact data/twin pairs
 // — TestCOWMatchesEagerReference checks the COW store byte for byte
@@ -26,13 +35,34 @@ import (
 //
 // Pool-reuse safety: a frame's array returns to the frame pool when its
 // last reference drops, which is safe only if no reader still holds a
-// pointer to it.  Refcounts are exact, and an accessor holds a frame
-// pointer only between its validity check and its load or store, with no
+// pointer to it.  Refcounts are exact, and an accessor holds a frame's
+// words only between its validity check and its load or store, with no
 // safe point in between; so every release (invalidation, twin retirement)
-// runs while no accessor holds the frame, and unshare by construction releases a frame with at least one reference
-// remaining.
+// runs while no accessor holds the frame, and unshare by construction
+// releases a frame with at least one reference remaining.
+
+// PageWords is the number of 8-byte words in a page.
+const PageWords = PageSize / 8
+
+// pageBytes is the byte view of a page's words, for DiffPage and tests.
+func pageBytes(w *[PageWords]uint64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(w)), PageSize)
+}
+
+// f64Words is the word view of a float64 slice: the same memory, bit for bit.
+func f64Words(v []float64) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(v))), len(v))
+}
+
+// i64Words is the word view of an int64 slice.
+func i64Words(v []int64) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(v))), len(v))
+}
+
+// Frame is one refcounted page of words; the file comment above gives its
+// sharing rules.
 type Frame struct {
-	data *[PageSize]byte
+	data *[PageWords]uint64
 	refs int32
 
 	// zero marks the canonical all-zero frame: permanently shared, never
@@ -70,10 +100,10 @@ func (f *Frame) Release() {
 }
 
 // framePool recycles frames together with their arrays.  Pooling the Frame
-// struct (which owns its *[PageSize]byte for life) keeps the steady-state
+// struct (which owns its *[PageWords]uint64 for life) keeps the steady-state
 // flush cycle — twin ref, unshare, twin release — allocation-free.
 var framePool = sync.Pool{
-	New: func() any { return &Frame{data: new([PageSize]byte)} },
+	New: func() any { return &Frame{data: new([PageWords]uint64)} },
 }
 
 // Global frame gauges (process-wide, host-side observability only; never
@@ -123,5 +153,5 @@ func newFrameZeroed() *Frame {
 // aliases it without allocating.
 var zeroFrame = func() *Frame {
 	// refs is pinned above 1 so Exclusive is never true.
-	return &Frame{data: new([PageSize]byte), refs: 2, zero: true}
+	return &Frame{data: new([PageWords]uint64), refs: 2, zero: true}
 }()

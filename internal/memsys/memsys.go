@@ -45,21 +45,34 @@ const NoHome = int32(-1)
 // frame recycling can land between an accessor's validity check and its
 // load or store.
 type PageCopy struct {
+	// words caches frame.data (nil when frame is nil), so an accessor
+	// reaches a word without loading the frame; setFrame keeps the two
+	// together.
+	words *[PageWords]uint64
+	frame *Frame
+
 	// twin is the pristine image captured at the first write of the
 	// current interval on a non-home node; diffs are computed against it
 	// at flush.  It is a reference on the pre-write frame, not a copy.
 	twin *Frame
 
-	frame          *Frame
 	valid, written bool
 }
 
-// Data returns the current byte image (nil before first validation).
-func (p *PageCopy) Data() []byte {
-	if p.frame != nil {
-		return p.frame.data[:]
+// setFrame points the copy at f (nil to unbind) without touching refcounts.
+func (p *PageCopy) setFrame(f *Frame) {
+	p.frame, p.words = f, nil
+	if f != nil {
+		p.words = f.data
 	}
-	return nil
+}
+
+// Data returns the current page as bytes (nil before first validation).
+func (p *PageCopy) Data() []byte {
+	if p.words == nil {
+		return nil
+	}
+	return pageBytes(p.words)
 }
 
 // Frame returns the current frame (nil before first validation).  Test hook.
@@ -68,7 +81,7 @@ func (p *PageCopy) Frame() *Frame { return p.frame }
 // RetireData releases the copy's frame and clears the pointer.
 func (p *PageCopy) RetireData() {
 	if f := p.frame; f != nil {
-		p.frame = nil
+		p.setFrame(nil)
 		f.Release()
 	}
 }
@@ -85,39 +98,38 @@ func (p *PageCopy) Valid() bool { return p.valid }
 // SetValid marks the copy readable.
 func (p *PageCopy) SetValid(v bool) { p.valid = v }
 
-// EnsureFrame binds storage to the copy if it has none and returns the byte
-// image.  A fresh copy aliases the canonical zero frame — the same all-zero
+// EnsureFrame binds storage to the copy if it has none and returns the page
+// as bytes.  A fresh copy aliases the canonical zero frame — the same all-zero
 // content a fresh allocation had, without allocating.  The result is
 // read-only; writers go through EnsureExclusive or the accessor's
 // unshare-on-write path.
 func (p *PageCopy) EnsureFrame() []byte {
 	if p.frame == nil {
-		p.frame = zeroFrame
+		p.setFrame(zeroFrame)
 	}
-	return p.frame.data[:]
+	return pageBytes(p.words)
 }
 
-// EnsureExclusive makes the copy's frame privately owned and returns its
-// writable byte image, unsharing (or allocating) if needed.  Returns
+// EnsureExclusive makes the copy's frame privately owned and returns it as
+// writable bytes, unsharing (or allocating) if needed.  Returns
 // whether a shared frame had to be copied — the caller charges nothing
 // (unshare is host work; the paper's system wrote in place), but counts it.
 func (p *PageCopy) EnsureExclusive() (data []byte, unshared bool) {
 	f := p.frame
 	switch {
 	case f == nil:
-		p.frame = newFrameZeroed()
-		return p.frame.data[:], false
+		p.setFrame(newFrameZeroed())
 	case f.Exclusive():
-		return f.data[:], false
 	case f.zero:
-		p.frame = newFrameZeroed()
-		return p.frame.data[:], true
+		p.setFrame(newFrameZeroed())
+		unshared = true
 	default:
-		p.frame = newFrame()
-		copy(p.frame.data[:], f.data[:])
+		p.setFrame(newFrame())
+		*p.words = *f.data
 		f.Release() // at least the releaser's alias remains (refs were ≥2)
-		return p.frame.data[:], true
+		unshared = true
 	}
+	return pageBytes(p.words), unshared
 }
 
 // CaptureTwin records the copy's current image as the interval twin — a
@@ -128,12 +140,12 @@ func (p *PageCopy) CaptureTwin() {
 	p.twin = p.frame.Ref()
 }
 
-// TwinData returns the twin's byte image, or nil if no twin is captured.
+// TwinData returns the twin as bytes, or nil if no twin is captured.
 func (p *PageCopy) TwinData() []byte {
 	if p.twin == nil {
 		return nil
 	}
-	return p.twin.data[:]
+	return pageBytes(p.twin.data)
 }
 
 // HasTwin reports whether an interval twin is captured.
@@ -157,10 +169,9 @@ func (p *PageCopy) AdoptFrame(src *PageCopy) {
 	}
 	f.Ref()
 	if old := p.frame; old != nil {
-		p.frame = nil
 		old.Release()
 	}
-	p.frame = f
+	p.setFrame(f)
 }
 
 // Space is the cluster-wide shared address space.
@@ -168,10 +179,10 @@ type Space struct {
 	size     int64
 	numPages int
 
-	// pages[node][pid>>pageChunkShift] groups node's page-copy slots into
+	// pages[node][pid>>pageChunkShift] groups node's page copies into
 	// chunks created on demand.  Two levels keep a fresh space cheap: a
-	// flat nodes×numPages slot array for a 256 MB arena is megabytes of
-	// zeroed, GC-scanned pointers per simulation, which dominated the
+	// flat nodes×numPages array of copies for a 256 MB arena is megabytes
+	// of zeroed, GC-scanned pointers per simulation, which dominated the
 	// experiment harness's wall-clock cost before chunking.
 	pages [][]*pageChunk
 
@@ -194,8 +205,9 @@ type Space struct {
 	next Addr
 }
 
-// pageChunk is one on-demand block of page-copy slots (2 MB of arena).
-type pageChunk [pageChunkSize]*PageCopy
+// pageChunk is one on-demand block of page copies (1 MB of arena), held by
+// value: a copy costs no allocation of its own and no load of its own.
+type pageChunk [pageChunkSize]PageCopy
 
 // pageMeta is one page's home and first-toucher record, each biased by +1.
 type pageMeta struct{ home, toucher int32 }
@@ -203,8 +215,11 @@ type pageMeta struct{ home, toucher int32 }
 // metaChunk is one on-demand block of per-page home/toucher records.
 type metaChunk [pageChunkSize]pageMeta
 
+// A chunk of 256 copies is 8 KB.  Nodes touch pages in runs, and over the
+// paper-scale fig5 grid this size keeps the page table smallest: chunks of
+// 512 copies take a fifth more, chunks of 128 or fewer more again.
 const (
-	pageChunkShift = 9
+	pageChunkShift = 8
 	pageChunkSize  = 1 << pageChunkShift
 )
 
@@ -264,11 +279,7 @@ func (s *Space) Copy(node int, pid PageID) *PageCopy {
 	if *cslot == nil {
 		*cslot = new(pageChunk)
 	}
-	slot := &(*cslot)[pid&(pageChunkSize-1)]
-	if *slot == nil {
-		*slot = &PageCopy{}
-	}
-	return *slot
+	return &(*cslot)[pid&(pageChunkSize-1)]
 }
 
 // metaAt returns pid's home/toucher record, or nil if its chunk was never
@@ -384,10 +395,8 @@ func (s *Space) Release() {
 			if ch == nil {
 				continue
 			}
-			for _, pc := range ch {
-				if pc == nil {
-					continue
-				}
+			for i := range ch {
+				pc := &ch[i]
 				pc.valid, pc.written = false, false
 				pc.RetireTwin()
 				pc.RetireData()

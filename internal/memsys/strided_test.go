@@ -1,7 +1,6 @@
 package memsys
 
 import (
-	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -66,9 +65,10 @@ func stridedRun(write, strided bool, base Addr, stride, w, words int) stridedTra
 	sp.BindUnshares(func(int) { tr.unshares++ })
 	addr := func(k int) Addr { return base + Addr(k/w*stride+k%w*8) }
 	for pid := sp.PageOf(addr(0)); pid <= sp.PageOf(addr(words-1)); pid++ {
-		data, _ := sp.Copy(0, pid).EnsureExclusive()
-		for o := 0; o < PageSize; o += 8 {
-			binary.LittleEndian.PutUint64(data[o:], math.Float64bits(float64(int(pid)*1000+o/8)))
+		pc := sp.Copy(0, pid)
+		pc.EnsureExclusive()
+		for i := range pc.words {
+			pc.words[i] = math.Float64bits(float64(int(pid)*1000 + i))
 		}
 	}
 
@@ -109,8 +109,8 @@ func stridedRun(write, strided bool, base Addr, stride, w, words int) stridedTra
 			pc := sp.Copy(0, h.last)
 			switch {
 			case !write:
-				data, _ := pc.EnsureExclusive()
-				binary.LittleEndian.PutUint64(data[turn*8%PageSize:], math.Float64bits(float64(-turn)))
+				pc.EnsureExclusive()
+				pc.words[turn%PageWords] = math.Float64bits(float64(-turn))
 				pc.SetValid(false)
 			case turn%2 == 0:
 				pc.SetWritten(false)
@@ -126,8 +126,8 @@ func stridedRun(write, strided bool, base Addr, stride, w, words int) stridedTra
 	main.Compute(sim.Nanosecond) // yields until a and peer are done
 	if write {
 		for k := range tr.vals {
-			pid, off := acc.check(addr(k), 8)
-			tr.vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(sp.Copy(0, pid).Data()[off:]))
+			pid, i := acc.check(addr(k))
+			tr.vals[k] = math.Float64frombits(sp.Copy(0, pid).words[i])
 		}
 	}
 	tr.clocks = [2]sim.Time{a.Now(), peer.Now()}

@@ -206,7 +206,9 @@ func (s *System) NIC(node int) *NIC { return s.nics[node] }
 // deregister/re-register cycle — two OS mapping operations — before
 // retrying the grow.  The region keeps its identity across the cycle.
 // After MaxRegRetries the exhaustion error is returned and the caller falls
-// back (CableS homes the pages on the master instead).
+// back (CableS homes the pages on the master instead, or the master takes
+// its pressure-free last grow); giving up counts as an injected fault on
+// node, so the cell reads as degraded.
 func (s *System) GrowRecover(t *sim.Task, node int, id RegionID, extra int64) error {
 	n := s.nics[node]
 	err := n.GrowAt(id, extra, t.Now())
@@ -224,5 +226,6 @@ func (s *System) GrowRecover(t *sim.Task, node int, id RegionID, extra int64) er
 			return err
 		}
 	}
+	s.inj.NoteRehome(node)
 	return err
 }
