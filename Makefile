@@ -3,13 +3,13 @@
 # (the farm soak, the telemetry smoke and the full-size FFT memory smoke run
 # in plain `go test ./...`) + race on the protocol-critical packages + the
 # repeated determinism tests at GOMAXPROCS 1 and 2 + the repository
-# benchmark's own vet and short tests + docs lint + a profiler export smoke
-# run.
+# benchmark's own vet and short tests + docs lint + no fused multiply-add on
+# any target + a profiler export smoke run.
 GO ?= go
 
-.PHONY: check vet build test race determinism benchmark bench docs profile-smoke
+.PHONY: check vet build test race determinism benchmark bench docs fma profile-smoke
 
-check: vet build test race determinism benchmark docs profile-smoke
+check: vet build test race determinism benchmark docs fma profile-smoke
 
 # Documentation lint (cmd/doccheck; its package doc lists the rules):
 # package doc comments, relative markdown links, no CatComm charge outside
@@ -20,6 +20,25 @@ check: vet build test race determinism benchmark docs profile-smoke
 # docs.
 docs:
 	$(GO) run ./cmd/doccheck
+
+# A cell's bits must not depend on the GOARCH: every product that feeds an
+# add is rounded explicitly (DESIGN.md §5b), so no compiler may fuse the two
+# into one multiply-add.  Cross-compile internal/ for the targets whose
+# compiler fuses x*y±z and fail on any F(N)MADD/F(N)MSUB in the listing
+# (FMADDD on arm64 and riscv64, FMADD on ppc64le and s390x), and on any
+# VFMADD-style instruction in a hand-written .s file.  The module pattern
+# lists only this repository's packages; the toolchain builds every GOARCH
+# locally.
+FMA_ARCHS = arm64 ppc64le s390x riscv64
+
+fma:
+	@for a in $(FMA_ARCHS); do \
+		out=$$(GOARCH=$$a $(GO) build -gcflags='cables/...=-S' ./internal/... 2>&1) || { echo "$$out"; exit 1; }; \
+		hits=$$(echo "$$out" | grep -E '[[:space:]]F(N)?M(ADD|SUB)[A-Z]*[[:space:]]'); \
+		if [ -n "$$hits" ]; then echo "fused multiply-add on $$a:"; echo "$$hits"; exit 1; fi; \
+	done
+	@hits=$$(grep -rnE 'VF(N)?M(ADD|SUB)' --include='*.s' internal cmd); \
+	if [ -n "$$hits" ]; then echo "fused multiply-add in assembly:"; echo "$$hits"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

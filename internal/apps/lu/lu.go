@@ -159,7 +159,9 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 // The block kernels below slice each row once and range over it, so the
 // compiler drops the per-element bounds checks.  Each keeps the loop order
 // and the floating-point operations of the plain triple loop, so results
-// are bit-identical to it (TestKernelsMatchTripleLoops).
+// are bit-identical to it (TestKernelsMatchTripleLoops).  The explicit
+// float64(…) rounds each product before its subtraction, so no GOARCH may
+// fuse the two into one multiply-add (DESIGN.md §5b).
 
 // factorDiag factors a bs x bs block in place (Doolittle, no pivoting).
 func factorDiag(a []float64, bs int) {
@@ -172,7 +174,7 @@ func factorDiag(a []float64, bs int) {
 			ri := ai[k+1:]
 			rk := ak[k+1:][:len(ri)]
 			for j := range ri {
-				ri[j] -= f * rk[j]
+				ri[j] -= float64(f * rk[j])
 			}
 		}
 	}
@@ -186,7 +188,7 @@ func lowerSolve(diag, u []float64, bs int) {
 			f := diag[i*bs+k]
 			ui := u[i*bs : i*bs+bs][:len(uk)]
 			for j := range ui {
-				ui[j] -= f * uk[j]
+				ui[j] -= float64(f * uk[j])
 			}
 		}
 	}
@@ -203,7 +205,7 @@ func upperSolve(diag, l []float64, bs int) {
 			rl := li[j+1:]
 			rd := dj[j+1:][:len(rl)]
 			for k := range rl {
-				rl[k] -= f * rd[k]
+				rl[k] -= float64(f * rd[k])
 			}
 		}
 	}
@@ -212,8 +214,13 @@ func upperSolve(diag, l []float64, bs int) {
 // matmulSub computes C -= A*B for bs x bs blocks, eight columns of a row
 // of C at a time through sub8, then the bs%8 tail columns one at a time.
 // Every element still sees c -= f*b in ascending k, skipping f == 0, so the
-// result is bit-identical to the triple loop.
+// result is bit-identical to the triple loop.  sub8 checks no bounds on
+// amd64, so the lengths of A and B are checked here, once, before any
+// element changes (a reslice checks only capacity).
 func matmulSub(c, a, b []float64, bs int) {
+	if len(a) < bs*bs || len(b) < bs*bs {
+		panic("lu: matmulSub operand shorter than its block")
+	}
 	for i := 0; i < bs; i++ {
 		ci, ai := c[i*bs:i*bs+bs], a[i*bs:i*bs+bs]
 		j := 0
@@ -224,33 +231,10 @@ func matmulSub(c, a, b []float64, bs int) {
 			x := ci[j]
 			for k, f := range ai {
 				if f != 0 {
-					x -= f * b[k*bs+j]
+					x -= float64(f * b[k*bs+j])
 				}
 			}
 			ci[j] = x
 		}
 	}
-}
-
-// sub8 applies x[n] -= f*b[k*bs+n] for n < 8 and each f = a[k] != 0 in
-// ascending k, holding the eight sums in registers across the k loop: the
-// loop is bound by the latency of its dependency chains, and eight chains
-// keep eight subtractions in flight.  The explicit float64(…) rounds each
-// product, so no GOARCH may fuse it with the subtraction.
-func sub8(x *[8]float64, a, b []float64, bs int) {
-	x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
-	for k, f := range a {
-		if f != 0 {
-			bk := (*[8]float64)(b[k*bs:])
-			x0 -= float64(f * bk[0])
-			x1 -= float64(f * bk[1])
-			x2 -= float64(f * bk[2])
-			x3 -= float64(f * bk[3])
-			x4 -= float64(f * bk[4])
-			x5 -= float64(f * bk[5])
-			x6 -= float64(f * bk[6])
-			x7 -= float64(f * bk[7])
-		}
-	}
-	x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7] = x0, x1, x2, x3, x4, x5, x6, x7
 }

@@ -106,14 +106,15 @@ func TestKernelFactorReconstruction(t *testing.T) {
 }
 
 // The plain triple-loop block kernels, kept as the bit-exact reference for
-// the row-sliced ones in lu.go.
+// the row-sliced ones in lu.go.  They round each product as the kernels do,
+// so no GOARCH fuses one side and not the other.
 
 func refFactorDiag(a []float64, bs int) {
 	for k := 0; k < bs; k++ {
 		for i := k + 1; i < bs; i++ {
 			a[i*bs+k] /= a[k*bs+k]
 			for j := k + 1; j < bs; j++ {
-				a[i*bs+j] -= a[i*bs+k] * a[k*bs+j]
+				a[i*bs+j] -= float64(a[i*bs+k] * a[k*bs+j])
 			}
 		}
 	}
@@ -124,7 +125,7 @@ func refLowerSolve(diag, u []float64, bs int) {
 		for i := k + 1; i < bs; i++ {
 			f := diag[i*bs+k]
 			for j := 0; j < bs; j++ {
-				u[i*bs+j] -= f * u[k*bs+j]
+				u[i*bs+j] -= float64(f * u[k*bs+j])
 			}
 		}
 	}
@@ -136,7 +137,7 @@ func refUpperSolve(diag, l []float64, bs int) {
 		for i := 0; i < bs; i++ {
 			l[i*bs+j] /= d
 			for k := j + 1; k < bs; k++ {
-				l[i*bs+k] -= l[i*bs+j] * diag[j*bs+k]
+				l[i*bs+k] -= float64(l[i*bs+j] * diag[j*bs+k])
 			}
 		}
 	}
@@ -150,7 +151,7 @@ func refMatmulSub(c, a, b []float64, bs int) {
 				continue
 			}
 			for j := 0; j < bs; j++ {
-				c[i*bs+j] -= f * b[k*bs+j]
+				c[i*bs+j] -= float64(f * b[k*bs+j])
 			}
 		}
 	}
@@ -171,14 +172,36 @@ func randomBlock(r *rand.Rand, bs int) []float64 {
 	return b
 }
 
+// specials are IEEE edge values: NaNs with distinct payloads (one of them
+// signalling, one negative), both infinities, subnormals and -0.
+var specials = []float64{
+	math.NaN(), math.Float64frombits(0x7ff0_0000_0000_0dad), math.Float64frombits(0xfff8_0000_0000_beef),
+	math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, -0x1p-1060, 0x1.8p-1023,
+	math.Copysign(0, -1),
+}
+
+// withSpecials returns a copy of blk with every special value written over
+// two random entries.
+func withSpecials(r *rand.Rand, blk []float64) []float64 {
+	out := slices.Clone(blk)
+	for _, v := range specials {
+		out[r.Intn(len(out))], out[r.Intn(len(out))] = v, v
+	}
+	return out
+}
+
 // TestKernelsMatchTripleLoops: every block kernel produces the same bits as
 // its triple-loop reference, on random blocks with a quarter of their
 // entries zero, at block sizes that leave every column tail (0 to 7) after
-// matmulSub's eight-column groups.
+// matmulSub's eight-column groups.  matmulSub is also fed blocks holding
+// IEEE edge values in A, B and C (a NaN f must not be skipped, a -0 f
+// must), and a B one word short, which must panic before C changes.
 func TestKernelsMatchTripleLoops(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, bs := range []int{8, 12, 13, 14, 15, 16, 32, 33, 34, 35, 36, 39} {
 		diag, x, y := randomBlock(r, bs), randomBlock(r, bs), randomBlock(r, bs)
+		sa, sb, sc := withSpecials(r, x), withSpecials(r, y), withSpecials(r, diag)
 		// An all-zero row of A leaves its row of C alone, so a -0 there
 		// stays -0 only if every f == 0 is skipped (c -= 0*b can give +0).
 		a, negZero := slices.Clone(x), slices.Clone(diag)
@@ -198,6 +221,7 @@ func TestKernelsMatchTripleLoops(t *testing.T) {
 			{"upperSolve", func(o []float64) { upperSolve(diag, o, bs) }, func(o []float64) { refUpperSolve(diag, o, bs) }, x},
 			{"matmulSub", func(o []float64) { matmulSub(o, x, y, bs) }, func(o []float64) { refMatmulSub(o, x, y, bs) }, diag},
 			{"matmulSub zero rows", func(o []float64) { matmulSub(o, a, y, bs) }, func(o []float64) { refMatmulSub(o, a, y, bs) }, negZero},
+			{"matmulSub specials", func(o []float64) { matmulSub(o, sa, sb, bs) }, func(o []float64) { refMatmulSub(o, sa, sb, bs) }, sc},
 		}
 		for _, c := range cases {
 			got, want := slices.Clone(c.in), slices.Clone(c.in)
@@ -205,9 +229,21 @@ func TestKernelsMatchTripleLoops(t *testing.T) {
 			c.want(want)
 			for i := range got {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s bs=%d: element %d is %v, want %v", c.name, bs, i, got[i], want[i])
+					t.Fatalf("%s bs=%d: element %d is %#x, want %#x", c.name, bs, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 				}
 			}
+		}
+		short := slices.Clone(diag)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("matmulSub bs=%d: a B one word short did not panic", bs)
+				}
+			}()
+			matmulSub(short, x, y[:len(y)-1], bs)
+		}()
+		if !slices.Equal(short, diag) {
+			t.Errorf("matmulSub bs=%d: a B one word short changed C before it panicked", bs)
 		}
 	}
 }

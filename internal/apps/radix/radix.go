@@ -136,7 +136,7 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 			prev = k
 			sum += float64(k)
 		}
-		red.Add(p, sum+violations*1e18) // violations poison the checksum
+		red.Add(p, sum+float64(violations*1e18)) // violations poison the checksum
 		sec.Leave(t)
 	})
 

@@ -73,9 +73,9 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 		for s := 0; s < ns; s++ {
 			rec[0] = 4 * math.Sin(float64(3*s))
 			rec[1] = 4 * math.Cos(float64(5*s))
-			rec[2] = 6 + 3*math.Sin(float64(s))
-			rec[3] = 0.3 + 0.2*math.Abs(math.Cos(float64(s)))
-			rec[4] = 0.5 + 0.5*math.Sin(float64(7*s))
+			rec[2] = 6 + float64(3*math.Sin(float64(s)))
+			rec[3] = 0.3 + float64(0.2*math.Abs(math.Cos(float64(s))))
+			rec[4] = 0.5 + float64(0.5*math.Sin(float64(7*s)))
 			acc.WriteF64s(main, scene+memsys.Addr(s*64), rec)
 		}
 		acc.WriteI64(main, queue, 0)
@@ -127,7 +127,7 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 			gslice := make([]float64, 512)
 			goff := (int(tid) * 4096) % (gridWords - len(gslice))
 			acc.ReadF64s(t, grid+memsys.Addr(goff*8), gslice)
-			gterm := gslice[0] * 1e-9
+			gterm := float64(gslice[0] * 1e-9)
 			for y := ty * tile; y < (ty+1)*tile; y++ {
 				for x := tx * tile; x < (tx+1)*tile; x++ {
 					v := trace(local, ns, x, y, img) + gterm
@@ -153,7 +153,7 @@ func trace(scene []float64, ns, x, y, img int) float64 {
 	dx := (float64(x)/float64(img) - 0.5) * 2
 	dy := (float64(y)/float64(img) - 0.5) * 2
 	dz := 1.0
-	n := math.Sqrt(dx*dx + dy*dy + dz*dz)
+	n := math.Sqrt(float64(dx*dx) + float64(dy*dy) + float64(dz*dz))
 	dx, dy, dz = dx/n, dy/n, dz/n
 
 	best := math.Inf(1)
@@ -162,9 +162,9 @@ func trace(scene []float64, ns, x, y, img int) float64 {
 		cx, cy, cz := scene[s*8], scene[s*8+1], scene[s*8+2]
 		r := scene[s*8+3]
 		// Solve |o + t d - c|^2 = r^2 with o at the origin.
-		b := dx*cx + dy*cy + dz*cz
-		c := cx*cx + cy*cy + cz*cz - r*r
-		disc := b*b - c
+		b := float64(dx*cx) + float64(dy*cy) + float64(dz*cz)
+		c := float64(cx*cx) + float64(cy*cy) + float64(cz*cz) - float64(r*r)
+		disc := float64(b*b) - c
 		if disc <= 0 {
 			continue
 		}
@@ -172,13 +172,13 @@ func trace(scene []float64, ns, x, y, img int) float64 {
 		if th > 0.01 && th < best {
 			best = th
 			// Lambertian-ish shade from a fixed light direction.
-			px, py, pz := dx*th, dy*th, dz*th
+			px, py, pz := float64(dx*th), float64(dy*th), float64(dz*th)
 			nx, ny, nz := (px-cx)/r, (py-cy)/r, (pz-cz)/r
-			l := nx*0.57 + ny*0.57 + nz*0.57
+			l := float64(nx*0.57) + float64(ny*0.57) + float64(nz*0.57)
 			if l < 0 {
 				l = 0
 			}
-			shade = 0.1 + 0.9*l*scene[s*8+4]
+			shade = 0.1 + float64(0.9*l*scene[s*8+4])
 		}
 	}
 	return shade

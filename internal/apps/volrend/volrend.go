@@ -67,14 +67,15 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 					cx := float64(x-vol/2) / float64(vol)
 					cy := float64(y-vol/2) / float64(vol)
 					cz := float64(z-vol/2) / float64(vol)
-					row[x] = math.Exp(-8*(cx*cx+cy*cy+cz*cz)) +
-						0.3*math.Sin(6*cx)*math.Sin(6*cy)*math.Sin(6*cz)
+					row[x] = math.Exp(-8*(float64(cx*cx)+float64(cy*cy)+float64(cz*cz))) +
+						float64(0.3*math.Sin(6*cx)*math.Sin(6*cy)*math.Sin(6*cz))
 				}
 				acc.WriteF64s(main, volume+memsys.Addr(((z*vol+y)*vol)*8), row)
 			}
 		}
 	}
 
+	rays := castRays(vol, img, cfg.Frames)
 	var sec appapi.Section
 	var red appapi.Reduce
 
@@ -86,24 +87,10 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 		local := make([]float64, vol*vol*vol)
 		acc.ReadF64s(t, volume, local)
 
-		// A ray sample at step s of pixel x is
-		//	rx = ca*(ox-h) - sa*(s-h) + h,  rz = sa*(ox-h) + ca*(s-h) + h
-		// with h = vol/2.  The per-step and per-pixel products are hoisted
-		// into sz/cz and ax/az; the sums run in the same order on the same
-		// operands, so every sample is bit-identical to the inline formula
-		// wherever the compiler fuses no multiply-add (DESIGN.md §5b).
-		h := float64(vol) / 2
-		sz, cz := make([]float64, vol), make([]float64, vol)
 		row := make([]float64, img)
 		sum := 0.0
 		tasksPerFrame := img / cfg.RowsPerTask
 		for f := 0; f < cfg.Frames; f++ {
-			ang := float64(f) * 0.3
-			sa, ca := math.Sin(ang), math.Cos(ang)
-			for s := range sz {
-				sz[s] = sa * (float64(s) - h)
-				cz[s] = ca * (float64(s) - h)
-			}
 			for {
 				rt.Lock(t, 1)
 				task := acc.ReadI64(t, queue)
@@ -119,25 +106,18 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 					// Every ray of the row samples volume row yi; outside
 					// the volume every sample is 0.
 					yi := int(float64(y) / float64(img) * float64(vol))
-					yOK := yi >= 0 && yi < vol-1
-					for x := 0; x < img; x++ {
-						// Cast a rotated ray through the volume.
-						ox := float64(x) / float64(img) * float64(vol)
-						ax, az := ca*(ox-h), sa*(ox-h)
-						acc06 := 0.0
-						opacity := 0.0
-						for s := 0; s < vol && yOK; s++ {
-							xi, zi := int(ax-sz[s]+h), int(az+cz[s]+h)
-							if xi < 0 || zi < 0 || xi >= vol-1 || zi >= vol-1 {
-								continue
-							}
-							d := local[(zi*vol+yi)*vol+xi]
-							if d > 0.1 {
-								contrib := d * (1 - opacity) * 0.25
-								acc06 += contrib
-								opacity += d * 0.2
-								if opacity >= 1 {
-									break
+					for x := range row {
+						acc06, opacity := 0.0, 0.0
+						if yi >= 0 && yi < vol-1 {
+							plane := local[yi*vol:]
+							for _, off := range rays[f][x] {
+								d := plane[off]
+								if d > 0.1 {
+									acc06 += float64(d * (1 - opacity) * 0.25)
+									opacity += float64(d * 0.2)
+									if opacity >= 1 {
+										break
+									}
 								}
 							}
 						}
@@ -164,4 +144,43 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 	res := appapi.Result{App: "VOLREND", Checksum: red.Sum(procs)}
 	appapi.Finalize(rt, &res, &sec)
 	return res
+}
+
+// castRays casts every ray of every frame once: for frame f and image
+// column x it returns the offsets zi*vol*vol+xi of the ray's samples inside
+// the volume, in sample order, so the sample in volume row yi is
+// local[yi*vol:][off].  A ray sample at step s of column x is
+//
+//	rx = ca*(ox-h) - sa*(s-h) + h,  rz = sa*(ox-h) + ca*(s-h) + h
+//
+// with h = vol/2 and the frame's angle in sa, ca; samples outside the
+// volume are left out.  The rays do not depend on the row, so every row of
+// a frame walks the same offsets.  Each product is rounded explicitly, so
+// every sample is bit-identical to the inline formula on any GOARCH
+// (DESIGN.md §5b).
+func castRays(vol, img, frames int) [][][]int32 {
+	// The compiler halves by multiplying by 0.5, so h is rounded too.
+	h := float64(float64(vol) / 2)
+	offs := make([]int32, 0, frames*img*vol)
+	rays := make([][][]int32, frames)
+	for f := range rays {
+		ang := float64(f) * 0.3
+		sa, ca := math.Sin(ang), math.Cos(ang)
+		rays[f] = make([][]int32, img)
+		for x := range rays[f] {
+			ox := float64(float64(x) / float64(img) * float64(vol))
+			ax, az := float64(ca*(ox-h)), float64(sa*(ox-h))
+			start := len(offs)
+			for s := 0; s < vol; s++ {
+				sz, cz := float64(sa*(float64(s)-h)), float64(ca*(float64(s)-h))
+				xi, zi := int(ax-sz+h), int(az+cz+h)
+				if xi < 0 || zi < 0 || xi >= vol-1 || zi >= vol-1 {
+					continue
+				}
+				offs = append(offs, int32(zi*vol*vol+xi))
+			}
+			rays[f][x] = offs[start:len(offs):len(offs)]
+		}
+	}
+	return rays
 }

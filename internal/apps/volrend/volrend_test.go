@@ -2,7 +2,6 @@ package volrend
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"cables/internal/apps/appapi"
@@ -72,19 +71,20 @@ func refRow(local []float64, vol, img, y int, ang float64) (row []float64, outsi
 		return local[(zi*vol+yi)*vol+xi]
 	}
 	sa, ca := math.Sin(ang), math.Cos(ang)
+	h := float64(float64(vol) / 2)
 	row = make([]float64, img)
 	for x := range row {
-		ox := float64(x) / float64(img) * float64(vol)
+		ox := float64(float64(x) / float64(img) * float64(vol))
 		oy := float64(y) / float64(img) * float64(vol)
 		acc06, opacity := 0.0, 0.0
 		for s := 0; s < vol; s++ {
 			sz := float64(s)
-			rx := ca*(ox-float64(vol)/2) - sa*(sz-float64(vol)/2) + float64(vol)/2
-			rz := sa*(ox-float64(vol)/2) + ca*(sz-float64(vol)/2) + float64(vol)/2
+			rx := float64(ca*(ox-h)) - float64(sa*(sz-h)) + h
+			rz := float64(sa*(ox-h)) + float64(ca*(sz-h)) + h
 			d := sample(rx, oy, rz)
 			if d > 0.1 {
-				acc06 += d * (1 - opacity) * 0.25
-				opacity += d * 0.2
+				acc06 += float64(d * (1 - opacity) * 0.25)
+				opacity += float64(d * 0.2)
 				if opacity >= 1 {
 					break
 				}
@@ -98,13 +98,10 @@ func refRow(local []float64, vol, img, y int, ang float64) (row []float64, outsi
 // TestRowsMatchPerSampleFormula renders through Run and compares every row
 // of the last frame, and the one-processor checksum over all frames, bit
 // for bit against the per-sample formula.  The rotated frames send rays out
-// of the volume, and the top rows' y lies outside it.  Go fuses no
-// multiply-add on amd64; other targets may fuse the inline formula and the
-// hoisted one differently, so the test runs on amd64 only.
+// of the volume, and the top rows' y lies outside it.  Every product that
+// feeds an add is rounded explicitly, here and in Run, so no GOARCH fuses
+// either into a multiply-add (`make fma` checks it).
 func TestRowsMatchPerSampleFormula(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("%s may fuse multiply-adds", runtime.GOARCH)
-	}
 	cfg := Config{Volume: 16, Image: 64, Frames: 3, RowsPerTask: 2}
 	vol, img := cfg.Volume, cfg.Image
 	rt := &addrRT{Runtime: m4.New(m4.Config{Procs: 1, ProcsPerNode: 2, ArenaBytes: 32 << 20}), addrs: map[string]memsys.Addr{}}

@@ -92,9 +92,9 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 			cx, cy, cz := c%cdim, (c/cdim)%cdim, c/(cdim*cdim)
 			for m := 0; m < mpc; m++ {
 				i := c*mpc + m
-				cp[m*3+0] = float64(cx) + 0.2 + 0.6*math.Abs(math.Sin(float64(i)))
-				cp[m*3+1] = float64(cy) + 0.2 + 0.6*math.Abs(math.Cos(float64(3*i)))
-				cp[m*3+2] = float64(cz) + 0.2 + 0.6*math.Abs(math.Sin(float64(7*i)))
+				cp[m*3+0] = float64(cx) + 0.2 + float64(0.6*math.Abs(math.Sin(float64(i))))
+				cp[m*3+1] = float64(cy) + 0.2 + float64(0.6*math.Abs(math.Cos(float64(3*i))))
+				cp[m*3+2] = float64(cz) + 0.2 + float64(0.6*math.Abs(math.Sin(float64(7*i))))
 			}
 			acc.WriteF64s(t, cellA(pos, c), cp)
 			acc.WriteF64s(t, cellA(vel, c), zero)
@@ -130,15 +130,15 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 								continue
 							}
 							dx, dy, dz := px-src[o*3], py-src[o*3+1], pz-src[o*3+2]
-							r2 := dx*dx + dy*dy + dz*dz + 0.01
+							r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz) + 0.01
 							if r2 > 1.0 { // cutoff
 								continue
 							}
 							inv := 1 / r2
 							f := inv * inv * (inv - 0.5)
-							cf[m*3+0] += f * dx
-							cf[m*3+1] += f * dy
-							cf[m*3+2] += f * dz
+							cf[m*3+0] += float64(f * dx)
+							cf[m*3+1] += float64(f * dy)
+							cf[m*3+2] += float64(f * dz)
 							potential += inv
 							pairs++
 						}
@@ -167,8 +167,8 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 				acc.ReadF64s(t, cellA(frc, c), cf)
 				const dt = 0.002
 				for i := range cp {
-					cv[i] += dt * cf[i]
-					cp[i] += dt * cv[i]
+					cv[i] += float64(dt * cf[i])
+					cp[i] += float64(dt * cv[i])
 				}
 				acc.WriteF64s(t, cellA(pos, c), cp)
 				acc.WriteF64s(t, cellA(vel, c), cv)

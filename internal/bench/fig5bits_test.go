@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math"
 	"os"
-	"runtime"
 	"testing"
 
 	"cables/internal/stats"
@@ -27,10 +26,10 @@ type fig5Bits struct {
 // host kernels (the page diff, LU's block update, VOLREND's ray loop) may
 // change host time only; any drift in these values is a bug.
 //
-// The values were recorded on linux/amd64, where the Go compiler fuses a
-// multiply and an add into one FMA only for an explicit math.FMA.  The spec
-// lets other targets (arm64, ppc64le, s390x, riscv64) fuse x*y±z and round
-// once, which moves the float results, so the test runs on amd64 only.
+// The values were recorded on linux/amd64.  The spec lets other targets
+// (arm64, ppc64le, s390x, riscv64) fuse x*y±z into one FMA and round once;
+// every product that feeds an add is rounded explicitly, so none can, and
+// `make fma` checks it.
 //
 // On a mismatch the test writes the whole grid it swept to
 // testdata/fig5_test_bits.got.json.  After a change that moves virtual time
@@ -41,9 +40,6 @@ type fig5Bits struct {
 func TestFig5ChecksumBits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps the whole test-scale grid")
-	}
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("bits recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
 	raw, err := os.ReadFile("testdata/fig5_test_bits.json")
 	if err != nil {

@@ -128,36 +128,42 @@ func (a *Accessor) WriteF64Strided(t *sim.Task, addr Addr, stride, w int, src []
 	a.walk(t, addr, stride, w, f64Words(src), true)
 }
 
-// walk visits the words in the scalar loop's order and checks each as the
-// scalar accessor does, but it counts each hit's Compute(MemAccess) instead
-// of making it.  One ComputeN charges the run when it reaches Quiet, the hit
-// whose own safe point would yield, and before a fault or an unshare, after
-// which Quiet and MemNode are re-taken.  A hit neither spawns, wakes nor
-// faults, so the clock, the yields and every fault land where per-word
-// Compute puts them.
+// walk visits the words in the scalar loop's order, group by group so that
+// no address needs a divide, and checks each as the scalar accessor does,
+// but it counts each hit's Compute(MemAccess) instead of making it.  One
+// ComputeN charges the run when it reaches Quiet, the hit whose own safe
+// point would yield, and before a fault or an unshare, after which Quiet and
+// MemNode are re-taken.  A hit neither spawns, wakes nor faults, so the
+// clock, the yields and every fault land where per-word Compute puts them.
 func (a *Accessor) walk(t *sim.Task, addr Addr, stride, w int, v []uint64, write bool) {
+	if w <= 0 {
+		panic("memsys: strided walk with an empty group")
+	}
 	d := t.Costs().MemAccess
 	quiet, hits, node := t.Quiet(d), 0, t.MemNode()
-	for k := range v {
-		pid, i := a.check(addr + Addr(k/w*stride+k%w*8))
-		pc := a.Sp.Copy(node, pid)
-		if !pc.Valid() || write && (!pc.Written() || pc.frame == nil || !pc.frame.Exclusive()) {
-			t.ComputeN(d, hits)
-			if write {
-				pc = a.pageForWrite(t, pid)
-			} else {
-				pc = a.pageForRead(t, pid)
+	for lo, base := 0, addr; lo < len(v); lo, base = lo+w, base+Addr(stride) {
+		grp := v[lo:min(lo+w, len(v))]
+		for j := range grp {
+			pid, i := a.check(base + Addr(j*8))
+			pc := a.Sp.Copy(node, pid)
+			if !pc.Valid() || write && (!pc.Written() || pc.frame == nil || !pc.frame.Exclusive()) {
+				t.ComputeN(d, hits)
+				if write {
+					pc = a.pageForWrite(t, pid)
+				} else {
+					pc = a.pageForRead(t, pid)
+				}
+				quiet, hits, node = t.Quiet(d), 0, t.MemNode()
 			}
-			quiet, hits, node = t.Quiet(d), 0, t.MemNode()
-		}
-		if write {
-			pc.words[i] = v[k]
-		} else {
-			v[k] = pc.words[i]
-		}
-		if hits++; hits == quiet {
-			t.ComputeN(d, hits)
-			quiet, hits = t.Quiet(d), 0
+			if write {
+				pc.words[i] = grp[j]
+			} else {
+				grp[j] = pc.words[i]
+			}
+			if hits++; hits == quiet {
+				t.ComputeN(d, hits)
+				quiet, hits = t.Quiet(d), 0
+			}
 		}
 	}
 	t.ComputeN(d, hits)

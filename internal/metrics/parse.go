@@ -239,7 +239,7 @@ func (s *Scrape) Quantile(histName string, q float64, want map[string]string) (f
 	if total == 0 {
 		return 0, false
 	}
-	rank := q * total
+	rank := float64(q * total)
 	prevLE, prevCum := 0.0, 0.0
 	for _, b := range buckets {
 		if b.cum >= rank {

@@ -78,6 +78,7 @@ type NIC struct {
 
 	regions  map[RegionID]*Region
 	nextID   RegionID
+	static   int // static entries in regions; a region is never removed
 	regBytes int64
 	pinBytes int64
 }
@@ -107,15 +108,9 @@ func (n *NIC) Register(label string, bytes int64, pinned, dynamic bool) (RegionI
 		return 0, fmt.Errorf("vmmc: negative region size %d", bytes)
 	}
 	if !dynamic {
-		staticCount := 0
-		for _, r := range n.regions {
-			if !r.Dynamic {
-				staticCount++
-			}
-		}
-		if staticCount+1 > n.limits.MaxRegions {
+		if n.static+1 > n.limits.MaxRegions {
 			return 0, fmt.Errorf("node %d registering %q (%d regions in use): %w",
-				n.node, label, staticCount, ErrRegionLimit)
+				n.node, label, n.static, ErrRegionLimit)
 		}
 		if lim := n.limits.MaxRegisteredBytes; n.regBytes+bytes > lim {
 			return 0, fmt.Errorf("node %d registering %q (%d+%d > %d bytes): %w",
@@ -126,6 +121,7 @@ func (n *NIC) Register(label string, bytes int64, pinned, dynamic bool) (RegionI
 				n.node, label, n.pinBytes, bytes, n.limits.MaxPinnedBytes,
 				ErrPinnedLimit)
 		}
+		n.static++
 		n.regBytes += bytes
 		if pinned {
 			n.pinBytes += bytes

@@ -2,6 +2,7 @@ package vmmc
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -68,6 +69,14 @@ func TestDynamicRegionsBypassLimits(t *testing.T) {
 	}
 	if nic.regBytes != 0 || nic.pinBytes != 0 {
 		t.Errorf("dynamic regions counted against limits: %d/%d", nic.regBytes, nic.pinBytes)
+	}
+	// Nor do they take a static region entry: the one entry is still free.
+	if _, err := nic.Register("static", 1, false, false); err != nil {
+		t.Fatalf("static after dynamic: %v", err)
+	}
+	_, err := nic.Register("static2", 1, false, false)
+	if !errors.Is(err, ErrRegionLimit) || !strings.Contains(err.Error(), "(1 regions in use)") {
+		t.Errorf("second static at MaxRegions 1: %v", err)
 	}
 }
 
