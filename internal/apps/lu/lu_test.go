@@ -193,8 +193,9 @@ func withSpecials(r *rand.Rand, blk []float64) []float64 {
 
 // TestKernelsMatchTripleLoops: every block kernel produces the same bits as
 // its triple-loop reference, on random blocks with a quarter of their
-// entries zero, at block sizes that leave every column tail (0 to 7) after
-// matmulSub's eight-column groups.  matmulSub is also fed blocks holding
+// entries zero, at block sizes that matmulSub runs through its tail only
+// (8, 12-15), through sixteen-column groups only (16, 32), and through both
+// (33-39).  matmulSub is also fed blocks holding
 // IEEE edge values in A, B and C (a NaN f must not be skipped, a -0 f
 // must), and a B one word short, which must panic before C changes.
 func TestKernelsMatchTripleLoops(t *testing.T) {
