@@ -172,6 +172,13 @@ func TestFig5RaceSmokeLU(t *testing.T) {
 	raceSmokeColumn(t, "LU")
 }
 
+// TestFig5RaceSmokeVOLREND is the `make race` cell for the state every
+// worker of a cell shares on the host: VOLREND's row table, which the
+// workers read, and its per-row sums, which each writes at its own rows.
+func TestFig5RaceSmokeVOLREND(t *testing.T) {
+	raceSmokeColumn(t, "VOLREND")
+}
+
 // TestRepeatRunStableUnderGOMAXPROCS: with host parallelism enabled, two
 // identical runs agree on every event counter and on the whole result —
 // virtual times, checksum and page placement.

@@ -18,12 +18,12 @@ import (
 // result silently goes cold: bump cacheSchema with it.
 func TestProtocolCacheKeyCompat(t *testing.T) {
 	const (
-		pre     = "cables-farm-v3|app=FFT|procs=4|backend=genima|"
+		pre     = "cables-farm-v4|app=FFT|procs=4|backend=genima|"
 		base    = pre + "scale=test|gran=0|contended=false|plan=|seed=0|protocol="
 		genima  = base + "genima"
-		genimaH = "26de36c2829e343e168348282d32ada2ce7301a78de7744008e742f9448f7b46"
+		genimaH = "91ea2d189f89f442d283d8c1677f6592ded6a2d01d4c72783ca5657c60eb23f6"
 		plan    = pre + "scale=test|gran=0|contended=false|plan=send:p=0.05;detach:node=1,at=5ms|seed=3|protocol=genima"
-		planH   = "bcb35aaf011cf159d8e0272b84cb3181d7f48bba7d8a1d8bb9d9eadefe64a09f"
+		planH   = "5484f5996bc2983ea764fbcdfdfa27ae6d25bd526cbc6906e0f18721ecbdf3df"
 	)
 	for _, tc := range []struct {
 		name            string
@@ -35,19 +35,19 @@ func TestProtocolCacheKeyCompat(t *testing.T) {
 		{"seed without plan", func(s *Spec) { s.Seed = 9 }, genima, genimaH},
 		{"gran", func(s *Spec) { s.Gran = 4096 },
 			pre + "scale=test|gran=4096|contended=false|plan=|seed=0|protocol=genima",
-			"3e1a2a6558928fc219eacf09016d046eaa3d851080ff7e0975ab9e591c57f6a6"},
+			"ce200cd8671780856e20bfced670b17aedfde9fedc1a108f41236f6be8469042"},
 		{"contendedSync", func(s *Spec) { s.ContendedSync = true },
 			pre + "scale=test|gran=0|contended=true|plan=|seed=0|protocol=genima",
-			"9bb8008132f2fe413d76ea10fa0e3ee0165bf5af4f494100f6ef899c2658344e"},
+			"d0fa960774e23854b1d6d6305e1a501fc555e9d984186948e51a96c6103787b9"},
 		{"scale full", func(s *Spec) { s.Scale = "full" },
 			pre + "scale=full|gran=0|contended=false|plan=|seed=0|protocol=genima",
-			"b5e23eb1d919b8fb7893055346870428f205ea0005884e6578b89bf80a25046a"},
+			"186fa448a96af3087491ecca98c22556c635c97c56ce23d0f156cb5fc4865da9"},
 		{"plan and seed", func(s *Spec) { s.Plan, s.Seed = "send:p=0.05;detach:node=1,at=5ms", 3 }, plan, planH},
 		{"plan spelling", func(s *Spec) { s.Plan, s.Seed = "send:p=0.0500;detach:at=5ms,node=1", 3 }, plan, planH},
 		{"commutative", func(s *Spec) { s.Protocol = coherence.ProtoCommutative }, base + "commutative",
-			"8b743df33d2fc6743537c153a9fa00b1b2d677d96198023a56d676b9062559d0"},
+			"6b8b871dc58a263d1fa7aaa7f8a2b8e9293baf21434b31033045b6521b9d3a96"},
 		{"delegate", func(s *Spec) { s.Protocol = coherence.ProtoDelegate }, base + "delegate",
-			"1c9b721cccd25caab57d313253434a8a4fa44e966365d88a1a439203f26a6640"},
+			"b5201e10f533ecd29423442048ecd7300aed9b92ef618619c56c10063cd70aa3"},
 	} {
 		s := Spec{Apps: []string{"FFT"}, Procs: []int{4}, Backends: []string{"genima"}, Scale: "test"}
 		tc.edit(&s)

@@ -19,7 +19,7 @@ import (
 func goldenResult(errMsg string, counters bool) *CellResult {
 	r := &CellResult{
 		Key:       strings.Repeat("ab", 32),
-		Canonical: "cables-farm-v3|app=FFT|procs=4|backend=cables|scale=test|gran=0|contended=false|plan=send:p=0.01|seed=7|protocol=genima",
+		Canonical: "cables-farm-v4|app=FFT|procs=4|backend=cables|scale=test|gran=0|contended=false|plan=send:p=0.01|seed=7|protocol=genima",
 		Result: appapi.Result{App: "FFT", Backend: "cables", Procs: 4, Total: 123456789,
 			Parallel: 98765432, Checksum: 13178.546660000001, Misplaced: 3, Touched: 17},
 		Injected: 2, Degraded: errMsg == "", Err: errMsg, HostNS: 2760000,
