@@ -56,7 +56,7 @@ race:
 		./internal/san/... ./internal/vmmc/... ./internal/nodeos/... ./internal/wire/... \
 		./internal/sim/... ./internal/metrics/... ./internal/farm/... \
 		./internal/stats/... ./internal/profile/... ./internal/coherence/... ./internal/fault/...
-	$(GO) test -race -run 'TestFig5RaceSmoke|TestFig5RaceSmokeLU|TestFig5ContendedSyncRaceSmoke|TestFrameLeakBothSched|TestFig5ProtocolSmoke|TestDetachCompletesDegraded|TestTable4And5Reproducible' ./internal/bench/
+	$(GO) test -race -run 'TestFig5RaceSmoke|TestFig5RaceSmokeLU|TestFig5RaceSmokeVOLREND|TestFig5ContendedSyncRaceSmoke|TestFrameLeakBothSched|TestFig5ProtocolSmoke|TestDetachCompletesDegraded|TestTable4And5Reproducible' ./internal/bench/
 
 # A cell is a pure function of its spec: the determinism tests compare
 # repeated runs with ==, 20 times over, on one and on two host threads.
