@@ -39,6 +39,23 @@ type Runtime interface {
 	Finish() sim.Time
 }
 
+// AllocError is the panic value of a failed Alloc: Err is the allocator's
+// error, which the harness reports as the cell's failure.
+type AllocError struct{ Err error }
+
+func (e AllocError) Error() string { return e.Err.Error() }
+
+// Alloc allocates size bytes of global shared memory from rt's main thread
+// (the G_MALLOC macro).  A failed allocation, such as the base system's
+// NIC registration limit, panics with an AllocError: the run cannot go on.
+func Alloc(rt Runtime, label string, size int64) memsys.Addr {
+	a, err := rt.Malloc(rt.Main(), label, size)
+	if err != nil {
+		panic(AllocError{err})
+	}
+	return a
+}
+
 // Name reports a short backend name for reporting ("genima" or "cables").
 type Name interface{ BackendName() string }
 

@@ -74,25 +74,27 @@ func RunWorkers(rt Runtime, procs int, body func(t *sim.Task, proc int)) {
 	}
 }
 
-// Reduce accumulates per-worker float64 contributions deterministically
-// (combined in worker order, independent of arrival order).
-type Reduce struct {
-	vals map[int]float64
-}
-
-// Add records worker p's contribution.
-func (r *Reduce) Add(p int, v float64) {
-	if r.vals == nil {
-		r.vals = make(map[int]float64)
+// Share splits n items over procs in contiguous blocks, giving worker p
+// its [lo,hi) range; the first n%procs workers take one item more.  It is
+// the block partition of every SPLASH-2 port and of `omp for`.
+func Share(n, procs, p int) (lo, hi int) {
+	per := n / procs
+	rem := n % procs
+	lo = p*per + min(p, rem)
+	hi = lo + per
+	if p < rem {
+		hi++
 	}
-	r.vals[p] += v
+	return lo, hi
 }
 
-// Sum combines contributions in worker order.
-func (r *Reduce) Sum(procs int) float64 {
+// Sum adds sums in index order.  Each app keeps one slot per unit of work
+// (a worker, or a tile or row handed out by a work queue), so its checksum
+// does not depend on which worker did the unit or when.
+func Sum(sums []float64) float64 {
 	s := 0.0
-	for p := 0; p < procs; p++ {
-		s += r.vals[p]
+	for _, v := range sums {
+		s += v
 	}
 	return s
 }

@@ -25,20 +25,6 @@ func TestSectionTracksExtremes(t *testing.T) {
 	}
 }
 
-func TestReduceIsOrderIndependent(t *testing.T) {
-	var a, b appapi.Reduce
-	vals := []float64{0.1, 0.2, 0.3, 0.4}
-	for p, v := range vals {
-		a.Add(p, v)
-	}
-	for p := len(vals) - 1; p >= 0; p-- {
-		b.Add(p, vals[p])
-	}
-	if a.Sum(4) != b.Sum(4) {
-		t.Errorf("reduce order-dependent: %g vs %g", a.Sum(4), b.Sum(4))
-	}
-}
-
 func TestResultFormatting(t *testing.T) {
 	r := appapi.Result{
 		App: "FFT", Backend: "cables", Procs: 8,

@@ -35,24 +35,17 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 	n := 1 << cfg.M
 	rows := 1 << (cfg.M / 2) // matrix is rows x rows
 	procs := rt.Procs()
-	main := rt.Main()
 	acc := rt.Acc()
 
 	matBytes := int64(n) * 16 // complex128
-	a, err := rt.Malloc(main, "fft.A", matBytes)
-	if err != nil {
-		panic("fft: " + err.Error())
-	}
-	b, err := rt.Malloc(main, "fft.B", matBytes)
-	if err != nil {
-		panic("fft: " + err.Error())
-	}
+	a := appapi.Alloc(rt, "fft.A", matBytes)
+	b := appapi.Alloc(rt, "fft.B", matBytes)
 
 	var sec appapi.Section
-	var red appapi.Reduce
+	sums := make([]float64, procs)
 
 	appapi.RunWorkers(rt, procs, func(t *sim.Task, p int) {
-		lo, hi := share(rows, procs, p)
+		lo, hi := appapi.Share(rows, procs, p)
 		rowLen := 2 * rows // float64s per row (re,im interleaved)
 		buf := make([]float64, rowLen)
 
@@ -100,25 +93,13 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 				sum += math.Abs(v)
 			}
 		}
-		red.Add(p, sum)
+		sums[p] = sum
 		sec.Leave(t)
 	})
 
-	res := appapi.Result{App: "FFT", Checksum: red.Sum(procs)}
+	res := appapi.Result{App: "FFT", Checksum: appapi.Sum(sums)}
 	appapi.Finalize(rt, &res, &sec)
 	return res
-}
-
-// share splits n items over procs, giving worker p its [lo,hi) range.
-func share(n, procs, p int) (lo, hi int) {
-	per := n / procs
-	rem := n % procs
-	lo = p*per + min(p, rem)
-	hi = lo + per
-	if p < rem {
-		hi++
-	}
-	return lo, hi
 }
 
 func rowAddr(base memsys.Addr, r, rows int) memsys.Addr {
@@ -142,7 +123,7 @@ func fftRows(rt appapi.Runtime, t *sim.Task, acc *memsys.Accessor,
 	base memsys.Addr, rows, lo, hi int, buf []float64) {
 	for r := lo; r < hi; r++ {
 		acc.ReadF64s(t, rowAddr(base, r, rows), buf)
-		fft1d(buf)
+		FFT1D(buf)
 		acc.WriteF64s(t, rowAddr(base, r, rows), buf)
 		// ~5 flops per butterfly, n/2 log2(n) butterflies.
 		nb := rows / 2 * log2(rows)
@@ -172,11 +153,9 @@ func Root(r, c, n int) (wr, wi float64) {
 	return wr, wi
 }
 
-// FFT1D exposes the kernel for the OpenMP variants of the application.
-func FFT1D(v []float64) { fft1d(v) }
-
-// fft1d is an in-place radix-2 complex FFT over interleaved (re,im) pairs.
-func fft1d(v []float64) {
+// FFT1D is an in-place radix-2 complex FFT over interleaved (re,im) pairs;
+// the OpenMP variant of the application calls it too.
+func FFT1D(v []float64) {
 	n := len(v) / 2
 	// Bit-reversal permutation.
 	for i, j := 0, 0; i < n; i++ {

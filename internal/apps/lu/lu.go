@@ -37,7 +37,6 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 	n, bs := cfg.N, cfg.B
 	nb := n / bs // blocks per dimension
 	procs := rt.Procs()
-	main := rt.Main()
 	acc := rt.Acc()
 
 	// Processor grid pr x pc (as square as possible).
@@ -51,17 +50,14 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 	pc := procs / pr
 
 	// Matrix stored block-contiguous: block (bi,bj) occupies bs*bs doubles.
-	mat, err := rt.Malloc(main, "lu.A", int64(n)*int64(n)*8)
-	if err != nil {
-		panic("lu: " + err.Error())
-	}
+	mat := appapi.Alloc(rt, "lu.A", int64(n)*int64(n)*8)
 	blkAddr := func(bi, bj int) memsys.Addr {
 		return mat + memsys.Addr(((bi*nb)+bj)*bs*bs*8)
 	}
 	owner := func(bi, bj int) int { return (bi%pr)*pc + (bj % pc) }
 
 	var sec appapi.Section
-	var red appapi.Reduce
+	sums := make([]float64, procs)
 	blkFlops := sim.Time(2*bs*bs*bs) * flopCost
 
 	appapi.RunWorkers(rt, procs, func(t *sim.Task, p int) {
@@ -147,11 +143,11 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 				}
 			}
 		}
-		red.Add(p, sum)
+		sums[p] = sum
 		sec.Leave(t)
 	})
 
-	res := appapi.Result{App: "LU", Checksum: red.Sum(procs)}
+	res := appapi.Result{App: "LU", Checksum: appapi.Sum(sums)}
 	appapi.Finalize(rt, &res, &sec)
 	return res
 }

@@ -39,39 +39,31 @@ const (
 )
 
 // Run executes OCEAN on rt.  If the base system cannot register the shared
-// segments (the paper's 32-processor failure), Run returns an error result
-// via the Failed field of the harness — here we panic with the registration
-// error wrapped, which the harness catches per experiment.
-func Run(rt appapi.Runtime, cfg Config) (appapi.Result, error) {
+// segments (the paper's 32-processor failure), the allocation panics with
+// an appapi.AllocError, which the harness reports as the cell's failure.
+func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 	if cfg.N == 0 {
 		cfg = DefaultConfig()
 	}
 	n := cfg.N
 	procs := rt.Procs()
-	main := rt.Main()
 	acc := rt.Acc()
 
 	grids := make([]memsys.Addr, mainGrid)
 	for g := range grids {
-		a, err := rt.Malloc(main, "ocean.grid", int64(n)*rowBytes)
-		if err != nil {
-			return appapi.Result{App: "OCEAN"}, err
-		}
-		grids[g] = a
+		grids[g] = appapi.Alloc(rt, "ocean.grid", int64(n)*rowBytes)
 	}
 	for i := 0; i < cfg.AuxGrids; i++ {
-		if _, err := rt.Malloc(main, "ocean.aux", rowBytes); err != nil {
-			return appapi.Result{App: "OCEAN"}, err
-		}
+		appapi.Alloc(rt, "ocean.aux", rowBytes)
 	}
 
 	rowA := func(g memsys.Addr, r int) memsys.Addr { return g + memsys.Addr(r)*rowBytes }
 
 	var sec appapi.Section
-	var red appapi.Reduce
+	sums := make([]float64, procs)
 
 	appapi.RunWorkers(rt, procs, func(t *sim.Task, p int) {
-		lo, hi := share(n, procs, p)
+		lo, hi := appapi.Share(n, procs, p)
 		row := make([]float64, n)
 		up := make([]float64, n)
 		down := make([]float64, n)
@@ -151,22 +143,11 @@ func Run(rt appapi.Runtime, cfg Config) (appapi.Result, error) {
 			}
 			rt.Barrier(t, "ocean.step", procs)
 		}
-		red.Add(p, resid)
+		sums[p] = resid
 		sec.Leave(t)
 	})
 
-	res := appapi.Result{App: "OCEAN", Checksum: red.Sum(procs)}
+	res := appapi.Result{App: "OCEAN", Checksum: appapi.Sum(sums)}
 	appapi.Finalize(rt, &res, &sec)
-	return res, nil
-}
-
-func share(n, procs, p int) (lo, hi int) {
-	per := n / procs
-	rem := n % procs
-	lo = p*per + min(p, rem)
-	hi = lo + per
-	if p < rem {
-		hi++
-	}
-	return lo, hi
+	return res
 }

@@ -4,17 +4,29 @@ import (
 	"math"
 	"testing"
 
+	"cables/internal/apps/appapi"
 	"cables/internal/m4"
 )
 
 func runOcean(t *testing.T, procs, n, iters int) float64 {
 	t.Helper()
 	rt := m4.New(m4.Config{Procs: procs, ProcsPerNode: 2, ArenaBytes: 64 << 20})
-	res, err := Run(rt, Config{N: n, Iters: iters, AuxGrids: 4})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	return res.Checksum
+	return Run(rt, Config{N: n, Iters: iters, AuxGrids: 4}).Checksum
+}
+
+// allocErr runs OCEAN and returns the error of a failed allocation, or nil.
+func allocErr(rt appapi.Runtime, cfg Config) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			ae, ok := r.(appapi.AllocError)
+			if !ok {
+				panic(r)
+			}
+			err = ae.Err
+		}
+	}()
+	Run(rt, cfg)
+	return nil
 }
 
 // TestResidualStableAcrossProcs: the SOR sweeps visit the same points in
@@ -43,11 +55,11 @@ func TestMoreItersMoreWork(t *testing.T) {
 // up to 8 nodes but not on 16.
 func TestSegmentCountTripsBaseRegistration(t *testing.T) {
 	rt16 := m4.New(m4.Config{Procs: 32, ProcsPerNode: 2, ArenaBytes: 64 << 20})
-	if _, err := Run(rt16, Config{N: 64, Iters: 1, AuxGrids: 42}); err == nil {
+	if err := allocErr(rt16, Config{N: 64, Iters: 1, AuxGrids: 42}); err == nil {
 		t.Error("expected registration failure on 16 nodes")
 	}
 	rt8 := m4.New(m4.Config{Procs: 16, ProcsPerNode: 2, ArenaBytes: 64 << 20})
-	if _, err := Run(rt8, Config{N: 64, Iters: 1, AuxGrids: 42}); err != nil {
+	if err := allocErr(rt8, Config{N: 64, Iters: 1, AuxGrids: 42}); err != nil {
 		t.Errorf("unexpected failure on 8 nodes: %v", err)
 	}
 }

@@ -34,34 +34,21 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 	n := cfg.N
 	radix := 1 << cfg.RadixBits
 	procs := rt.Procs()
-	main := rt.Main()
 	acc := rt.Acc()
 
-	src, err := rt.Malloc(main, "radix.keys", int64(n)*8)
-	if err != nil {
-		panic("radix: " + err.Error())
-	}
-	dst, err := rt.Malloc(main, "radix.keys2", int64(n)*8)
-	if err != nil {
-		panic("radix: " + err.Error())
-	}
+	src := appapi.Alloc(rt, "radix.keys", int64(n)*8)
+	dst := appapi.Alloc(rt, "radix.keys2", int64(n)*8)
 	// hist[p][d]: per-processor digit counts; offs[p][d]: write cursors.
-	hist, err := rt.Malloc(main, "radix.hist", int64(procs)*int64(radix)*8)
-	if err != nil {
-		panic("radix: " + err.Error())
-	}
-	offs, err := rt.Malloc(main, "radix.offs", int64(procs)*int64(radix)*8)
-	if err != nil {
-		panic("radix: " + err.Error())
-	}
+	hist := appapi.Alloc(rt, "radix.hist", int64(procs)*int64(radix)*8)
+	offs := appapi.Alloc(rt, "radix.offs", int64(procs)*int64(radix)*8)
 	histA := func(p, d int) memsys.Addr { return hist + memsys.Addr((p*radix+d)*8) }
 	offsA := func(p, d int) memsys.Addr { return offs + memsys.Addr((p*radix+d)*8) }
 
 	var sec appapi.Section
-	var red appapi.Reduce
+	sums := make([]float64, procs)
 
 	appapi.RunWorkers(rt, procs, func(t *sim.Task, p int) {
-		lo, hi := share(n, procs, p)
+		lo, hi := appapi.Share(n, procs, p)
 		keys := make([]int64, hi-lo)
 		counts := make([]int64, radix)
 
@@ -136,25 +123,14 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 			prev = k
 			sum += float64(k)
 		}
-		red.Add(p, sum+float64(violations*1e18)) // violations poison the checksum
+		sums[p] = sum + float64(violations*1e18) // violations poison the checksum
 		sec.Leave(t)
 	})
 
-	res := appapi.Result{App: "RADIX", Checksum: red.Sum(procs)}
+	res := appapi.Result{App: "RADIX", Checksum: appapi.Sum(sums)}
 	appapi.Finalize(rt, &res, &sec)
 	return res
 }
 
 // newWorkerRNG seeds worker p's deterministic key stream.
 func newWorkerRNG(p int) *sim.RNG { return sim.NewRNG(uint64(p)*77 + 13) }
-
-func share(n, procs, p int) (lo, hi int) {
-	per := n / procs
-	rem := n % procs
-	lo = p*per + min(p, rem)
-	hi = lo + per
-	if p < rem {
-		hi++
-	}
-	return lo, hi
-}

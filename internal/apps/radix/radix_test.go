@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"cables/internal/apps/appapi"
 	"cables/internal/m4"
 )
 
@@ -27,7 +28,7 @@ func TestKeySumPreserved(t *testing.T) {
 	const n, procs = 8 << 10, 4
 	want := 0.0
 	for p := 0; p < procs; p++ {
-		lo, hi := share(n, procs, p)
+		lo, hi := appapi.Share(n, procs, p)
 		rng := newWorkerRNG(p)
 		mask := int64(1)<<16 - 1
 		for i := lo; i < hi; i++ {

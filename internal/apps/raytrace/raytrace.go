@@ -47,24 +47,12 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 	acc := rt.Acc()
 
 	// Scene: ns spheres of 8 doubles (center xyz, radius, color rgb, pad).
-	scene, err := rt.Malloc(main, "ray.scene", int64(ns)*64)
-	if err != nil {
-		panic("raytrace: " + err.Error())
-	}
-	image, err := rt.Malloc(main, "ray.image", int64(img)*int64(img)*8)
-	if err != nil {
-		panic("raytrace: " + err.Error())
-	}
+	scene := appapi.Alloc(rt, "ray.scene", int64(ns)*64)
+	image := appapi.Alloc(rt, "ray.image", int64(img)*int64(img)*8)
 	// Work queue: one shared counter of tiles handed out.
-	queue, err := rt.Malloc(main, "ray.queue", 8)
-	if err != nil {
-		panic("raytrace: " + err.Error())
-	}
+	queue := appapi.Alloc(rt, "ray.queue", 8)
 	// Acceleration grid: large, read-only, master-built.
-	grid, err := rt.Malloc(main, "ray.grid", cfg.GridBytes)
-	if err != nil {
-		panic("raytrace: " + err.Error())
-	}
+	grid := appapi.Alloc(rt, "ray.grid", cfg.GridBytes)
 	gridWords := int(cfg.GridBytes / 8)
 
 	// The main thread builds the scene (read-only thereafter).
@@ -96,7 +84,7 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 	totalTiles := tilesPerDim * tilesPerDim
 
 	var sec appapi.Section
-	var red appapi.Reduce
+	sums := make([]float64, procs)
 
 	appapi.RunWorkers(rt, procs, func(t *sim.Task, p int) {
 		rt.Barrier(t, "ray.init", procs)
@@ -138,11 +126,11 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 				t.Compute(sim.Time(tile) * sim.Time(ns) * 12 * flopCost)
 			}
 		}
-		red.Add(p, sum)
+		sums[p] = sum
 		sec.Leave(t)
 	})
 
-	res := appapi.Result{App: "RAYTRACE", Checksum: red.Sum(procs)}
+	res := appapi.Result{App: "RAYTRACE", Checksum: appapi.Sum(sums)}
 	appapi.Finalize(rt, &res, &sec)
 	return res
 }

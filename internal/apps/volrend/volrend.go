@@ -45,18 +45,9 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 	main := rt.Main()
 	acc := rt.Acc()
 
-	volume, err := rt.Malloc(main, "vol.volume", int64(vol*vol*vol)*8)
-	if err != nil {
-		panic("volrend: " + err.Error())
-	}
-	image, err := rt.Malloc(main, "vol.image", int64(img*img)*8)
-	if err != nil {
-		panic("volrend: " + err.Error())
-	}
-	queue, err := rt.Malloc(main, "vol.queue", 8)
-	if err != nil {
-		panic("volrend: " + err.Error())
-	}
+	volume := appapi.Alloc(rt, "vol.volume", int64(vol*vol*vol)*8)
+	image := appapi.Alloc(rt, "vol.image", int64(img*img)*8)
+	queue := appapi.Alloc(rt, "vol.queue", 8)
 
 	// Main builds the volume, read-only afterwards, and keeps its host copy.
 	field := density(vol)
@@ -122,10 +113,7 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 		sec.Leave(t)
 	})
 
-	res := appapi.Result{App: "VOLREND"}
-	for _, sum := range rowSums {
-		res.Checksum += sum
-	}
+	res := appapi.Result{App: "VOLREND", Checksum: appapi.Sum(rowSums)}
 	appapi.Finalize(rt, &res, &sec)
 	return res
 }

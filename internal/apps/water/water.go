@@ -49,20 +49,12 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 	}
 	mpc := nm / ncells // molecules per cell (static occupancy)
 	procs := rt.Procs()
-	main := rt.Main()
 	acc := rt.Acc()
 
 	// Cell-major state arrays: 3 doubles per molecule each.
-	alloc := func(label string) memsys.Addr {
-		a, err := rt.Malloc(main, label, int64(nm)*24)
-		if err != nil {
-			panic("water: " + err.Error())
-		}
-		return a
-	}
-	pos := alloc("water.pos")
-	vel := alloc("water.vel")
-	frc := alloc("water.frc")
+	pos := appapi.Alloc(rt, "water.pos", int64(nm)*24)
+	vel := appapi.Alloc(rt, "water.vel", int64(nm)*24)
+	frc := appapi.Alloc(rt, "water.frc", int64(nm)*24)
 	cellA := func(base memsys.Addr, c int) memsys.Addr {
 		return base + memsys.Addr(c*mpc*24)
 	}
@@ -75,7 +67,7 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 	}
 
 	var sec appapi.Section
-	var red appapi.Reduce
+	sums := make([]float64, procs)
 
 	appapi.RunWorkers(rt, procs, func(t *sim.Task, p int) {
 		cp := make([]float64, mpc*3) // own cell positions
@@ -181,11 +173,11 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 		// lock-protected global sums).
 		rt.Lock(t, 1)
 		rt.Unlock(t, 1)
-		red.Add(p, potential)
+		sums[p] = potential
 		sec.Leave(t)
 	})
 
-	res := appapi.Result{App: name, Checksum: red.Sum(procs)}
+	res := appapi.Result{App: name, Checksum: appapi.Sum(sums)}
 	appapi.Finalize(rt, &res, &sec)
 	return res
 }

@@ -73,11 +73,17 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("bench: %s panicked: %v", e.App, e.Value)
 }
 
-// runAppOn dispatches to the workload implementations.  A panic in the
-// workload is returned as a *PanicError.
+// runAppOn dispatches to the workload implementations.  A failed shared
+// allocation (appapi.AllocError) is returned as the allocator's error, an
+// outcome the cell's spec determines; any other panic in the workload is
+// returned as a *PanicError.
 func runAppOn(rt appapi.Runtime, name string, scale Scale) (res appapi.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			if ae, ok := r.(appapi.AllocError); ok {
+				res, err = appapi.Result{App: name}, ae.Err
+				return
+			}
 			err = &PanicError{App: name, Value: r}
 		}
 	}()
@@ -108,7 +114,7 @@ func runAppOn(rt appapi.Runtime, name string, scale Scale) (res appapi.Result, e
 		case ScaleFull:
 			cfg.N = 512 // the testbed's 514x514 grid, at the solver's power-of-two
 		}
-		res, err = ocean.Run(rt, cfg)
+		res = ocean.Run(rt, cfg)
 	case "RADIX":
 		cfg := radix.DefaultConfig()
 		switch scale {
@@ -158,16 +164,14 @@ func runAppOn(rt appapi.Runtime, name string, scale Scale) (res appapi.Result, e
 	default:
 		return res, fmt.Errorf("bench: unknown application %q", name)
 	}
-	if err == nil {
-		// Tear the space down: every frame reference is dropped and the
-		// pool repopulated for the next cell, so back-to-back runs reuse
-		// frames instead of re-allocating them (and TestMemSmoke can assert
-		// that framesResident returns to its baseline).  A failed run may
-		// leak blocked worker goroutines that still hold frame pointers,
-		// so its frames are left to the garbage collector instead.
-		rt.Acc().Sp.Release()
-	}
-	return res, err
+	// Tear the space down: every frame reference is dropped and the pool
+	// repopulated for the next cell, so back-to-back runs reuse frames
+	// instead of re-allocating them (and TestMemSmoke can assert that
+	// framesResident returns to its baseline).  A failed run never gets
+	// here: it may leak blocked worker goroutines that still hold frame
+	// pointers, so its frames are left to the garbage collector instead.
+	rt.Acc().Sp.Release()
+	return res, nil
 }
 
 // fprintf writes formatted output, ignoring errors (report streams).

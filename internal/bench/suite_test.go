@@ -90,6 +90,25 @@ func TestWorkloadPanicIsPanicError(t *testing.T) {
 	}
 }
 
+// TestAllocFailureIsCellError: a workload whose shared allocation fails
+// (FFT on an arena too small for its second matrix) fails its cell with the
+// allocator's own error, not a *PanicError, so the failure is an outcome of
+// the cell's spec, as OCEAN's registration limit is.
+func TestAllocFailureIsCellError(t *testing.T) {
+	rt := newRuntime(BackendGenima, 1, 64<<10, nil, testOpts)
+	res, err := runAppOn(rt, "FFT", ScaleTest)
+	var pe *PanicError
+	if err == nil || errors.As(err, &pe) {
+		t.Fatalf("FFT on a 64 KB arena: err %v, want the allocator's error", err)
+	}
+	if want := "memsys: shared arena exhausted (65536 bytes requested, 0 free)"; err.Error() != want {
+		t.Errorf("error text %q, want %q", err.Error(), want)
+	}
+	if res.App != "FFT" {
+		t.Errorf("result app %q, want FFT", res.App)
+	}
+}
+
 // TestSweepKeepsCellOnPanic: Grid orders its cells apps, then procs, then
 // genima before cables; and a cell that panics (an unknown backend panics
 // in newRuntime) keeps its Cell and reports the panic as its Err,

@@ -2,6 +2,8 @@ package farm
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -352,6 +354,36 @@ func TestPanickedCellNotCached(t *testing.T) {
 	}
 	admissionInvariant(t, srv)
 	terminalInvariant(t, srv)
+}
+
+// TestOceanRegistrationFailureIsCached: OCEAN on the base system at 32
+// processors runs out of NIC regions.  That is an outcome of the cell's
+// spec, so the cell fails with the registration error, is cached (a
+// resubmission is a hit), and encodes to the same JSON every time.
+func TestOceanRegistrationFailureIsCached(t *testing.T) {
+	const wantErr = `genima: static registration failed: node 0 registering "ocean.aux" (512 regions in use): vmmc: NIC region table full`
+	const wantSHA = "3d5cf6718a8fb2f3c843358e5edd38be3e328ef8398e0b28b050e5a3161cbcab"
+	r := runCellSim(bench.Cell{App: "OCEAN", Backend: bench.BackendGenima, Procs: 32,
+		Opts: bench.CellOptions{Scale: bench.ScaleTest}})
+	if r.panicked || r.Err != wantErr {
+		t.Fatalf("panicked %v, error %q; want a cacheable failure with %q", r.panicked, r.Err, wantErr)
+	}
+	r.encode()
+	if sum := sha256.Sum256(r.full); hex.EncodeToString(sum[:]) != wantSHA {
+		t.Errorf("result JSON moved (SHA-256 %x, want %s):\n%s", sum, wantSHA, r.full)
+	}
+
+	srv, ts := newTestFarm(t, Config{Jobs: 1})
+	for i := 0; i < 2; i++ {
+		sv := waitSweep(t, ts, postSweep(t, ts,
+			`{"apps":["OCEAN"],"procs":[32],"backends":["genima"],"scale":"test"}`).ID)
+		if c := sv.Cells[0]; c.Status != CellFailed || c.Result == nil || c.Result.Err != wantErr {
+			t.Errorf("sweep %d: cell %s, result %+v; want failed with %q", i, c.Status, c.Result, wantErr)
+		}
+	}
+	if misses := srv.metrics.cacheMisses.Load(); misses != 1 {
+		t.Errorf("cacheMisses = %d, want 1: the failure is cached", misses)
+	}
 }
 
 // TestConcurrentViews renders every view while cells complete: clients

@@ -191,31 +191,15 @@ func (r *Runtime) Close() {
 // For executes a statically scheduled work-shared loop over [lo,hi) with an
 // implicit closing barrier — `#pragma omp for`.
 func (o *OMP) For(lo, hi int, body func(i int)) {
-	n := hi - lo
-	per := n / o.r.procs
-	rem := n % o.r.procs
-	myLo := lo + o.tid*per + min(o.tid, rem)
-	myHi := myLo + per
-	if o.tid < rem {
-		myHi++
-	}
-	for i := myLo; i < myHi; i++ {
-		body(i)
-	}
+	o.ForNowait(lo, hi, body)
 	o.Barrier()
 }
 
-// ForNowait is `#pragma omp for nowait`: no closing barrier.
+// ForNowait is `#pragma omp for nowait`: thread tid runs its block of
+// [lo,hi) (appapi.Share), with no closing barrier.
 func (o *OMP) ForNowait(lo, hi int, body func(i int)) {
-	n := hi - lo
-	per := n / o.r.procs
-	rem := n % o.r.procs
-	myLo := lo + o.tid*per + min(o.tid, rem)
-	myHi := myLo + per
-	if o.tid < rem {
-		myHi++
-	}
-	for i := myLo; i < myHi; i++ {
+	myLo, myHi := appapi.Share(hi-lo, o.r.procs, o.tid)
+	for i := lo + myLo; i < lo+myHi; i++ {
 		body(i)
 	}
 }
