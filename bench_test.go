@@ -15,7 +15,6 @@ import (
 
 	"cables/internal/apps/appapi"
 	"cables/internal/apps/fft"
-	"cables/internal/apps/omp"
 	"cables/internal/bench"
 	cables "cables/internal/core"
 	"cables/internal/openmp"
@@ -208,7 +207,7 @@ func BenchmarkAblation_OpenMPPoolWarmup(b *testing.B) {
 		r.Warmup()
 		warm := main.Now() - t0
 		t1 := main.Now()
-		r.Parallel(func(o *omp.OMP) { o.Task().Compute(10 * sim.Microsecond) })
+		r.Parallel(func(o *openmp.OMP) { o.Task().Compute(10 * sim.Microsecond) })
 		region := main.Now() - t1
 		r.Close()
 		if i == b.N-1 {

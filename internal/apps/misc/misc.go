@@ -12,22 +12,19 @@ import (
 	"cables/internal/stats"
 )
 
-// OpStats aliases the shared per-operation timing collector.
-type OpStats = stats.OpStats
-
 // ProgResult is a pthreads demo program's outcome.
 type ProgResult struct {
 	Name   string
 	Answer int64
 	Total  sim.Time
-	Stats  *OpStats
+	Stats  *stats.OpStats
 }
 
 // RunPN computes the primes below limit with dynamically created worker
 // threads, a GLOBAL counter guarded by a mutex, a progress condition watched
 // by a monitor thread, and pthread_cancel to retire the monitor.
 func RunPN(rt *cables.Runtime, limit, workers int) ProgResult {
-	st := &OpStats{}
+	st := &stats.OpStats{}
 	main := rt.Start()
 	acc := rt.Acc()
 	count := rt.Mem().GlobalVar(8) // GLOBAL static variable
@@ -90,7 +87,7 @@ func RunPN(rt *cables.Runtime, limit, workers int) ProgResult {
 // RunPC runs the two-thread bounded-buffer producer–consumer (single node,
 // so Table 5 uses it to show the cost of purely local API operations).
 func RunPC(rt *cables.Runtime, items int) ProgResult {
-	st := &OpStats{}
+	st := &stats.OpStats{}
 	main := rt.Start()
 	acc := rt.Acc()
 	buf, err := rt.Mem().Malloc(main.Task, 16)
@@ -144,7 +141,7 @@ func RunPC(rt *cables.Runtime, items int) ProgResult {
 // through shared single-slot buffers guarded by mutex+cond pairs; stages
 // keep private state in thread-specific data (pthread keys).
 func RunPIPE(rt *cables.Runtime, stages, items int) ProgResult {
-	st := &OpStats{}
+	st := &stats.OpStats{}
 	main := rt.Start()
 	acc := rt.Acc()
 

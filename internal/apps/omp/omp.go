@@ -38,7 +38,7 @@ func FFT(r *openmp.Runtime, m int) appapi.Result {
 	// first touch distributes the rows; the poor cluster speedups come from
 	// the all-to-all transposes and barriers, not from initialization.
 	r.Warmup()
-	r.Parallel(func(o *OMP) {
+	r.Parallel(func(o *openmp.OMP) {
 		t := o.Task()
 		buf := make([]float64, 2*rows)
 		o.For(0, rows, func(row int) {
@@ -53,16 +53,13 @@ func FFT(r *openmp.Runtime, m int) appapi.Result {
 
 	var sum float64
 	pStart := main.Now()
-	r.Parallel(func(o *OMP) { runFFTRegion(r, o, a, b, rows, n, &sum) })
+	r.Parallel(func(o *openmp.OMP) { runFFTRegion(r, o, a, b, rows, n, &sum) })
 	parallel := main.Now() - pStart
 	r.Close()
 	return r.Result("OMP-FFT", parallel, sum)
 }
 
-// OMP aliases the package's per-thread handle for the program bodies.
-type OMP = openmp.OMP
-
-func runFFTRegion(r *openmp.Runtime, o *OMP, a, b memsys.Addr, rows, n int, sum *float64) {
+func runFFTRegion(r *openmp.Runtime, o *openmp.OMP, a, b memsys.Addr, rows, n int, sum *float64) {
 	acc := r.Acc()
 	t := o.Task()
 	buf := make([]float64, 2*rows)
@@ -129,7 +126,7 @@ func LU(r *openmp.Runtime, n int) appapi.Result {
 	var sum float64
 	r.Warmup()
 	pStart := main.Now()
-	r.Parallel(func(o *OMP) {
+	r.Parallel(func(o *openmp.OMP) {
 		t := o.Task()
 		piv := make([]float64, n)
 		mine := make([]float64, n)
@@ -180,7 +177,7 @@ func Ocean(r *openmp.Runtime, n, iters int) appapi.Result {
 	var sum float64
 	r.Warmup()
 	pStart := main.Now()
-	r.Parallel(func(o *OMP) {
+	r.Parallel(func(o *openmp.OMP) {
 		t := o.Task()
 		mid := make([]float64, n)
 		local := 0.0

@@ -277,8 +277,6 @@ func (rt *Runtime) pickNode(now sim.Time) (node int, needAttach bool) {
 	if live+1 > a.numAttach*rt.cfg.ThreadsPerNode {
 		for n := 0; n < rt.cfg.MaxNodes; n++ {
 			if !a.attached[n] && !dead(n) {
-				a.attached[n] = true // reserve; attach completes outside
-				a.numAttach++
 				a.liveOnNode[n]++
 				return n, true
 			}
@@ -317,8 +315,6 @@ func (rt *Runtime) Create(parent *sim.Task, fn func(th *Thread)) *Thread {
 	parent.OpenSpan(uint8(profile.SpanCreate), uint64(node))
 	defer parent.CloseSpan()
 	if needAttach {
-		rt.acb.attached[node] = false // attachNode re-marks under its own charges
-		rt.acb.numAttach--
 		rt.attachNode(parent, node)
 	}
 
