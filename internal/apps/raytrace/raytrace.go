@@ -84,9 +84,11 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 	totalTiles := tilesPerDim * tilesPerDim
 
 	var sec appapi.Section
-	sums := make([]float64, procs)
+	// Each tile's pixel sum lands at its own index, so the checksum adds the
+	// tiles in tile order whichever worker took them from the queue.
+	tileSums := make([]float64, totalTiles)
 
-	appapi.RunWorkers(rt, procs, func(t *sim.Task, p int) {
+	appapi.RunWorkers(rt, procs, func(t *sim.Task, _ int) {
 		rt.Barrier(t, "ray.init", procs)
 		sec.Enter(t)
 
@@ -96,7 +98,6 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 		acc.ReadF64s(t, scene, local)
 
 		row := make([]float64, tile)
-		sum := 0.0
 		for {
 			// Dynamic tile queue (task stealing in the original program).
 			rt.Lock(t, 1)
@@ -116,6 +117,7 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 			goff := (int(tid) * 4096) % (gridWords - len(gslice))
 			acc.ReadF64s(t, grid+memsys.Addr(goff*8), gslice)
 			gterm := float64(gslice[0] * 1e-9)
+			sum := 0.0
 			for y := ty * tile; y < (ty+1)*tile; y++ {
 				for x := tx * tile; x < (tx+1)*tile; x++ {
 					v := trace(local, ns, x, y, img) + gterm
@@ -125,12 +127,12 @@ func Run(rt appapi.Runtime, cfg Config) appapi.Result {
 				acc.WriteF64s(t, image+memsys.Addr((y*img+tx*tile)*8), row)
 				t.Compute(sim.Time(tile) * sim.Time(ns) * 12 * flopCost)
 			}
+			tileSums[tid] = sum
 		}
-		sums[p] = sum
 		sec.Leave(t)
 	})
 
-	res := appapi.Result{App: "RAYTRACE", Checksum: appapi.Sum(sums)}
+	res := appapi.Result{App: "RAYTRACE", Checksum: appapi.Sum(tileSums)}
 	appapi.Finalize(rt, &res, &sec)
 	return res
 }

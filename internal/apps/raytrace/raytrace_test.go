@@ -4,28 +4,36 @@ import (
 	"math"
 	"testing"
 
+	"cables/internal/apps/appapi"
+	cables "cables/internal/core"
 	"cables/internal/m4"
 )
 
-func runRay(t *testing.T, procs int) float64 {
-	t.Helper()
-	rt := m4.New(m4.Config{Procs: procs, ProcsPerNode: 2, ArenaBytes: 32 << 20})
-	res := Run(rt, Config{Image: 64, Spheres: 32, Tile: 16, GridBytes: 256 << 10})
-	if res.Checksum <= 0 {
-		t.Fatal("empty image")
-	}
-	return res.Checksum
+// backends builds a runtime of procs processors on each backend.
+var backends = map[string]func(procs int) appapi.Runtime{
+	"genima": func(procs int) appapi.Runtime {
+		return m4.New(m4.Config{Procs: procs, ProcsPerNode: 2, ArenaBytes: 32 << 20})
+	},
+	"cables": func(procs int) appapi.Runtime {
+		return cables.NewM4(cables.M4Config{Procs: procs, ProcsPerNode: 2, ArenaBytes: 32 << 20})
+	},
 }
 
-// TestImageSumIndependentOfScheduling: the dynamic tile queue assigns work
-// nondeterministically, but the rendered image (and so its sum) must not
-// depend on who rendered what.
+// TestImageSumIndependentOfScheduling: the dynamic tile queue hands tiles
+// to whichever worker asks first; the checksum adds the tiles in tile
+// order, so it must not depend on who rendered what, the processor count
+// or the backend.
 func TestImageSumIndependentOfScheduling(t *testing.T) {
-	base := runRay(t, 1)
-	for _, procs := range []int{4, 8} {
-		got := runRay(t, procs)
-		if rel := math.Abs(got-base) / base; rel > 1e-9 {
-			t.Errorf("p=%d image drift: %g vs %g", procs, got, base)
+	cfg := Config{Image: 64, Spheres: 32, Tile: 16, GridBytes: 256 << 10}
+	base := Run(backends["genima"](1), cfg).Checksum
+	if base <= 0 {
+		t.Fatal("empty image")
+	}
+	for name, rt := range backends {
+		for _, procs := range []int{1, 4, 8} {
+			if got := Run(rt(procs), cfg).Checksum; math.Float64bits(got) != math.Float64bits(base) {
+				t.Errorf("%s p=%d: checksum %v, want %v", name, procs, got, base)
+			}
 		}
 	}
 }

@@ -118,7 +118,7 @@ func (c Cell) Label() string {
 // cacheSchema versions the canonical form.  Bump it when the meaning of any
 // field changes (or a new result-changing field is added), so stale farm
 // cache entries from an older build can never be mistaken for current ones.
-const cacheSchema = "cables-farm-v4"
+const cacheSchema = "cables-farm-v5"
 
 // Canonical renders the cell as the canonical string that is hashed into
 // its cache address: a fixed field order, every field present (defaults

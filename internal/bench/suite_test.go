@@ -27,7 +27,9 @@ func mustRun(t *testing.T, app, backend string, procs int, o CellOptions) appapi
 
 // TestAppsAgreeAcrossBackends runs every SPLASH-2 port on both the base
 // system and CableS at the same processor count and requires identical
-// results — the end-to-end check that both memory systems are coherent.
+// checksum bits — the end-to-end check that both memory systems are
+// coherent.  Every app adds its per-unit sums in index order, so not even
+// the task-queue apps' last digits follow the schedule.
 func TestAppsAgreeAcrossBackends(t *testing.T) {
 	for _, app := range AppNames {
 		app := app
@@ -37,9 +39,8 @@ func TestAppsAgreeAcrossBackends(t *testing.T) {
 			if g.Checksum == 0 || c.Checksum == 0 {
 				t.Fatalf("zero checksum: genima=%g cables=%g", g.Checksum, c.Checksum)
 			}
-			if diff := math.Abs(g.Checksum-c.Checksum) / math.Abs(g.Checksum); diff > 1e-9 {
-				t.Errorf("checksum mismatch: genima=%g cables=%g (rel %g)",
-					g.Checksum, c.Checksum, diff)
+			if math.Float64bits(g.Checksum) != math.Float64bits(c.Checksum) {
+				t.Errorf("checksum mismatch: genima=%v cables=%v", g.Checksum, c.Checksum)
 			}
 			if g.Parallel <= 0 || c.Parallel <= 0 {
 				t.Errorf("non-positive parallel section: genima=%v cables=%v",

@@ -18,12 +18,12 @@ import (
 // result silently goes cold: bump cacheSchema with it.
 func TestProtocolCacheKeyCompat(t *testing.T) {
 	const (
-		pre     = "cables-farm-v4|app=FFT|procs=4|backend=genima|"
+		pre     = "cables-farm-v5|app=FFT|procs=4|backend=genima|"
 		base    = pre + "scale=test|gran=0|contended=false|plan=|seed=0|protocol="
 		genima  = base + "genima"
-		genimaH = "91ea2d189f89f442d283d8c1677f6592ded6a2d01d4c72783ca5657c60eb23f6"
+		genimaH = "48d48b2b1eccc284e1be3251a5ae9a3c7c60c2f0eb711b296298f27051129dd8"
 		plan    = pre + "scale=test|gran=0|contended=false|plan=send:p=0.05;detach:node=1,at=5ms|seed=3|protocol=genima"
-		planH   = "5484f5996bc2983ea764fbcdfdfa27ae6d25bd526cbc6906e0f18721ecbdf3df"
+		planH   = "7fd65bdba531212701df20671970f447d4341fcf4529170326314c8f5f3d0357"
 	)
 	for _, tc := range []struct {
 		name            string
@@ -35,19 +35,19 @@ func TestProtocolCacheKeyCompat(t *testing.T) {
 		{"seed without plan", func(s *Spec) { s.Seed = 9 }, genima, genimaH},
 		{"gran", func(s *Spec) { s.Gran = 4096 },
 			pre + "scale=test|gran=4096|contended=false|plan=|seed=0|protocol=genima",
-			"ce200cd8671780856e20bfced670b17aedfde9fedc1a108f41236f6be8469042"},
+			"b27016067a939f71d9c5922b63430a3f54f8408ae1ed13726f3c87853b8f0fd1"},
 		{"contendedSync", func(s *Spec) { s.ContendedSync = true },
 			pre + "scale=test|gran=0|contended=true|plan=|seed=0|protocol=genima",
-			"d0fa960774e23854b1d6d6305e1a501fc555e9d984186948e51a96c6103787b9"},
+			"ecae78c7aa9d551253160d0f8ad6110b31dd4bd99973f9127b2311c19da8fd4a"},
 		{"scale full", func(s *Spec) { s.Scale = "full" },
 			pre + "scale=full|gran=0|contended=false|plan=|seed=0|protocol=genima",
-			"186fa448a96af3087491ecca98c22556c635c97c56ce23d0f156cb5fc4865da9"},
+			"633d5d3ff3012d75ee5f77abf73b6dd24cdabf007de4faadb2c1820d73dd2893"},
 		{"plan and seed", func(s *Spec) { s.Plan, s.Seed = "send:p=0.05;detach:node=1,at=5ms", 3 }, plan, planH},
 		{"plan spelling", func(s *Spec) { s.Plan, s.Seed = "send:p=0.0500;detach:at=5ms,node=1", 3 }, plan, planH},
 		{"commutative", func(s *Spec) { s.Protocol = coherence.ProtoCommutative }, base + "commutative",
-			"6b8b871dc58a263d1fa7aaa7f8a2b8e9293baf21434b31033045b6521b9d3a96"},
+			"d50b3635b3900a0def3454b2ea0adaad28dd7658f33d35be0c9c3d17799ca17d"},
 		{"delegate", func(s *Spec) { s.Protocol = coherence.ProtoDelegate }, base + "delegate",
-			"b5201e10f533ecd29423442048ecd7300aed9b92ef618619c56c10063cd70aa3"},
+			"733255ab71e5728591036749193f8e9e6b38c92db4978224e1649928d6ba96c8"},
 	} {
 		s := Spec{Apps: []string{"FFT"}, Procs: []int{4}, Backends: []string{"genima"}, Scale: "test"}
 		tc.edit(&s)
