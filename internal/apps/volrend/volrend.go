@@ -134,12 +134,62 @@ func density(vol int) []float64 {
 				cx := float64(x-vol/2) / float64(vol)
 				cy := float64(y-vol/2) / float64(vol)
 				cz := float64(z-vol/2) / float64(vol)
-				row[x] = math.Exp(-8*(float64(cx*cx)+float64(cy*cy)+float64(cz*cz))) +
+				row[x] = exp(-8*(float64(cx*cx)+float64(cy*cy)+float64(cz*cz))) +
 					float64(0.3*sin6[x]*sin6[y]*sin6[z])
 			}
 		}
 	}
 	return field
+}
+
+// exp is math.Exp computed by Go's portable algorithm (math/exp.go's exp
+// and expmulti, with the same constants).  math.Exp is assembly on amd64,
+// arm64 and s390x, and amd64's picks a fused multiply-add path by CPU, so
+// the volume would depend on the host.  Every product that feeds an add is
+// rounded explicitly, so this one gives the same bits on any host and
+// GOARCH (DESIGN.md §5b).
+func exp(x float64) float64 {
+	const (
+		ln2Hi = 6.93147180369123816490e-01
+		ln2Lo = 1.90821492927058770002e-10
+		log2e = 1.44269504088896338700e+00
+
+		overflow  = 7.09782712893383973096e+02
+		underflow = -7.45133219101941108420e+02
+		nearZero  = 1.0 / (1 << 28) // 2**-28
+
+		p1 = 1.66666666666666657415e-01
+		p2 = -2.77777777770155933842e-03
+		p3 = 6.61375632143793436117e-05
+		p4 = -1.65339022054652515390e-06
+		p5 = 4.13813679705723846039e-08
+	)
+	switch {
+	case math.IsNaN(x) || math.IsInf(x, 1):
+		return x
+	case x > overflow:
+		return math.Inf(1)
+	case x < underflow: // -Inf too
+		return 0
+	case -nearZero < x && x < nearZero:
+		return 1 + x
+	}
+	// x = k*ln2 + r, |r| <= ln2/2, with r computed as hi - lo.
+	var k int
+	switch {
+	case x < 0:
+		k = int(float64(log2e*x) - 0.5)
+	case x > 0:
+		k = int(float64(log2e*x) + 0.5)
+	}
+	hi := x - float64(float64(k)*ln2Hi)
+	lo := float64(float64(k) * ln2Lo)
+	// e**r * 2**k.
+	r := hi - lo
+	t := float64(r * r)
+	c := r - float64(t*(p1+float64(t*(p2+float64(t*(p3+float64(t*(p4+float64(t*p5)))))))))
+	y := 1 - ((lo - float64(r*c)/(2-c)) - hi)
+	return math.Ldexp(y, k)
 }
 
 // rowTable renders every (frame, volume row yi) of field once.  A row's

@@ -1,6 +1,9 @@
 package volrend
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -256,4 +259,18 @@ func TestPerturbedReplicaRendersOwnRows(t *testing.T) {
 		t.Errorf("checksum %v, want %v rendered from the perturbed replica", res.Checksum, sum)
 	}
 	imageIsRows(t, rt.addrRT, own[cfg.Frames-1], vol, img)
+}
+
+// TestDensityPinned pins the SHA-256 of density(32)'s bits: the volume is
+// a pure function of its size on every host, whatever its CPU features
+// (math.Exp's amd64 assembly gave one field with FMA and another without).
+func TestDensityPinned(t *testing.T) {
+	var b []byte
+	for _, v := range density(32) {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	const want = "cddccd0ed705e6b1241feba6e4214830d0b03cd938280f13dcc484d62837d70f"
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+		t.Errorf("density(32) SHA-256 %s, want %s", got, want)
+	}
 }
